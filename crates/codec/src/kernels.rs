@@ -7,11 +7,18 @@
 //! is the oracle, the way `engine::reference` pins the algorithmic rewrites —
 //! so the choice is pure throughput, never format.
 //!
+//! [`crc32`](crate::crc32) dispatches the same way through [`clmul_crc`]:
+//! where the CPU has PCLMULQDQ (and SSE4.1) it folds 64 bytes per step with
+//! carry-less multiplies, elsewhere — and for inputs under 64 bytes, and for
+//! the last few bytes of every input — it walks the slicing-by-8 tables.
+//! A CRC is a pure function of the bytes, so chunk, sidecar and wire-frame
+//! checksums written under one arm verify under the other.
+//!
 //! Two override channels exist so CI and the benches can pin an arm:
 //!
-//! * `HQMR_FORCE_SCALAR=1` in the environment forces the scalar arm for the
-//!   whole process (the forced-scalar CI job runs the differential suites
-//!   under it).
+//! * `HQMR_FORCE_SCALAR=1` in the environment forces the scalar arm — the
+//!   scalar kernels and the table CRC — for the whole process (the
+//!   forced-scalar CI job runs the differential suites under it).
 //! * [`set_force_scalar`] flips the same switch at runtime, letting
 //!   `tables hotpath` time the SIMD and scalar arms in one process.
 //!
@@ -110,6 +117,23 @@ pub fn simd_level() -> SimdLevel {
     *DETECTED.get_or_init(detect)
 }
 
+/// True when [`crc32`](crate::crc32) should take its carry-less-multiply
+/// arm: the CPU has `pclmulqdq` and `sse4.1`, and the scalar arm is not
+/// pinned. Always false off x86-64.
+pub fn clmul_crc() -> bool {
+    use std::sync::OnceLock;
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    !force_scalar()
+        && *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            let has = std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1");
+            #[cfg(not(target_arch = "x86_64"))]
+            let has = false;
+            has
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +148,9 @@ mod tests {
         assert!(!force_scalar());
         #[cfg(target_arch = "x86_64")]
         assert!(simd_level() >= SimdLevel::Sse2);
+        set_force_scalar(true);
+        assert!(!clmul_crc());
+        set_force_scalar(false);
     }
 
     #[test]

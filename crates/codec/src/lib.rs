@@ -15,6 +15,7 @@
 pub mod bitio;
 pub mod codec;
 pub mod container;
+mod crc;
 pub mod huffman;
 pub mod kernels;
 pub mod quantizer;
@@ -26,6 +27,7 @@ pub use codec::{
     check_stream_id, push_stream_id, Codec, CodecError, NullCodec, NULL_CODEC_ID, TAG_STREAM_ID,
 };
 pub use container::{tag, Container, ContainerError, Section};
+pub use crc::crc32;
 pub use huffman::{
     huffman_decode, huffman_decode_reference, huffman_encode, huffman_encode_packed,
     huffman_encode_reference,
@@ -33,104 +35,3 @@ pub use huffman::{
 pub use quantizer::{round_ties_away_i64, LinearQuantizer, QuantOutcome};
 pub use rle::{pack_maybe_rle, rle_decode, rle_encode, unpack_maybe_rle};
 pub use varint::{read_uvarint, write_uvarint, zigzag_decode, zigzag_encode};
-
-/// Slicing-by-8 lookup tables for [`crc32`], built at compile time.
-/// `CRC_TABLES[j][b]` is the CRC of byte `b` followed by `j` zero bytes.
-static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[j][i] = (t[j - 1][i] >> 8) ^ t[0][(t[j - 1][i] & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to checksum
-/// container sections.
-///
-/// Slicing-by-8: eight bytes advance per step through eight independent
-/// table lookups, so the carried dependency is one XOR tree per eight bytes
-/// instead of one load-XOR chain per byte. Same polynomial, same values as
-/// the classic per-byte loop (which survives on the remainder tail).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ crc;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard test vector: "123456789" -> 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-    }
-
-    #[test]
-    fn crc32_sliced_matches_per_byte() {
-        // The slicing-by-8 loop must agree with the classic byte-at-a-time
-        // formulation on every remainder length.
-        let per_byte = |bytes: &[u8]| -> u32 {
-            let mut crc = !0u32;
-            for &b in bytes {
-                crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-            }
-            !crc
-        };
-        let mut buf = Vec::new();
-        let mut state = 0x1234_5678u32;
-        for len in 0..64usize {
-            buf.clear();
-            for _ in 0..len {
-                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                buf.push((state >> 24) as u8);
-            }
-            assert_eq!(crc32(&buf), per_byte(&buf), "len {len}");
-        }
-    }
-
-    #[test]
-    fn crc32_detects_flip() {
-        let a = crc32(b"hello world");
-        let b = crc32(b"hello worle");
-        assert_ne!(a, b);
-    }
-}

@@ -2,7 +2,7 @@
 
 /// Extents of a 3-D grid. Row-major with `z` fastest:
 /// `idx = (x·ny + y)·nz + z`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Dims3 {
     /// Slowest-varying extent.
     pub nx: usize,

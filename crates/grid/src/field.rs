@@ -2,8 +2,9 @@
 
 use crate::dims::Dims3;
 
-/// A dense 3-D scalar field (`f32`, row-major, `z` fastest).
-#[derive(Debug, Clone, PartialEq)]
+/// A dense 3-D scalar field (`f32`, row-major, `z` fastest). The default is
+/// the empty `0×0×0` field.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Field3 {
     dims: Dims3,
     data: Vec<f32>,

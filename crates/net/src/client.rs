@@ -28,13 +28,13 @@
 //! a typed give-up, not a silent one.
 
 use crate::proto::{
-    read_frame, read_hello, write_frame, write_hello, DatasetInfo, ErrorFrame, Kind, NetResponse,
+    read_frame_into, read_hello, recycle, write_hello, DatasetInfo, ErrorFrame, Kind, NetResponse,
     ProtocolError, Request, ServerStats, DEFAULT_MAX_FRAME,
 };
 use hqmr_mr::Upsample;
 use hqmr_serve::{Query, QueryResult, Response};
 use hqmr_store::RefinementStep;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -201,10 +201,13 @@ impl Default for ClientConfig {
 
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    /// Extra handle for adjusting socket options mid-call (dup'd FDs share
-    /// them, so setting the timeout here covers reader and writer).
-    ctrl: TcpStream,
+    /// The socket itself, unbuffered: every frame is one `write_all`. Also
+    /// the handle for adjusting socket options mid-call (dup'd FDs share
+    /// them, so a timeout set here covers the reader too).
+    writer: TcpStream,
+    /// Request frame and response body buffers, reused across calls.
+    frame: Vec<u8>,
+    body: Vec<u8>,
 }
 
 /// A blocking connection to a [`NetServer`](crate::NetServer), with
@@ -264,14 +267,13 @@ impl NetClient {
                     let _ = stream.set_nodelay(true);
                     stream.set_read_timeout(cfg.read_timeout)?;
                     stream.set_write_timeout(cfg.write_timeout)?;
-                    let ctrl = stream.try_clone()?;
                     let mut conn = Conn {
                         reader: BufReader::new(stream.try_clone()?),
-                        writer: BufWriter::new(stream),
-                        ctrl,
+                        writer: stream,
+                        frame: Vec::new(),
+                        body: Vec::new(),
                     };
                     write_hello(&mut conn.writer)?;
-                    conn.writer.flush()?;
                     read_hello(&mut conn.reader)?;
                     return Ok(conn);
                 }
@@ -310,8 +312,9 @@ impl NetClient {
         // write fail — but its typed error frame is still sitting in the
         // receive buffer. Always try the read; prefer its answer over the
         // raw broken-pipe error.
-        let wrote = write_frame(&mut conn.writer, req.kind(), id, &req.encode())
-            .and_then(|()| conn.writer.flush());
+        req.encode_into(id, &mut conn.frame);
+        let wrote = conn.writer.write_all(&conn.frame);
+        recycle(&mut conn.frame);
         // The read honors whatever is tighter: the socket timeout or what
         // remains of the request deadline.
         if let Some(dl) = deadline {
@@ -324,14 +327,14 @@ impl NetClient {
                 Some(rt) => rt.min(remaining),
                 None => remaining,
             };
-            let _ = conn.ctrl.set_read_timeout(Some(t));
+            let _ = conn.writer.set_read_timeout(Some(t));
         }
-        let read = read_frame(&mut conn.reader, self.max_frame_len);
+        let read = read_frame_into(&mut conn.reader, self.max_frame_len, &mut conn.body);
         if deadline.is_some() {
-            let _ = conn.ctrl.set_read_timeout(self.cfg.read_timeout);
+            let _ = conn.writer.set_read_timeout(self.cfg.read_timeout);
         }
-        let (header, body) = match (read, wrote) {
-            (Ok(frame), _) => frame,
+        let header = match (read, wrote) {
+            (Ok(header), _) => header,
             (Err(e), wrote) => {
                 // Whatever the cause, the stream position is unknown now —
                 // a late response would desync every later call.
@@ -349,8 +352,9 @@ impl NetClient {
             self.conn = None;
             return Err(NetError::UnexpectedResponse);
         }
-        let resp = NetResponse::decode(header.kind, &body)?;
-        match resp {
+        let resp = NetResponse::decode(header.kind, &conn.body);
+        recycle(&mut conn.body);
+        match resp? {
             NetResponse::Error(e) => {
                 if matches!(e, ErrorFrame::TooManyConnections) {
                     // The server hangs up after an admission refusal.

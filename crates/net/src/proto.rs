@@ -23,6 +23,13 @@
 //! client and echoed verbatim in the response, so one connection can carry
 //! batched traffic without ambiguity.
 //!
+//! Both ends build a frame in place and hand it to the socket whole:
+//! [`Request::encode_into`] / [`NetResponse::encode_into`] reserve the
+//! header, append the body to the same buffer, checksum it once and patch
+//! the header in — one buffer per connection, one `write_all` per frame.
+//! Reading mirrors it: [`read_frame_into`] fills a buffer the connection
+//! keeps between frames ([`recycle`] bounds what is kept).
+//!
 //! # Bodies
 //!
 //! Requests mirror `hqmr-serve`'s query surface: a [`Request::Batch`]
@@ -47,7 +54,7 @@ use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, UnitBlock, Upsample};
 use hqmr_serve::{CacheStats, Query, QueryResult, Response};
 use hqmr_store::{RefinementStep, StoreError};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Wire magic exchanged in the connection hello.
 pub const WIRE_MAGIC: &[u8; 4] = b"HQNW";
@@ -62,6 +69,10 @@ pub const HELLO_LEN: usize = 8;
 pub const HEADER_LEN: usize = 4 + 1 + 8 + 4;
 /// Default cap on a single frame body (sender and receiver side).
 pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
+/// Largest frame buffer a connection keeps allocated between frames: room
+/// for the megabyte-scale ROI answers that make up viewer traffic, so an
+/// occasional whole-level frame does not stay pinned per connection.
+pub const RETAINED_BUF_CAP: usize = 4 << 20;
 
 /// Frame kinds. Requests have the high bit clear, responses set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -501,21 +512,59 @@ fn frame_crc(header13: &[u8], body: &[u8]) -> u32 {
     crc32(header13) ^ crc32(body)
 }
 
-/// Writes one complete frame.
-pub fn write_frame(
-    w: &mut impl Write,
-    kind: Kind,
-    req_id: u64,
-    body: &[u8],
-) -> std::io::Result<()> {
+/// The 17 header bytes of a frame around `body`.
+fn header_bytes(kind: Kind, req_id: u64, body: &[u8]) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
     header[4] = kind as u8;
     header[5..13].copy_from_slice(&req_id.to_le_bytes());
     let crc = frame_crc(&header[..13], body);
     header[13..17].copy_from_slice(&crc.to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(body)
+    header
+}
+
+/// Builds one complete frame in `frame` (whatever it held is overwritten,
+/// its allocation reused): the header slot is reserved, `put_body` appends
+/// the body behind it, and the header is patched in once the body — and so
+/// its length and CRC — is known.
+fn build_frame(frame: &mut Vec<u8>, kind: Kind, req_id: u64, put_body: impl FnOnce(&mut Vec<u8>)) {
+    frame.clear();
+    frame.resize(HEADER_LEN, 0);
+    put_body(frame);
+    let (header, body) = frame.split_at_mut(HEADER_LEN);
+    header.copy_from_slice(&header_bytes(kind, req_id, body));
+}
+
+/// Drops `buf`'s allocation if it grew past [`RETAINED_BUF_CAP`]. Called on
+/// a connection's frame buffers after each use, so the steady-state frames
+/// reuse one allocation while a rare huge one is not kept forever.
+pub fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_BUF_CAP {
+        *buf = Vec::new();
+    }
+}
+
+/// Writes one complete frame around an already encoded `body`. Header and
+/// body go out as one vectored write — a single `writev` on a socket, no
+/// copy of the body — repeated only if the sink takes less than all of it.
+pub fn write_frame(
+    w: &mut impl Write,
+    kind: Kind,
+    req_id: u64,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let header = header_bytes(kind, req_id, body);
+    let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// A parsed but not yet CRC-verified frame header: what the server's
@@ -566,19 +615,31 @@ pub fn parse_header(
     })
 }
 
-/// Reads one complete frame, verifying length cap and CRC. `max_body` is
-/// checked *before* the body is allocated.
+/// Reads one complete frame into `body`, verifying length cap and CRC.
+/// `body` is resized to the frame's body — its old contents are irrelevant,
+/// its allocation is reused — and `max_body` is checked *before* it grows.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_body: usize,
+    body: &mut Vec<u8>,
+) -> Result<FrameHeader, ProtocolError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let raw = parse_header(&header, max_body)?;
+    body.resize(raw.body_len, 0);
+    r.read_exact(body)?;
+    raw.verify(body)?;
+    Ok(raw.header)
+}
+
+/// [`read_frame_into`] with a fresh body buffer per frame.
 pub fn read_frame(
     r: &mut impl Read,
     max_body: usize,
 ) -> Result<(FrameHeader, Vec<u8>), ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let raw = parse_header(&header, max_body)?;
-    let mut body = vec![0u8; raw.body_len];
-    r.read_exact(&mut body)?;
-    raw.verify(&body)?;
-    Ok((raw.header, body))
+    let mut body = Vec::new();
+    let header = read_frame_into(r, max_body, &mut body)?;
+    Ok((header, body))
 }
 
 // ---------------------------------------------------------------------------
@@ -683,9 +744,12 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 }
 
 fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
-    out.reserve(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+    // Sized once, then filled four bytes at a time: on little-endian
+    // targets the loop is a plain copy and compiles to one.
+    let start = out.len();
+    out.resize(start + data.len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(data) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -858,25 +922,35 @@ impl Request {
     /// Serializes the request body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.put_body(&mut out);
+        out
+    }
+
+    /// Builds this request's complete frame — header and body — in `frame`,
+    /// replacing its contents and reusing its allocation.
+    pub fn encode_into(&self, req_id: u64, frame: &mut Vec<u8>) {
+        build_frame(frame, self.kind(), req_id, |out| self.put_body(out));
+    }
+
+    fn put_body(&self, out: &mut Vec<u8>) {
         match self {
             Request::List => {}
             Request::Batch { dataset, queries } | Request::BatchDegraded { dataset, queries } => {
                 out.extend_from_slice(&dataset.to_le_bytes());
-                write_uvarint(&mut out, queries.len() as u64);
+                write_uvarint(out, queries.len() as u64);
                 for q in queries {
-                    put_query(&mut out, q);
+                    put_query(out, q);
                 }
             }
             Request::Progressive { dataset, scheme } => {
                 out.extend_from_slice(&dataset.to_le_bytes());
-                put_upsample(&mut out, *scheme);
+                put_upsample(out, *scheme);
             }
             Request::Stats { dataset, take } => {
                 out.extend_from_slice(&dataset.to_le_bytes());
                 out.push(u8::from(*take));
             }
         }
-        out
     }
 
     /// Parses a request body of the given kind. Malformed input yields a
@@ -934,42 +1008,53 @@ impl NetResponse {
     /// Serializes the response body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.put_body(&mut out);
+        out
+    }
+
+    /// Builds this response's complete frame — header and body — in
+    /// `frame`, replacing its contents and reusing its allocation.
+    pub fn encode_into(&self, req_id: u64, frame: &mut Vec<u8>) {
+        build_frame(frame, self.kind(), req_id, |out| self.put_body(out));
+    }
+
+    fn put_body(&self, out: &mut Vec<u8>) {
         match self {
             NetResponse::Datasets(list) => {
-                write_uvarint(&mut out, list.len() as u64);
+                write_uvarint(out, list.len() as u64);
                 for d in list {
                     out.extend_from_slice(&d.id.to_le_bytes());
-                    put_string(&mut out, &d.name);
+                    put_string(out, &d.name);
                     out.extend_from_slice(&d.codec_id.to_le_bytes());
                     out.extend_from_slice(&d.eb.to_le_bytes());
-                    put_dims(&mut out, d.domain);
-                    write_uvarint(&mut out, d.levels as u64);
-                    write_uvarint(&mut out, d.chunks as u64);
-                    write_uvarint(&mut out, d.compressed_bytes);
+                    put_dims(out, d.domain);
+                    write_uvarint(out, d.levels as u64);
+                    write_uvarint(out, d.chunks as u64);
+                    write_uvarint(out, d.compressed_bytes);
                 }
             }
             NetResponse::Batch(responses) => {
-                write_uvarint(&mut out, responses.len() as u64);
+                write_uvarint(out, responses.len() as u64);
                 for r in responses {
-                    put_response(&mut out, r);
+                    put_response(out, r);
                 }
             }
             NetResponse::BatchDegraded(results) => {
-                write_uvarint(&mut out, results.len() as u64);
+                write_uvarint(out, results.len() as u64);
                 for r in results {
-                    put_response(&mut out, &r.response);
-                    write_uvarint(&mut out, r.degraded.len() as u64);
+                    put_response(out, &r.response);
+                    write_uvarint(out, r.degraded.len() as u64);
                     for &(level, block) in &r.degraded {
-                        write_uvarint(&mut out, level as u64);
-                        write_uvarint(&mut out, block as u64);
+                        write_uvarint(out, level as u64);
+                        write_uvarint(out, block as u64);
                     }
                 }
             }
             NetResponse::Progressive(steps) => {
-                write_uvarint(&mut out, steps.len() as u64);
+                write_uvarint(out, steps.len() as u64);
                 for s in steps {
-                    write_uvarint(&mut out, s.level as u64);
-                    put_field(&mut out, &s.field);
+                    write_uvarint(out, s.level as u64);
+                    put_field(out, &s.field);
                 }
             }
             NetResponse::Stats(s) => {
@@ -1005,17 +1090,16 @@ impl NetResponse {
                     }
                     ErrorFrame::BadRequest(m) => {
                         out.push(3);
-                        put_string(&mut out, m);
+                        put_string(out, m);
                     }
                     ErrorFrame::Store(se) => {
                         out.push(4);
-                        put_store_error(&mut out, se);
+                        put_store_error(out, se);
                     }
                     ErrorFrame::DeadlineExceeded => out.push(5),
                 };
             }
         }
-        out
     }
 
     /// Parses a response body of the given kind. Malformed input yields a

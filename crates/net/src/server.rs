@@ -29,14 +29,14 @@
 
 use crate::chaos::{chunk_fault_hook, ChaosConfig, ChaosStream};
 use crate::proto::{
-    parse_header, read_hello, write_frame, write_hello, DatasetInfo, ErrorFrame, NetResponse,
+    parse_header, read_hello, recycle, write_hello, DatasetInfo, ErrorFrame, NetResponse,
     ProtocolError, Request, ServerStats, HEADER_LEN,
 };
 use hqmr_mr::Upsample;
 use hqmr_serve::{partition_budget, Query, StoreServer};
 use hqmr_store::{StoreReader, Throttle};
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -357,10 +357,19 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-fn send_response(w: &mut impl Write, req_id: u64, resp: &NetResponse) -> Result<(), ProtocolError> {
-    write_frame(w, resp.kind(), req_id, &resp.encode())?;
-    w.flush()?;
-    Ok(())
+/// Builds `resp`'s frame in `frame` — the connection's reused buffer — and
+/// hands it to the (unbuffered) socket in one `write_all`: header and body
+/// leave together instead of as two `TCP_NODELAY` segments.
+fn send_response(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    req_id: u64,
+    resp: &NetResponse,
+) -> Result<(), ProtocolError> {
+    resp.encode_into(req_id, frame);
+    let sent = w.write_all(frame);
+    recycle(frame);
+    Ok(sent?)
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -421,9 +430,12 @@ fn connection_loop<R: Read, W: Write>(
     mut writer: W,
 ) -> Result<(), ProtocolError> {
     write_hello(&mut writer)?;
-    writer.flush()?;
     read_hello(&mut reader)?;
     let mut header = [0u8; HEADER_LEN];
+    // Request body and response frame buffers, reused across the
+    // connection's frames.
+    let mut body = Vec::new();
+    let mut frame = Vec::new();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return Ok(());
@@ -438,7 +450,7 @@ fn connection_loop<R: Read, W: Write>(
             ReadOutcome::Closed | ReadOutcome::Err => return Ok(()),
             ReadOutcome::Stalled => {
                 let resp = NetResponse::Error(ErrorFrame::DeadlineExceeded);
-                let _ = send_response(&mut writer, 0, &resp);
+                let _ = send_response(&mut writer, &mut frame, 0, &resp);
                 return Ok(());
             }
         }
@@ -448,23 +460,23 @@ fn connection_loop<R: Read, W: Write>(
             // byte stream is no longer trustworthy).
             Err(e) => {
                 let resp = NetResponse::Error(ErrorFrame::BadRequest(e.to_string()));
-                let _ = send_response(&mut writer, 0, &resp);
+                let _ = send_response(&mut writer, &mut frame, 0, &resp);
                 return Err(e);
             }
         };
-        let mut body = vec![0u8; raw.body_len];
+        body.resize(raw.body_len, 0);
         match read_patient(&mut reader, &mut body) {
             ReadOutcome::Full => {}
             ReadOutcome::Closed | ReadOutcome::Err => return Ok(()),
             ReadOutcome::Idle | ReadOutcome::Stalled => {
                 let resp = NetResponse::Error(ErrorFrame::DeadlineExceeded);
-                let _ = send_response(&mut writer, raw.header.req_id, &resp);
+                let _ = send_response(&mut writer, &mut frame, raw.header.req_id, &resp);
                 return Ok(());
             }
         }
         if let Err(e) = raw.verify(&body) {
             let resp = NetResponse::Error(ErrorFrame::BadRequest(e.to_string()));
-            let _ = send_response(&mut writer, raw.header.req_id, &resp);
+            let _ = send_response(&mut writer, &mut frame, raw.header.req_id, &resp);
             return Err(e);
         }
         let resp = match Request::decode(raw.header.kind, &body) {
@@ -473,7 +485,8 @@ fn connection_loop<R: Read, W: Write>(
             Err(e) => NetResponse::Error(ErrorFrame::BadRequest(e.to_string())),
             Ok(req) => shared.route(req),
         };
-        send_response(&mut writer, raw.header.req_id, &resp)?;
+        recycle(&mut body);
+        send_response(&mut writer, &mut frame, raw.header.req_id, &resp)?;
     }
 }
 
@@ -491,21 +504,20 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) -> Result<
         Some(chaos) => {
             let stream = ChaosStream::new(stream, chaos.clone(), conn_id);
             let reader = BufReader::new(stream.try_clone().map_err(ProtocolError::Io)?);
-            connection_loop(shared, reader, BufWriter::new(stream))
+            connection_loop(shared, reader, stream)
         }
         None => {
             let reader = BufReader::new(stream.try_clone().map_err(ProtocolError::Io)?);
-            connection_loop(shared, reader, BufWriter::new(stream))
+            connection_loop(shared, reader, stream)
         }
     }
 }
 
 /// Tells an over-limit client why it is being dropped.
-fn reject_connection(stream: TcpStream) {
-    let mut writer = BufWriter::new(stream);
+fn reject_connection(mut stream: TcpStream) {
     let resp = NetResponse::Error(ErrorFrame::TooManyConnections);
-    if write_hello(&mut writer).is_ok() {
-        let _ = send_response(&mut writer, 0, &resp);
+    if write_hello(&mut stream).is_ok() {
+        let _ = send_response(&mut stream, &mut Vec::new(), 0, &resp);
     }
 }
 

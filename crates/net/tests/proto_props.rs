@@ -1,18 +1,22 @@
 //! Adversarial property suite for the HQNW wire protocol: random bytes,
 //! truncated frames, and bit-flipped frames must always produce a typed
 //! [`ProtocolError`] — never a panic, never an over-allocation — and every
-//! request/response variant round-trips bit-identically.
+//! request/response variant round-trips bit-identically. The bytes
+//! themselves are pinned by the fixtures under `tests/golden/`, written by
+//! the two-write, table-CRC framing this protocol version shipped with.
 
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, UnitBlock, Upsample};
 use hqmr_net::proto::{
-    read_frame, read_hello, write_frame, Kind, NetResponse, ProtocolError, Request, ServerStats,
+    read_frame, read_frame_into, read_hello, recycle, write_frame, write_hello, Kind, NetResponse,
+    ProtocolError, Request, ServerStats, HEADER_LEN, RETAINED_BUF_CAP,
 };
 use hqmr_net::{DatasetInfo, ErrorFrame, WireStoreError};
 use hqmr_serve::{CacheStats, Query, QueryResult, Response};
 use hqmr_store::RefinementStep;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::io::{IoSlice, Write};
 
 // The offline rand shim exposes `next_u64` + `gen_range` only; these cover
 // the handful of other draws this suite needs.
@@ -289,14 +293,18 @@ fn sample_response(rng: &mut StdRng) -> NetResponse {
 }
 
 /// Round-trip: randomized instances of every variant survive
-/// encode→frame→read_frame→decode bit-identically.
+/// encode→frame→read_frame→decode bit-identically, and the in-place frame
+/// builder emits the same bytes as framing a separately encoded body.
 #[test]
 fn every_variant_roundtrips_through_frames() {
     let mut rng = StdRng::seed_from_u64(0xf4a3);
+    let mut frame = vec![0xAA; 99]; // stale contents must not leak into a frame
     for i in 0..400 {
         let req = sample_request(&mut rng);
         let mut wire = Vec::new();
         write_frame(&mut wire, req.kind(), i, &req.encode()).unwrap();
+        req.encode_into(i, &mut frame);
+        assert_eq!(frame, wire);
         let (h, body) = read_frame(&mut wire.as_slice(), 1 << 24).unwrap();
         assert_eq!((h.kind, h.req_id), (req.kind(), i));
         assert_eq!(Request::decode(h.kind, &body).unwrap(), req);
@@ -304,9 +312,194 @@ fn every_variant_roundtrips_through_frames() {
         let resp = sample_response(&mut rng);
         let mut wire = Vec::new();
         write_frame(&mut wire, resp.kind(), i, &resp.encode()).unwrap();
+        resp.encode_into(i, &mut frame);
+        assert_eq!(frame, wire);
         let (h, body) = read_frame(&mut wire.as_slice(), 1 << 24).unwrap();
         assert_eq!(NetResponse::decode(h.kind, &body).unwrap(), resp);
     }
+}
+
+fn golden_list() -> NetResponse {
+    NetResponse::Datasets(vec![
+        DatasetInfo {
+            id: 3,
+            name: "nyx-t1".into(),
+            codec_id: 0x53_5A_33_53,
+            eb: 1e-3,
+            domain: Dims3::new(64, 64, 64),
+            levels: 3,
+            chunks: 17,
+            compressed_bytes: 123_456,
+        },
+        DatasetInfo {
+            id: 300,
+            name: "warpx-Ez".into(),
+            codec_id: 0x5A_46_50_31,
+            eb: 2.5e-2,
+            domain: Dims3::new(128, 128, 1024),
+            levels: 2,
+            chunks: 4096,
+            compressed_bytes: 1 << 33,
+        },
+    ])
+}
+
+fn golden_batch() -> NetResponse {
+    let roi = Field3::from_fn(Dims3::new(3, 2, 4), |x, y, z| {
+        (x + 10 * y + 100 * z) as f32 + 0.5
+    });
+    NetResponse::Batch(vec![Response::Roi(roi)])
+}
+
+/// Wire v3, byte for byte: the committed hello and frames are reproduced
+/// exactly by both frame writers, and parse back to the values they encode.
+#[test]
+fn golden_wire_bytes_are_reproduced_exactly() {
+    let hello: &[u8] = include_bytes!("golden/hello_v3.bin");
+    let mut out = Vec::new();
+    write_hello(&mut out).unwrap();
+    assert_eq!(out, hello);
+    read_hello(&mut &hello[..]).unwrap();
+
+    let cases: [(&[u8], NetResponse, u64); 2] = [
+        (include_bytes!("golden/list_response.bin"), golden_list(), 7),
+        (
+            include_bytes!("golden/batch_roi_response.bin"),
+            golden_batch(),
+            0x0102_0304_0506_0708,
+        ),
+    ];
+    for (golden, resp, req_id) in cases {
+        let mut frame = Vec::new();
+        resp.encode_into(req_id, &mut frame);
+        assert_eq!(frame, golden, "encode_into, kind {:?}", resp.kind());
+        let mut wire = Vec::new();
+        write_frame(&mut wire, resp.kind(), req_id, &resp.encode()).unwrap();
+        assert_eq!(wire, golden, "write_frame, kind {:?}", resp.kind());
+        let (h, body) = read_frame(&mut &golden[..], 1 << 20).unwrap();
+        assert_eq!((h.kind, h.req_id), (resp.kind(), req_id));
+        assert_eq!(NetResponse::decode(h.kind, &body).unwrap(), resp);
+    }
+}
+
+/// A sink that takes between 1 and `most` bytes per call — the short-write
+/// shape of the chaos layer's `partial:` fault, without the hangup.
+struct Trickle {
+    taken: Vec<u8>,
+    rng: StdRng,
+    most: usize,
+}
+
+impl Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.rng.gen_range(1..self.most + 1));
+        self.taken.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// However little the sink accepts per call, `write_frame` delivers the
+/// whole frame, in order, exactly once.
+#[test]
+fn short_writes_still_deliver_the_whole_frame() {
+    let mut rng = StdRng::seed_from_u64(0x5407);
+    for most in [1, 2, 7, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 1, 64] {
+        for _ in 0..20 {
+            let resp = sample_response(&mut rng);
+            let body = resp.encode();
+            let mut whole = Vec::new();
+            write_frame(&mut whole, resp.kind(), 5, &body).unwrap();
+            let mut sink = Trickle {
+                taken: Vec::new(),
+                rng: StdRng::seed_from_u64(most as u64),
+                most,
+            };
+            write_frame(&mut sink, resp.kind(), 5, &body).unwrap();
+            assert_eq!(sink.taken, whole, "at most {most} bytes per write");
+        }
+    }
+    // An empty body (List) has only the header to deliver.
+    let mut sink = Trickle {
+        taken: Vec::new(),
+        rng: StdRng::seed_from_u64(1),
+        most: 3,
+    };
+    write_frame(&mut sink, Kind::List, 1, &[]).unwrap();
+    assert_eq!(sink.taken.len(), HEADER_LEN);
+}
+
+/// A sink that takes everything it is offered — like a socket with room —
+/// and counts how many times it was called.
+#[derive(Default)]
+struct Counting {
+    taken: Vec<u8>,
+    calls: usize,
+}
+
+impl Write for Counting {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.taken.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.calls += 1;
+        bufs.iter().for_each(|b| self.taken.extend_from_slice(b));
+        Ok(bufs.iter().map(|b| b.len()).sum())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One frame, one hand-off: header and body reach a willing sink in a
+/// single call on both write paths — never a 17-byte header on its own.
+#[test]
+fn a_frame_reaches_the_sink_in_one_write() {
+    let resp = golden_batch();
+    let mut sink = Counting::default();
+    write_frame(&mut sink, resp.kind(), 9, &resp.encode()).unwrap();
+    assert_eq!(sink.calls, 1, "write_frame");
+
+    // What a connection does: build in place, then one `write_all`.
+    let mut frame = Vec::new();
+    resp.encode_into(9, &mut frame);
+    let mut direct = Counting::default();
+    direct.write_all(&frame).unwrap();
+    assert_eq!(direct.calls, 1, "encode_into + write_all");
+    assert_eq!(direct.taken, sink.taken);
+}
+
+/// A reused read buffer holds exactly the current frame's body, also after
+/// a longer one; `recycle` keeps ordinary buffers and drops oversized ones.
+#[test]
+fn reused_read_buffer_returns_the_right_body() {
+    let long = NetResponse::Error(ErrorFrame::BadRequest("x".repeat(5000)));
+    let short = NetResponse::Error(ErrorFrame::NoSuchDataset(9));
+    let mut wire = Vec::new();
+    for (i, resp) in [&long, &short, &long].into_iter().enumerate() {
+        write_frame(&mut wire, resp.kind(), i as u64, &resp.encode()).unwrap();
+    }
+    let mut stream = wire.as_slice();
+    let mut body = Vec::new();
+    for (i, resp) in [&long, &short, &long].into_iter().enumerate() {
+        let h = read_frame_into(&mut stream, 1 << 20, &mut body).unwrap();
+        assert_eq!((h.kind, h.req_id), (Kind::RError, i as u64));
+        assert_eq!(body, resp.encode());
+        recycle(&mut body);
+        assert!(body.capacity() >= 5000, "an ordinary buffer is kept");
+    }
+    assert!(stream.is_empty());
+
+    let mut huge = Vec::with_capacity(RETAINED_BUF_CAP + 1);
+    recycle(&mut huge);
+    assert_eq!(huge.capacity(), 0, "an oversized buffer is released");
 }
 
 /// Every proper prefix of a valid frame is a typed error (Truncated via the

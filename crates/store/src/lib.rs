@@ -955,10 +955,10 @@ mod tests {
         let mr = test_mr();
         let cfg = StoreConfig::new(eb()).with_chunk_blocks(4);
         let r = StoreReader::from_bytes(write_store(&mr, &cfg, &NullCodec)).unwrap();
-        let steps: Vec<RefinementStep> = r
-            .progressive(Upsample::Nearest)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let mut walk = r.progressive(Upsample::Nearest);
+        let steps: Vec<RefinementStep> = walk.by_ref().collect::<Result<_, _>>().unwrap();
+        // The last step gave its accumulator away; the walk stays finished.
+        assert!(walk.next().is_none());
         assert_eq!(steps.len(), mr.levels.len());
         // Coarse→fine order.
         for w in steps.windows(2) {

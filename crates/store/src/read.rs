@@ -179,12 +179,13 @@ pub fn read_roi<S: ChunkSource + ?Sized>(
             if (0..3).any(|a| blo[a] >= bhi[a]) {
                 continue;
             }
+            // `z` is contiguous in both layouts: one copy per clipped z-row.
+            let zn = bhi[2] - blo[2];
             for x in blo[0]..bhi[0] {
                 for y in blo[1]..bhi[1] {
-                    for z in blo[2]..bhi[2] {
-                        let v = data[bd.idx(x - origin[0], y - origin[1], z - origin[2])];
-                        out.set(x - lo[0], y - lo[1], z - lo[2], v);
-                    }
+                    let src = bd.idx(x - origin[0], y - origin[1], blo[2] - origin[2]);
+                    let dst = dims.idx(x - lo[0], y - lo[1], blo[2] - lo[2]);
+                    out.data_mut()[dst..dst + zn].copy_from_slice(&data[src..src + zn]);
                 }
             }
         }
@@ -332,10 +333,14 @@ impl<S: ChunkSource + ?Sized> Iterator for Progressive<'_, S> {
                     }
                     self.acc.insert_box(origin, &block);
                 }
-                Some(Ok(RefinementStep {
-                    level,
-                    field: self.acc.clone(),
-                }))
+                // The last step hands the accumulator over instead of
+                // copying it: nothing refines it further.
+                let field = if level == 0 {
+                    std::mem::take(&mut self.acc)
+                } else {
+                    self.acc.clone()
+                };
+                Some(Ok(RefinementStep { level, field }))
             }
             Err(e) => {
                 self.next = 0; // poison: no further refinement after an error
