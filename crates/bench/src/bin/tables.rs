@@ -49,12 +49,7 @@ fn main() {
         ("tab09", ex::tab09),
         ("ablations", ex::ablations),
         ("codecs", ex::codecs),
-        ("store", ex::store),
-        ("serve", ex::serve),
-        ("hotpath", ex::hotpath),
-        ("net", ex::net),
         ("faults", ex::faults),
-        ("temporal", ex::temporal),
         ("scrub", ex::scrub),
     ];
 

@@ -809,152 +809,6 @@ pub fn ablations(scale: usize) -> String {
     out
 }
 
-/// Store container benchmark: full vs ROI vs progressive vs isovalue-skip
-/// reads on the block-indexed `hqmr-store`, per codec backend. The ROI is
-/// chosen the way a viewer would: features found on the *coarse* level
-/// (surface_features → features_bbox), scaled up and re-read at fine
-/// resolution through `read_roi`. Besides the text report, the full matrix
-/// lands in `BENCH_store.json` at the workspace root.
-pub fn store(scale: usize) -> String {
-    use hqmr_store::{write_store, StoreConfig, StoreReader};
-    use std::time::Instant;
-    let d = datasets::nyx_t1(scale, 91);
-    let mr = d.mr.as_ref().unwrap();
-    let eb = d.range() * 8e-3;
-    let (mn, mx) = d.field.min_max();
-    let iso = mn + 0.6 * (mx - mn);
-
-    let mut out = format!(
-        "Store reads — {} (scale {scale}, rel eb 8e-3, chunks of 4 blocks)\n\
-         backend  store(KiB)  write(s)   full(s)  full(KiB)   roi(s)  roi(KiB)   iso(s)  iso(KiB)\n",
-        d.name
-    );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"rel_eb\": 8e-3,\n  \
-         \"chunk_blocks\": 4,\n  \"records\": [\n",
-        d.name
-    );
-    let kib = |b: u64| b as f64 / 1024.0;
-    let mut first = true;
-    for backend in Backend::ALL {
-        let cfg = StoreConfig::new(eb).with_chunk_blocks(4);
-        let codec = backend.codec();
-        let t0 = Instant::now();
-        let buf = write_store(mr, &cfg, codec.as_ref());
-        let t_write = t0.elapsed().as_secs_f64();
-        let store_bytes = buf.len() as u64;
-        let reader = StoreReader::from_bytes(buf).expect("fresh store must parse");
-
-        // Full read: every chunk of every level.
-        let t0 = Instant::now();
-        let full = reader.read_all().expect("fresh store must decode");
-        let t_full = t0.elapsed().as_secs_f64();
-        let full_bytes = reader.bytes_decoded();
-
-        // ROI read: features on the coarse level pick the fine-level box.
-        let coarse_idx = reader.meta().levels.len() - 1;
-        let coarse = &full.levels[coarse_idx];
-        let factor = 1usize << coarse.level;
-        let fine = reader.meta().levels[0].dims;
-        let feats = hqmr_vis::surface_features(&coarse.to_field(mn), iso, 2);
-        let (lo, hi) = hqmr_vis::features_bbox(&feats)
-            .map(|(lo, hi)| {
-                let lo = std::array::from_fn(|a| lo[a] * factor);
-                let hi = [
-                    (hi[0] * factor).min(fine.nx),
-                    (hi[1] * factor).min(fine.ny),
-                    (hi[2] * factor).min(fine.nz),
-                ];
-                (lo, hi)
-            })
-            .filter(|(lo, hi)| (0..3).all(|a| lo[a] < hi[a]))
-            .unwrap_or_else(|| {
-                // No coarse features: fall back to the central octant.
-                (
-                    [fine.nx / 4, fine.ny / 4, fine.nz / 4],
-                    [3 * fine.nx / 4, 3 * fine.ny / 4, 3 * fine.nz / 4],
-                )
-            });
-        reader.reset_counters();
-        let t0 = Instant::now();
-        let _roi = reader.read_roi(0, lo, hi, mn).expect("roi read");
-        let t_roi = t0.elapsed().as_secs_f64();
-        let roi_bytes = reader.bytes_decoded();
-
-        // Isovalue read: min/max chunk skipping on the fine level.
-        reader.reset_counters();
-        let t0 = Instant::now();
-        let _skim = reader.read_level_iso(0, iso).expect("iso read");
-        let t_iso = t0.elapsed().as_secs_f64();
-        let iso_bytes = reader.bytes_decoded();
-
-        // Progressive refinement: coarse→fine, cumulative bytes per step.
-        reader.reset_counters();
-        let mut steps = Vec::new();
-        let t0 = Instant::now();
-        for step in reader.progressive(Upsample::Nearest) {
-            let step = step.expect("progressive step");
-            steps.push((
-                step.level,
-                t0.elapsed().as_secs_f64(),
-                reader.bytes_decoded(),
-            ));
-        }
-
-        writeln!(
-            out,
-            "{:7} {:11.1} {t_write:9.4} {t_full:9.4} {:10.1} {t_roi:8.4} {:9.1} {t_iso:8.4} {:9.1}",
-            backend.name(),
-            kib(store_bytes),
-            kib(full_bytes),
-            kib(roi_bytes),
-            kib(iso_bytes),
-        )
-        .unwrap();
-        for (level, s, bytes) in &steps {
-            writeln!(
-                out,
-                "        progressive L{level}: {s:.4}s cumulative, {:.1} KiB decoded",
-                kib(*bytes)
-            )
-            .unwrap();
-        }
-
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let prog: Vec<String> = steps
-            .iter()
-            .map(|(level, s, bytes)| {
-                format!("{{\"level\": {level}, \"cum_s\": {s:.6}, \"cum_bytes\": {bytes}}}")
-            })
-            .collect();
-        write!(
-            json,
-            "    {{\"backend\": \"{}\", \"store_bytes\": {store_bytes}, \
-             \"write_s\": {t_write:.6}, \
-             \"full_read_s\": {t_full:.6}, \"full_read_bytes\": {full_bytes}, \
-             \"roi\": [[{}, {}, {}], [{}, {}, {}]], \
-             \"roi_read_s\": {t_roi:.6}, \"roi_read_bytes\": {roi_bytes}, \
-             \"iso_read_s\": {t_iso:.6}, \"iso_read_bytes\": {iso_bytes}, \
-             \"progressive\": [{}]}}",
-            backend.name(),
-            lo[0],
-            lo[1],
-            lo[2],
-            hi[0],
-            hi[1],
-            hi[2],
-            prog.join(", "),
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_store.json", &json, &mut out);
-    out
-}
-
 /// Codec-backend matrix: backend × arrangement × error bound on Nyx-T1,
 /// reporting compression ratio, PSNR over stored cells, and wall-clock
 /// throughput per direction. Besides the text report, the full matrix lands
@@ -1034,881 +888,6 @@ pub fn codecs(scale: usize) -> String {
     }
     json.push_str("\n  ]\n}\n");
     crate::write_root_json("BENCH_codecs.json", &json, &mut out);
-    out
-}
-
-/// Serving-layer benchmark (`BENCH_serve.json`): cold vs warm vs
-/// 16-concurrent-client throughput of the `hqmr-serve` chunk-cache layer,
-/// per codec backend, on a viewer-like query mix (sliding ROI bricks, an
-/// isovalue skim, a coarse overview). Three effects are measured:
-///
-/// * **cold vs warm** — the LRU cache turns repeat queries into assembly
-///   only (no fetch, CRC or codec work);
-/// * **batched** — `serve_batch` unions overlapping requests, so one batch
-///   decodes each chunk once even with the cache disabled;
-/// * **concurrent clients** — 16 threads over one *cold* shared server:
-///   single-flight + the shared cache mean the fleet collectively decodes
-///   each chunk once, so aggregate throughput scales with the client count
-///   instead of redoing the work 16× (this host has 1 core, so the win is
-///   pure work-sharing, not parallel decode).
-pub fn serve(scale: usize) -> String {
-    use hqmr_serve::{Query, StoreServer};
-    use hqmr_store::{write_store, StoreConfig, StoreReader};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const CLIENTS: usize = 16;
-    let d = datasets::nyx_t1(scale, 97);
-    let mr = d.mr.as_ref().unwrap();
-    let eb = d.range() * 8e-3;
-    let (mn, mx) = d.field.min_max();
-    let iso = mn + 0.6 * (mx - mn);
-
-    // The query mix one interactive client issues per pass: eight ROI
-    // bricks sweeping the fine level (half of them revisiting earlier
-    // regions, as a panning viewer does), one isovalue skim, one coarse
-    // overview.
-    let fine = mr.levels[0].dims;
-    let brick = [
-        (fine.nx / 2).max(1),
-        (fine.ny / 2).max(1),
-        (fine.nz / 4).max(1),
-    ];
-    let mut queries: Vec<Query> = Vec::new();
-    for k in 0..8usize {
-        let lo = [
-            (k % 2) * (fine.nx - brick[0]),
-            ((k / 2) % 2) * (fine.ny - brick[1]),
-            (k % 4) * (fine.nz - brick[2]) / 3,
-        ];
-        queries.push(Query::Roi {
-            level: 0,
-            lo,
-            hi: [lo[0] + brick[0], lo[1] + brick[1], lo[2] + brick[2]],
-            fill: mn,
-        });
-    }
-    queries.push(Query::Iso { level: 0, iso });
-    queries.push(Query::Level {
-        level: mr.levels.len() - 1,
-    });
-
-    let run_client = |server: &StoreServer| {
-        for q in &queries {
-            match *q {
-                Query::Roi {
-                    level,
-                    lo,
-                    hi,
-                    fill,
-                } => {
-                    std::hint::black_box(server.read_roi(level, lo, hi, fill).expect("roi"));
-                }
-                Query::Iso { level, iso } => {
-                    std::hint::black_box(server.read_level_iso(level, iso).expect("iso"));
-                }
-                Query::Level { level } => {
-                    std::hint::black_box(server.read_level(level).expect("level"));
-                }
-            }
-        }
-    };
-
-    let mut out = format!(
-        "Serving layer — {} (scale {scale}, rel eb 8e-3, chunks of 4 blocks, {} queries/pass)\n\
-         backend  cold(s)   warm(s)  warm_speedup  batch(s)  1-client(q/s)  {CLIENTS}-client agg(q/s)  agg_speedup\n",
-        d.name,
-        queries.len()
-    );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"rel_eb\": 8e-3,\n  \
-         \"chunk_blocks\": 4,\n  \"queries_per_pass\": {},\n  \"clients\": {CLIENTS},\n  \
-         \"records\": [\n",
-        d.name,
-        queries.len()
-    );
-    let mut first = true;
-    for backend in Backend::ALL {
-        let cfg = StoreConfig::new(eb).with_chunk_blocks(4);
-        let codec = backend.codec();
-        let buf = write_store(mr, &cfg, codec.as_ref());
-        let mk_server =
-            || StoreServer::unbounded(Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()));
-
-        // Cold: every chunk the mix touches decodes (once — later queries in
-        // the pass already reuse the cache, which is the serving point).
-        let server = mk_server();
-        let t0 = Instant::now();
-        run_client(&server);
-        let cold_s = t0.elapsed().as_secs_f64();
-        let cold_stats = server.stats();
-        let cold_bytes = server.reader().bytes_decoded();
-
-        // Warm: same mix again, answered from the resident cache.
-        const WARM_REPS: usize = 3;
-        let t0 = Instant::now();
-        for _ in 0..WARM_REPS {
-            run_client(&server);
-        }
-        let warm_s = t0.elapsed().as_secs_f64() / WARM_REPS as f64;
-        let warm_speedup = cold_s / warm_s;
-
-        // Batched: the planner unions the same mix into one decode set.
-        let server_b = mk_server();
-        let t0 = Instant::now();
-        std::hint::black_box(server_b.serve_batch(&queries).expect("batch"));
-        let batch_s = t0.elapsed().as_secs_f64();
-
-        // 16 concurrent clients on one cold server: single-flight + shared
-        // cache collapse the fleet's decodes to one per chunk.
-        let server_c = mk_server();
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..CLIENTS {
-                let server_c = &server_c;
-                s.spawn(move || run_client(server_c));
-            }
-        });
-        let conc_s = t0.elapsed().as_secs_f64();
-        let conc_stats = server_c.stats();
-
-        let single_qps = queries.len() as f64 / cold_s;
-        let agg_qps = (CLIENTS * queries.len()) as f64 / conc_s;
-        let agg_speedup = agg_qps / single_qps;
-        writeln!(
-            out,
-            "{:7} {cold_s:8.4} {warm_s:9.5} {warm_speedup:13.1} {batch_s:9.4} {single_qps:14.1} {agg_qps:19.1} {agg_speedup:12.1}",
-            backend.name(),
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "        cold: {} misses, {} hits, {:.1} KiB decoded; {CLIENTS}-client: {} misses, {} hits ({} shared waits)",
-            cold_stats.misses,
-            cold_stats.hits,
-            cold_bytes as f64 / 1024.0,
-            conc_stats.misses,
-            conc_stats.hits,
-            conc_stats.shared,
-        )
-        .unwrap();
-
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        write!(
-            json,
-            "    {{\"backend\": \"{}\", \"store_bytes\": {}, \
-             \"cold_s\": {cold_s:.6}, \"warm_s\": {warm_s:.6}, \"warm_speedup\": {warm_speedup:.2}, \
-             \"batch_cold_s\": {batch_s:.6}, \
-             \"single_client_qps\": {single_qps:.2}, \"concurrent_agg_qps\": {agg_qps:.2}, \
-             \"agg_speedup\": {agg_speedup:.2}, \
-             \"cold_cache\": {{\"requests\": {}, \"hits\": {}, \"misses\": {}, \"bytes_decoded\": {cold_bytes}}}, \
-             \"concurrent_cache\": {{\"requests\": {}, \"hits\": {}, \"shared\": {}, \"misses\": {}, \"resident_bytes\": {}}}}}",
-            backend.name(),
-            buf.len(),
-            cold_stats.requests,
-            cold_stats.hits,
-            cold_stats.misses,
-            conc_stats.requests,
-            conc_stats.hits,
-            conc_stats.shared,
-            conc_stats.misses,
-            conc_stats.resident_bytes,
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_serve.json", &json, &mut out);
-    out
-}
-
-/// Hot-path throughput: every overhauled stage measured against the
-/// reference implementation it replaced, on real Nyx-T1 inputs —
-/// word-at-a-time bit-IO and table-driven Huffman (entropy overhaul) plus
-/// the predictor/quantizer kernel rows (line-kernel SZ3 passes,
-/// interior-split SZ2 blocks, in-place/fused ZFP transform + batched
-/// bit-plane decode), a store-write throughput row, and end-to-end codec
-/// throughput for context. Emits `BENCH_hotpath.json` at the workspace root
-/// so the before/after MB/s is committed evidence.
-pub fn hotpath(scale: usize) -> String {
-    use hqmr_codec::bitio;
-    use hqmr_codec::{
-        huffman_decode, huffman_decode_reference, huffman_encode, huffman_encode_reference,
-        kernels, tag, unpack_maybe_rle, Codec, Container,
-    };
-    use std::time::Instant;
-
-    /// Best-of-N wall-clock of `f`, in seconds.
-    fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    let d = datasets::nyx_t1(scale, 81);
-    let mr = d.mr.as_ref().unwrap();
-    let eb = d.range() * 1e-3;
-
-    // The real entropy workload: every Huffman block inside the SZ3 streams
-    // of the paper-default arrangement (one per prepared array).
-    let prepared = hqmr_core::mrc::prepare_mr(mr, &MrcConfig::ours_pad(eb));
-    let codec = hqmr_sz3::Sz3Codec::default();
-    let mut blocks: Vec<Vec<u8>> = Vec::new();
-    let mut symbol_count = 0usize;
-    for prep in &prepared {
-        for (_, f) in prep.blocks() {
-            let stream = codec.compress(f, eb);
-            let c = Container::from_bytes(&stream).expect("fresh stream parses");
-            let packed = c.require(tag(b"QNTC")).expect("codes section present");
-            let block = unpack_maybe_rle(packed).expect("codes unpack");
-            symbol_count += huffman_decode(&block).expect("fresh block decodes").len();
-            blocks.push(block);
-        }
-    }
-    let symbol_mb = (symbol_count * 4) as f64 / (1024.0 * 1024.0);
-
-    let reps = 7;
-    // (stage, before MB/s, after MB/s, forced-scalar MB/s for SIMD-dispatched
-    // kernels — `None` for stages with no vector arm).
-    let mut records: Vec<(&str, f64, f64, Option<f64>)> = Vec::new();
-
-    let t_dec_ref = best_of(reps, || {
-        blocks
-            .iter()
-            .map(|b| huffman_decode_reference(b).unwrap().len())
-            .sum::<usize>()
-    });
-    let t_dec_tab = best_of(reps, || {
-        blocks
-            .iter()
-            .map(|b| huffman_decode(b).unwrap().len())
-            .sum::<usize>()
-    });
-    records.push((
-        "huffman_decode",
-        symbol_mb / t_dec_ref,
-        symbol_mb / t_dec_tab,
-        None,
-    ));
-
-    let symbol_sets: Vec<Vec<u32>> = blocks.iter().map(|b| huffman_decode(b).unwrap()).collect();
-    let t_enc_ref = best_of(reps, || {
-        symbol_sets
-            .iter()
-            .map(|s| huffman_encode_reference(s).len())
-            .sum::<usize>()
-    });
-    let t_enc_tab = best_of(reps, || {
-        symbol_sets
-            .iter()
-            .map(|s| huffman_encode(s).len())
-            .sum::<usize>()
-    });
-    records.push((
-        "huffman_encode",
-        symbol_mb / t_enc_ref,
-        symbol_mb / t_enc_tab,
-        None,
-    ));
-
-    // Bit-IO on a ZFP-like width mix (bit-plane coding interleaves 1-bit
-    // group tests with up-to-64-bit verbatim runs).
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-    let pattern: Vec<(u64, u32)> = (0..400_000)
-        .map(|_| {
-            x = x.rotate_left(11).wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (x, 1 + (x % 24) as u32)
-        })
-        .collect();
-    let total_bits: usize = pattern.iter().map(|&(_, n)| n as usize).sum();
-    let bit_mb = (total_bits / 8) as f64 / (1024.0 * 1024.0);
-    let t_w_ref = best_of(reps, || {
-        let mut w = bitio::reference::BitWriter::new();
-        for &(v, n) in &pattern {
-            w.write_bits(v, n);
-        }
-        w.finish().len()
-    });
-    let t_w_word = best_of(reps, || {
-        let mut w = bitio::BitWriter::new();
-        for &(v, n) in &pattern {
-            w.write_bits(v, n);
-        }
-        w.finish().len()
-    });
-    records.push(("bitio_write", bit_mb / t_w_ref, bit_mb / t_w_word, None));
-
-    let mut w = bitio::BitWriter::new();
-    for &(v, n) in &pattern {
-        w.write_bits(v, n);
-    }
-    let stream = w.finish();
-    let t_r_ref = best_of(reps, || {
-        let mut r = bitio::reference::BitReader::new(&stream);
-        pattern
-            .iter()
-            .fold(0u64, |a, &(_, n)| a.wrapping_add(r.read_bits(n)))
-    });
-    let t_r_word = best_of(reps, || {
-        let mut r = bitio::BitReader::new(&stream);
-        pattern
-            .iter()
-            .fold(0u64, |a, &(_, n)| a.wrapping_add(r.read_bits(n)))
-    });
-    records.push(("bitio_read", bit_mb / t_r_ref, bit_mb / t_r_word, None));
-
-    // Predictor/quantizer kernel rows: full codec compress/decompress,
-    // reference vs current, over the same prepared arrays. The entropy
-    // stage is shared between the two paths, so the delta isolates the
-    // kernel overhaul (line kernels / interior splits / fused transform).
-    // The third column repeats the current path under `HQMR_FORCE_SCALAR`
-    // so the SIMD dispatch contribution is visible in isolation; streams
-    // are bit-identical across arms, only the clock differs.
-    let stored_mb = (mr.total_cells() * 4) as f64 / (1024.0 * 1024.0);
-    let fields: Vec<&hqmr_grid::Field3> = prepared.iter().flat_map(|p| p.fields()).collect();
-    {
-        use hqmr_sz3::Sz3Config;
-        let cfg = Sz3Config::new(eb);
-        let t_ref = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_sz3::reference::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        let t_cur = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_sz3::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(true);
-        let t_sca = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_sz3::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(false);
-        records.push((
-            "sz3_compress_kernel",
-            stored_mb / t_ref,
-            stored_mb / t_cur,
-            Some(stored_mb / t_sca),
-        ));
-        let streams: Vec<Vec<u8>> = fields
-            .iter()
-            .map(|f| hqmr_sz3::compress(f, &cfg).bytes)
-            .collect();
-        let t_ref = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_sz3::reference::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        let t_cur = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_sz3::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(true);
-        let t_sca = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_sz3::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(false);
-        records.push((
-            "sz3_decompress_kernel",
-            stored_mb / t_ref,
-            stored_mb / t_cur,
-            Some(stored_mb / t_sca),
-        ));
-    }
-    {
-        use hqmr_sz2::Sz2Config;
-        let cfg = Sz2Config::multires(eb);
-        let t_ref = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_sz2::reference::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        let t_cur = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_sz2::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(true);
-        let t_sca = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_sz2::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(false);
-        records.push((
-            "sz2_compress_kernel",
-            stored_mb / t_ref,
-            stored_mb / t_cur,
-            Some(stored_mb / t_sca),
-        ));
-        let streams: Vec<Vec<u8>> = fields
-            .iter()
-            .map(|f| hqmr_sz2::compress(f, &cfg).bytes)
-            .collect();
-        let t_ref = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_sz2::reference::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        let t_cur = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_sz2::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(true);
-        let t_sca = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_sz2::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(false);
-        records.push((
-            "sz2_decompress_kernel",
-            stored_mb / t_ref,
-            stored_mb / t_cur,
-            Some(stored_mb / t_sca),
-        ));
-    }
-    {
-        use hqmr_zfp::ZfpConfig;
-        let cfg = ZfpConfig::new(eb);
-        let t_ref = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_zfp::reference::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        let t_cur = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_zfp::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(true);
-        let t_sca = best_of(reps, || {
-            fields
-                .iter()
-                .map(|f| hqmr_zfp::compress(f, &cfg).bytes.len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(false);
-        records.push((
-            "zfp_compress_kernel",
-            stored_mb / t_ref,
-            stored_mb / t_cur,
-            Some(stored_mb / t_sca),
-        ));
-        let streams: Vec<Vec<u8>> = fields
-            .iter()
-            .map(|f| hqmr_zfp::compress(f, &cfg).bytes)
-            .collect();
-        let t_ref = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_zfp::reference::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        let t_cur = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_zfp::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(true);
-        let t_sca = best_of(reps, || {
-            streams
-                .iter()
-                .map(|b| hqmr_zfp::decompress(b).unwrap().len())
-                .sum::<usize>()
-        });
-        kernels::set_force_scalar(false);
-        records.push((
-            "zfp_decompress_kernel",
-            stored_mb / t_ref,
-            stored_mb / t_cur,
-            Some(stored_mb / t_sca),
-        ));
-    }
-
-    // Store-write throughput (the production-critical in-situ direction),
-    // with the parallel full read alongside so the write/read gap is
-    // committed evidence.
-    let (store_write_mbps, store_read_mbps, tile_threads) = {
-        use hqmr_store::{write_store, write_store_into, ChunkSource, StoreConfig, StoreReader};
-        let cfg = StoreConfig::new(eb).with_chunk_blocks(4);
-        let codec = hqmr_sz3::Sz3Codec::default();
-        let mut buf = Vec::new();
-        let t_w = best_of(reps, || {
-            write_store_into(mr, &cfg, &codec, &mut buf);
-            buf.len()
-        });
-        let reader = StoreReader::from_bytes(write_store(mr, &cfg, &codec)).expect("store parses");
-        let t_r = best_of(reps, || {
-            reader.read_all().expect("store decodes").levels.len()
-        });
-
-        // Single-chunk decode: the serve-path unit of work on a cache miss.
-        // Both arms decode the largest chunk in the store; "before" forces
-        // the serial path, "after" allows intra-chunk tile parallelism.
-        // The gap scales with `tile_threads` — on a single-core runner the
-        // arms coincide because the rayon shim degrades to inline calls.
-        let (mut lv, mut blk, mut cells) = (0usize, 0usize, 0usize);
-        for (l, lm) in reader.store_meta().levels.iter().enumerate() {
-            for (b, c) in lm.chunks.iter().enumerate() {
-                let n = c.slots.len() * c.unit.pow(3);
-                if n > cells {
-                    (lv, blk, cells) = (l, b, n);
-                }
-            }
-        }
-        let chunk_mb = (cells * 4) as f64 / (1024.0 * 1024.0);
-        kernels::set_tile_parallel(false);
-        let t_ser = best_of(reps, || reader.decode_chunk(lv, blk).unwrap().data.len());
-        kernels::set_tile_parallel(true);
-        let t_par = best_of(reps, || reader.decode_chunk(lv, blk).unwrap().data.len());
-        records.push((
-            "single_chunk_decode",
-            chunk_mb / t_ser,
-            chunk_mb / t_par,
-            None,
-        ));
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (stored_mb / t_w, stored_mb / t_r, threads)
-    };
-
-    let mut out = format!(
-        "Hot-path throughput — {} (scale {scale}, {:.2} MiB of quant codes, \
-         {} Huffman blocks, {tile_threads} thread(s))\n\
-         stage                 before(MB/s)  after(MB/s)  scalar(MB/s)  speedup\n",
-        d.name,
-        symbol_mb,
-        blocks.len()
-    );
-    for (stage, before, after, scalar) in &records {
-        let sca = scalar.map_or("           -".into(), |s| format!("{s:12.1}"));
-        writeln!(
-            out,
-            "{stage:21} {before:12.1} {after:12.1} {sca}  {:6.2}x",
-            after / before
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "\nstore write (sz3, 4-block chunks): {store_write_mbps:8.1} MB/s \
-         (full parallel read: {store_read_mbps:.1} MB/s)"
-    )
-    .unwrap();
-
-    // End-to-end codec throughput on the same data (context: the entropy
-    // stage is one term of the full pipeline).
-    writeln!(out, "\nend-to-end (paper arrangement, rel_eb 1e-3):").unwrap();
-    let mut e2e: Vec<(&str, f64, f64)> = Vec::new();
-    for backend in [Backend::SZ3, Backend::SZ2, Backend::ZFP] {
-        let cfg = MrcConfig::ours_pad(eb).with_backend(backend);
-        let t_c = best_of(5, || compress_mr(mr, &cfg).0.len());
-        let bytes = compress_mr(mr, &cfg).0;
-        let t_d = best_of(5, || decompress_mr(&bytes).unwrap().levels.len());
-        writeln!(
-            out,
-            "{:7} compress {:8.1} MB/s   decompress {:8.1} MB/s",
-            backend.name(),
-            stored_mb / t_c,
-            stored_mb / t_d
-        )
-        .unwrap();
-        e2e.push((backend.name(), stored_mb / t_c, stored_mb / t_d));
-    }
-
-    let mut json = String::from("{\n");
-    write!(
-        json,
-        "  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"stored_mb\": {stored_mb:.3},\n  \
-         \"symbol_mb\": {symbol_mb:.3},\n  \"symbol_count\": {symbol_count},\n  \
-         \"tile_threads\": {tile_threads},\n  \"records\": [\n",
-        d.name
-    )
-    .unwrap();
-    for (i, (stage, before, after, scalar)) in records.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let sca = scalar.map_or(String::new(), |s| format!(", \"scalar_MBps\": {s:.1}"));
-        write!(
-            json,
-            "    {{\"stage\": \"{stage}\", \"before_MBps\": {before:.1}, \
-             \"after_MBps\": {after:.1}{sca}, \"speedup\": {:.3}}}",
-            after / before
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ],\n");
-    writeln!(
-        json,
-        "  \"store_write\": {{\"backend\": \"sz3\", \"chunk_blocks\": 4, \
-         \"write_MBps\": {store_write_mbps:.1}, \"full_read_MBps\": {store_read_mbps:.1}}},"
-    )
-    .unwrap();
-    json.push_str("  \"end_to_end\": [\n");
-    for (i, (name, comp, dec)) in e2e.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"backend\": \"{name}\", \"compress_MBps\": {comp:.1}, \
-             \"decompress_MBps\": {dec:.1}}}"
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_hotpath.json", &json, &mut out);
-    out
-}
-
-/// Network serving benchmark (`BENCH_net.json`): per-request latency
-/// (p50/p99) and aggregate QPS of the `hqmr-net` fleet over real TCP
-/// loopback, across client count × cache budget, plus a deliberately
-/// saturated cell (1 worker, depth-1 queue, cache off, 16 clients) showing
-/// overload surfacing as typed `Busy` responses — bounded answers, not an
-/// unbounded backlog. Each request is one single-query batch from a
-/// viewer-like mix (ROI bricks, an isovalue skim, a coarse overview), so a
-/// latency sample is one full round-trip: encode, two socket hops, shard
-/// dispatch, serve, decode.
-pub fn net(scale: usize) -> String {
-    use hqmr_net::{DatasetSpec, NetClient, NetConfig, NetError, NetServer};
-    use hqmr_serve::{Query, UNBOUNDED};
-    use hqmr_store::{write_store, StoreConfig, StoreReader};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const PASSES: usize = 3;
-    let d = datasets::nyx_t1(scale, 53);
-    let mr = d.mr.as_ref().unwrap();
-    let eb = d.range() * 8e-3;
-    let (mn, mx) = d.field.min_max();
-    let iso = mn + 0.6 * (mx - mn);
-
-    // Same viewer-like mix as the in-process serving bench, issued as
-    // individual requests so each one is a latency sample.
-    let fine = mr.levels[0].dims;
-    let brick = [
-        (fine.nx / 2).max(1),
-        (fine.ny / 2).max(1),
-        (fine.nz / 4).max(1),
-    ];
-    let mut mix: Vec<Query> = Vec::new();
-    for k in 0..8usize {
-        let lo = [
-            (k % 2) * (fine.nx - brick[0]),
-            ((k / 2) % 2) * (fine.ny - brick[1]),
-            (k % 4) * (fine.nz - brick[2]) / 3,
-        ];
-        mix.push(Query::Roi {
-            level: 0,
-            lo,
-            hi: [lo[0] + brick[0], lo[1] + brick[1], lo[2] + brick[2]],
-            fill: mn,
-        });
-    }
-    mix.push(Query::Iso { level: 0, iso });
-    mix.push(Query::Level {
-        level: mr.levels.len() - 1,
-    });
-
-    let buf = write_store(
-        mr,
-        &StoreConfig::new(eb).with_chunk_blocks(4),
-        &hqmr_sz3::Sz3Codec::default(),
-    );
-    let store_bytes = buf.len();
-    let spawn = |cfg: NetConfig| {
-        NetServer::spawn(
-            "127.0.0.1:0",
-            cfg,
-            vec![DatasetSpec {
-                id: 0,
-                name: d.name.to_string(),
-                reader: Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
-            }],
-        )
-        .expect("spawn fleet")
-    };
-
-    /// Drives `clients` threads × `PASSES` passes of the mix against
-    /// `addr`; returns (per-request seconds, wall seconds, busy retries).
-    fn drive(
-        addr: std::net::SocketAddr,
-        clients: usize,
-        mix: &[Query],
-        passes: usize,
-    ) -> (Vec<f64>, f64, u64) {
-        let t0 = Instant::now();
-        let results: Vec<(Vec<f64>, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut client = NetClient::connect(addr).expect("connect");
-                        let mut lat = Vec::with_capacity(passes * mix.len());
-                        let mut busy = 0u64;
-                        for _ in 0..passes {
-                            for q in mix {
-                                let t = Instant::now();
-                                loop {
-                                    match client.batch(0, std::slice::from_ref(q)) {
-                                        Ok(r) => {
-                                            std::hint::black_box(r);
-                                            break;
-                                        }
-                                        Err(NetError::Busy) => {
-                                            busy += 1;
-                                            std::thread::yield_now();
-                                        }
-                                        Err(e) => panic!("request failed: {e}"),
-                                    }
-                                }
-                                lat.push(t.elapsed().as_secs_f64());
-                            }
-                        }
-                        (lat, busy)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        let mut lat = Vec::new();
-        let mut busy = 0;
-        for (l, b) in results {
-            lat.extend(l);
-            busy += b;
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        (lat, wall, busy)
-    }
-
-    fn pct(sorted: &[f64], q: f64) -> f64 {
-        let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[i]
-    }
-
-    let budgets: [(&str, usize); 2] = [("64KiB", 64 << 10), ("unbounded", UNBOUNDED)];
-    let client_counts = [1usize, 4, 16];
-
-    let mut out = format!(
-        "Network serving — {} (scale {scale}, rel eb 8e-3, sz3 store {:.1} KiB, \
-         {} requests/client-pass, {PASSES} passes, TCP loopback)\n\
-         budget     clients   p50(ms)   p99(ms)   agg(q/s)   busy_retries   hits   misses\n",
-        d.name,
-        store_bytes as f64 / 1024.0,
-        mix.len(),
-    );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"rel_eb\": 8e-3,\n  \
-         \"store_bytes\": {store_bytes},\n  \"requests_per_pass\": {},\n  \
-         \"passes\": {PASSES},\n  \"records\": [\n",
-        d.name,
-        mix.len(),
-    );
-    let mut first = true;
-    for (bname, budget) in budgets {
-        for clients in client_counts {
-            // Fresh fleet per cell: cold cache, default worker pool.
-            let server = spawn(NetConfig {
-                cache_budget: budget,
-                max_connections: 64,
-                ..NetConfig::default()
-            });
-            let (lat, wall, busy) = drive(server.local_addr(), clients, &mix, PASSES);
-            let total = lat.len() as f64;
-            let (p50, p99) = (pct(&lat, 0.50) * 1e3, pct(&lat, 0.99) * 1e3);
-            let qps = total / wall;
-            let mut probe = NetClient::connect(server.local_addr()).expect("stats probe");
-            let stats = probe.stats(0, false).expect("stats");
-            writeln!(
-                out,
-                "{bname:9} {clients:8} {p50:9.3} {p99:9.3} {qps:10.1} {busy:14} {:6} {:8}",
-                stats.cache.hits, stats.cache.misses,
-            )
-            .unwrap();
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            write!(
-                json,
-                "    {{\"budget\": \"{bname}\", \"clients\": {clients}, \
-                 \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \"agg_qps\": {qps:.2}, \
-                 \"requests\": {}, \"busy_retries\": {busy}, \
-                 \"cache\": {{\"requests\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}}}}}",
-                lat.len(),
-                stats.cache.requests,
-                stats.cache.hits,
-                stats.cache.misses,
-                stats.cache.evictions,
-            )
-            .unwrap();
-        }
-    }
-
-    // Saturation: a deliberately starved fleet — overload must surface as
-    // typed Busy answers while every client still finishes its work.
-    let server = spawn(NetConfig {
-        workers: 1,
-        queue_depth: 1,
-        cache_budget: 0,
-        max_connections: 64,
-        ..NetConfig::default()
-    });
-    let (lat, wall, busy) = drive(server.local_addr(), 16, &mix, 1);
-    let busy_server = server.busy_rejections();
-    writeln!(
-        out,
-        "saturation (1 worker, queue depth 1, cache off, 16 clients): \
-         {} requests in {wall:.2}s, {busy} Busy retries observed by clients \
-         ({busy_server} rejected server-side), p99 {:.1} ms",
-        lat.len(),
-        pct(&lat, 0.99) * 1e3,
-    )
-    .unwrap();
-    write!(
-        json,
-        ",\n    {{\"budget\": \"saturation\", \"clients\": 16, \"workers\": 1, \
-         \"queue_depth\": 1, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-         \"agg_qps\": {:.2}, \"requests\": {}, \"busy_retries\": {busy}, \
-         \"busy_rejections_server\": {busy_server}}}",
-        pct(&lat, 0.50) * 1e3,
-        pct(&lat, 0.99) * 1e3,
-        lat.len() as f64 / wall,
-        lat.len(),
-    )
-    .unwrap();
-
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_net.json", &json, &mut out);
     out
 }
 
@@ -2116,116 +1095,6 @@ pub fn faults(scale: usize) -> String {
 
     json.push_str("\n  ]\n}\n");
     crate::write_root_json("BENCH_faults.json", &json, &mut out);
-    out
-}
-
-/// Temporal stores: compression-ratio win of inter-frame prediction over
-/// independent per-frame snapshots, on an advected synthetic sequence at an
-/// equal error bound. Streams the sequence through [`hqmr_core::TemporalWriter`] (the
-/// crash-safe in-situ path), then re-opens the container and verifies every
-/// reconstructed frame against its original field.
-pub fn temporal(scale: usize) -> String {
-    use hqmr_core::TemporalWriter;
-    use hqmr_store::temporal::{Prediction, TemporalReader};
-    use hqmr_store::{write_store, DEFAULT_CHUNK_BLOCKS};
-    use std::time::Instant;
-
-    const STEPS: usize = 6;
-    let dims = Dims3::cube(scale);
-    let frames = synth::advected_sequence(dims, STEPS, [0.4, 0.2, 0.1], 77);
-    let (mn, mx) = frames[0].min_max();
-    let eb = (mx - mn) as f64 * 8e-3;
-
-    // Frame-stable structure: the ROI layout is chosen once (frame 0) and
-    // every later timestep is poured into it, exactly as the in-situ
-    // pipeline does — deltas only line up when block layouts match.
-    let template = to_adaptive(&frames[0], &RoiConfig::new(8, 0.5));
-    let mrs: Vec<MultiResData> = frames.iter().map(|f| resample_like(&template, f)).collect();
-
-    let mut out = format!(
-        "Temporal stores — advected GRF sequence ({STEPS} frames of {scale}³, rel eb 8e-3)\n\
-         backend  indep(KiB)  temporal(KiB)   ratio  delta%   write(s)  max_err/eb\n"
-    );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"advected-grf\",\n  \"scale\": {scale},\n  \"frames\": {STEPS},\n  \
-         \"rel_eb\": 8e-3,\n  \"records\": [\n"
-    );
-    let kib = |b: u64| b as f64 / 1024.0;
-    for (bi, backend) in Backend::ALL.into_iter().enumerate() {
-        let cfg = MrcConfig::baseline(eb).with_backend(backend);
-        let codec = backend.codec();
-
-        // Baseline: each frame as an independent snapshot container.
-        let scfg = cfg.store_config(DEFAULT_CHUNK_BLOCKS);
-        let independent: u64 = mrs
-            .iter()
-            .map(|mr| write_store(mr, &scfg, codec.as_ref()).len() as u64)
-            .sum();
-
-        // Temporal: the same frames through the streaming delta writer.
-        let dir = std::env::temp_dir().join(format!("hqmr_bench_temporal_{}", backend.name()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let t0 = Instant::now();
-        let mut writer =
-            TemporalWriter::create(&dir, &cfg, Prediction::delta()).expect("create temporal dir");
-        let (mut temporal, mut delta_chunks, mut total_chunks) = (0u64, 0usize, 0usize);
-        for (t, mr) in mrs.iter().enumerate() {
-            let rep = writer.append(t as u64, mr).expect("append frame");
-            temporal += rep.bytes;
-            delta_chunks += rep.delta_chunks;
-            total_chunks += rep.total_chunks;
-        }
-        let t_write = t0.elapsed().as_secs_f64();
-
-        // Verify the error bound holds per frame through the reader (delta
-        // chains and all), against the original uncompressed fields.
-        let reader = TemporalReader::open(&dir).expect("reopen temporal store");
-        let mut max_err = 0.0f64;
-        if backend != Backend::NULL {
-            for (t, mr) in mrs.iter().enumerate() {
-                let fine = reader.read_level(t, 0).expect("read fine level");
-                let got = fine.to_field(mn);
-                let want = mr.levels[0].to_field(mn);
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    max_err = max_err.max((g - w).abs() as f64);
-                }
-            }
-            assert!(
-                max_err <= eb * (1.0 + 1e-6),
-                "{}: max err {max_err} exceeds eb {eb}",
-                backend.name()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let ratio = independent as f64 / temporal as f64;
-        let delta_pct = 100.0 * delta_chunks as f64 / total_chunks.max(1) as f64;
-        writeln!(
-            out,
-            "{:7} {:11.1} {:14.1} {ratio:7.3} {delta_pct:6.1} {t_write:10.4} {:11.3}",
-            backend.name(),
-            kib(independent),
-            kib(temporal),
-            max_err / eb,
-        )
-        .unwrap();
-        if bi > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"backend\": \"{}\", \"independent_bytes\": {independent}, \
-             \"temporal_bytes\": {temporal}, \"ratio\": {ratio:.4}, \
-             \"delta_chunk_frac\": {:.4}, \"write_s\": {t_write:.4}, \
-             \"max_err_over_eb\": {:.4}}}",
-            backend.name(),
-            delta_chunks as f64 / total_chunks.max(1) as f64,
-            max_err / eb,
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_temporal.json", &json, &mut out);
     out
 }
 

@@ -43,7 +43,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Writes a committed JSON baseline (e.g. `BENCH_codecs.json`,
-/// `BENCH_store.json`) at the workspace root, appending the outcome to the
+/// `BENCH_faults.json`) at the workspace root, appending the outcome to the
 /// experiment's report body.
 pub fn write_root_json(name: &str, json: &str, report: &mut String) {
     use std::fmt::Write as _;

@@ -308,8 +308,7 @@ impl<'a> BitReader<'a> {
 ///
 /// These are the *reference* implementations: the differential property
 /// tests assert the word-at-a-time structs above produce and consume
-/// bit-identical streams, and the `tables hotpath` bench times both so
-/// `BENCH_hotpath.json` carries measured before/after throughput.
+/// bit-identical streams, and `benches/hotpath.rs` times both.
 pub mod reference {
     /// Byte-at-a-time [`super::BitWriter`] (reference implementation).
     #[derive(Debug, Default, Clone)]

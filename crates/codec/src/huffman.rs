@@ -14,8 +14,8 @@
 //! bits carry tiny probability mass) spill to the canonical
 //! per-bit walk. The pre-overhaul per-bit coder survives as
 //! [`huffman_encode_reference`] / [`huffman_decode_reference`]: differential
-//! tests pin the two paths together and the `tables hotpath` bench measures
-//! the gap.
+//! tests pin the two paths together and `benches/hotpath.rs` measures the
+//! gap.
 
 use crate::bitio::{reference, BitReader, BitWriter};
 use crate::codec::CodecError;

@@ -19,8 +19,8 @@
 //! * `HQMR_FORCE_SCALAR=1` in the environment forces the scalar arm — the
 //!   scalar kernels and the table CRC — for the whole process (the
 //!   forced-scalar CI job runs the differential suites under it).
-//! * [`set_force_scalar`] flips the same switch at runtime, letting
-//!   `tables hotpath` time the SIMD and scalar arms in one process.
+//! * [`set_force_scalar`] flips the same switch at runtime, letting one
+//!   process run (and compare) the SIMD and scalar arms.
 //!
 //! The intra-chunk tile parallelism of the decode path (lines of an SZ3
 //! sweep fanned across the rayon shim) has the same two channels:

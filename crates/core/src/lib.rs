@@ -20,10 +20,8 @@
 //!   access for free.
 //! * [`workflow`] — one-call end-to-end API tying everything together, with
 //!   the compressor selected as arrangement × backend
-//!   ([`workflow::CompressorChoice`]), a store-backed variant
-//!   ([`workflow::run_uniform_workflow_store`]), and a serve-backed variant
-//!   ([`workflow::run_uniform_workflow_serve`]) that hands back a
-//!   concurrent, chunk-cached query server for many-client traffic.
+//!   ([`workflow::CompressorChoice`], which also yields the matching
+//!   [`hqmr_store::StoreConfig`] for writing a block-indexed store).
 
 pub mod insitu;
 pub mod mrc;
@@ -38,7 +36,6 @@ pub use uncertainty::{
     analyze_feature_recovery, model_near_isovalue, sample_error_pairs, ErrorModel, FeatureRecovery,
 };
 pub use workflow::{
-    run_uniform_workflow, run_uniform_workflow_serve, run_uniform_workflow_store, Arrangement,
-    CompressorChoice, ServeWorkflowResult, StoreWorkflowResult, WorkflowConfig, WorkflowError,
+    run_uniform_workflow, Arrangement, CompressorChoice, WorkflowConfig, WorkflowError,
     WorkflowResult,
 };

@@ -12,9 +12,7 @@ use crate::post::{bezier_pass, select_intensity, PostConfig};
 use crate::uncertainty::{model_near_isovalue, sample_error_pairs, ErrorModel};
 use hqmr_grid::Field3;
 use hqmr_mr::{to_adaptive, MergeStrategy, PadKind, RoiConfig, Upsample};
-use hqmr_serve::StoreServer;
-use hqmr_store::{write_store, StoreConfig, StoreError, StoreMeta, StoreReader};
-use std::sync::Arc;
+use hqmr_store::{StoreConfig, StoreError};
 
 /// Workflow configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,121 +218,6 @@ pub fn run_uniform_workflow(
     })
 }
 
-/// Everything the store-backed workflow produced.
-#[derive(Debug, Clone)]
-pub struct StoreWorkflowResult {
-    /// The complete serialized store (header + chunk table + data region) —
-    /// ready to be written to disk or handed to [`StoreReader::from_bytes`]
-    /// for ROI/progressive reads.
-    pub store: Vec<u8>,
-    /// The parsed directory: per-level chunk tables with byte ranges and
-    /// value min/max.
-    pub meta: StoreMeta,
-    /// Dense reconstruction at the original resolution (post-processed when
-    /// requested), obtained through a full store read-back.
-    pub reconstruction: Field3,
-    /// End-to-end compression ratio: original uniform bytes / store bytes
-    /// (directory overhead included).
-    pub end_to_end_ratio: f64,
-    /// Absolute error bound used.
-    pub eb: f64,
-}
-
-/// Runs the workflow with the block-indexed `hqmr-store` container instead
-/// of the monolithic MRC stream: ROI extraction → MR conversion → per-chunk
-/// compression into a store → full read-back → reconstruction → optional
-/// Bézier post-process. The returned store supports level/ROI/progressive
-/// reads without decoding anything else.
-pub fn run_uniform_workflow_store(
-    field: &Field3,
-    cfg: &WorkflowConfig,
-    chunk_blocks: usize,
-) -> Result<StoreWorkflowResult, WorkflowError> {
-    let eb = field.range() as f64 * cfg.rel_eb;
-    let mr = to_adaptive(field, &cfg.roi);
-    let store_cfg = cfg.compressor.store_config(eb, chunk_blocks);
-    let codec = cfg.compressor.backend.codec();
-    let store = write_store(&mr, &store_cfg, codec.as_ref());
-    let reader = StoreReader::from_bytes(store)?;
-    let back = reader.read_all()?;
-    let mut reconstruction = back.reconstruct(cfg.upsample);
-
-    if cfg.post_process {
-        let post_cfg = PostConfig::sz3_multires(cfg.roi.block);
-        let choice = select_intensity(field, &reconstruction, eb, &post_cfg);
-        reconstruction = bezier_pass(&reconstruction, eb, choice.a, &post_cfg);
-    }
-
-    let meta = reader.meta().clone();
-    // Recover the buffer the reader was opened over instead of cloning the
-    // whole compressed container.
-    let store = reader
-        .into_buffer()
-        .expect("from_bytes readers own a buffer");
-    Ok(StoreWorkflowResult {
-        meta,
-        end_to_end_ratio: (field.len() * 4) as f64 / store.len() as f64,
-        store,
-        reconstruction,
-        eb,
-    })
-}
-
-/// Everything the serve-backed workflow produced: the compressed container
-/// already wrapped in a concurrent, cache-backed query server.
-pub struct ServeWorkflowResult {
-    /// The serving layer over the freshly written store: `Send + Sync`,
-    /// ready to be shared across client threads (wrap in an `Arc` or borrow
-    /// through `std::thread::scope`) for cached level/ROI/iso/progressive
-    /// and batched queries.
-    pub server: StoreServer,
-    /// The parsed directory: per-level chunk tables with byte ranges and
-    /// value min/max.
-    pub meta: StoreMeta,
-    /// End-to-end compression ratio: original uniform bytes / store bytes.
-    pub end_to_end_ratio: f64,
-    /// Absolute error bound used.
-    pub eb: f64,
-}
-
-/// Runs the reduction workflow and hands back a query *server* instead of a
-/// raw container: ROI extraction → MR conversion → per-chunk compression
-/// into a block-indexed store → [`StoreServer`] with a decoded-chunk cache
-/// of at most `cache_budget` bytes. This is the entry point for the
-/// many-clients scenario: every read the server answers is byte-identical
-/// to a bare [`StoreReader`] over the same container, but hot chunks decode
-/// once and are shared.
-///
-/// Of the [`WorkflowConfig`] fields, only `roi`, `rel_eb` and `compressor`
-/// apply here. `post_process`, `uncertainty_iso` and `upsample` shape a
-/// *dense reconstruction*, which this variant deliberately never builds —
-/// the server answers level/ROI/iso/progressive queries straight from the
-/// store, so those fields are ignored (unlike [`run_uniform_workflow`] /
-/// [`run_uniform_workflow_store`], which produce the post-processed
-/// reconstruction). Run a step of [`StoreServer::progressive`] and apply
-/// `bezier_pass` yourself if a served client needs the post-processed view.
-pub fn run_uniform_workflow_serve(
-    field: &Field3,
-    cfg: &WorkflowConfig,
-    chunk_blocks: usize,
-    cache_budget: usize,
-) -> Result<ServeWorkflowResult, WorkflowError> {
-    let eb = field.range() as f64 * cfg.rel_eb;
-    let mr = to_adaptive(field, &cfg.roi);
-    let store_cfg = cfg.compressor.store_config(eb, chunk_blocks);
-    let codec = cfg.compressor.backend.codec();
-    let store = write_store(&mr, &store_cfg, codec.as_ref());
-    let store_bytes = store.len();
-    let reader = Arc::new(StoreReader::from_bytes(store)?);
-    let meta = reader.meta().clone();
-    Ok(ServeWorkflowResult {
-        server: StoreServer::new(reader, cache_budget),
-        meta,
-        end_to_end_ratio: (field.len() * 4) as f64 / store_bytes as f64,
-        eb,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,70 +288,6 @@ mod tests {
             // configuration.
             assert!(decompress_mr(&r.compressed).is_ok(), "{backend:?}");
         }
-    }
-
-    #[test]
-    fn store_workflow_matches_monolithic_reconstruction() {
-        // With one chunk per level, the store path feeds the codec
-        // byte-identical arrays, so the reconstructions agree exactly.
-        let f = synth::nyx_like(32, 23);
-        let mut cfg = WorkflowConfig::new(2e-3);
-        cfg.roi = RoiConfig::new(8, 0.4);
-        let mono = run_uniform_workflow(&f, &cfg).unwrap();
-        let store = run_uniform_workflow_store(&f, &cfg, usize::MAX).unwrap();
-        assert_eq!(store.reconstruction, mono.reconstruction);
-        assert!(store.end_to_end_ratio > 1.0);
-        assert_eq!(store.meta.levels.len(), 2);
-    }
-
-    #[test]
-    fn store_workflow_supports_roi_reads_per_backend() {
-        let f = synth::nyx_like(32, 29);
-        for backend in Backend::ALL {
-            let mut cfg = WorkflowConfig::new(2e-3);
-            cfg.roi = RoiConfig::new(8, 0.4);
-            cfg.compressor = CompressorChoice::ours().with_backend(backend);
-            cfg.post_process = false;
-            let r = run_uniform_workflow_store(&f, &cfg, 2).unwrap();
-            let reader = hqmr_store::StoreReader::from_bytes(r.store).unwrap();
-            let d = reader.meta().levels[0].dims;
-            let roi = reader
-                .read_roi(0, [0, 0, 0], [d.nx, d.ny, d.nz.min(8)], 0.0)
-                .unwrap();
-            assert_eq!(roi.dims().nz, d.nz.min(8), "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn serve_workflow_answers_cached_queries_identically() {
-        let f = synth::nyx_like(32, 37);
-        let mut cfg = WorkflowConfig::new(2e-3);
-        cfg.roi = RoiConfig::new(8, 0.4);
-        cfg.post_process = false;
-        let store = run_uniform_workflow_store(&f, &cfg, 2).unwrap();
-        let served = run_uniform_workflow_serve(&f, &cfg, 2, hqmr_serve::UNBOUNDED).unwrap();
-        assert_eq!(served.meta, store.meta);
-        assert!((served.end_to_end_ratio - store.end_to_end_ratio).abs() < 1e-12);
-        // Cold read through the server == bare reader over the same bytes.
-        let oracle = hqmr_store::StoreReader::from_bytes(store.store).unwrap();
-        assert_eq!(
-            served.server.read_all().unwrap(),
-            oracle.read_all().unwrap()
-        );
-        // Warm read is answered from the cache, byte-identically.
-        let before = served.server.reader().bytes_decoded();
-        assert_eq!(
-            served.server.read_all().unwrap(),
-            oracle.read_all().unwrap()
-        );
-        assert_eq!(
-            served.server.reader().bytes_decoded(),
-            before,
-            "warm pass decodes nothing"
-        );
-        let st = served.server.stats();
-        assert_eq!(st.requests, st.hits + st.misses);
-        assert!(st.hits >= st.misses, "second pass was all hits");
     }
 
     #[test]

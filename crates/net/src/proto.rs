@@ -443,8 +443,12 @@ impl From<&StoreError> for WireStoreError {
                 message: source.to_string(),
             },
             StoreError::NoSuchLevel(l) => WireStoreError::NoSuchLevel(*l),
-            // Temporal stores are not wire-served yet; carry the frame index
-            // in the message rather than growing the wire enum.
+            // Temporal stores are not wire-served yet — the serving layer
+            // is ready (`hqmr_serve::TemporalServer` is the same `Server`),
+            // but `DatasetSpec` must learn to carry a series; that lands
+            // together with a `temporal_serve` benchmark workload. Until
+            // then carry the frame index in the message rather than
+            // growing the wire enum.
             StoreError::NoSuchFrame(t) => {
                 WireStoreError::Malformed(format!("no frame {t} in temporal store"))
             }

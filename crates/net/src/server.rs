@@ -131,8 +131,12 @@ struct Tenant {
 
 /// Decode-bearing work routed to a shard.
 enum Work {
-    Batch(Vec<Query>),
-    BatchDegraded(Vec<Query>),
+    /// One batch; `degraded` picks the wire kind's fill-and-flag answer
+    /// over the exact one.
+    Batch {
+        queries: Vec<Query>,
+        degraded: bool,
+    },
     Progressive(Upsample),
     /// Test hook: parks the worker on a barrier so queue-full behaviour can
     /// be exercised deterministically.
@@ -221,10 +225,20 @@ impl Shared {
                     })
                 }
             },
-            Request::Batch { dataset, queries } => self.dispatch(dataset, Work::Batch(queries)),
-            Request::BatchDegraded { dataset, queries } => {
-                self.dispatch(dataset, Work::BatchDegraded(queries))
-            }
+            Request::Batch { dataset, queries } => self.dispatch(
+                dataset,
+                Work::Batch {
+                    queries,
+                    degraded: false,
+                },
+            ),
+            Request::BatchDegraded { dataset, queries } => self.dispatch(
+                dataset,
+                Work::Batch {
+                    queries,
+                    degraded: true,
+                },
+            ),
             Request::Progressive { dataset, scheme } => {
                 self.dispatch(dataset, Work::Progressive(scheme))
             }
@@ -314,27 +328,27 @@ fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => {
                 let serve = &shared.tenants[job.tenant].serve;
-                let resp = match job.work {
-                    Work::Batch(queries) => match serve.serve_batch(&queries) {
-                        Ok(rs) => NetResponse::Batch(rs),
-                        Err(e) => NetResponse::Error(ErrorFrame::Store((&e).into())),
-                    },
-                    Work::BatchDegraded(queries) => match serve.serve_batch_degraded(&queries) {
-                        Ok(rs) => NetResponse::BatchDegraded(rs),
-                        Err(e) => NetResponse::Error(ErrorFrame::Store((&e).into())),
-                    },
-                    Work::Progressive(scheme) => {
-                        match serve.progressive(scheme).collect::<Result<Vec<_>, _>>() {
-                            Ok(steps) => NetResponse::Progressive(steps),
-                            Err(e) => NetResponse::Error(ErrorFrame::Store((&e).into())),
+                let served = match job.work {
+                    Work::Batch { queries, degraded } => {
+                        if degraded {
+                            let results = serve.serve_batch_degraded(&queries);
+                            results.map(NetResponse::BatchDegraded)
+                        } else {
+                            serve.serve_batch(&queries).map(NetResponse::Batch)
                         }
                     }
+                    Work::Progressive(scheme) => serve
+                        .progressive(scheme)
+                        .collect::<Result<Vec<_>, _>>()
+                        .map(NetResponse::Progressive),
                     #[cfg(test)]
                     Work::Park(barrier) => {
                         barrier.wait();
-                        NetResponse::Error(ErrorFrame::Busy)
+                        Ok(NetResponse::Error(ErrorFrame::Busy))
                     }
                 };
+                let resp =
+                    served.unwrap_or_else(|e| NetResponse::Error(ErrorFrame::Store((&e).into())));
                 // A vanished client is not the worker's problem.
                 let _ = job.reply.send(resp);
             }
@@ -559,11 +573,12 @@ impl NetServer {
         let mut by_id = HashMap::new();
         let fault_hook = cfg.chaos.as_ref().and_then(chunk_fault_hook);
         for (i, (spec, budget)) in datasets.into_iter().zip(budgets).enumerate() {
-            assert!(
-                by_id.insert(spec.id, i).is_none(),
-                "duplicate dataset id {}",
-                spec.id
-            );
+            if by_id.insert(spec.id, i).is_some() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("duplicate dataset id {}", spec.id),
+                ));
+            }
             let mut serve = StoreServer::new(spec.reader, budget);
             if let Some(hook) = &fault_hook {
                 serve = serve.with_fault_hook(Arc::clone(hook));
@@ -794,6 +809,20 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_dataset_id_is_invalid_input_not_a_panic() {
+        let datasets = [3, 7, 3].map(|id| DatasetSpec {
+            id,
+            name: format!("d{id}"),
+            reader: demo_reader(u64::from(id)),
+        });
+        let err = NetServer::spawn("127.0.0.1:0", NetConfig::default(), datasets.into())
+            .err()
+            .expect("a duplicate id must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("id 3"), "{err}");
+    }
+
+    #[test]
     fn route_answers_catalog_and_stats_inline() {
         let server = fleet(NetConfig {
             workers: 2,
@@ -897,7 +926,10 @@ mod tests {
         shared.worker_tx[0]
             .send(Job {
                 tenant: 0,
-                work: Work::Batch(vec![Query::Level { level: 0 }]),
+                work: Work::Batch {
+                    queries: vec![Query::Level { level: 0 }],
+                    degraded: false,
+                },
                 reply: fill_tx,
             })
             .unwrap();

@@ -1,60 +1,80 @@
-//! `hqmr-serve` — the concurrent serving layer over a block-indexed store.
+//! `hqmr-serve` — the concurrent serving layer over block-indexed stores.
 //!
 //! A [`StoreReader`] gives random access to a compressed multi-resolution
 //! container, but every query re-fetches and re-decodes its chunks from
 //! scratch. Interactive visualization traffic does the opposite of touching
-//! each chunk once: many clients pan and zoom over the *same* hot regions,
-//! and a chunk decoded for one ROI is needed again milliseconds later by the
-//! next. [`StoreServer`] is the layer in between — a `Send + Sync` server
-//! wrapping an `Arc<StoreReader>` with:
+//! each chunk once: many clients pan and zoom over the *same* hot regions —
+//! of one snapshot or of neighbouring frames of a run. [`Server`] is the
+//! layer in between, and there is exactly one of it.
 //!
-//! * a **decoded-chunk LRU cache** keyed by `(level, chunk)` under a
-//!   configurable byte budget — chunk payloads are shared `Arc<[f32]>`
-//!   slabs, so a cache hit is a refcount bump, not a copy;
-//! * **single-flight decode**: concurrent requests for the same non-resident
-//!   chunk decode it once; the first requester runs the codec while the rest
-//!   wait on the shared flight and clone its result;
-//! * a **batched query planner** ([`StoreServer::serve_batch`]): a set of
-//!   level/ROI/isovalue requests is planned as the *union* of needed chunks,
-//!   misses decode in parallel through the rayon shim, and every response is
-//!   assembled from the shared decoded set — overlapping requests in one
-//!   batch never decode a chunk twice, whatever the cache budget;
-//! * [`CacheStats`] — hits / misses / shared waits / evictions / resident
-//!   bytes, alongside the reader's existing `bytes_decoded` accounting.
+//! **What is served — the [`Frames`] seam.** A server wraps an `Arc<F>`
+//! where `F:` [`Frames`] is an indexed run of per-frame [`StoreReader`]s plus
+//! one bit per chunk: "is this stored stream a residual against the same
+//! chunk one frame earlier?". A [`TemporalReader`] (an `HQTM` directory) is
+//! the general case; a snapshot — a bare [`StoreReader`] — is *the one-frame
+//! series*: frame `0` is the reader itself and no chunk is ever a delta.
+//! [`StoreServer`] and [`TemporalServer`] are aliases of the same type,
+//! differing only in the arity of their convenience reads
+//! (`read_level(level)` vs. `read_level(t, level)`); a bare [`Query`] is a
+//! [`TimeQuery`] at time `0`.
 //!
-//! Every read method returns results byte-identical to the bare
-//! [`StoreReader`]: both funnel through the provider-generic assembly in
-//! [`hqmr_store::read`], and the differential property suite in
-//! `tests/serve_props.rs` pins the equivalence across every backend,
-//! arrangement and budget (including 0 and unbounded).
+//! **One chunk pipeline.** Every decoded chunk, whoever asks, comes out of
+//! one function keyed `(time, level, chunk)`:
+//!
+//! ```text
+//! LRU / single-flight ─miss→ fault hook → fetch+CRC → decode
+//!                              → (parity repair) → (delta chain, through the cache)
+//! ```
+//!
+//! The cache is a byte-budgeted LRU of shared `Arc<[f32]>` slabs (a hit is
+//! a refcount bump) with single-flight decode (concurrent requests for one
+//! non-resident chunk decode it once). A delta chunk recurses — through the
+//! cache — into `(t−1, level, chunk)`, so a chain is walked at most once
+//! however many clients ask for its tip; deadlock-free by construction,
+//! since the decode closure runs outside every cache lock and only ever
+//! requests a strictly smaller time index.
+//!
+//! **One batch function.** [`Server::serve_batch`] and
+//! [`Server::serve_batch_degraded`] are the same function — plan the
+//! *union* of needed chunks, harvest the resident ones under one lock,
+//! decode the misses in parallel, assemble every response from the batch's
+//! own decoded set — under a two-valued policy for a chunk that will not
+//! decode: fail the batch, or quarantine it, fill from coarser data and
+//! flag the answer.
+//!
+//! Every read is byte-identical to the bare reader's: all funnel through
+//! the provider-generic assembly in [`hqmr_store::read`], and the
+//! differential suites (`tests/serve_props.rs`, the workspace's
+//! `temporal_props`) pin that across every backend, arrangement and budget,
+//! and pin a snapshot and its one-frame series to the same bits and the
+//! same [`CacheStats`] ledger.
 
 mod cache;
-pub mod temporal;
 
 pub use cache::CacheStats;
-pub use temporal::{TemporalServer, TimeQuery, TimeView};
 
-use cache::Key;
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, MultiResData, Upsample};
 use hqmr_store::read::{self, ChunkSource};
+use hqmr_store::temporal::{apply_residual, TemporalReader, TimeKey};
 use hqmr_store::{
-    DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus, StoreError, StoreMeta,
-    StoreReader, Throttle,
+    temporal_sidecars, DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus,
+    StoreError, StoreMeta, StoreReader, Throttle,
 };
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 // Compile-time thread-safety contract: the whole point of the server is to
 // be shared across client threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<StoreServer>();
+    assert_send_sync::<TemporalServer>();
     assert_send_sync::<CacheStats>();
 };
 
-/// Cache budget meaning "never evict" ([`StoreServer::unbounded`]).
+/// Cache budget meaning "never evict" ([`Server::unbounded`]).
 pub const UNBOUNDED: usize = usize::MAX;
 
 /// Carves one global decoded-chunk byte budget into per-tenant budgets,
@@ -159,12 +179,12 @@ pub enum Response {
     Iso(LevelData),
 }
 
-/// One query's answer under [`StoreServer::serve_batch_degraded`], carrying
+/// One query's answer under [`Server::serve_batch_degraded`], carrying
 /// the quality flag alongside the data: `degraded` lists every
 /// `(level, chunk)` the query touched whose real payload could not be
 /// decoded and was replaced by a best-effort fill (nearest coarser level
 /// upsampled, chunk-table proxy where no coarser data covers the region).
-/// Empty means the response is bit-identical to [`StoreServer::serve_batch`].
+/// Empty means the response is bit-identical to [`Server::serve_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// The assembled answer (possibly containing filled regions).
@@ -180,99 +200,183 @@ impl QueryResult {
     }
 }
 
+/// One request of a batch, pinned to a frame. A bare [`Query`] converts to
+/// the query at time `0` — all a snapshot has.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimeQuery {
+    /// Frame index the query reads.
+    pub time: usize,
+    /// The spatial query within that frame.
+    pub query: Query,
+}
+
+impl From<Query> for TimeQuery {
+    fn from(query: Query) -> Self {
+        TimeQuery { time: 0, query }
+    }
+}
+
 /// Decides whether a chunk fetch is forced to fail as
 /// [`StoreError::CorruptChunk`] — the injection point fault-injection
 /// harnesses (the `chaos` module of `hqmr-net`) hook into. Called with
-/// `(level, block)` before the real fetch; returning `true` simulates a
-/// chunk whose CRC check failed. Because every stored chunk is CRC-guarded,
-/// this is observationally identical to real at-rest bit rot.
+/// `(level, block)` before the real fetch of a *stored* chunk (a residual,
+/// for delta chunks); returning `true` simulates a chunk whose CRC check
+/// failed. Because every stored chunk is CRC-guarded, this is
+/// observationally identical to real at-rest bit rot.
 pub type FaultHook = Arc<dyn Fn(usize, usize) -> bool + Send + Sync>;
 
-/// A `Send + Sync` serving layer over one shared [`StoreReader`].
-///
-/// All methods take `&self`; clone the `Arc<StoreServer>` (or borrow across
-/// `std::thread::scope`) into as many client threads as needed. Results are
-/// byte-identical to the bare reader's at every cache budget.
-pub struct StoreServer {
-    reader: Arc<StoreReader>,
-    cache: cache::ChunkCache<Key>,
-    fault_hook: Option<FaultHook>,
-    /// Parity sidecar for online repair: when present, a chunk that fails
-    /// its CRC (or a chaos-injected fault) is reconstructed from its XOR
-    /// group before any degradation kicks in. Repaired chunks are exact and
-    /// enter the LRU like clean decodes.
-    parity: Option<ParitySidecar>,
-    /// Chunks that failed to decode during a degraded batch. Quarantined
-    /// chunks are never re-fetched by the degraded path (they go straight
-    /// to fill), keeping repeat traffic off a known-bad disk region.
-    quarantine: Mutex<BTreeSet<Key>>,
+/// What a [`Server`] serves: an indexed run of per-frame stores. The seam
+/// between the serving core and the two on-disk shapes — implemented for a
+/// [`TemporalReader`], and for a bare [`StoreReader`] as the one-frame
+/// series that never predicts.
+pub trait Frames: Send + Sync {
+    /// Number of frames.
+    fn frame_count(&self) -> usize;
+    /// Frame `t`'s store ([`StoreError::NoSuchFrame`] past the end). Its
+    /// chunk streams are residuals wherever [`Frames::is_delta`] says so.
+    fn frame(&self, t: usize) -> Result<&StoreReader, StoreError>;
+    /// Whether frame `t`'s stored `(level, chunk)` is a residual against
+    /// `(t − 1, level, chunk)`. Only asked for a `t` that `frame` accepted.
+    fn is_delta(&self, t: usize, level: usize, chunk: usize) -> bool;
 }
 
-impl StoreServer {
+impl Frames for StoreReader {
+    fn frame_count(&self) -> usize {
+        1
+    }
+    fn frame(&self, t: usize) -> Result<&StoreReader, StoreError> {
+        (t == 0).then_some(self).ok_or(StoreError::NoSuchFrame(t))
+    }
+    fn is_delta(&self, _: usize, _: usize, _: usize) -> bool {
+        false
+    }
+}
+
+impl Frames for TemporalReader {
+    fn frame_count(&self) -> usize {
+        TemporalReader::frame_count(self)
+    }
+    fn frame(&self, t: usize) -> Result<&StoreReader, StoreError> {
+        self.frame_reader(t)
+    }
+    fn is_delta(&self, t: usize, level: usize, chunk: usize) -> bool {
+        self.manifest().frames[t].is_delta(level, chunk)
+    }
+}
+
+/// What a batch does with a chunk that will not decode — the whole
+/// difference between [`Server::serve_batch`] and
+/// [`Server::serve_batch_degraded`].
+#[derive(Clone, Copy, PartialEq)]
+enum OnCorrupt {
+    /// The typed error fails the batch.
+    Fail,
+    /// Quarantine the chunk, synthesize a fill, flag the answer.
+    Fill,
+}
+
+/// A `Send + Sync` serving layer over one shared run of frames.
+///
+/// All methods take `&self`; clone the `Arc<Server<_>>` (or borrow across
+/// `std::thread::scope`) into as many client threads as needed. Every read
+/// returns actual values — delta chains are resolved internally — and is
+/// byte-identical to the bare reader's at every cache budget.
+pub struct Server<F: Frames> {
+    reader: Arc<F>,
+    cache: cache::ChunkCache,
+    fault_hook: Option<FaultHook>,
+    /// Per-frame parity sidecars for online repair (`parity[t]` pairs with
+    /// frame `t`); empty when repair is unarmed, `None` for a frame whose
+    /// sidecar was absent or damaged — such frames degrade as if unarmed.
+    parity: Vec<Option<ParitySidecar>>,
+    /// Chunks that failed to decode during a degraded batch. Quarantined
+    /// chunks are never re-fetched by the degraded path (they go straight
+    /// to fill), keeping repeat traffic off a known-bad disk region, until
+    /// a [`Server::scrub_pass`] finds them healthy again.
+    quarantine: Mutex<BTreeSet<TimeKey>>,
+}
+
+/// The serving layer over one snapshot: the one-frame series.
+pub type StoreServer = Server<StoreReader>;
+
+/// The serving layer over a temporal (`HQTM`) store.
+pub type TemporalServer = Server<TemporalReader>;
+
+impl<F: Frames> Server<F> {
     /// Wraps `reader` with a decoded-chunk cache of at most `cache_budget`
     /// bytes (decoded payload footprint). A budget of `0` disables caching
     /// entirely — reads stay correct and single-flight still deduplicates
-    /// concurrent decodes; [`UNBOUNDED`] never evicts.
-    pub fn new(reader: Arc<StoreReader>, cache_budget: usize) -> Self {
-        StoreServer {
+    /// concurrent decodes, though a cold delta read then re-walks its
+    /// chain; [`UNBOUNDED`] never evicts.
+    pub fn new(reader: Arc<F>, cache_budget: usize) -> Self {
+        Server {
             reader,
             cache: cache::ChunkCache::new(cache_budget),
             fault_hook: None,
-            parity: None,
+            parity: Vec::new(),
             quarantine: Mutex::new(BTreeSet::new()),
         }
     }
 
-    /// Installs a [`FaultHook`] consulted before every chunk decode (builder
-    /// form, for use before the server is shared). Production servers leave
-    /// this unset; the chaos harness injects simulated corruption here. The
-    /// hook fires inside the cache's decode path, so a chunk already
-    /// resident (including one just repaired) is served without re-rolling
-    /// the fault — matching real at-rest rot, which only bites on fetch.
+    /// [`Server::new`] with an unbounded budget.
+    pub fn unbounded(reader: Arc<F>) -> Self {
+        Self::new(reader, UNBOUNDED)
+    }
+
+    /// Installs a [`FaultHook`] consulted before every stored-chunk decode
+    /// (builder form, for use before the server is shared). Production
+    /// servers leave this unset; the chaos harness injects simulated
+    /// corruption here. The hook fires inside the cache's decode path, so a
+    /// chunk already resident (including one just repaired) is served
+    /// without re-rolling the fault — matching real at-rest rot, which only
+    /// bites on fetch — and a delta chunk's fault surfaces while walking
+    /// any chain through it.
     pub fn with_fault_hook(mut self, hook: FaultHook) -> Self {
         self.fault_hook = Some(hook);
         self
     }
 
-    /// Arms online repair with a parity sidecar (builder form). Fails with
-    /// [`StoreError::SidecarMismatch`] if the sidecar describes a different
-    /// store than the wrapped reader.
-    pub fn with_parity(mut self, sidecar: ParitySidecar) -> Result<Self, StoreError> {
-        if !sidecar.matches(self.reader.meta()) {
-            return Err(StoreError::SidecarMismatch);
+    /// Arms online repair with one optional parity sidecar per frame.
+    fn arm(mut self, sidecars: Vec<Option<ParitySidecar>>) -> Result<Self, StoreError> {
+        if sidecars.len() != self.reader.frame_count() {
+            return Err(StoreError::Malformed("one parity slot per frame"));
         }
-        self.parity = Some(sidecar);
+        for (t, sidecar) in sidecars.iter().enumerate() {
+            if let Some(sidecar) = sidecar {
+                if !sidecar.matches(self.reader.frame(t)?.meta()) {
+                    return Err(StoreError::SidecarMismatch);
+                }
+            }
+        }
+        self.parity = sidecars;
         Ok(self)
     }
 
-    /// Builds a fresh parity sidecar over the wrapped store (which must
-    /// verify clean) and arms online repair with it — the in-memory-dataset
-    /// path, where no `.hqpr` file exists to load. `group` chunks share one
-    /// XOR parity block (`0` is rejected by construction downstream; use
-    /// [`hqmr_store::DEFAULT_PARITY_GROUP`] by default).
+    /// Builds a fresh parity sidecar over every wrapped frame (which must
+    /// verify clean) and arms online repair with them — the in-memory
+    /// dataset path, where no `.hqpr` file exists to load. `group` chunks
+    /// share one XOR parity block (`0` is rejected by construction
+    /// downstream; use [`hqmr_store::DEFAULT_PARITY_GROUP`] by default).
     pub fn with_built_parity(self, group: usize) -> Result<Self, StoreError> {
-        let sidecar = ParitySidecar::from_reader(&self.reader, group)?;
-        self.with_parity(sidecar)
+        let sidecars = (0..self.reader.frame_count())
+            .map(|t| ParitySidecar::from_reader(self.reader.frame(t)?, group).map(Some))
+            .collect::<Result<_, _>>()?;
+        self.arm(sidecars)
     }
 
-    /// Whether online parity repair is armed.
+    /// Whether any frame has online parity repair armed.
     pub fn has_parity(&self) -> bool {
-        self.parity.is_some()
-    }
-
-    /// [`StoreServer::new`] with an unbounded budget.
-    pub fn unbounded(reader: Arc<StoreReader>) -> Self {
-        Self::new(reader, UNBOUNDED)
+        self.parity.iter().any(Option::is_some)
     }
 
     /// The wrapped reader (e.g. for its `bytes_decoded` accounting).
-    pub fn reader(&self) -> &StoreReader {
+    pub fn reader(&self) -> &F {
         &self.reader
     }
 
-    /// The store's directory.
-    pub fn meta(&self) -> &StoreMeta {
-        self.reader.meta()
+    /// Number of frames served.
+    pub fn frame_count(&self) -> usize {
+        self.reader.frame_count()
     }
 
     /// Snapshot of the cache counters. The snapshot is atomically
@@ -302,6 +406,403 @@ impl StoreServer {
     /// server). Counters are kept.
     pub fn clear_cache(&self) {
         self.cache.clear();
+    }
+
+    /// The one chunk pipeline: the actual-value chunk `(t, level, block)`
+    /// through the cache; on a miss, fault hook → fetch+CRC → decode →
+    /// parity repair → delta chain (through the cache again).
+    ///
+    /// A parity reconstruction is verified against the chunk table's CRC
+    /// (bit-exactness by construction) and runs through the normal decode,
+    /// so a successful repair is published to the LRU exactly like a clean
+    /// decode — *unlike* degraded fills, which never enter the cache. On a
+    /// failed one the original typed error propagates, so degradation
+    /// semantics do not depend on whether repair was armed.
+    fn chunk_at(&self, t: usize, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
+        self.cache.get_or_decode((t, level, block), || {
+            let frame = self.reader.frame(t)?;
+            let hook = self.fault_hook.as_ref();
+            let stored = if hook.is_some_and(|hook| hook(level, block)) {
+                Err(StoreError::CorruptChunk { level, block })
+            } else {
+                frame.decode_chunk(level, block)
+            };
+            let stored = match stored {
+                Err(original @ (StoreError::CorruptChunk { .. } | StoreError::Codec { .. })) => {
+                    let Some(Some(parity)) = self.parity.get(t) else {
+                        return Err(original);
+                    };
+                    let rebuilt = parity
+                        .reconstruct(frame, level, block)
+                        .and_then(|bytes| frame.decode_chunk_bytes(level, block, &bytes));
+                    match rebuilt {
+                        Ok(chunk) => {
+                            self.cache.note_repair();
+                            chunk
+                        }
+                        Err(_) => {
+                            self.cache.note_repair_failure();
+                            return Err(original);
+                        }
+                    }
+                }
+                other => other?,
+            };
+            if !self.reader.is_delta(t, level, block) {
+                return Ok(stored);
+            }
+            // `TemporalReader::open` rejects a delta in frame 0; belt and braces.
+            let before = t
+                .checked_sub(1)
+                .ok_or(StoreError::Malformed("delta chain has no keyframe root"))?;
+            apply_residual(&self.chunk_at(before, level, block)?, &stored)
+        })
+    }
+
+    /// Resolves many chunks at once, results in `keys` order: one lock
+    /// acquisition harvests every resident chunk, then only the misses fan
+    /// out through the single-flight pipeline — a warm read never pays
+    /// per-chunk locking or thread fan-out.
+    fn fetch(&self, keys: &[TimeKey]) -> Vec<Result<DecodedChunk, StoreError>> {
+        let resident = self.cache.get_resident(keys);
+        let missing: Vec<TimeKey> = keys
+            .iter()
+            .zip(&resident)
+            .filter_map(|(&key, hit)| hit.is_none().then_some(key))
+            .collect();
+        // All hits: skip the fan-out's set-up, which costs more than the
+        // harvest itself.
+        if missing.is_empty() {
+            return resident.into_iter().flatten().map(Ok).collect();
+        }
+        let decoded: Vec<Result<DecodedChunk, StoreError>> = missing
+            .par_iter()
+            .map(|&(t, level, block)| self.chunk_at(t, level, block))
+            .collect();
+        let mut decoded = decoded.into_iter();
+        resident
+            .into_iter()
+            .map(|hit| hit.map_or_else(|| decoded.next().expect("one decode per miss"), Ok))
+            .collect()
+    }
+
+    /// A [`ChunkSource`] view of frame `t` whose chunks come through the
+    /// server's cache — level/ROI/iso/progressive reads per frame.
+    pub fn frame(&self, t: usize) -> Result<TimeView<'_, F>, StoreError> {
+        Ok(TimeView {
+            server: self,
+            t,
+            meta: self.reader.frame(t)?.meta(),
+            batch: None,
+        })
+    }
+
+    /// Reads every level of frame `t` through the cache.
+    pub fn read_frame(&self, t: usize) -> Result<MultiResData, StoreError> {
+        read::read_all(&self.frame(t)?)
+    }
+
+    /// Time-windowed ROI through the cache: one field per frame of
+    /// `t0..=t1`, each equal to a single-frame ROI read; chain work is
+    /// shared through the `(time, level, chunk)` cache.
+    pub fn read_roi_window(
+        &self,
+        t0: usize,
+        t1: usize,
+        level: usize,
+        lo: [usize; 3],
+        hi: [usize; 3],
+        fill: f32,
+    ) -> Result<Vec<Field3>, StoreError> {
+        if t0 > t1 {
+            return Err(StoreError::Malformed("empty time window"));
+        }
+        self.reader.frame(t1)?;
+        (t0..=t1)
+            .map(|t| read::read_roi(&self.frame(t)?, level, lo, hi, fill))
+            .collect()
+    }
+
+    /// The `(time, level, chunk)` keys one query needs — chunk-table
+    /// accounting only, no decoding. A delta chunk's chain predecessors are
+    /// *not* planned here; they are resolved (and cached) during decode.
+    fn query_keys(&self, q: &TimeQuery) -> Result<Vec<TimeKey>, StoreError> {
+        let meta = self.reader.frame(q.time)?.meta();
+        let (level, indices) = match q.query {
+            Query::Level { level } => {
+                let lm = meta
+                    .levels
+                    .get(level)
+                    .ok_or(StoreError::NoSuchLevel(level))?;
+                (level, (0..lm.chunks.len()).collect())
+            }
+            Query::Roi { level, lo, hi, .. } => {
+                (level, read::roi_chunk_indices(meta, level, lo, hi)?)
+            }
+            Query::Iso { level, iso } => (level, read::iso_chunk_indices(meta, level, iso)?),
+        };
+        Ok(indices.into_iter().map(|i| (q.time, level, i)).collect())
+    }
+
+    /// The set of `(time, level, chunk)` keys a batch of queries needs —
+    /// the union across requests, each chunk exactly once.
+    pub fn plan<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+    ) -> Result<BTreeSet<TimeKey>, StoreError> {
+        let mut need = BTreeSet::new();
+        for &q in queries {
+            need.extend(self.query_keys(&q.into())?);
+        }
+        Ok(need)
+    }
+
+    /// Serves a batch of queries: plans the union of needed chunks across
+    /// all frames, decodes the misses in parallel (each through
+    /// single-flight, so a concurrent batch on another thread still shares
+    /// the work, and delta chains resolve through the shared cache, so two
+    /// queries at adjacent times share the prefix), then assembles every
+    /// response from the shared decoded set. Overlapping queries in one
+    /// batch touch each chunk once even at cache budget 0. Responses are in
+    /// request order and byte-identical to issuing each query alone.
+    pub fn serve_batch<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+    ) -> Result<Vec<Response>, StoreError> {
+        let results = self.batch(queries.iter().map(|&q| q.into()), OnCorrupt::Fail)?;
+        Ok(results.into_iter().map(|r| r.response).collect())
+    }
+
+    /// [`Server::serve_batch`] with graceful degradation: a chunk whose
+    /// payload cannot be decoded ([`StoreError::CorruptChunk`] or
+    /// [`StoreError::Codec`], its own or anywhere down its delta chain) and
+    /// cannot be repaired no longer fails the whole batch. The chunk is
+    /// quarantined, its blocks are synthesized from the nearest coarser
+    /// level's data upsampled into place (falling back to the chunk table's
+    /// `(min+max)/2` proxy where no coarser level covers the region — in
+    /// this adaptive layout levels *partition* the domain, so a fine chunk
+    /// usually has no coarser twin), and each answer carries the
+    /// `(level, chunk)` pairs of its frame it was degraded on. Planning
+    /// errors (`NoSuchFrame`, `NoSuchLevel`, `RoiOutOfBounds`) and store I/O
+    /// failures still fail the batch: those are caller or infrastructure
+    /// faults, not data decay.
+    ///
+    /// With no corrupt chunks, every [`QueryResult::is_exact`] and the
+    /// responses are bit-identical to [`Server::serve_batch`].
+    pub fn serve_batch_degraded<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+    ) -> Result<Vec<QueryResult>, StoreError> {
+        self.batch(queries.iter().map(|&q| q.into()), OnCorrupt::Fill)
+    }
+
+    /// The one batch function: plan → fetch → (fail | fill) → assemble.
+    fn batch(
+        &self,
+        queries: impl Iterator<Item = TimeQuery>,
+        policy: OnCorrupt,
+    ) -> Result<Vec<QueryResult>, StoreError> {
+        let queries: Vec<(TimeQuery, Vec<TimeKey>)> = queries
+            .map(|q| Ok((q, self.query_keys(&q)?)))
+            .collect::<Result<_, StoreError>>()?;
+        let need: BTreeSet<TimeKey> = queries.iter().flat_map(|(_, keys)| keys).copied().collect();
+        // Known-bad chunks go straight to fill without touching the store.
+        let (mut bad, keys): (Vec<TimeKey>, Vec<TimeKey>) = match policy {
+            OnCorrupt::Fail => (Vec::new(), need.into_iter().collect()),
+            OnCorrupt::Fill => {
+                let quarantine = self.quarantine();
+                need.into_iter().partition(|key| quarantine.contains(key))
+            }
+        };
+        let mut chunks: HashMap<TimeKey, DecodedChunk> = HashMap::with_capacity(keys.len());
+        for (&key, fetched) in keys.iter().zip(self.fetch(&keys)) {
+            match fetched {
+                Ok(chunk) => {
+                    chunks.insert(key, chunk);
+                }
+                Err(StoreError::CorruptChunk { .. } | StoreError::Codec { .. })
+                    if policy == OnCorrupt::Fill =>
+                {
+                    bad.push(key)
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // Fills go into this batch's set only, never the shared cache: an
+        // exact read after the disk heals must not see stale synthetic data.
+        let filled: BTreeSet<TimeKey> = bad.into_iter().collect();
+        for &key in &filled {
+            self.quarantine().insert(key);
+            chunks.insert(key, self.synthesize_fill(key)?);
+        }
+        // Assembly pulls from the batch's own decoded set, so the responses
+        // are immune to evictions happening underneath (budget 0 included).
+        queries
+            .into_iter()
+            .map(|(q, keys)| {
+                let view = TimeView {
+                    batch: Some(&chunks),
+                    ..self.frame(q.time)?
+                };
+                let response = match q.query {
+                    Query::Level { level } => read::read_level(&view, level).map(Response::Level),
+                    Query::Roi {
+                        level,
+                        lo,
+                        hi,
+                        fill,
+                    } => read::read_roi(&view, level, lo, hi, fill).map(Response::Roi),
+                    Query::Iso { level, iso } => {
+                        read::read_level_iso(&view, level, iso).map(Response::Iso)
+                    }
+                }?;
+                let degraded = keys
+                    .into_iter()
+                    .filter(|key| filled.contains(key))
+                    .map(|(_, level, block)| (level, block))
+                    .collect();
+                Ok(QueryResult { response, degraded })
+            })
+            .collect()
+    }
+
+    /// Best-effort replacement for a chunk that will not decode. Starts
+    /// every block at the chunk table's `(min+max)/2` proxy, then overlays
+    /// data from the same frame's coarser levels, coarsest first, so the
+    /// *nearest* coarser level that covers a cell wins — the same
+    /// coarse→fine precedence the progressive path uses. Coarser chunks
+    /// that themselves fail to decode are skipped (the proxy remains).
+    fn synthesize_fill(&self, (t, level, block): TimeKey) -> Result<DecodedChunk, StoreError> {
+        let frame = self.frame(t)?;
+        let meta = frame.meta;
+        let lm = meta
+            .levels
+            .get(level)
+            .ok_or(StoreError::NoSuchLevel(level))?;
+        let cm = lm
+            .chunks
+            .get(block)
+            .ok_or(StoreError::Malformed("chunk index out of range"))?;
+        let unit = cm.unit;
+        let n = unit.pow(3);
+        let mid = 0.5 * (cm.min + cm.max);
+        let proxy = if mid.is_finite() { mid } else { 0.0 };
+        let origins: Vec<[usize; 3]> = cm.slots.iter().map(|&(_, origin)| origin).collect();
+        let mut data = vec![proxy; origins.len() * n];
+        let bd = Dims3::cube(unit);
+        for lc in ((level + 1)..meta.levels.len()).rev() {
+            // One level-`lc` cell spans `rel` level-`level` cells.
+            let rel = 1usize << (lc - level);
+            let cd = meta.levels[lc].dims;
+            for (slot, &origin) in origins.iter().enumerate() {
+                let clo: [usize; 3] = std::array::from_fn(|a| origin[a] / rel);
+                let chi: [usize; 3] = std::array::from_fn(|a| {
+                    ((origin[a] + unit).div_ceil(rel)).min([cd.nx, cd.ny, cd.nz][a])
+                });
+                if (0..3).any(|a| clo[a] >= chi[a]) {
+                    continue;
+                }
+                // NaN marks "no coarse block covers this cell" so real
+                // coarse zeros are not mistaken for absence.
+                let coarse = match read::read_roi(&frame, lc, clo, chi, f32::NAN) {
+                    Ok(f) => f,
+                    Err(_) => continue,
+                };
+                for x in 0..unit {
+                    for y in 0..unit {
+                        for z in 0..unit {
+                            let g = [origin[0] + x, origin[1] + y, origin[2] + z];
+                            let gc: [usize; 3] = std::array::from_fn(|a| g[a] / rel);
+                            if (0..3).any(|a| gc[a] < clo[a] || gc[a] >= chi[a]) {
+                                continue;
+                            }
+                            let v = coarse.get(gc[0] - clo[0], gc[1] - clo[1], gc[2] - clo[2]);
+                            if !v.is_nan() {
+                                data[slot * n + bd.idx(x, y, z)] = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(DecodedChunk {
+            unit,
+            origins: origins.into(),
+            data: data.into(),
+        })
+    }
+
+    /// One background scrub cycle over every chunk of every wrapped frame:
+    /// verifies each stored payload against its chunk-table CRC (paced by
+    /// `throttle`), routes corrupt chunks through the chunk pipeline — a
+    /// successful reconstruction lands in the LRU, so subsequent reads of a
+    /// rotted chunk are exact without touching the degraded path — lifts
+    /// the quarantine of every chunk it found healthy (verified or
+    /// repaired; transient faults must not degrade answers forever), and
+    /// tallies the pass. The wrapped stores' bytes are immutable here
+    /// (in-memory or shared file); at-rest healing of files is
+    /// [`hqmr_store::scrub_store`]'s job.
+    pub fn scrub_pass(&self, mut throttle: Option<&mut Throttle>) -> ScrubReport {
+        let mut report = ScrubReport {
+            verified: 0,
+            repaired: 0,
+            unrepairable: Vec::new(),
+            bytes_scanned: 0,
+            sidecar: if self.has_parity() {
+                SidecarStatus::Present
+            } else {
+                SidecarStatus::Missing
+            },
+            sidecar_rebuilt: false,
+        };
+        for t in 0..self.reader.frame_count() {
+            let Ok(frame) = self.reader.frame(t) else {
+                continue;
+            };
+            for (level, lm) in frame.meta().levels.iter().enumerate() {
+                for (block, cm) in lm.chunks.iter().enumerate() {
+                    if let Some(pace) = throttle.as_deref_mut() {
+                        pace.consume(cm.len as u64);
+                    }
+                    report.bytes_scanned += cm.len as u64;
+                    if frame.fetch_chunk_bytes(level, block).is_ok() {
+                        report.verified += 1;
+                    } else if self.chunk_at(t, level, block).is_ok() {
+                        report.repaired += 1;
+                    } else {
+                        report.unrepairable.push((level, block));
+                        continue;
+                    }
+                    self.quarantine().remove(&(t, level, block));
+                }
+            }
+        }
+        report
+    }
+
+    fn quarantine(&self) -> MutexGuard<'_, BTreeSet<TimeKey>> {
+        self.quarantine.lock().expect("quarantine lock")
+    }
+
+    /// Empties the quarantine (e.g. after the underlying store was
+    /// repaired); subsequent degraded batches re-attempt real decodes.
+    pub fn clear_quarantine(&self) {
+        self.quarantine().clear();
+    }
+}
+
+/// The snapshot arity: a [`StoreServer`] *is* its only frame.
+impl Server<StoreReader> {
+    /// Arms online repair with a parity sidecar (builder form). Fails with
+    /// [`StoreError::SidecarMismatch`] if the sidecar describes a different
+    /// store than the wrapped reader.
+    pub fn with_parity(self, sidecar: ParitySidecar) -> Result<Self, StoreError> {
+        self.arm(vec![Some(sidecar)])
+    }
+
+    /// The store's directory.
+    pub fn meta(&self) -> &StoreMeta {
+        self.reader.meta()
     }
 
     /// Reads one whole resolution level through the cache.
@@ -337,399 +838,113 @@ impl StoreServer {
         read::progressive(self, scheme)
     }
 
-    /// The `(level, chunk)` pairs one query needs, from chunk-table
-    /// accounting alone (no decoding).
-    fn query_keys(&self, q: &Query) -> Result<Vec<Key>, StoreError> {
-        let meta = self.meta();
-        Ok(match *q {
-            Query::Level { level } => {
-                let lm = meta
-                    .levels
-                    .get(level)
-                    .ok_or(StoreError::NoSuchLevel(level))?;
-                (0..lm.chunks.len()).map(|i| (level, i)).collect()
-            }
-            Query::Roi { level, lo, hi, .. } => read::roi_chunk_indices(meta, level, lo, hi)?
-                .into_iter()
-                .map(|i| (level, i))
-                .collect(),
-            Query::Iso { level, iso } => read::iso_chunk_indices(meta, level, iso)?
-                .into_iter()
-                .map(|i| (level, i))
-                .collect(),
-        })
-    }
-
-    /// The set of `(level, chunk)` pairs a batch of queries needs — the
-    /// union across requests, each chunk exactly once.
-    pub fn plan(&self, queries: &[Query]) -> Result<BTreeSet<(usize, usize)>, StoreError> {
-        let mut need: BTreeSet<Key> = BTreeSet::new();
-        for q in queries {
-            need.extend(self.query_keys(q)?);
-        }
-        Ok(need)
-    }
-
-    /// Serves a batch of queries: plans the union of needed chunks, decodes
-    /// the misses in parallel (each through single-flight, so a concurrent
-    /// batch on another thread still shares the work), then assembles every
-    /// response from the shared decoded set. Overlapping queries in one
-    /// batch touch each chunk once even at cache budget 0. Responses are in
-    /// request order and byte-identical to issuing each query alone.
-    pub fn serve_batch(&self, queries: &[Query]) -> Result<Vec<Response>, StoreError> {
-        let keys: Vec<Key> = self.plan(queries)?.into_iter().collect();
-        let fetched: Vec<Result<DecodedChunk, StoreError>> = keys
-            .par_iter()
-            .map(|&(level, block)| self.chunk(level, block))
-            .collect();
-        let mut chunks: HashMap<Key, DecodedChunk> = HashMap::with_capacity(keys.len());
-        for (key, res) in keys.into_iter().zip(fetched) {
-            chunks.insert(key, res?);
-        }
-        // Assembly pulls from the batch's own decoded set, so the responses
-        // are immune to evictions happening underneath (budget 0 included).
-        let view = BatchView {
-            server: self,
-            chunks,
-        };
-        queries
-            .iter()
-            .map(|q| match *q {
-                Query::Level { level } => read::read_level(&view, level).map(Response::Level),
-                Query::Roi {
-                    level,
-                    lo,
-                    hi,
-                    fill,
-                } => read::read_roi(&view, level, lo, hi, fill).map(Response::Roi),
-                Query::Iso { level, iso } => {
-                    read::read_level_iso(&view, level, iso).map(Response::Iso)
-                }
-            })
-            .collect()
-    }
-
-    /// [`StoreServer::serve_batch`] with graceful degradation: a chunk whose
-    /// payload cannot be decoded ([`StoreError::CorruptChunk`] or
-    /// [`StoreError::Codec`]) no longer fails the whole batch. The chunk is
-    /// quarantined, its blocks are synthesized from the nearest coarser
-    /// level's data upsampled into place (falling back to the chunk table's
-    /// `(min+max)/2` proxy where no coarser level covers the region — in
-    /// this adaptive layout levels *partition* the domain, so a fine chunk
-    /// usually has no coarser twin), and each answer carries the
-    /// `(level, chunk)` pairs it was degraded on. Planning errors
-    /// (`NoSuchLevel`, `RoiOutOfBounds`) and store I/O failures still fail
-    /// the batch: those are caller or infrastructure faults, not data decay.
-    ///
-    /// With no corrupt chunks, every [`QueryResult::is_exact`] and the
-    /// responses are bit-identical to [`StoreServer::serve_batch`].
-    pub fn serve_batch_degraded(&self, queries: &[Query]) -> Result<Vec<QueryResult>, StoreError> {
-        let per_query: Vec<Vec<Key>> = queries
-            .iter()
-            .map(|q| self.query_keys(q))
-            .collect::<Result<_, _>>()?;
-        let mut need: BTreeSet<Key> = BTreeSet::new();
-        for ks in &per_query {
-            need.extend(ks.iter().copied());
-        }
-        let keys: Vec<Key> = need.into_iter().collect();
-        let fetched: Vec<Result<DecodedChunk, StoreError>> = keys
-            .par_iter()
-            .map(|&(level, block)| {
-                if self.is_quarantined(level, block) {
-                    Err(StoreError::CorruptChunk { level, block })
-                } else {
-                    self.chunk(level, block)
-                }
-            })
-            .collect();
-        let mut degraded: BTreeSet<Key> = BTreeSet::new();
-        let mut chunks: HashMap<Key, DecodedChunk> = HashMap::with_capacity(keys.len());
-        for (key, res) in keys.into_iter().zip(fetched) {
-            match res {
-                Ok(c) => {
-                    chunks.insert(key, c);
-                }
-                Err(StoreError::CorruptChunk { .. } | StoreError::Codec { .. }) => {
-                    self.quarantine.lock().expect("quarantine lock").insert(key);
-                    // Fills never enter the shared cache: an exact read
-                    // after the disk heals must not see stale synthetic
-                    // data.
-                    chunks.insert(key, self.synthesize_fill(key.0, key.1)?);
-                    degraded.insert(key);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let view = BatchView {
-            server: self,
-            chunks,
-        };
-        queries
-            .iter()
-            .zip(per_query)
-            .map(|(q, ks)| {
-                let response = match *q {
-                    Query::Level { level } => read::read_level(&view, level).map(Response::Level),
-                    Query::Roi {
-                        level,
-                        lo,
-                        hi,
-                        fill,
-                    } => read::read_roi(&view, level, lo, hi, fill).map(Response::Roi),
-                    Query::Iso { level, iso } => {
-                        read::read_level_iso(&view, level, iso).map(Response::Iso)
-                    }
-                }?;
-                let flags: Vec<Key> = ks.into_iter().filter(|k| degraded.contains(k)).collect();
-                Ok(QueryResult {
-                    response,
-                    degraded: flags,
-                })
-            })
-            .collect()
-    }
-
-    /// Best-effort replacement for a chunk that will not decode. Starts
-    /// every block at the chunk table's `(min+max)/2` proxy, then overlays
-    /// data from coarser levels, coarsest first, so the *nearest* coarser
-    /// level that covers a cell wins — the same coarse→fine precedence the
-    /// progressive path uses. Coarser chunks that themselves fail to decode
-    /// are skipped (the proxy remains).
-    fn synthesize_fill(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        let meta = self.meta();
-        let lm = meta
-            .levels
-            .get(level)
-            .ok_or(StoreError::NoSuchLevel(level))?;
-        let cm = lm
-            .chunks
-            .get(block)
-            .ok_or(StoreError::Malformed("chunk index out of range"))?;
-        let unit = cm.unit;
-        let n = unit.pow(3);
-        let mid = 0.5 * (cm.min + cm.max);
-        let proxy = if mid.is_finite() { mid } else { 0.0 };
-        let origins: Vec<[usize; 3]> = cm.slots.iter().map(|&(_, origin)| origin).collect();
-        let mut data = vec![proxy; origins.len() * n];
-        let bd = Dims3::cube(unit);
-        for lc in ((level + 1)..meta.levels.len()).rev() {
-            // One level-`lc` cell spans `rel` level-`level` cells.
-            let rel = 1usize << (lc - level);
-            let cd = meta.levels[lc].dims;
-            for (slot, &origin) in origins.iter().enumerate() {
-                let clo: [usize; 3] = std::array::from_fn(|a| origin[a] / rel);
-                let chi: [usize; 3] = std::array::from_fn(|a| {
-                    ((origin[a] + unit).div_ceil(rel)).min([cd.nx, cd.ny, cd.nz][a])
-                });
-                if (0..3).any(|a| clo[a] >= chi[a]) {
-                    continue;
-                }
-                // NaN marks "no coarse block covers this cell" so real
-                // coarse zeros are not mistaken for absence.
-                let coarse = match read::read_roi(self, lc, clo, chi, f32::NAN) {
-                    Ok(f) => f,
-                    Err(_) => continue,
-                };
-                for x in 0..unit {
-                    for y in 0..unit {
-                        for z in 0..unit {
-                            let g = [origin[0] + x, origin[1] + y, origin[2] + z];
-                            let gc: [usize; 3] = std::array::from_fn(|a| g[a] / rel);
-                            if (0..3).any(|a| gc[a] < clo[a] || gc[a] >= chi[a]) {
-                                continue;
-                            }
-                            let v = coarse.get(gc[0] - clo[0], gc[1] - clo[1], gc[2] - clo[2]);
-                            if !v.is_nan() {
-                                data[slot * n + bd.idx(x, y, z)] = v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(DecodedChunk {
-            unit,
-            origins: origins.into(),
-            data: data.into(),
-        })
-    }
-
-    /// Parity reconstruction of a chunk whose decode failed: XOR the group's
-    /// surviving members back into the missing payload, verify it against
-    /// the chunk table's CRC (bit-exactness by construction), and run it
-    /// through the normal decode path. Runs inside the cache's decode
-    /// closure, so a successful repair is published to the LRU exactly like
-    /// a clean decode — *unlike* degraded fills, which never enter the
-    /// cache. On failure the caller's original typed error propagates so
-    /// degradation semantics are unchanged.
-    fn try_repair(
-        &self,
-        level: usize,
-        block: usize,
-        original: StoreError,
-    ) -> Result<DecodedChunk, StoreError> {
-        let Some(parity) = &self.parity else {
-            return Err(original);
-        };
-        match parity
-            .reconstruct(&self.reader, level, block)
-            .and_then(|bytes| self.reader.decode_chunk_bytes(level, block, &bytes))
-        {
-            Ok(chunk) => {
-                self.cache.note_repair();
-                Ok(chunk)
-            }
-            Err(_) => {
-                self.cache.note_repair_failure();
-                Err(original)
-            }
-        }
-    }
-
-    /// One background scrub cycle over every chunk of the wrapped store:
-    /// verifies each stored payload against its chunk-table CRC (paced by
-    /// `throttle`), routes corrupt chunks through the online repair path —
-    /// a successful reconstruction lands in the LRU, so subsequent reads of
-    /// a rotted chunk are exact without touching the degraded path — and
-    /// tallies the pass. The wrapped store's bytes are immutable here
-    /// (in-memory or shared file); at-rest healing of files is
-    /// [`hqmr_store::scrub_store`]'s job.
-    pub fn scrub_pass(&self, mut throttle: Option<&mut Throttle>) -> ScrubReport {
-        let mut report = ScrubReport {
-            verified: 0,
-            repaired: 0,
-            unrepairable: Vec::new(),
-            bytes_scanned: 0,
-            sidecar: if self.parity.is_some() {
-                SidecarStatus::Present
-            } else {
-                SidecarStatus::Missing
-            },
-            sidecar_rebuilt: false,
-        };
-        let meta = self.reader.meta();
-        for level in 0..meta.levels.len() {
-            for block in 0..meta.levels[level].chunks.len() {
-                let len = meta.levels[level].chunks[block].len as u64;
-                if let Some(t) = throttle.as_deref_mut() {
-                    t.consume(len);
-                }
-                report.bytes_scanned += len;
-                match self.reader.fetch_chunk_bytes(level, block) {
-                    Ok(_) => report.verified += 1,
-                    Err(_) => match self.chunk(level, block) {
-                        Ok(_) => report.repaired += 1,
-                        Err(_) => report.unrepairable.push((level, block)),
-                    },
-                }
-            }
-        }
-        report
-    }
-
-    fn is_quarantined(&self, level: usize, block: usize) -> bool {
-        self.quarantine
-            .lock()
-            .expect("quarantine lock")
-            .contains(&(level, block))
-    }
-
     /// The `(level, chunk)` pairs currently quarantined (sorted).
     pub fn quarantined(&self) -> Vec<(usize, usize)> {
-        self.quarantine
-            .lock()
-            .expect("quarantine lock")
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    /// Empties the quarantine (e.g. after the underlying store was
-    /// repaired); subsequent degraded batches re-attempt real decodes.
-    pub fn clear_quarantine(&self) {
-        self.quarantine.lock().expect("quarantine lock").clear();
+        let quarantine = self.quarantine();
+        quarantine.iter().map(|&(_, l, c)| (l, c)).collect()
     }
 }
 
-impl ChunkSource for StoreServer {
+impl ChunkSource for Server<StoreReader> {
     fn store_meta(&self) -> &StoreMeta {
         self.reader.meta()
     }
 
     fn chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        self.cache.get_or_decode((level, block), || {
-            let faulted = self
-                .fault_hook
-                .as_ref()
-                .is_some_and(|hook| hook(level, block));
-            let res = if faulted {
-                Err(StoreError::CorruptChunk { level, block })
-            } else {
-                self.reader.decode_chunk(level, block)
-            };
-            match res {
-                Err(original @ (StoreError::CorruptChunk { .. } | StoreError::Codec { .. })) => {
-                    self.try_repair(level, block, original)
-                }
-                other => other,
-            }
-        })
+        self.chunk_at(0, level, block)
     }
 
-    /// Bulk override: one lock acquisition harvests every resident chunk,
-    /// then only the misses go through the (parallel) single-flight decode
-    /// path — a warm read never pays per-chunk locking or thread fan-out.
     fn chunks(&self, level: usize, indices: &[usize]) -> Result<Vec<DecodedChunk>, StoreError> {
-        let keys: Vec<Key> = indices.iter().map(|&i| (level, i)).collect();
-        let mut out = self.cache.get_resident(&keys);
-        let missing: Vec<(usize, usize)> = out
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(pos, _)| (pos, indices[pos]))
-            .collect();
-        if missing.is_empty() {
-            return Ok(out.into_iter().map(|c| c.expect("all resident")).collect());
-        }
-        let decoded: Vec<Result<DecodedChunk, StoreError>> = missing
-            .par_iter()
-            .map(|&(_, block)| self.chunk(level, block))
-            .collect();
-        for ((pos, _), res) in missing.into_iter().zip(decoded) {
-            out[pos] = Some(res?);
-        }
-        Ok(out
-            .into_iter()
-            .map(|c| c.expect("misses just filled"))
-            .collect())
+        self.frame(0)?.chunks(level, indices)
     }
 }
 
-/// One batch's decoded chunk set, viewed as a [`ChunkSource`] for assembly.
-/// Falls back to the server for anything outside the plan (which only
-/// happens if a query slips past [`StoreServer::plan`] — correctness never
-/// depends on the plan being complete).
-struct BatchView<'a> {
-    server: &'a StoreServer,
-    chunks: HashMap<Key, DecodedChunk>,
+/// The series arity: reads name their frame.
+impl Server<TemporalReader> {
+    /// Arms online repair with one optional parity sidecar per frame
+    /// (builder form). Fails with [`StoreError::SidecarMismatch`] if a
+    /// provided sidecar does not describe its frame, or
+    /// [`StoreError::Malformed`] if the count differs from the frame count.
+    pub fn with_parity(self, sidecars: Vec<Option<ParitySidecar>>) -> Result<Self, StoreError> {
+        self.arm(sidecars)
+    }
+
+    /// Arms online repair from the `.hqpr` files next to the store's frame
+    /// files, tolerating absent or damaged sidecars per frame (those frames
+    /// simply stay unprotected).
+    pub fn with_disk_parity(self) -> Result<Self, StoreError> {
+        let sidecars = temporal_sidecars(self.reader.dir(), self.reader.manifest());
+        self.arm(sidecars)
+    }
+
+    /// Reads one whole level of frame `t` through the cache.
+    pub fn read_level(&self, t: usize, level: usize) -> Result<LevelData, StoreError> {
+        read::read_level(&self.frame(t)?, level)
+    }
+
+    /// Reads the box `[lo, hi)` of one level at time `t` through the cache.
+    pub fn read_roi(
+        &self,
+        t: usize,
+        level: usize,
+        lo: [usize; 3],
+        hi: [usize; 3],
+        fill: f32,
+    ) -> Result<Field3, StoreError> {
+        read::read_roi(&self.frame(t)?, level, lo, hi, fill)
+    }
 }
 
-impl ChunkSource for BatchView<'_> {
+/// One frame of a [`Server`] as a [`ChunkSource`]: all reads go through the
+/// server's `(time, level, chunk)` cache — or, during batch assembly, come
+/// from the batch's own pre-fetched set first, so responses are immune to
+/// concurrent evictions. Chain predecessors were already folded into the
+/// actual-value chunks during the fetch.
+pub struct TimeView<'a, F: Frames = TemporalReader> {
+    server: &'a Server<F>,
+    t: usize,
+    meta: &'a StoreMeta,
+    /// A batch's decoded set. Anything outside it (which only happens if a
+    /// query slips past the plan — correctness never depends on the plan
+    /// being complete) falls through to the cache.
+    batch: Option<&'a HashMap<TimeKey, DecodedChunk>>,
+}
+
+impl<F: Frames> TimeView<'_, F> {
+    /// The frame's time index.
+    pub fn time(&self) -> usize {
+        self.t
+    }
+
+    /// Coarse→fine progressive refinement of this frame through the cache —
+    /// temporal progressive: each step resolves the next finer level's
+    /// delta chains, reusing whatever chain prefixes other clients already
+    /// paid for.
+    pub fn progressive(&self, scheme: Upsample) -> Progressive<'_, Self> {
+        read::progressive(self, scheme)
+    }
+}
+
+impl<F: Frames> ChunkSource for TimeView<'_, F> {
     fn store_meta(&self) -> &StoreMeta {
-        self.server.meta()
+        self.meta
     }
 
     fn chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        match self.chunks.get(&(level, block)) {
-            Some(c) => Ok(c.clone()),
-            None => self.server.chunk(level, block),
+        match self.batch.and_then(|b| b.get(&(self.t, level, block))) {
+            Some(chunk) => Ok(chunk.clone()),
+            None => self.server.chunk_at(self.t, level, block),
         }
     }
 
-    /// Assembly from an in-memory map: plain serial lookups, no fan-out.
+    /// Assembly from a batch's in-memory map is plain serial lookups;
+    /// otherwise the server's bulk harvest.
     fn chunks(&self, level: usize, indices: &[usize]) -> Result<Vec<DecodedChunk>, StoreError> {
-        indices.iter().map(|&i| self.chunk(level, i)).collect()
+        if self.batch.is_some() {
+            return indices.iter().map(|&i| self.chunk(level, i)).collect();
+        }
+        let keys: Vec<TimeKey> = indices.iter().map(|&i| (self.t, level, i)).collect();
+        self.server.fetch(&keys).into_iter().collect()
     }
 }
 
@@ -1022,5 +1237,43 @@ mod tests {
             }])
             .expect_err("roi out of bounds");
         assert!(matches!(err, StoreError::RoiOutOfBounds));
+    }
+
+    #[test]
+    fn scrub_pass_lifts_the_quarantine_of_chunks_it_finds_healthy() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let queries = [Query::Level { level: 0 }];
+
+        // A transient fault (one `flip:P` roll): quarantined, sticky, and
+        // lifted by the next scrub — after which degraded is exact again.
+        let once = AtomicBool::new(true);
+        let s = test_server(UNBOUNDED).with_fault_hook(Arc::new(move |l, b| {
+            (l, b) == (0, 0) && once.swap(false, Ordering::Relaxed)
+        }));
+        for _ in 0..2 {
+            let flagged = s.serve_batch_degraded(&queries).unwrap();
+            assert_eq!(flagged[0].degraded, vec![(0, 0)]);
+        }
+        let report = s.scrub_pass(None);
+        assert_eq!(report.verified, s.meta().chunk_count());
+        assert!(s.quarantined().is_empty());
+        let healed = s.serve_batch_degraded(&queries).unwrap();
+        assert!(healed[0].is_exact());
+        assert_eq!(healed[0].response, s.serve_batch(&queries).unwrap()[0]);
+
+        // Real rot with no parity to heal it: the scrub reports it and the
+        // quarantine keeps it.
+        let f = synth::nyx_like(32, 77);
+        let mr = to_adaptive(&f, &RoiConfig::new(8, 0.5));
+        let cfg = StoreConfig::new(1e6).with_chunk_blocks(2);
+        let mut buf = write_store(&mr, &cfg, &Sz3Codec::default());
+        let (meta, data_start) = hqmr_store::parse_head(&buf).unwrap();
+        let cm = &meta.levels[0].chunks[1];
+        buf[data_start as usize + cm.offset as usize + cm.len / 2] ^= 0xFF;
+        let s = StoreServer::unbounded(Arc::new(StoreReader::from_bytes(buf).unwrap()));
+        let flagged = s.serve_batch_degraded(&queries).unwrap();
+        assert_eq!(flagged[0].degraded, vec![(0, 1)]);
+        assert_eq!(s.scrub_pass(None).unrepairable, vec![(0, 1)]);
+        assert_eq!(s.quarantined(), vec![(0, 1)]);
     }
 }

@@ -303,3 +303,313 @@ fn corruption_is_typed_through_the_cache() {
         .unwrap()
     );
 }
+
+// ---------------------------------------------------------------------------
+// One server: a snapshot is the one-frame series.
+// ---------------------------------------------------------------------------
+
+use hqmr_mr::resample_like;
+use hqmr_serve::{CacheStats, FaultHook, Frames, QueryResult, Server, TemporalServer, TimeQuery};
+use hqmr_store::temporal::{Prediction, TemporalReader};
+use hqmr_store::{
+    parity_path, parse_head, sidecar_bytes_for, FrameMeta, StoreError, TemporalEncoder,
+    TemporalManifest, MANIFEST_NAME,
+};
+use std::path::{Path, PathBuf};
+
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Writes `frames` as an `HQTM` directory the way the streaming writer
+/// does: frame file, its `.hqpr` sidecar (when `cfg` asks for parity), then
+/// the manifest.
+fn write_series(
+    dir: &Path,
+    frames: &[MultiResData],
+    cfg: &StoreConfig,
+    prediction: Prediction,
+    codec: &dyn Codec,
+) -> TemporalManifest {
+    let mut enc = TemporalEncoder::new(*cfg, prediction);
+    let mut manifest = TemporalManifest::default();
+    let mut buf = Vec::new();
+    for (t, mr) in frames.iter().enumerate() {
+        let delta = enc.encode_frame_into(mr, codec, &mut buf).unwrap();
+        let file = format!("frame_{t:05}.hqst");
+        std::fs::write(dir.join(&file), &buf).unwrap();
+        if let Some(parity) = sidecar_bytes_for(&buf, cfg.parity_group) {
+            std::fs::write(parity_path(&dir.join(&file)), parity).unwrap();
+        }
+        let step = t as u64;
+        manifest.frames.push(FrameMeta { step, file, delta });
+    }
+    std::fs::write(dir.join(MANIFEST_NAME), manifest.to_bytes()).unwrap();
+    manifest
+}
+
+/// Hook failing exactly the named stored chunk, as injected chaos would.
+fn fail_only(level: usize, block: usize) -> FaultHook {
+    Arc::new(move |l, b| l == level && b == block)
+}
+
+/// What one scripted client saw: every degraded-capable answer, every
+/// progressive step, and the ledger after each operation.
+type Transcript = (
+    Vec<Vec<QueryResult>>,
+    Vec<(usize, hqmr_grid::Field3)>,
+    Vec<CacheStats>,
+);
+
+/// Multi-chunk traffic — an exact batch, a degraded batch, a progressive
+/// walk — against frame 0 of whatever `server` wraps. Identical code for a
+/// snapshot and a series: bare queries *are* queries at time 0.
+fn bulk_script<F: Frames>(server: &Server<F>, queries: &[Query]) -> Transcript {
+    let mut answers = Vec::new();
+    let mut ledger = Vec::new();
+    let exact = server.serve_batch(queries);
+    let degraded = server.serve_batch_degraded(queries).unwrap();
+    match exact {
+        Ok(exact) => {
+            let responses: Vec<Response> = degraded.iter().map(|r| r.response.clone()).collect();
+            assert_eq!(exact, responses, "nothing to degrade on: same bits");
+            assert!(degraded.iter().all(QueryResult::is_exact));
+        }
+        Err(e) => {
+            assert!(matches!(e, StoreError::CorruptChunk { .. }), "{e:?}");
+            assert!(degraded.iter().any(|r| !r.is_exact()));
+        }
+    }
+    answers.push(degraded);
+    ledger.push(server.stats());
+    let frame = server.frame(0).unwrap();
+    let steps = frame
+        .progressive(Upsample::Trilinear)
+        .filter_map(Result::ok)
+        .map(|s| (s.level, s.field))
+        .collect();
+    ledger.push(server.stats());
+    (answers, steps, ledger)
+}
+
+/// Single-chunk traffic, one query per batch, alternating the exact and the
+/// degraded entry point: no batch ever has two misses to decode in
+/// parallel, so the LRU's insertion order — and with it every ledger
+/// field, evictions included — is deterministic at any budget.
+fn single_chunk_script<F: Frames>(server: &Server<F>, queries: &[Query]) -> Transcript {
+    let mut answers = Vec::new();
+    let mut ledger = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(server.plan(&[*q]).unwrap().len(), 1, "{q:?}");
+        answers.push(if i % 2 == 0 {
+            server.serve_batch_degraded(&[*q]).unwrap()
+        } else {
+            let response = server.serve_batch(&[*q]).unwrap().remove(0);
+            let degraded = Vec::new();
+            vec![QueryResult { response, degraded }]
+        });
+        ledger.push(server.stats());
+    }
+    (answers, Vec::new(), ledger)
+}
+
+/// The same data once as an `HQST` buffer and once as a one-frame `HQTM`
+/// directory, served through the one `Server`: same bits out of every entry
+/// point, same ledger after every operation.
+#[test]
+fn snapshot_is_the_one_frame_series() {
+    let mr = test_mr(41);
+    let cfg = StoreConfig::new(eb()).with_chunk_blocks(1);
+    let codec = Sz3Codec::default();
+    let buf = write_store(&mr, &cfg, &codec);
+    let dir = fresh_dir("hqmr_serve_props_one_frame");
+    let manifest = write_series(
+        &dir,
+        std::slice::from_ref(&mr),
+        &cfg,
+        Prediction::Off,
+        &codec,
+    );
+    assert_eq!(
+        std::fs::read(dir.join(&manifest.frames[0].file)).unwrap(),
+        buf,
+        "a delta-off frame file is the snapshot, byte for byte"
+    );
+    let snapshot = |budget| {
+        StoreServer::new(
+            Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
+            budget,
+        )
+    };
+    let series =
+        |budget| TemporalServer::new(Arc::new(TemporalReader::open(&dir).unwrap()), budget);
+
+    let meta = StoreReader::from_bytes(buf.clone()).unwrap().meta().clone();
+    let d = meta.levels[0].dims;
+    let bulk = [
+        Query::Level { level: 1 },
+        Query::Roi {
+            level: 0,
+            lo: [0, 0, 0],
+            hi: [d.nx, d.ny / 2 + 1, d.nz],
+            fill: 3.25,
+        },
+        Query::Iso { level: 0, iso: 2e8 },
+        Query::Level { level: 0 },
+    ];
+    // One unit block per chunk: a box inside a block needs exactly its chunk.
+    // A strided walk with revisits, so the 32 KiB budget both hits and evicts.
+    let blocks: Vec<[usize; 3]> = meta.levels[0].chunks.iter().map(|c| c.slots[0].1).collect();
+    let singles: Vec<Query> = (0..96)
+        .map(|i| {
+            let lo = blocks[(i * 7 + i / 5) % blocks.len()];
+            let hi = [lo[0] + 3, lo[1] + 2, lo[2] + 1];
+            let (level, fill) = (0, -1.0);
+            Query::Roi {
+                level,
+                lo,
+                hi,
+                fill,
+            }
+        })
+        .collect();
+    let victim = meta.levels[0].chunks.len() / 2;
+
+    for budget in BUDGETS {
+        let (a, b) = (snapshot(budget), series(budget));
+        let (sa, sb) = (
+            single_chunk_script(&a, &singles),
+            single_chunk_script(&b, &singles),
+        );
+        assert_eq!(sa, sb, "single-chunk traffic, budget {budget}");
+        let last = sa.2.last().unwrap();
+        if budget == BUDGETS[1] {
+            assert!(last.hits > 0 && last.evictions > 0, "must churn: {last:?}");
+        }
+
+        for hook in [None, Some(fail_only(0, victim))] {
+            let faulty = hook.is_some();
+            let (mut a, mut b) = (snapshot(budget), series(budget));
+            if let Some(hook) = hook {
+                a = a.with_fault_hook(Arc::clone(&hook));
+                b = b.with_fault_hook(hook);
+            }
+            let (ta, tb) = (bulk_script(&a, &bulk), bulk_script(&b, &bulk));
+            assert_eq!(ta.0, tb.0, "batches, budget {budget}, fault {faulty}");
+            assert_eq!(ta.1, tb.1, "progressive, budget {budget}, fault {faulty}");
+            if faulty {
+                assert_eq!(ta.0[0][3].degraded, vec![(0, victim)]);
+                assert!(ta.0[0][0].is_exact(), "level 1 never touches the victim");
+            }
+            if budget == BUDGETS[1] {
+                // Parallel misses insert in a racy order under eviction
+                // pressure; what cannot race is how many lookups were made.
+                let requests = |t: &Transcript| t.2.iter().map(|s| s.requests).collect::<Vec<_>>();
+                assert_eq!(
+                    requests(&ta),
+                    requests(&tb),
+                    "budget {budget}, fault {faulty}"
+                );
+            } else {
+                assert_eq!(ta.2, tb.2, "ledger, budget {budget}, fault {faulty}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What time series gained from sharing the one pipeline: at-rest rot in a
+/// *delta* chunk degrades exactly that chunk of that frame, leaves earlier
+/// frames exact, never caches the fill, and heals with parity armed.
+#[test]
+fn delta_chunk_rot_degrades_one_frame_and_parity_heals_it() {
+    const STEPS: usize = 3;
+    let fields = synth::advected_sequence(Dims3::cube(16), STEPS, [0.5, 0.25, 0.0], 21);
+    let template = to_adaptive(&fields[0], &RoiConfig::new(8, 0.5));
+    let frames: Vec<MultiResData> = fields.iter().map(|f| resample_like(&template, f)).collect();
+    let cfg = StoreConfig::new(0.02)
+        .with_chunk_blocks(2)
+        .with_parity_group(4);
+    let dir = fresh_dir("hqmr_serve_props_delta_rot");
+    let manifest = write_series(
+        &dir,
+        &frames,
+        &cfg,
+        Prediction::delta(),
+        &Sz3Codec::default(),
+    );
+    let clean = TemporalReader::open(&dir).unwrap();
+    let oracle: Vec<MultiResData> = (0..STEPS).map(|t| clean.read_frame(t).unwrap()).collect();
+
+    // Rot one delta chunk of the first frame that has one, on disk.
+    let (t, level, chunk) = (1..STEPS)
+        .flat_map(|t| {
+            let flags = &manifest.frames[t].delta;
+            let per_level = flags.iter().enumerate();
+            per_level.flat_map(move |(l, f)| (0..f.len()).map(move |c| (t, l, c)))
+        })
+        .find(|&(t, l, c)| manifest.frames[t].is_delta(l, c))
+        .expect("an advected sequence predicts at least one chunk");
+    let path = dir.join(&manifest.frames[t].file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let (meta, data_start) = parse_head(&bytes).unwrap();
+    let cm = &meta.levels[level].chunks[chunk];
+    bytes[data_start as usize + cm.offset as usize + cm.len / 2] ^= 0xFF;
+    std::fs::write(&path, bytes).unwrap();
+
+    let at = |time| {
+        let query = Query::Level { level };
+        [TimeQuery { time, query }]
+    };
+    let reader = Arc::new(TemporalReader::open(&dir).unwrap());
+    let server = TemporalServer::unbounded(Arc::clone(&reader));
+    for (before, want) in oracle.iter().enumerate().take(t) {
+        let r = &server.serve_batch_degraded(&at(before)).unwrap()[0];
+        assert!(r.is_exact(), "frame {before} precedes the rot");
+        assert_eq!(r.response, Response::Level(want.levels[level].clone()));
+    }
+    let r = &server.serve_batch_degraded(&at(t)).unwrap()[0];
+    assert_eq!(r.degraded, vec![(level, chunk)], "exactly the rotted chunk");
+    let Response::Level(got) = &r.response else {
+        panic!("wrong response kind");
+    };
+    assert!(got
+        .blocks
+        .iter()
+        .all(|b| b.data.iter().all(|v| v.is_finite())));
+    // The fill never entered the cache: the exact path still sees the rot.
+    let err = server
+        .serve_batch(&at(t))
+        .expect_err("exact path stays strict");
+    assert!(
+        matches!(err, StoreError::CorruptChunk { level: l, block } if (l, block) == (level, chunk)),
+        "{err:?}"
+    );
+
+    // Same store, same read, sidecars armed: one repair, exact everywhere.
+    let healed = TemporalServer::unbounded(reader)
+        .with_disk_parity()
+        .unwrap();
+    for (time, want) in oracle.iter().enumerate() {
+        let r = &healed.serve_batch_degraded(&at(time)).unwrap()[0];
+        assert!(r.is_exact(), "frame {time} with parity");
+        assert_eq!(r.response, Response::Level(want.levels[level].clone()));
+    }
+    assert_eq!(healed.stats().repairs, 1);
+    assert_eq!(healed.stats().repair_failures, 0);
+
+    // A window that ends before it starts is malformed, not a missing frame.
+    let (lo, hi) = ([0, 0, 0], [4, 4, 4]);
+    assert!(matches!(
+        healed.read_roi_window(2, 1, 0, lo, hi, 0.0),
+        Err(StoreError::Malformed("empty time window"))
+    ));
+    assert!(matches!(
+        healed.read_roi_window(0, STEPS, 0, lo, hi, 0.0),
+        Err(StoreError::NoSuchFrame(STEPS))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}

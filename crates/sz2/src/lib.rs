@@ -23,8 +23,7 @@ pub use compressor::{
 
 /// Pre-overhaul per-point implementations, kept verbatim as differential
 /// oracles for the interior/boundary-split kernels
-/// (`tests/kernel_equivalence.rs`) and the `tables hotpath` before/after
-/// rows — the `bitio::reference` pattern.
+/// (`tests/kernel_equivalence.rs`) — the `bitio::reference` pattern.
 pub mod reference {
     pub use crate::compressor::reference::{compress, decompress};
 }

@@ -26,8 +26,8 @@ pub use stream::{
 };
 
 /// Pre-overhaul per-point implementations, kept verbatim as differential
-/// oracles for the line kernels (`tests/kernel_equivalence.rs`) and the
-/// `tables hotpath` before/after rows — the `bitio::reference` pattern.
+/// oracles for the line kernels (`tests/kernel_equivalence.rs`) — the
+/// `bitio::reference` pattern.
 pub mod reference {
     pub use crate::engine::reference::traverse;
     pub use crate::stream::reference::{compress, decompress};

@@ -28,8 +28,8 @@ pub use transform::{fwd_transform3, inv_transform3, COEFF_ORDER};
 
 /// Pre-overhaul implementations (line-copying transforms, per-bit plane
 /// decoder), kept verbatim as differential oracles for the in-place/fused
-/// kernels (`tests/kernel_equivalence.rs`) and the `tables hotpath`
-/// before/after rows — the `bitio::reference` pattern.
+/// kernels (`tests/kernel_equivalence.rs`) — the `bitio::reference`
+/// pattern.
 pub mod reference {
     pub use crate::coder::reference::{decode_block_ints, encode_block_ints};
     pub use crate::stream::reference::{compress, decompress};

@@ -12,10 +12,13 @@
 //! means a chunk decodes once for the whole fleet (single-flight dedupes
 //! even simultaneous cold requests), and the stats ledger proves it.
 
-use hqmr::serve::Query;
-use hqmr::workflow::{run_uniform_workflow_serve, WorkflowConfig};
+use hqmr::mr::to_adaptive;
+use hqmr::serve::{Query, StoreServer};
+use hqmr::store::{write_store, StoreReader};
+use hqmr::workflow::WorkflowConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 const CLIENTS: usize = 16;
@@ -27,22 +30,25 @@ fn main() {
     let mut cfg = WorkflowConfig::new(1e-3);
     cfg.post_process = false;
 
-    // Compress into a block-indexed store and wrap it in a serving layer
-    // with a 64 MiB decoded-chunk budget.
-    let served =
-        run_uniform_workflow_serve(&field, &cfg, 4, 64 << 20).expect("fresh store must round-trip");
-    let server = &served.server;
+    // Compress into a block-indexed store (4 unit blocks per chunk) and
+    // wrap it in a serving layer with a 64 MiB decoded-chunk budget.
+    let eb = field.range() as f64 * cfg.rel_eb;
+    let mr = to_adaptive(&field, &cfg.roi);
+    let codec = cfg.compressor.backend.codec();
+    let store = write_store(&mr, &cfg.compressor.store_config(eb, 4), codec.as_ref());
+    let ratio = (field.len() * 4) as f64 / store.len() as f64;
+    let reader = StoreReader::from_bytes(store).expect("fresh store must round-trip");
+    let server = &StoreServer::new(Arc::new(reader), 64 << 20);
+    let meta = server.meta();
     println!(
-        "store: {} levels, {} chunks, ratio {:.1}x, eb {:.3e}",
-        served.meta.levels.len(),
-        served.meta.chunk_count(),
-        served.end_to_end_ratio,
-        served.eb
+        "store: {} levels, {} chunks, ratio {ratio:.1}x, eb {eb:.3e}",
+        meta.levels.len(),
+        meta.chunk_count(),
     );
 
     // The storm: every client pans its own random brick trajectory over the
     // fine level, with a 25% chance per step of an isovalue skim instead.
-    let fine = served.meta.levels[0].dims;
+    let fine = meta.levels[0].dims;
     let (mn, mx) = field.min_max();
     let iso = mn + 0.6 * (mx - mn);
     let t0 = Instant::now();

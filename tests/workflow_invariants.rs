@@ -4,10 +4,13 @@
 use hqmr::grid::{synth, Dims3, Field3};
 use hqmr::metrics::{max_abs_err, psnr};
 use hqmr::mr::{to_adaptive, to_amr, AmrConfig, MergeStrategy, RoiConfig, Upsample};
+use hqmr::serve::{StoreServer, UNBOUNDED};
+use hqmr::store::{write_store, StoreReader};
 use hqmr::workflow::{
     bezier_pass, compress_mr, decompress_mr, run_uniform_workflow, select_intensity, Backend,
-    MrcConfig, PostConfig, WorkflowConfig,
+    CompressorChoice, MrcConfig, PostConfig, WorkflowConfig,
 };
+use std::sync::Arc;
 
 fn stored_max_err(a: &hqmr::mr::MultiResData, b: &hqmr::mr::MultiResData) -> f64 {
     let mut worst = 0.0f64;
@@ -136,6 +139,81 @@ fn workflow_end_to_end_consistency() {
     // The compressed stream decodes to the same reconstruction basis.
     let back = decompress_mr(&r.compressed).unwrap();
     assert_eq!(back.domain, f.dims());
+}
+
+/// The workflow's reduction stages, written to a block-indexed store instead
+/// of the monolithic stream: `to_adaptive` → `write_store` under the
+/// workflow's own compressor choice and bound.
+fn workflow_store(f: &Field3, cfg: &WorkflowConfig, chunk_blocks: usize) -> (Vec<u8>, f64) {
+    let eb = f.range() as f64 * cfg.rel_eb;
+    let mr = to_adaptive(f, &cfg.roi);
+    let codec = cfg.compressor.backend.codec();
+    let store_cfg = cfg.compressor.store_config(eb, chunk_blocks);
+    (write_store(&mr, &store_cfg, codec.as_ref()), eb)
+}
+
+/// With one chunk per level, the store path feeds the codec byte-identical
+/// arrays, so the dense post-processed reconstructions agree exactly.
+#[test]
+fn store_path_matches_monolithic_reconstruction() {
+    let f = synth::nyx_like(32, 23);
+    let mut cfg = WorkflowConfig::new(2e-3);
+    cfg.roi = RoiConfig::new(8, 0.4);
+    let mono = run_uniform_workflow(&f, &cfg).unwrap();
+    let (store, eb) = workflow_store(&f, &cfg, usize::MAX);
+    assert!((f.len() * 4) as f64 / store.len() as f64 > 1.0);
+    let reader = StoreReader::from_bytes(store).unwrap();
+    assert_eq!(reader.meta().levels.len(), 2);
+    let mut reconstruction = reader.read_all().unwrap().reconstruct(cfg.upsample);
+    if cfg.post_process {
+        let post_cfg = PostConfig::sz3_multires(cfg.roi.block);
+        let choice = select_intensity(&f, &reconstruction, eb, &post_cfg);
+        reconstruction = bezier_pass(&reconstruction, eb, choice.a, &post_cfg);
+    }
+    assert_eq!(reconstruction, mono.reconstruction);
+}
+
+/// Every backend the workflow can select writes a store that answers ROI
+/// reads.
+#[test]
+fn store_path_supports_roi_reads_per_backend() {
+    let f = synth::nyx_like(32, 29);
+    for backend in Backend::ALL {
+        let mut cfg = WorkflowConfig::new(2e-3);
+        cfg.roi = RoiConfig::new(8, 0.4);
+        cfg.compressor = CompressorChoice::ours().with_backend(backend);
+        let reader = StoreReader::from_bytes(workflow_store(&f, &cfg, 2).0).unwrap();
+        let d = reader.meta().levels[0].dims;
+        let roi = reader
+            .read_roi(0, [0, 0, 0], [d.nx, d.ny, d.nz.min(8)], 0.0)
+            .unwrap();
+        assert_eq!(roi.dims().nz, d.nz.min(8), "{backend:?}");
+    }
+}
+
+/// A server over the workflow's store answers like the bare reader, and a
+/// warm pass is served from the cache without decoding anything.
+#[test]
+fn served_store_answers_cached_queries_identically() {
+    let f = synth::nyx_like(32, 37);
+    let mut cfg = WorkflowConfig::new(2e-3);
+    cfg.roi = RoiConfig::new(8, 0.4);
+    let (store, _) = workflow_store(&f, &cfg, 2);
+    let oracle = StoreReader::from_bytes(store.clone()).unwrap();
+    let reader = Arc::new(StoreReader::from_bytes(store).unwrap());
+    let server = StoreServer::new(reader, UNBOUNDED);
+    assert_eq!(server.meta(), oracle.meta());
+    assert_eq!(server.read_all().unwrap(), oracle.read_all().unwrap());
+    let before = server.reader().bytes_decoded();
+    assert_eq!(server.read_all().unwrap(), oracle.read_all().unwrap());
+    assert_eq!(
+        server.reader().bytes_decoded(),
+        before,
+        "warm pass decodes nothing"
+    );
+    let st = server.stats();
+    assert_eq!(st.requests, st.hits + st.misses);
+    assert!(st.hits >= st.misses, "second pass was all hits");
 }
 
 /// Merge strategies are lossless layout transforms: identity round-trip
