@@ -257,6 +257,26 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Consumes the run of zero bits at the head of the stream, at most
+    /// `max` of them, and returns its length — one [`Self::peek_bits`] and
+    /// one `trailing_zeros` per 56 bits instead of one read per bit. Bits
+    /// past the end read as zero like everywhere else, so a run that reaches
+    /// the end of the buffer extends to `max`.
+    #[inline]
+    pub fn take_zero_run(&mut self, max: usize) -> usize {
+        let mut run = 0usize;
+        while run < max {
+            let width = (max - run).min(56) as u32;
+            let zeros = self.peek_bits(width).trailing_zeros().min(width);
+            self.consume(zeros);
+            run += zeros as usize;
+            if zeros < width {
+                break; // stopped by a one bit
+            }
+        }
+        run
+    }
+
     /// Fills `out` with whole bytes. On a byte-aligned position this drains
     /// the accumulator then block-copies; otherwise it reads byte by byte.
     /// Bytes past the end read as zero, and the position advances either way
@@ -573,6 +593,43 @@ mod tests {
             a.consume(n);
             assert_eq!(peeked, b.read_bits(n), "width {n}");
             assert_eq!(a.bit_pos(), b.bit_pos());
+        }
+    }
+
+    #[test]
+    fn zero_run_equals_bit_by_bit_counting() {
+        // Runs shorter than, equal to and far longer than one accumulator
+        // load, ending on every bit offset, capped and uncapped, and running
+        // off the end of the buffer.
+        let mut w = BitWriter::new();
+        let runs = [0usize, 1, 7, 55, 56, 57, 63, 64, 65, 200, 3, 0, 0, 129];
+        for &r in &runs {
+            for _ in 0..r {
+                w.write_bit(false);
+            }
+            w.write_bit(true);
+        }
+        let bytes = w.finish();
+        for cap in [1usize, 5, 56, 64, 1000] {
+            let mut fast = BitReader::new(&bytes);
+            let mut slow = reference::BitReader::new(&bytes);
+            // Well past the end: zero padding must agree too.
+            while slow.bit_pos() < bytes.len() * 8 + 3 * cap {
+                let mut want = 0;
+                while want < cap {
+                    let mut ahead = slow.clone();
+                    if ahead.read_bit() {
+                        break;
+                    }
+                    slow = ahead;
+                    want += 1;
+                }
+                assert_eq!(fast.take_zero_run(cap), want, "cap {cap}");
+                assert_eq!(fast.bit_pos(), slow.bit_pos());
+                if want < cap {
+                    assert!(fast.read_bit() && slow.read_bit());
+                }
+            }
         }
     }
 

@@ -12,10 +12,20 @@
 //! lookup table that yields `(symbol, length)` in one probe for every code of
 //! length ≤ 11 — longer codes (rare by construction: canonical codes past 11
 //! bits carry tiny probability mass) spill to the canonical
-//! per-bit walk. The pre-overhaul per-bit coder survives as
+//! per-bit walk. Two things keep the decoder cheap on the streams the store
+//! actually holds (≈ 1.1 bits/symbol, one block per chunk): a block with a
+//! one-bit code is decoded a *run* at a time — in canonical order that code
+//! is the single bit `0`, so a run of the dominant symbol is a run of zero
+//! bits, counted with one `trailing_zeros` (`DecodeTable::decode_all`
+//! states the invariant) — and the per-block table is built in O(present
+//! symbols) straight from the header's length runs, into scratch the caller
+//! keeps ([`huffman_decode_into`]), never by expanding the ~64 K-entry
+//! alphabet around a few dozen live codes. The header parse bounds the
+//! claimed symbol count by the payload's bit count before anything is
+//! allocated for it. The pre-overhaul per-bit coder survives as
 //! [`huffman_encode_reference`] / [`huffman_decode_reference`]: differential
-//! tests pin the two paths together and `benches/hotpath.rs` measures the
-//! gap.
+//! tests pin the two paths together — symbols *and* errors, truncated input
+//! included — and `benches/hotpath.rs` measures the gap.
 
 use crate::bitio::{reference, BitReader, BitWriter};
 use crate::codec::CodecError;
@@ -241,12 +251,27 @@ fn reverse_code(code: u64, len: u8) -> u64 {
     }
 }
 
+/// One run of equal, non-zero code lengths in a block header's length table:
+/// symbols `first .. first + count` all carry `len`-bit codes. The header
+/// lists lengths in symbol order, so a block's runs are ascending in `first`
+/// — and there are only as many as the block has distinct neighbourhoods of
+/// symbols, however wide the (mostly absent) alphabet around them is.
+#[derive(Debug, Clone, Copy)]
+struct LengthRun {
+    first: u32,
+    count: u32,
+    len: u8,
+}
+
 /// Canonical decode table: a flat primary lookup over the next [`TABLE_BITS`]
 /// stream bits, spilling to the per-length canonical walk for longer codes.
+/// Built in O(present symbols) from the header's [`LengthRun`]s, into
+/// buffers that are reused from block to block.
+#[derive(Debug)]
 struct DecodeTable {
     /// (first_code, base_index, count) per length 1..=MAX — the canonical
     /// walk used for codes longer than the primary table.
-    levels: Vec<(u64, u32, u32)>,
+    levels: [(u64, u32, u32); MAX_CODE_LEN as usize + 1],
     /// Symbols sorted by (length, symbol).
     symbols: Vec<u32>,
     max_len: u8,
@@ -255,78 +280,127 @@ struct DecodeTable {
     /// ≤ `table_bits` matches this prefix (spill or invalid).
     lut: Vec<u32>,
     table_bits: u32,
+    /// The symbol whose code is the single bit `0`, when the block has a
+    /// one-bit code at all (see [`DecodeTable::decode_all`]).
+    zero_bit_symbol: Option<u32>,
+}
+
+impl Default for DecodeTable {
+    fn default() -> Self {
+        DecodeTable {
+            levels: [(0, 0, 0); MAX_CODE_LEN as usize + 1],
+            symbols: Vec::new(),
+            max_len: 0,
+            lut: Vec::new(),
+            table_bits: 0,
+            zero_bit_symbol: None,
+        }
+    }
 }
 
 impl DecodeTable {
-    fn from_lengths(lengths: &[u8]) -> Self {
-        Self::build(lengths, true)
-    }
-
-    /// The walk-only variant: exactly the structure the pre-overhaul decoder
-    /// built (no primary table). [`huffman_decode_reference`] uses this so
-    /// the benched baseline pays only the costs the original code paid.
-    fn from_lengths_walk_only(lengths: &[u8]) -> Self {
-        Self::build(lengths, false)
-    }
-
-    fn build(lengths: &[u8], with_lut: bool) -> Self {
-        let mut by_len: Vec<(u8, u32)> = lengths
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l > 0)
-            .map(|(i, &l)| (l, i as u32))
-            .collect();
-        by_len.sort_unstable();
-        let max_len = by_len.last().map_or(0, |&(l, _)| l);
-        let symbols: Vec<u32> = by_len.iter().map(|&(_, s)| s).collect();
-        let mut levels = vec![(0u64, 0u32, 0u32); max_len as usize + 1];
-        let table_bits = TABLE_BITS.min(max_len as u32);
-        let lut_len = if max_len == 0 || !with_lut {
-            0
-        } else {
-            1 << table_bits
-        };
-        let mut lut = vec![0u32; lut_len];
-        let mut code = 0u64;
-        let mut idx = 0u32;
-        let mut prev_len = 0u8;
-        let mut i = 0usize;
-        while i < by_len.len() {
-            let len = by_len[i].0;
-            code <<= (len - prev_len) as u32;
-            let start = i;
-            while i < by_len.len() && by_len[i].0 == len {
-                i += 1;
+    /// Rebuilds the table for one block. `with_lut = false` leaves out the
+    /// primary table: exactly the structure the pre-overhaul decoder
+    /// walked, which is all [`huffman_decode_reference`] reads.
+    fn build(&mut self, runs: &[LengthRun], with_lut: bool) {
+        // Counting sort by length: the header's Kraft check bounds the
+        // symbol total by the alphabet cap, so the counts fit `u32`.
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for r in runs {
+            count[r.len as usize] += r.count;
+        }
+        let (mut code, mut idx) = (0u64, 0u32);
+        self.max_len = 0;
+        for (len, (level, &n)) in self.levels.iter_mut().zip(&count).enumerate().skip(1) {
+            code <<= 1;
+            *level = (code, idx, n);
+            code += n as u64;
+            idx += n;
+            if n > 0 {
+                self.max_len = len as u8;
             }
-            let count = (i - start) as u32;
-            levels[len as usize] = (code, idx, count);
-            // Fill the primary table: every `table_bits`-wide stream prefix
-            // that starts with this code (bit-reversed, since the stream is
-            // LSB-first) resolves in one probe.
-            if with_lut && (len as u32) <= table_bits {
-                for k in 0..count {
-                    let sym = by_len[start + k as usize].1;
-                    let rev = reverse_code(code + k as u64, len) as usize;
-                    let entry = (sym << 6) | len as u32;
-                    let step = 1usize << len;
-                    let mut at = rev;
-                    while at < lut.len() {
-                        lut[at] = entry;
-                        at += step;
-                    }
+        }
+        // Runs ascend in symbol order, so filling each length's range in
+        // run order leaves `symbols` sorted by (length, symbol).
+        let mut next: [u32; MAX_CODE_LEN as usize + 1] = std::array::from_fn(|l| self.levels[l].1);
+        self.symbols.clear();
+        self.symbols.resize(idx as usize, 0);
+        for r in runs {
+            let at = next[r.len as usize] as usize;
+            for (slot, sym) in self.symbols[at..at + r.count as usize]
+                .iter_mut()
+                .zip(r.first..)
+            {
+                *slot = sym;
+            }
+            next[r.len as usize] += r.count;
+        }
+        // In canonical order the first one-bit symbol takes code 0.
+        self.zero_bit_symbol = (count[1] > 0).then(|| self.symbols[self.levels[1].1 as usize]);
+        self.table_bits = TABLE_BITS.min(self.max_len as u32);
+        self.lut.clear();
+        if !with_lut || self.max_len == 0 {
+            return;
+        }
+        self.lut.resize(1 << self.table_bits, 0);
+        // Fill the primary table: every `table_bits`-wide stream prefix that
+        // starts with a code (bit-reversed, since the stream is LSB-first)
+        // resolves in one probe. A prefix-free code set writes each entry at
+        // most once, so this is at most `1 << table_bits` stores.
+        for len in 1..=self.table_bits as usize {
+            let (first, base, n) = self.levels[len];
+            for k in 0..n {
+                let sym = self.symbols[(base + k) as usize];
+                let entry = (sym << 6) | len as u32;
+                let mut at = reverse_code(first + k as u64, len as u8) as usize;
+                while at < self.lut.len() {
+                    self.lut[at] = entry;
+                    at += 1 << len;
                 }
             }
-            code += count as u64;
-            idx += count;
-            prev_len = len;
         }
-        DecodeTable {
-            levels,
-            symbols,
-            max_len,
-            lut,
-            table_bits,
+    }
+
+    /// Decodes `n` symbols of `payload` into `out` (cleared first).
+    ///
+    /// A block that has a one-bit code — every quantizer stream the store
+    /// holds: the zero-residual code takes 80–90 % of a chunk's symbols — is
+    /// decoded a run at a time. The invariant: canonical codes are handed
+    /// out in (length, symbol) order starting from zero, so *a one-bit code
+    /// owns stream bit 0* and `k` zero bits at the head of the stream are
+    /// `k` copies of its symbol. `out` starts filled with that symbol, each
+    /// run is one `trailing_zeros` on the reader's accumulator and a cursor
+    /// bump, and only the symbol that ends a run goes through the table.
+    /// Blocks without a one-bit code keep the probe-per-symbol loop.
+    ///
+    /// Both forms read past the end of `payload` as zeros, exactly like the
+    /// per-bit reference; [`decode_header`]'s bound on `n` is what keeps
+    /// that fill finite.
+    fn decode_all(&self, payload: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
+        const INVALID: CodecError = CodecError::Entropy {
+            reason: "invalid code",
+        };
+        let mut reader = BitReader::new(payload);
+        out.clear();
+        let Some(mode) = self.zero_bit_symbol else {
+            // Pushed through a local: behind `&mut` the length would have to
+            // be stored back before every (panicking) table index.
+            let mut symbols = std::mem::take(out);
+            symbols.reserve(n);
+            for _ in 0..n {
+                symbols.push(self.decode(&mut reader).ok_or(INVALID)?);
+            }
+            *out = symbols;
+            return Ok(());
+        };
+        out.resize(n, mode);
+        let mut i = reader.take_zero_run(n);
+        while i < n {
+            out[i] = self.decode(&mut reader).ok_or(INVALID)?;
+            i += 1;
+            i += reader.take_zero_run(n - i);
         }
+        Ok(())
     }
 
     /// Decodes one symbol: one table probe for codes of length
@@ -535,38 +609,56 @@ fn empty_block(out: &mut Vec<u8>) {
     write_uvarint(out, 0); // payload bytes
 }
 
-/// Parsed block header: lengths table plus payload slice and symbol count.
-fn decode_header(bytes: &[u8]) -> Result<(usize, Vec<u8>, &[u8]), CodecError> {
+/// Parses a block header: the symbol count and the payload slice, with the
+/// length table left in `runs` (cleared first) — one entry per run of
+/// non-zero lengths, never expanded to the alphabet.
+///
+/// Shared by the table decoder and the reference, so the two reject the same
+/// blocks with the same error. The last check bounds the symbol count by the
+/// payload: every code is at least one bit and the encoder writes every bit,
+/// so a block claiming more symbols than its payload has bits did not come
+/// from the encoder — and must be turned away *here*, before anything is
+/// sized by that count (an unchecked `uvarint(1 << 40)` used to abort the
+/// process in `Vec::with_capacity`).
+fn decode_header<'a>(
+    bytes: &'a [u8],
+    runs: &mut Vec<LengthRun>,
+) -> Result<(usize, &'a [u8]), CodecError> {
     let bad = |reason| CodecError::Entropy { reason };
     let mut pos = 0usize;
-    let n_symbols = read_uvarint(bytes, &mut pos).ok_or(bad("truncated symbol count"))? as usize;
-    let alphabet = read_uvarint(bytes, &mut pos).ok_or(bad("truncated alphabet size"))? as usize;
-    if alphabet > MAX_ALPHABET {
+    let n_symbols = read_uvarint(bytes, &mut pos).ok_or(bad("truncated symbol count"))?;
+    let alphabet = read_uvarint(bytes, &mut pos).ok_or(bad("truncated alphabet size"))?;
+    if alphabet > MAX_ALPHABET as u64 {
         return Err(bad("alphabet too large"));
     }
-    let mut lengths = vec![0u8; alphabet];
-    let mut filled = 0usize;
+    runs.clear();
+    // Kraft sum in units of 2^-MAX_CODE_LEN: at most 2^26 symbols of at most
+    // 2^31 units each, so it cannot overflow.
+    let mut kraft = 0u64;
+    let mut filled = 0u64;
     while filled < alphabet {
-        let run = read_uvarint(bytes, &mut pos).ok_or(bad("truncated length table"))? as usize;
+        let run = read_uvarint(bytes, &mut pos).ok_or(bad("truncated length table"))?;
         let v = *bytes.get(pos).ok_or(bad("truncated length table"))?;
         pos += 1;
         if v > MAX_CODE_LEN {
             return Err(bad("code length exceeds limit"));
         }
-        if filled + run > alphabet {
+        if run > alphabet - filled {
             return Err(bad("length-table run overflows alphabet"));
         }
-        lengths[filled..filled + run].fill(v);
+        if v > 0 && run > 0 {
+            runs.push(LengthRun {
+                first: filled as u32,
+                count: run as u32,
+                len: v,
+            });
+            kraft += run << (MAX_CODE_LEN - v);
+        }
         filled += run;
     }
     // Kraft inequality: a table that over-subscribes the code space cannot
     // have come from the encoder, and a prefix-free guarantee is what makes
     // the primary-table and canonical-walk decoders provably agree.
-    let kraft: u64 = lengths
-        .iter()
-        .filter(|&&l| l > 0)
-        .map(|&l| 1u64 << (MAX_CODE_LEN - l))
-        .sum();
     if kraft > 1u64 << MAX_CODE_LEN {
         return Err(bad("code lengths violate Kraft inequality"));
     }
@@ -574,23 +666,56 @@ fn decode_header(bytes: &[u8]) -> Result<(usize, Vec<u8>, &[u8]), CodecError> {
     let payload = bytes
         .get(pos..pos.saturating_add(payload_len))
         .ok_or(bad("truncated payload"))?;
-    Ok((n_symbols, lengths, payload))
+    if n_symbols > 8 * payload.len() as u64 {
+        return Err(bad("symbol count exceeds payload bits"));
+    }
+    Ok((n_symbols as usize, payload))
 }
 
-/// Decodes a block produced by [`huffman_encode`].
+/// The state [`huffman_decode_into`] rebuilds per block — parsed length runs
+/// and the decode table — kept by the caller so that a reader decoding one
+/// block per chunk allocates it once, not once per chunk. It retains at most
+/// `SCRATCH_CAP` (2^17) table entries between blocks.
+#[derive(Debug, Default)]
+pub struct HuffmanScratch {
+    runs: Vec<LengthRun>,
+    table: DecodeTable,
+}
+
+/// Decodes a block produced by [`huffman_encode`] into `out` (cleared
+/// first), reusing `scratch` and `out`'s allocation. On error `out` holds
+/// nothing meaningful.
+pub fn huffman_decode_into(
+    bytes: &[u8],
+    scratch: &mut HuffmanScratch,
+    out: &mut Vec<u32>,
+) -> Result<(), CodecError> {
+    out.clear();
+    let HuffmanScratch { runs, table } = scratch;
+    let result = decode_header(bytes, runs).and_then(|(n_symbols, payload)| {
+        if n_symbols == 0 {
+            return Ok(());
+        }
+        table.build(runs, true);
+        table.decode_all(payload, n_symbols, out)
+    });
+    // Same retention policy as the encoder's thread-local tables: a block
+    // with a pathologically wide table does not get to pin it in a scratch
+    // that lives as long as its thread.
+    if table.symbols.capacity() > SCRATCH_CAP {
+        table.symbols = Vec::new();
+    }
+    if runs.capacity() > SCRATCH_CAP {
+        *runs = Vec::new();
+    }
+    result
+}
+
+/// Decodes a block produced by [`huffman_encode`] — the allocating form of
+/// [`huffman_decode_into`].
 pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let (n_symbols, lengths, payload) = decode_header(bytes)?;
-    if n_symbols == 0 {
-        return Ok(Vec::new());
-    }
-    let table = DecodeTable::from_lengths(&lengths);
-    let mut reader = BitReader::new(payload);
-    let mut out = Vec::with_capacity(n_symbols);
-    for _ in 0..n_symbols {
-        out.push(table.decode(&mut reader).ok_or(CodecError::Entropy {
-            reason: "invalid code",
-        })?);
-    }
+    let mut out = Vec::new();
+    huffman_decode_into(bytes, &mut HuffmanScratch::default(), &mut out)?;
     Ok(out)
 }
 
@@ -658,11 +783,13 @@ mod packed_tests {
 /// [`huffman_decode`] accepts; kept for differential tests and the hot-path
 /// bench.
 pub fn huffman_decode_reference(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let (n_symbols, lengths, payload) = decode_header(bytes)?;
+    let mut runs = Vec::new();
+    let (n_symbols, payload) = decode_header(bytes, &mut runs)?;
     if n_symbols == 0 {
         return Ok(Vec::new());
     }
-    let table = DecodeTable::from_lengths_walk_only(&lengths);
+    let mut table = DecodeTable::default();
+    table.build(&runs, false);
     let mut reader = reference::BitReader::new(payload);
     let mut out = Vec::with_capacity(n_symbols);
     for _ in 0..n_symbols {
@@ -796,6 +923,60 @@ mod tests {
             })
         );
         assert_eq!(huffman_decode_reference(&bytes), huffman_decode(&bytes));
+    }
+
+    #[test]
+    fn symbol_count_beyond_payload_bits_is_rejected_before_allocating() {
+        // Ten bytes claiming 2^40 symbols over an empty payload: used to
+        // abort the process inside `Vec::with_capacity`.
+        let mut bytes = Vec::new();
+        write_uvarint(&mut bytes, 1 << 40); // n_symbols
+        write_uvarint(&mut bytes, 2); // alphabet
+        write_uvarint(&mut bytes, 2); // run
+        bytes.push(1); // two 1-bit codes
+        write_uvarint(&mut bytes, 0); // payload len
+        assert_eq!(bytes.len(), 10);
+        let want = Err(CodecError::Entropy {
+            reason: "symbol count exceeds payload bits",
+        });
+        assert_eq!(huffman_decode(&bytes), want);
+        assert_eq!(huffman_decode_reference(&bytes), want);
+        // One symbol more than the payload has bits is already too many;
+        // exactly as many is a block of zero bits, which decodes.
+        for (n, ok) in [(17u64, false), (16, true)] {
+            let mut bytes = Vec::new();
+            write_uvarint(&mut bytes, n);
+            write_uvarint(&mut bytes, 2);
+            write_uvarint(&mut bytes, 2);
+            bytes.push(1);
+            write_uvarint(&mut bytes, 2);
+            bytes.extend_from_slice(&[0, 0]);
+            assert_eq!(huffman_decode(&bytes).is_ok(), ok, "n = {n}");
+            assert_eq!(huffman_decode_reference(&bytes), huffman_decode(&bytes));
+        }
+    }
+
+    #[test]
+    fn scratch_is_reusable_across_unrelated_blocks() {
+        // A wide table, then a narrow one, then a one-bit-code block: state
+        // left in the scratch by one block must not leak into the next.
+        let blocks: Vec<Vec<u32>> = vec![
+            (0..4096u32).map(|i| i % 256).collect(),
+            vec![3, 9, 3, 3, 9, 3],
+            (0..10_000u32)
+                .map(|i| if i % 11 == 0 { 32768 + i % 90 } else { 32768 })
+                .collect(),
+            vec![7; 100],
+            Vec::new(),
+        ];
+        let mut scratch = HuffmanScratch::default();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            for data in &blocks {
+                huffman_decode_into(&huffman_encode(data), &mut scratch, &mut out).unwrap();
+                assert_eq!(&out, data);
+            }
+        }
     }
 
     #[test]

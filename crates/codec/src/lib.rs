@@ -29,8 +29,8 @@ pub use codec::{
 pub use container::{tag, Container, ContainerError, Section};
 pub use crc::crc32;
 pub use huffman::{
-    huffman_decode, huffman_decode_reference, huffman_encode, huffman_encode_packed,
-    huffman_encode_reference,
+    huffman_decode, huffman_decode_into, huffman_decode_reference, huffman_encode,
+    huffman_encode_packed, huffman_encode_reference, HuffmanScratch,
 };
 pub use quantizer::{round_ties_away_i64, LinearQuantizer, QuantOutcome};
 pub use rle::{pack_maybe_rle, rle_decode, rle_encode, unpack_maybe_rle};

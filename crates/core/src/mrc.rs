@@ -20,7 +20,7 @@ use hqmr_codec::{
 };
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{decode_layout, encode_layout};
-use hqmr_mr::{strip_padding, LevelData, MergeStrategy, MultiResData, PadKind};
+use hqmr_mr::{check_slots, split_blocks, LevelData, MergeStrategy, MultiResData, PadKind};
 use hqmr_store::StoreConfig;
 
 pub use hqmr_mr::prepare::PreparedLevel;
@@ -373,12 +373,11 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
             let (padded, a_unit, slots) =
                 decode_layout(layout).ok_or(MrcError::Malformed("layout"))?;
             codec.decompress_into(stream, &mut scratch)?;
-            if padded {
-                let stripped = strip_padding(&scratch);
-                blocks.extend(hqmr_mr::split_blocks(&stripped, a_unit, &slots));
-            } else {
-                blocks.extend(hqmr_mr::split_blocks(&scratch, a_unit, &slots));
-            }
+            // The layout is as untrusted as the stream: check it against
+            // what actually decoded, then cut the blocks straight out of
+            // the (possibly still padded) array.
+            check_slots(scratch.dims(), padded, a_unit, &slots).map_err(MrcError::Malformed)?;
+            blocks.extend(split_blocks(&scratch, a_unit, &slots));
         }
         blocks.sort_by_key(|b| (b.origin[0], b.origin[1], b.origin[2]));
         levels.push(LevelData {
@@ -566,6 +565,67 @@ mod tests {
         bad[n / 3] ^= 0x80;
         assert!(decompress_mr(&bad).is_err());
         assert!(decompress_mr(&bytes[..20]).is_err());
+    }
+
+    #[test]
+    fn crafted_layouts_are_typed_errors_not_panics() {
+        // Four unit-1 blocks: one unpadded 1×1×4 array under the null codec.
+        let dims = Dims3::new(1, 1, 4);
+        let mr = MultiResData {
+            domain: dims,
+            levels: vec![LevelData {
+                level: 0,
+                unit: 1,
+                dims,
+                blocks: (0..4)
+                    .map(|z| hqmr_mr::UnitBlock {
+                        origin: [0, 0, z],
+                        data: vec![z as f32],
+                    })
+                    .collect(),
+            }],
+        };
+        let cfg = MrcConfig::baseline(1e-3).with_backend(Backend::NULL);
+        let (bytes, _) = compress_mr(&mr, &cfg);
+        assert_eq!(decompress_mr(&bytes).unwrap(), mr);
+        // Re-frames the stream around a replacement layout: every section
+        // CRC is valid, only the layout lies.
+        let parsed = Container::from_bytes(&bytes).unwrap();
+        let honest = hqmr_mr::merge_level(&mr.levels[0], MergeStrategy::Linear).remove(0);
+        let reframed = |padded: bool, unit: usize, slots: hqmr_mr::LayoutSlots| {
+            let lie = hqmr_mr::MergedArray {
+                unit,
+                slots,
+                ..honest.clone()
+            };
+            let mut c = Container::new();
+            for tag in [TAG_HEAD, TAG_CODEC, TAG_LEVEL] {
+                c.push(tag, parsed.get(tag).unwrap().to_vec());
+            }
+            c.push(TAG_LAYOUT, encode_layout(&lie, padded));
+            c.push(NULL_CODEC_ID, parsed.get(NULL_CODEC_ID).unwrap().to_vec());
+            decompress_mr(&c.to_bytes())
+        };
+        assert_eq!(reframed(false, 1, honest.slots.clone()).unwrap(), mr);
+        let lies = [
+            // `padded` on an array too small to carry padding: used to reach
+            // `strip_padding`'s assert.
+            (true, 1, honest.slots.clone()),
+            // A slot beyond the array: used to be edge-clamped into
+            // plausible-looking data.
+            (false, 1, vec![([0, 0, 4], [0, 0, 0])]),
+            (false, 1, vec![([usize::MAX, 0, 0], [0, 0, 0])]),
+            // Units the array cannot hold, up to one whose cube overflows.
+            (false, 2, honest.slots.clone()),
+            (false, usize::MAX, honest.slots.clone()),
+        ];
+        for (padded, unit, slots) in lies {
+            let err = reframed(padded, unit, slots.clone()).unwrap_err();
+            assert!(
+                matches!(err, MrcError::Malformed(_)),
+                "padded {padded}, unit {unit}, slots {slots:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

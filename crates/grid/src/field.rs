@@ -223,6 +223,65 @@ impl Field3 {
         }
     }
 
+    /// [`Self::insert_box_from`] for a batch of equally sized blocks, with
+    /// every source cell replicated `factor`× along each axis —
+    /// nearest-neighbour upsampling written straight into place, with no
+    /// intermediate field: each coarse `z`-row is expanded once, into its
+    /// first destination row, and that row is copied to the other
+    /// `factor² − 1`. Per block this equals inserting it after
+    /// `log2(factor)` rounds of [`Self::upsample2_nearest`]; `factor = 1` is a
+    /// plain insert. Cells falling outside the domain are dropped.
+    ///
+    /// The batch is walked row-major: for each `(x, y)` of the block shape,
+    /// every block's row is landed before the next row is started. A block
+    /// touches one short segment in each of `(nx·factor)·(ny·factor)` rows
+    /// of this field, a whole `z`-row apart; blocks strung along `z` — what
+    /// a store chunk or a raster-ordered column holds — touch the *same*
+    /// rows, so batching them turns those scattered single-line writes into
+    /// runs within a few live pages. Any batch of disjoint blocks is
+    /// correct; small, `z`-adjacent ones are fast. (Where blocks of one
+    /// batch overlap, which block's cells survive is unspecified.)
+    ///
+    /// # Panics
+    /// Panics if a block's `data.len() != bd.len()` or `factor == 0`.
+    pub fn insert_boxes_replicated<'a, I>(&mut self, bd: Dims3, factor: usize, blocks: I)
+    where
+        I: Iterator<Item = ([usize; 3], &'a [f32])> + Clone,
+    {
+        assert!(factor > 0, "replication factor must be positive");
+        for (_, data) in blocks.clone() {
+            assert_eq!(data.len(), bd.len(), "source buffer does not match {bd}");
+        }
+        let d = self.dims;
+        for x in 0..bd.nx {
+            for y in 0..bd.ny {
+                let src = bd.idx(x, y, 0);
+                for (origin, data) in blocks.clone() {
+                    let (gx, gy) = (origin[0] + x * factor, origin[1] + y * factor);
+                    let zn = (bd.nz * factor).min(d.nz.saturating_sub(origin[2]));
+                    if gx >= d.nx || gy >= d.ny || zn == 0 {
+                        continue;
+                    }
+                    let first = d.idx(gx, gy, origin[2]);
+                    for (cells, &v) in self.data[first..first + zn]
+                        .chunks_mut(factor)
+                        .zip(&data[src..src + bd.nz])
+                    {
+                        cells.fill(v);
+                    }
+                    for rx in gx..(gx + factor).min(d.nx) {
+                        for ry in gy..(gy + factor).min(d.ny) {
+                            let dst = d.idx(rx, ry, origin[2]);
+                            if dst != first {
+                                self.data.copy_within(first..first + zn, dst);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// 2× average downsampling (each coarse cell is the mean of its ≤8 fine
     /// children; odd extents round up and edge cells average fewer children).
     pub fn downsample2(&self) -> Field3 {
@@ -269,6 +328,22 @@ impl Field3 {
     /// 2× trilinear upsampling to `target` extents. Fine cell centres are
     /// placed between coarse samples (cell-centred convention).
     pub fn upsample2_trilinear(&self, target: Dims3) -> Field3 {
+        Self::upsample2_trilinear_from(self.dims, &self.data, target)
+    }
+
+    /// [`Self::upsample2_trilinear`] of a borrowed row-major buffer of dims
+    /// `dims`, so unit-block data can be upsampled where it lies instead of
+    /// being copied into a `Field3` first.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != dims.len()`.
+    pub fn upsample2_trilinear_from(dims: Dims3, data: &[f32], target: Dims3) -> Field3 {
+        assert_eq!(
+            data.len(),
+            dims.len(),
+            "source buffer does not match {dims}"
+        );
+        let get = |x, y, z| data[dims.idx(x, y, z)];
         let lerp_axis = |t: usize, n: usize| -> (usize, usize, f32) {
             // Fine cell centre in coarse coordinates (cell-centred): (t+0.5)/2 - 0.5.
             let c = (t as f32 + 0.5) / 2.0 - 0.5;
@@ -278,17 +353,17 @@ impl Field3 {
             (i0, i1, (c - c0).clamp(0.0, 1.0))
         };
         Field3::from_fn(target, |x, y, z| {
-            let (x0, x1, fx) = lerp_axis(x, self.dims.nx);
-            let (y0, y1, fy) = lerp_axis(y, self.dims.ny);
-            let (z0, z1, fz) = lerp_axis(z, self.dims.nz);
-            let c000 = self.get(x0, y0, z0);
-            let c001 = self.get(x0, y0, z1);
-            let c010 = self.get(x0, y1, z0);
-            let c011 = self.get(x0, y1, z1);
-            let c100 = self.get(x1, y0, z0);
-            let c101 = self.get(x1, y0, z1);
-            let c110 = self.get(x1, y1, z0);
-            let c111 = self.get(x1, y1, z1);
+            let (x0, x1, fx) = lerp_axis(x, dims.nx);
+            let (y0, y1, fy) = lerp_axis(y, dims.ny);
+            let (z0, z1, fz) = lerp_axis(z, dims.nz);
+            let c000 = get(x0, y0, z0);
+            let c001 = get(x0, y0, z1);
+            let c010 = get(x0, y1, z0);
+            let c011 = get(x0, y1, z1);
+            let c100 = get(x1, y0, z0);
+            let c101 = get(x1, y0, z1);
+            let c110 = get(x1, y1, z0);
+            let c111 = get(x1, y1, z1);
             let c00 = c000 + (c001 - c000) * fz;
             let c01 = c010 + (c011 - c010) * fz;
             let c10 = c100 + (c101 - c100) * fz;
@@ -399,6 +474,49 @@ mod tests {
         assert_eq!(f.get(1, 1, 1), 0.0);
         assert_eq!(f.get(2, 2, 2), 7.0);
         assert_eq!(f.get(3, 3, 3), 7.0);
+    }
+
+    #[test]
+    fn replicated_insert_equals_iterated_nearest_upsampling() {
+        let block = Field3::from_fn(Dims3::new(3, 2, 5), |x, y, z| (x * 100 + y * 10 + z) as f32);
+        let other: Vec<f32> = block.data().iter().map(|v| -v).collect();
+        for factor in [1usize, 2, 4] {
+            let mut fine = block.clone();
+            let mut f = factor;
+            while f > 1 {
+                fine = fine.upsample2_nearest(fine.dims().scaled(2));
+                f /= 2;
+            }
+            let mut fine_other = fine.clone();
+            fine_other.map_inplace(|v| -v);
+            // Inside the domain, overhanging each face, and wholly outside —
+            // alone, and as the first of a batch of two.
+            for origin in [
+                [1, 2, 3],
+                [12, 14, 30],
+                [15, 15, 39],
+                [16, 0, 0],
+                [0, 0, 40],
+            ] {
+                let second = [0, 10, 23]; // disjoint from every first block
+                let mut want = Field3::new(Dims3::new(16, 16, 40), -1.0);
+                let mut got = want.clone();
+                want.insert_box(origin, &fine);
+                got.insert_boxes_replicated(
+                    block.dims(),
+                    factor,
+                    std::iter::once((origin, block.data())),
+                );
+                assert_eq!(got, want, "factor {factor} at {origin:?}");
+                want.insert_box(second, &fine_other);
+                got.insert_boxes_replicated(
+                    block.dims(),
+                    factor,
+                    [(origin, block.data()), (second, &other[..])].into_iter(),
+                );
+                assert_eq!(got, want, "factor {factor}, batch at {origin:?}");
+            }
+        }
     }
 
     #[test]

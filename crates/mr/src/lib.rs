@@ -24,12 +24,12 @@ mod types;
 pub use adaptive::{roi_only_field, to_adaptive, RoiConfig};
 pub use amr::{to_amr, AmrConfig};
 pub use merge::{
-    merge_blocks, merge_discontinuity, merge_level, split_blocks, unsplit_level, MergeStrategy,
-    MergedArray,
+    check_slots, merge_blocks, merge_discontinuity, merge_level, split_blocks, unsplit_level,
+    MergeStrategy, MergedArray,
 };
 pub use padding::{pad_small_dims, strip_padding, PadKind};
 pub use prepare::{
     decode_layout, encode_layout, prepare_blocks, prepare_level, LayoutSlots, PreparedLevel,
 };
 pub use temporal::{resample_like, structure_matches};
-pub use types::{LevelData, MultiResData, UnitBlock, Upsample};
+pub use types::{insert_blocks_upsampled, LevelData, MultiResData, UnitBlock, Upsample};

@@ -74,6 +74,47 @@ pub fn split_blocks(
         .collect()
 }
 
+/// Checks a layout that came from outside the program — a store's chunk
+/// table, an `mrc` layout section — against the dims of the decoded array it
+/// is about to be cut from, and returns the cells per block (`unit³`).
+///
+/// `padded` says `dims` still carries [`crate::pad_small_dims`]' extra `x`
+/// and `y` layer. That layer is *trailing*, so a cell has the same
+/// coordinates in the padded array and in the stripped one: once this
+/// returns `Ok`, [`split_blocks`] (or [`Field3::extract_box_into`] per slot)
+/// cuts the blocks straight out of the padded reconstruction — every copy an
+/// interior one that never reads the padding — and nothing has to strip it
+/// first. The checks are made against the stripped dims: a padded array
+/// must be large enough to have been padded, every slot's cube must lie
+/// inside it, and neither `unit³` nor the cell total may overflow.
+pub fn check_slots(
+    dims: Dims3,
+    padded: bool,
+    unit: usize,
+    slots: &[([usize; 3], [usize; 3])],
+) -> Result<usize, &'static str> {
+    let d = if padded {
+        if dims.nx < 2 || dims.ny < 2 {
+            return Err("padded array too small to carry padding");
+        }
+        Dims3::new(dims.nx - 1, dims.ny - 1, dims.nz)
+    } else {
+        dims
+    };
+    let cells = unit.checked_pow(3).ok_or("unit overflows")?;
+    slots
+        .len()
+        .checked_mul(cells)
+        .ok_or("block cells overflow")?;
+    let inside = |o: usize, dim: usize| o.checked_add(unit).is_some_and(|e| e <= dim);
+    for &(slot, _) in slots {
+        if !(inside(slot[0], d.nx) && inside(slot[1], d.ny) && inside(slot[2], d.nz)) {
+            return Err("slot out of array bounds");
+        }
+    }
+    Ok(cells)
+}
+
 /// Merges a level's blocks under `strategy`. Returns one array for
 /// `Linear`/`Stack`, and one per box for `Tac`. Empty levels yield no arrays.
 pub fn merge_level(level: &LevelData, strategy: MergeStrategy) -> Vec<MergedArray> {
@@ -351,6 +392,32 @@ mod tests {
         let back = unsplit_level(&pairs);
         assert_eq!(back.len(), lvl.blocks.len());
         assert_eq!(back, lvl.blocks);
+    }
+
+    #[test]
+    fn check_slots_validates_against_the_stripped_dims() {
+        let u = 4;
+        let slots = [([0, 0, 0], [0, 0, 0]), ([0, 0, 4], [0, 0, 4])];
+        let plain = Dims3::new(4, 4, 8);
+        let padded = Dims3::new(5, 5, 8);
+        assert_eq!(check_slots(plain, false, u, &slots), Ok(64));
+        assert_eq!(check_slots(padded, true, u, &slots), Ok(64));
+        // The padding layer is not block data: a 4-wide array flagged as
+        // padded only has 3 real layers.
+        assert!(check_slots(plain, true, u, &slots).is_err());
+        // Too small to have been padded at all (the shape that used to
+        // reach `strip_padding`'s assert).
+        assert!(check_slots(Dims3::new(1, 1, 4), true, 1, &[]).is_err());
+        // Slots past the end, by one cell and by overflow.
+        assert!(check_slots(plain, false, u, &[([0, 0, 5], [0; 3])]).is_err());
+        assert!(check_slots(plain, false, u, &[([usize::MAX, 0, 0], [0; 3])]).is_err());
+        // Units whose cube, or whose cube times the slot count, overflows.
+        assert!(check_slots(plain, false, usize::MAX, &[]).is_err());
+        assert!(check_slots(plain, false, 1 << 21, &[([0; 3], [0; 3]); 2]).is_err());
+        // And the cut itself reads the padded array in place.
+        let f = Field3::from_fn(plain, |x, y, z| (x * 100 + y * 10 + z) as f32);
+        let p = crate::pad_small_dims(&f, crate::PadKind::Linear);
+        assert_eq!(split_blocks(&p, u, &slots), split_blocks(&f, u, &slots));
     }
 
     #[test]

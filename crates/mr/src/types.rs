@@ -91,23 +91,11 @@ impl MultiResData {
     pub fn reconstruct(&self, scheme: Upsample) -> Field3 {
         let mut out = Field3::zeros(self.domain);
         for lvl in self.levels.iter().rev() {
-            let factor = 1usize << lvl.level;
-            let u = lvl.unit;
-            for b in &lvl.blocks {
-                let origin = [
-                    b.origin[0] * factor,
-                    b.origin[1] * factor,
-                    b.origin[2] * factor,
-                ];
-                if factor == 1 {
-                    // Finest level: land the block data directly, no
-                    // temporary field or upsample pipeline.
-                    out.insert_box_from(origin, Dims3::cube(u), &b.data);
-                } else {
-                    let block = Field3::from_vec(Dims3::cube(u), b.data.clone());
-                    let fine = upsample_block(&block, factor, scheme);
-                    out.insert_box(origin, &fine);
-                }
+            // Raster order strings the blocks of one `(x, y)` column
+            // together, and those land in the same rows of `out`: one batch.
+            for column in lvl.blocks.chunk_by(|a, b| a.origin[..2] == b.origin[..2]) {
+                let blocks = column.iter().map(|b| (b.origin, &b.data[..]));
+                insert_blocks_upsampled(&mut out, lvl.level, lvl.unit, blocks, scheme);
             }
         }
         out
@@ -139,19 +127,42 @@ impl MultiResData {
     }
 }
 
-/// Upsamples one isolated block by `factor` (a power of two).
-fn upsample_block(block: &Field3, factor: usize, scheme: Upsample) -> Field3 {
-    let mut cur = block.clone();
-    let mut f = factor;
-    while f > 1 {
-        let target = cur.dims().scaled(2);
-        cur = match scheme {
-            Upsample::Nearest => cur.upsample2_nearest(target),
-            Upsample::Trilinear => cur.upsample2_trilinear(target),
-        };
-        f /= 2;
+/// Lands a batch of `unit³` blocks of resolution level `level` — `(level-local
+/// origin, data)` pairs — in the fine-resolution field `out`: each is
+/// upsampled `2^level`× and written at its fine-domain position, cells beyond
+/// the domain edge dropped. The one entry point behind
+/// [`MultiResData::reconstruct`] and the store's progressive reader, so the
+/// two cannot drift apart.
+///
+/// [`Upsample::Nearest`] replicates rows in place
+/// ([`Field3::insert_boxes_replicated`], which is also why blocks come in
+/// batches: `z`-adjacent ones share destination rows) — no temporary, each
+/// output cell written once. [`Upsample::Trilinear`] interpolates within
+/// each isolated block (it never reads a neighbour), doubling it `level`
+/// times before the insert; only those doublings allocate.
+pub fn insert_blocks_upsampled<'a, I>(
+    out: &mut Field3,
+    level: usize,
+    unit: usize,
+    blocks: I,
+    scheme: Upsample,
+) where
+    I: Iterator<Item = ([usize; 3], &'a [f32])> + Clone,
+{
+    let factor = 1usize << level;
+    let bd = Dims3::cube(unit);
+    let blocks = blocks.map(|(origin, data)| (origin.map(|o| o * factor), data));
+    if level == 0 || scheme == Upsample::Nearest {
+        out.insert_boxes_replicated(bd, factor, blocks);
+        return;
     }
-    cur
+    for (at, data) in blocks {
+        let mut fine = Field3::upsample2_trilinear_from(bd, data, bd.scaled(2));
+        for _ in 1..level {
+            fine = fine.upsample2_trilinear(fine.dims().scaled(2));
+        }
+        out.insert_box(at, &fine);
+    }
 }
 
 #[cfg(test)]
@@ -212,6 +223,35 @@ mod tests {
         assert_eq!(f.get(7, 7, 7), 3.0);
         // Uncovered corner stays zero.
         assert_eq!(f.get(7, 0, 0), 0.0);
+    }
+
+    #[test]
+    fn upsampled_insert_equals_isolated_block_upsampling() {
+        // The block-local definition both schemes keep: upsample the
+        // isolated block 2× per level, then insert (clipped at the edge).
+        let unit = 3;
+        let data: Vec<f32> = (0..27).map(|i| ((i * 7) % 11) as f32 - 2.5).collect();
+        for scheme in [Upsample::Nearest, Upsample::Trilinear] {
+            for level in 0..3usize {
+                let mut fine = Field3::from_vec(Dims3::cube(unit), data.clone());
+                for _ in 0..level {
+                    let target = fine.dims().scaled(2);
+                    fine = match scheme {
+                        Upsample::Nearest => fine.upsample2_nearest(target),
+                        Upsample::Trilinear => fine.upsample2_trilinear(target),
+                    };
+                }
+                // Interior, and overhanging the high corner of the domain.
+                for origin in [[0, 1, 2], [3, 3, 3]] {
+                    let mut want = Field3::new(Dims3::new(14, 15, 16), 9.0);
+                    let mut got = want.clone();
+                    want.insert_box(origin.map(|o| o << level), &fine);
+                    let block = std::iter::once((origin, &data[..]));
+                    insert_blocks_upsampled(&mut got, level, unit, block, scheme);
+                    assert_eq!(got, want, "{scheme:?} level {level} at {origin:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,21 @@
 //! flipped bit surfaces as the typed
 //! [`StoreError::CorruptChunk`]`{ level, block }` instead of garbage data.
 //!
+//! # What a chunk decode allocates
+//!
+//! One chunk goes fetch → CRC → codec → slab, and only the last step
+//! allocates: the codec reconstructs into a per-thread scratch field
+//! ([`hqmr_codec::Codec::decompress_into`]), the chunk table's layout is
+//! checked against what decoded ([`hqmr_mr::check_slots`]), and the unit
+//! blocks are copied straight out of the scratch — padding and all; a
+//! trailing pad layer moves no cell — into the chunk's `Arc<[f32]>` slab,
+//! built as an `Arc` so handing it to a cache copies nothing. There is no
+//! stripped intermediate and no `Codec` seam for strided destinations: sz3
+//! needs the whole padded array as working memory, so cutting from the
+//! scratch is the same number of passes for every backend without a
+//! per-backend fork. How query results are assembled from slabs, and why
+//! whole-level reads ask for them a window at a time, is [`read`]'s story.
+//!
 //! # Thread safety
 //!
 //! [`StoreReader`] is `Send + Sync` by contract (enforced at compile time
@@ -69,7 +84,7 @@ use hqmr_codec::kernels;
 use hqmr_codec::{crc32, Codec, NullCodec, NULL_CODEC_ID};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{prepare_blocks, PreparedLevel};
-use hqmr_mr::{strip_padding, LevelData, MergeStrategy, MultiResData, PadKind, Upsample};
+use hqmr_mr::{check_slots, LevelData, MergeStrategy, MultiResData, PadKind, Upsample};
 use hqmr_sz2::{Sz2Codec, SZ2_CODEC_ID};
 use hqmr_sz3::{Sz3Codec, SZ3_CODEC_ID};
 use hqmr_zfp::{ZfpCodec, ZFP_CODEC_ID};
@@ -78,6 +93,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 #[cfg(not(unix))]
 use std::sync::Mutex;
 
@@ -101,8 +117,13 @@ thread_local! {
 }
 
 /// Minimum slab size (cells) before a chunk's per-slot extractions fan out
-/// across the rayon shim; below this the spawn cost outweighs the copies.
-const PAR_MIN_EXTRACT: usize = 1 << 16;
+/// across the rayon shim: 4 MiB, i.e. the level-sized slabs of
+/// `one_chunk_per_level` and other deliberately coarse tilings, where the
+/// copy and the fresh slab's page faults take milliseconds. A default chunk
+/// (16 × 16³ cells, 256 KiB) is a cache-sized copy of tens of microseconds —
+/// less than one thread spawn — and is already one of many decoding side by
+/// side in [`ChunkSource::chunks`], so it must stay below this.
+const PAR_MIN_EXTRACT: usize = 1 << 20;
 
 /// Decoder registry: the default codec able to decode chunks carrying `id`.
 /// Chunk streams are self-describing, so decode needs no backend parameters.
@@ -630,66 +651,41 @@ impl StoreReader {
             source,
         };
         DECODE_SCRATCH.with(|scratch| {
-            let mut field = scratch.borrow_mut();
+            let field = &mut *scratch.borrow_mut();
             self.codec
-                .decompress_into(bytes, &mut field)
+                .decompress_into(bytes, field)
                 .map_err(codec_err)?;
             if field.dims() != c.enc_dims {
                 return Err(StoreError::Malformed("decoded dims mismatch chunk table"));
             }
-            let stripped;
-            let data: &Field3 = if c.padded {
-                if c.enc_dims.nx < 2 || c.enc_dims.ny < 2 {
-                    return Err(StoreError::Malformed("padded chunk too small"));
-                }
-                stripped = strip_padding(&field);
-                &stripped
-            } else {
-                &field
-            };
-            let d = data.dims();
-            // Slot origins and the unit come from the untrusted chunk
-            // table; checked math keeps a crafted store a typed error
-            // instead of a debug-build overflow panic.
-            let oob = StoreError::Malformed("chunk slot out of array bounds");
-            for &(slot, _) in &c.slots {
-                let inside = |o: usize, dim: usize| o.checked_add(c.unit).is_some_and(|e| e <= dim);
-                if !(inside(slot[0], d.nx) && inside(slot[1], d.ny) && inside(slot[2], d.nz)) {
-                    return Err(oob);
-                }
-            }
-            // One contiguous slab for the whole chunk: the unit a cache can
-            // share across clients with a single refcount bump. Per-slot
-            // extractions write disjoint slab ranges, so large chunks fan
-            // them across the rayon shim (one tile per slot) unless tile
-            // parallelism is disabled. The slot check above bounds `unit`
-            // by the decoded dims whenever a slot exists; an absurd unit on
-            // a slotless chunk must still not overflow the slab size.
-            let n = c
-                .unit
-                .checked_pow(3)
-                .ok_or(StoreError::Malformed("chunk unit overflows"))?;
+            // Slot origins, the unit and the padded flag come from the
+            // untrusted chunk table; checked against what actually decoded,
+            // a crafted store is a typed error, not a panic.
+            let n = check_slots(field.dims(), c.padded, c.unit, &c.slots)
+                .map_err(StoreError::Malformed)?;
             let size = Dims3::cube(c.unit);
-            let slab_len = c
-                .slots
-                .len()
-                .checked_mul(n)
-                .ok_or(StoreError::Malformed("chunk slab overflows"))?;
-            let mut slab = vec![0f32; slab_len];
-            if kernels::tile_parallel() && c.slots.len() >= 2 && slab.len() >= PAR_MIN_EXTRACT {
-                slab.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
-                    let (slot, _) = c.slots[k];
-                    data.extract_box_into(slot, size, out);
+            // One contiguous slab for the whole chunk — the unit a cache
+            // shares across clients with a single refcount bump — allocated
+            // once, as the `Arc` it is handed out in, and cut straight out
+            // of the scratch: a padded reconstruction keeps its cells at
+            // their stripped coordinates (`check_slots`), so no stripped
+            // copy stands between the codec's output and the slab.
+            let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, c.slots.len() * n).collect();
+            let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
+            let field = &*field;
+            if kernels::tile_parallel() && c.slots.len() >= 2 && cells.len() >= PAR_MIN_EXTRACT {
+                cells.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
+                    field.extract_box_into(c.slots[k].0, size, out);
                 });
             } else {
                 for (k, &(slot, _)) in c.slots.iter().enumerate() {
-                    data.extract_box_into(slot, size, &mut slab[k * n..(k + 1) * n]);
+                    field.extract_box_into(slot, size, &mut cells[k * n..(k + 1) * n]);
                 }
             }
             Ok(DecodedChunk {
                 unit: c.unit,
                 origins: c.slots.iter().map(|&(_, origin)| origin).collect(),
-                data: slab.into(),
+                data: slab,
             })
         })
     }

@@ -11,13 +11,34 @@
 //! not a testing aspiration — the differential suite in
 //! `crates/serve/tests/` then pins it down anyway.
 //!
+//! # Whole-level reads are windowed
+//!
+//! [`read_level`], [`read_level_iso`] and [`Progressive`] touch every chunk
+//! of a level, and what they build from a chunk — owned [`UnitBlock`]s, rows
+//! of the cumulative field — is a copy of its slab. They therefore ask the
+//! source for a *window* of consecutive chunks at a time (about
+//! `WINDOW_CELLS` decoded cells, through the ordinary
+//! [`ChunkSource::chunks`], so every source — bare, cached, traced — serves
+//! them unchanged), consume the window's slabs while they are still in
+//! cache, and drop them before asking for the next. Transient heap is
+//! O(window) instead of a second copy of the level, and the pages the slabs
+//! lived in are reused by the next window instead of being faulted in fresh.
+//! Each chunk is still fetched and decoded exactly once per call. ROI reads
+//! hold few chunks and keep the single bulk request.
+//!
 //! [`StoreReader`]: crate::StoreReader
 
 use crate::format::{LevelMeta, StoreError, StoreMeta};
 use hqmr_grid::{Dims3, Field3};
-use hqmr_mr::{LevelData, MultiResData, UnitBlock, Upsample};
+use hqmr_mr::{insert_blocks_upsampled, LevelData, MultiResData, UnitBlock, Upsample};
 use rayon::prelude::*;
 use std::sync::Arc;
+
+/// Decoded cells (4 MiB of `f32`) a whole-level reader requests per call to
+/// [`ChunkSource::chunks`]: sixteen default chunks — enough work per fan-out
+/// to pay for the rayon shim's thread spawns many times over, small enough
+/// that a window's slabs are consumed out of cache.
+const WINDOW_CELLS: usize = 1 << 20;
 
 /// One chunk, decoded: every unit block of the chunk as one immutable,
 /// cheaply shareable slab.
@@ -102,18 +123,54 @@ pub(crate) fn level_meta(meta: &StoreMeta, level: usize) -> Result<&LevelMeta, S
     meta.levels.get(level).ok_or(StoreError::NoSuchLevel(level))
 }
 
+/// Splits `indices` (chunks of level `lm`, in request order) into consecutive
+/// windows of at most `budget` decoded cells; a chunk larger than the budget
+/// is a window of its own.
+fn windows<'a>(
+    lm: &'a LevelMeta,
+    indices: &'a [usize],
+    budget: usize,
+) -> impl Iterator<Item = &'a [usize]> {
+    let mut rest = indices;
+    std::iter::from_fn(move || {
+        let mut cells = 0usize;
+        let fits = rest.iter().enumerate().take_while(|&(k, &i)| {
+            let c = &lm.chunks[i];
+            cells = cells.saturating_add(c.slots.len().saturating_mul(c.unit.saturating_pow(3)));
+            k == 0 || cells <= budget
+        });
+        let (window, tail) = rest.split_at(fits.count());
+        rest = tail;
+        (!window.is_empty()).then_some(window)
+    })
+}
+
+/// Hands every chunk of `indices` to `land`, in order, one window of the
+/// level at a time (module docs).
+fn for_each_chunk<S: ChunkSource + ?Sized>(
+    src: &S,
+    level: usize,
+    lm: &LevelMeta,
+    indices: &[usize],
+    mut land: impl FnMut(&DecodedChunk),
+) -> Result<(), StoreError> {
+    for window in windows(lm, indices, WINDOW_CELLS) {
+        src.chunks(level, window)?.iter().for_each(&mut land);
+    }
+    Ok(())
+}
+
 /// Reads one whole resolution level from `src`.
 pub fn read_level<S: ChunkSource + ?Sized>(src: &S, level: usize) -> Result<LevelData, StoreError> {
     let lm = level_meta(src.store_meta(), level)?;
     let indices: Vec<usize> = (0..lm.chunks.len()).collect();
-    let (level_no, unit, dims) = (lm.level, lm.unit, lm.dims);
-    let decoded = src.chunks(level, &indices)?;
-    let mut blocks: Vec<UnitBlock> = decoded.iter().flat_map(DecodedChunk::to_blocks).collect();
+    let mut blocks: Vec<UnitBlock> = Vec::new();
+    for_each_chunk(src, level, lm, &indices, |c| blocks.extend(c.to_blocks()))?;
     blocks.sort_by_key(|b| b.origin);
     Ok(LevelData {
-        level: level_no,
-        unit,
-        dims,
+        level: lm.level,
+        unit: lm.unit,
+        dims: lm.dims,
         blocks,
     })
 }
@@ -223,34 +280,25 @@ pub fn read_level_iso<S: ChunkSource + ?Sized>(
     let meta = src.store_meta();
     let keep = iso_chunk_indices(meta, level, iso)?;
     let lm = level_meta(meta, level)?;
-    let (level_no, unit, dims) = (lm.level, lm.unit, lm.dims);
-    let proxies: Vec<(f32, Vec<[usize; 3]>)> = {
-        let kept: std::collections::HashSet<usize> = keep.iter().copied().collect();
-        lm.chunks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !kept.contains(i))
-            .map(|(_, c)| {
-                (
-                    c.proxy_value(iso),
-                    c.slots.iter().map(|&(_, origin)| origin).collect(),
-                )
-            })
-            .collect()
-    };
-    let decoded = src.chunks(level, &keep)?;
-    let mut blocks: Vec<UnitBlock> = decoded.iter().flat_map(DecodedChunk::to_blocks).collect();
-    for (proxy, origins) in proxies {
-        blocks.extend(origins.into_iter().map(|origin| UnitBlock {
+    let mut blocks: Vec<UnitBlock> = Vec::new();
+    for_each_chunk(src, level, lm, &keep, |c| blocks.extend(c.to_blocks()))?;
+    // `keep` ascends, so the skipped chunks fall out of one merge-walk.
+    let mut kept = keep.iter().peekable();
+    for (i, c) in lm.chunks.iter().enumerate() {
+        if kept.next_if_eq(&&i).is_some() {
+            continue;
+        }
+        let proxy = c.proxy_value(iso);
+        blocks.extend(c.slots.iter().map(|&(_, origin)| UnitBlock {
             origin,
-            data: vec![proxy; unit.pow(3)],
+            data: vec![proxy; lm.unit.pow(3)],
         }));
     }
     blocks.sort_by_key(|b| b.origin);
     Ok(LevelData {
-        level: level_no,
-        unit,
-        dims,
+        level: lm.level,
+        unit: lm.unit,
+        dims: lm.dims,
         blocks,
     })
 }
@@ -287,10 +335,41 @@ pub struct Progressive<'a, S: ChunkSource + ?Sized> {
     scheme: Upsample,
     /// `levels[next]` is the next level to decode, counting down to 0.
     next: usize,
-    /// The cumulative reconstruction, refined in place: each step overlays
-    /// only the newly decoded (finer) level's upsampled blocks, so blocks
-    /// decoded in earlier steps are never copied or reconstructed again.
+    /// The cumulative reconstruction, refined in place: each step lands only
+    /// the newly decoded (finer) level's blocks, straight from their chunk
+    /// slabs, so blocks decoded in earlier steps are never copied or
+    /// reconstructed again.
     acc: Field3,
+}
+
+impl<S: ChunkSource + ?Sized> Progressive<'_, S> {
+    /// Decodes `level` a window at a time and lands its blocks in the
+    /// accumulator. Coarse→fine order makes in-place landing match
+    /// `MultiResData::reconstruct` exactly: finer blocks land later and
+    /// overwrite coarser ones; within a level blocks are disjoint, so chunk
+    /// order is as good as raster order and nothing is sorted or staged.
+    fn refine(&mut self, level: usize) -> Result<(), StoreError> {
+        let lm = level_meta(self.src.store_meta(), level)?;
+        let indices: Vec<usize> = (0..lm.chunks.len()).collect();
+        let (acc, scheme) = (&mut self.acc, self.scheme);
+        for_each_chunk(self.src, level, lm, &indices, |c| {
+            let blocks = (0..c.block_count()).map(|k| (c.origins[k], c.block_data(k)));
+            insert_blocks_upsampled(acc, lm.level, c.unit, blocks, scheme);
+        })
+    }
+}
+
+/// Copies `field` in stripes fanned out across the rayon shim. The
+/// destination is fresh memory, so the copy is bound by first-touch page
+/// faults rather than bandwidth, and those overlap across cores.
+fn striped_copy(field: &Field3) -> Field3 {
+    const STRIPE: usize = 1 << 20;
+    let src = field.data();
+    let mut data = vec![0f32; src.len()];
+    data.par_chunks_mut(STRIPE)
+        .enumerate()
+        .for_each(|(i, out)| out.copy_from_slice(&src[i * STRIPE..][..out.len()]));
+    Field3::from_vec(field.dims(), data)
 }
 
 impl<S: ChunkSource + ?Sized> Iterator for Progressive<'_, S> {
@@ -302,50 +381,69 @@ impl<S: ChunkSource + ?Sized> Iterator for Progressive<'_, S> {
         }
         self.next -= 1;
         let level = self.next;
-        match read_level(self.src, level) {
-            Ok(lvl) => {
-                // Coarse→fine order means in-place insertion matches
-                // `MultiResData::reconstruct` exactly: finer blocks land
-                // later and overwrite coarser ones.
-                let factor = 1usize << lvl.level;
-                for b in &lvl.blocks {
-                    let origin = [
-                        b.origin[0] * factor,
-                        b.origin[1] * factor,
-                        b.origin[2] * factor,
-                    ];
-                    if factor == 1 {
-                        // Finest level: no upsampling, land the block data
-                        // directly without a temporary field.
-                        self.acc
-                            .insert_box_from(origin, Dims3::cube(lvl.unit), &b.data);
-                        continue;
-                    }
-                    let mut block = Field3::from_vec(Dims3::cube(lvl.unit), b.data.clone());
-                    let mut f = factor;
-                    while f > 1 {
-                        let target = block.dims().scaled(2);
-                        block = match self.scheme {
-                            Upsample::Nearest => block.upsample2_nearest(target),
-                            Upsample::Trilinear => block.upsample2_trilinear(target),
-                        };
-                        f /= 2;
-                    }
-                    self.acc.insert_box(origin, &block);
-                }
-                // The last step hands the accumulator over instead of
-                // copying it: nothing refines it further.
-                let field = if level == 0 {
-                    std::mem::take(&mut self.acc)
-                } else {
-                    self.acc.clone()
-                };
-                Some(Ok(RefinementStep { level, field }))
-            }
-            Err(e) => {
-                self.next = 0; // poison: no further refinement after an error
-                Some(Err(e))
-            }
+        if let Err(e) = self.refine(level) {
+            self.next = 0; // poison: no further refinement after an error
+            return Some(Err(e));
         }
+        // The last step hands the accumulator over instead of copying it:
+        // nothing refines it further.
+        let field = if level == 0 {
+            std::mem::take(&mut self.acc)
+        } else {
+            striped_copy(&self.acc)
+        };
+        Some(Ok(RefinementStep { level, field }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::ChunkMeta;
+
+    /// A level whose chunk `i` decodes to `blocks[i]` unit blocks of 2³ cells.
+    fn level(blocks: &[usize]) -> LevelMeta {
+        let chunk = |n: usize| ChunkMeta {
+            offset: 0,
+            len: 0,
+            crc: 0,
+            min: 0.0,
+            max: 0.0,
+            enc_dims: Dims3::new(2, 2, 2 * n),
+            padded: false,
+            unit: 2,
+            slots: (0..n).map(|k| ([0, 0, 2 * k], [0, 0, 2 * k])).collect(),
+        };
+        LevelMeta {
+            level: 0,
+            unit: 2,
+            dims: Dims3::new(2, 2, 2 * blocks.iter().sum::<usize>()),
+            chunks: blocks.iter().map(|&n| chunk(n)).collect(),
+        }
+    }
+
+    #[test]
+    fn windows_partition_the_request_within_the_budget() {
+        // 8 cells per block: chunks of 16, 16, 16, 40, 8, 8 and 8 cells.
+        let lm = level(&[2, 2, 2, 5, 1, 1, 1]);
+        let all: Vec<usize> = (0..7).collect();
+        let split = |indices: &[usize], budget| -> Vec<Vec<usize>> {
+            windows(&lm, indices, budget)
+                .map(<[usize]>::to_vec)
+                .collect()
+        };
+        // Exact fits close a window; the oversized chunk gets its own.
+        assert_eq!(
+            split(&all, 32),
+            [vec![0, 1], vec![2], vec![3], vec![4, 5, 6]]
+        );
+        // A budget below every chunk degrades to one chunk per window.
+        assert_eq!(split(&all, 1).len(), 7);
+        // One that holds the whole level is a single request.
+        assert_eq!(split(&all, 112), std::slice::from_ref(&all));
+        assert_eq!(split(&all, 111).len(), 2);
+        // Sparse requests (an isovalue's kept set) are walked in order.
+        assert_eq!(split(&[1, 4, 6], 24), [vec![1, 4], vec![6]]);
+        assert!(split(&[], 32).is_empty());
     }
 }

@@ -11,10 +11,12 @@ use crate::engine::{
 };
 use crate::{LevelEbPolicy, Sz3Config};
 use hqmr_codec::{
-    check_stream_id, huffman_decode, huffman_encode_packed, push_stream_id, read_uvarint, tag,
-    unpack_maybe_rle, write_uvarint, Codec, CodecError, Container, LinearQuantizer, QuantOutcome,
+    check_stream_id, huffman_decode_into, huffman_encode_packed, push_stream_id, read_uvarint, tag,
+    unpack_maybe_rle, write_uvarint, Codec, CodecError, Container, HuffmanScratch, LinearQuantizer,
+    QuantOutcome,
 };
 use hqmr_grid::{Dims3, Field3};
+use std::cell::RefCell;
 
 /// SZ3's codec/stream id (also the per-stream section tag in MR containers).
 pub const SZ3_CODEC_ID: u32 = tag(b"SZ3S");
@@ -144,24 +146,57 @@ pub fn decompress(bytes: &[u8]) -> Result<Field3, Sz3Error> {
     Ok(out)
 }
 
+/// What a decode rebuilds per stream before the kernels run: the entropy
+/// decoder's state, the quantization codes and the outlier side channel.
+#[derive(Default)]
+struct DecodeScratch {
+    huffman: HuffmanScratch,
+    codes: Vec<u32>,
+    outliers: Vec<f32>,
+}
+
+/// Cells' worth of codes (and of outliers) a thread keeps between decodes:
+/// 1 MiB each, a few default store chunks. Larger buffers — a level-sized
+/// monolithic array — go back to the allocator when their decode ends, so
+/// decoding one big stream does not pin megabytes for the thread's lifetime.
+const SCRATCH_KEEP: usize = 1 << 18;
+
+thread_local! {
+    /// One [`DecodeScratch`] per thread: a reader decoding a chunk per call
+    /// pays for the (chunk-sized) code vector and the decode table once per
+    /// worker, not once per chunk.
+    static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
+}
+
 /// [`decompress`] into a caller-owned field (reshaped in place), so
 /// per-chunk readers reuse one reconstruction buffer.
 pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz3Error> {
-    let (cfg, dims, codes, outliers) = parse(bytes)?;
-    let maxlevel = interp_levels(dims.max_extent());
-    let quants = level_quantizers(&cfg, maxlevel);
-    out.reshape(dims, 0.0);
-    if !decompress_pass(dims, cfg.interp, &quants, &codes, &outliers, out.data_mut()) {
-        return Err(Sz3Error::Malformed("stream underrun"));
-    }
-    Ok(())
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let result = parse(bytes, scratch).and_then(|(cfg, dims)| {
+            let maxlevel = interp_levels(dims.max_extent());
+            let quants = level_quantizers(&cfg, maxlevel);
+            out.reshape(dims, 0.0);
+            let (codes, outliers) = (&scratch.codes, &scratch.outliers);
+            if !decompress_pass(dims, cfg.interp, &quants, codes, outliers, out.data_mut()) {
+                return Err(Sz3Error::Malformed("stream underrun"));
+            }
+            Ok(())
+        });
+        if scratch.codes.capacity() > SCRATCH_KEEP {
+            scratch.codes = Vec::new();
+        }
+        if scratch.outliers.capacity() > SCRATCH_KEEP {
+            scratch.outliers = Vec::new();
+        }
+        result
+    })
 }
 
-/// Parses and validates a stream back into its config, dims, quantization
-/// codes and outlier side channel — shared by the production and reference
-/// decode paths.
-#[allow(clippy::type_complexity)]
-fn parse(bytes: &[u8]) -> Result<(Sz3Config, Dims3, Vec<u32>, Vec<f32>), Sz3Error> {
+/// Parses and validates a stream back into its config and dims, leaving the
+/// quantization codes and the outlier side channel in `scratch` — shared by
+/// the production and reference decode paths.
+fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3), Sz3Error> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ3_CODEC_ID)?;
     let head = c.require(TAG_HEAD)?;
@@ -200,8 +235,8 @@ fn parse(bytes: &[u8]) -> Result<(Sz3Config, Dims3, Vec<u32>, Vec<f32>), Sz3Erro
     };
 
     let packed = unpack_maybe_rle(c.require(TAG_CODES)?).ok_or(Sz3Error::Malformed("codes"))?;
-    let codes = huffman_decode(&packed)?;
-    if codes.len() != dims.len() {
+    huffman_decode_into(&packed, &mut scratch.huffman, &mut scratch.codes)?;
+    if scratch.codes.len() != dims.len() {
         return Err(Sz3Error::Malformed("code count"));
     }
     let out_bytes = c.require(TAG_OUTLIERS)?;
@@ -210,11 +245,13 @@ fn parse(bytes: &[u8]) -> Result<(Sz3Config, Dims3, Vec<u32>, Vec<f32>), Sz3Erro
     let payload = out_bytes
         .get(pos..pos + n_out * 4)
         .ok_or(Sz3Error::Malformed("outlier payload"))?;
-    let outliers: Vec<f32> = payload
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
-    Ok((cfg, dims, codes, outliers))
+    scratch.outliers.clear();
+    scratch.outliers.extend(
+        payload
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+    );
+    Ok((cfg, dims))
 }
 
 /// Pre-overhaul codec paths: the per-point visit-closure traversal driving
@@ -266,7 +303,9 @@ pub mod reference {
     /// [`super::decompress`] built on [`traverse`] — same reconstructions,
     /// same typed errors.
     pub fn decompress(bytes: &[u8]) -> Result<Field3, Sz3Error> {
-        let (cfg, dims, codes, outliers) = parse(bytes)?;
+        let mut parsed = DecodeScratch::default();
+        let (cfg, dims) = parse(bytes, &mut parsed)?;
+        let (codes, outliers) = (parsed.codes, parsed.outliers);
         let maxlevel = interp_levels(dims.max_extent());
         let quants = level_quantizers(&cfg, maxlevel);
         let mut out = Field3::zeros(dims);

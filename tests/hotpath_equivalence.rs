@@ -146,3 +146,160 @@ fn huffman_equivalence_length_limited() {
     assert_eq!(huffman_decode(&fast).unwrap(), symbols);
     assert_eq!(huffman_decode_reference(&fast).unwrap(), symbols);
 }
+
+/// Fast and reference decoders must agree on the *outcome* — the same
+/// symbols or the same typed error.
+fn assert_same_outcome(block: &[u8], what: &str) -> Result<Vec<u32>, hqmr::codec::CodecError> {
+    let fast = huffman_decode(block);
+    assert_eq!(fast, huffman_decode_reference(block), "{what}");
+    fast
+}
+
+/// A quantizer-shaped stream: `mode_per_mille` ‰ of the symbols are the
+/// zero-residual code, the rest sit near it with a thin far tail.
+fn peaked(n: usize, mode_per_mille: u64, salt: u64) -> Vec<u32> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ salt;
+    (0..n)
+        .map(|_| {
+            x = x.rotate_left(9).wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x5851_F42D;
+            if x % 1000 < mode_per_mille {
+                32768
+            } else if !x.is_multiple_of(7) {
+                32768 + ((x >> 20) % 9) as u32 - 4
+            } else {
+                ((x >> 20) % 65536) as u32
+            }
+        })
+        .collect()
+}
+
+/// The run path at every share of the one-bit symbol: half the stream,
+/// the share measured on store chunks, runs far longer than the reader's
+/// 56–64-bit accumulator, and a block that is one run.
+#[test]
+fn huffman_run_path_matches_reference_at_every_mode_share() {
+    for (k, per_mille) in [500u64, 870, 999, 1000].into_iter().enumerate() {
+        for n in [1usize, 63, 64, 65, 5_000, 73_984] {
+            let symbols = peaked(n, per_mille, k as u64);
+            let block = huffman_encode(&symbols);
+            assert_eq!(block, huffman_encode_reference(&symbols));
+            let got = assert_same_outcome(&block, &format!("{per_mille}‰ of {n}"));
+            assert_eq!(got.unwrap(), symbols, "{per_mille}‰ of {n}");
+        }
+    }
+}
+
+/// With two symbols both codes are one bit and the payload *is* the symbol
+/// sequence, so runs can be placed bit-exactly: a run of every length up to
+/// two accumulator loads, starting at every offset within one — which puts
+/// run ends on, just before and just after every refill boundary — ending
+/// the block (a run that stops exactly at `n_symbols`) or followed by the
+/// other symbol (a non-mode final symbol).
+#[test]
+fn huffman_runs_end_correctly_at_every_bit_offset() {
+    const A: u32 = 3; // smaller symbol ⇒ canonical code 0 ⇒ the run symbol
+    const B: u32 = 9;
+    for lead in 0..72usize {
+        for run in 0..140usize {
+            for ends_in_run in [false, true] {
+                let mut symbols = vec![A, B]; // both present whatever follows
+                symbols.extend(std::iter::repeat_n(B, lead));
+                symbols.extend(std::iter::repeat_n(A, run));
+                if !ends_in_run {
+                    symbols.push(B);
+                }
+                let block = huffman_encode(&symbols);
+                let got = assert_same_outcome(&block, "two-symbol block");
+                assert_eq!(
+                    got.unwrap(),
+                    symbols,
+                    "lead {lead}, run {run}, ends in run {ends_in_run}"
+                );
+            }
+        }
+    }
+}
+
+/// Blocks without a one-bit code take the probe-per-symbol tail of the same
+/// decoder: flat small alphabets, a flat wide one (every code past the
+/// primary table), and a peaked one whose mode stays below one third.
+#[test]
+fn huffman_blocks_without_a_one_bit_code_match_reference() {
+    let cases: Vec<Vec<u32>> = vec![
+        (0..999u32).map(|i| i % 3).collect(),
+        (0..1000u32).map(|i| 40_000 + i % 5).collect(),
+        (0..40_000u32).map(|i| (i * 7919) % 6000).collect(),
+        (0..5000u32)
+            .map(|i| if i % 4 == 0 { 7 } else { i % 40 })
+            .collect(),
+    ];
+    for symbols in cases {
+        let block = huffman_encode(&symbols);
+        let got = assert_same_outcome(&block, "no one-bit code");
+        assert_eq!(got.unwrap(), symbols);
+    }
+}
+
+/// Every truncation point of a skewed stream — through the header, the
+/// length table and the payload — is the same outcome on both decoders.
+#[test]
+fn huffman_every_truncation_point_matches_reference() {
+    let symbols = peaked(3_000, 870, 42);
+    let block = huffman_encode(&symbols);
+    for cut in 0..=block.len() {
+        let got = assert_same_outcome(&block[..cut], &format!("cut at {cut}"));
+        assert_eq!(got.is_ok(), cut == block.len(), "cut at {cut}");
+    }
+}
+
+/// Hand-framed blocks whose payload has as many bits as the block claims
+/// symbols — so the count bound admits them — but whose codes need more:
+/// the missing bits read as zeros on both decoders, and one symbol beyond
+/// the bound is the same typed error on both.
+#[test]
+fn huffman_short_payloads_zero_pad_identically() {
+    use hqmr::codec::write_uvarint;
+    let frame = |n_symbols: u64, lengths: &[u8], payload: &[u8]| {
+        let mut block = Vec::new();
+        write_uvarint(&mut block, n_symbols);
+        write_uvarint(&mut block, lengths.len() as u64);
+        for &l in lengths {
+            write_uvarint(&mut block, 1);
+            block.push(l);
+        }
+        write_uvarint(&mut block, payload.len() as u64);
+        block.extend_from_slice(payload);
+        block
+    };
+    let payload = [
+        0b1011_0110u8,
+        0xFF,
+        0x00,
+        0xA5,
+        0x5A,
+        0xC3,
+        0x3C,
+        0x81,
+        0x7E,
+    ];
+    // A one-bit code plus two two-bit codes; four two-bit codes (no run
+    // path); a lone one-bit code (a `1` bit is an invalid code).
+    for lengths in [&[1u8, 2, 2][..], &[2, 2, 2, 2], &[1]] {
+        for take in 0..=payload.len() {
+            let bits = 8 * take as u64;
+            for n in [bits / 2, bits.saturating_sub(1), bits] {
+                let block = frame(n, lengths, &payload[..take]);
+                let got = assert_same_outcome(&block, &format!("{lengths:?} × {n} in {take} B"));
+                if let Ok(symbols) = got {
+                    assert_eq!(symbols.len() as u64, n);
+                }
+            }
+            let over = frame(bits + 1, lengths, &payload[..take]);
+            assert!(
+                assert_same_outcome(&over, "one symbol beyond the payload's bits").is_err(),
+                "{lengths:?}: {} symbols in {take} bytes must be rejected",
+                bits + 1
+            );
+        }
+    }
+}

@@ -235,6 +235,40 @@ fn all_backends_and_arrangements_are_bit_identical() {
     }
 }
 
+/// The arrays a default store actually holds — padded 17×17×256 level-0 and
+/// 9×9×128 level-1 linear merges of the WarpX proxy, whose code streams are
+/// ≈ 1 bit/symbol and dominated by the one-bit zero-residual code: where the
+/// entropy stage's run path and the per-thread decode scratch live. One
+/// scratch field and one thread decode both levels' arrays back to back, so
+/// state left behind by a large array meets a small one and vice versa.
+#[test]
+fn sz3_decodes_store_chunk_arrays_like_the_reference() {
+    let field = synth::warpx_like(Dims3::new(32, 32, 512), 20240917);
+    let eb = field.range() as f64 * 1e-3;
+    let mr = to_adaptive(&field, &RoiConfig::paper_default());
+    let prepared = hqmr::store::prepare_store(&mr, &hqmr::store::StoreConfig::new(eb));
+    assert_eq!(prepared.len(), 2, "two levels");
+    let streams: Vec<(Dims3, Vec<u8>)> = prepared
+        .iter()
+        .flatten()
+        .inspect(|p| assert!(p.padded(), "default stores pad both levels"))
+        .flat_map(|p| p.fields())
+        .map(|f| (f.dims(), hqmr_sz3::compress(f, &Sz3Config::new(eb)).bytes))
+        .collect();
+    assert!(streams.iter().any(|(d, _)| *d == Dims3::new(17, 17, 256)));
+    assert!(streams.iter().any(|(d, _)| *d == Dims3::new(9, 9, 128)));
+    let mut scratch = Field3::zeros(Dims3::new(0, 0, 0));
+    // Large → small and small → large.
+    for (dims, stream) in streams.iter().chain(streams.iter().rev()) {
+        let slow = hqmr_sz3::reference::decompress(stream).unwrap();
+        let fast = hqmr_sz3::decompress(stream).expect("fresh stream decodes");
+        hqmr_sz3::decompress_into(stream, &mut scratch).unwrap();
+        assert_eq!(slow.dims(), *dims);
+        assert_eq!(as_bits(&fast), as_bits(&slow), "sz3 {dims}: decode drift");
+        assert_eq!(scratch, fast, "sz3 {dims}: scratch reuse drift");
+    }
+}
+
 /// f32 payloads compared exactly (NaN-safe, −0.0 ≠ +0.0).
 fn as_bits(f: &Field3) -> Vec<u32> {
     f.data().iter().map(|v| v.to_bits()).collect()
