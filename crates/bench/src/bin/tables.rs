@@ -49,8 +49,6 @@ fn main() {
         ("tab09", ex::tab09),
         ("ablations", ex::ablations),
         ("codecs", ex::codecs),
-        ("faults", ex::faults),
-        ("scrub", ex::scrub),
     ];
 
     let selected: Vec<_> = if which == "all" {

@@ -14,8 +14,8 @@ use hqmr_filters::{anisotropic_diffusion, gaussian_blur, median3};
 use hqmr_grid::{synth, Dims3, Field3};
 use hqmr_metrics::{find_halos_abs, halo_recall, psnr, spectrum_rel_errors, ssim};
 use hqmr_mr::{
-    merge_discontinuity, merge_level, resample_like, roi_only_field, to_adaptive, MergeStrategy,
-    MultiResData, RoiConfig, Upsample,
+    merge_discontinuity, merge_level, roi_only_field, to_adaptive, MergeStrategy, MultiResData,
+    RoiConfig, Upsample,
 };
 use hqmr_sz3::interp_levels;
 use hqmr_vis::{render_slice, save_ppm, Colormap};
@@ -888,513 +888,5 @@ pub fn codecs(scale: usize) -> String {
     }
     json.push_str("\n  ]\n}\n");
     crate::write_root_json("BENCH_codecs.json", &json, &mut out);
-    out
-}
-
-/// Fault-tolerance benchmark (`BENCH_faults.json`): availability, outcome
-/// mix and tail latency of the fleet under seeded chaos. Three rows — no
-/// chaos, light chaos, heavy chaos — each driving 8 retrying clients
-/// through the degraded read path against a fleet with fault injection
-/// armed. Every operation must finish (hangs are counted and must be
-/// zero); failures must be the typed give-up. Availability is the fraction
-/// of operations that returned data (exact or quality-flagged).
-pub fn faults(scale: usize) -> String {
-    use hqmr_net::{
-        ChaosConfig, ClientConfig, DatasetSpec, NetClient, NetConfig, NetError, NetServer,
-    };
-    use hqmr_serve::Query;
-    use hqmr_store::{write_store, StoreConfig, StoreReader};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    const CLIENTS: usize = 8;
-    const PASSES: usize = 3;
-    const RETRIES: usize = 12;
-    /// An operation running past this long counts as a hang — far beyond
-    /// the deadline + full-backoff envelope of one retried request.
-    const HANG: Duration = Duration::from_secs(10);
-
-    let d = datasets::nyx_t1(scale, 59);
-    let mr = d.mr.as_ref().unwrap();
-    let eb = d.range() * 8e-3;
-    let (mn, mx) = d.field.min_max();
-
-    let fine = mr.levels[0].dims;
-    let mix: Vec<Query> = vec![
-        Query::Level {
-            level: mr.levels.len() - 1,
-        },
-        Query::Roi {
-            level: 0,
-            lo: [0, 0, 0],
-            hi: [
-                (fine.nx / 2).max(1),
-                (fine.ny / 2).max(1),
-                (fine.nz / 2).max(1),
-            ],
-            fill: mn,
-        },
-        Query::Iso {
-            level: 0,
-            iso: mn + 0.6 * (mx - mn),
-        },
-    ];
-
-    let buf = write_store(
-        mr,
-        &StoreConfig::new(eb).with_chunk_blocks(4),
-        &hqmr_sz3::Sz3Codec::default(),
-    );
-    let store_bytes = buf.len();
-
-    // Deterministic per-row fault levels, keyed to one fixed seed.
-    let rows: [(&str, Option<&str>); 3] = [
-        ("none", None),
-        (
-            "light",
-            Some("drop:0.01,stall:1ms@0.05,flip:0.01,seed:4242"),
-        ),
-        (
-            "heavy",
-            Some("drop:0.05,partial:0.03,wire:0.02,stall:2ms@0.15,flip:0.05,seed:4242"),
-        ),
-    ];
-
-    let client_cfg = ClientConfig {
-        connect_timeout: Some(Duration::from_secs(5)),
-        read_timeout: Some(Duration::from_secs(2)),
-        write_timeout: Some(Duration::from_secs(2)),
-        request_deadline: Some(Duration::from_secs(3)),
-        backoff_base: Duration::from_micros(200),
-        backoff_cap: Duration::from_millis(5),
-        ..ClientConfig::default()
-    };
-
-    let mut out = format!(
-        "Fault tolerance — {} (scale {scale}, sz3 store {:.1} KiB, {CLIENTS} clients × \
-         {PASSES} passes × {} ops, retry budget {RETRIES}, degraded reads)\n\
-         chaos    avail(%)   exact   degraded   gave_up   hangs   p50(ms)   p99(ms)   deadline   busy\n",
-        d.name,
-        store_bytes as f64 / 1024.0,
-        mix.len(),
-    );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"store_bytes\": {store_bytes},\n  \
-         \"clients\": {CLIENTS},\n  \"passes\": {PASSES},\n  \"retry_budget\": {RETRIES},\n  \
-         \"records\": [\n",
-        d.name,
-    );
-
-    for (i, (row, chaos)) in rows.into_iter().enumerate() {
-        let chaos_cfg = chaos.map(|s| ChaosConfig::parse(s).expect("chaos grammar"));
-        let server = NetServer::spawn(
-            "127.0.0.1:0",
-            NetConfig {
-                chaos: chaos_cfg,
-                read_timeout: Some(Duration::from_millis(500)),
-                write_timeout: Some(Duration::from_secs(5)),
-                request_deadline: Some(Duration::from_secs(5)),
-                max_connections: 64,
-                ..NetConfig::default()
-            },
-            vec![DatasetSpec {
-                id: 0,
-                name: d.name.to_string(),
-                reader: Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
-            }],
-        )
-        .expect("spawn fleet");
-        let addr = server.local_addr();
-
-        // (ok_exact, ok_degraded, gave_up, hangs, latencies)
-        let results: Vec<(u64, u64, u64, u64, Vec<f64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|t| {
-                    let mix = &mix;
-                    let mut cfg = client_cfg.clone();
-                    cfg.jitter_seed = 0xFA17 ^ t as u64;
-                    s.spawn(move || {
-                        // Chaos shoots down handshakes too; redial until one
-                        // survives.
-                        let mut client = (0..100)
-                            .find_map(|_| NetClient::connect_with(addr, cfg.clone()).ok())
-                            .expect("no handshake survived 100 dials");
-                        let (mut exact, mut degraded, mut gave_up, mut hangs) = (0u64, 0, 0, 0);
-                        let mut lat = Vec::with_capacity(PASSES * mix.len());
-                        for _ in 0..PASSES {
-                            for q in mix {
-                                let t0 = Instant::now();
-                                match client.batch_degraded_retry(
-                                    0,
-                                    std::slice::from_ref(q),
-                                    RETRIES,
-                                ) {
-                                    Ok(rs) => {
-                                        if rs.iter().all(|r| r.is_exact()) {
-                                            exact += 1;
-                                        } else {
-                                            degraded += 1;
-                                        }
-                                    }
-                                    Err(NetError::RetriesExhausted { .. }) => gave_up += 1,
-                                    Err(e) => panic!("untyped failure under chaos: {e}"),
-                                }
-                                let el = t0.elapsed();
-                                if el >= HANG {
-                                    hangs += 1;
-                                }
-                                lat.push(el.as_secs_f64());
-                            }
-                        }
-                        (exact, degraded, gave_up, hangs, lat)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        let (mut exact, mut degraded, mut gave_up, mut hangs) = (0u64, 0u64, 0u64, 0u64);
-        let mut lat = Vec::new();
-        for (e, dg, g, h, l) in results {
-            exact += e;
-            degraded += dg;
-            gave_up += g;
-            hangs += h;
-            lat.extend(l);
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pct = |q: f64| lat[((lat.len() - 1) as f64 * q).round() as usize] * 1e3;
-        let total = exact + degraded + gave_up;
-        let avail = 100.0 * (exact + degraded) as f64 / total as f64;
-        let (p50, p99) = (pct(0.50), pct(0.99));
-        let (dl, busy) = (server.deadline_rejections(), server.busy_rejections());
-        assert_eq!(hangs, 0, "chaos row `{row}` hung {hangs} operations");
-        if chaos.is_none() {
-            assert_eq!(avail, 100.0, "clean row must be fully available");
-            assert_eq!(degraded, 0, "clean row must not degrade");
-        }
-
-        writeln!(
-            out,
-            "{row:8} {avail:8.1} {exact:7} {degraded:10} {gave_up:9} {hangs:7} {p50:9.3} {p99:9.3} {dl:10} {busy:6}",
-        )
-        .unwrap();
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"chaos\": \"{row}\", \"switches\": \"{}\", \"availability_pct\": {avail:.2}, \
-             \"exact\": {exact}, \"degraded\": {degraded}, \"gave_up\": {gave_up}, \
-             \"hangs\": {hangs}, \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \
-             \"deadline_rejections\": {dl}, \"busy_rejections\": {busy}}}",
-            chaos.unwrap_or(""),
-        )
-        .unwrap();
-    }
-
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_faults.json", &json, &mut out);
-    out
-}
-
-/// Self-healing stores: availability and exactness under chunk rot with and
-/// without parity sidecars, at-rest scrub throughput, parity overhead, and
-/// torn-run salvage. The acceptance story: with sidecars armed, heavy rot
-/// is *repaired* (served bit-exactly), not merely degraded; without them,
-/// the degraded-read behaviour of the fault bench reappears.
-pub fn scrub(scale: usize) -> String {
-    use hqmr_net::{
-        ChaosConfig, ClientConfig, DatasetSpec, NetClient, NetConfig, NetError, NetServer,
-    };
-    use hqmr_serve::Query;
-    use hqmr_store::temporal::{Prediction, TemporalReader};
-    use hqmr_store::{
-        parity_path, scrub_store, write_store_with_parity, StoreConfig, StoreReader, Throttle,
-        DEFAULT_PARITY_GROUP,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    const CLIENTS: usize = 4;
-    const PASSES: usize = 3;
-    const RETRIES: usize = 8;
-
-    let d = datasets::nyx_t1(scale, 61);
-    let mr = d.mr.as_ref().unwrap();
-    let eb = d.range() * 8e-3;
-    let (mn, _mx) = d.field.min_max();
-
-    let fine = mr.levels[0].dims;
-    let mix: Vec<Query> = vec![
-        Query::Level {
-            level: mr.levels.len() - 1,
-        },
-        Query::Roi {
-            level: 0,
-            lo: [0, 0, 0],
-            hi: [
-                (fine.nx / 2).max(1),
-                (fine.ny / 2).max(1),
-                (fine.nz / 2).max(1),
-            ],
-            fill: mn,
-        },
-    ];
-
-    let scfg = StoreConfig::new(eb)
-        .with_chunk_blocks(2)
-        .with_parity_group(DEFAULT_PARITY_GROUP);
-    let (buf, sidecar) = write_store_with_parity(mr, &scfg, &hqmr_sz3::Sz3Codec::default());
-    let sidecar = sidecar.expect("parity enabled");
-    let overhead = sidecar.len() as f64 / buf.len() as f64;
-    let (head, _) = hqmr_store::parse_head(&buf).unwrap();
-    let chunk_total: usize = head.levels.iter().map(|l| l.chunks.len()).sum();
-    // One parity block per group costs ~1/group amortized; tiny smoke
-    // scales leave partial groups dominating, so the budget is only
-    // meaningful once groups actually fill.
-    if chunk_total >= 4 * DEFAULT_PARITY_GROUP {
-        assert!(
-            overhead <= 0.15,
-            "parity overhead {overhead:.3} exceeds the 15% budget at group \
-             {DEFAULT_PARITY_GROUP} ({chunk_total} chunks)"
-        );
-    }
-
-    let client_cfg = ClientConfig {
-        connect_timeout: Some(Duration::from_secs(5)),
-        read_timeout: Some(Duration::from_secs(2)),
-        write_timeout: Some(Duration::from_secs(2)),
-        request_deadline: Some(Duration::from_secs(3)),
-        backoff_base: Duration::from_micros(200),
-        backoff_cap: Duration::from_millis(5),
-        ..ClientConfig::default()
-    };
-
-    // Chunk-rot levels: `flip:P` faults each (level, block) with
-    // probability P at fetch time. `flip:1` rots every chunk — the
-    // worst-case acceptance row.
-    let rows: [(&str, Option<&str>); 3] = [
-        ("none", None),
-        ("light", Some("flip:0.1,seed:4242")),
-        ("heavy", Some("flip:1,seed:4242")),
-    ];
-
-    let mut out = format!(
-        "Self-healing stores — {} (scale {scale}, sz3 store {:.1} KiB, sidecar {:.1} KiB, \
-         group {DEFAULT_PARITY_GROUP}, parity overhead {:.1}%)\n\
-         chaos    parity   avail(%)   exact(%)   degraded   repairs   rep_fail   gave_up\n",
-        d.name,
-        buf.len() as f64 / 1024.0,
-        sidecar.len() as f64 / 1024.0,
-        overhead * 100.0,
-    );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"store_bytes\": {},\n  \
-         \"sidecar_bytes\": {},\n  \"parity_group\": {DEFAULT_PARITY_GROUP},\n  \
-         \"parity_overhead\": {overhead:.4},\n  \"records\": [\n",
-        d.name,
-        buf.len(),
-        sidecar.len(),
-    );
-
-    let mut first = true;
-    for (row, chaos) in rows {
-        for parity_on in [false, true] {
-            let server = NetServer::spawn(
-                "127.0.0.1:0",
-                NetConfig {
-                    chaos: chaos.map(|s| ChaosConfig::parse(s).expect("chaos grammar")),
-                    parity_group: if parity_on { DEFAULT_PARITY_GROUP } else { 0 },
-                    read_timeout: Some(Duration::from_millis(500)),
-                    write_timeout: Some(Duration::from_secs(5)),
-                    request_deadline: Some(Duration::from_secs(5)),
-                    max_connections: 64,
-                    ..NetConfig::default()
-                },
-                vec![DatasetSpec {
-                    id: 0,
-                    name: d.name.to_string(),
-                    reader: Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
-                }],
-            )
-            .expect("spawn fleet");
-            let addr = server.local_addr();
-
-            let results: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|t| {
-                        let mix = &mix;
-                        let mut cfg = client_cfg.clone();
-                        cfg.jitter_seed = 0x5CB ^ t as u64;
-                        s.spawn(move || {
-                            let mut client = NetClient::connect_with(addr, cfg.clone())
-                                .expect("clean handshake (no wire chaos armed)");
-                            let (mut exact, mut degraded, mut gave_up) = (0u64, 0u64, 0u64);
-                            for _ in 0..PASSES {
-                                for q in mix {
-                                    match client.batch_degraded_retry(
-                                        0,
-                                        std::slice::from_ref(q),
-                                        RETRIES,
-                                    ) {
-                                        Ok(rs) => {
-                                            if rs.iter().all(|r| r.is_exact()) {
-                                                exact += 1;
-                                            } else {
-                                                degraded += 1;
-                                            }
-                                        }
-                                        Err(NetError::RetriesExhausted { .. }) => gave_up += 1,
-                                        Err(e) => panic!("untyped failure under rot: {e}"),
-                                    }
-                                }
-                            }
-                            (exact, degraded, gave_up)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let (mut exact, mut degraded, mut gave_up) = (0u64, 0u64, 0u64);
-            for (e, dg, g) in results {
-                exact += e;
-                degraded += dg;
-                gave_up += g;
-            }
-            let mut probe = NetClient::connect(addr).expect("stats probe");
-            let stats = probe.stats(0, false).expect("stats");
-            let total = exact + degraded + gave_up;
-            let avail = 100.0 * (exact + degraded) as f64 / total as f64;
-            let exact_pct = 100.0 * exact as f64 / total as f64;
-
-            // The acceptance criteria, asserted where they are measured.
-            assert_eq!(gave_up, 0, "chunk rot must never cost availability");
-            if parity_on {
-                assert_eq!(
-                    degraded, 0,
-                    "row `{row}`: with sidecars every rotted chunk must repair, not degrade"
-                );
-                if chaos.is_some() {
-                    assert!(stats.cache.repairs > 0, "row `{row}`: repairs must show");
-                }
-                assert_eq!(stats.cache.repair_failures, 0);
-            } else if row == "heavy" {
-                assert!(
-                    degraded > 0,
-                    "heavy rot without sidecars must fall back to degraded fills"
-                );
-            }
-
-            writeln!(
-                out,
-                "{row:8} {:6}   {avail:8.1} {exact_pct:10.1} {degraded:10} {:9} {:10} {gave_up:9}",
-                if parity_on { "on" } else { "off" },
-                stats.cache.repairs,
-                stats.cache.repair_failures,
-            )
-            .unwrap();
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            write!(
-                json,
-                "    {{\"chaos\": \"{row}\", \"parity\": {parity_on}, \
-                 \"availability_pct\": {avail:.2}, \"exact_pct\": {exact_pct:.2}, \
-                 \"exact\": {exact}, \"degraded\": {degraded}, \"gave_up\": {gave_up}, \
-                 \"repairs\": {}, \"repair_failures\": {}}}",
-                stats.cache.repairs, stats.cache.repair_failures,
-            )
-            .unwrap();
-        }
-    }
-    json.push_str("\n  ],\n");
-
-    // At-rest scrub: flip a few chunks on disk, heal them in place, and
-    // time a full unpaced verification pass.
-    let dir = std::env::temp_dir().join("hqmr_bench_scrub");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.hqst");
-    let mut rotted = buf.clone();
-    let (meta, data_start) = hqmr_store::parse_head(&buf).unwrap();
-    let mut flipped = 0usize;
-    for (l, lm) in meta.levels.iter().enumerate() {
-        for b in 0..lm.chunks.len() {
-            // One casualty per parity group: always repairable.
-            if (l + b) % DEFAULT_PARITY_GROUP == 0 && l == 0 {
-                let c = &lm.chunks[b];
-                rotted[data_start as usize + c.offset as usize] ^= 0x10;
-                flipped += 1;
-            }
-        }
-    }
-    std::fs::write(&path, &rotted).unwrap();
-    std::fs::write(parity_path(&path), &sidecar).unwrap();
-    let t0 = Instant::now();
-    let report = scrub_store(&path, Some(&mut Throttle::new(0))).expect("scrub");
-    let scrub_s = t0.elapsed().as_secs_f64();
-    assert!(report.all_exact(), "every planted flip must heal");
-    assert_eq!(std::fs::read(&path).unwrap(), buf, "healed bit-exactly");
-    let mbps = report.bytes_scanned as f64 / 1e6 / scrub_s.max(1e-9);
-    writeln!(
-        out,
-        "\nAt-rest scrub: {} chunks verified, {} healed of {flipped} planted, \
-         {:.1} MB scanned in {scrub_s:.3}s ({mbps:.0} MB/s, unpaced)",
-        report.verified,
-        report.repaired,
-        report.bytes_scanned as f64 / 1e6,
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"at_rest\": {{\"verified\": {}, \"planted\": {flipped}, \"repaired\": {}, \
-         \"bytes_scanned\": {}, \"scrub_s\": {scrub_s:.4}, \"scrub_mb_s\": {mbps:.1}}},",
-        report.verified, report.repaired, report.bytes_scanned,
-    )
-    .unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Torn-run salvage: crash a short temporal run mid-frame and recover.
-    let steps = 4;
-    let frames = synth::advected_sequence(Dims3::cube(scale.min(32)), steps, [0.5, 0.25, 0.0], 62);
-    let template = to_adaptive(&frames[0], &RoiConfig::new(8, 0.5));
-    let tdir = std::env::temp_dir().join("hqmr_bench_scrub_salvage");
-    let _ = std::fs::remove_dir_all(&tdir);
-    let mcfg = hqmr_core::MrcConfig::baseline(0.02);
-    let mut writer = hqmr_core::TemporalWriter::create(&tdir, &mcfg, Prediction::delta()).unwrap();
-    for (t, f) in frames.iter().enumerate() {
-        writer
-            .append(t as u64, &resample_like(&template, f))
-            .unwrap();
-    }
-    drop(writer);
-    let manifest = TemporalReader::read_manifest(&tdir).unwrap();
-    let torn = tdir.join(&manifest.frames[steps - 1].file);
-    let full = std::fs::read(&torn).unwrap();
-    std::fs::write(&torn, &full[..full.len() / 2]).unwrap();
-    let (_writer, salvage) =
-        hqmr_core::TemporalWriter::salvage(&tdir, &mcfg, Prediction::delta()).expect("salvage");
-    assert_eq!(salvage.kept, steps - 1, "the unbroken prefix survives");
-    assert_eq!(salvage.dropped.len(), 1, "only the torn tail is dropped");
-    writeln!(
-        out,
-        "Salvage: torn run of {steps} frames -> kept {} / dropped {:?} (repaired {} chunks)",
-        salvage.kept, salvage.dropped, salvage.repaired_chunks,
-    )
-    .unwrap();
-    write!(
-        json,
-        "  \"salvage\": {{\"frames\": {steps}, \"kept\": {}, \"dropped\": {}, \
-         \"repaired_chunks\": {}}}\n}}\n",
-        salvage.kept,
-        salvage.dropped.len(),
-        salvage.repaired_chunks,
-    )
-    .unwrap();
-    let _ = std::fs::remove_dir_all(&tdir);
-
-    crate::write_root_json("BENCH_scrub.json", &json, &mut out);
     out
 }

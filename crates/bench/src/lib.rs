@@ -42,9 +42,8 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Writes a committed JSON baseline (e.g. `BENCH_codecs.json`,
-/// `BENCH_faults.json`) at the workspace root, appending the outcome to the
-/// experiment's report body.
+/// Writes a committed JSON baseline (`BENCH_codecs.json`) at the workspace
+/// root, appending the outcome to the experiment's report body.
 pub fn write_root_json(name: &str, json: &str, report: &mut String) {
     use std::fmt::Write as _;
     let Some(root) = results_dir().parent().map(std::path::Path::to_path_buf) else {

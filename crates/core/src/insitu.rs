@@ -17,12 +17,10 @@ use hqmr_store::temporal::{
     FrameMeta, Prediction, TemporalEncoder, TemporalManifest, TemporalReader, MANIFEST_NAME,
 };
 use hqmr_store::{
-    encode_prepared_store, parity_path, prepare_store, scrub_store, sidecar_bytes_for,
-    DEFAULT_CHUNK_BLOCKS,
+    encode_prepared_store_into, parity_path, prepare_store, scrub_store, sidecar_bytes_for,
+    write_atomic, DEFAULT_CHUNK_BLOCKS,
 };
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Wall-clock seconds per pipeline stage.
@@ -47,10 +45,9 @@ impl StageTimings {
 /// [`hqmr_store::StoreReader::open`] serves level, ROI, and progressive
 /// reads from it directly.
 ///
-/// The write is crash-safe: bytes land in a temporary sibling, are fsynced,
-/// and only then renamed over `path`. A crash (or full disk) at any point
-/// leaves either the previous snapshot or no file — never a half-written
-/// container that a later reader would have to reject.
+/// The write is crash-safe ([`hqmr_store::write_atomic`]): a crash (or full
+/// disk) at any point leaves either the previous snapshot or no file — never
+/// a half-written container that a later reader would have to reject.
 pub fn write_snapshot(
     mr: &MultiResData,
     cfg: &MrcConfig,
@@ -67,20 +64,22 @@ pub fn write_snapshot(
     // Stage 2: compress each chunk and write the container atomically.
     let t1 = Instant::now();
     let codec = cfg.backend.codec();
-    let bytes = encode_prepared_store(mr, &prepared, &scfg, codec.as_ref());
-    write_atomic(path.as_ref(), &bytes)?;
-    write_sidecar(path.as_ref(), &bytes, scfg.parity_group)?;
+    let mut bytes = Vec::new();
+    encode_prepared_store_into(mr, &prepared, &scfg, codec.as_ref(), &mut bytes);
+    publish_store(path.as_ref(), &bytes, scfg.parity_group)?;
     timings.compress_write = t1.elapsed().as_secs_f64();
 
     Ok((timings, bytes.len() as u64))
 }
 
-/// Publishes (or retires) the `.hqpr` parity sidecar next to a just-written
-/// store. The store itself is renamed into place *first*: a crash in the
-/// window between the two renames leaves a new store with a stale sidecar,
-/// which the sidecar's store-tag detects as a typed mismatch and the next
-/// scrub rebuilds — never a silent mis-repair, and never a lost store.
-fn write_sidecar(store: &Path, bytes: &[u8], parity_group: usize) -> std::io::Result<()> {
+/// Durably publishes a complete store buffer at `store`, then publishes (or
+/// retires) the `.hqpr` parity sidecar next to it. The store is renamed into
+/// place *first*: a crash in the window between the two renames leaves a new
+/// store with a stale sidecar, which the sidecar's store-tag detects as a
+/// typed mismatch and the next scrub rebuilds — never a silent mis-repair,
+/// and never a lost store.
+fn publish_store(store: &Path, bytes: &[u8], parity_group: usize) -> std::io::Result<()> {
+    write_atomic(store, bytes)?;
     let spath = parity_path(store);
     match sidecar_bytes_for(bytes, parity_group) {
         Some(sc) => write_atomic(&spath, &sc),
@@ -91,76 +90,6 @@ fn write_sidecar(store: &Path, bytes: &[u8], parity_group: usize) -> std::io::Re
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         },
-    }
-}
-
-/// Distinguishes staging files of concurrent writers *within* one process:
-/// the pid alone is shared by every thread, so two threads snapshotting the
-/// same path would otherwise stage into the same temp file and clobber each
-/// other mid-write.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Temp-file + `sync_all` + atomic rename + parent-dir fsync. The pid in the
-/// temp name keeps concurrent *processes* (e.g. two ranks snapshotting into
-/// one directory) apart; the process-wide counter keeps concurrent *threads*
-/// of one process apart.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut name = path
-        .file_name()
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "snapshot path has no filename",
-            )
-        })?
-        .to_os_string();
-    name.push(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = path.with_file_name(name);
-
-    let write = (|| {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        w.write_all(bytes)?;
-        w.flush()?;
-        // Push the data to stable storage before the rename makes it
-        // visible — otherwise the rename can survive a crash the data
-        // didn't.
-        w.into_inner()
-            .map_err(std::io::IntoInnerError::into_error)?
-            .sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        // The rename itself lives in the parent directory's metadata: until
-        // that is flushed, a crash can roll the directory back to the old
-        // entry (or none) even though the data blocks survived.
-        sync_parent_dir(path)
-    })();
-    if write.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    write
-}
-
-/// Fsyncs the directory containing `path`, making a completed rename
-/// durable. On non-unix targets directories cannot be opened for syncing;
-/// the rename is still atomic, just not crash-durable, matching the
-/// platform's general guarantees.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        let parent = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        std::fs::File::open(parent)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = path;
-        Ok(())
     }
 }
 
@@ -186,10 +115,10 @@ pub struct FrameReport {
 /// once per timestep, each frame lands as its own crash-safe `HQST` file,
 /// and the manifest is atomically rewritten after the frame file exists.
 ///
-/// Crash safety is ordering: frame file first, manifest second, both through
-/// the same temp + fsync + rename + parent-fsync path as snapshots. A crash at
-/// any point leaves a manifest that references only complete frame files —
-/// the store stays openable with every frame it had before the crash.
+/// Crash safety is ordering: frame file, then its sidecar, then the
+/// manifest, each through [`hqmr_store::write_atomic`]. A crash at any point
+/// leaves a manifest that references only complete frame files — the store
+/// stays openable with every frame it had before the crash.
 pub struct TemporalWriter {
     dir: PathBuf,
     codec: Box<dyn Codec>,
@@ -207,15 +136,35 @@ impl TemporalWriter {
         cfg: &MrcConfig,
         prediction: Prediction,
     ) -> std::io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let manifest = TemporalManifest::default();
+        Self::behind(dir.as_ref(), cfg, prediction, TemporalManifest::default())
+    }
+
+    /// Publishes `manifest` in `dir` and returns the writer positioned
+    /// behind its last frame — the one place a writer is built, for a fresh
+    /// run (no frames) and a salvaged one alike. The closed-loop encoder is
+    /// seeded from the last frame *as decoded from disk*: exactly the state
+    /// an unbroken run would hold, so appends predict (and number keyframe
+    /// intervals) as if the run had never stopped.
+    fn behind(
+        dir: &Path,
+        cfg: &MrcConfig,
+        prediction: Prediction,
+        manifest: TemporalManifest,
+    ) -> std::io::Result<Self> {
         write_atomic(&dir.join(MANIFEST_NAME), &manifest.to_bytes())?;
         let scfg = cfg.store_config(DEFAULT_CHUNK_BLOCKS);
+        let mut enc = TemporalEncoder::new(scfg, prediction);
+        if let Some(last) = manifest.frames.len().checked_sub(1) {
+            let decoded = TemporalReader::open(dir)
+                .and_then(|r| r.read_frame(last))
+                .map_err(std::io::Error::other)?;
+            enc.resume_from_decoded(Some(decoded), last + 1);
+        }
         Ok(TemporalWriter {
-            dir,
+            dir: dir.to_path_buf(),
             codec: cfg.backend.codec(),
-            enc: TemporalEncoder::new(scfg, prediction),
+            enc,
             manifest,
             buf: Vec::new(),
             parity_group: scfg.parity_group,
@@ -234,24 +183,47 @@ impl TemporalWriter {
 
     /// Encodes and durably writes the next frame (simulation step `step`),
     /// then atomically republishes the manifest.
+    ///
+    /// On an error the frame is not part of the run, on disk or in this
+    /// writer: the manifest still ends where it did, and the encoder — which
+    /// advanced past the frame when it encoded it — is put back behind the
+    /// last *published* frame with no prediction base. A product that was
+    /// not recorded cannot be an input of the next step: residuals against
+    /// the unpublished frame would decode, CRC-clean, to values outside the
+    /// bound. The next append therefore writes a whole keyframe under the
+    /// same index (overwriting whatever the failed one left) — a lost
+    /// prediction costs bytes, never correctness.
     pub fn append(&mut self, step: u64, mr: &MultiResData) -> std::io::Result<FrameReport> {
-        let t0 = Instant::now();
         let index = self.manifest.frames.len();
+        let report = self.encode_and_publish(index, step, mr);
+        if report.is_err() {
+            self.manifest.frames.truncate(index);
+            self.enc.resume_from_decoded(None, index);
+        }
+        report
+    }
+
+    fn encode_and_publish(
+        &mut self,
+        index: usize,
+        step: u64,
+        mr: &MultiResData,
+    ) -> std::io::Result<FrameReport> {
+        let t0 = Instant::now();
         let flags = self
             .enc
             .encode_frame_into(mr, self.codec.as_ref(), &mut self.buf)
             .map_err(std::io::Error::other)?;
         let file = format!("frame_{index:05}.hqst");
-        let fpath = self.dir.join(&file);
-        write_atomic(&fpath, &self.buf)?;
-        write_sidecar(&fpath, &self.buf, self.parity_group)?;
-        let delta_chunks: usize = flags.iter().map(|l| l.iter().filter(|&&d| d).count()).sum();
-        let total_chunks: usize = flags.iter().map(Vec::len).sum();
-        self.manifest.frames.push(FrameMeta {
+        publish_store(&self.dir.join(&file), &self.buf, self.parity_group)?;
+        let frame = FrameMeta {
             step,
             file: file.clone(),
             delta: flags,
-        });
+        };
+        let delta_chunks = frame.delta_chunks();
+        let total_chunks = frame.delta.iter().map(Vec::len).sum();
+        self.manifest.frames.push(frame);
         write_atomic(&self.dir.join(MANIFEST_NAME), &self.manifest.to_bytes())?;
         Ok(FrameReport {
             index,
@@ -289,8 +261,8 @@ impl TemporalWriter {
         cfg: &MrcConfig,
         prediction: Prediction,
     ) -> std::io::Result<(TemporalWriter, SalvageReport)> {
-        let dir = dir.as_ref().to_path_buf();
-        let manifest = TemporalReader::read_manifest(&dir).map_err(std::io::Error::other)?;
+        let dir = dir.as_ref();
+        let manifest = TemporalReader::read_manifest(dir).map_err(std::io::Error::other)?;
         let mut report = SalvageReport::default();
 
         // Longest exact prefix of the manifest, healing what parity can.
@@ -310,12 +282,8 @@ impl TemporalWriter {
             .map(|f| f.file.clone())
             .collect();
 
-        // Sweep staging leftovers; spot frame files outside the kept set.
-        let listed: std::collections::HashSet<&str> = manifest.frames[..kept]
-            .iter()
-            .map(|f| f.file.as_str())
-            .collect();
-        for entry in std::fs::read_dir(&dir)? {
+        // Sweep staging leftovers; spot frame files the manifest never listed.
+        for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
             if name.ends_with(".tmp") {
@@ -323,8 +291,7 @@ impl TemporalWriter {
                 report.temps_removed += 1;
             } else if name.starts_with("frame_")
                 && name.ends_with(".hqst")
-                && !listed.contains(name.as_str())
-                && !report.dropped.contains(&name)
+                && !manifest.frames.iter().any(|f| f.file == name)
             {
                 report.orphans.push(name);
             }
@@ -335,26 +302,7 @@ impl TemporalWriter {
         let manifest = TemporalManifest {
             frames: manifest.frames[..kept].to_vec(),
         };
-        write_atomic(&dir.join(MANIFEST_NAME), &manifest.to_bytes())?;
-
-        let scfg = cfg.store_config(DEFAULT_CHUNK_BLOCKS);
-        let mut enc = TemporalEncoder::new(scfg, prediction);
-        if kept > 0 {
-            let reader = TemporalReader::open(&dir).map_err(std::io::Error::other)?;
-            let decoded = reader.read_frame(kept - 1).map_err(std::io::Error::other)?;
-            enc.resume_from_decoded(&decoded, kept);
-        }
-        Ok((
-            TemporalWriter {
-                dir,
-                codec: cfg.backend.codec(),
-                enc,
-                manifest,
-                buf: Vec::new(),
-                parity_group: scfg.parity_group,
-            },
-            report,
-        ))
+        Ok((Self::behind(dir, cfg, prediction, manifest)?, report))
     }
 }
 
@@ -497,6 +445,15 @@ mod tests {
             assert_eq!(r.manifest().frames[t].step, t as u64 * 10);
         }
         assert_eq!(w.frames(), 4);
+        drop(w);
+        // A crash mid-publish strands a staging file of `write_atomic`'s one
+        // name shape; salvage sweeps it and keeps every published frame.
+        let stranded = format!("frame_00004.hqst.{}.0.tmp", std::process::id());
+        std::fs::write(dir.join(&stranded), b"torn").unwrap();
+        let (w, report) = TemporalWriter::salvage(&dir, &cfg, Prediction::delta()).unwrap();
+        assert_eq!((report.kept, report.temps_removed), (4, 1));
+        assert_eq!(w.frames(), 4);
+        assert!(!dir.join(&stranded).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,7 +12,7 @@ use crate::post::{bezier_pass, select_intensity, PostConfig};
 use crate::uncertainty::{model_near_isovalue, sample_error_pairs, ErrorModel};
 use hqmr_grid::Field3;
 use hqmr_mr::{to_adaptive, MergeStrategy, PadKind, RoiConfig, Upsample};
-use hqmr_store::{StoreConfig, StoreError};
+use hqmr_store::StoreConfig;
 
 /// Workflow configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,15 +155,12 @@ pub enum WorkflowError {
     /// codec disagree, which is a bug or corruption, but must surface as an
     /// error rather than a panic.
     Roundtrip(MrcError),
-    /// The store-backed path failed to write or read back the container.
-    Store(StoreError),
 }
 
 impl std::fmt::Display for WorkflowError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorkflowError::Roundtrip(e) => write!(f, "workflow round-trip failed: {e}"),
-            WorkflowError::Store(e) => write!(f, "workflow store round-trip failed: {e}"),
         }
     }
 }
@@ -173,12 +170,6 @@ impl std::error::Error for WorkflowError {}
 impl From<MrcError> for WorkflowError {
     fn from(e: MrcError) -> Self {
         WorkflowError::Roundtrip(e)
-    }
-}
-
-impl From<StoreError> for WorkflowError {
-    fn from(e: StoreError) -> Self {
-        WorkflowError::Store(e)
     }
 }
 

@@ -20,7 +20,7 @@
 //! a new timestep's field under a previous frame's block structure so a
 //! sequence keeps a stable layout between regrids.
 
-use crate::types::{LevelData, MultiResData, UnitBlock};
+use crate::types::MultiResData;
 use hqmr_grid::{Dims3, Field3};
 
 /// Writes the element-wise residual `cur − prev` into `out` (cleared first).
@@ -118,43 +118,16 @@ pub fn resample_like(template: &MultiResData, field: &Field3) -> MultiResData {
         template.domain,
         "resample_like: field dims must match the template domain"
     );
-    let levels = template
-        .levels
-        .iter()
-        .map(|lvl| {
-            let factor = 1usize << lvl.level;
-            let fine_side = lvl.unit * factor;
-            let blocks = lvl
-                .blocks
-                .iter()
-                .map(|b| {
-                    let fine_origin = [
-                        b.origin[0] * factor,
-                        b.origin[1] * factor,
-                        b.origin[2] * factor,
-                    ];
-                    let mut cube = field.extract_box(fine_origin, Dims3::cube(fine_side));
-                    for _ in 0..lvl.level {
-                        cube = cube.downsample2();
-                    }
-                    UnitBlock {
-                        origin: b.origin,
-                        data: cube.into_vec(),
-                    }
-                })
-                .collect();
-            LevelData {
-                level: lvl.level,
-                unit: lvl.unit,
-                dims: lvl.dims,
-                blocks,
-            }
-        })
-        .collect();
-    MultiResData {
-        domain: template.domain,
-        levels,
-    }
+    template.with_block_data(|li, bi| {
+        let lvl = &template.levels[li];
+        let factor = 1usize << lvl.level;
+        let fine_origin = lvl.blocks[bi].origin.map(|o| o * factor);
+        let mut cube = field.extract_box(fine_origin, Dims3::cube(lvl.unit * factor));
+        for _ in 0..lvl.level {
+            cube = cube.downsample2();
+        }
+        cube.into_vec()
+    })
 }
 
 #[cfg(test)]

@@ -86,6 +86,26 @@ impl MultiResData {
         self.domain.len() as f64 / self.total_cells().max(1) as f64
     }
 
+    /// A frame of the same structure — levels, units, block origins and
+    /// order — whose block values are `data(level index, block index)`: how
+    /// a timestep is poured into an earlier frame's layout, and how a frame
+    /// is turned into its residual against one.
+    pub fn with_block_data(&self, mut data: impl FnMut(usize, usize) -> Vec<f32>) -> Self {
+        let level = |(li, lvl): (usize, &LevelData)| LevelData {
+            blocks: (lvl.blocks.iter().enumerate())
+                .map(|(bi, b)| UnitBlock {
+                    origin: b.origin,
+                    data: data(li, bi),
+                })
+                .collect(),
+            ..*lvl
+        };
+        MultiResData {
+            domain: self.domain,
+            levels: self.levels.iter().enumerate().map(level).collect(),
+        }
+    }
+
     /// Reconstructs a dense fine-resolution field: coarser levels are
     /// upsampled `2^k`× block-by-block, finer levels overwrite coarser ones.
     pub fn reconstruct(&self, scheme: Upsample) -> Field3 {

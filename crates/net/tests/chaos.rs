@@ -266,6 +266,34 @@ fn flip_chaos_with_parity_serves_exact_over_the_wire() {
     let stats = client.stats(0, false).unwrap();
     assert!(stats.cache.repairs > 0, "repairs must be counted");
     assert_eq!(stats.cache.repair_failures, 0);
+
+    // The same rot without sidecars costs exactness, never availability:
+    // every query is still answered, and every answer says it was filled.
+    let bare = NetServer::spawn(
+        "127.0.0.1:0",
+        NetConfig {
+            workers: 2,
+            chaos: Some(ChaosConfig::parse("flip:1,seed:4242").unwrap()),
+            parity_group: 0,
+            ..NetConfig::default()
+        },
+        vec![DatasetSpec {
+            id: 0,
+            name: "unprotected".into(),
+            reader: Arc::new(StoreReader::from_bytes(store_bytes(430)).expect("open store")),
+        }],
+    )
+    .expect("spawn fleet");
+    let mut client = NetClient::connect(bare.local_addr()).unwrap();
+    let rs = client
+        .batch_degraded(0, &queries)
+        .expect("rot must not cost availability");
+    assert_eq!(rs.len(), queries.len());
+    assert!(
+        rs.iter().all(|r| !r.is_exact()),
+        "without parity every rotted answer is a flagged fill"
+    );
+    assert_eq!(client.stats(0, false).unwrap().cache.repairs, 0);
 }
 
 /// The background scrubber heals a faulted tenant before any client query:

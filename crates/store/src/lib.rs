@@ -24,6 +24,20 @@
 //! — and therefore bit-identical decoded blocks — to `compress_mr` /
 //! `decompress_mr` under the same configuration.
 //!
+//! # One write path
+//!
+//! Every store buffer — [`write_store`], [`write_store_with_parity`],
+//! [`encode_prepared_store_into`], each frame of a
+//! [`temporal::TemporalEncoder`], and through them `hqmr-core`'s in-situ
+//! writers — is produced by one private loop, `encode_frame`: the only code
+//! that fans codec compression over chunks, builds the chunk table and
+//! frames the buffer. It takes the [`prepare_store`]d frame plus an
+//! *optional* second prepared store of residual candidates; absent, every
+//! chunk holds raw values (a snapshot, a keyframe), present, each chunk keeps
+//! whichever of its two streams is smaller ([`temporal`] has the rest). Every
+//! file a writer leaves on disk is published by one function,
+//! [`write_atomic`].
+//!
 //! Every chunk payload carries a CRC-32 checked before the codec runs, so a
 //! flipped bit surfaces as the typed
 //! [`StoreError::CorruptChunk`]`{ level, block }` instead of garbage data.
@@ -71,10 +85,11 @@ pub use format::{
 };
 pub use read::{ChunkSource, DecodedChunk, Progressive, RefinementStep};
 pub use scrub::{
-    parity_path, repair_in_place, scrub_store, scrub_temporal, temporal_sidecars, ParitySidecar,
-    ScrubReport, SidecarStatus, TemporalScrubReport, Throttle, DEFAULT_PARITY_GROUP, PARITY_MAGIC,
-    PARITY_VERSION,
+    parity_path, repair_in_place, scrub_store, scrub_temporal, temporal_sidecars, write_atomic,
+    ParitySidecar, ScrubReport, SidecarStatus, TemporalScrubReport, Throttle, DEFAULT_PARITY_GROUP,
+    PARITY_MAGIC, PARITY_VERSION,
 };
+use temporal::FrameFlags;
 pub use temporal::{
     FrameMeta, FrameView, Prediction, TemporalEncoder, TemporalManifest, TemporalReader,
     MANIFEST_NAME, TEMPORAL_MAGIC, TEMPORAL_VERSION,
@@ -199,7 +214,7 @@ impl StoreConfig {
 
 /// The prepared (pre-codec) form of one level: one [`PreparedLevel`] per
 /// chunk group. Produced by [`prepare_store`], consumed by
-/// [`encode_prepared_store`] — split so in-situ writers can time the two
+/// [`encode_prepared_store_into`] — split so in-situ writers can time the two
 /// stages separately (Table IV), mirroring `mrc::prepare_mr`/`encode_prepared`.
 pub type PreparedStore = Vec<Vec<PreparedLevel>>;
 
@@ -220,27 +235,9 @@ pub fn prepare_store(mr: &MultiResData, cfg: &StoreConfig) -> PreparedStore {
 }
 
 /// Stage 2: compresses every prepared chunk (in parallel) and frames the
-/// store buffer. `prepared` must come from [`prepare_store`] with the same
+/// store into `out` (cleared first, so repeated in-situ frames reuse one
+/// allocation). `prepared` must come from [`prepare_store`] with the same
 /// `mr` and `cfg`.
-///
-/// The encode fan-out is *global*: every chunk of every level joins one
-/// work list, so coarse levels with a single chunk can no longer serialize
-/// a round of the thread pool per level (the read path's per-level decode
-/// has had the same shape since the Cow-fetch refactor).
-pub fn encode_prepared_store(
-    mr: &MultiResData,
-    prepared: &PreparedStore,
-    cfg: &StoreConfig,
-    codec: &dyn Codec,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_prepared_store_into(mr, prepared, cfg, codec, &mut out);
-    out
-}
-
-/// [`encode_prepared_store`] serializing into a caller-owned buffer
-/// (cleared first), so repeated in-situ snapshots reuse one store
-/// allocation.
 pub fn encode_prepared_store_into(
     mr: &MultiResData,
     prepared: &PreparedStore,
@@ -248,32 +245,74 @@ pub fn encode_prepared_store_into(
     codec: &dyn Codec,
     out: &mut Vec<u8>,
 ) {
-    assert_eq!(prepared.len(), mr.levels.len(), "prepared levels mismatch");
-    // One flat work list over all levels; compression fans out across it.
-    let inputs: Vec<(&hqmr_mr::MergedArray, &Field3, bool)> = prepared
+    encode_frame(mr, prepared, None, cfg, codec, out);
+}
+
+/// The one chunk-encode loop — every `HQST` buffer, snapshot or temporal
+/// frame, is written here: compress each prepared chunk, build the
+/// directory, frame both into `out` (cleared first). Returns the directory
+/// it framed and, per `(level, chunk)`, whether the chunk holds a residual.
+///
+/// `residual`, when present, is a second [`prepare_store`] over the frame
+/// *minus its prediction base* (same `cfg`, same block structure, hence the
+/// same chunks and layouts as `raw`): each chunk then compresses both
+/// candidates and keeps the smaller stream, the raw one on a tie. Absent,
+/// every flag is `false` and the buffer is an independent snapshot. The
+/// directory describes the actual values either way — layout, and the
+/// min/max isovalue skipping relies on, come from `raw`.
+///
+/// The fan-out is *global*: every chunk of every level joins one work list,
+/// so a coarse level with a single chunk cannot serialize a round of the
+/// thread pool.
+pub(crate) fn encode_frame(
+    mr: &MultiResData,
+    raw: &PreparedStore,
+    residual: Option<&PreparedStore>,
+    cfg: &StoreConfig,
+    codec: &dyn Codec,
+    out: &mut Vec<u8>,
+) -> (StoreMeta, FrameFlags) {
+    assert_eq!(raw.len(), mr.levels.len(), "prepared levels mismatch");
+    let mut residuals = residual
+        .into_iter()
+        .flatten()
+        .flatten()
+        .flat_map(PreparedLevel::fields);
+    let inputs: Vec<(&hqmr_mr::MergedArray, &Field3, bool, Option<&Field3>)> = raw
         .iter()
-        .flat_map(|preps| {
-            preps
-                .iter()
-                .flat_map(|p| p.blocks().map(move |(m, f)| (m, f, p.padded())))
-        })
+        .flatten()
+        .flat_map(|p| p.blocks().map(move |(m, f)| (m, f, p.padded())))
+        .map(|(m, f, padded)| (m, f, padded, residuals.next()))
         .collect();
-    let streams: Vec<Vec<u8>> = inputs
+    assert!(
+        residuals.next().is_none() && inputs.iter().all(|i| i.3.is_some() == residual.is_some()),
+        "residual candidates mismatch the raw chunks"
+    );
+    let streams: Vec<(Vec<u8>, bool)> = inputs
         .par_iter()
-        .map(|(_, f, _)| {
+        .map(|&(_, f, _, rf)| {
             let mut stream = Vec::new();
             codec.compress_into(f, cfg.eb, &mut stream);
-            stream
+            if let Some(rf) = rf {
+                let mut delta = Vec::new();
+                codec.compress_into(rf, cfg.eb, &mut delta);
+                if delta.len() < stream.len() {
+                    return (delta, true);
+                }
+            }
+            (stream, false)
         })
         .collect();
 
     let mut levels = Vec::with_capacity(mr.levels.len());
+    let mut flags = Vec::with_capacity(mr.levels.len());
     let mut data = Vec::new();
     let mut it = inputs.into_iter().zip(streams);
-    for (level, preps) in mr.levels.iter().zip(prepared) {
+    for (level, preps) in mr.levels.iter().zip(raw) {
         let n_chunks: usize = preps.iter().map(|p| p.array_count()).sum();
         let mut chunks = Vec::with_capacity(n_chunks);
-        for ((m, f, padded), stream) in it.by_ref().take(n_chunks) {
+        let mut level_flags = Vec::with_capacity(n_chunks);
+        for ((m, f, padded, _), (stream, is_delta)) in it.by_ref().take(n_chunks) {
             let (min, max) = m.field.min_max();
             chunks.push(ChunkMeta {
                 offset: data.len() as u64,
@@ -287,6 +326,7 @@ pub fn encode_prepared_store_into(
                 slots: m.slots.clone(),
             });
             data.extend_from_slice(&stream);
+            level_flags.push(is_delta);
         }
         levels.push(LevelMeta {
             level: level.level,
@@ -294,6 +334,7 @@ pub fn encode_prepared_store_into(
             dims: level.dims,
             chunks,
         });
+        flags.push(level_flags);
     }
     let meta = StoreMeta {
         domain: mr.domain,
@@ -302,12 +343,14 @@ pub fn encode_prepared_store_into(
         levels,
     };
     format::frame_into(&meta, &data, out);
+    (meta, flags)
 }
 
 /// Writes `mr` into a complete in-memory store buffer (both stages).
 pub fn write_store(mr: &MultiResData, cfg: &StoreConfig, codec: &dyn Codec) -> Vec<u8> {
-    let prepared = prepare_store(mr, cfg);
-    encode_prepared_store(mr, &prepared, cfg, codec)
+    let mut out = Vec::new();
+    encode_prepared_store_into(mr, &prepare_store(mr, cfg), cfg, codec, &mut out);
+    out
 }
 
 /// [`write_store`] plus the matching `.hqpr` parity sidecar bytes
@@ -336,17 +379,59 @@ pub fn sidecar_bytes_for(store_buf: &[u8], parity_group: usize) -> Option<Vec<u8
     Some(sc.to_bytes())
 }
 
-/// [`write_store`] into a caller-owned buffer (cleared first): an in-situ
-/// writer emitting one store per timestep reuses a single output
-/// allocation instead of growing a fresh one per snapshot.
-pub fn write_store_into(
-    mr: &MultiResData,
-    cfg: &StoreConfig,
+/// One chunk stream → its decoded slab: the step every consumer of chunk
+/// bytes shares — a reader's fetch, a parity-repaired payload, and the
+/// temporal encoder decoding the streams it has just written. `bytes` must
+/// already be trusted to be the stream `c` describes (CRC-verified, or never
+/// out of the process); `c` itself may come from an untrusted chunk table.
+/// `at` is the chunk's `(level, block)`, named in a codec error.
+pub(crate) fn decode_stream(
     codec: &dyn Codec,
-    out: &mut Vec<u8>,
-) {
-    let prepared = prepare_store(mr, cfg);
-    encode_prepared_store_into(mr, &prepared, cfg, codec, out);
+    c: &ChunkMeta,
+    at: (usize, usize),
+    bytes: &[u8],
+) -> Result<DecodedChunk, StoreError> {
+    let codec_err = |source| StoreError::Codec {
+        level: at.0,
+        block: at.1,
+        source,
+    };
+    DECODE_SCRATCH.with(|scratch| {
+        let field = &mut *scratch.borrow_mut();
+        codec.decompress_into(bytes, field).map_err(codec_err)?;
+        if field.dims() != c.enc_dims {
+            return Err(StoreError::Malformed("decoded dims mismatch chunk table"));
+        }
+        // Slot origins, the unit and the padded flag come from the
+        // untrusted chunk table; checked against what actually decoded,
+        // a crafted store is a typed error, not a panic.
+        let n =
+            check_slots(field.dims(), c.padded, c.unit, &c.slots).map_err(StoreError::Malformed)?;
+        let size = Dims3::cube(c.unit);
+        // One contiguous slab for the whole chunk — the unit a cache
+        // shares across clients with a single refcount bump — allocated
+        // once, as the `Arc` it is handed out in, and cut straight out
+        // of the scratch: a padded reconstruction keeps its cells at
+        // their stripped coordinates (`check_slots`), so no stripped
+        // copy stands between the codec's output and the slab.
+        let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, c.slots.len() * n).collect();
+        let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
+        let field = &*field;
+        if kernels::tile_parallel() && c.slots.len() >= 2 && cells.len() >= PAR_MIN_EXTRACT {
+            cells.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
+                field.extract_box_into(c.slots[k].0, size, out);
+            });
+        } else {
+            for (k, &(slot, _)) in c.slots.iter().enumerate() {
+                field.extract_box_into(slot, size, &mut cells[k * n..(k + 1) * n]);
+            }
+        }
+        Ok(DecodedChunk {
+            unit: c.unit,
+            origins: c.slots.iter().map(|&(_, origin)| origin).collect(),
+            data: slab,
+        })
+    })
 }
 
 /// Where a reader's chunk bytes come from.
@@ -644,50 +729,12 @@ impl StoreReader {
         block: usize,
         bytes: &[u8],
     ) -> Result<DecodedChunk, StoreError> {
-        let c = &lm.chunks[block];
-        let codec_err = |source| StoreError::Codec {
-            level,
-            block,
-            source,
-        };
-        DECODE_SCRATCH.with(|scratch| {
-            let field = &mut *scratch.borrow_mut();
-            self.codec
-                .decompress_into(bytes, field)
-                .map_err(codec_err)?;
-            if field.dims() != c.enc_dims {
-                return Err(StoreError::Malformed("decoded dims mismatch chunk table"));
-            }
-            // Slot origins, the unit and the padded flag come from the
-            // untrusted chunk table; checked against what actually decoded,
-            // a crafted store is a typed error, not a panic.
-            let n = check_slots(field.dims(), c.padded, c.unit, &c.slots)
-                .map_err(StoreError::Malformed)?;
-            let size = Dims3::cube(c.unit);
-            // One contiguous slab for the whole chunk — the unit a cache
-            // shares across clients with a single refcount bump — allocated
-            // once, as the `Arc` it is handed out in, and cut straight out
-            // of the scratch: a padded reconstruction keeps its cells at
-            // their stripped coordinates (`check_slots`), so no stripped
-            // copy stands between the codec's output and the slab.
-            let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, c.slots.len() * n).collect();
-            let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
-            let field = &*field;
-            if kernels::tile_parallel() && c.slots.len() >= 2 && cells.len() >= PAR_MIN_EXTRACT {
-                cells.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
-                    field.extract_box_into(c.slots[k].0, size, out);
-                });
-            } else {
-                for (k, &(slot, _)) in c.slots.iter().enumerate() {
-                    field.extract_box_into(slot, size, &mut cells[k * n..(k + 1) * n]);
-                }
-            }
-            Ok(DecodedChunk {
-                unit: c.unit,
-                origins: c.slots.iter().map(|&(_, origin)| origin).collect(),
-                data: slab,
-            })
-        })
+        decode_stream(
+            self.codec.as_ref(),
+            &lm.chunks[block],
+            (level, block),
+            bytes,
+        )
     }
 
     /// Fetches, CRC-checks and decodes one chunk — the decoded half of the
@@ -842,11 +889,11 @@ mod tests {
         let cfg = StoreConfig::new(eb()).with_chunk_blocks(4);
         let codec = Sz3Codec::default();
         let fresh = write_store(&mr, &cfg, &codec);
-        // Pre-dirty the buffer: `write_store_into` must clear and reproduce
-        // the exact same bytes while keeping the allocation.
+        // Pre-dirty the buffer: `encode_prepared_store_into` must clear and
+        // reproduce the exact same bytes while keeping the allocation.
         let mut buf = vec![0xABu8; 1 << 20];
         let cap = buf.capacity();
-        write_store_into(&mr, &cfg, &codec, &mut buf);
+        encode_prepared_store_into(&mr, &prepare_store(&mr, &cfg), &cfg, &codec, &mut buf);
         assert_eq!(buf, fresh, "buffer-reuse write drifted from write_store");
         assert!(buf.capacity() >= cap.min(fresh.len()), "allocation reused");
     }

@@ -624,38 +624,68 @@ pub fn temporal_sidecars(dir: &Path, manifest: &TemporalManifest) -> Vec<Option<
         .collect()
 }
 
-/// Atomic replace: write a temp sibling, flush it to the device, rename
-/// over the target, then fsync the parent directory (unix) so the rename
-/// itself is durable. The store crate cannot reuse `hqmr-core`'s private
-/// writer (dependency direction), so the idiom is kept here in parallel.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// The one durable publish every writer of store files goes through —
+/// snapshots, temporal frames, manifests, sidecars, in-place repairs: write a
+/// temp sibling, flush it to the device, rename it over `path`, fsync the
+/// parent directory. A crash (or a full disk) at any point leaves the
+/// previous file or the new one, never a mix, and once this returns `Ok` the
+/// new one survives a crash. A failure of any step — the directory fsync
+/// included — is returned, and leaves no temp file behind.
+///
+/// The temp name is `<file name>.<pid>.<n>.tmp`: the pid keeps concurrent
+/// *processes* (two ranks snapshotting into one directory) apart, the
+/// process-wide counter concurrent *threads* (the pid alone is shared by
+/// every thread, so two threads writing the same path would otherwise stage
+/// into the same file and clobber each other mid-write). A crash can strand
+/// one; `TemporalWriter::salvage` sweeps `*.tmp`.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
-    let tmp = parent.join(format!(
-        ".{}.{}.{}.tmp",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("hqpr"),
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-    ));
+    let tmp = tmp_sibling(path, TMP_COUNTER.fetch_add(1, Ordering::Relaxed))?;
     let write = (|| {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        f.write_all(bytes)?;
-        f.into_inner().map_err(std::io::Error::other)?.sync_all()?;
-        std::fs::rename(&tmp, path)
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        w.write_all(bytes)?;
+        w.flush()?;
+        // Push the data to stable storage before the rename makes it
+        // visible — otherwise the rename can survive a crash the data
+        // didn't.
+        w.into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?
+            .sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename itself lives in the parent directory's metadata: until
+        // that is flushed, a crash can roll the directory back to the old
+        // entry (or none) even though the data blocks survived. Directories
+        // cannot be opened for syncing off unix; the rename is still atomic
+        // there, just not crash-durable, matching the platform's guarantees.
+        #[cfg(unix)]
+        std::fs::File::open(parent_dir(path))?.sync_all()?;
+        Ok(())
     })();
     if write.is_err() {
-        std::fs::remove_file(&tmp).ok();
-        return write;
+        let _ = std::fs::remove_file(&tmp);
     }
-    #[cfg(unix)]
-    {
-        if let Ok(dirf) = std::fs::File::open(parent) {
-            let _ = dirf.sync_all();
-        }
+    write
+}
+
+/// The staging file [`write_atomic`] call number `n` of this process writes
+/// before renaming it over `path`.
+fn tmp_sibling(path: &Path, n: u64) -> std::io::Result<PathBuf> {
+    let no_name = || std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name");
+    let mut name = path.file_name().ok_or_else(no_name)?.to_os_string();
+    name.push(format!(".{}.{n}.tmp", std::process::id()));
+    Ok(path.with_file_name(name))
+}
+
+/// The directory holding `path`. A bare relative file name has the parent
+/// `""`, which cannot be opened: that file lives in `.`.
+#[cfg(unix)]
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -817,6 +847,76 @@ mod tests {
         let restored =
             ParitySidecar::from_bytes(&std::fs::read(parity_path(&path)).unwrap()).unwrap();
         assert_eq!(restored, sc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The one `write_atomic` is the strict one: a bare relative file name
+    /// syncs `.`, a directory fsync that fails is an error, and a failed
+    /// write cleans up after itself.
+    #[test]
+    fn write_atomic_is_strict_about_the_parent_and_leaves_no_temp() {
+        // The one temp-name shape: a `*.tmp` sibling, which is what
+        // `TemporalWriter::salvage` sweeps after a crash stranded one.
+        let staged = tmp_sibling(Path::new("run/frame_00001.hqst"), 7).unwrap();
+        let name = format!("frame_00001.hqst.{}.7.tmp", std::process::id());
+        assert_eq!(staged, Path::new("run").join(name));
+        assert!(tmp_sibling(Path::new(".."), 0).is_err(), "no file name");
+
+        // Scrub's two writers on a bare relative name (a file in the
+        // working directory): `repair_in_place`, then the sidecar rebuild.
+        // Both must get through the parent fsync, i.e. open `.`, not `""`.
+        #[cfg(unix)]
+        assert_eq!(parent_dir(Path::new("x.hqst")), Path::new("."));
+        let bare = PathBuf::from(format!("hqmr_scrub_bare_{}.hqst", std::process::id()));
+        let clean = store();
+        let sc = ParitySidecar::from_store_bytes(&clean, DEFAULT_PARITY_GROUP).unwrap();
+        let (meta, data_start) = parse_head(&clean).unwrap();
+        let mut dirty = clean.clone();
+        dirty[data_start as usize + meta.levels[0].chunks[0].offset as usize] ^= 0xFF;
+        std::fs::write(&bare, &dirty).unwrap();
+        std::fs::write(parity_path(&bare), sc.to_bytes()).unwrap();
+        let healed = scrub_store(&bare, None);
+        let mut rotten = sc.to_bytes();
+        rotten[6] ^= 0xFF;
+        std::fs::write(parity_path(&bare), &rotten).unwrap();
+        let rebuilt = scrub_store(&bare, None);
+        let (store_after, sidecar_after) =
+            (std::fs::read(&bare), std::fs::read(parity_path(&bare)));
+        std::fs::remove_file(&bare).ok();
+        std::fs::remove_file(parity_path(&bare)).ok();
+        assert_eq!(healed.unwrap().repaired, 1);
+        assert!(rebuilt.unwrap().sidecar_rebuilt);
+        assert_eq!(store_after.unwrap(), clean);
+        assert_eq!(sidecar_after.unwrap(), sc.to_bytes());
+
+        // A target that cannot be renamed over (a non-empty directory squats
+        // on it) fails the write, and the staging file goes with it.
+        let dir = tmp_dir("strict");
+        let squatted = dir.join("frame.hqst");
+        std::fs::create_dir_all(squatted.join("x")).unwrap();
+        assert!(write_atomic(&squatted, b"bytes").is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["frame.hqst"], "nothing but the squatter is left");
+
+        // A parent that can be written and searched but not opened: the file
+        // lands, the directory fsync cannot happen, and that is an error.
+        // (A privileged user opens any directory; nothing to observe then.)
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt;
+            let locked = dir.join("locked");
+            std::fs::create_dir(&locked).unwrap();
+            let mode = |m| std::fs::set_permissions(&locked, std::fs::Permissions::from_mode(m));
+            mode(0o300).unwrap();
+            if std::fs::File::open(&locked).is_err() {
+                let err = write_atomic(&locked.join("f.hqst"), b"bytes").unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
+            }
+            mode(0o700).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

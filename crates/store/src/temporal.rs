@@ -25,19 +25,33 @@
 //! interval and whenever the block structure changes, and frame 0 is always
 //! a keyframe — so every chunk chain is seekable from its nearest keyframe.
 //!
+//! A frame is written by the store's one encode loop (crate docs); the
+//! [`TemporalEncoder`] only decides whether residual candidates ride along,
+//! and builds them by running `frame − base` through the same
+//! `prepare_store` as the frame itself. Its whole state is the base: the
+//! previous frame as a plain `MultiResData`, exactly what
+//! [`TemporalReader::read_frame`] returns for it. After framing, the winning
+//! streams are decoded *from the buffer in hand* — through the one
+//! stream → slab step readers use, delta chunks restored by the one
+//! `restore_in_place` chain walks use — so the base is what a reader will
+//! reconstruct, by construction rather than by a second implementation.
+//! The encoder advances when it encodes; a file layer that then fails to
+//! publish the frame must put it back
+//! ([`TemporalEncoder::resume_from_decoded`]), as `TemporalWriter::append`
+//! does.
+//!
 //! Delta chunks still record the chunk's **actual** value min/max in the
 //! `HQST` chunk table (not the residual's), so isovalue chunk-skipping and
 //! proxy fills through a [`FrameView`] keep their semantics.
 
-use crate::format::{self, ChunkMeta, LevelMeta, StoreError, StoreMeta};
+use crate::format::{StoreError, StoreMeta};
 use crate::read::{self, ChunkSource, DecodedChunk, Progressive};
-use crate::{encode_prepared_store_into, prepare_store, StoreConfig, StoreReader};
+use crate::{decode_stream, encode_frame, prepare_store, StoreConfig, StoreReader};
 use hqmr_codec::{crc32, read_uvarint, write_uvarint, Codec};
-use hqmr_grid::{Dims3, Field3};
-use hqmr_mr::prepare::prepare_blocks;
-use hqmr_mr::{temporal as predict, LevelData, MultiResData, UnitBlock, Upsample};
+use hqmr_grid::Field3;
+use hqmr_mr::{structure_matches, temporal as predict, LevelData, MultiResData, Upsample};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -243,36 +257,6 @@ pub fn apply_residual(
     })
 }
 
-/// The previous frame's decoded state the closed-loop encoder predicts from.
-struct PrevLevel {
-    level: usize,
-    unit: usize,
-    dims: Dims3,
-    /// Block origins in write order (the structure signature).
-    origins: Vec<[usize; 3]>,
-    /// Decoded values per block origin.
-    decoded: HashMap<[usize; 3], Vec<f32>>,
-}
-
-struct PrevFrame {
-    domain: Dims3,
-    levels: Vec<PrevLevel>,
-}
-
-impl PrevFrame {
-    fn structure_matches(&self, mr: &MultiResData) -> bool {
-        self.domain == mr.domain
-            && self.levels.len() == mr.levels.len()
-            && self.levels.iter().zip(&mr.levels).all(|(p, l)| {
-                p.level == l.level
-                    && p.unit == l.unit
-                    && p.dims == l.dims
-                    && p.origins.len() == l.blocks.len()
-                    && p.origins.iter().zip(&l.blocks).all(|(o, b)| *o == b.origin)
-            })
-    }
-}
-
 /// Stateful frame encoder: feeds a sequence of [`MultiResData`] frames
 /// through closed-loop temporal prediction and emits one `HQST` buffer per
 /// frame plus its keyframe/delta flags. Purely in-memory — the crash-safe
@@ -282,7 +266,12 @@ pub struct TemporalEncoder {
     prediction: Prediction,
     /// Frames encoded so far (the next frame's time index).
     frames: usize,
-    prev: Option<PrevFrame>,
+    /// The previous frame as a reader decodes it — what
+    /// [`TemporalReader::read_frame`] would return for it, in the encoder's
+    /// own block order — and so the base the next frame's residuals are taken
+    /// against. `None` under [`Prediction::Off`], before frame 0, and after
+    /// [`TemporalEncoder::resume_from_decoded`] was given no frame.
+    prev: Option<MultiResData>,
 }
 
 impl TemporalEncoder {
@@ -296,16 +285,13 @@ impl TemporalEncoder {
         }
     }
 
-    /// Frames encoded so far.
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
     /// Encodes the next frame into `out` (cleared first) and returns its
-    /// delta flags. With [`Prediction::Off`] this funnels through the exact
-    /// same `prepare_store` + `encode_prepared_store_into` path as
-    /// `write_snapshot`, so the buffer is bit-identical to an independent
-    /// snapshot of the same data.
+    /// delta flags. Every frame goes through the store's one encode loop;
+    /// what varies is whether residual candidates ride along. They do when
+    /// prediction is on, no whole-frame keyframe is due, and the frame's
+    /// block structure matches the base's ([`hqmr_mr::structure_matches`]) —
+    /// otherwise the buffer is bit-identical to an independent snapshot of
+    /// the same data (`write_store`, `write_snapshot`).
     pub fn encode_frame_into(
         &mut self,
         mr: &MultiResData,
@@ -319,226 +305,109 @@ impl TemporalEncoder {
                     || (keyframe_interval > 0 && self.frames.is_multiple_of(keyframe_interval))
             }
         };
-        let structure_ok = self.prev.as_ref().is_some_and(|p| p.structure_matches(mr));
-
-        let flags = if keyframe_due || !structure_ok {
-            let prepared = prepare_store(mr, &self.cfg);
-            encode_prepared_store_into(mr, &prepared, &self.cfg, codec, out);
-            prepared
-                .iter()
-                .map(|preps| {
-                    let n: usize = preps.iter().map(|p| p.array_count()).sum();
-                    vec![false; n]
-                })
-                .collect()
-        } else {
-            self.encode_delta_frame(mr, codec, out)
+        let base = self
+            .prev
+            .as_ref()
+            .filter(|prev| !keyframe_due && structure_matches(prev, mr));
+        let (meta, flags) = {
+            // Residual candidate first: the residual frame is gone again
+            // before the raw candidate is prepared, and both prepared stores
+            // before the frame is decoded, so no more copies of a frame are
+            // alive at once than the two candidates need.
+            let residual = base.map(|prev| prepare_store(&residual_frame(mr, prev), &self.cfg));
+            let raw = prepare_store(mr, &self.cfg);
+            encode_frame(mr, &raw, residual.as_ref(), &self.cfg, codec, out)
         };
 
         // Closed loop: the *decoded* frame becomes the next prediction base.
         if matches!(self.prediction, Prediction::Delta { .. }) {
-            self.rebuild_state(mr, out, &flags)?;
+            let data = &out[out.len() - meta.compressed_bytes() as usize..];
+            self.prev = Some(decode_frame(
+                codec,
+                &meta,
+                data,
+                &flags,
+                mr,
+                self.prev.as_ref(),
+            )?);
         }
         self.frames += 1;
         Ok(flags)
     }
 
-    /// Seeds the encoder from the *decoded* values of a run already on
-    /// disk, so appends resume as if the run never stopped: `decoded` is
-    /// the last existing frame's actual-value reconstruction (e.g.
-    /// `TemporalReader::read_frame`), which is exactly the closed-loop
-    /// state an unbroken encoder would hold, and `frames` is the number of
-    /// frames already written (the next frame's time index, which also
-    /// keeps the keyframe-interval cadence aligned with the original run).
-    pub fn resume_from_decoded(&mut self, decoded: &MultiResData, frames: usize) {
+    /// Positions the encoder behind `frames` frames that a reader can
+    /// reconstruct, with `decoded` — the last of them as
+    /// [`TemporalReader::read_frame`] returns it, which is exactly the state
+    /// an unbroken encoder would hold — as the prediction base. `frames`
+    /// also keeps the keyframe-interval cadence aligned with the run.
+    ///
+    /// `None` positions it with no base: the next frame is encoded whole,
+    /// as after a structure change. That is the state to fall back to
+    /// whenever the frame the encoder last advanced past did not become
+    /// readable (a failed publish) — a lost prediction costs bytes, a
+    /// prediction from values no reader has breaks the bound.
+    pub fn resume_from_decoded(&mut self, decoded: Option<MultiResData>, frames: usize) {
         self.frames = frames;
-        self.prev = if matches!(self.prediction, Prediction::Delta { .. }) && frames > 0 {
-            Some(PrevFrame {
-                domain: decoded.domain,
-                levels: decoded
-                    .levels
-                    .iter()
-                    .map(|lvl| PrevLevel {
-                        level: lvl.level,
-                        unit: lvl.unit,
-                        dims: lvl.dims,
-                        origins: lvl.blocks.iter().map(|b| b.origin).collect(),
-                        decoded: lvl
-                            .blocks
-                            .iter()
-                            .map(|b| (b.origin, b.data.clone()))
-                            .collect(),
-                    })
-                    .collect(),
-            })
-        } else {
-            None
-        };
+        self.prev =
+            decoded.filter(|_| matches!(self.prediction, Prediction::Delta { .. }) && frames > 0);
     }
+}
 
-    /// Per-chunk keyframe/delta choice: prepare both candidates, compress
-    /// both, keep the smaller stream. Chunk tables record the *actual*
-    /// value min/max either way.
-    fn encode_delta_frame(
-        &self,
-        mr: &MultiResData,
-        codec: &dyn Codec,
-        out: &mut Vec<u8>,
-    ) -> FrameFlags {
-        let prev = self.prev.as_ref().expect("caller checked structure");
-        let group_len = self.cfg.chunk_blocks.max(1);
-        // Raw + residual prepared pairs per chunk group; residual blocks are
-        // built against the previous frame's decoded values (closed loop).
-        let preps: Vec<Vec<(hqmr_mr::PreparedLevel, hqmr_mr::PreparedLevel)>> = mr
-            .levels
-            .iter()
-            .zip(&prev.levels)
-            .map(|(level, prev_lvl)| {
-                level
-                    .blocks
-                    .chunks(group_len)
-                    .map(|group| {
-                        let raw = prepare_blocks(group, level.unit, self.cfg.merge, self.cfg.pad);
-                        let rblocks: Vec<UnitBlock> = group
-                            .iter()
-                            .map(|b| {
-                                let base = prev_lvl
-                                    .decoded
-                                    .get(&b.origin)
-                                    .expect("structure matched: every block has a predecessor");
-                                UnitBlock {
-                                    origin: b.origin,
-                                    data: predict::residual(&b.data, base),
-                                }
-                            })
-                            .collect();
-                        let delta =
-                            prepare_blocks(&rblocks, level.unit, self.cfg.merge, self.cfg.pad);
-                        (raw, delta)
-                    })
-                    .collect()
-            })
-            .collect();
+/// `mr − prev`, block for block — the frame whose prepared chunks are the
+/// residual candidates. The two structures already matched, so blocks pair
+/// up by position.
+fn residual_frame(mr: &MultiResData, prev: &MultiResData) -> MultiResData {
+    mr.with_block_data(|li, bi| {
+        let (cur, base) = (&mr.levels[li].blocks[bi], &prev.levels[li].blocks[bi]);
+        predict::residual(&cur.data, &base.data)
+    })
+}
 
-        // One flat work list over all chunks; each entry compresses both
-        // candidates and keeps the smaller.
-        let inputs: Vec<(&Field3, &Field3)> = preps
-            .iter()
-            .flat_map(|groups| {
-                groups
-                    .iter()
-                    .flat_map(|(raw, delta)| raw.fields().zip(delta.fields()))
-            })
-            .collect();
-        let streams: Vec<(Vec<u8>, bool)> = inputs
+/// The frame just encoded, as a reader will reconstruct it: every chunk of
+/// `meta` decoded from `data` (the data region still in hand — these bytes
+/// never left the process, so nothing is copied, re-parsed or re-checked)
+/// through the same [`decode_stream`] a reader uses, delta chunks restored
+/// onto `prev` by the same [`predict::restore_in_place`] a chain walk uses.
+/// Blocks come back in `mr`'s order, whatever order the merge laid them out
+/// in, so the result lines up with the next frame position by position.
+fn decode_frame(
+    codec: &dyn Codec,
+    meta: &StoreMeta,
+    data: &[u8],
+    flags: &FrameFlags,
+    mr: &MultiResData,
+    prev: Option<&MultiResData>,
+) -> Result<MultiResData, StoreError> {
+    // values[level][position in `mr`'s block order]
+    let mut values: Vec<Vec<Vec<f32>>> = Vec::with_capacity(mr.levels.len());
+    for (li, (level, lm)) in mr.levels.iter().zip(&meta.levels).enumerate() {
+        let indices: Vec<usize> = (0..lm.chunks.len()).collect();
+        let decoded: Vec<Result<DecodedChunk, StoreError>> = indices
             .par_iter()
-            .map(|(rf, df)| {
-                let mut rs = Vec::new();
-                codec.compress_into(rf, self.cfg.eb, &mut rs);
-                let mut ds = Vec::new();
-                codec.compress_into(df, self.cfg.eb, &mut ds);
-                if ds.len() < rs.len() {
-                    (ds, true)
-                } else {
-                    (rs, false)
-                }
+            .map(|&ci| {
+                let c = &lm.chunks[ci];
+                decode_stream(codec, c, (li, ci), &data[c.offset as usize..][..c.len])
             })
             .collect();
-
-        let mut it = streams.into_iter();
-        let mut data = Vec::new();
-        let mut levels_meta = Vec::with_capacity(mr.levels.len());
-        let mut flags: FrameFlags = Vec::with_capacity(mr.levels.len());
-        for (level, groups) in mr.levels.iter().zip(&preps) {
-            let mut chunks = Vec::new();
-            let mut lflags = Vec::new();
-            for (raw, _) in groups {
-                for (m, f) in raw.blocks() {
-                    let (stream, is_delta) = it.next().expect("work list aligned");
-                    // Actual-value min/max even for delta chunks, so iso
-                    // skipping and proxy fills stay meaningful.
-                    let (min, max) = m.field.min_max();
-                    chunks.push(ChunkMeta {
-                        offset: data.len() as u64,
-                        len: stream.len(),
-                        crc: crc32(&stream),
-                        min,
-                        max,
-                        enc_dims: f.dims(),
-                        padded: raw.padded(),
-                        unit: m.unit,
-                        slots: m.slots.clone(),
-                    });
-                    data.extend_from_slice(&stream);
-                    lflags.push(is_delta);
+        let position: BTreeMap<[usize; 3], usize> = (level.blocks.iter())
+            .enumerate()
+            .map(|(i, b)| (b.origin, i))
+            .collect();
+        let mut blocks = vec![Vec::new(); level.blocks.len()];
+        for (chunk, is_delta) in decoded.into_iter().zip(&flags[li]) {
+            for mut block in chunk?.to_blocks() {
+                // Chunk layouts are built from this frame's blocks.
+                let i = position[&block.origin];
+                if *is_delta {
+                    let base = prev.expect("a delta chunk was predicted from a base");
+                    predict::restore_in_place(&mut block.data, &base.levels[li].blocks[i].data);
                 }
+                blocks[i] = block.data;
             }
-            levels_meta.push(LevelMeta {
-                level: level.level,
-                unit: level.unit,
-                dims: level.dims,
-                chunks,
-            });
-            flags.push(lflags);
         }
-        let meta = StoreMeta {
-            domain: mr.domain,
-            codec_id: codec.id(),
-            eb: self.cfg.eb,
-            levels: levels_meta,
-        };
-        format::frame_into(&meta, &data, out);
-        flags
+        values.push(blocks);
     }
-
-    /// Decodes the just-encoded frame and folds it over the previous state,
-    /// producing the decoded-value base the *next* frame predicts from.
-    fn rebuild_state(
-        &mut self,
-        mr: &MultiResData,
-        frame_bytes: &[u8],
-        flags: &FrameFlags,
-    ) -> Result<(), StoreError> {
-        let reader = StoreReader::from_bytes(frame_bytes.to_vec())?;
-        let prev = self.prev.take();
-        let mut levels = Vec::with_capacity(mr.levels.len());
-        for (li, lvl) in mr.levels.iter().enumerate() {
-            let indices: Vec<usize> = (0..reader.meta().levels[li].chunks.len()).collect();
-            let decoded = reader.chunks(li, &indices)?;
-            let mut map = HashMap::with_capacity(lvl.blocks.len());
-            for (ci, dc) in decoded.into_iter().enumerate() {
-                let is_delta = flags
-                    .get(li)
-                    .and_then(|l| l.get(ci))
-                    .copied()
-                    .unwrap_or(false);
-                for (k, &origin) in dc.origins.iter().enumerate() {
-                    let mut vals = dc.block_data(k).to_vec();
-                    if is_delta {
-                        let base = prev
-                            .as_ref()
-                            .and_then(|p| p.levels.get(li))
-                            .and_then(|p| p.decoded.get(&origin))
-                            .ok_or(StoreError::Malformed("delta chunk without prior state"))?;
-                        predict::restore_in_place(&mut vals, base);
-                    }
-                    map.insert(origin, vals);
-                }
-            }
-            levels.push(PrevLevel {
-                level: lvl.level,
-                unit: lvl.unit,
-                dims: lvl.dims,
-                origins: lvl.blocks.iter().map(|b| b.origin).collect(),
-                decoded: map,
-            });
-        }
-        self.prev = Some(PrevFrame {
-            domain: mr.domain,
-            levels,
-        });
-        Ok(())
-    }
+    Ok(mr.with_block_data(|li, bi| std::mem::take(&mut values[li][bi])))
 }
 
 /// `(time, level, chunk)` — the unit of temporal chunk identity, shared
@@ -568,12 +437,7 @@ impl TemporalReader {
     /// frame directories and that frame 0 is a keyframe.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        let mpath = dir.join(MANIFEST_NAME);
-        let bytes = std::fs::read(&mpath).map_err(|source| StoreError::Open {
-            path: mpath.clone(),
-            source,
-        })?;
-        let manifest = TemporalManifest::from_bytes(&bytes)?;
+        let manifest = Self::read_manifest(&dir)?;
         let frames: Vec<StoreReader> = manifest
             .frames
             .iter()
@@ -655,18 +519,6 @@ impl TemporalReader {
             t,
             memo: Arc::new(Mutex::new(HashMap::new())),
         })
-    }
-
-    /// Decodes the actual-value chunk `(t, level, block)` by walking its
-    /// delta chain back to the nearest keyframe (fresh memo).
-    pub fn chunk_at(
-        &self,
-        t: usize,
-        level: usize,
-        block: usize,
-    ) -> Result<DecodedChunk, StoreError> {
-        let memo = Mutex::new(HashMap::new());
-        self.chunk_chain(&memo, t, level, block)
     }
 
     /// Chain walk with memoization: finds the nearest memoized state or
@@ -760,7 +612,10 @@ impl TemporalReader {
         hi: [usize; 3],
         fill: f32,
     ) -> Result<Vec<Field3>, StoreError> {
-        if t1 >= self.frames.len() || t0 > t1 {
+        if t0 > t1 {
+            return Err(StoreError::Malformed("empty time window"));
+        }
+        if t1 >= self.frames.len() {
             return Err(StoreError::NoSuchFrame(t1));
         }
         let memo = Arc::new(Mutex::new(HashMap::new()));
@@ -839,6 +694,7 @@ impl ChunkSource for FrameView<'_> {
 mod tests {
     use super::*;
     use hqmr_codec::NullCodec;
+    use hqmr_grid::Dims3;
     use hqmr_sz3::Sz3Codec;
 
     fn seq_field(n: usize, t: usize) -> Field3 {

@@ -2,6 +2,8 @@
 //!
 //! * a single bit-flip in **any** chunk of a store heals back to the
 //!   byte-identical pristine file via `scrub_store`;
+//! * at the default group size the sidecar costs at most 15 % of the
+//!   compressed bytes once the store has enough chunks to fill its groups;
 //! * two corrupt chunks in one parity group are a *typed* loss
 //!   (`unrepairable` names exactly the casualties), never a panic or a
 //!   silent wrong answer;
@@ -17,7 +19,7 @@ use hqmr::mr::{resample_like, to_adaptive, RoiConfig};
 use hqmr::store::temporal::{Prediction, TemporalManifest, TemporalReader};
 use hqmr::store::{
     parity_path, parse_head, scrub_store, write_store_with_parity, ParitySidecar, SidecarStatus,
-    StoreConfig,
+    StoreConfig, DEFAULT_PARITY_GROUP,
 };
 use hqmr::sz3::Sz3Codec;
 use hqmr::workflow::mrc::MrcConfig;
@@ -34,7 +36,12 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 /// A store + sidecar byte pair over a small synthetic field.
 fn store_pair(group: usize) -> (Vec<u8>, Vec<u8>) {
-    let f = synth::nyx_like(16, 511);
+    store_pair_sized(16, group)
+}
+
+/// [`store_pair`] over an `n³` field.
+fn store_pair_sized(n: usize, group: usize) -> (Vec<u8>, Vec<u8>) {
+    let f = synth::nyx_like(n, 511);
     let mr = to_adaptive(&f, &RoiConfig::new(8, 0.5));
     let cfg = StoreConfig::new(1e-3)
         .with_chunk_blocks(2)
@@ -85,6 +92,25 @@ fn single_flip_in_any_chunk_heals_byte_identical() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One parity block per group is as long as the group's longest chunk, so
+/// redundancy costs about `1/group` of the compressed bytes — held here to
+/// the 15 % budget at the default group size, on a store with enough chunks
+/// (a handful of partial groups would dominate a smaller one).
+#[test]
+fn parity_overhead_is_within_budget_at_the_default_group() {
+    let (store, parity) = store_pair_sized(32, DEFAULT_PARITY_GROUP);
+    let (meta, _) = parse_head(&store).unwrap();
+    assert!(meta.chunk_count() >= 32, "{} chunks", meta.chunk_count());
+    let overhead = parity.len() as f64 / meta.compressed_bytes() as f64;
+    assert!(
+        overhead <= 0.15,
+        "sidecar is {:.1} % of {} compressed bytes in {} chunks",
+        overhead * 100.0,
+        meta.compressed_bytes(),
+        meta.chunk_count()
+    );
 }
 
 /// Two corrupt chunks in the same XOR group exceed the redundancy: the

@@ -6,12 +6,17 @@
 //!   superset of the snapshot path, not a fork of it;
 //! * with prediction **on**, a time-windowed ROI read equals the per-frame
 //!   ROI reads, and the serving layer returns the same bytes as the bare
-//!   reader at any cache budget.
+//!   reader at any cache budget;
+//! * a publish that fails — at the frame, its sidecar or the manifest —
+//!   leaves the writer behind the last frame a reader can see: whatever is
+//!   appended next, every frame on disk stays within the bound. (The run
+//!   that never fails is `golden_stores`: byte-identical to the committed
+//!   directories.)
 
 use hqmr::grid::{synth, Dims3, Field3};
 use hqmr::mr::{resample_like, to_adaptive, MultiResData, RoiConfig};
 use hqmr::serve::TemporalServer;
-use hqmr::store::temporal::{Prediction, TemporalReader};
+use hqmr::store::temporal::{Prediction, TemporalReader, MANIFEST_NAME};
 use hqmr::workflow::mrc::{Backend, MrcConfig};
 use hqmr::workflow::{write_snapshot, TemporalWriter};
 use std::path::PathBuf;
@@ -122,4 +127,71 @@ fn serve_layer_matches_bare_reader_at_every_cache_budget() {
         assert_eq!(got, want, "budget {budget}: server must match bare reader");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The closed loop may only predict from frames that were published. One
+/// publish of step 1 is made to fail (a non-empty directory squatting on the
+/// target makes the rename fail on any platform); the run then goes on with
+/// the next timesteps, and every frame a reader finds must hold the bound —
+/// residuals taken against the unpublished step 1 would decode, CRC-clean,
+/// to values nowhere near it.
+#[test]
+fn failed_publish_does_not_advance_the_closed_loop() {
+    let mrs = sequence();
+    for backend in Backend::ALL {
+        let cfg = config(backend);
+        for target in ["frame_00001.hqst", "frame_00001.hqpr", MANIFEST_NAME] {
+            let what = format!("{backend:?}, failing {target}");
+            let dir = fresh_dir(&format!("hqmr_tprops_fail_{}_{target}", backend.name()));
+            let mut writer = TemporalWriter::create(&dir, &cfg, Prediction::delta()).unwrap();
+            writer.append(0, &mrs[0]).unwrap();
+
+            let target = dir.join(target);
+            let published = std::fs::read(&target).ok(); // the manifest exists already
+            if published.is_some() {
+                std::fs::remove_file(&target).unwrap();
+            }
+            std::fs::create_dir_all(target.join("squatter")).unwrap();
+            assert!(writer.append(1, &mrs[1]).is_err(), "{what}");
+            assert_eq!(
+                writer.frames(),
+                1,
+                "{what}: the frame is not part of the run"
+            );
+            std::fs::remove_dir_all(&target).unwrap();
+            if let Some(bytes) = published {
+                std::fs::write(&target, bytes).unwrap();
+            }
+
+            let steps = [0, 2, 3];
+            for &step in &steps[1..] {
+                let rep = writer.append(step as u64, &mrs[step]).unwrap();
+                assert_eq!(rep.index, writer.frames() - 1, "{what}");
+            }
+            drop(writer);
+
+            let reader = TemporalReader::open(&dir).unwrap();
+            assert_eq!(reader.frame_count(), steps.len(), "{what}");
+            for (t, &step) in steps.iter().enumerate() {
+                assert_eq!(reader.manifest().frames[t].step, step as u64, "{what}");
+                let back = reader.read_frame(t).unwrap();
+                for (bl, ol) in back.levels.iter().zip(&mrs[step].levels) {
+                    for (bb, ob) in bl.blocks.iter().zip(&ol.blocks) {
+                        assert_eq!(bb.origin, ob.origin, "{what}");
+                        for (b, o) in bb.data.iter().zip(&ob.data) {
+                            assert!(
+                                (b - o).abs() as f64 <= cfg.eb * 1.0001,
+                                "{what}: frame {t} (step {step}) reads {b} for {o}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                reader.manifest().frames[1].is_keyframe(),
+                "{what}: no base survived the failure, so a whole keyframe follows it"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
