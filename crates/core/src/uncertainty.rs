@@ -31,10 +31,13 @@ impl ErrorModel {
 }
 
 /// Samples `(original value, error)` pairs at rate `frac` (deterministic in
-/// `seed`).
+/// `seed`): at least one pair, none from an empty field.
 pub fn sample_error_pairs(orig: &Field3, decomp: &Field3, frac: f64, seed: u64) -> Vec<(f32, f64)> {
     assert_eq!(orig.dims(), decomp.dims(), "field dims mismatch");
     let n = orig.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let target = ((n as f64 * frac).ceil() as usize).clamp(1, n);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(target);
@@ -184,6 +187,16 @@ mod tests {
         assert_eq!(m.sigma, 0.0);
         // PMC config must still be constructible.
         let _ = m.pmc(0.0);
+    }
+
+    #[test]
+    fn empty_fields_yield_no_samples_and_a_degenerate_model() {
+        let empty = Field3::default();
+        let pairs = sample_error_pairs(&empty, &empty, 0.5, 1);
+        assert!(pairs.is_empty());
+        assert_eq!(model_near_isovalue(&pairs, 0.0, 1.0).samples, 0);
+        let flat = Field3::zeros(Dims3::new(4, 0, 4));
+        assert!(sample_error_pairs(&flat, &flat, 1.0, 1).is_empty());
     }
 
     #[test]

@@ -105,8 +105,8 @@ impl BlockGrid {
                 let mut mx = f32::NEG_INFINITY;
                 for x in blk.origin[0]..blk.origin[0] + blk.size.nx {
                     for y in blk.origin[1]..blk.origin[1] + blk.size.ny {
-                        for z in blk.origin[2]..blk.origin[2] + blk.size.nz {
-                            let v = field.get(x, y, z);
+                        let row = self.domain.idx(x, y, blk.origin[2]);
+                        for &v in &field.data()[row..row + blk.size.nz] {
                             mn = mn.min(v);
                             mx = mx.max(v);
                         }
@@ -176,6 +176,43 @@ mod tests {
         let idx_of = |bx: usize, by: usize, bz: usize| (bx * 2 + by) * 2 + bz;
         assert_eq!(ranges[idx_of(1, 1, 1)], 10.0);
         assert_eq!(ranges[idx_of(0, 0, 0)], 0.0);
+    }
+
+    #[test]
+    fn ranges_match_the_per_cell_scan() {
+        // Edge blocks, NaN (ignored by min/max), ±∞, and an all-NaN block.
+        let mut f = Field3::from_fn(Dims3::new(10, 9, 13), |x, y, z| {
+            ((x * 31 + y * 17 + z * 7) % 23) as f32 - 11.5
+        });
+        f.set(1, 1, 1, f32::NAN);
+        f.set(5, 5, 5, f32::INFINITY);
+        f.set(9, 0, 12, f32::NEG_INFINITY);
+        for x in 8..10 {
+            for y in 8..9 {
+                for z in 8..12 {
+                    f.set(x, y, z, f32::NAN);
+                }
+            }
+        }
+        let g = BlockGrid::new(f.dims(), 4);
+        let want: Vec<f32> = g
+            .iter()
+            .map(|blk| {
+                let mut mn = f32::INFINITY;
+                let mut mx = f32::NEG_INFINITY;
+                for x in blk.origin[0]..blk.origin[0] + blk.size.nx {
+                    for y in blk.origin[1]..blk.origin[1] + blk.size.ny {
+                        for z in blk.origin[2]..blk.origin[2] + blk.size.nz {
+                            mn = mn.min(f.get(x, y, z));
+                            mx = mx.max(f.get(x, y, z));
+                        }
+                    }
+                }
+                mx - mn
+            })
+            .collect();
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g.block_ranges(&f)), bits(&want));
     }
 
     #[test]

@@ -285,32 +285,50 @@ impl Field3 {
     /// 2× average downsampling (each coarse cell is the mean of its ≤8 fine
     /// children; odd extents round up and edge cells average fewer children).
     pub fn downsample2(&self) -> Field3 {
-        let cd = self.dims.div_ceil(2);
-        Field3::from_fn(cd, |cx, cy, cz| {
+        let d = self.dims;
+        let cd = d.div_ceil(2);
+        // Any coarse cell: its children summed `dx`, `dy`, `dz` (slowest to
+        // fastest) in f64, those outside the domain left out.
+        let mean_of_children = |cx: usize, cy: usize, cz: usize| {
             let mut sum = 0.0f64;
             let mut n = 0u32;
-            for dx in 0..2 {
-                let x = cx * 2 + dx;
-                if x >= self.dims.nx {
-                    continue;
-                }
-                for dy in 0..2 {
-                    let y = cy * 2 + dy;
-                    if y >= self.dims.ny {
-                        continue;
-                    }
-                    for dz in 0..2 {
-                        let z = cz * 2 + dz;
-                        if z >= self.dims.nz {
-                            continue;
-                        }
+            for x in (cx * 2..cx * 2 + 2).take_while(|&x| x < d.nx) {
+                for y in (cy * 2..cy * 2 + 2).take_while(|&y| y < d.ny) {
+                    for z in (cz * 2..cz * 2 + 2).take_while(|&z| z < d.nz) {
                         sum += self.get(x, y, z) as f64;
                         n += 1;
                     }
                 }
             }
             (sum / n as f64) as f32
-        })
+        };
+        let mut data = Vec::with_capacity(cd.len());
+        for cx in 0..cd.nx {
+            for cy in 0..cd.ny {
+                // Coarse cells with all eight children: the four fine rows
+                // as slices, summed in the same order.
+                let full = if cx * 2 + 1 < d.nx && cy * 2 + 1 < d.ny {
+                    let row =
+                        |x: usize, y: usize| self.data[d.idx(x, y, 0)..][..d.nz].chunks_exact(2);
+                    let (x, y) = (cx * 2, cy * 2);
+                    let rows = row(x, y)
+                        .zip(row(x, y + 1))
+                        .zip(row(x + 1, y).zip(row(x + 1, y + 1)));
+                    data.extend(rows.map(|((a, b), (c, e))| {
+                        let mut sum = 0.0f64;
+                        for v in [a[0], a[1], b[0], b[1], c[0], c[1], e[0], e[1]] {
+                            sum += v as f64;
+                        }
+                        (sum / 8.0) as f32
+                    }));
+                    d.nz / 2
+                } else {
+                    0
+                };
+                data.extend((full..cd.nz).map(|cz| mean_of_children(cx, cy, cz)));
+            }
+        }
+        Field3 { dims: cd, data }
     }
 
     /// 2× nearest-neighbour upsampling to exactly `target` extents
@@ -463,6 +481,47 @@ mod tests {
         assert_eq!(c.dims(), Dims3::cube(2));
         for &v in c.data() {
             assert_eq!(v, 2.0);
+        }
+    }
+
+    #[test]
+    fn downsample_rows_match_the_per_cell_definition() {
+        // The definition, one coarse cell at a time through `get`.
+        let per_cell = |f: &Field3| {
+            let d = f.dims();
+            Field3::from_fn(d.div_ceil(2), |cx, cy, cz| {
+                let mut sum = 0.0f64;
+                let mut n = 0u32;
+                for x in (cx * 2..cx * 2 + 2).filter(|&x| x < d.nx) {
+                    for y in (cy * 2..cy * 2 + 2).filter(|&y| y < d.ny) {
+                        for z in (cz * 2..cz * 2 + 2).filter(|&z| z < d.nz) {
+                            sum += f.get(x, y, z) as f64;
+                            n += 1;
+                        }
+                    }
+                }
+                (sum / n as f64) as f32
+            })
+        };
+        for dims in [
+            Dims3::cube(16),
+            Dims3::new(8, 4, 32),
+            Dims3::new(5, 6, 7),
+            Dims3::new(6, 7, 5),
+            Dims3::new(1, 1, 1),
+            Dims3::new(2, 1, 9),
+            Dims3::new(3, 8, 1),
+        ] {
+            // Magnitudes spread over 12 decades, so the summation order shows.
+            let mut f = Field3::from_fn(dims, |x, y, z| {
+                let h = (x * 73 + y * 179 + z * 283) % 97;
+                (h as f32 - 48.0) * 10f32.powi((h % 13) as i32 - 6)
+            });
+            f.data_mut()[dims.len() / 2] = -0.0;
+            let (got, want) = (f.downsample2(), per_cell(&f));
+            assert_eq!(got.dims(), want.dims());
+            let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{dims}");
         }
     }
 

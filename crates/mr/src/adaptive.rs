@@ -6,7 +6,8 @@
 //! and flows into the same merge/pad/compress pipeline.
 
 use crate::types::{LevelData, MultiResData, UnitBlock};
-use hqmr_grid::{BlockGrid, Dims3, Field3};
+use hqmr_grid::{BlockGrid, BlockRef, Dims3, Field3};
+use rayon::prelude::*;
 
 /// ROI extraction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,21 +61,33 @@ pub fn to_adaptive(field: &Field3, cfg: &RoiConfig) -> MultiResData {
         is_roi[i] = true;
     }
 
+    // Every block is cut out (and the non-ROI ones averaged down) on its
+    // own; the fan-out keeps block order, which the levels inherit.
+    let blocks: Vec<(BlockRef, bool)> = grid.iter().zip(is_roi).collect();
+    let units: Vec<UnitBlock> = blocks
+        .par_iter()
+        .map(|&(blk, is_roi)| {
+            let cube = field.extract_box(blk.origin, Dims3::cube(cfg.block));
+            if is_roi {
+                UnitBlock {
+                    origin: blk.origin,
+                    data: cube.into_vec(),
+                }
+            } else {
+                UnitBlock {
+                    origin: blk.origin.map(|o| o / 2),
+                    data: cube.downsample2().into_vec(),
+                }
+            }
+        })
+        .collect();
     let mut fine_blocks = Vec::with_capacity(roi.len());
-    let mut coarse_blocks = Vec::with_capacity(grid.num_blocks() - roi.len());
-    for (i, blk) in grid.iter().enumerate() {
-        let cube = field.extract_box(blk.origin, Dims3::cube(cfg.block));
-        if is_roi[i] {
-            fine_blocks.push(UnitBlock {
-                origin: blk.origin,
-                data: cube.into_vec(),
-            });
+    let mut coarse_blocks = Vec::with_capacity(blocks.len() - roi.len());
+    for (unit, (_, is_roi)) in units.into_iter().zip(blocks) {
+        if is_roi {
+            fine_blocks.push(unit);
         } else {
-            let down = cube.downsample2();
-            coarse_blocks.push(UnitBlock {
-                origin: [blk.origin[0] / 2, blk.origin[1] / 2, blk.origin[2] / 2],
-                data: down.into_vec(),
-            });
+            coarse_blocks.push(unit);
         }
     }
 

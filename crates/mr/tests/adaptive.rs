@@ -199,3 +199,129 @@ fn non_cubic_domains_partition_cleanly() {
     let coarse = mr.levels[1].blocks.len() * 4usize.pow(3);
     assert_eq!(fine + coarse * 8, f.len());
 }
+
+/// `to_adaptive` as first written — one block after another, every cell
+/// through `Field3::get`, children summed `dx`, `dy`, `dz` in `f64` — kept as
+/// the oracle the row-slice, fanned-out product code must equal bit for bit.
+fn to_adaptive_per_cell(f: &Field3, cfg: &RoiConfig) -> hqmr_mr::MultiResData {
+    use hqmr_mr::{LevelData, MultiResData, UnitBlock};
+    let b = cfg.block;
+    let grid = BlockGrid::new(f.dims(), b);
+    let blocks: Vec<_> = grid.iter().collect();
+    let ranges: Vec<f32> = blocks
+        .iter()
+        .map(|blk| {
+            let (mut mn, mut mx) = (f32::INFINITY, f32::NEG_INFINITY);
+            for x in 0..b {
+                for y in 0..b {
+                    for z in 0..b {
+                        let v = f.get(blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
+                        mn = mn.min(v);
+                        mx = mx.max(v);
+                    }
+                }
+            }
+            mx - mn
+        })
+        .collect();
+    let k = (ranges.len() as f64 * cfg.frac.clamp(0.0, 1.0)).round() as usize;
+    let mut order: Vec<usize> = (0..ranges.len()).collect();
+    order.sort_by(|&i, &j| {
+        ranges[j]
+            .partial_cmp(&ranges[i])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(i.cmp(&j))
+    });
+    let mut is_roi = vec![false; blocks.len()];
+    for &i in &order[..k] {
+        is_roi[i] = true;
+    }
+    let (mut fine, mut coarse) = (Vec::new(), Vec::new());
+    for (blk, is_roi) in blocks.iter().zip(is_roi) {
+        let o = blk.origin;
+        if is_roi {
+            let data = Field3::from_fn(Dims3::cube(b), |x, y, z| {
+                f.get(o[0] + x, o[1] + y, o[2] + z)
+            });
+            fine.push(UnitBlock {
+                origin: o,
+                data: data.into_vec(),
+            });
+        } else {
+            let data = Field3::from_fn(Dims3::cube(b / 2), |cx, cy, cz| {
+                let mut sum = 0.0f64;
+                for dx in 0..2 {
+                    for dy in 0..2 {
+                        for dz in 0..2 {
+                            sum += f.get(o[0] + cx * 2 + dx, o[1] + cy * 2 + dy, o[2] + cz * 2 + dz)
+                                as f64;
+                        }
+                    }
+                }
+                (sum / 8.0) as f32
+            });
+            coarse.push(UnitBlock {
+                origin: [o[0] / 2, o[1] / 2, o[2] / 2],
+                data: data.into_vec(),
+            });
+        }
+    }
+    MultiResData {
+        domain: f.dims(),
+        levels: vec![
+            LevelData {
+                level: 0,
+                unit: b,
+                dims: f.dims(),
+                blocks: fine,
+            },
+            LevelData {
+                level: 1,
+                unit: b / 2,
+                dims: f.dims().div_ceil(2),
+                blocks: coarse,
+            },
+        ],
+    }
+}
+
+#[test]
+fn to_adaptive_matches_the_serial_per_cell_oracle() {
+    // Cubes, an elongated domain, and block counts that are not powers of
+    // two (so the fan-out's groups are uneven); smooth, spiky and tied
+    // ranges (constant blocks: the index tie-break decides).
+    let warpx = |d: Dims3| hqmr_grid::synth::warpx_like(d, 20240917);
+    let cases: Vec<(Field3, RoiConfig)> = vec![
+        (corner_spike_field(32), RoiConfig::new(8, 0.25)),
+        (warpx(Dims3::cube(32)), RoiConfig::new(16, 0.5)),
+        (warpx(Dims3::new(16, 16, 128)), RoiConfig::paper_default()),
+        (warpx(Dims3::new(24, 40, 8)), RoiConfig::new(8, 0.5)),
+        (warpx(Dims3::new(8, 24, 56)), RoiConfig::new(8, 0.3)),
+        (
+            Field3::from_fn(Dims3::new(16, 8, 24), |x, _, z| {
+                ((x / 8) * 3 + z / 8) as f32
+            }),
+            RoiConfig::new(8, 0.5),
+        ),
+    ];
+    for (f, cfg) in cases {
+        let (got, want) = (to_adaptive(&f, &cfg), to_adaptive_per_cell(&f, &cfg));
+        assert_eq!(got.domain, want.domain);
+        assert_eq!(got.levels.len(), want.levels.len());
+        for (g, w) in got.levels.iter().zip(&want.levels) {
+            assert_eq!((g.level, g.unit, g.dims), (w.level, w.unit, w.dims));
+            assert_eq!(
+                g.blocks.len(),
+                w.blocks.len(),
+                "{} level {}",
+                f.dims(),
+                g.level
+            );
+            for (gb, wb) in g.blocks.iter().zip(&w.blocks) {
+                assert_eq!(gb.origin, wb.origin, "{} level {}", f.dims(), g.level);
+                let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&gb.data), bits(&wb.data), "block at {:?}", gb.origin);
+            }
+        }
+    }
+}

@@ -1,5 +1,15 @@
 //! Isosurface extraction and surface-feature analysis.
+//!
+//! Both cell kernels — the crossing mask behind the feature statistics and
+//! the marching-tetrahedra mesh — run on the crate's shared cell walk: each
+//! vertex is compared with the isovalue once per plane, and a row of cells
+//! is looked at only if its four vertex rows do not all sit on one side.
+//! The mesh builder then spends position, interpolation and dedup work on
+//! crossing cells alone, and a tetrahedron allocates nothing. Masks and
+//! meshes (vertex order, indices, triangle order) are those of visiting
+//! every cell, which `tests/kernel_equivalence.rs` holds them to.
 
+use crate::cells::{cell_dims, cell_rows, corner_values, walk_active_rows, Side, CORNERS};
 use hqmr_grid::{Dims3, Field3};
 
 /// A triangle mesh: flat vertex positions and triangle index triples.
@@ -19,46 +29,52 @@ impl IsoMesh {
 }
 
 /// Returns, for every cell `(nx−1)·(ny−1)·(nz−1)`, whether the isosurface
-/// crosses it (i.e. its 8 corners straddle `iso`). Cell index layout follows
-/// `Dims3::idx` over the cell grid.
+/// crosses it (i.e. its 8 corners straddle `iso`; a NaN corner counts as
+/// below). Cell index layout follows `Dims3::idx` over the cell grid.
 pub fn cell_crossings(field: &Field3, iso: f32) -> (Dims3, Vec<bool>) {
     let d = field.dims();
-    let cd = Dims3::new(
-        d.nx.saturating_sub(1),
-        d.ny.saturating_sub(1),
-        d.nz.saturating_sub(1),
-    );
+    let cd = cell_dims(d);
     let mut out = vec![false; cd.len()];
-    for x in 0..cd.nx {
-        for y in 0..cd.ny {
-            for z in 0..cd.nz {
-                let mut above = false;
-                let mut below = false;
-                for (dx, dy, dz) in CORNERS {
-                    let v = field.get(x + dx, y + dy, z + dz);
-                    if v >= iso {
-                        above = true;
-                    } else {
-                        below = true;
-                    }
-                }
-                out[cd.idx(x, y, z)] = above && below;
-            }
+    for_each_crossing_row(field, iso, |x, y, sides| {
+        let cells = &mut out[cd.idx(x, y, 0)..][..cd.nz];
+        for (z, cell) in cells.iter_mut().enumerate() {
+            *cell = straddles(&sides, z);
         }
-    }
+    });
     (cd, out)
 }
 
-const CORNERS: [(usize, usize, usize); 8] = [
-    (0, 0, 0),
-    (1, 0, 0),
-    (0, 1, 0),
-    (1, 1, 0),
-    (0, 0, 1),
-    (1, 0, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-];
+/// Runs `visit(x, y, sides)` over every cell row `(x, y, ·)` that can hold a
+/// crossing, in `x`, then `y`, order; `sides` are the row's four vertex rows
+/// as `v >= iso` flags (see [`straddles`]). Rows of cells whose vertices all
+/// sit on one side are skipped.
+fn for_each_crossing_row(field: &Field3, iso: f32, visit: impl FnMut(usize, usize, [&[u8]; 4])) {
+    let d = field.dims();
+    if d.nx < 2 || d.ny < 2 || d.nz < 2 {
+        return;
+    }
+    let side_row = |values: &[f32], above: &mut [u8]| {
+        let mut n_above = 0usize;
+        for (a, &v) in above.iter_mut().zip(values) {
+            *a = (v >= iso) as u8;
+            n_above += *a as usize;
+        }
+        match n_above {
+            0 => Side::Below,
+            n if n == values.len() => Side::Above,
+            _ => Side::Mixed,
+        }
+    };
+    walk_active_rows(field, 0..d.nx - 1, side_row, visit);
+}
+
+/// Whether cell `z` of a row quadruple of `v >= iso` flags has corners on
+/// both sides.
+#[inline]
+fn straddles(sides: &[&[u8]; 4], z: usize) -> bool {
+    let n_above: u8 = corner_values(sides, z).iter().sum();
+    n_above != 0 && n_above != 8
+}
 
 /// One connected component of surface-crossing cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,13 +195,13 @@ const TETS: [[usize; 4]; 6] = [
 /// Extracts a watertight isosurface mesh by marching tetrahedra.
 ///
 /// Vertices land on cell edges at the linear interpolation of the isovalue;
-/// each tetrahedron contributes 0, 1, or 2 triangles.
+/// each tetrahedron contributes 0, 1, or 2 triangles. Cells are visited in
+/// `x`, `y`, `z` order, and only those the surface crosses (a cell with all
+/// eight corners on one side holds no triangle); a NaN corner counts as
+/// below the isovalue, as in [`cell_crossings`].
 pub fn extract_isosurface(field: &Field3, iso: f32) -> IsoMesh {
     let d = field.dims();
     let mut mesh = IsoMesh::default();
-    if d.nx < 2 || d.ny < 2 || d.nz < 2 {
-        return mesh;
-    }
     // Vertex dedup on quantized edge midpoints keeps the mesh watertight
     // without a full edge map (adjacent tets share interpolated positions
     // bit-exactly because the lerp inputs are identical).
@@ -202,30 +218,26 @@ pub fn extract_isosurface(field: &Field3, iso: f32) -> IsoMesh {
         })
     };
 
-    for cx in 0..d.nx - 1 {
-        for cy in 0..d.ny - 1 {
-            for cz in 0..d.nz - 1 {
-                let corner_pos: [[f32; 3]; 8] = std::array::from_fn(|i| {
-                    let (dx, dy, dz) = CORNERS[i];
-                    [(cx + dx) as f32, (cy + dy) as f32, (cz + dz) as f32]
-                });
-                let corner_val: [f32; 8] = std::array::from_fn(|i| {
-                    let (dx, dy, dz) = CORNERS[i];
-                    field.get(cx + dx, cy + dy, cz + dz)
-                });
-                for tet in TETS {
-                    march_tet(
-                        &corner_pos,
-                        &corner_val,
-                        tet,
-                        iso,
-                        &mut mesh,
-                        &mut add_vertex,
-                    );
-                }
+    for_each_crossing_row(field, iso, |cx, cy, sides| {
+        let values = cell_rows(field.data(), d.ny, d.nz, cx, cy);
+        for cz in (0..d.nz - 1).filter(|&cz| straddles(&sides, cz)) {
+            let corner_pos: [[f32; 3]; 8] = std::array::from_fn(|i| {
+                let (dx, dy, dz) = CORNERS[i];
+                [(cx + dx) as f32, (cy + dy) as f32, (cz + dz) as f32]
+            });
+            let corner_val = corner_values(&values, cz);
+            for tet in TETS {
+                march_tet(
+                    &corner_pos,
+                    &corner_val,
+                    tet,
+                    iso,
+                    &mut mesh,
+                    &mut add_vertex,
+                );
             }
         }
-    }
+    });
     mesh
 }
 
@@ -259,33 +271,48 @@ fn march_tet(
     mesh: &mut IsoMesh,
     add_vertex: &mut impl FnMut(&mut IsoMesh, [f32; 3]) -> u32,
 ) {
-    let inside: Vec<usize> = tet.iter().copied().filter(|&i| val[i] >= iso).collect();
-    let outside: Vec<usize> = tet.iter().copied().filter(|&i| val[i] < iso).collect();
-    match inside.len() {
+    // The tet's corners split by side, each side in `tet` order: the first
+    // `n_in` entries of `inside`, the first `n_out = 4 − n_in` of `outside`.
+    let mut inside = [0usize; 4];
+    let mut outside = [0usize; 4];
+    let (mut n_in, mut n_out) = (0, 0);
+    for i in tet {
+        if val[i] >= iso {
+            inside[n_in] = i;
+            n_in += 1;
+        } else {
+            outside[n_out] = i;
+            n_out += 1;
+        }
+    }
+    let mut edge =
+        |a: usize, b: usize| add_vertex(mesh, lerp_edge(pos[a], val[a], pos[b], val[b], iso));
+    match n_in {
         0 | 4 => {}
         1 | 3 => {
             // One vertex isolated: a single triangle on the three edges from it.
-            let (apex, base) = if inside.len() == 1 {
+            let (apex, base) = if n_in == 1 {
                 (inside[0], outside)
             } else {
                 (outside[0], inside)
             };
-            let v: Vec<u32> = base
-                .iter()
-                .map(|&b| add_vertex(mesh, lerp_edge(pos[apex], val[apex], pos[b], val[b], iso)))
-                .collect();
+            let v = [
+                edge(apex, base[0]),
+                edge(apex, base[1]),
+                edge(apex, base[2]),
+            ];
             if v[0] != v[1] && v[1] != v[2] && v[0] != v[2] {
-                mesh.triangles.push([v[0], v[1], v[2]]);
+                mesh.triangles.push(v);
             }
         }
         2 => {
             // Two/two split: a quad on the four crossing edges → two triangles.
             let (a, b) = (inside[0], inside[1]);
             let (c, d2) = (outside[0], outside[1]);
-            let q0 = add_vertex(mesh, lerp_edge(pos[a], val[a], pos[c], val[c], iso));
-            let q1 = add_vertex(mesh, lerp_edge(pos[a], val[a], pos[d2], val[d2], iso));
-            let q2 = add_vertex(mesh, lerp_edge(pos[b], val[b], pos[d2], val[d2], iso));
-            let q3 = add_vertex(mesh, lerp_edge(pos[b], val[b], pos[c], val[c], iso));
+            let q0 = edge(a, c);
+            let q1 = edge(a, d2);
+            let q2 = edge(b, d2);
+            let q3 = edge(b, c);
             if q0 != q1 && q1 != q2 && q0 != q2 {
                 mesh.triangles.push([q0, q1, q2]);
             }

@@ -12,7 +12,12 @@
 //!   with spatial correlation.
 //! * [`render`] — 2-D slice rendering with colormaps and PPM output for the
 //!   visual-comparison figures.
+//!
+//! The cell kernels of [`iso`] and [`pmc`] share one walk over the grid (the
+//! private `cells` module): a vertex is evaluated once per plane, and a cell
+//! is visited only if its corners can disagree.
 
+mod cells;
 pub mod iso;
 pub mod pmc;
 pub mod render;

@@ -10,7 +10,26 @@
 //! With independent corners both terms are products of per-corner normal
 //! CDFs (the closed form below); the Monte-Carlo variant adds a shared
 //! correlation term, following Pöthkow et al.'s correlated model.
+//!
+//! # How the closed form runs
+//!
+//! A vertex's `P(value < iso) = Φ((iso − μ)/σ)` does not depend on which of
+//! its eight cells asks, so it is computed once per vertex, into two rolling
+//! `ny×nz` planes (the crate's shared cell walk), and a cell multiplies the
+//! eight stored values in corner order. Most vertices need no `exp` at all:
+//! [`gaussian_cdf`] is *exactly* 1.0 or 0.0 once `|t| ≥ 6√2 ≈ 8.49` (see
+//! [`CERTAIN`]), so those are written as constants, and a row whose vertices
+//! are all certainly below — or all certainly above — is remembered as such.
+//! Four agreeing rows make every cell between them `1 − 1 − 0 = 0` (or
+//! `1 − 0 − 1`), which the zero-initialised output already holds, so those
+//! cells are never visited. None of this is an approximation: the output is
+//! bit-identical to evaluating all eight CDFs per cell, which
+//! `tests/kernel_equivalence.rs` holds it to. The Monte-Carlo arm has no such
+//! structure to exploit — its cost is the `9·samples` normal draws per cell,
+//! and its seeded output is pinned sample for sample — so it keeps its
+//! per-slab loop and RNG streams.
 
+use crate::cells::{cell_dims, cell_rows, corner_values, walk_active_rows, Side};
 use hqmr_grid::{Dims3, Field3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +61,10 @@ impl PmcConfig {
     }
 
     /// Monte-Carlo with shared correlation `rho` across the cell's corners.
+    ///
+    /// # Panics
+    /// Panics if `rho` is outside `[0, 1]` or `samples` is zero (a cell's
+    /// probability is `crossings / samples`).
     pub fn correlated(
         iso: f32,
         mean: f64,
@@ -51,6 +74,7 @@ impl PmcConfig {
         seed: u64,
     ) -> Self {
         assert!((0.0..=1.0).contains(&rho), "rho must be in [0,1]");
+        assert!(samples > 0, "Monte-Carlo PMC needs at least one sample");
         PmcConfig {
             iso,
             sigma,
@@ -78,51 +102,85 @@ fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-const CORNERS: [(usize, usize, usize); 8] = [
-    (0, 0, 0),
-    (1, 0, 0),
-    (0, 1, 0),
-    (1, 1, 0),
-    (0, 0, 1),
-    (1, 0, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-];
+/// `|t|` at and beyond which [`gaussian_cdf`] is exactly 0.0 (`t < 0`) or
+/// 1.0 (`t > 0`), so a vertex that far from the isovalue needs no `exp`.
+///
+/// Proof: for `x = |t|/√2 ≥ 6` the 7.1.26 tail `poly·exp(−x²)` is below
+/// `0.1·e⁻³⁶ ≈ 2.3·10⁻¹⁷ < 2⁻⁵⁴`, less than half an ulp of 1.0, so
+/// `1 − tail` rounds to exactly 1.0, `erf` returns ±1.0 and the CDF
+/// `0.5·(1 ± 1)` is exactly 1.0 or 0.0. That holds from `|t| = 6√2 ≈ 8.485`;
+/// 8.6 leaves a margin, and `tests/kernel_equivalence.rs` checks the claim
+/// point by point.
+pub const CERTAIN: f64 = 8.6;
+
+/// Cell slabs (along `x`) per parallel task of the closed form. Each task
+/// evaluates one vertex plane its neighbour also evaluates; fixed, so the
+/// split does not depend on the machine.
+const TASK_SLABS: usize = 8;
 
 /// Computes the per-cell crossing probability field (cell grid dims returned
-/// alongside). Probabilities are in `[0, 1]`.
+/// alongside). Probabilities are in `[0, 1]`, with one exception: under the
+/// closed form a NaN vertex makes the (up to eight) cells around it NaN — the
+/// clamp passes NaN through — while the Monte-Carlo arm counts a NaN sample
+/// as below the isovalue.
 pub fn crossing_probability_field(field: &Field3, cfg: &PmcConfig) -> (Dims3, Vec<f32>) {
     let d = field.dims();
-    let cd = Dims3::new(
-        d.nx.saturating_sub(1),
-        d.ny.saturating_sub(1),
-        d.nz.saturating_sub(1),
-    );
+    let cd = cell_dims(d);
     if cd.is_empty() {
         return (cd, Vec::new());
     }
     let sigma = cfg.sigma.max(1e-300);
+    let iso = cfg.iso as f64;
     let mut out = vec![0f32; cd.len()];
     match cfg.monte_carlo {
         None => {
-            out.par_chunks_mut(cd.ny * cd.nz)
+            // P(vertex < iso), once per vertex of each plane a task touches.
+            let p_below_row = |values: &[f32], p: &mut [f64]| {
+                let (mut below, mut above) = (true, true);
+                for (t, &v) in p.iter_mut().zip(values) {
+                    *t = (iso - (v as f64 + cfg.mean)) / sigma;
+                    below &= *t >= CERTAIN;
+                    above &= *t <= -CERTAIN;
+                }
+                if below {
+                    p.fill(1.0);
+                    Side::Below
+                } else if above {
+                    p.fill(0.0);
+                    Side::Above
+                } else {
+                    // NaN is on neither side of the cut-off and flows
+                    // through the CDF like any uncertain vertex.
+                    for t in p {
+                        *t = if *t >= CERTAIN {
+                            1.0
+                        } else if *t <= -CERTAIN {
+                            0.0
+                        } else {
+                            gaussian_cdf(*t)
+                        };
+                    }
+                    Side::Mixed
+                }
+            };
+            out.par_chunks_mut(TASK_SLABS * cd.ny * cd.nz)
                 .enumerate()
-                .for_each(|(x, slab)| {
-                    for y in 0..cd.ny {
-                        for z in 0..cd.nz {
-                            // P(corner < iso) per corner; independence ⇒ products.
+                .for_each(|(task, out)| {
+                    let x0 = task * TASK_SLABS;
+                    let slabs = x0..x0 + out.len() / (cd.ny * cd.nz);
+                    walk_active_rows(field, slabs, p_below_row, |x, y, rows| {
+                        let cells = &mut out[((x - x0) * cd.ny + y) * cd.nz..][..cd.nz];
+                        for (z, cell) in cells.iter_mut().enumerate() {
+                            // Independence ⇒ products over the corners.
                             let mut p_all_below = 1.0f64;
                             let mut p_all_above = 1.0f64;
-                            for (dx, dy, dz) in CORNERS {
-                                let mu = field.get(x + dx, y + dy, z + dz) as f64 + cfg.mean;
-                                let p_below = gaussian_cdf((cfg.iso as f64 - mu) / sigma);
+                            for p_below in corner_values(&rows, z) {
                                 p_all_below *= p_below;
                                 p_all_above *= 1.0 - p_below;
                             }
-                            slab[y * cd.nz + z] =
-                                (1.0 - p_all_below - p_all_above).clamp(0.0, 1.0) as f32;
+                            *cell = (1.0 - p_all_below - p_all_above).clamp(0.0, 1.0) as f32;
                         }
-                    }
+                    });
                 });
         }
         Some((rho, samples, seed)) => {
@@ -137,12 +195,10 @@ pub fn crossing_probability_field(field: &Field3, cfg: &PmcConfig) -> (Dims3, Ve
                         let u2: f64 = rng.gen_range(0.0..1.0);
                         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
                     };
-                    for y in 0..cd.ny {
-                        for z in 0..cd.nz {
-                            let mus: [f64; 8] = std::array::from_fn(|i| {
-                                let (dx, dy, dz) = CORNERS[i];
-                                field.get(x + dx, y + dy, z + dz) as f64 + cfg.mean
-                            });
+                    for (y, cells) in slab.chunks_exact_mut(cd.nz).enumerate() {
+                        let rows = cell_rows(field.data(), d.ny, d.nz, x, y);
+                        for (z, cell) in cells.iter_mut().enumerate() {
+                            let mus = corner_values(&rows, z).map(|v| v as f64 + cfg.mean);
                             let mut crossings = 0usize;
                             for _ in 0..samples {
                                 let shared = normal();
@@ -150,7 +206,7 @@ pub fn crossing_probability_field(field: &Field3, cfg: &PmcConfig) -> (Dims3, Ve
                                 let mut below = false;
                                 for mu in mus {
                                     let v = mu + sigma * (sr * shared + si * normal());
-                                    if v >= cfg.iso as f64 {
+                                    if v >= iso {
                                         above = true;
                                     } else {
                                         below = true;
@@ -160,7 +216,7 @@ pub fn crossing_probability_field(field: &Field3, cfg: &PmcConfig) -> (Dims3, Ve
                                     crossings += 1;
                                 }
                             }
-                            slab[y * cd.nz + z] = crossings as f32 / samples as f32;
+                            *cell = crossings as f32 / samples as f32;
                         }
                     }
                 });
@@ -237,6 +293,13 @@ mod tests {
             .map(|(&a, &b)| (a - b).abs())
             .fold(0f32, f32::max);
         assert!(max_dev < 0.06, "max deviation {max_dev}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sample")]
+    fn monte_carlo_rejects_zero_samples() {
+        // 0 crossings / 0 samples would be a field of NaN "probabilities".
+        PmcConfig::correlated(3.5, 0.0, 1.0, 0.5, 0, 7);
     }
 
     #[test]
