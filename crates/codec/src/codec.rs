@@ -89,6 +89,12 @@ impl From<ContainerError> for CodecError {
 ///   [`CodecError::WrongStreamId`] — never a panic.
 ///
 /// The trait is dyn-safe: the MR engine dispatches through `&dyn Codec`.
+///
+/// A new backend implements [`Codec::id`], [`Codec::name`],
+/// [`Codec::compress`] and [`Codec::decompress`]; the `_into` variants and
+/// [`Codec::compress_with_recon`] are provided, and overriding any of them is
+/// an optimisation that must not change a byte or a bit of what the required
+/// pair produces.
 pub trait Codec: Send + Sync {
     /// Four-byte stream id (e.g. `tag(b"SZ3S")`), unique per backend.
     fn id(&self) -> u32;
@@ -120,6 +126,37 @@ pub trait Codec: Send + Sync {
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         *out = self.decompress(bytes)?;
         Ok(())
+    }
+
+    /// [`Codec::compress_into`] that also hands back, in the caller-owned
+    /// `recon` (reshaped, its allocation reused), the field a reader of the
+    /// stream will see: after `Ok(())`, `recon` is **bit for bit** (`to_bits`
+    /// of every cell, NaN payloads included, and the dims) what
+    /// `decompress_into(out, ..)` produces. Closed-loop writers — the
+    /// temporal store predicts frame *t + 1* from frame *t* as decoded — take
+    /// their prediction base from here instead of decoding what they have
+    /// just encoded.
+    ///
+    /// This is a *provided* method: the default body is `compress_into`
+    /// followed by `decompress_into`, so a backend that implements only the
+    /// required methods satisfies the contract by construction, at the price
+    /// of one decode per call. A prediction-based backend already holds the
+    /// reconstruction when its compress pass ends (it predicts from it) and
+    /// may override this to hand that buffer out — sz3 and sz2 do — but only
+    /// if the equality above holds for *every* input: outliers, NaN, ±∞,
+    /// one-cell arrays. `tests/codec_roundtrip.rs` and the default-path
+    /// differential in `tests/temporal_props.rs` hold every registered
+    /// backend to it. An `Err` is the backend failing to decode its own
+    /// stream, which only the default body can report.
+    fn compress_with_recon(
+        &self,
+        field: &Field3,
+        eb: f64,
+        out: &mut Vec<u8>,
+        recon: &mut Field3,
+    ) -> Result<(), CodecError> {
+        self.compress_into(field, eb, out);
+        self.decompress_into(out, recon)
     }
 }
 

@@ -91,6 +91,15 @@ impl Field3 {
         self.data.resize(dims.len(), fill);
     }
 
+    /// Makes this field a copy of `src` — dims and cells — reusing the
+    /// existing allocation: [`Self::reshape`] for callers that overwrite
+    /// every cell anyway.
+    pub fn copy_from(&mut self, src: &Field3) {
+        self.dims = src.dims;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// Value at `(x, y, z)`.
     #[inline]
     pub fn get(&self, x: usize, y: usize, z: usize) -> f32 {
@@ -149,9 +158,28 @@ impl Field3 {
     /// Out-of-range cells are edge-clamped (used when blocks overhang the
     /// domain edge).
     pub fn extract_box(&self, origin: [usize; 3], size: Dims3) -> Field3 {
-        let mut data = vec![0f32; size.len()];
-        self.extract_box_into(origin, size, &mut data);
+        let mut data = Vec::with_capacity(size.len());
+        if self.contains_box(origin, size) {
+            // Fully inside: the rows appended as they lie, each cell written
+            // once (no zero fill ahead of the copy).
+            for x in 0..size.nx {
+                for y in 0..size.ny {
+                    let src = self.dims.idx(origin[0] + x, origin[1] + y, origin[2]);
+                    data.extend_from_slice(&self.data[src..src + size.nz]);
+                }
+            }
+        } else {
+            data.resize(size.len(), 0.0);
+            self.extract_box_into(origin, size, &mut data);
+        }
         Field3 { dims: size, data }
+    }
+
+    /// Whether the box `[origin, origin+size)` lies wholly inside the field.
+    fn contains_box(&self, origin: [usize; 3], size: Dims3) -> bool {
+        origin[0] + size.nx <= self.dims.nx
+            && origin[1] + size.ny <= self.dims.ny
+            && origin[2] + size.nz <= self.dims.nz
     }
 
     /// [`Self::extract_box`] into a caller-owned buffer of exactly
@@ -162,10 +190,7 @@ impl Field3 {
     /// Panics if `out.len() != size.len()`.
     pub fn extract_box_into(&self, origin: [usize; 3], size: Dims3, out: &mut [f32]) {
         assert_eq!(out.len(), size.len(), "output buffer does not match {size}");
-        let interior = origin[0] + size.nx <= self.dims.nx
-            && origin[1] + size.ny <= self.dims.ny
-            && origin[2] + size.nz <= self.dims.nz;
-        if interior {
+        if self.contains_box(origin, size) {
             // Fully inside: straight row copies, no clamping arithmetic.
             for x in 0..size.nx {
                 for y in 0..size.ny {
@@ -285,17 +310,32 @@ impl Field3 {
     /// 2× average downsampling (each coarse cell is the mean of its ≤8 fine
     /// children; odd extents round up and edge cells average fewer children).
     pub fn downsample2(&self) -> Field3 {
-        let d = self.dims;
+        self.downsample2_box([0; 3], self.dims)
+    }
+
+    /// `self.extract_box(origin, size).downsample2()`, bit for bit, without
+    /// the intermediate cube when the box lies inside the field: the fine
+    /// rows are read where they are. A box that overhangs the domain is
+    /// edge-clamped by [`Self::extract_box`] first, as before.
+    pub fn downsample2_box(&self, origin: [usize; 3], size: Dims3) -> Field3 {
+        if !self.contains_box(origin, size) {
+            return self.extract_box(origin, size).downsample2();
+        }
+        let d = size;
         let cd = d.div_ceil(2);
+        // Row `(x, y)` of the box: `d.nz` cells along `z`.
+        let row = |x: usize, y: usize| {
+            &self.data[self.dims.idx(origin[0] + x, origin[1] + y, origin[2])..][..d.nz]
+        };
         // Any coarse cell: its children summed `dx`, `dy`, `dz` (slowest to
-        // fastest) in f64, those outside the domain left out.
+        // fastest) in f64, those outside the box left out.
         let mean_of_children = |cx: usize, cy: usize, cz: usize| {
             let mut sum = 0.0f64;
             let mut n = 0u32;
             for x in (cx * 2..cx * 2 + 2).take_while(|&x| x < d.nx) {
                 for y in (cy * 2..cy * 2 + 2).take_while(|&y| y < d.ny) {
-                    for z in (cz * 2..cz * 2 + 2).take_while(|&z| z < d.nz) {
-                        sum += self.get(x, y, z) as f64;
+                    for &v in row(x, y)[cz * 2..].iter().take(2) {
+                        sum += v as f64;
                         n += 1;
                     }
                 }
@@ -308,12 +348,11 @@ impl Field3 {
                 // Coarse cells with all eight children: the four fine rows
                 // as slices, summed in the same order.
                 let full = if cx * 2 + 1 < d.nx && cy * 2 + 1 < d.ny {
-                    let row =
-                        |x: usize, y: usize| self.data[d.idx(x, y, 0)..][..d.nz].chunks_exact(2);
+                    let pairs = |x: usize, y: usize| row(x, y).chunks_exact(2);
                     let (x, y) = (cx * 2, cy * 2);
-                    let rows = row(x, y)
-                        .zip(row(x, y + 1))
-                        .zip(row(x + 1, y).zip(row(x + 1, y + 1)));
+                    let rows = pairs(x, y)
+                        .zip(pairs(x, y + 1))
+                        .zip(pairs(x + 1, y).zip(pairs(x + 1, y + 1)));
                     data.extend(rows.map(|((a, b), (c, e))| {
                         let mut sum = 0.0f64;
                         for v in [a[0], a[1], b[0], b[1], c[0], c[1], e[0], e[1]] {
@@ -522,6 +561,21 @@ mod tests {
             assert_eq!(got.dims(), want.dims());
             let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{dims}");
+            // A box averaged where it lies is the box cut out, then
+            // averaged: inside the field, flush with its far corner, and
+            // overhanging it (edge-clamped).
+            for (origin, size) in [
+                ([0; 3], dims),
+                ([1, 0, 1], Dims3::new(2, 1, 4)),
+                ([0, 1, 0], Dims3::new(3, 5, 1)),
+                ([dims.nx / 2, dims.ny / 2, dims.nz / 2], dims.div_ceil(2)),
+                ([dims.nx / 2, 0, dims.nz / 2], dims),
+            ] {
+                let want = per_cell(&f.extract_box(origin, size));
+                let got = f.downsample2_box(origin, size);
+                assert_eq!(got.dims(), want.dims(), "{dims} {origin:?} {size}");
+                assert_eq!(bits(&got), bits(&want), "{dims} {origin:?} {size}");
+            }
         }
     }
 

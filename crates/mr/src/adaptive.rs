@@ -67,16 +67,16 @@ pub fn to_adaptive(field: &Field3, cfg: &RoiConfig) -> MultiResData {
     let units: Vec<UnitBlock> = blocks
         .par_iter()
         .map(|&(blk, is_roi)| {
-            let cube = field.extract_box(blk.origin, Dims3::cube(cfg.block));
+            let size = Dims3::cube(cfg.block);
             if is_roi {
                 UnitBlock {
                     origin: blk.origin,
-                    data: cube.into_vec(),
+                    data: field.extract_box(blk.origin, size).into_vec(),
                 }
             } else {
                 UnitBlock {
                     origin: blk.origin.map(|o| o / 2),
-                    data: cube.downsample2().into_vec(),
+                    data: field.downsample2_box(blk.origin, size).into_vec(),
                 }
             }
         })

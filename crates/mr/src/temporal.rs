@@ -122,8 +122,14 @@ pub fn resample_like(template: &MultiResData, field: &Field3) -> MultiResData {
         let lvl = &template.levels[li];
         let factor = 1usize << lvl.level;
         let fine_origin = lvl.blocks[bi].origin.map(|o| o * factor);
-        let mut cube = field.extract_box(fine_origin, Dims3::cube(lvl.unit * factor));
-        for _ in 0..lvl.level {
+        let size = Dims3::cube(lvl.unit * factor);
+        if lvl.level == 0 {
+            return field.extract_box(fine_origin, size).into_vec();
+        }
+        // The first halving reads the field's own rows; the cube it would
+        // have been cut into is never built.
+        let mut cube = field.downsample2_box(fine_origin, size);
+        for _ in 1..lvl.level {
             cube = cube.downsample2();
         }
         cube.into_vec()
@@ -166,6 +172,70 @@ mod tests {
         let mut fewer = b;
         fewer.levels[0].blocks.pop();
         assert!(!structure_matches(&a, &fewer));
+    }
+
+    /// [`resample_like`] as it was before it fanned out and averaged from
+    /// the field's rows: one block after another, every coarse block cut out
+    /// as a fine cube and halved `level` times.
+    fn resample_like_oracle(template: &MultiResData, field: &Field3) -> MultiResData {
+        let mut out = template.clone();
+        for lvl in &mut out.levels {
+            let factor = 1usize << lvl.level;
+            for b in &mut lvl.blocks {
+                let fine_origin = b.origin.map(|o| o * factor);
+                let mut cube = field.extract_box(fine_origin, Dims3::cube(lvl.unit * factor));
+                for _ in 0..lvl.level {
+                    cube = cube.downsample2();
+                }
+                b.data = cube.into_vec();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resample_is_bit_identical_to_the_serial_cut_then_halve_oracle() {
+        use crate::amr::{to_amr, AmrConfig};
+        // Magnitudes spread over many decades, so a summation order shows.
+        let rough = |dims: Dims3, seed: usize| {
+            Field3::from_fn(dims, |x, y, z| {
+                let h = (x * 73 + y * 179 + z * 283 + seed * 31) % 97;
+                (h as f32 - 48.0) * 10f32.powi((h % 13) as i32 - 6)
+            })
+        };
+        let bits = |mr: &MultiResData| -> Vec<Vec<Vec<u32>>> {
+            (mr.levels.iter())
+                .map(|l| (l.blocks.iter()).map(|b| b.data.iter().map(|v| v.to_bits()).collect()))
+                .map(Iterator::collect)
+                .collect()
+        };
+        for dims in [
+            Dims3::cube(32),
+            Dims3::new(16, 16, 128),
+            Dims3::new(48, 16, 80),
+        ] {
+            let f0 = rough(dims, 0);
+            // Levels 0/1 (ROI), 0/1/2 (AMR), and odd block counts per level.
+            let mut templates = vec![
+                to_adaptive(&f0, &RoiConfig::new(8, 0.5)),
+                to_adaptive(&f0, &RoiConfig::new(16, 0.3)),
+                to_amr(&f0, &AmrConfig::new(16, vec![0.2, 0.3, 0.5])),
+                to_amr(&f0, &AmrConfig::new(8, vec![0.15, 0.85])),
+            ];
+            let mut sparse = templates[0].clone();
+            sparse.levels[0].blocks.truncate(3);
+            sparse.levels[1].blocks.truncate(5);
+            templates.push(sparse);
+            for (k, template) in templates.iter().enumerate() {
+                let f1 = rough(dims, k + 1);
+                let (got, want) = (
+                    resample_like(template, &f1),
+                    resample_like_oracle(template, &f1),
+                );
+                assert!(structure_matches(&got, &want), "{dims} template {k}");
+                assert_eq!(bits(&got), bits(&want), "{dims} template {k}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Core multi-resolution types.
 
 use hqmr_grid::{Dims3, Field3};
+use rayon::prelude::*;
 
 /// One `u³` unit block of a resolution level, in level-local cell coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,21 +89,27 @@ impl MultiResData {
 
     /// A frame of the same structure — levels, units, block origins and
     /// order — whose block values are `data(level index, block index)`: how
-    /// a timestep is poured into an earlier frame's layout, and how a frame
-    /// is turned into its residual against one.
-    pub fn with_block_data(&self, mut data: impl FnMut(usize, usize) -> Vec<f32>) -> Self {
-        let level = |(li, lvl): (usize, &LevelData)| LevelData {
-            blocks: (lvl.blocks.iter().enumerate())
-                .map(|(bi, b)| UnitBlock {
-                    origin: b.origin,
-                    data: data(li, bi),
-                })
-                .collect(),
+    /// a timestep is poured into an earlier frame's layout. Blocks are
+    /// independent, so the fill fans out across cores; order is preserved.
+    pub fn with_block_data(&self, data: impl Fn(usize, usize) -> Vec<f32> + Sync) -> Self {
+        let ids: Vec<(usize, usize)> = (self.levels.iter().enumerate())
+            .flat_map(|(li, lvl)| (0..lvl.blocks.len()).map(move |bi| (li, bi)))
+            .collect();
+        let mut filled = ids
+            .par_iter()
+            .map(|&(li, bi)| UnitBlock {
+                origin: self.levels[li].blocks[bi].origin,
+                data: data(li, bi),
+            })
+            .collect::<Vec<_>>()
+            .into_iter();
+        let level = |lvl: &LevelData| LevelData {
+            blocks: filled.by_ref().take(lvl.blocks.len()).collect(),
             ..*lvl
         };
         MultiResData {
             domain: self.domain,
-            levels: self.levels.iter().enumerate().map(level).collect(),
+            levels: self.levels.iter().map(level).collect(),
         }
     }
 

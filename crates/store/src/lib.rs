@@ -31,12 +31,18 @@
 //! [`temporal::TemporalEncoder`], and through them `hqmr-core`'s in-situ
 //! writers — is produced by one private loop, `encode_frame`: the only code
 //! that fans codec compression over chunks, builds the chunk table and
-//! frames the buffer. It takes the [`prepare_store`]d frame plus an
-//! *optional* second prepared store of residual candidates; absent, every
-//! chunk holds raw values (a snapshot, a keyframe), present, each chunk keeps
-//! whichever of its two streams is smaller ([`temporal`] has the rest). Every
-//! file a writer leaves on disk is published by one function,
-//! [`write_atomic`].
+//! frames the buffer. Its task is a chunk *group* — at most `chunk_blocks`
+//! consecutive blocks of a level — and does the whole trip from blocks to
+//! stream. When the loop owns the frame it merges and pads the group inside
+//! the task, so both cores prepare and no whole-frame prepared copy exists;
+//! [`prepare_store`] + [`encode_prepared_store_into`] remain as the
+//! two-stage form in-situ writers time separately, feeding the same loop
+//! groups that are already prepared. A frame that closes a prediction loop
+//! additionally gets, per chunk, the codec's own reconstruction
+//! ([`hqmr_codec::Codec::compress_with_recon`]) cut into the next frame's
+//! base, and — given a base — a residual candidate beside the raw one, the
+//! smaller stream kept ([`temporal`] has the rest). Every file a writer
+//! leaves on disk is published by one function, [`write_atomic`].
 //!
 //! Every chunk payload carries a CRC-32 checked before the codec runs, so a
 //! flipped bit surfaces as the typed
@@ -96,16 +102,20 @@ pub use temporal::{
 };
 
 use hqmr_codec::kernels;
-use hqmr_codec::{crc32, Codec, NullCodec, NULL_CODEC_ID};
+use hqmr_codec::{crc32, Codec, CodecError, NullCodec, NULL_CODEC_ID};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{prepare_blocks, PreparedLevel};
-use hqmr_mr::{check_slots, LevelData, MergeStrategy, MultiResData, PadKind, Upsample};
+use hqmr_mr::{
+    check_slots, split_blocks, temporal as predict, LevelData, MergeStrategy, MultiResData,
+    PadKind, UnitBlock, Upsample,
+};
 use hqmr_sz2::{Sz2Codec, SZ2_CODEC_ID};
 use hqmr_sz3::{Sz3Codec, SZ3_CODEC_ID};
 use hqmr_zfp::{ZfpCodec, ZFP_CODEC_ID};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -245,88 +255,120 @@ pub fn encode_prepared_store_into(
     codec: &dyn Codec,
     out: &mut Vec<u8>,
 ) {
-    encode_frame(mr, prepared, None, cfg, codec, out);
+    encode_frame(mr, Some(prepared), Loop::Open, cfg, codec, out)
+        .expect("an open loop asks the codec for no reconstruction and cuts none");
+}
+
+/// Whether a frame's encode closes the prediction loop.
+pub(crate) enum Loop<'a> {
+    /// Nothing will be predicted from this frame (a snapshot, a
+    /// prediction-off frame): no reconstruction is asked of the codec.
+    Open,
+    /// The next frame is predicted from this one, so the encode hands back
+    /// the frame as a reader will reconstruct it; given a base — the
+    /// previous frame in that form, of the same block structure — every
+    /// chunk also tries its residual against it.
+    Closed(Option<&'a MultiResData>),
+}
+
+/// One task of the encode loop: at most `chunk_blocks` consecutive blocks of
+/// a level, with their prepared form and their slice of the prediction base
+/// where the frame has them.
+struct Group<'a> {
+    level: usize,
+    blocks: &'a [UnitBlock],
+    prepared: Option<&'a PreparedLevel>,
+    base: Option<&'a [UnitBlock]>,
+}
+
+/// What a task returns: per chunk its table entry (offset not yet assigned),
+/// the winning stream and whether that is a residual; in a closed loop also
+/// the group's blocks as reconstructed, in the group's order.
+struct EncodedGroup {
+    chunks: Vec<(ChunkMeta, Vec<u8>, bool)>,
+    blocks: Vec<UnitBlock>,
+}
+
+thread_local! {
+    /// Per-thread reconstructions of a chunk's raw and residual candidates.
+    static RECON_SCRATCH: RefCell<[Field3; 2]> = RefCell::default();
 }
 
 /// The one chunk-encode loop — every `HQST` buffer, snapshot or temporal
-/// frame, is written here: compress each prepared chunk, build the
-/// directory, frame both into `out` (cleared first). Returns the directory
-/// it framed and, per `(level, chunk)`, whether the chunk holds a residual.
+/// frame, is written here: one parallel trip per chunk group
+/// ([`encode_group`]), then the directory, then both framed into `out`
+/// (cleared first). Returns, per `(level, chunk)`, whether the chunk holds a
+/// residual, and for a closed loop the next prediction base. `prepared`, when given, is [`prepare_store`]'s output
+/// for the same `mr` and `cfg` (Table IV's stage split); otherwise each task
+/// prepares its own group.
 ///
-/// `residual`, when present, is a second [`prepare_store`] over the frame
-/// *minus its prediction base* (same `cfg`, same block structure, hence the
-/// same chunks and layouts as `raw`): each chunk then compresses both
-/// candidates and keeps the smaller stream, the raw one on a tie. Absent,
-/// every flag is `false` and the buffer is an independent snapshot. The
-/// directory describes the actual values either way — layout, and the
-/// min/max isovalue skipping relies on, come from `raw`.
-///
-/// The fan-out is *global*: every chunk of every level joins one work list,
+/// The fan-out is *global*: every group of every level joins one work list,
 /// so a coarse level with a single chunk cannot serialize a round of the
-/// thread pool.
+/// thread pool, and the shim's self-scheduling keeps the cores level though
+/// the list runs from large chunks to small.
 pub(crate) fn encode_frame(
     mr: &MultiResData,
-    raw: &PreparedStore,
-    residual: Option<&PreparedStore>,
+    prepared: Option<&PreparedStore>,
+    closed: Loop<'_>,
     cfg: &StoreConfig,
     codec: &dyn Codec,
     out: &mut Vec<u8>,
-) -> (StoreMeta, FrameFlags) {
-    assert_eq!(raw.len(), mr.levels.len(), "prepared levels mismatch");
-    let mut residuals = residual
-        .into_iter()
-        .flatten()
-        .flatten()
-        .flat_map(PreparedLevel::fields);
-    let inputs: Vec<(&hqmr_mr::MergedArray, &Field3, bool, Option<&Field3>)> = raw
-        .iter()
-        .flatten()
-        .flat_map(|p| p.blocks().map(move |(m, f)| (m, f, p.padded())))
-        .map(|(m, f, padded)| (m, f, padded, residuals.next()))
-        .collect();
+) -> Result<(FrameFlags, Option<MultiResData>), StoreError> {
+    let (want_recon, base) = match closed {
+        Loop::Open => (false, None),
+        Loop::Closed(base) => (true, base),
+    };
+    let per = cfg.chunk_blocks.max(1);
     assert!(
-        residuals.next().is_none() && inputs.iter().all(|i| i.3.is_some() == residual.is_some()),
-        "residual candidates mismatch the raw chunks"
+        prepared.is_none_or(|p| p.len() == mr.levels.len()),
+        "prepared levels mismatch"
     );
-    let streams: Vec<(Vec<u8>, bool)> = inputs
+    let mut groups = Vec::new();
+    for (level, lvl) in mr.levels.iter().enumerate() {
+        let prepared = prepared.map(|p| &p[level]);
+        assert!(
+            prepared.is_none_or(|p| p.len() == lvl.blocks.len().div_ceil(per)),
+            "prepared groups mismatch"
+        );
+        let base = base.map(|b| &b.levels[level].blocks);
+        groups.extend(
+            lvl.blocks
+                .chunks(per)
+                .enumerate()
+                .map(|(gi, blocks)| Group {
+                    level,
+                    blocks,
+                    prepared: prepared.map(|p| &p[gi]),
+                    base: base.map(|b| &b[gi * per..][..blocks.len()]),
+                }),
+        );
+    }
+    let encoded: Vec<Result<EncodedGroup, (usize, CodecError)>> = groups
         .par_iter()
-        .map(|&(_, f, _, rf)| {
-            let mut stream = Vec::new();
-            codec.compress_into(f, cfg.eb, &mut stream);
-            if let Some(rf) = rf {
-                let mut delta = Vec::new();
-                codec.compress_into(rf, cfg.eb, &mut delta);
-                if delta.len() < stream.len() {
-                    return (delta, true);
-                }
-            }
-            (stream, false)
-        })
+        .map(|g| encode_group(g, mr.levels[g.level].unit, want_recon, cfg, codec))
         .collect();
 
     let mut levels = Vec::with_capacity(mr.levels.len());
     let mut flags = Vec::with_capacity(mr.levels.len());
+    let mut next = Vec::with_capacity(mr.levels.len());
     let mut data = Vec::new();
-    let mut it = inputs.into_iter().zip(streams);
-    for (level, preps) in mr.levels.iter().zip(raw) {
-        let n_chunks: usize = preps.iter().map(|p| p.array_count()).sum();
-        let mut chunks = Vec::with_capacity(n_chunks);
-        let mut level_flags = Vec::with_capacity(n_chunks);
-        for ((m, f, padded, _), (stream, is_delta)) in it.by_ref().take(n_chunks) {
-            let (min, max) = m.field.min_max();
-            chunks.push(ChunkMeta {
-                offset: data.len() as u64,
-                len: stream.len(),
-                crc: crc32(&stream),
-                min,
-                max,
-                enc_dims: f.dims(),
-                padded,
-                unit: m.unit,
-                slots: m.slots.clone(),
-            });
-            data.extend_from_slice(&stream);
-            level_flags.push(is_delta);
+    let mut encoded = groups.iter().zip(encoded).peekable();
+    for (li, level) in mr.levels.iter().enumerate() {
+        let (mut chunks, mut level_flags, mut blocks) = (Vec::new(), Vec::new(), Vec::new());
+        while let Some((_, group)) = encoded.next_if(|(g, _)| g.level == li) {
+            // A task numbers chunks from its own first; name the level's.
+            let group = group.map_err(|(i, source)| StoreError::Codec {
+                level: li,
+                block: chunks.len() + i,
+                source,
+            })?;
+            for (mut chunk, stream, is_delta) in group.chunks {
+                chunk.offset = data.len() as u64;
+                data.extend_from_slice(&stream);
+                chunks.push(chunk);
+                level_flags.push(is_delta);
+            }
+            blocks.extend(group.blocks);
         }
         levels.push(LevelMeta {
             level: level.level,
@@ -335,6 +377,7 @@ pub(crate) fn encode_frame(
             chunks,
         });
         flags.push(level_flags);
+        next.push(LevelData { blocks, ..*level });
     }
     let meta = StoreMeta {
         domain: mr.domain,
@@ -343,7 +386,107 @@ pub(crate) fn encode_frame(
         levels,
     };
     format::frame_into(&meta, &data, out);
-    (meta, flags)
+    let next = want_recon.then_some(MultiResData {
+        domain: mr.domain,
+        levels: next,
+    });
+    Ok((flags, next))
+}
+
+/// One group's whole trip from blocks to streams: [`prepare_blocks`] (unless
+/// the group came prepared), compress, CRC. In a closed loop (`want_recon`)
+/// it compresses through [`Codec::compress_with_recon`] and cuts the
+/// reconstruction into unit blocks by the checked slot walk a reader's
+/// decode uses; given a base it prepares the group's residual the same way,
+/// keeps the smaller of the two streams (the raw one on a tie), and restores
+/// a winning residual's blocks onto the base with the chain walk's own
+/// `restore_in_place`. Nothing is decoded: the blocks handed back are what a
+/// reader reconstructs by the codec contract. The table entries describe
+/// the actual values either way — layout, and the min/max isovalue skipping
+/// relies on, come from the raw candidate. An error names the group's chunk
+/// the backend failed its contract on.
+fn encode_group(
+    g: &Group<'_>,
+    unit: usize,
+    want_recon: bool,
+    cfg: &StoreConfig,
+    codec: &dyn Codec,
+) -> Result<EncodedGroup, (usize, CodecError)> {
+    let owned;
+    let raw = match g.prepared {
+        Some(prepared) => prepared,
+        None => {
+            owned = prepare_blocks(g.blocks, unit, cfg.merge, cfg.pad);
+            &owned
+        }
+    };
+    // Same origins, so the same arrays and layouts as `raw`.
+    let residual = g.base.map(|base| {
+        let blocks: Vec<UnitBlock> = (g.blocks.iter().zip(base))
+            .map(|(cur, prev)| UnitBlock {
+                origin: cur.origin,
+                data: predict::residual(&cur.data, &prev.data),
+            })
+            .collect();
+        prepare_blocks(&blocks, unit, cfg.merge, cfg.pad)
+    });
+    // Merges lay blocks out in their own order; they go back in the frame's.
+    let position: BTreeMap<[usize; 3], usize> = (g.blocks.iter().enumerate())
+        .filter(|_| want_recon)
+        .map(|(i, b)| (b.origin, i))
+        .collect();
+    let unfilled = UnitBlock {
+        origin: [0; 3],
+        data: Vec::new(),
+    };
+    let mut blocks = vec![unfilled; position.len()];
+    let mut chunks = Vec::with_capacity(raw.array_count());
+    RECON_SCRATCH.with(|scratch| {
+        let [raw_recon, delta_recon] = &mut *scratch.borrow_mut();
+        for (i, (m, f)) in raw.blocks().enumerate() {
+            let (mut stream, mut is_delta) = (Vec::new(), false);
+            if want_recon {
+                (codec.compress_with_recon(f, cfg.eb, &mut stream, raw_recon))
+                    .map_err(|e| (i, e))?;
+            } else {
+                codec.compress_into(f, cfg.eb, &mut stream);
+            }
+            if let Some(residual) = &residual {
+                let mut delta = Vec::new();
+                (codec.compress_with_recon(residual.field(i), cfg.eb, &mut delta, delta_recon))
+                    .map_err(|e| (i, e))?;
+                if delta.len() < stream.len() {
+                    (stream, is_delta) = (delta, true);
+                }
+            }
+            let (min, max) = m.field.min_max();
+            let chunk = ChunkMeta {
+                offset: 0,
+                len: stream.len(),
+                crc: crc32(&stream),
+                min,
+                max,
+                enc_dims: f.dims(),
+                padded: raw.padded(),
+                unit: m.unit,
+                slots: m.slots.clone(),
+            };
+            if want_recon {
+                let recon = if is_delta { &*delta_recon } else { &*raw_recon };
+                checked_block_cells(recon, &chunk)
+                    .map_err(|why| (i, CodecError::Malformed(why)))?;
+                for mut block in split_blocks(recon, chunk.unit, &chunk.slots) {
+                    let at = position[&block.origin];
+                    if let Some(base) = g.base.filter(|_| is_delta) {
+                        predict::restore_in_place(&mut block.data, &base[at].data);
+                    }
+                    blocks[at] = block;
+                }
+            }
+            chunks.push((chunk, stream, is_delta));
+        }
+        Ok(EncodedGroup { chunks, blocks })
+    })
 }
 
 /// Writes `mr` into a complete in-memory store buffer (both stages).
@@ -379,13 +522,25 @@ pub fn sidecar_bytes_for(store_buf: &[u8], parity_group: usize) -> Option<Vec<u8
     Some(sc.to_bytes())
 }
 
+/// The check before any unit block is cut out of a chunk's reconstruction:
+/// `field` must have the dims the chunk table records, and every slot of the
+/// table's layout must lie inside it ([`check_slots`]). Slot origins, the
+/// unit and the padded flag come from an untrusted chunk table on the read
+/// side; checked against what actually decoded, a crafted store is a typed
+/// error, not a panic. Returns the cells per block.
+fn checked_block_cells(field: &Field3, c: &ChunkMeta) -> Result<usize, &'static str> {
+    if field.dims() != c.enc_dims {
+        return Err("decoded dims mismatch chunk table");
+    }
+    check_slots(field.dims(), c.padded, c.unit, &c.slots)
+}
+
 /// One chunk stream → its decoded slab: the step every consumer of chunk
-/// bytes shares — a reader's fetch, a parity-repaired payload, and the
-/// temporal encoder decoding the streams it has just written. `bytes` must
+/// bytes shares — a reader's fetch and a parity-repaired payload. `bytes` must
 /// already be trusted to be the stream `c` describes (CRC-verified, or never
 /// out of the process); `c` itself may come from an untrusted chunk table.
 /// `at` is the chunk's `(level, block)`, named in a codec error.
-pub(crate) fn decode_stream(
+fn decode_stream(
     codec: &dyn Codec,
     c: &ChunkMeta,
     at: (usize, usize),
@@ -399,14 +554,7 @@ pub(crate) fn decode_stream(
     DECODE_SCRATCH.with(|scratch| {
         let field = &mut *scratch.borrow_mut();
         codec.decompress_into(bytes, field).map_err(codec_err)?;
-        if field.dims() != c.enc_dims {
-            return Err(StoreError::Malformed("decoded dims mismatch chunk table"));
-        }
-        // Slot origins, the unit and the padded flag come from the
-        // untrusted chunk table; checked against what actually decoded,
-        // a crafted store is a typed error, not a panic.
-        let n =
-            check_slots(field.dims(), c.padded, c.unit, &c.slots).map_err(StoreError::Malformed)?;
+        let n = checked_block_cells(field, c).map_err(StoreError::Malformed)?;
         let size = Dims3::cube(c.unit);
         // One contiguous slab for the whole chunk — the unit a cache
         // shares across clients with a single refcount bump — allocated

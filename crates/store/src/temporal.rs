@@ -26,15 +26,21 @@
 //! a keyframe — so every chunk chain is seekable from its nearest keyframe.
 //!
 //! A frame is written by the store's one encode loop (crate docs); the
-//! [`TemporalEncoder`] only decides whether residual candidates ride along,
-//! and builds them by running `frame − base` through the same
-//! `prepare_store` as the frame itself. Its whole state is the base: the
-//! previous frame as a plain `MultiResData`, exactly what
-//! [`TemporalReader::read_frame`] returns for it. After framing, the winning
-//! streams are decoded *from the buffer in hand* — through the one
-//! stream → slab step readers use, delta chunks restored by the one
-//! `restore_in_place` chain walks use — so the base is what a reader will
-//! reconstruct, by construction rather than by a second implementation.
+//! [`TemporalEncoder`] only decides whether the frame closes the loop and
+//! which base, if any, residual candidates are taken against — the loop
+//! builds each chunk group's residual inside that group's task, through the
+//! same `prepare_blocks` as the group itself. The encoder's whole state is
+//! the base: the previous frame as a plain `MultiResData`, exactly what
+//! [`TemporalReader::read_frame`] returns for it. It is the encoder's *own
+//! reconstruction* — each winning stream's
+//! [`Codec::compress_with_recon`] output, cut into unit blocks by the
+//! checked slot walk a reader's decode uses, delta chunks restored by the
+//! `restore_in_place` chain walks use — and nothing is decoded to obtain
+//! it. That it equals a reader's reconstruction bit for bit is the codec
+//! trait's contract, pinned by `tests/golden_stores.rs` (one drifting bit
+//! in a base changes the next frame's bytes) and by the default-path
+//! differential in `tests/temporal_props.rs` (a backend that can only
+//! encode-then-decode writes the same run).
 //! The encoder advances when it encodes; a file layer that then fails to
 //! publish the frame must put it back
 //! ([`TemporalEncoder::resume_from_decoded`]), as `TemporalWriter::append`
@@ -46,12 +52,11 @@
 
 use crate::format::{StoreError, StoreMeta};
 use crate::read::{self, ChunkSource, DecodedChunk, Progressive};
-use crate::{decode_stream, encode_frame, prepare_store, StoreConfig, StoreReader};
+use crate::{encode_frame, Loop, StoreConfig, StoreReader};
 use hqmr_codec::{crc32, read_uvarint, write_uvarint, Codec};
 use hqmr_grid::Field3;
 use hqmr_mr::{structure_matches, temporal as predict, LevelData, MultiResData, Upsample};
-use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -291,7 +296,9 @@ impl TemporalEncoder {
     /// prediction is on, no whole-frame keyframe is due, and the frame's
     /// block structure matches the base's ([`hqmr_mr::structure_matches`]) —
     /// otherwise the buffer is bit-identical to an independent snapshot of
-    /// the same data (`write_store`, `write_snapshot`).
+    /// the same data (`write_store`, `write_snapshot`). An `Err` is the
+    /// backend failing its own contract (it could not reconstruct what it
+    /// wrote); the encoder has then not advanced.
     pub fn encode_frame_into(
         &mut self,
         mr: &MultiResData,
@@ -309,27 +316,15 @@ impl TemporalEncoder {
             .prev
             .as_ref()
             .filter(|prev| !keyframe_due && structure_matches(prev, mr));
-        let (meta, flags) = {
-            // Residual candidate first: the residual frame is gone again
-            // before the raw candidate is prepared, and both prepared stores
-            // before the frame is decoded, so no more copies of a frame are
-            // alive at once than the two candidates need.
-            let residual = base.map(|prev| prepare_store(&residual_frame(mr, prev), &self.cfg));
-            let raw = prepare_store(mr, &self.cfg);
-            encode_frame(mr, &raw, residual.as_ref(), &self.cfg, codec, out)
+        let closed = match self.prediction {
+            Prediction::Off => Loop::Open,
+            Prediction::Delta { .. } => Loop::Closed(base),
         };
-
-        // Closed loop: the *decoded* frame becomes the next prediction base.
-        if matches!(self.prediction, Prediction::Delta { .. }) {
-            let data = &out[out.len() - meta.compressed_bytes() as usize..];
-            self.prev = Some(decode_frame(
-                codec,
-                &meta,
-                data,
-                &flags,
-                mr,
-                self.prev.as_ref(),
-            )?);
+        let (flags, next) = encode_frame(mr, None, closed, &self.cfg, codec, out)?;
+        // Closed loop: the frame as a reader will reconstruct it becomes the
+        // next prediction base.
+        if next.is_some() {
+            self.prev = next;
         }
         self.frames += 1;
         Ok(flags)
@@ -351,63 +346,6 @@ impl TemporalEncoder {
         self.prev =
             decoded.filter(|_| matches!(self.prediction, Prediction::Delta { .. }) && frames > 0);
     }
-}
-
-/// `mr − prev`, block for block — the frame whose prepared chunks are the
-/// residual candidates. The two structures already matched, so blocks pair
-/// up by position.
-fn residual_frame(mr: &MultiResData, prev: &MultiResData) -> MultiResData {
-    mr.with_block_data(|li, bi| {
-        let (cur, base) = (&mr.levels[li].blocks[bi], &prev.levels[li].blocks[bi]);
-        predict::residual(&cur.data, &base.data)
-    })
-}
-
-/// The frame just encoded, as a reader will reconstruct it: every chunk of
-/// `meta` decoded from `data` (the data region still in hand — these bytes
-/// never left the process, so nothing is copied, re-parsed or re-checked)
-/// through the same [`decode_stream`] a reader uses, delta chunks restored
-/// onto `prev` by the same [`predict::restore_in_place`] a chain walk uses.
-/// Blocks come back in `mr`'s order, whatever order the merge laid them out
-/// in, so the result lines up with the next frame position by position.
-fn decode_frame(
-    codec: &dyn Codec,
-    meta: &StoreMeta,
-    data: &[u8],
-    flags: &FrameFlags,
-    mr: &MultiResData,
-    prev: Option<&MultiResData>,
-) -> Result<MultiResData, StoreError> {
-    // values[level][position in `mr`'s block order]
-    let mut values: Vec<Vec<Vec<f32>>> = Vec::with_capacity(mr.levels.len());
-    for (li, (level, lm)) in mr.levels.iter().zip(&meta.levels).enumerate() {
-        let indices: Vec<usize> = (0..lm.chunks.len()).collect();
-        let decoded: Vec<Result<DecodedChunk, StoreError>> = indices
-            .par_iter()
-            .map(|&ci| {
-                let c = &lm.chunks[ci];
-                decode_stream(codec, c, (li, ci), &data[c.offset as usize..][..c.len])
-            })
-            .collect();
-        let position: BTreeMap<[usize; 3], usize> = (level.blocks.iter())
-            .enumerate()
-            .map(|(i, b)| (b.origin, i))
-            .collect();
-        let mut blocks = vec![Vec::new(); level.blocks.len()];
-        for (chunk, is_delta) in decoded.into_iter().zip(&flags[li]) {
-            for mut block in chunk?.to_blocks() {
-                // Chunk layouts are built from this frame's blocks.
-                let i = position[&block.origin];
-                if *is_delta {
-                    let base = prev.expect("a delta chunk was predicted from a base");
-                    predict::restore_in_place(&mut block.data, &base.levels[li].blocks[i].data);
-                }
-                blocks[i] = block.data;
-            }
-        }
-        values.push(blocks);
-    }
-    Ok(mr.with_block_data(|li, bi| std::mem::take(&mut values[li][bi])))
 }
 
 /// `(time, level, chunk)` — the unit of temporal chunk identity, shared

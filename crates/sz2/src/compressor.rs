@@ -316,6 +316,17 @@ pub fn compress_into(field: &Field3, cfg: &Sz2Config, out: &mut Vec<u8>) {
     c.write_into(out);
 }
 
+/// [`compress_into`] that leaves in `recon` (its allocation reused) the field
+/// [`decompress_into`] reproduces from `out`, bit for bit: the Lorenzo
+/// predictor reads already-*reconstructed* neighbours, so the encoder keeps
+/// that field anyway — handed out here instead of being dropped.
+pub fn compress_with_recon(field: &Field3, cfg: &Sz2Config, out: &mut Vec<u8>, recon: &mut Field3) {
+    out.clear();
+    let mut st = encode_blocks(field, cfg, std::mem::take(recon).into_vec());
+    *recon = Field3::from_vec(field.dims(), std::mem::take(&mut st.recon));
+    serialize(field.dims(), cfg, st).write_into(out);
+}
+
 /// Per-block encode state threaded through the kernel loops.
 struct EncodeState {
     recon: Vec<f32>,
@@ -357,15 +368,18 @@ fn select_block(
 }
 
 /// Runs the predictor-selection + quantization kernels over every block.
-fn encode_blocks(field: &Field3, cfg: &Sz2Config) -> EncodeState {
+/// `recon` is only an allocation to build the reconstruction in.
+fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> EncodeState {
     let dims = field.dims();
     let grid = BlockGrid::new(dims, cfg.block);
     let q = LinearQuantizer::new(cfg.eb);
     let data = field.data();
     let (sx, sy) = (dims.ny * dims.nz, dims.nz);
 
+    recon.clear();
+    recon.resize(dims.len(), 0.0);
     let mut st = EncodeState {
-        recon: vec![0f32; dims.len()],
+        recon,
         codes: Vec::with_capacity(dims.len()),
         outliers: Vec::new(),
         flags: Vec::with_capacity(grid.num_blocks()),
@@ -492,7 +506,7 @@ fn encode_blocks(field: &Field3, cfg: &Sz2Config) -> EncodeState {
 /// The compression pipeline up to (but not including) serialization.
 /// Returns `(container, lorenzo_blocks, regression_blocks, outliers)`.
 fn compress_container(field: &Field3, cfg: &Sz2Config) -> (Container, usize, usize, usize) {
-    let st = encode_blocks(field, cfg);
+    let st = encode_blocks(field, cfg, Vec::new());
     let (n_l, n_r, n_o) = (st.n_lorenzo, st.n_regression, st.outliers.len());
     (serialize(field.dims(), cfg, st), n_l, n_r, n_o)
 }
@@ -903,6 +917,14 @@ impl Default for Sz2Codec {
 impl Sz2Codec {
     /// AMRIC's multi-resolution configuration (4³ blocks).
     pub const MULTIRES: Sz2Codec = Sz2Codec { block: 4 };
+
+    /// This backend's knob at error bound `eb`.
+    fn config(&self, eb: f64) -> Sz2Config {
+        Sz2Config {
+            eb,
+            block: self.block,
+        }
+    }
 }
 
 impl Codec for Sz2Codec {
@@ -915,14 +937,7 @@ impl Codec for Sz2Codec {
     }
 
     fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
-        compress(
-            field,
-            &Sz2Config {
-                eb,
-                block: self.block,
-            },
-        )
-        .bytes
+        compress(field, &self.config(eb)).bytes
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
@@ -930,18 +945,22 @@ impl Codec for Sz2Codec {
     }
 
     fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>) {
-        compress_into(
-            field,
-            &Sz2Config {
-                eb,
-                block: self.block,
-            },
-            out,
-        );
+        compress_into(field, &self.config(eb), out);
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         decompress_into(bytes, out)
+    }
+
+    fn compress_with_recon(
+        &self,
+        field: &Field3,
+        eb: f64,
+        out: &mut Vec<u8>,
+        recon: &mut Field3,
+    ) -> Result<(), CodecError> {
+        compress_with_recon(field, &self.config(eb), out, recon);
+        Ok(())
     }
 }
 

@@ -584,9 +584,7 @@ pub fn decompress_pass(
         &mut ok,
     );
     ci += 1;
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = rayon::current_num_threads();
     for sw in sweeps(dims) {
         let q = &quants[sw.l_proc.min(quants.len() - 1)];
         let g = LineGeom::new(sw.n, sw.s, interp);

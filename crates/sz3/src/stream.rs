@@ -84,25 +84,86 @@ pub fn compress_into(field: &Field3, cfg: &Sz3Config, out: &mut Vec<u8>) -> Inte
     stats
 }
 
+/// [`compress_into`] that leaves in `recon` (reshaped in place) the field
+/// [`decompress_into`] reproduces from `out`, bit for bit: the compress pass
+/// predicts every point from already-*reconstructed* neighbours, so when it
+/// ends its working buffer is that field — handed out here instead of being
+/// dropped.
+pub fn compress_with_recon(
+    field: &Field3,
+    cfg: &Sz3Config,
+    out: &mut Vec<u8>,
+    recon: &mut Field3,
+) -> InterpStats {
+    out.clear();
+    recon.copy_from(field);
+    let (c, stats, _) = ENCODE_SCRATCH.with(|scratch| {
+        compress_in_place(
+            cfg,
+            recon.dims(),
+            recon.data_mut(),
+            &mut scratch.borrow_mut(),
+        )
+    });
+    c.write_into(out);
+    stats
+}
+
+/// What a compress pass fills per array before serialization: its working
+/// copy of the input (when the caller keeps no reconstruction), the
+/// quantization codes and the outlier side channel.
+#[derive(Default)]
+struct EncodeScratch {
+    buf: Vec<f32>,
+    codes: Vec<u32>,
+    outliers: Vec<f32>,
+}
+
+thread_local! {
+    /// One [`EncodeScratch`] per thread, capped like the decode side's
+    /// ([`SCRATCH_KEEP`]): a writer compressing a chunk per call pays for
+    /// the chunk-sized buffers once per worker, not once per chunk.
+    static ENCODE_SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::default());
+}
+
 /// The compression pipeline up to (but not including) serialization.
 fn compress_container(field: &Field3, cfg: &Sz3Config) -> (Container, InterpStats, usize) {
-    let dims = field.dims();
+    ENCODE_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let mut buf = std::mem::take(&mut scratch.buf);
+        buf.clear();
+        buf.extend_from_slice(field.data());
+        let result = compress_in_place(cfg, field.dims(), &mut buf, scratch);
+        if buf.capacity() <= SCRATCH_KEEP {
+            scratch.buf = buf;
+        }
+        result
+    })
+}
+
+/// Runs the compress pass over `buf` — the array's values on entry, the
+/// reconstruction decompression will reproduce on return — and frames the
+/// codes and outliers it leaves in `scratch`.
+fn compress_in_place(
+    cfg: &Sz3Config,
+    dims: Dims3,
+    buf: &mut [f32],
+    scratch: &mut EncodeScratch,
+) -> (Container, InterpStats, usize) {
     let maxlevel = interp_levels(dims.max_extent());
     let quants = level_quantizers(cfg, maxlevel);
-
-    let mut buf = field.data().to_vec();
-    let mut codes: Vec<u32> = Vec::new();
-    let mut outliers: Vec<f32> = Vec::new();
-    let stats = compress_pass(
-        dims,
-        cfg.interp,
-        &quants,
-        &mut buf,
-        &mut codes,
-        &mut outliers,
-    );
-    let n_outliers = outliers.len();
-    (serialize(dims, cfg, &codes, &outliers), stats, n_outliers)
+    let (codes, outliers) = (&mut scratch.codes, &mut scratch.outliers);
+    codes.clear();
+    outliers.clear();
+    let stats = compress_pass(dims, cfg.interp, &quants, buf, codes, outliers);
+    let result = (serialize(dims, cfg, codes, outliers), stats, outliers.len());
+    if codes.capacity() > SCRATCH_KEEP {
+        *codes = Vec::new();
+    }
+    if outliers.capacity() > SCRATCH_KEEP {
+        *outliers = Vec::new();
+    }
+    result
 }
 
 /// Frames quantization codes + outliers into the self-describing container.
@@ -155,10 +216,11 @@ struct DecodeScratch {
     outliers: Vec<f32>,
 }
 
-/// Cells' worth of codes (and of outliers) a thread keeps between decodes:
-/// 1 MiB each, a few default store chunks. Larger buffers — a level-sized
-/// monolithic array — go back to the allocator when their decode ends, so
-/// decoding one big stream does not pin megabytes for the thread's lifetime.
+/// Cells' worth of codes (and of outliers, and of compress-side working
+/// copy) a thread keeps between calls: 1 MiB each, a few default store
+/// chunks. Larger buffers — a level-sized monolithic array — go back to the
+/// allocator when their call ends, so one big stream does not pin megabytes
+/// for the thread's lifetime.
 const SCRATCH_KEEP: usize = 1 << 18;
 
 thread_local! {
@@ -368,6 +430,15 @@ impl Sz3Codec {
         interp: InterpKind::Cubic,
         level_eb: Some(LevelEbPolicy::PAPER),
     };
+
+    /// This backend's knobs at error bound `eb`.
+    fn config(&self, eb: f64) -> Sz3Config {
+        Sz3Config {
+            eb,
+            interp: self.interp,
+            level_eb: self.level_eb,
+        }
+    }
 }
 
 impl Codec for Sz3Codec {
@@ -380,15 +451,7 @@ impl Codec for Sz3Codec {
     }
 
     fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
-        compress(
-            field,
-            &Sz3Config {
-                eb,
-                interp: self.interp,
-                level_eb: self.level_eb,
-            },
-        )
-        .bytes
+        compress(field, &self.config(eb)).bytes
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
@@ -396,19 +459,22 @@ impl Codec for Sz3Codec {
     }
 
     fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>) {
-        compress_into(
-            field,
-            &Sz3Config {
-                eb,
-                interp: self.interp,
-                level_eb: self.level_eb,
-            },
-            out,
-        );
+        compress_into(field, &self.config(eb), out);
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         decompress_into(bytes, out)
+    }
+
+    fn compress_with_recon(
+        &self,
+        field: &Field3,
+        eb: f64,
+        out: &mut Vec<u8>,
+        recon: &mut Field3,
+    ) -> Result<(), CodecError> {
+        compress_with_recon(field, &self.config(eb), out, recon);
+        Ok(())
     }
 }
 

@@ -57,11 +57,15 @@
 //! # Adding a backend
 //!
 //! A new compressor participates in the whole pipeline by implementing
-//! [`codec::Codec`] (unique id, self-describing stream, bound honoured,
-//! foreign streams rejected with `WrongStreamId`) and registering the id in
-//! [`workflow::mrc::Backend`]. `crates/README.md` walks through the recipe;
-//! [`codec::NullCodec`] — the raw passthrough used for debugging — is the
-//! minimal worked example.
+//! [`codec::Codec`]'s four required methods (unique id, self-describing
+//! stream, bound honoured, foreign streams rejected with `WrongStreamId`)
+//! and registering the id in [`workflow::mrc::Backend`]. The trait's
+//! provided methods — buffer-reusing `compress_into`/`decompress_into`, and
+//! [`codec::Codec::compress_with_recon`], which the temporal store's closed
+//! loop takes its prediction base from — work as inherited; override them
+//! only as optimisations that change no byte and no bit.
+//! `crates/README.md` walks through the recipe; [`codec::NullCodec`] — the
+//! raw passthrough used for debugging — is the minimal worked example.
 
 pub use hqmr_codec as codec;
 pub use hqmr_core as workflow;

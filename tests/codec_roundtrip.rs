@@ -4,7 +4,9 @@
 //! produces typed errors — never panics.
 
 use hqmr::codec::{Codec, CodecError, NullCodec};
-use hqmr::grid::{Dims3, Field3};
+use hqmr::grid::{synth, Dims3, Field3};
+use hqmr::mr::{to_adaptive, MergeStrategy, PadKind, RoiConfig};
+use hqmr::store::{prepare_store, StoreConfig};
 use hqmr::sz2::Sz2Codec;
 use hqmr::sz3::Sz3Codec;
 use hqmr::zfp::ZfpCodec;
@@ -154,6 +156,89 @@ fn codec_ids_are_unique() {
         for b in &codecs[i + 1..] {
             if a.name() != b.name() {
                 assert_ne!(a.id(), b.id(), "{} vs {}", a.name(), b.name());
+            }
+        }
+    }
+}
+
+/// The arrays a store writer hands a codec for a two-level ROI frame under
+/// `merge` (`pad` applies to linear merges): default 16-block chunks, so the
+/// paper arrangement yields the padded 17×17×256 and 9×9×128 shapes.
+fn store_arrays(merge: MergeStrategy, pad: Option<PadKind>) -> Vec<Field3> {
+    let field = synth::warpx_like(Dims3::new(32, 32, 128), 5);
+    let mr = to_adaptive(&field, &RoiConfig::new(16, 0.5));
+    let cfg = StoreConfig {
+        merge,
+        pad,
+        ..StoreConfig::new(0.0)
+    };
+    (prepare_store(&mr, &cfg).iter().flatten())
+        .flat_map(|group| group.fields().cloned())
+        .collect()
+}
+
+/// [`Codec::compress_with_recon`]'s contract: the field it hands back is the
+/// field `decompress` produces from the stream it wrote — every cell's bits,
+/// NaN payloads and signed zeros included — and the stream is the one
+/// `compress` writes. Held on real store arrays and degenerate shapes, with
+/// outliers, NaN and ±∞ planted, across four decades of error bound, for
+/// the overriding backends (sz3, sz2) and the default body (zfp, null) alike.
+#[test]
+fn compress_with_recon_hands_back_what_decompress_produces() {
+    let padded = store_arrays(MergeStrategy::Linear, Some(PadKind::Linear));
+    let of_shape = |dims: Dims3| {
+        let found = padded.iter().find(|f| f.dims() == dims);
+        found.unwrap_or_else(|| panic!("no {dims} array")).clone()
+    };
+    let mut arrays = vec![
+        of_shape(Dims3::new(17, 17, 256)),
+        of_shape(Dims3::new(9, 9, 128)),
+    ];
+    arrays.extend(store_arrays(MergeStrategy::Stack, None).into_iter().take(1));
+    arrays.extend(store_arrays(MergeStrategy::Tac, None).into_iter().take(2));
+    arrays.push(synth_field(Dims3::new(1, 1, 1), 3, 0));
+    arrays.push(synth_field(Dims3::new(1, 1, 37), 4, 1));
+    // The same arrays again with hostile cells planted; the one-cell array
+    // becomes a lone NaN.
+    let planted: Vec<Field3> = (arrays.iter())
+        .map(|f| {
+            let mut g = f.clone();
+            let n = g.len();
+            let cells = g.data_mut();
+            cells[n / 2] = f32::NAN;
+            if n > 8 {
+                cells[n / 3] = f32::INFINITY;
+                cells[n / 5] = f32::NEG_INFINITY;
+                cells[n / 7] = 3.0e30; // an outlier at any bound
+                cells[n - 1] = -0.0;
+            }
+            g
+        })
+        .collect();
+    // Large ↔ small: the shared `recon` and `out` are reshaped both ways.
+    let order: Vec<&Field3> = arrays
+        .iter()
+        .chain(&planted)
+        .chain(arrays.first())
+        .collect();
+
+    let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for codec in all_codecs() {
+        let (mut out, mut recon) = (Vec::new(), Field3::zeros(Dims3::new(0, 0, 0)));
+        for rel_eb in [1e-6, 1e-3, 0.2] {
+            for f in &order {
+                let finite = f.data().iter().copied().filter(|v| v.abs() < 1e30);
+                let (lo, hi) =
+                    finite.fold((f32::MAX, f32::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+                let eb = ((hi - lo).max(1.0) as f64) * rel_eb;
+                let at = format!("{} {} rel_eb {rel_eb}", codec.name(), f.dims());
+                codec
+                    .compress_with_recon(f, eb, &mut out, &mut recon)
+                    .expect(&at);
+                assert_eq!(out, codec.compress(f, eb), "{at}: stream");
+                let decoded = codec.decompress(&out).expect(&at);
+                assert_eq!(recon.dims(), decoded.dims(), "{at}");
+                assert_eq!(bits(&recon), bits(&decoded), "{at}");
             }
         }
     }

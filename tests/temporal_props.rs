@@ -12,11 +12,15 @@
 //!   appended next, every frame on disk stays within the bound. (The run
 //!   that never fails is `golden_stores`: byte-identical to the committed
 //!   directories.)
+//! * a codec that hands out its encoder's reconstruction and one that only
+//!   has the trait's default (encode, then decode) write the same run.
 
+use hqmr::codec::{Codec, CodecError};
 use hqmr::grid::{synth, Dims3, Field3};
-use hqmr::mr::{resample_like, to_adaptive, MultiResData, RoiConfig};
+use hqmr::mr::{resample_like, to_adaptive, MergeStrategy, MultiResData, PadKind, RoiConfig};
 use hqmr::serve::TemporalServer;
-use hqmr::store::temporal::{Prediction, TemporalReader, MANIFEST_NAME};
+use hqmr::store::temporal::{Prediction, TemporalEncoder, TemporalReader, MANIFEST_NAME};
+use hqmr::store::{StoreConfig, StoreReader};
 use hqmr::workflow::mrc::{Backend, MrcConfig};
 use hqmr::workflow::{write_snapshot, TemporalWriter};
 use std::path::PathBuf;
@@ -192,6 +196,95 @@ fn failed_publish_does_not_advance_the_closed_loop() {
                 "{what}: no base survived the failure, so a whole keyframe follows it"
             );
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A backend reduced to the trait's required methods: every provided one —
+/// above all `compress_with_recon`, whose default body decodes what it has
+/// just encoded — runs as written in the trait.
+struct RequiredOnly(Box<dyn Codec>);
+
+impl Codec for RequiredOnly {
+    fn id(&self) -> u32 {
+        self.0.id()
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
+        self.0.compress(field, eb)
+    }
+    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
+        self.0.decompress(bytes)
+    }
+}
+
+/// The closed loop's base is the encoder's own reconstruction where a
+/// backend hands one out, a decode of the fresh stream where it does not;
+/// the two must be the same run. Six frames, byte for byte and flag for
+/// flag, for every backend and arrangement — across a structure change
+/// (frame 2 on has one block fewer), a forced keyframe (frame 4) and a
+/// resume from a frame decoded off its buffer (before frame 5).
+#[test]
+fn default_reconstruction_path_writes_the_same_run_as_the_overrides() {
+    let fields = synth::advected_sequence(Dims3::cube(32), 6, [0.5, 0.25, 0.0], 21);
+    let template = to_adaptive(&fields[0], &RoiConfig::new(8, 0.5));
+    let mut frames: Vec<MultiResData> = (fields.iter())
+        .map(|f| resample_like(&template, f))
+        .collect();
+    for mr in &mut frames[2..] {
+        mr.levels[0].blocks.pop();
+    }
+    let arrangements = [
+        (MergeStrategy::Linear, Some(PadKind::Linear)),
+        (MergeStrategy::Stack, None),
+        (MergeStrategy::Tac, None),
+    ];
+    for backend in Backend::ALL {
+        for (merge, pad) in arrangements {
+            let what = format!("{backend:?} {merge:?}");
+            let cfg = StoreConfig {
+                merge,
+                pad,
+                ..StoreConfig::new(0.02).with_chunk_blocks(6)
+            };
+            let prediction = Prediction::Delta {
+                keyframe_interval: 4,
+            };
+            let codecs: [Box<dyn Codec>; 2] =
+                [backend.codec(), Box::new(RequiredOnly(backend.codec()))];
+            let mut encoders = [(); 2].map(|_| TemporalEncoder::new(cfg, prediction));
+            let mut bufs = [Vec::new(), Vec::new()];
+            let mut deltas = Vec::new();
+            for (t, mr) in frames.iter().enumerate() {
+                if t == 5 {
+                    let decoded = StoreReader::from_bytes(bufs[0].clone())
+                        .and_then(|r| r.read_all())
+                        .expect("frame 4 is a keyframe and reads on its own");
+                    for enc in &mut encoders {
+                        enc.resume_from_decoded(Some(decoded.clone()), 5);
+                    }
+                }
+                let flags: Vec<_> = (0..2)
+                    .map(|k| {
+                        encoders[k]
+                            .encode_frame_into(mr, codecs[k].as_ref(), &mut bufs[k])
+                            .unwrap_or_else(|e| panic!("{what} frame {t}: {e}"))
+                    })
+                    .collect();
+                assert_eq!(flags[0], flags[1], "{what} frame {t}: flags");
+                assert!(bufs[0] == bufs[1], "{what} frame {t}: bytes");
+                deltas.push(flags[0].iter().flatten().filter(|&&d| d).count());
+            }
+            for t in [0, 2, 4] {
+                assert_eq!(deltas[t], 0, "{what}: frame {t} is a keyframe");
+            }
+            if backend == Backend::SZ3 {
+                for t in [1, 3, 5] {
+                    assert!(deltas[t] > 0, "{what}: frame {t} predicts ({deltas:?})");
+                }
+            }
         }
     }
 }
