@@ -12,6 +12,12 @@
 //! synthetic stores (SCALE³ cells each) instead of files, for smoke tests
 //! and load generation without data on disk.
 //!
+//! `--workers N` sets how many requests that need a decode run at once,
+//! whichever stores they name (default: one per core); `--queue N` lets
+//! `N × workers` more wait before the next one is answered `Busy`. A
+//! request answered wholly from cache occupies neither: its connection
+//! thread serves it.
+//!
 //! `--parity GROUP` builds in-memory XOR parity sidecars over every hosted
 //! store (group size GROUP, e.g. 8), arming online repair: a corrupt chunk
 //! is reconstructed and served bit-exactly instead of answered degraded.
@@ -34,7 +40,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: netd [--addr HOST:PORT] [--workers N] [--queue N] [--max-conns N] \
          [--budget BYTES] [--parity GROUP] [--scrub BYTES/SEC] \
-         (--demo SCALE | STORE.hqst ...)"
+         (--demo SCALE | STORE.hqst ...)\n\
+         \x20 --workers N  requests decoding at once, any store (default: one per core)\n\
+         \x20 --queue N    N x workers more may wait; past that, Busy (default: 32)\n\
+         \x20              (answers wholly from cache use neither)"
     );
     std::process::exit(2);
 }

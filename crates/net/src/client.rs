@@ -45,7 +45,7 @@ pub enum NetError {
     Io(std::io::Error),
     /// Wire-level failure (framing, CRC, malformed body).
     Protocol(ProtocolError),
-    /// The server's owning shard had a full queue — retry later.
+    /// The server's job queue was full — retry later.
     Busy,
     /// The server refused the connection at its admission cap.
     TooManyConnections,

@@ -7,13 +7,14 @@
 //!   CRC-guarded frames, request ids, and body encodings that mirror the
 //!   serve layer's query/response enums bit-for-bit. Every decoder treats
 //!   input as untrusted and fails typed ([`ProtocolError`]), never panics.
-//! * [`NetServer`] — one TCP listener feeding a thread-per-core worker
-//!   pool; datasets are sharded across workers by id so each store's cache
-//!   stays hot on one shard. Bounded per-worker queues answer overload
-//!   with typed [`ErrorFrame::Busy`] frames (backpressure, not backlog);
-//!   a hard connection cap answers with
-//!   [`ErrorFrame::TooManyConnections`]. Per-tenant cache budgets are
-//!   carved from one global byte budget.
+//! * [`NetServer`] — one TCP listener, a thread per connection, and a
+//!   thread-per-core pool of decode workers on one bounded queue. A batch
+//!   whose chunks are all cached is answered by its connection thread,
+//!   frame written straight from the cached slabs; anything that may
+//!   decode goes to whichever worker is free. A full queue answers with
+//!   typed [`ErrorFrame::Busy`] frames (backpressure, not backlog); a hard
+//!   connection cap answers with [`ErrorFrame::TooManyConnections`].
+//!   Per-tenant cache budgets are carved from one global byte budget.
 //! * [`NetClient`] — a blocking client whose results are bit-identical to
 //!   calling [`StoreServer::serve_batch`](hqmr_serve::StoreServer::serve_batch)
 //!   in process (the loopback differential tests pin this down per codec

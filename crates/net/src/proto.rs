@@ -28,7 +28,11 @@
 //! header, append the body to the same buffer, checksum it once and patch
 //! the header in — one buffer per connection, one `write_all` per frame.
 //! Reading mirrors it: [`read_frame_into`] fills a buffer the connection
-//! keeps between frames ([`recycle`] bounds what is kept).
+//! keeps between frames ([`recycle`] bounds what is kept). The server's
+//! exact-batch answers take a shorter road to the same bytes:
+//! [`encode_batch_parts_into`] writes the frame from the serve layer's
+//! [`ResponseParts`] — the decoded chunk slabs themselves — with the body
+//! length known (and reserved) before the first byte.
 //!
 //! # Bodies
 //!
@@ -52,8 +56,8 @@
 use hqmr_codec::{crc32, read_uvarint, write_uvarint};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, UnitBlock, Upsample};
-use hqmr_serve::{CacheStats, Query, QueryResult, Response};
-use hqmr_store::{RefinementStep, StoreError};
+use hqmr_serve::{CacheStats, Query, QueryResult, Response, ResponseParts};
+use hqmr_store::{BlockData, LevelParts, RefinementStep, RoiParts, StoreError};
 use std::io::{IoSlice, Read, Write};
 
 /// Wire magic exchanged in the connection hello.
@@ -191,7 +195,7 @@ impl From<std::io::Error> for ProtocolError {
 /// One dataset's catalog entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetInfo {
-    /// Dataset id — the sharding and addressing key.
+    /// Dataset id — the addressing key.
     pub id: u32,
     /// Human-readable name (file stem or registry label).
     pub name: String,
@@ -747,13 +751,35 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Encoded length of `v` as a LEB128 varint.
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Overwrites `dst` (`4 × data.len()` bytes) with `data`, little-endian.
+/// Four bytes at a time: on little-endian targets the loop is a plain copy
+/// and compiles to one.
+fn copy_f32s(dst: &mut [u8], data: &[f32]) {
+    for (dst, v) in dst.chunks_exact_mut(4).zip(data) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
-    // Sized once, then filled four bytes at a time: on little-endian
-    // targets the loop is a plain copy and compiles to one.
     let start = out.len();
     out.resize(start + data.len() * 4, 0);
-    for (dst, v) in out[start..].chunks_exact_mut(4).zip(data) {
-        dst.copy_from_slice(&v.to_le_bytes());
+    copy_f32s(&mut out[start..], data);
+}
+
+/// Appends `n` copies of `v`, a tile of them at a time.
+fn put_f32_run(out: &mut Vec<u8>, v: f32, n: usize) {
+    let mut tile = [0u8; 1024];
+    copy_f32s(&mut tile, &[v; 256]);
+    let mut left = n * 4;
+    while left > 0 {
+        let take = left.min(tile.len());
+        out.extend_from_slice(&tile[..take]);
+        left -= take;
     }
 }
 
@@ -783,16 +809,69 @@ fn get_field(c: &mut Cur) -> Result<Field3, ProtocolError> {
     Ok(Field3::from_vec(dims, c.f32s(n)?))
 }
 
+/// A level answer's body from its header fields and `count` blocks, owned
+/// ([`put_level_data`]) or still in their chunks ([`put_level_parts`]).
+fn put_level<'a>(
+    out: &mut Vec<u8>,
+    (level, unit, dims): (usize, usize, Dims3),
+    count: usize,
+    blocks: impl Iterator<Item = ([usize; 3], BlockData<'a>)>,
+) {
+    write_uvarint(out, level as u64);
+    write_uvarint(out, unit as u64);
+    put_dims(out, dims);
+    write_uvarint(out, count as u64);
+    for (origin, data) in blocks {
+        write_uvarint(out, origin[0] as u64);
+        write_uvarint(out, origin[1] as u64);
+        write_uvarint(out, origin[2] as u64);
+        match data {
+            BlockData::Slab(values) => put_f32s(out, values),
+            BlockData::Proxy(value) => put_f32_run(out, value, unit.pow(3)),
+        }
+    }
+}
+
 fn put_level_data(out: &mut Vec<u8>, l: &LevelData) {
-    write_uvarint(out, l.level as u64);
-    write_uvarint(out, l.unit as u64);
-    put_dims(out, l.dims);
-    write_uvarint(out, l.blocks.len() as u64);
-    for b in &l.blocks {
-        write_uvarint(out, b.origin[0] as u64);
-        write_uvarint(out, b.origin[1] as u64);
-        write_uvarint(out, b.origin[2] as u64);
-        put_f32s(out, &b.data);
+    let blocks = (l.blocks.iter()).map(|b| (b.origin, BlockData::Slab(&b.data)));
+    put_level(out, (l.level, l.unit, l.dims), l.blocks.len(), blocks);
+}
+
+fn put_level_parts(out: &mut Vec<u8>, l: &LevelParts) {
+    put_level(out, (l.level, l.unit, l.dims), l.block_count(), l.blocks());
+}
+
+/// An ROI answer's body straight from its chunks: the dense field is laid
+/// down as fill, then every covered row lands on its bytes.
+fn put_roi_parts(out: &mut Vec<u8>, r: &RoiParts) {
+    let dims = r.dims();
+    put_dims(out, dims);
+    let start = out.len();
+    put_f32_run(out, r.fill(), dims.len());
+    let cells = &mut out[start..];
+    r.for_each_row(|at, values| copy_f32s(&mut cells[at * 4..][..values.len() * 4], values));
+}
+
+/// Body bytes [`put_response_parts`] will append for `r` — known from the
+/// chunk tables alone, so a frame is reserved once, before its first byte.
+fn response_parts_len(r: &ResponseParts) -> usize {
+    let dims_len = |d: Dims3| {
+        d.as_array()
+            .iter()
+            .map(|&n| uvarint_len(n as u64))
+            .sum::<usize>()
+    };
+    1 + match r {
+        ResponseParts::Roi(r) => dims_len(r.dims()) + r.dims().len() * 4,
+        ResponseParts::Level(l) | ResponseParts::Iso(l) => {
+            let origins = l.blocks().flat_map(|(origin, _)| origin);
+            uvarint_len(l.level as u64)
+                + uvarint_len(l.unit as u64)
+                + dims_len(l.dims)
+                + uvarint_len(l.block_count() as u64)
+                + origins.map(|o| uvarint_len(o as u64)).sum::<usize>()
+                + l.block_count() * l.unit.pow(3) * 4
+        }
     }
 }
 
@@ -885,6 +964,46 @@ fn put_response(out: &mut Vec<u8>, r: &Response) {
             put_level_data(out, l);
         }
     }
+}
+
+/// [`put_response`] of `r.to_owned()`, byte for byte, without the copy-out.
+fn put_response_parts(out: &mut Vec<u8>, r: &ResponseParts) {
+    match r {
+        ResponseParts::Level(l) => {
+            out.push(0);
+            put_level_parts(out, l);
+        }
+        ResponseParts::Roi(r) => {
+            out.push(1);
+            put_roi_parts(out, r);
+        }
+        ResponseParts::Iso(l) => {
+            out.push(2);
+            put_level_parts(out, l);
+        }
+    }
+}
+
+/// Builds the frame of `NetResponse::Batch` over `parts.to_owned()` — the
+/// same bytes [`NetResponse::encode_into`] produces for it — straight from
+/// the decoded chunks the parts hold: reserved once, every payload byte
+/// written once, checksummed once. The server's exact-batch answers leave
+/// through here.
+pub fn encode_batch_parts_into(parts: &[ResponseParts], req_id: u64, frame: &mut Vec<u8>) {
+    build_frame(frame, Kind::RBatch, req_id, |out| {
+        let count = parts.len() as u64;
+        let body_len = uvarint_len(count) + parts.iter().map(response_parts_len).sum::<usize>();
+        out.reserve(body_len);
+        write_uvarint(out, count);
+        for r in parts {
+            put_response_parts(out, r);
+        }
+        debug_assert_eq!(
+            out.len(),
+            HEADER_LEN + body_len,
+            "body length is known up front"
+        );
+    });
 }
 
 fn get_response(c: &mut Cur) -> Result<Response, ProtocolError> {

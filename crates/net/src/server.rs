@@ -1,22 +1,41 @@
-//! The serving fleet: one TCP listener, a thread-per-core worker pool, and
-//! stores sharded across workers by dataset id.
+//! The serving fleet: one TCP listener, a thread per connection, and a pool
+//! of decode workers behind one bounded queue.
 //!
 //! # Architecture
 //!
 //! ```text
-//!                    ┌ worker 0 ── tenants {0, W, 2W, …}
-//! accept ─ conn ─┐   ├ worker 1 ── tenants {1, W+1, …}
-//! accept ─ conn ─┼──▶│   …          (bounded sync_channel per worker)
-//! accept ─ conn ─┘   └ worker W−1
+//!   resident batch: cache → frame → socket, on the connection's thread
+//!
+//! accept ─ conn ─┐                                     ┌ worker 0   ┐
+//! accept ─ conn ─┼─ anything that may decode ─▶ queue ─┤    …       ├ any tenant
+//! accept ─ conn ─┘◀──────────── answer ────────────────└ worker W−1 ┘
 //! ```
 //!
-//! Each connection gets its own thread that parses frames and answers
-//! catalog/stats requests inline (they never decode). Decode-bearing work —
-//! [`Request::Batch`] and [`Request::Progressive`] — is routed to the worker
-//! that owns the target dataset (`id % workers`) through a *bounded* queue:
-//! a full queue is an immediate [`ErrorFrame::Busy`] response, never an
-//! unbounded backlog. The same shard always serves the same dataset, so its
-//! [`StoreServer`] cache stays hot and two shards never duplicate a chunk.
+//! Each connection gets its own thread that parses frames, builds every
+//! response frame and writes it to the socket. What it *computes* itself is
+//! only what cannot block on a decode: catalog and stats requests, and an
+//! exact [`Request::Batch`] whose every chunk is resident in its tenant's
+//! cache ([`StoreServer::serve_batch_resident`] — one lock acquisition to
+//! ask, then the same batch function a worker would run, on the thread that
+//! is about to write the answer anyway; no queue, no hand-off, no wake-up).
+//! Everything decode-bearing — a batch with a miss, a degraded batch, a
+//! progressive read — goes through **one** bounded queue that every worker
+//! pulls from: a full queue is an immediate [`ErrorFrame::Busy`] response,
+//! never an unbounded backlog, and [`NetConfig::request_deadline`] bounds
+//! the wait for the answer. Exact batches come back from the worker as
+//! [`ResponseParts`] — still in the decoded chunks — and the connection
+//! thread encodes its frame straight from the slabs
+//! ([`encode_batch_parts_into`]): a cached cell is copied once, into the
+//! frame.
+//!
+//! Any worker serves any tenant. Datasets used to be pinned to one worker
+//! each so that "two shards never duplicate a chunk"; since every tenant has
+//! exactly one [`StoreServer`] — one LRU, one in-flight table that joins
+//! concurrent misses of a chunk whichever threads they come from — the pin
+//! bought nothing and serialised a popular tenant's clients behind each
+//! other's misses. [`NetConfig::workers`] now bounds how many decode-bearing
+//! requests run at once, [`NetConfig::queue_depth`]` × workers` how many may
+//! wait.
 //!
 //! Admission control is a hard connection cap: over the limit, the server
 //! completes the handshake, sends [`ErrorFrame::TooManyConnections`], and
@@ -29,27 +48,28 @@
 
 use crate::chaos::{chunk_fault_hook, ChaosConfig, ChaosStream};
 use crate::proto::{
-    parse_header, read_hello, recycle, write_hello, DatasetInfo, ErrorFrame, NetResponse,
-    ProtocolError, Request, ServerStats, HEADER_LEN,
+    encode_batch_parts_into, parse_header, read_hello, recycle, write_hello, DatasetInfo,
+    ErrorFrame, NetResponse, ProtocolError, Request, ServerStats, HEADER_LEN,
 };
 use hqmr_mr::Upsample;
-use hqmr_serve::{partition_budget, Query, StoreServer};
-use hqmr_store::{StoreReader, Throttle};
-use std::collections::HashMap;
+use hqmr_serve::{partition_budget, FaultHook, Query, ResponseParts, StoreServer};
+use hqmr_store::{StoreError, StoreReader, Throttle};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often the accept loop re-checks the shutdown flag while no
-/// connection is pending. Bounds shutdown latency without a wake
-/// connection (which can fail and then hang the old blocking accept).
+/// How often the accept loop looks for a pending connection. It parks
+/// between looks and [`NetServer::shutdown`] unparks it, so shutdown waits
+/// for no poll — and needs no wake connection (which can fail and then hang
+/// a blocking accept).
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// One dataset to host: an id (the addressing and sharding key), a
-/// human-readable name, and an opened store.
+/// One dataset to host: an id (the addressing key), a human-readable name,
+/// and an opened store.
 pub struct DatasetSpec {
     /// Dataset id, unique within the server.
     pub id: u32,
@@ -62,9 +82,13 @@ pub struct DatasetSpec {
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Worker (shard) count; `0` means one per available core.
+    /// Decode worker count — how many decode-bearing requests (a batch with
+    /// a cache miss, a degraded batch, a progressive read) run at once,
+    /// whichever datasets they name; `0` means one per available core.
+    /// Batches answered wholly from cache never occupy a worker.
     pub workers: usize,
-    /// Bound of each worker's job queue. A full queue produces
+    /// Waiting room per worker: the fleet's one job queue holds
+    /// `queue_depth × workers` requests. A full queue produces
     /// [`ErrorFrame::Busy`] responses instead of queueing without limit.
     pub queue_depth: usize,
     /// Hard cap on concurrent connections (admission control).
@@ -121,15 +145,14 @@ impl Default for NetConfig {
     }
 }
 
-/// One hosted dataset: its caching server plus the shard that owns it.
+/// One hosted dataset and its caching server.
 struct Tenant {
     id: u32,
     name: String,
     serve: StoreServer,
-    worker: usize,
 }
 
-/// Decode-bearing work routed to a shard.
+/// Decode-bearing work routed to the workers.
 enum Work {
     /// One batch; `degraded` picks the wire kind's fill-and-flag answer
     /// over the exact one.
@@ -147,14 +170,106 @@ enum Work {
 struct Job {
     tenant: usize,
     work: Work,
-    reply: mpsc::SyncSender<NetResponse>,
+    reply: mpsc::SyncSender<Answer>,
+}
+
+/// What a request is answered with.
+enum Answer {
+    /// An exact batch, still in the decoded chunks it is made of; its frame
+    /// is written straight from them.
+    Batch(Vec<ResponseParts>),
+    /// Every other answer, owned.
+    Other(NetResponse),
+}
+
+impl Answer {
+    fn error(e: ErrorFrame) -> Answer {
+        Answer::Other(NetResponse::Error(e))
+    }
+
+    /// A batch function's result as the answer that travels.
+    fn served<T>(served: Result<T, StoreError>, ok: impl FnOnce(T) -> Answer) -> Answer {
+        served.map_or_else(|e| Answer::error(ErrorFrame::Store((&e).into())), ok)
+    }
+
+    /// Builds the answer's frame in `frame`, replacing its contents.
+    fn encode_into(&self, req_id: u64, frame: &mut Vec<u8>) {
+        match self {
+            Answer::Batch(parts) => encode_batch_parts_into(parts, req_id, frame),
+            Answer::Other(resp) => resp.encode_into(req_id, frame),
+        }
+    }
+}
+
+/// The fleet's one job queue: bounded, any worker takes the next job, and
+/// closable — [`JobQueue::close`] wakes every idle worker at once, so
+/// shutdown waits for no poll however many workers there are.
+struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+impl JobQueue {
+    fn new(capacity: usize) -> Self {
+        let state = QueueState {
+            jobs: VecDeque::new(),
+            closed: false,
+        };
+        JobQueue {
+            state: Mutex::new(state),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().expect("job queue lock poisoned")
+    }
+
+    /// Queues `job`, or hands it back if the queue is full or closed.
+    fn try_push(&self, job: Job) -> Result<(), Job> {
+        let mut st = self.lock();
+        if st.closed || st.jobs.len() >= self.capacity {
+            return Err(job);
+        }
+        st.jobs.push_back(job);
+        drop(st);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// The next job, waiting for one if need be; `None` once the queue is
+    /// closed *and* drained — jobs queued before the close are still served.
+    fn pop(&self) -> Option<Job> {
+        let mut st = self.lock();
+        loop {
+            if let Some(job) = st.jobs.pop_front() {
+                return Some(job);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).expect("job queue lock poisoned");
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 struct Shared {
     cfg: NetConfig,
     tenants: Vec<Tenant>,
     by_id: HashMap<u32, usize>,
-    worker_tx: Vec<mpsc::SyncSender<Job>>,
+    queue: JobQueue,
     live_conns: AtomicUsize,
     busy_rejections: AtomicU64,
     admission_rejections: AtomicU64,
@@ -195,15 +310,15 @@ impl Shared {
         )
     }
 
-    /// Routes one parsed request to its answer. Decode-bearing work goes
-    /// through the owning shard's bounded queue; everything else is answered
-    /// inline. This is the single choke point the Busy path runs through,
-    /// for both real connections and the deterministic unit test.
-    fn route(&self, req: Request) -> NetResponse {
+    /// Routes one parsed request to its answer: catalog and stats inline,
+    /// everything that reads data through [`Shared::dispatch`]. This is the
+    /// single choke point the Busy path runs through, for both real
+    /// connections and the deterministic unit tests.
+    fn route(&self, req: Request) -> Answer {
         match req {
-            Request::List => self.catalog(),
+            Request::List => Answer::Other(self.catalog()),
             Request::Stats { dataset, take } => match self.tenant(dataset) {
-                Err(e) => NetResponse::Error(e),
+                Err(e) => Answer::error(e),
                 Ok(t) => {
                     let serve = &self.tenants[t].serve;
                     let cache = if take {
@@ -213,7 +328,7 @@ impl Shared {
                     };
                     // Rejection and scrub counters are server-global; they
                     // are *peeked* (never drained) regardless of `take`.
-                    NetResponse::Stats(ServerStats {
+                    Answer::Other(NetResponse::Stats(ServerStats {
                         cache,
                         busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
                         admission_rejections: self.admission_rejections.load(Ordering::Relaxed),
@@ -222,7 +337,7 @@ impl Shared {
                         scrub_verified: self.scrub_verified.load(Ordering::Relaxed),
                         scrub_repaired: self.scrub_repaired.load(Ordering::Relaxed),
                         scrub_unrepairable: self.scrub_unrepairable.load(Ordering::Relaxed),
-                    })
+                    }))
                 }
             },
             Request::Batch { dataset, queries } => self.dispatch(
@@ -245,26 +360,36 @@ impl Shared {
         }
     }
 
-    fn dispatch(&self, dataset: u32, work: Work) -> NetResponse {
+    /// Answers data-reading work: an exact batch whose chunks are all
+    /// resident is served right here, on the calling (connection) thread;
+    /// anything that may decode waits for a worker — within the queue's
+    /// bound and the request deadline.
+    fn dispatch(&self, dataset: u32, work: Work) -> Answer {
         let tenant = match self.tenant(dataset) {
             Ok(t) => t,
-            Err(e) => return NetResponse::Error(e),
+            Err(e) => return Answer::error(e),
         };
+        if let Work::Batch {
+            queries,
+            degraded: false,
+        } = &work
+        {
+            if let Some(served) = self.tenants[tenant].serve.serve_batch_resident(queries) {
+                return Answer::served(served, Answer::Batch);
+            }
+        }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job {
             tenant,
             work,
             reply: reply_tx,
         };
-        match self.worker_tx[self.tenants[tenant].worker].try_send(job) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-                // Full queue is backpressure by design; a disconnected
-                // worker means shutdown is in progress — same client-side
-                // answer: come back later.
-                self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                return NetResponse::Error(ErrorFrame::Busy);
-            }
+        if self.queue.try_push(job).is_err() {
+            // Full queue is backpressure by design; a closed one means
+            // shutdown is in progress — same client-side answer: come back
+            // later.
+            self.busy_rejections.fetch_add(1, Ordering::Relaxed);
+            return Answer::error(ErrorFrame::Busy);
         }
         match self.cfg.request_deadline {
             // The deadline covers queue wait + decode; on expiry the
@@ -272,17 +397,16 @@ impl Shared {
             // harmlessly and the client holds a typed answer instead of a
             // hang.
             Some(d) => match reply_rx.recv_timeout(d) {
-                Ok(resp) => resp,
+                Ok(answer) => answer,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     self.deadline_rejections.fetch_add(1, Ordering::Relaxed);
-                    NetResponse::Error(ErrorFrame::DeadlineExceeded)
+                    Answer::error(ErrorFrame::DeadlineExceeded)
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => NetResponse::Error(ErrorFrame::Busy),
+                Err(mpsc::RecvTimeoutError::Disconnected) => Answer::error(ErrorFrame::Busy),
             },
-            None => match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => NetResponse::Error(ErrorFrame::Busy),
-            },
+            None => reply_rx
+                .recv()
+                .unwrap_or_else(|_| Answer::error(ErrorFrame::Busy)),
         }
     }
 }
@@ -323,42 +447,32 @@ fn scrub_loop(shared: &Shared, rate: u64) {
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => {
-                let serve = &shared.tenants[job.tenant].serve;
-                let served = match job.work {
-                    Work::Batch { queries, degraded } => {
-                        if degraded {
-                            let results = serve.serve_batch_degraded(&queries);
-                            results.map(NetResponse::BatchDegraded)
-                        } else {
-                            serve.serve_batch(&queries).map(NetResponse::Batch)
-                        }
-                    }
-                    Work::Progressive(scheme) => serve
-                        .progressive(scheme)
-                        .collect::<Result<Vec<_>, _>>()
-                        .map(NetResponse::Progressive),
-                    #[cfg(test)]
-                    Work::Park(barrier) => {
-                        barrier.wait();
-                        Ok(NetResponse::Error(ErrorFrame::Busy))
-                    }
-                };
-                let resp =
-                    served.unwrap_or_else(|e| NetResponse::Error(ErrorFrame::Store((&e).into())));
-                // A vanished client is not the worker's problem.
-                let _ = job.reply.send(resp);
+/// One decode worker: serves whatever job is next, for whichever tenant,
+/// until the queue is closed and drained.
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = shared.queue.pop() {
+        let serve = &shared.tenants[job.tenant].serve;
+        let answer = match job.work {
+            Work::Batch {
+                queries,
+                degraded: false,
+            } => Answer::served(serve.serve_batch_parts(&queries), Answer::Batch),
+            Work::Batch { queries, .. } => {
+                let results = serve.serve_batch_degraded(&queries);
+                Answer::served(results.map(NetResponse::BatchDegraded), Answer::Other)
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
+            Work::Progressive(scheme) => {
+                let steps = serve.progressive(scheme).collect::<Result<_, _>>();
+                Answer::served(steps.map(NetResponse::Progressive), Answer::Other)
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+            #[cfg(test)]
+            Work::Park(barrier) => {
+                barrier.wait();
+                Answer::error(ErrorFrame::Busy)
+            }
+        };
+        // A vanished client is not the worker's problem.
+        let _ = job.reply.send(answer);
     }
 }
 
@@ -371,16 +485,18 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-/// Builds `resp`'s frame in `frame` — the connection's reused buffer — and
+/// Builds `answer`'s frame in `frame` — the connection's reused buffer — and
 /// hands it to the (unbuffered) socket in one `write_all`: header and body
-/// leave together instead of as two `TCP_NODELAY` segments.
+/// leave together instead of as two `TCP_NODELAY` segments. The answer (and
+/// any cached chunks it holds) is released before the socket is waited on.
 fn send_response(
     w: &mut impl Write,
     frame: &mut Vec<u8>,
     req_id: u64,
-    resp: &NetResponse,
+    answer: Answer,
 ) -> Result<(), ProtocolError> {
-    resp.encode_into(req_id, frame);
+    answer.encode_into(req_id, frame);
+    drop(answer);
     let sent = w.write_all(frame);
     recycle(frame);
     Ok(sent?)
@@ -463,8 +579,8 @@ fn connection_loop<R: Read, W: Write>(
             ReadOutcome::Idle => continue,
             ReadOutcome::Closed | ReadOutcome::Err => return Ok(()),
             ReadOutcome::Stalled => {
-                let resp = NetResponse::Error(ErrorFrame::DeadlineExceeded);
-                let _ = send_response(&mut writer, &mut frame, 0, &resp);
+                let late = Answer::error(ErrorFrame::DeadlineExceeded);
+                let _ = send_response(&mut writer, &mut frame, 0, late);
                 return Ok(());
             }
         }
@@ -473,8 +589,8 @@ fn connection_loop<R: Read, W: Write>(
             // Framing-level corruption: answer typed, then hang up (the
             // byte stream is no longer trustworthy).
             Err(e) => {
-                let resp = NetResponse::Error(ErrorFrame::BadRequest(e.to_string()));
-                let _ = send_response(&mut writer, &mut frame, 0, &resp);
+                let bad = Answer::error(ErrorFrame::BadRequest(e.to_string()));
+                let _ = send_response(&mut writer, &mut frame, 0, bad);
                 return Err(e);
             }
         };
@@ -483,24 +599,24 @@ fn connection_loop<R: Read, W: Write>(
             ReadOutcome::Full => {}
             ReadOutcome::Closed | ReadOutcome::Err => return Ok(()),
             ReadOutcome::Idle | ReadOutcome::Stalled => {
-                let resp = NetResponse::Error(ErrorFrame::DeadlineExceeded);
-                let _ = send_response(&mut writer, &mut frame, raw.header.req_id, &resp);
+                let late = Answer::error(ErrorFrame::DeadlineExceeded);
+                let _ = send_response(&mut writer, &mut frame, raw.header.req_id, late);
                 return Ok(());
             }
         }
         if let Err(e) = raw.verify(&body) {
-            let resp = NetResponse::Error(ErrorFrame::BadRequest(e.to_string()));
-            let _ = send_response(&mut writer, &mut frame, raw.header.req_id, &resp);
+            let bad = Answer::error(ErrorFrame::BadRequest(e.to_string()));
+            let _ = send_response(&mut writer, &mut frame, raw.header.req_id, bad);
             return Err(e);
         }
-        let resp = match Request::decode(raw.header.kind, &body) {
+        let answer = match Request::decode(raw.header.kind, &body) {
             // Body-level malformation: the frame boundary held, so answer
             // typed and keep the connection.
-            Err(e) => NetResponse::Error(ErrorFrame::BadRequest(e.to_string())),
+            Err(e) => Answer::error(ErrorFrame::BadRequest(e.to_string())),
             Ok(req) => shared.route(req),
         };
         recycle(&mut body);
-        send_response(&mut writer, &mut frame, raw.header.req_id, &resp)?;
+        send_response(&mut writer, &mut frame, raw.header.req_id, answer)?;
     }
 }
 
@@ -529,9 +645,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn_id: u64) -> Result<
 
 /// Tells an over-limit client why it is being dropped.
 fn reject_connection(mut stream: TcpStream) {
-    let resp = NetResponse::Error(ErrorFrame::TooManyConnections);
     if write_hello(&mut stream).is_ok() {
-        let _ = send_response(&mut stream, &mut Vec::new(), 0, &resp);
+        let full = Answer::error(ErrorFrame::TooManyConnections);
+        let _ = send_response(&mut stream, &mut Vec::new(), 0, full);
     }
 }
 
@@ -547,12 +663,24 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `addr` and spawns the fleet: one accept thread, `cfg.workers`
-    /// shard workers, and a per-tenant [`StoreServer`] with its slice of
-    /// the global cache budget.
+    /// decode workers on one job queue, and a per-tenant [`StoreServer`]
+    /// with its slice of the global cache budget.
     pub fn spawn(
         addr: impl ToSocketAddrs,
         cfg: NetConfig,
         datasets: Vec<DatasetSpec>,
+    ) -> std::io::Result<NetServer> {
+        let fault_hook = cfg.chaos.as_ref().and_then(chunk_fault_hook);
+        Self::spawn_with(addr, cfg, datasets, fault_hook)
+    }
+
+    /// [`NetServer::spawn`] with every tenant's chunk fault hook given
+    /// rather than derived from [`NetConfig::chaos`].
+    fn spawn_with(
+        addr: impl ToSocketAddrs,
+        cfg: NetConfig,
+        datasets: Vec<DatasetSpec>,
+        fault_hook: Option<FaultHook>,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -571,7 +699,6 @@ impl NetServer {
 
         let mut tenants = Vec::with_capacity(datasets.len());
         let mut by_id = HashMap::new();
-        let fault_hook = cfg.chaos.as_ref().and_then(chunk_fault_hook);
         for (i, (spec, budget)) in datasets.into_iter().zip(budgets).enumerate() {
             if by_id.insert(spec.id, i).is_some() {
                 return Err(std::io::Error::new(
@@ -592,23 +719,14 @@ impl NetServer {
                 id: spec.id,
                 name: spec.name,
                 serve,
-                worker: spec.id as usize % workers,
             });
-        }
-
-        let mut worker_tx = Vec::with_capacity(workers);
-        let mut worker_rx = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::sync_channel(queue_depth);
-            worker_tx.push(tx);
-            worker_rx.push(rx);
         }
 
         let shared = Arc::new(Shared {
             cfg,
             tenants,
             by_id,
-            worker_tx,
+            queue: JobQueue::new(queue_depth.saturating_mul(workers)),
             live_conns: AtomicUsize::new(0),
             busy_rejections: AtomicU64::new(0),
             admission_rejections: AtomicU64::new(0),
@@ -628,14 +746,12 @@ impl NetServer {
                 .expect("spawn scrubber")
         });
 
-        let worker_handles: Vec<JoinHandle<()>> = worker_rx
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
+        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hqnw-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
@@ -645,8 +761,9 @@ impl NetServer {
             std::thread::Builder::new()
                 .name("hqnw-accept".into())
                 .spawn(move || {
-                    // Non-blocking accept + poll: shutdown never depends on
-                    // one more connection arriving to wake the loop.
+                    // Non-blocking accept + parked poll: shutdown unparks
+                    // the loop and never depends on one more connection
+                    // arriving to wake it.
                     let _ = listener.set_nonblocking(true);
                     let mut conn_id: u64 = 0;
                     loop {
@@ -655,15 +772,11 @@ impl NetServer {
                         }
                         let stream = match listener.accept() {
                             Ok((s, _)) => s,
-                            Err(e) if is_timeout(&e) => {
-                                std::thread::sleep(ACCEPT_POLL);
-                                continue;
-                            }
-                            // Transient accept errors (e.g. the peer reset
-                            // before we got to it) are not fatal to the
-                            // listener.
+                            // Nothing pending — or a transient accept error
+                            // (e.g. the peer reset before we got to it),
+                            // which is not fatal to the listener.
                             Err(_) => {
-                                std::thread::sleep(ACCEPT_POLL);
+                                std::thread::park_timeout(ACCEPT_POLL);
                                 continue;
                             }
                         };
@@ -706,8 +819,8 @@ impl NetServer {
         self.addr
     }
 
-    /// Requests answered with [`ErrorFrame::Busy`] because the owning
-    /// shard's queue was full.
+    /// Requests answered with [`ErrorFrame::Busy`] because the job queue was
+    /// full.
     pub fn busy_rejections(&self) -> u64 {
         self.shared.busy_rejections.load(Ordering::Relaxed)
     }
@@ -734,20 +847,19 @@ impl NetServer {
         self.shared.scrub_repaired.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, drains the workers, and joins them. Live
-    /// connections see their next request answered as Busy (workers gone)
-    /// and then close from the client side. Idempotent.
+    /// Stops accepting, lets the workers answer what is already queued,
+    /// and joins them — idle threads are woken, not waited out. Live
+    /// connections see their next decode-bearing request answered as Busy
+    /// (queue closed) and then close from the client side. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // The accept loop polls the stop flag every ACCEPT_POLL, so no
-        // wake-up connection is needed (and none can fail).
+        self.shared.queue.close();
         if let Some(h) = self.accept.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
-        // Dropping the senders is not possible while `Shared` is alive;
-        // the workers exit on their shutdown poll instead.
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -792,20 +904,120 @@ mod tests {
         Arc::new(StoreReader::from_bytes(buf).expect("open demo store"))
     }
 
+    impl Answer {
+        /// The owned response a client would decode from this answer.
+        fn into_response(self) -> NetResponse {
+            match self {
+                Answer::Batch(parts) => {
+                    NetResponse::Batch(parts.iter().map(ResponseParts::to_owned).collect())
+                }
+                Answer::Other(resp) => resp,
+            }
+        }
+    }
+
+    impl Shared {
+        fn respond(&self, req: Request) -> NetResponse {
+            self.route(req).into_response()
+        }
+
+        /// Queues `work` for tenant 0 as a connection would, waiting out a
+        /// momentarily full queue; the returned receiver gets the answer.
+        fn enqueue(&self, work: Work) -> mpsc::Receiver<Answer> {
+            let (reply, answer) = mpsc::sync_channel(1);
+            let mut job = Job {
+                tenant: 0,
+                work,
+                reply,
+            };
+            let patience = std::time::Instant::now() + Duration::from_secs(30);
+            while let Err(back) = self.queue.try_push(job) {
+                assert!(std::time::Instant::now() < patience, "queue never drained");
+                job = back;
+                std::thread::yield_now();
+            }
+            answer
+        }
+
+        /// Parks one worker on a fresh two-party barrier until the returned
+        /// guard is released (or dropped).
+        fn park_worker(&self) -> Parked {
+            let barrier = Arc::new(std::sync::Barrier::new(2));
+            let reply = self.enqueue(Work::Park(Arc::clone(&barrier)));
+            Parked {
+                barrier: Some(barrier),
+                _reply: reply,
+            }
+        }
+    }
+
+    /// A worker held at a barrier. Dropping the guard lets it go, so a
+    /// failed assertion unwinds into a clean shutdown instead of a join on
+    /// a thread that waits forever (declare it after the server).
+    struct Parked {
+        barrier: Option<Arc<std::sync::Barrier>>,
+        /// Keeps the parked job's reply slot open for its late send.
+        _reply: mpsc::Receiver<Answer>,
+    }
+
+    impl Parked {
+        fn release(&mut self) {
+            if let Some(barrier) = self.barrier.take() {
+                barrier.wait();
+            }
+        }
+    }
+
+    impl Drop for Parked {
+        fn drop(&mut self) {
+            self.release();
+        }
+    }
+
+    /// A two-party meeting point that gives up: `arrive` returns whether
+    /// the other party showed up within `patience`.
+    #[derive(Default)]
+    struct Meet {
+        arrived: Mutex<usize>,
+        both: Condvar,
+    }
+
+    impl Meet {
+        fn arrive(&self, patience: Duration) -> bool {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.both.notify_all();
+            let both = |n: &mut usize| *n < 2;
+            let wait = self.both.wait_timeout_while(arrived, patience, both);
+            !wait.unwrap().1.timed_out()
+        }
+    }
+
+    fn level0() -> Work {
+        Work::Batch {
+            queries: vec![Query::Level { level: 0 }],
+            degraded: false,
+        }
+    }
+
     fn fleet(cfg: NetConfig) -> NetServer {
-        let datasets = vec![
-            DatasetSpec {
-                id: 0,
-                name: "alpha".into(),
-                reader: demo_reader(1),
-            },
-            DatasetSpec {
-                id: 1,
-                name: "beta".into(),
-                reader: demo_reader(2),
-            },
-        ];
-        NetServer::spawn("127.0.0.1:0", cfg, datasets).expect("spawn fleet")
+        fleet_of(cfg, [demo_reader(1), demo_reader(2)].into(), None)
+    }
+
+    /// A fleet hosting `readers` as datasets `0..`, with `hook` on every
+    /// chunk fetch.
+    fn fleet_of(
+        cfg: NetConfig,
+        readers: Vec<Arc<StoreReader>>,
+        hook: Option<FaultHook>,
+    ) -> NetServer {
+        let datasets = (0..).zip(["alpha", "beta"]).zip(readers);
+        let datasets = datasets.map(|((id, name), reader)| DatasetSpec {
+            id,
+            name: name.into(),
+            reader,
+        });
+        NetServer::spawn_with("127.0.0.1:0", cfg, datasets.collect(), hook).expect("spawn fleet")
     }
 
     #[test]
@@ -828,14 +1040,14 @@ mod tests {
             workers: 2,
             ..NetConfig::default()
         });
-        let NetResponse::Datasets(list) = server.shared.route(Request::List) else {
+        let NetResponse::Datasets(list) = server.shared.respond(Request::List) else {
             panic!("expected catalog");
         };
         assert_eq!(list.len(), 2);
         assert_eq!(list[0].name, "alpha");
         assert!(list[0].compressed_bytes > 0);
 
-        let NetResponse::Stats(stats) = server.shared.route(Request::Stats {
+        let NetResponse::Stats(stats) = server.shared.respond(Request::Stats {
             dataset: 1,
             take: false,
         }) else {
@@ -844,7 +1056,7 @@ mod tests {
         assert_eq!(stats.cache.requests, 0);
         assert_eq!(stats.scrub_passes, 0);
 
-        let resp = server.shared.route(Request::Stats {
+        let resp = server.shared.respond(Request::Stats {
             dataset: 99,
             take: false,
         });
@@ -866,7 +1078,7 @@ mod tests {
                 fill: 0.0,
             },
         ];
-        let NetResponse::Batch(via_net) = server.shared.route(Request::Batch {
+        let NetResponse::Batch(via_net) = server.shared.respond(Request::Batch {
             dataset: 0,
             queries: queries.clone(),
         }) else {
@@ -885,7 +1097,7 @@ mod tests {
             workers: 1,
             ..NetConfig::default()
         });
-        let resp = server.shared.route(Request::Batch {
+        let resp = server.shared.respond(Request::Batch {
             dataset: 0,
             queries: vec![Query::Level { level: 99 }],
         });
@@ -910,33 +1122,15 @@ mod tests {
         let shared = &server.shared;
 
         // Park the worker: it pulls this job and blocks on the barrier.
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (park_tx, _park_rx) = mpsc::sync_channel(1);
-        shared.worker_tx[0]
-            .send(Job {
-                tenant: 0,
-                work: Work::Park(Arc::clone(&barrier)),
-                reply: park_tx,
-            })
-            .unwrap();
+        let mut parked = shared.park_worker();
 
-        // Occupy the queue slot. `send` (blocking) is fine: the slot is
-        // free until the parked job is pulled off.
-        let (fill_tx, fill_rx) = mpsc::sync_channel(1);
-        shared.worker_tx[0]
-            .send(Job {
-                tenant: 0,
-                work: Work::Batch {
-                    queries: vec![Query::Level { level: 0 }],
-                    degraded: false,
-                },
-                reply: fill_tx,
-            })
-            .unwrap();
+        // Occupy the queue's one slot (free once the parked job is pulled
+        // off it).
+        let queued = shared.enqueue(level0());
 
         // Queue full, worker parked → immediate Busy, counted.
         let before = shared.busy_rejections.load(Ordering::Relaxed);
-        let resp = shared.route(Request::Batch {
+        let resp = shared.respond(Request::Batch {
             dataset: 0,
             queries: vec![Query::Level { level: 0 }],
         });
@@ -944,9 +1138,147 @@ mod tests {
         assert_eq!(shared.busy_rejections.load(Ordering::Relaxed), before + 1);
 
         // Release the worker; the queued job must still complete.
-        barrier.wait();
-        let queued = fill_rx.recv().expect("queued job completes");
-        assert!(matches!(queued, NetResponse::Batch(_)));
+        parked.release();
+        let queued = queued.recv().expect("queued job completes");
+        assert!(matches!(queued, Answer::Batch(_)));
+    }
+
+    /// A resident batch needs no worker: with the only worker parked and
+    /// the queue full, a connection whose chunks are all cached is still
+    /// answered — on its own thread — while one that needs a decode gets
+    /// Busy.
+    #[test]
+    fn resident_batch_is_answered_while_the_worker_is_parked() {
+        let server = fleet(NetConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..NetConfig::default()
+        });
+        let shared = &server.shared;
+        let warm = Request::Batch {
+            dataset: 0,
+            queries: vec![Query::Level { level: 1 }],
+        };
+        let expected = shared.respond(warm.clone());
+        assert!(matches!(expected, NetResponse::Batch(_)));
+        let ledger = shared.tenants[0].serve.stats();
+
+        let mut parked = shared.park_worker();
+        let queued = shared.enqueue(level0());
+
+        assert_eq!(shared.respond(warm), expected);
+        let after = shared.tenants[0].serve.stats();
+        assert_eq!(after.misses, ledger.misses, "nothing decoded");
+        assert_eq!(
+            after.hits, ledger.misses,
+            "each chunk counted once, as a hit"
+        );
+        assert_eq!(shared.busy_rejections.load(Ordering::Relaxed), 0);
+
+        let cold = shared.respond(Request::Batch {
+            dataset: 0,
+            queries: vec![Query::Level { level: 0 }],
+        });
+        assert_eq!(cold, NetResponse::Error(ErrorFrame::Busy));
+        assert_eq!(shared.busy_rejections.load(Ordering::Relaxed), 1);
+
+        parked.release();
+        assert!(matches!(queued.recv(), Ok(Answer::Batch(_))));
+    }
+
+    /// Any worker serves any tenant: two requests that each miss one chunk
+    /// of the *same* dataset decode side by side. Each decode's fault hook
+    /// waits (ten seconds at most) for the other's, so a fleet that ran them
+    /// one after the other — a tenant pinned to one worker — never has both
+    /// at the meeting point.
+    #[test]
+    fn two_misses_of_one_tenant_decode_side_by_side() {
+        let meet = Arc::new(Meet::default());
+        let met = Arc::new(AtomicBool::new(true));
+        let hook: FaultHook = {
+            let (meet, met) = (Arc::clone(&meet), Arc::clone(&met));
+            Arc::new(move |_, _| {
+                met.fetch_and(meet.arrive(Duration::from_secs(10)), Ordering::SeqCst);
+                false
+            })
+        };
+        let reader = demo_reader(1);
+        let chunks = &reader.meta().levels[0].chunks;
+        assert!(chunks.len() >= 2, "need two chunks to miss");
+        let unit = chunks[0].unit;
+        // One-chunk queries: each names one block of a different chunk.
+        let queries = [0, chunks.len() - 1].map(|c| {
+            let lo = chunks[c].slots[0].1;
+            Query::Roi {
+                level: 0,
+                lo,
+                hi: lo.map(|o| o + unit),
+                fill: 0.0,
+            }
+        });
+        let serve = StoreServer::unbounded(Arc::clone(&reader));
+        for q in &queries {
+            assert_eq!(serve.plan(&[*q]).unwrap().len(), 1, "one chunk per query");
+        }
+        let expected = queries.map(|q| serve.serve_batch(&[q]).unwrap());
+
+        let server = fleet_of(
+            NetConfig {
+                workers: 2,
+                request_deadline: Some(Duration::from_secs(20)),
+                ..NetConfig::default()
+            },
+            vec![reader],
+            Some(hook),
+        );
+        let shared = &server.shared;
+        let answers: Vec<NetResponse> = std::thread::scope(|s| {
+            let asked: Vec<_> = queries
+                .iter()
+                .map(|&q| {
+                    s.spawn(move || {
+                        shared.respond(Request::Batch {
+                            dataset: 0,
+                            queries: vec![q],
+                        })
+                    })
+                })
+                .collect();
+            asked.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            met.load(Ordering::SeqCst),
+            "the two decodes never overlapped"
+        );
+        for (answer, expected) in answers.into_iter().zip(expected) {
+            assert_eq!(answer, NetResponse::Batch(expected));
+        }
+    }
+
+    /// Shutdown wakes idle threads instead of waiting out their polls: an
+    /// idle eight-worker fleet is down in a fraction of the 50 ms a single
+    /// worker's poll used to take (eight polls' worth behind a shared
+    /// receiver). The fastest of five rounds is judged — a poll cannot be
+    /// lucky five times, a loaded test machine cannot make waking slower
+    /// than it is.
+    #[test]
+    fn idle_fleet_shuts_down_without_waiting_for_a_poll() {
+        let rounds = (0..5).map(|_| {
+            let mut server = fleet(NetConfig {
+                workers: 8,
+                ..NetConfig::default()
+            });
+            // Let every thread reach its idle wait first.
+            std::thread::sleep(Duration::from_millis(20));
+            let t0 = std::time::Instant::now();
+            server.shutdown();
+            t0.elapsed()
+        });
+        let fastest = rounds.min().unwrap();
+        assert!(
+            fastest < Duration::from_millis(10),
+            "shutdown took {fastest:?}"
+        );
     }
 
     #[test]
@@ -956,7 +1288,7 @@ mod tests {
             ..NetConfig::default()
         });
         let queries = vec![Query::Level { level: 0 }];
-        let NetResponse::BatchDegraded(results) = server.shared.route(Request::BatchDegraded {
+        let NetResponse::BatchDegraded(results) = server.shared.respond(Request::BatchDegraded {
             dataset: 0,
             queries: queries.clone(),
         }) else {
@@ -985,18 +1317,10 @@ mod tests {
         });
         let shared = &server.shared;
 
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (park_tx, _park_rx) = mpsc::sync_channel(1);
-        shared.worker_tx[0]
-            .send(Job {
-                tenant: 0,
-                work: Work::Park(Arc::clone(&barrier)),
-                reply: park_tx,
-            })
-            .unwrap();
+        let mut parked = shared.park_worker();
 
         let before = shared.deadline_rejections.load(Ordering::Relaxed);
-        let resp = shared.route(Request::Batch {
+        let resp = shared.respond(Request::Batch {
             dataset: 0,
             queries: vec![Query::Level { level: 0 }],
         });
@@ -1008,7 +1332,7 @@ mod tests {
 
         // Release the worker; its late reply to the dropped receiver must
         // be harmless (shutdown on drop would hang otherwise).
-        barrier.wait();
+        parked.release();
     }
 
     #[test]

@@ -28,7 +28,12 @@ fn all_codecs() -> Vec<(&'static str, Box<dyn Codec>)> {
 }
 
 fn store_bytes(seed: u64, codec: &dyn Codec) -> Vec<u8> {
-    let f = synth::nyx_like(16, seed);
+    store_bytes_at(16, seed, codec)
+}
+
+/// A store over a `side`³ field.
+fn store_bytes_at(side: usize, seed: u64, codec: &dyn Codec) -> Vec<u8> {
+    let f = synth::nyx_like(side, seed);
     let mr = to_adaptive(&f, &RoiConfig::new(8, 0.5));
     // nyx-scale values are ~1e8; eb 1e6 keeps the test fast.
     write_store(&mr, &StoreConfig::new(1e6).with_chunk_blocks(2), codec)
@@ -368,4 +373,146 @@ fn saturation_yields_busy_or_correct_answers() {
     // Progress is mandatory; Busy counts are load-dependent and asserted
     // deterministically in the server's unit test instead.
     assert!(total_ok > 0, "no request ever succeeded");
+}
+
+/// One request on a raw socket; returns the response frame exactly as it
+/// came off the wire, header included.
+fn raw_call(stream: &mut std::net::TcpStream, req_id: u64, req: &hqmr_net::Request) -> Vec<u8> {
+    use hqmr_net::proto::HEADER_LEN;
+    use std::io::{Read, Write};
+    let mut frame = Vec::new();
+    req.encode_into(req_id, &mut frame);
+    stream.write_all(&frame).unwrap();
+    frame.resize(HEADER_LEN, 0);
+    stream.read_exact(&mut frame).unwrap();
+    let body_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    frame.resize(HEADER_LEN + body_len, 0);
+    stream.read_exact(&mut frame[HEADER_LEN..]).unwrap();
+    frame
+}
+
+/// The server writes an exact batch's frame straight from the cached chunk
+/// slabs, on a worker's answer (a miss) or on the connection thread (all
+/// resident). Either way the bytes on the wire are those of
+/// `NetResponse::Batch(serve_batch(..)).encode_into(..)` — for every
+/// backend, query shape and cache state — and the cache ledger a client
+/// reads afterwards is the one the in-process server keeps for the same
+/// request sequence.
+#[test]
+fn raw_frames_equal_the_owned_encoding_in_every_cache_state() {
+    use hqmr_net::proto::{read_hello, write_hello, Kind, NetResponse, Request};
+    use std::time::Duration;
+
+    for (i, (name, codec)) in all_codecs().into_iter().enumerate() {
+        let buf = store_bytes_at(32, 400 + i as u64, codec.as_ref());
+        let oracle =
+            StoreServer::unbounded(Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()));
+        let server = NetServer::spawn(
+            "127.0.0.1:0",
+            NetConfig {
+                workers: 2,
+                ..NetConfig::default()
+            },
+            vec![DatasetSpec {
+                id: 0,
+                name: name.into(),
+                reader: Arc::new(StoreReader::from_bytes(buf).unwrap()),
+            }],
+        )
+        .unwrap();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        write_hello(&mut stream).unwrap();
+        read_hello(&mut stream).unwrap();
+
+        let meta = oracle.meta();
+        let (d0, d1) = (meta.levels[0].dims, meta.levels[1].dims);
+        let unit = meta.levels[0].unit;
+        let roi = |level, lo, hi, fill| Query::Roi {
+            level,
+            lo,
+            hi,
+            fill,
+        };
+        // Unit-aligned, unaligned, clipped at the domain edge, and the whole
+        // level: in an adaptive layout no level covers its domain, so the
+        // last shows `fill`.
+        let aligned = roi(0, [0, unit, 0], [unit, 2 * unit, 2 * unit], 9.0);
+        let unaligned = roi(0, [1, 2, 3], [d0.nx - 2, d0.ny / 2 + 1, d0.nz - 1], -3.0);
+        let clipped = roi(0, [d0.nx - 3, d0.ny - 5, 1], [d0.nx, d0.ny, d0.nz], 0.5);
+        let sparse = roi(0, [0, 0, 0], [d0.nx, d0.ny, d0.nz], -1.5);
+        let whole = oracle
+            .reader()
+            .read_roi(0, [0, 0, 0], [d0.nx, d0.ny, d0.nz], -1.5);
+        let uncovered = whole.unwrap().data().iter().filter(|&&v| v == -1.5).count();
+        assert!(uncovered > 0, "{name}: the whole-level box shows no fill");
+        // An isovalue just above the median chunk maximum skips about half
+        // the chunks (those wholly below it), so decoded and proxy blocks
+        // share the frame.
+        let isos = [0, 1].map(|level| {
+            let chunks = &meta.levels[level].chunks;
+            let mut maxes: Vec<f32> = chunks.iter().map(|c| c.max).collect();
+            maxes.sort_by(f32::total_cmp);
+            let iso = maxes[(maxes.len() - 1) / 2] + 3.0 * meta.eb as f32;
+            let kept = oracle.reader().iso_chunk_indices(level, iso).unwrap().len();
+            (kept, chunks.len(), Query::Iso { level, iso })
+        });
+        let skipping = isos.iter().any(|&(kept, of, _)| (1..of).contains(&kept));
+        assert!(
+            skipping,
+            "{name}: no iso query mixes decoded and proxy blocks"
+        );
+        let isos = isos.map(|(.., q)| q);
+        // cold → partly warm → fully warm, twice over: single queries, then
+        // one batch of everything with overlapping boxes.
+        let everything = vec![
+            aligned,
+            clipped,
+            sparse,
+            unaligned,
+            Query::Level { level: 1 },
+            isos[0],
+            isos[1],
+            roi(1, [0, 0, 0], [d1.nx / 2 + 1, d1.ny, d1.nz / 2], 0.0),
+            Query::Level { level: 0 },
+        ];
+        let script = [
+            vec![unaligned],
+            vec![Query::Level { level: 0 }],
+            vec![Query::Level { level: 0 }],
+            everything.clone(),
+            everything,
+        ];
+        for (step, queries) in script.into_iter().enumerate() {
+            let req_id = 0x0100 + step as u64;
+            let direct = NetResponse::Batch(oracle.serve_batch(&queries).unwrap());
+            let mut expected = Vec::new();
+            direct.encode_into(req_id, &mut expected);
+            let request = Request::Batch {
+                dataset: 0,
+                queries,
+            };
+            let got = raw_call(&mut stream, req_id, &request);
+            assert!(
+                got == expected,
+                "backend {name}, step {step}: frames differ"
+            );
+
+            let peek = Request::Stats {
+                dataset: 0,
+                take: false,
+            };
+            let frame = raw_call(&mut stream, 7, &peek);
+            let body = &frame[hqmr_net::proto::HEADER_LEN..];
+            let NetResponse::Stats(remote) = NetResponse::decode(Kind::RStats, body).unwrap()
+            else {
+                panic!("expected stats");
+            };
+            assert_eq!(remote.cache, oracle.stats(), "backend {name}, step {step}");
+        }
+        let ledger = oracle.stats();
+        assert!(ledger.hits > 0 && ledger.misses == meta.chunk_count() as u64);
+    }
 }

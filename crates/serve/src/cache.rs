@@ -308,6 +308,16 @@ impl ChunkCache {
         out
     }
 
+    /// Residency probe: whether every one of `keys` is resident right now —
+    /// one lock acquisition, no recency touch, no counter. The answer is
+    /// advice (an eviction may land before the caller's harvest, which then
+    /// decodes through [`ChunkCache::get_or_decode`] as any miss does); the
+    /// lookups that follow do the accounting.
+    pub(crate) fn all_resident<'k>(&self, mut keys: impl Iterator<Item = &'k TimeKey>) -> bool {
+        let st = self.lock();
+        keys.all(|key| st.entries.contains_key(key))
+    }
+
     /// Inserts under the held lock, evicting LRU entries first so that
     /// `resident` never exceeds the budget at any instant. Chunks larger
     /// than the whole budget are served but never cached (budget 0 therefore
@@ -417,5 +427,52 @@ impl ChunkCache {
         st.entries.clear();
         st.order.clear();
         st.resident = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-block chunk of `cells` values.
+    fn chunk(cells: usize) -> DecodedChunk {
+        DecodedChunk {
+            unit: 1,
+            origins: vec![[0; 3]].into(),
+            data: vec![0.0; cells].into(),
+        }
+    }
+
+    /// The residency probe is advice and nothing else: it counts nothing,
+    /// leaves the recency order alone, and when an eviction lands between a
+    /// "resident" answer and the harvest, the harvest's lookup is a miss —
+    /// counted once, like any other.
+    #[test]
+    fn residency_probe_neither_counts_nor_touches() {
+        let [a, b, c] = [0, 1, 2].map(|i| (0, 0, i));
+        let bytes = chunk(64).resident_bytes();
+        let cache = ChunkCache::new(2 * bytes);
+        for key in [a, b] {
+            cache.get_or_decode(key, || Ok(chunk(64))).unwrap();
+        }
+        let before = cache.stats();
+        assert_eq!((before.hits, before.misses), (0, 2));
+
+        assert!(cache.all_resident([a, b].iter()));
+        assert!(cache.all_resident([].iter()));
+        assert!(!cache.all_resident([a, c].iter()));
+        assert_eq!(cache.stats(), before, "a probe is not a lookup");
+
+        // Not touched either: `a` was probed last but is still the oldest,
+        // so making room for `c` evicts it — after the probe said "resident".
+        assert!(cache.all_resident([a].iter()));
+        cache.get_or_decode(c, || Ok(chunk(64))).unwrap();
+        assert!(cache.all_resident([b, c].iter()) && !cache.all_resident([a].iter()));
+        assert_eq!(cache.get_resident(&[a]), [None]);
+        cache.get_or_decode(a, || Ok(chunk(64))).unwrap();
+        let after = cache.stats();
+        assert_eq!((after.hits, after.misses), (0, 4));
+        assert_eq!(after.requests, after.hits + after.misses);
+        assert_eq!(after.evictions, 2);
     }
 }

@@ -40,7 +40,13 @@
 //! decode the misses in parallel, assemble every response from the batch's
 //! own decoded set — under a two-valued policy for a chunk that will not
 //! decode: fail the batch, or quarantine it, fill from coarser data and
-//! flag the answer.
+//! flag the answer. What it assembles is [`ResponseParts`] — the answer by
+//! reference into the decoded chunks; a [`Response`] is `to_owned()` of
+//! that, and [`Server::serve_batch_parts`] skips the copy for a caller that
+//! can write from the slabs (the network layer). For a caller that must not
+//! wait on a decode, [`Server::serve_batch_resident`] runs the batch only
+//! if a residency probe — one lock, no recency touch, no counter — finds
+//! every planned chunk cached.
 //!
 //! Every read is byte-identical to the bare reader's: all funnel through
 //! the provider-generic assembly in [`hqmr_store::read`], and the
@@ -58,8 +64,8 @@ use hqmr_mr::{LevelData, MultiResData, Upsample};
 use hqmr_store::read::{self, ChunkSource};
 use hqmr_store::temporal::{apply_residual, TemporalReader, TimeKey};
 use hqmr_store::{
-    temporal_sidecars, DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus,
-    StoreError, StoreMeta, StoreReader, Throttle,
+    temporal_sidecars, DecodedChunk, LevelParts, ParitySidecar, Progressive, RoiParts, ScrubReport,
+    SidecarStatus, StoreError, StoreMeta, StoreReader, Throttle,
 };
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -179,6 +185,33 @@ pub enum Response {
     Iso(LevelData),
 }
 
+/// A [`Response`] still in the decoded chunks it is made of — what a batch
+/// assembles first. In-process callers get [`ResponseParts::to_owned`] of it
+/// (that is all [`Server::serve_batch`] adds); the network layer writes its
+/// frame straight from the slabs instead, so a cached answer is copied once,
+/// into the socket's buffer. The parts keep their chunks alive on their own:
+/// evictions (or a zero cache budget) cannot pull the data from under them.
+#[derive(Debug, Clone)]
+pub enum ResponseParts {
+    /// Answer to [`Query::Level`].
+    Level(LevelParts),
+    /// Answer to [`Query::Roi`].
+    Roi(RoiParts),
+    /// Answer to [`Query::Iso`].
+    Iso(LevelParts),
+}
+
+impl ResponseParts {
+    /// Copies the answer out of its chunks.
+    pub fn to_owned(&self) -> Response {
+        match self {
+            ResponseParts::Level(l) => Response::Level(l.to_owned()),
+            ResponseParts::Roi(r) => Response::Roi(r.to_owned()),
+            ResponseParts::Iso(l) => Response::Iso(l.to_owned()),
+        }
+    }
+}
+
 /// One query's answer under [`Server::serve_batch_degraded`], carrying
 /// the quality flag alongside the data: `degraded` lists every
 /// `(level, chunk)` the query touched whose real payload could not be
@@ -263,6 +296,12 @@ impl Frames for TemporalReader {
         self.manifest().frames[t].is_delta(level, chunk)
     }
 }
+
+/// A batch's queries with the chunk keys each needs, in request order.
+type Planned = Vec<(TimeQuery, Vec<TimeKey>)>;
+
+/// One assembled answer and the `(level, chunk)` pairs it was filled on.
+type Assembled = (ResponseParts, Vec<(usize, usize)>);
 
 /// What a batch does with a chunk that will not decode — the whole
 /// difference between [`Server::serve_batch`] and
@@ -569,8 +608,35 @@ impl<F: Frames> Server<F> {
         &self,
         queries: &[Q],
     ) -> Result<Vec<Response>, StoreError> {
-        let results = self.batch(queries.iter().map(|&q| q.into()), OnCorrupt::Fail)?;
-        Ok(results.into_iter().map(|r| r.response).collect())
+        let parts = self.serve_batch_parts(queries)?;
+        Ok(parts.iter().map(ResponseParts::to_owned).collect())
+    }
+
+    /// [`Server::serve_batch`] before the copy-out: every answer still in
+    /// its decoded chunks (see [`ResponseParts`]).
+    pub fn serve_batch_parts<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+    ) -> Result<Vec<ResponseParts>, StoreError> {
+        self.batch_exact(self.plan_each(queries)?)
+    }
+
+    /// [`Server::serve_batch_parts`] if — and only if — every chunk the
+    /// batch needs is resident at the time of asking; `None` otherwise
+    /// (planning errors included), with nothing decoded, touched or
+    /// counted. A caller that must not block on a decode (a connection
+    /// thread of the network layer) serves cached answers where it stands
+    /// and routes the rest to a thread that may. The probe is one lock
+    /// acquisition beside the batch's own harvest; if an eviction gets in
+    /// between the two, the harvest decodes that chunk through single-flight
+    /// like any miss — still the right bytes, still counted once.
+    pub fn serve_batch_resident<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+    ) -> Option<Result<Vec<ResponseParts>, StoreError>> {
+        let planned = self.plan_each(queries).ok()?;
+        let resident = (self.cache).all_resident(planned.iter().flat_map(|(_, keys)| keys));
+        resident.then(|| self.batch_exact(planned))
     }
 
     /// [`Server::serve_batch`] with graceful degradation: a chunk whose
@@ -593,18 +659,33 @@ impl<F: Frames> Server<F> {
         &self,
         queries: &[Q],
     ) -> Result<Vec<QueryResult>, StoreError> {
-        self.batch(queries.iter().map(|&q| q.into()), OnCorrupt::Fill)
+        let results = self.batch(self.plan_each(queries)?, OnCorrupt::Fill)?;
+        let owned = results.into_iter().map(|(parts, degraded)| QueryResult {
+            response: parts.to_owned(),
+            degraded,
+        });
+        Ok(owned.collect())
     }
 
-    /// The one batch function: plan → fetch → (fail | fill) → assemble.
-    fn batch(
-        &self,
-        queries: impl Iterator<Item = TimeQuery>,
-        policy: OnCorrupt,
-    ) -> Result<Vec<QueryResult>, StoreError> {
-        let queries: Vec<(TimeQuery, Vec<TimeKey>)> = queries
-            .map(|q| Ok((q, self.query_keys(&q)?)))
-            .collect::<Result<_, StoreError>>()?;
+    /// Every query of a batch with the keys it needs, in request order.
+    fn plan_each<Q: Into<TimeQuery> + Copy>(&self, queries: &[Q]) -> Result<Planned, StoreError> {
+        let keyed = queries.iter().map(|&q| {
+            let q = q.into();
+            Ok((q, self.query_keys(&q)?))
+        });
+        keyed.collect()
+    }
+
+    /// The batch under [`OnCorrupt::Fail`]: answers only, nothing to flag.
+    fn batch_exact(&self, planned: Planned) -> Result<Vec<ResponseParts>, StoreError> {
+        let results = self.batch(planned, OnCorrupt::Fail)?;
+        Ok(results.into_iter().map(|(parts, _)| parts).collect())
+    }
+
+    /// The one batch function, after the plan: fetch → (fail | fill) →
+    /// assemble. Each answer comes with the `(level, chunk)` pairs it was
+    /// filled on (none under [`OnCorrupt::Fail`]).
+    fn batch(&self, queries: Planned, policy: OnCorrupt) -> Result<Vec<Assembled>, StoreError> {
         let need: BTreeSet<TimeKey> = queries.iter().flat_map(|(_, keys)| keys).copied().collect();
         // Known-bad chunks go straight to fill without touching the store.
         let (mut bad, keys): (Vec<TimeKey>, Vec<TimeKey>) = match policy {
@@ -635,8 +716,9 @@ impl<F: Frames> Server<F> {
             self.quarantine().insert(key);
             chunks.insert(key, self.synthesize_fill(key)?);
         }
-        // Assembly pulls from the batch's own decoded set, so the responses
-        // are immune to evictions happening underneath (budget 0 included).
+        // Assembly pulls from the batch's own decoded set, and the parts it
+        // builds hold on to what they use, so the answers are immune to
+        // evictions happening underneath (budget 0 included).
         queries
             .into_iter()
             .map(|(q, keys)| {
@@ -644,16 +726,18 @@ impl<F: Frames> Server<F> {
                     batch: Some(&chunks),
                     ..self.frame(q.time)?
                 };
-                let response = match q.query {
-                    Query::Level { level } => read::read_level(&view, level).map(Response::Level),
+                let parts = match q.query {
+                    Query::Level { level } => {
+                        read::level_parts(&view, level, None).map(ResponseParts::Level)
+                    }
                     Query::Roi {
                         level,
                         lo,
                         hi,
                         fill,
-                    } => read::read_roi(&view, level, lo, hi, fill).map(Response::Roi),
+                    } => read::roi_parts(&view, level, lo, hi, fill).map(ResponseParts::Roi),
                     Query::Iso { level, iso } => {
-                        read::read_level_iso(&view, level, iso).map(Response::Iso)
+                        read::level_parts(&view, level, Some(iso)).map(ResponseParts::Iso)
                     }
                 }?;
                 let degraded = keys
@@ -661,7 +745,7 @@ impl<F: Frames> Server<F> {
                     .filter(|key| filled.contains(key))
                     .map(|(_, level, block)| (level, block))
                     .collect();
-                Ok(QueryResult { response, degraded })
+                Ok((parts, degraded))
             })
             .collect()
     }
@@ -1074,12 +1158,45 @@ mod tests {
 
     #[test]
     fn stats_identity_holds_under_concurrent_load() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let s = test_server(64 * 1024);
+        let chunks = s.meta().chunk_count() as u64;
+        let d = s.meta().levels[0].dims;
+        // Boxes small enough to stay resident for a while under the 64 KiB
+        // budget, so the inline path both hits and loses races to eviction.
+        let boxes: Vec<Query> = (0..4)
+            .map(|i| Query::Roi {
+                level: 0,
+                lo: [0, 0, i * d.nz / 4],
+                hi: [d.nx / 4, d.ny / 4, (i + 1) * d.nz / 4],
+                fill: 0.0,
+            })
+            .collect();
+        let (lookups, inline) = (AtomicU64::new(0), AtomicU64::new(0));
         std::thread::scope(|scope| {
-            for _ in 0..4 {
+            for _ in 0..2 {
                 scope.spawn(|| {
                     for _ in 0..8 {
                         s.read_all().unwrap();
+                        lookups.fetch_add(chunks, Ordering::Relaxed);
+                    }
+                });
+            }
+            // Probe-then-serve, as a connection thread of the network layer
+            // does: a "no" costs no lookup, a "yes" exactly one per key —
+            // hit or, when an eviction wins the race, miss.
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for q in boxes.iter().cycle().take(400) {
+                        let keys = s.plan(&[*q]).unwrap().len() as u64;
+                        match s.serve_batch_resident(&[*q]) {
+                            Some(served) => {
+                                served.unwrap();
+                                inline.fetch_add(1, Ordering::Relaxed);
+                            }
+                            None => drop(s.serve_batch(&[*q]).unwrap()),
+                        }
+                        lookups.fetch_add(keys, Ordering::Relaxed);
                     }
                 });
             }
@@ -1090,6 +1207,10 @@ mod tests {
                 assert!(st.shared <= st.hits);
             }
         });
+        let st = s.stats();
+        assert_eq!(st.requests, lookups.load(Ordering::Relaxed));
+        assert_eq!(st.requests, st.hits + st.misses);
+        assert!(inline.load(Ordering::Relaxed) > 0, "never served inline");
     }
 
     #[test]

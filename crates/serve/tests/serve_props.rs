@@ -264,6 +264,109 @@ fn batch_responses_equal_individual_reads() {
     }
 }
 
+/// The by-reference assembly (`hqmr_store::read::{roi_parts, level_parts}`,
+/// what a batch builds and the network layer encodes from) copies out to
+/// exactly the owned reads — ROI boxes that are aligned, unaligned, clipped
+/// at the domain edge and mostly uncovered; whole levels; isovalue reads
+/// that mix decoded and proxy blocks — whether the chunks come from a bare
+/// reader, a `StoreServer` or a `TimeView`, at every budget. And the parts
+/// keep their slabs alive on their own: a batch's answers survive the cache
+/// being emptied under them (at budget 0 it never held them at all).
+#[test]
+fn borrowed_assembly_copies_out_to_the_owned_reads() {
+    use hqmr_serve::ResponseParts;
+    use hqmr_store::read::{self, ChunkSource};
+
+    fn check<S: ChunkSource>(src: &S, oracle: &StoreReader, queries: &[Query], ctx: &str) {
+        for q in queries {
+            match *q {
+                Query::Level { level } => assert_eq!(
+                    read::level_parts(src, level, None).unwrap().to_owned(),
+                    oracle.read_level(level).unwrap(),
+                    "{ctx} {q:?}"
+                ),
+                Query::Roi {
+                    level,
+                    lo,
+                    hi,
+                    fill,
+                } => {
+                    // Independent of the ROI walk: the crop of the level.
+                    let dense = oracle.read_level(level).unwrap().to_field(fill);
+                    let dims = Dims3::new(hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]);
+                    assert_eq!(
+                        read::roi_parts(src, level, lo, hi, fill)
+                            .unwrap()
+                            .to_owned(),
+                        dense.extract_box(lo, dims),
+                        "{ctx} {q:?}"
+                    );
+                }
+                Query::Iso { level, iso } => assert_eq!(
+                    read::level_parts(src, level, Some(iso)).unwrap().to_owned(),
+                    oracle.read_level_iso(level, iso).unwrap(),
+                    "{ctx} {q:?}"
+                ),
+            }
+        }
+    }
+
+    for (ci, codec) in all_codecs().iter().enumerate() {
+        let mr = test_mr(300 + ci as u64);
+        let cfg = StoreConfig::new(eb()).with_chunk_blocks(3);
+        let buf = write_store(&mr, &cfg, codec.as_ref());
+        let oracle = StoreReader::from_bytes(buf.clone()).unwrap();
+        let meta = oracle.meta();
+        let mut queries = Vec::new();
+        for (level, lm) in meta.levels.iter().enumerate() {
+            let (d, u) = (lm.dims, lm.unit);
+            let mut maxes: Vec<f32> = lm.chunks.iter().map(|c| c.max).collect();
+            maxes.sort_by(f32::total_cmp);
+            // Just above the median chunk maximum: about half the chunks
+            // are skipped and answered by proxy.
+            let iso = maxes[(maxes.len() - 1) / 2] + 3.0 * meta.eb as f32;
+            let kept = oracle.iso_chunk_indices(level, iso).unwrap().len();
+            assert!((1..lm.chunks.len()).contains(&kept), "iso must mix");
+            let roi = |lo, hi, fill| Query::Roi {
+                level,
+                lo,
+                hi,
+                fill,
+            };
+            queries.extend([
+                Query::Level { level },
+                Query::Iso { level, iso },
+                roi([0, u, 0], [u, 2 * u, 2 * u], 1.0),
+                roi([1, 2, 3], [d.nx - 2, d.ny / 2 + 1, d.nz - 1], -7.0),
+                roi([d.nx - 3, d.ny - 1, 1], [d.nx, d.ny, d.nz], 0.5),
+                roi([0, 0, 0], [d.nx, d.ny, d.nz], f32::MIN),
+            ]);
+        }
+        let name = codec.name();
+        check(&oracle, &oracle, &queries, &format!("{name} bare reader"));
+        for budget in BUDGETS {
+            let server = StoreServer::new(
+                Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
+                budget,
+            );
+            for pass in ["cold", "warm"] {
+                let ctx = format!("{name} budget {budget} {pass}");
+                check(&server, &oracle, &queries, &format!("{ctx} server"));
+                let view = server.frame(0).unwrap();
+                check(&view, &oracle, &queries, &format!("{ctx} view"));
+            }
+            let parts = server.serve_batch_parts(&queries).unwrap();
+            let owned = server.serve_batch(&queries).unwrap();
+            server.clear_cache();
+            let late: Vec<Response> = parts.iter().map(ResponseParts::to_owned).collect();
+            assert_eq!(
+                late, owned,
+                "{name} budget {budget}: parts outlive the cache"
+            );
+        }
+    }
+}
+
 /// Corruption surfaces through the server with the same typed error as the
 /// bare reader, and other chunks stay servable.
 #[test]

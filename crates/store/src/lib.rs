@@ -89,7 +89,9 @@ pub mod temporal;
 pub use format::{
     parse_head, ChunkMeta, LevelMeta, StoreError, StoreMeta, MAGIC, PREFIX_LEN, VERSION,
 };
-pub use read::{ChunkSource, DecodedChunk, Progressive, RefinementStep};
+pub use read::{
+    BlockData, ChunkSource, DecodedChunk, LevelParts, Progressive, RefinementStep, RoiParts,
+};
 pub use scrub::{
     parity_path, repair_in_place, scrub_store, scrub_temporal, temporal_sidecars, write_atomic,
     ParitySidecar, ScrubReport, SidecarStatus, TemporalScrubReport, Throttle, DEFAULT_PARITY_GROUP,
@@ -489,10 +491,13 @@ fn encode_group(
     })
 }
 
-/// Writes `mr` into a complete in-memory store buffer (both stages).
+/// Writes `mr` into a complete in-memory store buffer. Each chunk group is
+/// prepared inside its encode task, so no whole-store prepared copy exists;
+/// the bytes equal [`prepare_store`] + [`encode_prepared_store_into`]'s.
 pub fn write_store(mr: &MultiResData, cfg: &StoreConfig, codec: &dyn Codec) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_prepared_store_into(mr, &prepare_store(mr, cfg), cfg, codec, &mut out);
+    encode_frame(mr, None, Loop::Open, cfg, codec, &mut out)
+        .expect("an open loop asks the codec for no reconstruction and cuts none");
     out
 }
 

@@ -11,6 +11,23 @@
 //! not a testing aspiration — the differential suite in
 //! `crates/serve/tests/` then pins it down anyway.
 //!
+//! # One walk per query kind, owned or by reference
+//!
+//! An answer is a fixed arrangement of chunk slabs: an ROI is the clipped
+//! `z`-rows of the intersecting blocks over a field of `fill`; a level (or
+//! an isovalue read of one) is its `(origin, block)` pairs in raster order,
+//! a skipped chunk's blocks being constants. Each arrangement is computed by
+//! exactly one function — [`RoiParts::for_each_row`], `level_blocks` — and
+//! comes in two forms. The *borrowed* form ([`roi_parts`], [`level_parts`])
+//! holds the decoded chunks' `Arc`s and names the slabs in place: a server
+//! whose chunks sit in a cache anyway answers with it, and a wire encoder
+//! writes its frame from the slabs without an intermediate [`Field3`] or
+//! [`UnitBlock`]. The *owned* form ([`read_roi`], [`read_level`],
+//! [`read_level_iso`]) is the same walk copying out — for an ROI literally
+//! `to_owned()` of the borrowed one; for a level the walk with owned
+//! payloads, so that it can stay windowed (below). `to_owned()` of a
+//! borrowed answer always equals the owned read.
+//!
 //! # Whole-level reads are windowed
 //!
 //! [`read_level`], [`read_level_iso`] and [`Progressive`] touch every chunk
@@ -24,7 +41,8 @@
 //! O(window) instead of a second copy of the level, and the pages the slabs
 //! lived in are reused by the next window instead of being faulted in fresh.
 //! Each chunk is still fetched and decoded exactly once per call. ROI reads
-//! hold few chunks and keep the single bulk request.
+//! hold few chunks and keep the single bulk request; [`level_parts`] keeps
+//! every chunk by design — it is for sources that hold them already.
 //!
 //! [`StoreReader`]: crate::StoreReader
 
@@ -160,19 +178,179 @@ fn for_each_chunk<S: ChunkSource + ?Sized>(
     Ok(())
 }
 
-/// Reads one whole resolution level from `src`.
-pub fn read_level<S: ChunkSource + ?Sized>(src: &S, level: usize) -> Result<LevelData, StoreError> {
+/// Blocks of a level answer, each with its origin.
+type Placed<B> = Vec<([usize; 3], B)>;
+
+/// One block of a level answer, by reference.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BlockData<'a> {
+    /// A decoded block: its `unit³` values, in place in the chunk's slab.
+    Slab(&'a [f32]),
+    /// A block of a chunk an isovalue read skipped: `unit³` copies of the
+    /// chunk's same-side proxy value.
+    Proxy(f32),
+}
+
+/// Where a [`LevelParts`] block lives.
+#[derive(Debug, Clone, Copy)]
+enum BlockSrc {
+    /// Block `slot` of `LevelParts::chunks[chunk]`.
+    Slab {
+        chunk: usize,
+        slot: usize,
+    },
+    Proxy(f32),
+}
+
+/// A [`read_level`] / [`read_level_iso`] answer still in its decoded chunks:
+/// the answer's blocks in answer order, each naming a slab of a chunk this
+/// value keeps alive (or a proxy constant). [`LevelParts::to_owned`] copies
+/// them out into the [`LevelData`] an in-process caller keeps; a wire encoder
+/// walks [`LevelParts::blocks`] and writes the slabs where they lie.
+#[derive(Debug, Clone)]
+pub struct LevelParts {
+    /// Refinement distance from the finest level.
+    pub level: usize,
+    /// Unit block side length.
+    pub unit: usize,
+    /// Level-resolution domain extents.
+    pub dims: Dims3,
+    chunks: Vec<DecodedChunk>,
+    blocks: Placed<BlockSrc>,
+}
+
+impl LevelParts {
+    /// Number of blocks in the answer.
+    pub fn block_count(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// `(origin, data)` of every block, in answer (raster) order.
+    pub fn blocks(&self) -> impl Iterator<Item = ([usize; 3], BlockData<'_>)> {
+        self.blocks.iter().map(|&(origin, src)| {
+            let data = match src {
+                BlockSrc::Slab { chunk, slot } => {
+                    BlockData::Slab(self.chunks[chunk].block_data(slot))
+                }
+                BlockSrc::Proxy(value) => BlockData::Proxy(value),
+            };
+            (origin, data)
+        })
+    }
+
+    /// The owned answer: what [`read_level`] / [`read_level_iso`] return.
+    pub fn to_owned(&self) -> LevelData {
+        let cells = self.unit.pow(3);
+        let blocks = self.blocks().map(|(origin, data)| UnitBlock {
+            origin,
+            data: match data {
+                BlockData::Slab(values) => values.to_vec(),
+                BlockData::Proxy(value) => vec![value; cells],
+            },
+        });
+        LevelData {
+            level: self.level,
+            unit: self.unit,
+            dims: self.dims,
+            blocks: blocks.collect(),
+        }
+    }
+}
+
+/// The one level assembly: every block of `level` paired with its origin, in
+/// answer order. Chunks arrive a window at a time and `land` turns each into
+/// its blocks' payloads — owned copies or references, the caller's choice;
+/// with `iso`, chunks provably on one side of it are not fetched and their
+/// blocks become `proxy` of the chunk's same-side value instead.
+fn level_blocks<S: ChunkSource + ?Sized, B>(
+    src: &S,
+    level: usize,
+    iso: Option<f32>,
+    mut land: impl FnMut(&DecodedChunk, &mut Placed<B>),
+    proxy: impl Fn(f32) -> B,
+) -> Result<Placed<B>, StoreError> {
+    let meta = src.store_meta();
+    let lm = level_meta(meta, level)?;
+    let keep: Vec<usize> = match iso {
+        Some(iso) => iso_chunk_indices(meta, level, iso)?,
+        None => (0..lm.chunks.len()).collect(),
+    };
+    let mut blocks = Vec::new();
+    for_each_chunk(src, level, lm, &keep, |c| land(c, &mut blocks))?;
+    if let Some(iso) = iso {
+        // `keep` ascends, so the skipped chunks fall out of one merge-walk.
+        let mut kept = keep.iter().peekable();
+        for (i, c) in lm.chunks.iter().enumerate() {
+            if kept.next_if_eq(&&i).is_none() {
+                let value = c.proxy_value(iso);
+                blocks.extend(c.slots.iter().map(|&(_, origin)| (origin, proxy(value))));
+            }
+        }
+    }
+    blocks.sort_by_key(|&(origin, _)| origin);
+    Ok(blocks)
+}
+
+/// [`level_blocks`] with owned payloads: each window's slabs are copied out
+/// and dropped before the next is requested (module docs).
+fn owned_level<S: ChunkSource + ?Sized>(
+    src: &S,
+    level: usize,
+    iso: Option<f32>,
+) -> Result<LevelData, StoreError> {
     let lm = level_meta(src.store_meta(), level)?;
-    let indices: Vec<usize> = (0..lm.chunks.len()).collect();
-    let mut blocks: Vec<UnitBlock> = Vec::new();
-    for_each_chunk(src, level, lm, &indices, |c| blocks.extend(c.to_blocks()))?;
-    blocks.sort_by_key(|b| b.origin);
+    let cells = lm.unit.pow(3);
+    let blocks = level_blocks(
+        src,
+        level,
+        iso,
+        |c, out| out.extend(c.to_blocks().map(|b| (b.origin, b.data))),
+        |value| vec![value; cells],
+    )?;
     Ok(LevelData {
         level: lm.level,
         unit: lm.unit,
         dims: lm.dims,
+        blocks: (blocks.into_iter())
+            .map(|(origin, data)| UnitBlock { origin, data })
+            .collect(),
+    })
+}
+
+/// [`read_level`] (`iso: None`) or [`read_level_iso`] by reference — the same
+/// walk with borrowed payloads: the chunks stay whole and alive in the
+/// result, and `to_owned()` of it equals the owned read.
+pub fn level_parts<S: ChunkSource + ?Sized>(
+    src: &S,
+    level: usize,
+    iso: Option<f32>,
+) -> Result<LevelParts, StoreError> {
+    let lm = level_meta(src.store_meta(), level)?;
+    let mut chunks = Vec::new();
+    let blocks = level_blocks(
+        src,
+        level,
+        iso,
+        |c, out| {
+            let chunk = chunks.len();
+            chunks.push(c.clone());
+            let slabs = c.origins.iter().enumerate();
+            out.extend(slabs.map(|(slot, &origin)| (origin, BlockSrc::Slab { chunk, slot })));
+        },
+        BlockSrc::Proxy,
+    )?;
+    Ok(LevelParts {
+        level: lm.level,
+        unit: lm.unit,
+        dims: lm.dims,
+        chunks,
         blocks,
     })
+}
+
+/// Reads one whole resolution level from `src`.
+pub fn read_level<S: ChunkSource + ?Sized>(src: &S, level: usize) -> Result<LevelData, StoreError> {
+    owned_level(src, level, None)
 }
 
 /// Reads every level of `src` (the store equivalent of `decompress_mr`).
@@ -210,6 +388,88 @@ pub fn roi_chunk_indices(
         .collect())
 }
 
+/// A [`read_roi`] answer still in its decoded chunks: the box, the fill, and
+/// the intersecting chunks kept alive. [`RoiParts::to_owned`] lands the
+/// clipped rows in the dense [`Field3`] an in-process caller keeps; a wire
+/// encoder lands the same rows ([`RoiParts::for_each_row`]) in its frame.
+#[derive(Debug, Clone)]
+pub struct RoiParts {
+    lo: [usize; 3],
+    hi: [usize; 3],
+    fill: f32,
+    unit: usize,
+    chunks: Vec<DecodedChunk>,
+}
+
+impl RoiParts {
+    /// Extents of the dense answer, `hi − lo`.
+    pub fn dims(&self) -> Dims3 {
+        let [lo, hi] = [self.lo, self.hi];
+        Dims3::new(hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2])
+    }
+
+    /// The value of every cell no unit block covers.
+    pub fn fill(&self) -> f32 {
+        self.fill
+    }
+
+    /// Hands `row` every covered run of the dense answer: `(at, values)`
+    /// overwrites cells `at..at + values.len()` (raster order, `z` fastest).
+    /// Runs come in chunk-table order; cells no run names hold the fill.
+    pub fn for_each_row(&self, mut row: impl FnMut(usize, &[f32])) {
+        let (lo, hi, u) = (self.lo, self.hi, self.unit);
+        let (dims, bd) = (self.dims(), Dims3::cube(u));
+        for c in &self.chunks {
+            for (k, &origin) in c.origins.iter().enumerate() {
+                // Clip the block to the ROI.
+                let data = c.block_data(k);
+                let blo: [usize; 3] = std::array::from_fn(|a| origin[a].max(lo[a]));
+                let bhi: [usize; 3] = std::array::from_fn(|a| (origin[a] + u).min(hi[a]));
+                if (0..3).any(|a| blo[a] >= bhi[a]) {
+                    continue;
+                }
+                // `z` is contiguous in both layouts: one run per clipped z-row.
+                let zn = bhi[2] - blo[2];
+                for x in blo[0]..bhi[0] {
+                    for y in blo[1]..bhi[1] {
+                        let src = bd.idx(x - origin[0], y - origin[1], blo[2] - origin[2]);
+                        let dst = dims.idx(x - lo[0], y - lo[1], blo[2] - lo[2]);
+                        row(dst, &data[src..src + zn]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The owned answer: what [`read_roi`] returns.
+    pub fn to_owned(&self) -> Field3 {
+        let mut out = Field3::new(self.dims(), self.fill);
+        let cells = out.data_mut();
+        self.for_each_row(|at, values| cells[at..at + values.len()].copy_from_slice(values));
+        out
+    }
+}
+
+/// [`read_roi`] by reference: decodes (or fetches from `src`'s cache) only
+/// the intersecting chunks and holds them; `to_owned()` of the result equals
+/// [`read_roi`].
+pub fn roi_parts<S: ChunkSource + ?Sized>(
+    src: &S,
+    level: usize,
+    lo: [usize; 3],
+    hi: [usize; 3],
+    fill: f32,
+) -> Result<RoiParts, StoreError> {
+    let indices = roi_chunk_indices(src.store_meta(), level, lo, hi)?;
+    Ok(RoiParts {
+        lo,
+        hi,
+        fill,
+        unit: level_meta(src.store_meta(), level)?.unit,
+        chunks: src.chunks(level, &indices)?,
+    })
+}
+
 /// Reads the axis-aligned box `[lo, hi)` of one level, decoding only the
 /// intersecting chunks. Returns a dense field of dims `hi − lo`; cells not
 /// covered by any unit block hold `fill`. Equals the same region cropped out
@@ -221,33 +481,7 @@ pub fn read_roi<S: ChunkSource + ?Sized>(
     hi: [usize; 3],
     fill: f32,
 ) -> Result<Field3, StoreError> {
-    let indices = roi_chunk_indices(src.store_meta(), level, lo, hi)?;
-    let u = level_meta(src.store_meta(), level)?.unit;
-    let decoded = src.chunks(level, &indices)?;
-    let dims = Dims3::new(hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]);
-    let mut out = Field3::new(dims, fill);
-    let bd = Dims3::cube(u);
-    for c in &decoded {
-        for (k, &origin) in c.origins.iter().enumerate() {
-            // Clip the block to the ROI and copy the overlap.
-            let data = c.block_data(k);
-            let blo: [usize; 3] = std::array::from_fn(|a| origin[a].max(lo[a]));
-            let bhi: [usize; 3] = std::array::from_fn(|a| (origin[a] + u).min(hi[a]));
-            if (0..3).any(|a| blo[a] >= bhi[a]) {
-                continue;
-            }
-            // `z` is contiguous in both layouts: one copy per clipped z-row.
-            let zn = bhi[2] - blo[2];
-            for x in blo[0]..bhi[0] {
-                for y in blo[1]..bhi[1] {
-                    let src = bd.idx(x - origin[0], y - origin[1], blo[2] - origin[2]);
-                    let dst = dims.idx(x - lo[0], y - lo[1], blo[2] - lo[2]);
-                    out.data_mut()[dst..dst + zn].copy_from_slice(&data[src..src + zn]);
-                }
-            }
-        }
-    }
-    Ok(out)
+    Ok(roi_parts(src, level, lo, hi, fill)?.to_owned())
 }
 
 /// Indices of the chunks that *may* contain a crossing of `iso`, judged from
@@ -277,30 +511,7 @@ pub fn read_level_iso<S: ChunkSource + ?Sized>(
     level: usize,
     iso: f32,
 ) -> Result<LevelData, StoreError> {
-    let meta = src.store_meta();
-    let keep = iso_chunk_indices(meta, level, iso)?;
-    let lm = level_meta(meta, level)?;
-    let mut blocks: Vec<UnitBlock> = Vec::new();
-    for_each_chunk(src, level, lm, &keep, |c| blocks.extend(c.to_blocks()))?;
-    // `keep` ascends, so the skipped chunks fall out of one merge-walk.
-    let mut kept = keep.iter().peekable();
-    for (i, c) in lm.chunks.iter().enumerate() {
-        if kept.next_if_eq(&&i).is_some() {
-            continue;
-        }
-        let proxy = c.proxy_value(iso);
-        blocks.extend(c.slots.iter().map(|&(_, origin)| UnitBlock {
-            origin,
-            data: vec![proxy; lm.unit.pow(3)],
-        }));
-    }
-    blocks.sort_by_key(|b| b.origin);
-    Ok(LevelData {
-        level: lm.level,
-        unit: lm.unit,
-        dims: lm.dims,
-        blocks,
-    })
+    owned_level(src, level, Some(iso))
 }
 
 /// One step of progressive refinement.

@@ -8,8 +8,8 @@
 //! Without an argument, a `NetServer` is spawned in-process on a loopback
 //! port (deliberately small: 2 workers, shallow queues) and 16 clients
 //! storm it over sockets — the same panning-viewer access pattern as
-//! `roi_storm`, but every query now pays encode + two socket hops + shard
-//! dispatch. Overload comes back as typed `Busy` answers that clients
+//! `roi_storm`, but every query now pays encode + two socket hops, and a
+//! miss a trip through the worker queue. Overload comes back as typed `Busy` answers that clients
 //! retry, and the cache ledger still proves each chunk decoded once for
 //! the whole fleet. With an address argument the fleet half is skipped and
 //! the storm hits a remote `netd` instead.
