@@ -151,7 +151,9 @@ fn bench_rle_varint(c: &mut Criterion) {
     g.sample_size(20)
         .throughput(Throughput::Bytes(payload.len() as u64));
     g.bench_function("encode", |b| b.iter(|| rle_encode(&payload)));
-    g.bench_function("decode", |b| b.iter(|| rle_decode(&encoded).unwrap()));
+    g.bench_function("decode", |b| {
+        b.iter(|| rle_decode(&encoded, payload.len()).unwrap())
+    });
     g.finish();
 
     let values: Vec<u64> = (0..100_000u64)

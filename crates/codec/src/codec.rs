@@ -15,6 +15,7 @@
 //! [`CodecError::WrongStreamId`].
 
 use crate::container::{tag, Container, ContainerError};
+use crate::cursor::{Cur, Fault};
 use hqmr_grid::{Dims3, Field3};
 
 /// Section tag carrying a stream's codec id.
@@ -74,6 +75,12 @@ impl std::error::Error for CodecError {}
 impl From<ContainerError> for CodecError {
     fn from(e: ContainerError) -> Self {
         CodecError::Container(e)
+    }
+}
+
+impl From<Fault> for CodecError {
+    fn from(f: Fault) -> Self {
+        CodecError::Malformed(f.what())
     }
 }
 
@@ -237,21 +244,15 @@ impl Codec for NullCodec {
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         let c = Container::from_bytes(bytes)?;
         check_stream_id(&c, NULL_CODEC_ID)?;
-        let head = c.require(TAG_RAW_HEAD)?;
-        let mut pos = 0usize;
-        let mut rd = || {
-            crate::varint::read_uvarint(head, &mut pos)
-                .map(|v| v as usize)
-                .ok_or(CodecError::Malformed("dims"))
-        };
-        let dims = Dims3::new(rd()?, rd()?, rd()?);
-        let data = c.require(TAG_RAW_DATA)?;
-        if data.len() != dims.len() * 4 {
-            return Err(CodecError::Malformed("payload size"));
-        }
+        let dims = Cur::new(c.require(TAG_RAW_HEAD)?).dims()?;
+        // The payload is measured against the declared cells before the
+        // field is sized by them.
+        let mut data = Cur::new(c.require(TAG_RAW_DATA)?);
+        let cells = data.f32s(dims.len())?;
+        data.done()?;
         out.reshape(dims, 0.0);
-        for (cell, b) in out.data_mut().iter_mut().zip(data.chunks_exact(4)) {
-            *cell = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        for (cell, v) in out.data_mut().iter_mut().zip(cells) {
+            *cell = v;
         }
         Ok(())
     }

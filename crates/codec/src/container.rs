@@ -6,7 +6,8 @@
 //! lets integration tests assert integrity end to end.
 
 use crate::crc32;
-use crate::varint::{read_uvarint, write_uvarint};
+use crate::cursor::{Cur, Fault};
+use crate::varint::write_uvarint;
 
 /// Container parse/validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +37,13 @@ impl std::fmt::Display for ContainerError {
 }
 
 impl std::error::Error for ContainerError {}
+
+/// Every way of running out of input is `Truncated`.
+impl From<Fault> for ContainerError {
+    fn from(_: Fault) -> Self {
+        ContainerError::Truncated
+    }
+}
 
 /// One tagged byte payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,27 +135,22 @@ impl Container {
 
     /// Parses and CRC-validates a serialized container.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ContainerError> {
-        if bytes.len() < 5 {
-            return Err(ContainerError::Truncated);
-        }
-        if &bytes[..4] != MAGIC {
+        let mut c = Cur::new(bytes);
+        let head = c.take(5)?;
+        if &head[..4] != MAGIC {
             return Err(ContainerError::BadMagic);
         }
-        if bytes[4] != VERSION {
-            return Err(ContainerError::BadVersion(bytes[4]));
+        if head[4] != VERSION {
+            return Err(ContainerError::BadVersion(head[4]));
         }
-        let mut pos = 5usize;
-        let count = read_uvarint(bytes, &mut pos).ok_or(ContainerError::Truncated)? as usize;
-        let mut sections = Vec::with_capacity(count.min(1024));
+        // A section is at least its three one-byte varints.
+        let count = c.count(3)?;
+        let mut sections = Vec::with_capacity(count);
         for _ in 0..count {
-            let tag = read_uvarint(bytes, &mut pos).ok_or(ContainerError::Truncated)? as u32;
-            let len = read_uvarint(bytes, &mut pos).ok_or(ContainerError::Truncated)? as usize;
-            let crc = read_uvarint(bytes, &mut pos).ok_or(ContainerError::Truncated)? as u32;
-            let data = bytes
-                .get(pos..pos + len)
-                .ok_or(ContainerError::Truncated)?
-                .to_vec();
-            pos += len;
+            let tag = c.uvarint()? as u32;
+            let len = c.usize()?;
+            let crc = c.uvarint()? as u32;
+            let data = c.take(len)?.to_vec();
             if crc32(&data) != crc {
                 return Err(ContainerError::Corrupt { tag });
             }

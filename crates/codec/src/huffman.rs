@@ -29,7 +29,8 @@
 
 use crate::bitio::{reference, BitReader, BitWriter};
 use crate::codec::CodecError;
-use crate::varint::{read_uvarint, write_uvarint};
+use crate::cursor::{Cur, Fault};
+use crate::varint::write_uvarint;
 use std::cell::RefCell;
 
 /// Maximum admitted code length. Length-limiting keeps decode tables sane even
@@ -450,6 +451,16 @@ pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
     out
 }
 
+/// The most bytes [`huffman_encode`] writes for `n_symbols` symbols — the
+/// ceiling a reader that knows the symbol count from elsewhere (the declared
+/// cells of a field) passes to [`unpack_maybe_rle`](crate::unpack_maybe_rle)
+/// before it expands a block. Three ten-byte varints; at most two
+/// length-table runs per present symbol, five bytes each (`MAX_ALPHABET` is
+/// a four-byte varint); `MAX_CODE_LEN` = 32 payload bits per symbol.
+pub fn huffman_max_len(n_symbols: usize) -> usize {
+    n_symbols.saturating_mul(2 * 5 + 4).saturating_add(30)
+}
+
 /// [`huffman_encode`] framed like `pack_maybe_rle(&huffman_encode(symbols))`
 /// — byte-identical output — but encoding straight into the flagged buffer,
 /// so the raw arm (the usual one: Huffman output rarely has byte runs) skips
@@ -625,9 +636,10 @@ fn decode_header<'a>(
     runs: &mut Vec<LengthRun>,
 ) -> Result<(usize, &'a [u8]), CodecError> {
     let bad = |reason| CodecError::Entropy { reason };
-    let mut pos = 0usize;
-    let n_symbols = read_uvarint(bytes, &mut pos).ok_or(bad("truncated symbol count"))?;
-    let alphabet = read_uvarint(bytes, &mut pos).ok_or(bad("truncated alphabet size"))?;
+    let cut = |f: Fault| bad(f.what());
+    let mut c = Cur::new(bytes);
+    let n_symbols = c.usize().map_err(cut)?;
+    let alphabet = c.uvarint().map_err(cut)?;
     if alphabet > MAX_ALPHABET as u64 {
         return Err(bad("alphabet too large"));
     }
@@ -637,9 +649,8 @@ fn decode_header<'a>(
     let mut kraft = 0u64;
     let mut filled = 0u64;
     while filled < alphabet {
-        let run = read_uvarint(bytes, &mut pos).ok_or(bad("truncated length table"))?;
-        let v = *bytes.get(pos).ok_or(bad("truncated length table"))?;
-        pos += 1;
+        let run = c.uvarint().map_err(cut)?;
+        let v = c.u8().map_err(cut)?;
         if v > MAX_CODE_LEN {
             return Err(bad("code length exceeds limit"));
         }
@@ -662,14 +673,12 @@ fn decode_header<'a>(
     if kraft > 1u64 << MAX_CODE_LEN {
         return Err(bad("code lengths violate Kraft inequality"));
     }
-    let payload_len = read_uvarint(bytes, &mut pos).ok_or(bad("truncated payload size"))? as usize;
-    let payload = bytes
-        .get(pos..pos.saturating_add(payload_len))
-        .ok_or(bad("truncated payload"))?;
-    if n_symbols > 8 * payload.len() as u64 {
+    let payload_len = c.usize().map_err(cut)?;
+    let payload = c.take(payload_len).map_err(cut)?;
+    if n_symbols.div_ceil(8) > payload.len() {
         return Err(bad("symbol count exceeds payload bits"));
     }
-    Ok((n_symbols as usize, payload))
+    Ok((n_symbols, payload))
 }
 
 /// The state [`huffman_decode_into`] rebuilds per block — parsed length runs

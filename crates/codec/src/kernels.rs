@@ -1,4 +1,4 @@
-//! Runtime kernel dispatch: SIMD level selection and parallelism toggles.
+//! Runtime kernel dispatch: SIMD level selection.
 //!
 //! The compressor crates carry hand-vectorized `core::arch` variants of their
 //! stride-1 interior kernels (SSE2 baseline on x86-64, AVX2 when the CPU has
@@ -21,11 +21,6 @@
 //!   forced-scalar CI job runs the differential suites under it).
 //! * [`set_force_scalar`] flips the same switch at runtime, letting one
 //!   process run (and compare) the SIMD and scalar arms.
-//!
-//! The intra-chunk tile parallelism of the decode path (lines of an SZ3
-//! sweep fanned across the rayon shim) has the same two channels:
-//! `HQMR_TILE_PARALLEL=0` / [`set_tile_parallel`]. Tiling never changes
-//! bytes either — it partitions writes over disjoint output positions.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -44,30 +39,22 @@ const UNSET: u8 = 0;
 const OFF: u8 = 1;
 const ON: u8 = 2;
 
-/// Tri-state flags: `UNSET` until first read (which consults the
-/// environment), then pinned to `ON`/`OFF` unless a setter rewrites them.
+/// Tri-state flag: `UNSET` until first read (which consults the
+/// environment), then pinned to `ON`/`OFF` unless the setter rewrites it.
 static FORCE_SCALAR: AtomicU8 = AtomicU8::new(UNSET);
-static TILE_PARALLEL: AtomicU8 = AtomicU8::new(UNSET);
-
-fn read_flag(flag: &AtomicU8, env: &str, default: bool) -> bool {
-    match flag.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => {
-            let on = match std::env::var(env) {
-                Ok(v) => !(v.is_empty() || v == "0"),
-                Err(_) => default,
-            };
-            flag.store(if on { ON } else { OFF }, Ordering::Relaxed);
-            on
-        }
-    }
-}
 
 /// True when the scalar arm is pinned (`HQMR_FORCE_SCALAR=1` or
 /// [`set_force_scalar`]).
 pub fn force_scalar() -> bool {
-    read_flag(&FORCE_SCALAR, "HQMR_FORCE_SCALAR", false)
+    match FORCE_SCALAR.load(Ordering::Relaxed) {
+        ON => true,
+        OFF => false,
+        _ => {
+            let on = std::env::var("HQMR_FORCE_SCALAR").is_ok_and(|v| !(v.is_empty() || v == "0"));
+            set_force_scalar(on);
+            on
+        }
+    }
 }
 
 /// Pins (or unpins) the scalar arm for the whole process, overriding the
@@ -76,16 +63,11 @@ pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(if on { ON } else { OFF }, Ordering::Relaxed);
 }
 
-/// True when decode paths may fan intra-chunk tiles (SZ3 sweep lines, store
-/// slab assembly) across the rayon shim. Default on; `HQMR_TILE_PARALLEL=0`
-/// or [`set_tile_parallel`] turn it off (the benches' serial baseline arm).
+/// Decode paths fan intra-chunk tiles (SZ3 sweep lines, store slab assembly)
+/// across the rayon shim whenever the work is large enough — there is no
+/// switch. Kept because the repo benchmark echoes it in its run header.
 pub fn tile_parallel() -> bool {
-    read_flag(&TILE_PARALLEL, "HQMR_TILE_PARALLEL", true)
-}
-
-/// Enables/disables intra-chunk tile parallelism at runtime.
-pub fn set_tile_parallel(on: bool) {
-    TILE_PARALLEL.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    true
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -151,13 +133,5 @@ mod tests {
         set_force_scalar(true);
         assert!(!clmul_crc());
         set_force_scalar(false);
-    }
-
-    #[test]
-    fn tile_parallel_round_trips() {
-        set_tile_parallel(false);
-        assert!(!tile_parallel());
-        set_tile_parallel(true);
-        assert!(tile_parallel());
     }
 }

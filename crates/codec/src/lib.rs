@@ -16,6 +16,7 @@ pub mod bitio;
 pub mod codec;
 pub mod container;
 mod crc;
+pub mod cursor;
 pub mod huffman;
 pub mod kernels;
 pub mod quantizer;
@@ -28,9 +29,10 @@ pub use codec::{
 };
 pub use container::{tag, Container, ContainerError, Section};
 pub use crc::crc32;
+pub use cursor::{framed_head, framed_head_into, framed_prefix, Cur, Fault, FRAMED_PREFIX_LEN};
 pub use huffman::{
     huffman_decode, huffman_decode_into, huffman_decode_reference, huffman_encode,
-    huffman_encode_packed, huffman_encode_reference, HuffmanScratch,
+    huffman_encode_packed, huffman_encode_reference, huffman_max_len, HuffmanScratch,
 };
 pub use quantizer::{round_ties_away_i64, LinearQuantizer, QuantOutcome};
 pub use rle::{pack_maybe_rle, rle_decode, rle_encode, unpack_maybe_rle};

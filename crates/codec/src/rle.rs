@@ -4,7 +4,8 @@
 //! (multi-resolution layout metadata), both of which are long runs of equal
 //! bytes.
 
-use crate::varint::{read_uvarint, write_uvarint};
+use crate::cursor::Cur;
+use crate::varint::write_uvarint;
 
 /// Run-length encodes `data` as (uvarint run, byte value) pairs prefixed with
 /// the total length.
@@ -25,16 +26,18 @@ pub fn rle_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes a buffer produced by [`rle_encode`]. `None` on malformed input.
-pub fn rle_decode(bytes: &[u8]) -> Option<Vec<u8>> {
-    let mut pos = 0usize;
-    let total = read_uvarint(bytes, &mut pos)? as usize;
+/// Decodes a buffer produced by [`rle_encode`] that the caller knows holds at
+/// most `max_len` bytes. `None` on malformed input — a declared total above
+/// `max_len` included, turned away before anything is allocated: a dozen
+/// bytes of run-length code can otherwise ask for any amount of memory.
+pub fn rle_decode(bytes: &[u8], max_len: usize) -> Option<Vec<u8>> {
+    let mut c = Cur::new(bytes);
+    let total = c.usize().ok().filter(|&total| total <= max_len)?;
     let mut out = Vec::with_capacity(total);
     while out.len() < total {
-        let run = read_uvarint(bytes, &mut pos)? as usize;
-        let v = *bytes.get(pos)?;
-        pos += 1;
-        if out.len() + run > total {
+        let run = c.usize().ok()?;
+        let v = c.u8().ok()?;
+        if run > total - out.len() {
             return None;
         }
         out.resize(out.len() + run, v);
@@ -47,7 +50,7 @@ pub fn rle_decode(bytes: &[u8]) -> Option<Vec<u8>> {
 /// Huffman payload of a constant block) collapse by orders of magnitude.
 pub fn pack_maybe_rle(bytes: &[u8]) -> Vec<u8> {
     let rle = rle_encode(bytes);
-    let mut out = Vec::with_capacity(rle.len().min(bytes.len()) + 1);
+    let mut out = Vec::with_capacity(bytes.len() + 1);
     if rle.len() < bytes.len() {
         out.push(1);
         out.extend_from_slice(&rle);
@@ -58,11 +61,12 @@ pub fn pack_maybe_rle(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`pack_maybe_rle`]. `None` on malformed input.
-pub fn unpack_maybe_rle(bytes: &[u8]) -> Option<Vec<u8>> {
+/// Inverse of [`pack_maybe_rle`] for a payload of at most `max_len` bytes
+/// (see [`rle_decode`]). `None` on malformed input.
+pub fn unpack_maybe_rle(bytes: &[u8], max_len: usize) -> Option<Vec<u8>> {
     match bytes.first()? {
         0 => Some(bytes[1..].to_vec()),
-        1 => rle_decode(&bytes[1..]),
+        1 => rle_decode(&bytes[1..], max_len),
         _ => None,
     }
 }
@@ -76,15 +80,15 @@ mod tests {
         let repetitive = vec![0u8; 10_000];
         let packed = pack_maybe_rle(&repetitive);
         assert!(packed.len() < 20);
-        assert_eq!(unpack_maybe_rle(&packed), Some(repetitive));
+        assert_eq!(unpack_maybe_rle(&packed, 10_000), Some(repetitive));
 
         let incompressible: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         let packed = pack_maybe_rle(&incompressible);
         assert_eq!(packed.len(), 1001);
-        assert_eq!(unpack_maybe_rle(&packed), Some(incompressible));
+        assert_eq!(unpack_maybe_rle(&packed, 1000), Some(incompressible));
 
-        assert_eq!(unpack_maybe_rle(&[]), None);
-        assert_eq!(unpack_maybe_rle(&[7, 1, 2]), None);
+        assert_eq!(unpack_maybe_rle(&[], 0), None);
+        assert_eq!(unpack_maybe_rle(&[7, 1, 2], 2), None);
     }
 
     #[test]
@@ -95,24 +99,43 @@ mod tests {
         data.extend(std::iter::repeat_n(0, 123));
         let enc = rle_encode(&data);
         assert!(enc.len() < 20);
-        assert_eq!(rle_decode(&enc), Some(data));
+        assert_eq!(rle_decode(&enc, data.len()), Some(data));
     }
 
     #[test]
     fn roundtrip_empty_and_single() {
-        assert_eq!(rle_decode(&rle_encode(&[])), Some(vec![]));
-        assert_eq!(rle_decode(&rle_encode(&[42])), Some(vec![42]));
+        assert_eq!(rle_decode(&rle_encode(&[]), 0), Some(vec![]));
+        assert_eq!(rle_decode(&rle_encode(&[42]), 1), Some(vec![42]));
     }
 
     #[test]
     fn roundtrip_alternating_worst_case() {
         let data: Vec<u8> = (0..256).map(|i| (i % 2) as u8).collect();
-        assert_eq!(rle_decode(&rle_encode(&data)), Some(data));
+        assert_eq!(rle_decode(&rle_encode(&data), 256), Some(data));
+    }
+
+    /// PR 17's `uvarint(1 << 40)` class: 12 bytes that used to abort the
+    /// process in `Vec::with_capacity` — in any profile, from every sz3/sz2
+    /// `QNTC` section.
+    #[test]
+    fn a_total_above_the_ceiling_is_refused_before_allocating() {
+        let mut bytes = vec![1u8];
+        write_uvarint(&mut bytes, 1 << 34);
+        write_uvarint(&mut bytes, 1 << 34);
+        bytes.push(0);
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(unpack_maybe_rle(&bytes, 1 << 20), None);
+        // At the ceiling it decodes; one past it, or a run past the total,
+        // does not.
+        let enc = rle_encode(&[9u8; 64]);
+        assert_eq!(rle_decode(&enc, 64), Some(vec![9u8; 64]));
+        assert_eq!(rle_decode(&enc, 63), None);
+        assert_eq!(rle_decode(&[4, 5, 0], 4), None);
     }
 
     #[test]
     fn truncation_rejected() {
         let enc = rle_encode(&[5u8; 100]);
-        assert_eq!(rle_decode(&enc[..enc.len() - 1]), None);
+        assert_eq!(rle_decode(&enc[..enc.len() - 1], 100), None);
     }
 }

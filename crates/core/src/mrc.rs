@@ -15,7 +15,7 @@
 //! container so both formats feed codecs byte-identical arrays.
 
 use hqmr_codec::{
-    read_uvarint, tag, write_uvarint, Codec, CodecError, Container, ContainerError, NullCodec,
+    tag, write_uvarint, Codec, CodecError, Container, ContainerError, Cur, Fault, NullCodec,
     NULL_CODEC_ID,
 };
 use hqmr_grid::{Dims3, Field3};
@@ -310,22 +310,19 @@ impl From<CodecError> for MrcError {
     }
 }
 
+impl From<Fault> for MrcError {
+    fn from(f: Fault) -> Self {
+        MrcError::Malformed(f.what())
+    }
+}
+
 /// Decompresses a stream produced by [`compress_mr`], routing each per-array
 /// stream through the codec recorded in the container.
 pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
     let c = Container::from_bytes(bytes)?;
-    let head = c.require(TAG_HEAD)?;
-    let mut pos = 0usize;
-    let rd = |buf: &[u8], pos: &mut usize| -> Result<usize, MrcError> {
-        read_uvarint(buf, pos)
-            .map(|v| v as usize)
-            .ok_or(MrcError::Malformed("varint"))
-    };
-    let nx = rd(head, &mut pos)?;
-    let ny = rd(head, &mut pos)?;
-    let nz = rd(head, &mut pos)?;
-    let n_levels = rd(head, &mut pos)?;
-    let domain = Dims3::new(nx, ny, nz);
+    let mut head = Cur::new(c.require(TAG_HEAD)?);
+    let domain = head.dims()?;
+    let n_levels = head.usize()?;
 
     // Codec routing: the recorded id selects the backend. The section is
     // mandatory — per-array streams also carry their own embedded ids, so a
@@ -355,13 +352,11 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
     // `decompress_into` reshapes it instead of allocating per stream.
     let mut scratch = Field3::zeros(Dims3::new(0, 0, 0));
     for lv in level_heads {
-        let mut p = 0usize;
-        let level = rd(lv, &mut p)?;
-        let unit = rd(lv, &mut p)?;
-        let dx = rd(lv, &mut p)?;
-        let dy = rd(lv, &mut p)?;
-        let dz = rd(lv, &mut p)?;
-        let n_arrays = rd(lv, &mut p)?;
+        let mut lv = Cur::new(lv);
+        let level = lv.usize()?;
+        let unit = lv.usize()?;
+        let dims = lv.dims()?;
+        let n_arrays = lv.usize()?;
         let mut blocks = Vec::new();
         for _ in 0..n_arrays {
             let layout = layouts
@@ -370,8 +365,7 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
             let stream = streams
                 .next()
                 .ok_or(MrcError::Malformed("missing stream"))?;
-            let (padded, a_unit, slots) =
-                decode_layout(layout).ok_or(MrcError::Malformed("layout"))?;
+            let (padded, a_unit, slots) = decode_layout(layout)?;
             codec.decompress_into(stream, &mut scratch)?;
             // The layout is as untrusted as the stream: check it against
             // what actually decoded, then cut the blocks straight out of
@@ -383,7 +377,7 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
         levels.push(LevelData {
             level,
             unit,
-            dims: Dims3::new(dx, dy, dz),
+            dims,
             blocks,
         });
     }

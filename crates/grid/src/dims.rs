@@ -33,6 +33,16 @@ impl Dims3 {
         self.nx * self.ny * self.nz
     }
 
+    /// [`Self::len`] for extents read from outside the program: `None` when
+    /// the product overflows.
+    #[inline]
+    pub const fn checked_len(&self) -> Option<usize> {
+        match self.nx.checked_mul(self.ny) {
+            Some(xy) => xy.checked_mul(self.nz),
+            None => None,
+        }
+    }
+
     /// True iff any extent is zero.
     #[inline]
     pub const fn is_empty(&self) -> bool {

@@ -19,7 +19,7 @@
 use crate::merge::{merge_blocks, MergeStrategy, MergedArray};
 use crate::padding::{pad_small_dims, should_pad, PadKind};
 use crate::types::{LevelData, UnitBlock};
-use hqmr_codec::{read_uvarint, write_uvarint};
+use hqmr_codec::{write_uvarint, Cur, Fault};
 use hqmr_grid::Field3;
 
 /// One level's compression-ready arrays — the output of the pre-processing
@@ -142,23 +142,18 @@ pub fn encode_layout(m: &MergedArray, padded: bool) -> Vec<u8> {
     out
 }
 
-/// Parses [`encode_layout`] output: `(padded, unit, slots)`. `None` on any
-/// structural defect.
-pub fn decode_layout(bytes: &[u8]) -> Option<(bool, usize, LayoutSlots)> {
-    let mut pos = 0usize;
-    let padded = *bytes.first()? != 0;
-    pos += 1;
-    let unit = read_uvarint(bytes, &mut pos)? as usize;
-    let n = read_uvarint(bytes, &mut pos)? as usize;
-    let mut slots = Vec::with_capacity(n.min(1 << 20));
+/// Parses [`encode_layout`] output: `(padded, unit, slots)`.
+pub fn decode_layout(bytes: &[u8]) -> Result<(bool, usize, LayoutSlots), Fault> {
+    let mut c = Cur::new(bytes);
+    let padded = c.u8()? != 0;
+    let unit = c.usize()?;
+    let n = c.count(6)?;
+    let mut slots = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut vals = [0usize; 6];
-        for v in &mut vals {
-            *v = read_uvarint(bytes, &mut pos)? as usize;
-        }
-        slots.push(([vals[0], vals[1], vals[2]], [vals[3], vals[4], vals[5]]));
+        let slot = [c.usize()?, c.usize()?, c.usize()?];
+        slots.push((slot, [c.usize()?, c.usize()?, c.usize()?]));
     }
-    Some((padded, unit, slots))
+    Ok((padded, unit, slots))
 }
 
 #[cfg(test)]
@@ -214,6 +209,6 @@ mod tests {
         for cut in 0..bytes.len() {
             let _ = decode_layout(&bytes[..cut]);
         }
-        assert!(decode_layout(&[]).is_none());
+        assert!(decode_layout(&[]).is_err());
     }
 }

@@ -147,8 +147,6 @@ pub struct ClientConfig {
     /// `read_timeout` when both are set. `None` leaves only the socket
     /// timeouts.
     pub request_deadline: Option<Duration>,
-    /// Retry budget of the `*_retry` methods: attempts beyond the first.
-    pub retries: usize,
     /// First backoff sleep; doubles per attempt.
     pub backoff_base: Duration,
     /// Backoff ceiling.
@@ -190,7 +188,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             request_deadline: None,
-            retries: 8,
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
             reconnect: true,
@@ -217,7 +214,6 @@ pub struct NetClient {
     cfg: ClientConfig,
     conn: Option<Conn>,
     next_id: u64,
-    max_frame_len: usize,
     jitter: u64,
 }
 
@@ -250,7 +246,6 @@ impl NetClient {
             cfg,
             conn: Some(conn),
             next_id: 1,
-            max_frame_len: DEFAULT_MAX_FRAME,
             jitter,
         })
     }
@@ -281,11 +276,6 @@ impl NetClient {
             }
         }
         Err(last.expect("addrs nonempty").into())
-    }
-
-    /// Caps the response frames this client will accept.
-    pub fn set_max_frame_len(&mut self, max: usize) {
-        self.max_frame_len = max;
     }
 
     /// The active config.
@@ -329,7 +319,7 @@ impl NetClient {
             };
             let _ = conn.writer.set_read_timeout(Some(t));
         }
-        let read = read_frame_into(&mut conn.reader, self.max_frame_len, &mut conn.body);
+        let read = read_frame_into(&mut conn.reader, DEFAULT_MAX_FRAME, &mut conn.body);
         if deadline.is_some() {
             let _ = conn.writer.set_read_timeout(self.cfg.read_timeout);
         }

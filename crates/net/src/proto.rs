@@ -53,7 +53,7 @@
 //! malformed input yields a typed [`ProtocolError`] — never a panic. The
 //! fuzz/property suite in `tests/proto_props.rs` pins this down.
 
-use hqmr_codec::{crc32, read_uvarint, write_uvarint};
+use hqmr_codec::{crc32, write_uvarint, Cur, Fault};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, UnitBlock, Upsample};
 use hqmr_serve::{CacheStats, Query, QueryResult, Response, ResponseParts};
@@ -178,6 +178,18 @@ impl std::error::Error for ProtocolError {
         match self {
             ProtocolError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+/// A body that ends early is `Truncated`, one with bytes left over is
+/// `TrailingBytes`; every other fault of the cursor is `Malformed`.
+impl From<Fault> for ProtocolError {
+    fn from(f: Fault) -> Self {
+        match f {
+            Fault::Truncated => ProtocolError::Truncated,
+            Fault::Trailing => ProtocolError::TrailingBytes,
+            other => ProtocolError::Malformed(other.what()),
         }
     }
 }
@@ -654,98 +666,6 @@ pub fn read_frame(
 // Body encoding
 // ---------------------------------------------------------------------------
 
-/// Bounded cursor over an untrusted body.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Cur { b, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(ProtocolError::Malformed("length overflow"))?;
-        let s = self.b.get(self.pos..end).ok_or(ProtocolError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32le(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f32le(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64le(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u64le(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn uvarint(&mut self) -> Result<u64, ProtocolError> {
-        read_uvarint(self.b, &mut self.pos).ok_or(ProtocolError::Malformed("varint"))
-    }
-
-    fn usize(&mut self) -> Result<usize, ProtocolError> {
-        usize::try_from(self.uvarint()?).map_err(|_| ProtocolError::Malformed("usize overflow"))
-    }
-
-    /// A count that is about to drive `count × min_bytes` of further reads:
-    /// rejected up front if the body cannot possibly hold it, so crafted
-    /// counts cannot trigger huge allocations.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, ProtocolError> {
-        let n = self.usize()?;
-        if n.checked_mul(min_bytes.max(1))
-            .is_none_or(|need| need > self.remaining())
-        {
-            return Err(ProtocolError::Malformed("count exceeds body"));
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, ProtocolError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::Malformed("utf8"))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ProtocolError> {
-        let need = n
-            .checked_mul(4)
-            .ok_or(ProtocolError::Malformed("length overflow"))?;
-        let raw = self.take(need)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn done(self) -> Result<(), ProtocolError> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::TrailingBytes)
-        }
-    }
-}
-
 fn put_string(out: &mut Vec<u8>, s: &str) {
     write_uvarint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -789,24 +709,15 @@ fn put_dims(out: &mut Vec<u8>, d: Dims3) {
     write_uvarint(out, d.nz as u64);
 }
 
-fn get_dims(c: &mut Cur) -> Result<Dims3, ProtocolError> {
-    Ok(Dims3::new(c.usize()?, c.usize()?, c.usize()?))
-}
-
 fn put_field(out: &mut Vec<u8>, f: &Field3) {
     put_dims(out, f.dims());
     put_f32s(out, f.data());
 }
 
 fn get_field(c: &mut Cur) -> Result<Field3, ProtocolError> {
-    let dims = get_dims(c)?;
-    let n = dims
-        .nx
-        .checked_mul(dims.ny)
-        .and_then(|p| p.checked_mul(dims.nz))
-        .ok_or(ProtocolError::Malformed("field dims overflow"))?;
-    // `f32s` bounds the allocation by the actual remaining bytes.
-    Ok(Field3::from_vec(dims, c.f32s(n)?))
+    let dims = c.dims()?;
+    // `f32s` takes the cells from the body before anything is allocated.
+    Ok(Field3::from_vec(dims, c.f32s(dims.len())?.collect()))
 }
 
 /// A level answer's body from its header fields and `count` blocks, owned
@@ -878,7 +789,7 @@ fn response_parts_len(r: &ResponseParts) -> usize {
 fn get_level_data(c: &mut Cur) -> Result<LevelData, ProtocolError> {
     let level = c.usize()?;
     let unit = c.usize()?;
-    let dims = get_dims(c)?;
+    let dims = c.dims()?;
     let cube = unit
         .checked_pow(3)
         .and_then(|n| n.checked_mul(4))
@@ -888,7 +799,7 @@ fn get_level_data(c: &mut Cur) -> Result<LevelData, ProtocolError> {
     let mut blocks = Vec::with_capacity(n_blocks);
     for _ in 0..n_blocks {
         let origin = [c.usize()?, c.usize()?, c.usize()?];
-        let data = c.f32s(cube / 4)?;
+        let data = c.f32s(cube / 4)?.collect();
         blocks.push(UnitBlock { origin, data });
     }
     Ok(LevelData {
@@ -1238,10 +1149,10 @@ impl NetResponse {
                 for _ in 0..n {
                     list.push(DatasetInfo {
                         id: c.u32le()?,
-                        name: c.string()?,
+                        name: c.str()?.to_string(),
                         codec_id: c.u32le()?,
                         eb: c.f64le()?,
-                        domain: get_dims(&mut c)?,
+                        domain: c.dims()?,
                         levels: c.usize()?,
                         chunks: c.usize()?,
                         compressed_bytes: c.uvarint()?,
@@ -1307,7 +1218,7 @@ impl NetResponse {
                     0 => ErrorFrame::Busy,
                     1 => ErrorFrame::TooManyConnections,
                     2 => ErrorFrame::NoSuchDataset(c.u32le()?),
-                    3 => ErrorFrame::BadRequest(c.string()?),
+                    3 => ErrorFrame::BadRequest(c.str()?.to_string()),
                     4 => ErrorFrame::Store(get_store_error(&mut c)?),
                     5 => ErrorFrame::DeadlineExceeded,
                     _ => return Err(ProtocolError::Malformed("error tag")),
@@ -1372,16 +1283,16 @@ fn put_store_error(out: &mut Vec<u8>, e: &WireStoreError) {
 
 fn get_store_error(c: &mut Cur) -> Result<WireStoreError, ProtocolError> {
     Ok(match c.u8()? {
-        0 => WireStoreError::Io(c.string()?),
+        0 => WireStoreError::Io(c.str()?.to_string()),
         1 => WireStoreError::Open {
-            path: c.string()?,
-            message: c.string()?,
+            path: c.str()?.to_string(),
+            message: c.str()?.to_string(),
         },
         2 => WireStoreError::BadMagic,
         3 => WireStoreError::BadVersion(c.u8()?),
         4 => WireStoreError::Truncated,
         5 => WireStoreError::CorruptTable,
-        6 => WireStoreError::Malformed(c.string()?),
+        6 => WireStoreError::Malformed(c.str()?.to_string()),
         7 => WireStoreError::UnknownCodec(c.u32le()?),
         8 => WireStoreError::CorruptChunk {
             level: c.usize()?,
@@ -1390,7 +1301,7 @@ fn get_store_error(c: &mut Cur) -> Result<WireStoreError, ProtocolError> {
         9 => WireStoreError::Codec {
             level: c.usize()?,
             block: c.usize()?,
-            message: c.string()?,
+            message: c.str()?.to_string(),
         },
         10 => WireStoreError::NoSuchLevel(c.usize()?),
         11 => WireStoreError::RoiOutOfBounds,

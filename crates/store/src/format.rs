@@ -16,7 +16,7 @@
 //! [`VERSION`] and readers reject versions they don't know
 //! ([`StoreError::BadVersion`]) rather than guessing.
 
-use hqmr_codec::{crc32, read_uvarint, write_uvarint, CodecError};
+use hqmr_codec::{framed_head, framed_head_into, write_uvarint, CodecError, Cur, Fault};
 use hqmr_grid::Dims3;
 use hqmr_mr::prepare::LayoutSlots;
 use hqmr_mr::{decode_layout, encode_layout, MergedArray};
@@ -26,7 +26,7 @@ pub const MAGIC: &[u8; 4] = b"HQST";
 /// Current format version.
 pub const VERSION: u8 = 1;
 /// Bytes before `meta`: magic + version + meta_len + meta_crc.
-pub const PREFIX_LEN: usize = 4 + 1 + 4 + 4;
+pub const PREFIX_LEN: usize = hqmr_codec::FRAMED_PREFIX_LEN;
 
 /// Store read/parse errors.
 #[derive(Debug)]
@@ -158,6 +158,21 @@ impl From<std::io::Error> for StoreError {
             StoreError::Truncated
         } else {
             StoreError::Io(e)
+        }
+    }
+}
+
+/// How the one cursor's faults read in a store file: a head that ends early
+/// is `Truncated`, a framed body that fails its CRC is `CorruptTable`, and
+/// everything structural is `Malformed`.
+impl From<Fault> for StoreError {
+    fn from(f: Fault) -> Self {
+        match f {
+            Fault::Truncated => StoreError::Truncated,
+            Fault::BadMagic => StoreError::BadMagic,
+            Fault::BadVersion(v) => StoreError::BadVersion(v),
+            Fault::BadCrc => StoreError::CorruptTable,
+            other => StoreError::Malformed(other.what()),
         }
     }
 }
@@ -301,59 +316,30 @@ impl StoreMeta {
 
     /// Parses [`Self::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut pos = 0usize;
-        let rd = |buf: &[u8], pos: &mut usize| -> Result<usize, StoreError> {
-            read_uvarint(buf, pos)
-                .map(|v| v as usize)
-                .ok_or(StoreError::Malformed("varint"))
-        };
-        fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], StoreError> {
-            // `n` comes from untrusted varints; checked math keeps a crafted
-            // length a typed error instead of a debug-build overflow panic.
-            let end = pos
-                .checked_add(n)
-                .ok_or(StoreError::Malformed("length overflow"))?;
-            let s = buf
-                .get(*pos..end)
-                .ok_or(StoreError::Malformed("fixed field"))?;
-            *pos = end;
-            Ok(s)
-        }
-        let domain = Dims3::new(
-            rd(bytes, &mut pos)?,
-            rd(bytes, &mut pos)?,
-            rd(bytes, &mut pos)?,
-        );
-        let codec_id = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().unwrap());
-        let eb = f64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().unwrap());
-        let n_levels = rd(bytes, &mut pos)?;
-        let mut levels = Vec::with_capacity(n_levels.min(64));
+        let mut c = Cur::new(bytes);
+        let domain = c.dims()?;
+        let codec_id = c.u32le()?;
+        let eb = c.f64le()?;
+        // Smallest level: level, unit, three extents, chunk count.
+        let n_levels = c.count(6)?;
+        let mut levels = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
-            let level = rd(bytes, &mut pos)?;
-            let unit = rd(bytes, &mut pos)?;
-            let dims = Dims3::new(
-                rd(bytes, &mut pos)?,
-                rd(bytes, &mut pos)?,
-                rd(bytes, &mut pos)?,
-            );
-            let n_chunks = rd(bytes, &mut pos)?;
-            let mut chunks = Vec::with_capacity(n_chunks.min(1 << 16));
+            let level = c.usize()?;
+            let unit = c.usize()?;
+            let dims = c.dims()?;
+            // Smallest chunk: offset, len, crc + min + max, three extents,
+            // layout length, a three-byte layout.
+            let n_chunks = c.count(21)?;
+            let mut chunks = Vec::with_capacity(n_chunks);
             for _ in 0..n_chunks {
-                let offset =
-                    read_uvarint(bytes, &mut pos).ok_or(StoreError::Malformed("varint"))?;
-                let len = rd(bytes, &mut pos)?;
-                let crc = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().unwrap());
-                let min = f32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().unwrap());
-                let max = f32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().unwrap());
-                let enc_dims = Dims3::new(
-                    rd(bytes, &mut pos)?,
-                    rd(bytes, &mut pos)?,
-                    rd(bytes, &mut pos)?,
-                );
-                let layout_len = rd(bytes, &mut pos)?;
-                let layout = take(bytes, &mut pos, layout_len)?;
-                let (padded, l_unit, slots) =
-                    decode_layout(layout).ok_or(StoreError::Malformed("chunk layout"))?;
+                let offset = c.uvarint()?;
+                let len = c.usize()?;
+                let crc = c.u32le()?;
+                let min = c.f32le()?;
+                let max = c.f32le()?;
+                let enc_dims = c.dims()?;
+                let layout_len = c.usize()?;
+                let (padded, l_unit, slots) = decode_layout(c.take(layout_len)?)?;
                 if l_unit != unit {
                     return Err(StoreError::Malformed("chunk unit mismatch"));
                 }
@@ -376,9 +362,7 @@ impl StoreMeta {
                 chunks,
             });
         }
-        if pos != bytes.len() {
-            return Err(StoreError::Malformed("trailing meta bytes"));
-        }
+        c.done()?;
         Ok(StoreMeta {
             domain,
             codec_id,
@@ -402,36 +386,16 @@ pub fn frame_into(meta: &StoreMeta, data: &[u8], out: &mut Vec<u8>) {
     let meta_bytes = meta.to_bytes();
     out.clear();
     out.reserve(PREFIX_LEN + meta_bytes.len() + data.len());
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(meta_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&meta_bytes).to_le_bytes());
-    out.extend_from_slice(&meta_bytes);
+    framed_head_into(out, MAGIC, VERSION, &meta_bytes);
     out.extend_from_slice(data);
 }
 
 /// Parses and CRC-validates the prefix + meta of a store buffer (or file
 /// head). Returns the meta and the data-region start offset.
 pub fn parse_head(head: &[u8]) -> Result<(StoreMeta, u64), StoreError> {
-    if head.len() < PREFIX_LEN {
-        return Err(StoreError::Truncated);
-    }
-    if &head[..4] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    if head[4] != VERSION {
-        return Err(StoreError::BadVersion(head[4]));
-    }
-    let meta_len = u32::from_le_bytes(head[5..9].try_into().unwrap()) as usize;
-    let meta_crc = u32::from_le_bytes(head[9..13].try_into().unwrap());
-    let meta_bytes = head
-        .get(PREFIX_LEN..PREFIX_LEN + meta_len)
-        .ok_or(StoreError::Truncated)?;
-    if crc32(meta_bytes) != meta_crc {
-        return Err(StoreError::CorruptTable);
-    }
+    let (meta_bytes, _) = framed_head(head, MAGIC, VERSION)?;
     let meta = StoreMeta::from_bytes(meta_bytes)?;
-    Ok((meta, (PREFIX_LEN + meta_len) as u64))
+    Ok((meta, (PREFIX_LEN + meta_bytes.len()) as u64))
 }
 
 #[cfg(test)]

@@ -93,9 +93,8 @@ pub use read::{
     BlockData, ChunkSource, DecodedChunk, LevelParts, Progressive, RefinementStep, RoiParts,
 };
 pub use scrub::{
-    parity_path, repair_in_place, scrub_store, scrub_temporal, temporal_sidecars, write_atomic,
-    ParitySidecar, ScrubReport, SidecarStatus, TemporalScrubReport, Throttle, DEFAULT_PARITY_GROUP,
-    PARITY_MAGIC, PARITY_VERSION,
+    parity_path, repair_in_place, scrub_store, temporal_sidecars, write_atomic, ParitySidecar,
+    ScrubReport, SidecarStatus, Throttle, DEFAULT_PARITY_GROUP, PARITY_MAGIC, PARITY_VERSION,
 };
 use temporal::FrameFlags;
 pub use temporal::{
@@ -103,7 +102,6 @@ pub use temporal::{
     MANIFEST_NAME, TEMPORAL_MAGIC, TEMPORAL_VERSION,
 };
 
-use hqmr_codec::kernels;
 use hqmr_codec::{crc32, Codec, CodecError, NullCodec, NULL_CODEC_ID};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{prepare_blocks, PreparedLevel};
@@ -570,7 +568,7 @@ fn decode_stream(
         let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, c.slots.len() * n).collect();
         let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
         let field = &*field;
-        if kernels::tile_parallel() && c.slots.len() >= 2 && cells.len() >= PAR_MIN_EXTRACT {
+        if c.slots.len() >= 2 && cells.len() >= PAR_MIN_EXTRACT {
             cells.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
                 field.extract_box_into(c.slots[k].0, size, out);
             });
@@ -725,16 +723,15 @@ impl StoreReader {
             }
         };
         let mut file = std::fs::File::open(path).map_err(open_err)?;
-        let mut prefix = [0u8; PREFIX_LEN];
-        file.read_exact(&mut prefix).map_err(open_err)?;
-        if &prefix[..4] != MAGIC {
-            return Err(StoreError::BadMagic);
+        let mut head = vec![0u8; PREFIX_LEN];
+        file.read_exact(&mut head).map_err(open_err)?;
+        let (meta_len, _) = hqmr_codec::framed_prefix(&head, MAGIC, VERSION)?;
+        // The directory is read whole: refuse a length the file cannot hold
+        // before a buffer is sized by it.
+        let file_len = file.metadata().map_err(open_err)?.len();
+        if (PREFIX_LEN as u64).saturating_add(meta_len as u64) > file_len {
+            return Err(StoreError::Truncated);
         }
-        if prefix[4] != VERSION {
-            return Err(StoreError::BadVersion(prefix[4]));
-        }
-        let meta_len = u32::from_le_bytes(prefix[5..9].try_into().unwrap()) as usize;
-        let mut head = prefix.to_vec();
         head.resize(PREFIX_LEN + meta_len, 0);
         file.read_exact(&mut head[PREFIX_LEN..]).map_err(open_err)?;
         let (meta, data_start) = parse_head(&head)?;
@@ -774,15 +771,6 @@ impl StoreReader {
             bytes_decoded: AtomicU64::new(0),
             chunks_decoded: AtomicU64::new(0),
         })
-    }
-
-    /// Recovers the in-memory buffer this reader was opened over
-    /// ([`StoreReader::from_bytes`]); `None` for file-backed readers.
-    pub fn into_buffer(self) -> Option<Vec<u8>> {
-        match self.source {
-            Source::Mem(buf) => Some(buf),
-            Source::File(_) => None,
-        }
     }
 
     /// The store's directory (levels, chunk table, codec id, error bound).

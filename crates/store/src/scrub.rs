@@ -23,16 +23,16 @@
 //! CRCs, so sidecar damage is itself typed ([`StoreError::CorruptSidecar`])
 //! and only ever withdraws redundancy — it cannot poison intact data.
 //!
-//! [`scrub_store`]/[`scrub_temporal`] walk every chunk verifying stored
-//! CRCs under an optional byte/sec [`Throttle`] (so scrubbing coexists with
-//! serving), heal what parity can reach, rewrite healed chunks atomically
-//! ([`repair_in_place`]), and rebuild a damaged sidecar whenever the store
+//! [`scrub_store`] walks every chunk verifying stored CRCs under an optional
+//! byte/sec [`Throttle`] (so scrubbing coexists with serving), heals what
+//! parity can reach, rewrites healed chunks atomically
+//! ([`repair_in_place`]), and rebuilds a damaged sidecar whenever the store
 //! itself verifies clean.
 
 use crate::format::{parse_head, StoreError, StoreMeta};
-use crate::temporal::{TemporalManifest, TemporalReader};
+use crate::temporal::TemporalManifest;
 use crate::StoreReader;
-use hqmr_codec::{crc32, read_uvarint, write_uvarint};
+use hqmr_codec::{crc32, framed_head, framed_head_into, write_uvarint, Cur};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,7 @@ pub const PARITY_MAGIC: &[u8; 4] = b"HQPR";
 /// Current sidecar format version.
 pub const PARITY_VERSION: u8 = 1;
 /// Bytes before the header: magic + version + header_len + header_crc.
-pub const PARITY_PREFIX_LEN: usize = 4 + 1 + 4 + 4;
+pub const PARITY_PREFIX_LEN: usize = hqmr_codec::FRAMED_PREFIX_LEN;
 /// Default chunks per parity group: ~1/8 byte overhead, one repairable
 /// chunk per 8.
 pub const DEFAULT_PARITY_GROUP: usize = 8;
@@ -198,12 +198,8 @@ impl ParitySidecar {
             write_uvarint(&mut header, g.parity.len() as u64);
             header.extend_from_slice(&g.crc.to_le_bytes());
         }
-        let mut out = Vec::with_capacity(PARITY_PREFIX_LEN + header.len());
-        out.extend_from_slice(PARITY_MAGIC);
-        out.push(PARITY_VERSION);
-        out.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&header).to_le_bytes());
-        out.extend_from_slice(&header);
+        let mut out = Vec::new();
+        framed_head_into(&mut out, PARITY_MAGIC, PARITY_VERSION, &header);
         for g in &self.groups {
             out.extend_from_slice(&g.parity);
         }
@@ -215,75 +211,35 @@ impl ParitySidecar {
     /// inconsistency, trailing bytes — is the typed
     /// [`StoreError::CorruptSidecar`]; hostile input never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<ParitySidecar, StoreError> {
-        let bad = StoreError::CorruptSidecar;
-        if bytes.len() < PARITY_PREFIX_LEN {
-            return Err(bad("truncated prefix"));
-        }
-        if &bytes[..4] != PARITY_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if bytes[4] != PARITY_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-        let header_crc = u32::from_le_bytes(bytes[9..13].try_into().unwrap());
-        let header = bytes
-            .get(PARITY_PREFIX_LEN..PARITY_PREFIX_LEN.saturating_add(header_len))
-            .ok_or(bad("truncated header"))?;
-        if crc32(header) != header_crc {
-            return Err(bad("header failed CRC"));
-        }
-        let mut pos = 0usize;
-        let rd = |pos: &mut usize| -> Result<usize, StoreError> {
-            read_uvarint(header, pos)
-                .map(|v| v as usize)
-                .ok_or(bad("varint"))
-        };
-        let group = rd(&mut pos)?;
+        Self::parse(bytes).map_err(StoreError::CorruptSidecar)
+    }
+
+    /// [`Self::from_bytes`] with the cursor's faults and the sidecar's own
+    /// inconsistencies folded into one message.
+    fn parse(bytes: &[u8]) -> Result<ParitySidecar, &'static str> {
+        let (header, payload) = framed_head(bytes, PARITY_MAGIC, PARITY_VERSION)?;
+        let mut h = Cur::new(header);
+        let group = h.usize()?;
         if group == 0 {
-            return Err(bad("group size zero"));
+            return Err("group size zero");
         }
-        let chunk_count = rd(&mut pos)?;
-        let tag_bytes = header
-            .get(pos..pos.saturating_add(4))
-            .ok_or(bad("store tag"))?;
-        let store_tag = u32::from_le_bytes(tag_bytes.try_into().unwrap());
-        pos += 4;
-        let n_groups = rd(&mut pos)?;
+        let chunk_count = h.usize()?;
+        let store_tag = h.u32le()?;
+        // A group is at least a one-byte length and its CRC.
+        let n_groups = h.count(5)?;
         if n_groups != chunk_count.div_ceil(group) {
-            return Err(bad("group count inconsistent with chunk count"));
+            return Err("group count inconsistent with chunk count");
         }
-        let mut lens = Vec::with_capacity(n_groups.min(1 << 16));
-        let mut crcs = Vec::with_capacity(n_groups.min(1 << 16));
-        let mut total: usize = 0;
+        let mut payload = Cur::new(payload);
+        let mut groups = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
-            let len = rd(&mut pos)?;
-            total = total
-                .checked_add(len)
-                .ok_or(bad("parity length overflow"))?;
-            let crc_bytes = header
-                .get(pos..pos.saturating_add(4))
-                .ok_or(bad("group crc"))?;
-            crcs.push(u32::from_le_bytes(crc_bytes.try_into().unwrap()));
-            pos += 4;
-            lens.push(len);
+            let len = h.usize()?;
+            let crc = h.u32le()?;
+            let parity = payload.take(len)?.to_vec();
+            groups.push(ParityGroup { crc, parity });
         }
-        if pos != header.len() {
-            return Err(bad("trailing header bytes"));
-        }
-        let payload = &bytes[PARITY_PREFIX_LEN + header_len..];
-        if payload.len() != total {
-            return Err(bad("parity payload length mismatch"));
-        }
-        let mut groups = Vec::with_capacity(n_groups.min(1 << 16));
-        let mut off = 0usize;
-        for (len, crc) in lens.into_iter().zip(crcs) {
-            groups.push(ParityGroup {
-                crc,
-                parity: payload[off..off + len].to_vec(),
-            });
-            off += len;
-        }
+        h.done()?;
+        payload.done()?;
         Ok(ParitySidecar {
             group,
             chunk_count,
@@ -543,67 +499,6 @@ pub fn repair_in_place(path: &Path, healed: &[(usize, usize, Vec<u8>)]) -> Resul
     }
     write_atomic(path, &buf)?;
     Ok(())
-}
-
-/// Scrub outcome of one temporal (`HQTM`) run: the manifest's verdict plus
-/// one per-frame [`ScrubReport`] (or the typed error that stopped that
-/// frame's scrub — a frame whose very head is unreadable cannot be walked).
-#[derive(Debug)]
-pub struct TemporalScrubReport {
-    /// Per frame: the frame's file name and its scrub outcome.
-    pub frames: Vec<(String, Result<ScrubReport, StoreError>)>,
-}
-
-impl TemporalScrubReport {
-    /// Total chunks verified across frames.
-    pub fn verified(&self) -> usize {
-        self.reports().map(|r| r.verified).sum()
-    }
-
-    /// Total chunks repaired across frames.
-    pub fn repaired(&self) -> usize {
-        self.reports().map(|r| r.repaired).sum()
-    }
-
-    /// Total unrepairable chunks across scrubable frames, plus one per
-    /// frame that could not be scrubbed at all.
-    pub fn unrepairable(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|(_, r)| match r {
-                Ok(rep) => rep.unrepairable.len(),
-                Err(_) => 1,
-            })
-            .sum()
-    }
-
-    /// Whether every frame scrubbed and every chunk is servable exactly.
-    pub fn all_exact(&self) -> bool {
-        self.frames
-            .iter()
-            .all(|(_, r)| matches!(r, Ok(rep) if rep.all_exact()))
-    }
-
-    fn reports(&self) -> impl Iterator<Item = &ScrubReport> {
-        self.frames.iter().filter_map(|(_, r)| r.as_ref().ok())
-    }
-}
-
-/// Scrubs every frame of the temporal run at `dir` (see [`scrub_store`] for
-/// per-frame semantics); the shared `throttle` paces the whole walk. The
-/// manifest itself is read and CRC-validated first — a corrupt manifest is
-/// a typed error, since without it the frame list is unknown.
-pub fn scrub_temporal(
-    dir: &Path,
-    mut throttle: Option<&mut Throttle>,
-) -> Result<TemporalScrubReport, StoreError> {
-    let manifest = TemporalReader::read_manifest(dir)?;
-    let mut frames = Vec::with_capacity(manifest.frames.len());
-    for fm in &manifest.frames {
-        let outcome = scrub_store(&dir.join(&fm.file), throttle.as_deref_mut());
-        frames.push((fm.file.clone(), outcome));
-    }
-    Ok(TemporalScrubReport { frames })
 }
 
 /// Loads the per-frame parity sidecars of a temporal run for serve-layer

@@ -53,7 +53,7 @@
 use crate::format::{StoreError, StoreMeta};
 use crate::read::{self, ChunkSource, DecodedChunk, Progressive};
 use crate::{encode_frame, Loop, StoreConfig, StoreReader};
-use hqmr_codec::{crc32, read_uvarint, write_uvarint, Codec};
+use hqmr_codec::{framed_head, framed_head_into, write_uvarint, Codec, Cur};
 use hqmr_grid::Field3;
 use hqmr_mr::{structure_matches, temporal as predict, LevelData, MultiResData, Upsample};
 use std::collections::HashMap;
@@ -66,8 +66,6 @@ pub const TEMPORAL_MAGIC: &[u8; 4] = b"HQTM";
 pub const TEMPORAL_VERSION: u8 = 1;
 /// Manifest file name inside a temporal store directory.
 pub const MANIFEST_NAME: &str = "manifest.hqtm";
-/// Bytes before the manifest body: magic + version + body_len + body_crc.
-const MANIFEST_PREFIX_LEN: usize = 4 + 1 + 4 + 4;
 
 /// Inter-frame prediction policy of a temporal store writer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,68 +162,27 @@ impl TemporalManifest {
                 body.extend_from_slice(&bits);
             }
         }
-        let mut out = Vec::with_capacity(MANIFEST_PREFIX_LEN + body.len());
-        out.extend_from_slice(TEMPORAL_MAGIC);
-        out.push(TEMPORAL_VERSION);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        framed_head_into(&mut out, TEMPORAL_MAGIC, TEMPORAL_VERSION, &body);
         out
     }
 
     /// Parses and CRC-validates [`Self::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < MANIFEST_PREFIX_LEN {
-            return Err(StoreError::Truncated);
-        }
-        if &bytes[..4] != TEMPORAL_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        if bytes[4] != TEMPORAL_VERSION {
-            return Err(StoreError::BadVersion(bytes[4]));
-        }
-        let body_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-        let body_crc = u32::from_le_bytes(bytes[9..13].try_into().unwrap());
-        let body = bytes
-            .get(MANIFEST_PREFIX_LEN..MANIFEST_PREFIX_LEN + body_len)
-            .ok_or(StoreError::Truncated)?;
-        if crc32(body) != body_crc {
-            return Err(StoreError::CorruptTable);
-        }
-        let mut pos = 0usize;
-        let rd = |pos: &mut usize| -> Result<usize, StoreError> {
-            read_uvarint(body, pos)
-                .map(|v| v as usize)
-                .ok_or(StoreError::Malformed("manifest varint"))
-        };
-        let n_frames = rd(&mut pos)?;
-        let mut frames = Vec::with_capacity(n_frames.min(1 << 16));
+        let (body, _) = framed_head(bytes, TEMPORAL_MAGIC, TEMPORAL_VERSION)?;
+        let mut c = Cur::new(body);
+        // Smallest frame: step, name length, level count.
+        let n_frames = c.count(3)?;
+        let mut frames = Vec::with_capacity(n_frames);
         for _ in 0..n_frames {
-            let step =
-                read_uvarint(body, &mut pos).ok_or(StoreError::Malformed("manifest varint"))?;
-            let name_len = rd(&mut pos)?;
-            let end = pos
-                .checked_add(name_len)
-                .ok_or(StoreError::Malformed("manifest name length"))?;
-            let name = body
-                .get(pos..end)
-                .ok_or(StoreError::Malformed("manifest name"))?;
-            pos = end;
-            let file = std::str::from_utf8(name)
-                .map_err(|_| StoreError::Malformed("manifest name not utf-8"))?
-                .to_string();
-            let n_levels = rd(&mut pos)?;
-            let mut delta = Vec::with_capacity(n_levels.min(64));
+            let step = c.uvarint()?;
+            let file = c.str()?.to_string();
+            let n_levels = c.count(1)?;
+            let mut delta = Vec::with_capacity(n_levels);
             for _ in 0..n_levels {
-                let n_chunks = rd(&mut pos)?;
-                let n_bytes = n_chunks.div_ceil(8);
-                let end = pos
-                    .checked_add(n_bytes)
-                    .ok_or(StoreError::Malformed("manifest bitset length"))?;
-                let bits = body
-                    .get(pos..end)
-                    .ok_or(StoreError::Malformed("manifest bitset"))?;
-                pos = end;
+                // LSB-first bitset, taken whole before a flag is built from it.
+                let n_chunks = c.usize()?;
+                let bits = c.take(n_chunks.div_ceil(8))?;
                 delta.push(
                     (0..n_chunks)
                         .map(|i| bits[i / 8] & (1 << (i % 8)) != 0)
@@ -234,9 +191,7 @@ impl TemporalManifest {
             }
             frames.push(FrameMeta { step, file, delta });
         }
-        if pos != body.len() {
-            return Err(StoreError::Malformed("trailing manifest bytes"));
-        }
+        c.done()?;
         Ok(TemporalManifest { frames })
     }
 }

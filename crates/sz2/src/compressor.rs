@@ -13,9 +13,9 @@
 use crate::Sz2Config;
 use hqmr_codec::kernels::{self, SimdLevel};
 use hqmr_codec::{
-    check_stream_id, huffman_decode, huffman_encode_packed, push_stream_id, read_uvarint,
+    check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, push_stream_id,
     rle_decode, rle_encode, tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container,
-    LinearQuantizer, QuantOutcome,
+    Cur, LinearQuantizer, QuantOutcome,
 };
 use hqmr_grid::{BlockGrid, Dims3, Field3};
 
@@ -571,24 +571,21 @@ pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz2Error> {
 fn parse(bytes: &[u8]) -> Result<Parsed, Sz2Error> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ2_CODEC_ID)?;
-    let head = c.require(TAG_HEAD)?;
-    let mut pos = 0usize;
-    let nx = read_uvarint(head, &mut pos).ok_or(Sz2Error::Malformed("dims"))? as usize;
-    let ny = read_uvarint(head, &mut pos).ok_or(Sz2Error::Malformed("dims"))? as usize;
-    let nz = read_uvarint(head, &mut pos).ok_or(Sz2Error::Malformed("dims"))? as usize;
-    let block = read_uvarint(head, &mut pos).ok_or(Sz2Error::Malformed("block"))? as usize;
+    let mut head = Cur::new(c.require(TAG_HEAD)?);
+    let dims = head.dims()?;
+    let block = head.usize()?;
     if block < 2 {
         return Err(Sz2Error::Malformed("block size"));
     }
-    let tail = head.get(pos..pos + 8).ok_or(Sz2Error::Malformed("eb"))?;
-    let eb = f64::from_le_bytes(tail.try_into().unwrap());
+    let eb = head.f64le()?;
     if !(eb.is_finite() && eb > 0.0) {
         return Err(Sz2Error::Malformed("eb"));
     }
-    let dims = Dims3::new(nx, ny, nz);
     let grid = BlockGrid::new(dims, block);
 
-    let flags = rle_decode(c.require(TAG_FLAGS)?).ok_or(Sz2Error::Malformed("flags"))?;
+    // One flag per block of the declared grid, exactly.
+    let flags =
+        rle_decode(c.require(TAG_FLAGS)?, grid.num_blocks()).ok_or(Sz2Error::Malformed("flags"))?;
     if flags.len() != grid.num_blocks() {
         return Err(Sz2Error::Malformed("flag count"));
     }
@@ -597,21 +594,17 @@ fn parse(bytes: &[u8]) -> Result<Parsed, Sz2Error> {
     if coeff_bytes.len() != n_reg * 16 {
         return Err(Sz2Error::Malformed("coefficient payload"));
     }
-    let packed = unpack_maybe_rle(c.require(TAG_CODES)?).ok_or(Sz2Error::Malformed("codes"))?;
+    // One code per declared cell: that caps the Huffman block the section
+    // may expand to.
+    let packed = unpack_maybe_rle(c.require(TAG_CODES)?, huffman_max_len(dims.len()))
+        .ok_or(Sz2Error::Malformed("codes"))?;
     let codes = huffman_decode(&packed)?;
     if codes.len() != dims.len() {
         return Err(Sz2Error::Malformed("code count"));
     }
-    let out_bytes = c.require(TAG_OUTLIERS)?;
-    let mut opos = 0usize;
-    let n_out = read_uvarint(out_bytes, &mut opos).ok_or(Sz2Error::Malformed("outliers"))? as usize;
-    let payload = out_bytes
-        .get(opos..opos + n_out * 4)
-        .ok_or(Sz2Error::Malformed("outlier payload"))?;
-    let outliers: Vec<f32> = payload
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
+    let mut out = Cur::new(c.require(TAG_OUTLIERS)?);
+    let n_out = out.count(4)?;
+    let outliers: Vec<f32> = out.f32s(n_out)?.collect();
     let planes: Vec<Plane> = coeff_bytes
         .chunks_exact(16)
         .map(|cb| Plane {

@@ -591,8 +591,7 @@ pub fn decompress_pass(
         let arm = sweep_arm(&sw);
         let per_line = g.interior() + g.extra as usize;
         let lines = sw.lines();
-        if kernels::tile_parallel() && cores > 1 && lines >= 2 && lines * per_line >= PAR_MIN_POINTS
-        {
+        if cores > 1 && lines >= 2 && lines * per_line >= PAR_MIN_POINTS {
             // Every line of a sweep consumes exactly `per_line` codes, so
             // per-line code cursors are a multiplication; per-line outlier
             // cursors come from prefix-counting the `UNPREDICTABLE` codes

@@ -11,9 +11,9 @@ use crate::engine::{
 };
 use crate::{LevelEbPolicy, Sz3Config};
 use hqmr_codec::{
-    check_stream_id, huffman_decode_into, huffman_encode_packed, push_stream_id, read_uvarint, tag,
-    unpack_maybe_rle, write_uvarint, Codec, CodecError, Container, HuffmanScratch, LinearQuantizer,
-    QuantOutcome,
+    check_stream_id, huffman_decode_into, huffman_encode_packed, huffman_max_len, push_stream_id,
+    tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container, Cur, HuffmanScratch,
+    LinearQuantizer, QuantOutcome,
 };
 use hqmr_grid::{Dims3, Field3};
 use std::cell::RefCell;
@@ -261,33 +261,20 @@ pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz3Error> {
 fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3), Sz3Error> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ3_CODEC_ID)?;
-    let head = c.require(TAG_HEAD)?;
-    let mut pos = 0usize;
-    let nx = read_uvarint(head, &mut pos).ok_or(Sz3Error::Malformed("dims"))? as usize;
-    let ny = read_uvarint(head, &mut pos).ok_or(Sz3Error::Malformed("dims"))? as usize;
-    let nz = read_uvarint(head, &mut pos).ok_or(Sz3Error::Malformed("dims"))? as usize;
-    let dims = Dims3::new(nx, ny, nz);
-    let fixed = head.get(pos..).ok_or(Sz3Error::Malformed("header tail"))?;
-    if fixed.len() < 10 {
-        return Err(Sz3Error::Malformed("header tail"));
-    }
-    let eb = f64::from_le_bytes(fixed[0..8].try_into().unwrap());
-    let interp = match fixed[8] {
+    let mut head = Cur::new(c.require(TAG_HEAD)?);
+    let dims = head.dims()?;
+    let eb = head.f64le()?;
+    let interp = match head.u8()? {
         0 => InterpKind::Linear,
         1 => InterpKind::Cubic,
         _ => return Err(Sz3Error::Malformed("interp kind")),
     };
-    let level_eb = match fixed[9] {
+    let level_eb = match head.u8()? {
         0 => None,
-        1 => {
-            if fixed.len() < 26 {
-                return Err(Sz3Error::Malformed("level-eb params"));
-            }
-            Some(LevelEbPolicy {
-                alpha: f64::from_le_bytes(fixed[10..18].try_into().unwrap()),
-                beta: f64::from_le_bytes(fixed[18..26].try_into().unwrap()),
-            })
-        }
+        1 => Some(LevelEbPolicy {
+            alpha: head.f64le()?,
+            beta: head.f64le()?,
+        }),
         _ => return Err(Sz3Error::Malformed("level-eb flag")),
     };
     let cfg = Sz3Config {
@@ -295,24 +282,29 @@ fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3)
         interp,
         level_eb,
     };
+    // `LinearQuantizer::new` asserts its bound: every level's must be sane
+    // before `level_quantizers` sees a header field.
+    let maxlevel = interp_levels(dims.max_extent()).max(1);
+    let sane = |l| {
+        let eb = level_eb.map_or(eb, |p| p.eb_for_level(eb, l, maxlevel));
+        eb.is_finite() && eb > 0.0
+    };
+    if !(1..=maxlevel).all(sane) {
+        return Err(Sz3Error::Malformed("eb"));
+    }
 
-    let packed = unpack_maybe_rle(c.require(TAG_CODES)?).ok_or(Sz3Error::Malformed("codes"))?;
+    // One code per declared cell: that caps the Huffman block the section
+    // may expand to.
+    let packed = unpack_maybe_rle(c.require(TAG_CODES)?, huffman_max_len(dims.len()))
+        .ok_or(Sz3Error::Malformed("codes"))?;
     huffman_decode_into(&packed, &mut scratch.huffman, &mut scratch.codes)?;
     if scratch.codes.len() != dims.len() {
         return Err(Sz3Error::Malformed("code count"));
     }
-    let out_bytes = c.require(TAG_OUTLIERS)?;
-    let mut pos = 0usize;
-    let n_out = read_uvarint(out_bytes, &mut pos).ok_or(Sz3Error::Malformed("outliers"))? as usize;
-    let payload = out_bytes
-        .get(pos..pos + n_out * 4)
-        .ok_or(Sz3Error::Malformed("outlier payload"))?;
+    let mut out = Cur::new(c.require(TAG_OUTLIERS)?);
+    let n_out = out.count(4)?;
     scratch.outliers.clear();
-    scratch.outliers.extend(
-        payload
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-    );
+    scratch.outliers.extend(out.f32s(n_out)?);
     Ok((cfg, dims))
 }
 

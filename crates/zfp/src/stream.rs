@@ -4,8 +4,8 @@ use crate::coder::{decode_block_ints, encode_block_ints, INTPREC};
 use crate::transform::{fwd_transform3, inv_transform3};
 use crate::{ZfpConfig, BLOCK, BLOCK_LEN};
 use hqmr_codec::{
-    check_stream_id, push_stream_id, read_uvarint, tag, write_uvarint, BitReader, BitWriter, Codec,
-    CodecError, Container,
+    check_stream_id, push_stream_id, tag, write_uvarint, BitReader, BitWriter, Codec, CodecError,
+    Container, Cur,
 };
 use hqmr_grid::{BlockGrid, Dims3, Field3};
 
@@ -162,20 +162,20 @@ fn decompress_into_with(
 ) -> Result<(), ZfpError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, ZFP_CODEC_ID)?;
-    let head = c.require(TAG_HEAD)?;
-    let mut pos = 0usize;
-    let nx = read_uvarint(head, &mut pos).ok_or(ZfpError::Malformed("dims"))? as usize;
-    let ny = read_uvarint(head, &mut pos).ok_or(ZfpError::Malformed("dims"))? as usize;
-    let nz = read_uvarint(head, &mut pos).ok_or(ZfpError::Malformed("dims"))? as usize;
-    let tol_bytes = head.get(pos..pos + 8).ok_or(ZfpError::Malformed("tol"))?;
-    let tol = f64::from_le_bytes(tol_bytes.try_into().unwrap());
+    let mut head = Cur::new(c.require(TAG_HEAD)?);
+    let dims = head.dims()?;
+    let tol = head.f64le()?;
     if !(tol.is_finite() && tol > 0.0) {
         return Err(ZfpError::Malformed("tol"));
     }
-    let dims = Dims3::new(nx, ny, nz);
     let minexp = tol.log2().floor() as i32;
     let grid = BlockGrid::new(dims, BLOCK);
     let payload = c.require(TAG_PAYLOAD)?;
+    // Every block of the declared grid costs at least its flag bit; a
+    // payload without them is refused before the field is sized by the dims.
+    if grid.num_blocks().div_ceil(8) > payload.len() {
+        return Err(ZfpError::Malformed("stream underrun"));
+    }
     let mut r = BitReader::new(payload);
 
     out.reshape(dims, 0.0);

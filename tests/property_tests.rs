@@ -30,8 +30,8 @@ proptest! {
     /// RLE and the maybe-RLE wrapper round-trip arbitrary bytes.
     #[test]
     fn rle_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        prop_assert_eq!(rle_decode(&rle_encode(&bytes)), Some(bytes.clone()));
-        prop_assert_eq!(unpack_maybe_rle(&pack_maybe_rle(&bytes)), Some(bytes));
+        prop_assert_eq!(rle_decode(&rle_encode(&bytes), bytes.len()), Some(bytes.clone()));
+        prop_assert_eq!(unpack_maybe_rle(&pack_maybe_rle(&bytes), bytes.len()), Some(bytes));
     }
 
     /// Zigzag is a bijection.
