@@ -1,11 +1,26 @@
-//! Runtime kernel dispatch: SIMD level selection.
+//! Runtime kernel dispatch: two arms per kernel.
 //!
-//! The compressor crates carry hand-vectorized `core::arch` variants of their
-//! stride-1 interior kernels (SSE2 baseline on x86-64, AVX2 when the CPU has
-//! it) next to the scalar code, and pick an arm per call through
-//! [`simd_level`]. Every arm produces bit-identical streams — the scalar path
-//! is the oracle, the way `engine::reference` pins the algorithmic rewrites —
-//! so the choice is pure throughput, never format.
+//! Every dispatched kernel of the compressor crates exists exactly twice:
+//!
+//! * the **scalar arm** — portable Rust, the definition of the format. It is
+//!   the only arm off x86-64 and on an x86-64 CPU without AVX2, and the arm
+//!   `HQMR_FORCE_SCALAR=1` pins;
+//! * one **AVX2 arm** — hand-vectorized `core::arch` code for the stride-1
+//!   interior of the same loop, taken when [`simd_level`] probes AVX2.
+//!
+//! The AVX2 arm must write the bytes the scalar arm writes, for every input
+//! including the non-finite ones: a vector lane either evaluates the scalar
+//! expression sequence exactly (no FMA contraction, no reassociation) or the
+//! group replays through the scalar code. In particular a float → integer
+//! conversion of NaN yields 0, as Rust's `as` cast does, not the
+//! integer-indefinite value the raw `cvttpd` instructions produce.
+//!
+//! Who runs which arm: every suite runs the scalar arm under
+//! `HQMR_FORCE_SCALAR=1` (the forced-scalar CI job) and the AVX2 arm
+//! otherwise; `tests/dispatch_equivalence.rs` runs both in one process via
+//! [`set_force_scalar`], compares their streams byte for byte, and refuses to
+//! pass on an AVX2 machine where the unforced level is not [`SimdLevel::Avx2`].
+//! The `reference` oracles pin both arms to the pre-optimization algorithms.
 //!
 //! [`crc32`](crate::crc32) dispatches the same way through [`clmul_crc`]:
 //! where the CPU has PCLMULQDQ (and SSE4.1) it folds 64 bytes per step with
@@ -17,20 +32,18 @@
 //! Two override channels exist so CI and the benches can pin an arm:
 //!
 //! * `HQMR_FORCE_SCALAR=1` in the environment forces the scalar arm — the
-//!   scalar kernels and the table CRC — for the whole process (the
-//!   forced-scalar CI job runs the differential suites under it).
+//!   scalar kernels and the table CRC — for the whole process.
 //! * [`set_force_scalar`] flips the same switch at runtime, letting one
-//!   process run (and compare) the SIMD and scalar arms.
+//!   process run (and compare) both arms.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Instruction-set arm a kernel call should take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable scalar code — the oracle arm, and the only arm off x86-64.
+    /// Portable scalar code — the oracle arm, and the only arm on a CPU
+    /// without AVX2.
     Scalar,
-    /// 128-bit SSE2 — the x86-64 baseline, always present there.
-    Sse2,
     /// 256-bit AVX2 — runtime-detected.
     Avx2,
 }
@@ -51,9 +64,19 @@ pub fn force_scalar() -> bool {
         OFF => false,
         _ => {
             let on = std::env::var("HQMR_FORCE_SCALAR").is_ok_and(|v| !(v.is_empty() || v == "0"));
-            set_force_scalar(on);
-            on
+            publish_env(&FORCE_SCALAR, on)
         }
+    }
+}
+
+/// Publishes the environment's answer into a still-`UNSET` flag and returns
+/// what the flag then holds: a [`set_force_scalar`] that landed since the
+/// caller's load wins over the environment instead of being overwritten.
+fn publish_env(flag: &AtomicU8, env_on: bool) -> bool {
+    let env = if env_on { ON } else { OFF };
+    match flag.compare_exchange(UNSET, env, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => env_on,
+        Err(set_meanwhile) => set_meanwhile == ON,
     }
 }
 
@@ -70,18 +93,11 @@ pub fn tile_parallel() -> bool {
     true
 }
 
-#[cfg(target_arch = "x86_64")]
 fn detect() -> SimdLevel {
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        SimdLevel::Avx2
-    } else {
-        // SSE2 is part of the x86-64 baseline; no detection needed.
-        SimdLevel::Sse2
+        return SimdLevel::Avx2;
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> SimdLevel {
     SimdLevel::Scalar
 }
 
@@ -128,10 +144,24 @@ mod tests {
         assert!(force_scalar());
         set_force_scalar(false);
         assert!(!force_scalar());
-        #[cfg(target_arch = "x86_64")]
-        assert!(simd_level() >= SimdLevel::Sse2);
         set_force_scalar(true);
         assert!(!clmul_crc());
         set_force_scalar(false);
+    }
+
+    /// The lost update: a reader finds the flag `UNSET` and goes to the
+    /// environment; a setter lands before the reader publishes. The setter's
+    /// value must survive and be what the reader reports.
+    #[test]
+    fn env_never_overwrites_a_setter() {
+        for (set, env_on) in [(ON, false), (OFF, true)] {
+            let flag = AtomicU8::new(UNSET); // the reader's load saw this
+            flag.store(set, Ordering::Relaxed); // the setter, meanwhile
+            assert_eq!(publish_env(&flag, env_on), set == ON);
+            assert_eq!(flag.load(Ordering::Relaxed), set);
+        }
+        let flag = AtomicU8::new(UNSET);
+        assert!(publish_env(&flag, true));
+        assert_eq!(flag.load(Ordering::Relaxed), ON);
     }
 }

@@ -15,6 +15,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
+/// Sample window side, in multiples of the boundary period (`j`).
+const SAMPLE_MULT: usize = 2;
+/// SGD epochs over the sample windows.
+const SGD_EPOCHS: usize = 8;
+
 /// Post-processing configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PostConfig {
@@ -24,10 +29,6 @@ pub struct PostConfig {
     pub periods: [Option<usize>; 3],
     /// Target sampling rate for intensity selection (paper: < 1.5%).
     pub sample_frac: f64,
-    /// Sample window side, in multiples of the boundary period (`j`).
-    pub sample_mult: usize,
-    /// SGD epochs over the sample windows.
-    pub sgd_epochs: usize,
     /// RNG seed for sampling and SGD shuffling.
     pub seed: u64,
     /// Run the smoothing passes with rayon (Table IX's OpenMP analogue).
@@ -40,8 +41,6 @@ impl PostConfig {
             candidates,
             periods: [Some(period); 3],
             sample_frac: 0.015,
-            sample_mult: 2,
-            sgd_epochs: 8,
             seed: 0x9E37,
             parallel: true,
         }
@@ -285,6 +284,29 @@ fn sample_windows(
     out
 }
 
+/// The `(original, decompressed)` sample-window pairs every selector
+/// optimizes over, and how many cells they cover. `decompressed` gets each
+/// window's origin and its original cells.
+fn window_pairs(
+    orig: &Field3,
+    cfg: &PostConfig,
+    decompressed: impl Fn([usize; 3], &Field3) -> Field3,
+) -> (Vec<(Field3, Field3)>, usize) {
+    let max_p = cfg.periods.iter().flatten().copied().max().unwrap_or(4);
+    let side = (SAMPLE_MULT * max_p).min(orig.dims().min_extent().max(1));
+    let windows = sample_windows(orig.dims(), side, max_p, cfg.sample_frac, cfg.seed);
+    let wsize = Dims3::cube(side);
+    let pairs = windows
+        .iter()
+        .map(|&o| {
+            let ow = orig.extract_box(o, wsize);
+            let dw = decompressed(o, &ow);
+            (ow, dw)
+        })
+        .collect();
+    (pairs, windows.len() * wsize.len())
+}
+
 /// Selects the per-axis intensity from already-decompressed data (offline
 /// path). See [`select_intensity_sampled`] for the in-workflow path that
 /// round-trips only the sampled windows.
@@ -295,21 +317,8 @@ pub fn select_intensity(
     cfg: &PostConfig,
 ) -> IntensityChoice {
     assert_eq!(orig.dims(), decomp.dims(), "field dims mismatch");
-    let max_p = cfg.periods.iter().flatten().copied().max().unwrap_or(4);
-    let side = (cfg.sample_mult * max_p).min(orig.dims().min_extent().max(1));
-    let windows = sample_windows(orig.dims(), side, max_p, cfg.sample_frac, cfg.seed);
-    let wsize = Dims3::cube(side);
-    let pairs: Vec<(Field3, Field3)> = windows
-        .iter()
-        .map(|&o| (orig.extract_box(o, wsize), decomp.extract_box(o, wsize)))
-        .collect();
-    optimize(
-        &pairs,
-        eb,
-        cfg,
-        windows.len() * wsize.len(),
-        orig.dims().len(),
-    )
+    let (pairs, sampled) = window_pairs(orig, cfg, |o, ow| decomp.extract_box(o, ow.dims()));
+    optimize(&pairs, eb, cfg, sampled, orig.dims().len())
 }
 
 /// Selects the intensity the way the in-situ workflow does (Table IX's
@@ -322,25 +331,8 @@ pub fn select_intensity_sampled(
     eb: f64,
     cfg: &PostConfig,
 ) -> IntensityChoice {
-    let max_p = cfg.periods.iter().flatten().copied().max().unwrap_or(4);
-    let side = (cfg.sample_mult * max_p).min(orig.dims().min_extent().max(1));
-    let windows = sample_windows(orig.dims(), side, max_p, cfg.sample_frac, cfg.seed);
-    let wsize = Dims3::cube(side);
-    let pairs: Vec<(Field3, Field3)> = windows
-        .iter()
-        .map(|&o| {
-            let ow = orig.extract_box(o, wsize);
-            let dw = codec(&ow);
-            (ow, dw)
-        })
-        .collect();
-    optimize(
-        &pairs,
-        eb,
-        cfg,
-        windows.len() * wsize.len(),
-        orig.dims().len(),
-    )
+    let (pairs, sampled) = window_pairs(orig, cfg, |_, ow| codec(ow));
+    optimize(&pairs, eb, cfg, sampled, orig.dims().len())
 }
 
 /// Per-axis optimization: SGD over sample windows on a continuous `a`,
@@ -374,7 +366,7 @@ fn optimize(
         let mut cur = (c_min + c_max) / 2.0;
         let delta = (c_max - c_min) / 50.0;
         let mut order: Vec<usize> = (0..pairs.len()).collect();
-        for epoch in 0..cfg.sgd_epochs {
+        for epoch in 0..SGD_EPOCHS {
             let lr = (c_max - c_min) * 0.25 / (epoch + 1) as f64;
             order.shuffle(&mut rng);
             for &wi in &order {
@@ -424,14 +416,7 @@ pub fn select_intensity_exhaustive(
     cfg: &PostConfig,
 ) -> IntensityChoice {
     assert_eq!(orig.dims(), decomp.dims(), "field dims mismatch");
-    let max_p = cfg.periods.iter().flatten().copied().max().unwrap_or(4);
-    let side = (cfg.sample_mult * max_p).min(orig.dims().min_extent().max(1));
-    let windows = sample_windows(orig.dims(), side, max_p, cfg.sample_frac, cfg.seed);
-    let wsize = Dims3::cube(side);
-    let pairs: Vec<(Field3, Field3)> = windows
-        .iter()
-        .map(|&o| (orig.extract_box(o, wsize), decomp.extract_box(o, wsize)))
-        .collect();
+    let (pairs, sampled) = window_pairs(orig, cfg, |o, ow| decomp.extract_box(o, ow.dims()));
     let mut a = [0.0f64; 3];
     let mut before = 0.0;
     let mut after = 0.0;
@@ -463,7 +448,7 @@ pub fn select_intensity_exhaustive(
     }
     IntensityChoice {
         a,
-        sample_rate: windows.len() as f64 * wsize.len() as f64 / orig.dims().len() as f64,
+        sample_rate: sampled as f64 / orig.dims().len() as f64,
         sample_err_before: before,
         sample_err_after: after,
     }

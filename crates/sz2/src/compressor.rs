@@ -87,8 +87,6 @@ fn fit_plane(field: &Field3, origin: [usize; 3], size: Dims3) -> Plane {
     let (sum, cx, cy, cz) = match kernels::simd_level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { simd::fit_plane_sums_avx2(field, origin, size, mx, my, mz) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { simd::fit_plane_sums_sse2(field, origin, size, mx, my, mz) },
         _ => fit_plane_sums(field, origin, size, mx, my, mz),
     };
     let mean = sum / n;
@@ -193,8 +191,6 @@ fn lorenzo_err_exceeds(field: &Field3, origin: [usize; 3], size: Dims3, bound: f
     match kernels::simd_level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { simd::lorenzo_exceeds_avx2(field, origin, size, bound) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { simd::lorenzo_exceeds_sse2(field, origin, size, bound) },
         _ => lorenzo_exceeds_scalar(field, origin, size, bound),
     }
 }
@@ -243,8 +239,6 @@ fn estimate_plane_err(field: &Field3, origin: [usize; 3], size: Dims3, plane: &P
     match kernels::simd_level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { simd::plane_err_block_avx2(field, origin, size, plane) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { simd::plane_err_block_sse2(field, origin, size, plane) },
         _ => {
             let d = field.dims();
             let data = field.data();
@@ -395,20 +389,6 @@ fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> Encode
                 #[cfg(target_arch = "x86_64")]
                 SimdLevel::Avx2 => unsafe {
                     simd::quant_plane_block_avx2(
-                        &q,
-                        data,
-                        &mut st.recon,
-                        dims,
-                        blk.origin,
-                        blk.size,
-                        &plane,
-                        &mut st.codes,
-                        &mut st.outliers,
-                    )
-                },
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Sse2 => unsafe {
-                    simd::quant_plane_block_sse2(
                         &q,
                         data,
                         &mut st.recon,
@@ -675,21 +655,6 @@ fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), Sz2Error> {
                 #[cfg(target_arch = "x86_64")]
                 SimdLevel::Avx2 => unsafe {
                     simd::recover_plane_block_avx2(
-                        &q,
-                        &p.codes[ci..ci + n],
-                        recon,
-                        dims,
-                        blk.origin,
-                        blk.size,
-                        plane,
-                        &p.outliers,
-                        &mut oi,
-                        &mut ok,
-                    )
-                },
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Sse2 => unsafe {
-                    simd::recover_plane_block_sse2(
                         &q,
                         &p.codes[ci..ci + n],
                         recon,

@@ -1,7 +1,7 @@
-//! x86-64 SIMD arms of the sz2 block kernels.
+//! The AVX2 arm of the sz2 block kernels.
 //!
 //! Dispatched from the parent module on [`hqmr_codec::kernels::simd_level`];
-//! every arm is bit-identical to the scalar loop it shadows. The kernels work
+//! each kernel is bit-identical to the scalar loop it shadows. The kernels work
 //! a whole block per call (constants hoisted out of the tiny per-row loops)
 //! and two patterns keep float results exact:
 //!
@@ -35,21 +35,9 @@ unsafe fn abs4(x: __m256d) -> __m256d {
 }
 
 #[inline]
-unsafe fn abs2(x: __m128d) -> __m128d {
-    _mm_andnot_pd(_mm_set1_pd(-0.0), x)
-}
-
-#[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn ld4(data: &[f32], i: usize) -> __m256d {
     _mm256_cvtps_pd(_mm_loadu_ps(data.as_ptr().add(i)))
-}
-
-#[inline]
-unsafe fn ld2(data: &[f32], i: usize) -> __m128d {
-    _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-        data.as_ptr().add(i) as *const __m128i
-    )))
 }
 
 /// AVX2 arm of the plane-fit accumulation: lanes are `[Σv, Σwx·v, Σwy·v,
@@ -87,46 +75,6 @@ pub(super) unsafe fn fit_plane_sums_avx2(
     let mut s = [0f64; 4];
     _mm256_storeu_pd(s.as_mut_ptr(), acc);
     (s[0], s[1], s[2], s[3])
-}
-
-/// SSE2 arm of [`fit_plane_sums_avx2`]: the four accumulators split across
-/// two registers, same per-lane order.
-///
-/// # Safety
-/// SSE2 is the x86-64 baseline.
-pub(super) unsafe fn fit_plane_sums_sse2(
-    field: &Field3,
-    origin: [usize; 3],
-    size: Dims3,
-    mx: f64,
-    my: f64,
-    mz: f64,
-) -> (f64, f64, f64, f64) {
-    let dims = field.dims();
-    let data = field.data();
-    let one_hi = _mm_set_pd(1.0, 0.0);
-    let mut acc01 = _mm_setzero_pd(); // [Σv, Σwx·v]
-    let mut acc23 = _mm_setzero_pd(); // [Σwy·v, Σwz·v]
-    for x in 0..size.nx {
-        let wx = x as f64 - mx;
-        for y in 0..size.ny {
-            let wy = y as f64 - my;
-            let row = dims.idx(origin[0] + x, origin[1] + y, origin[2]);
-            let w01 = _mm_set_pd(wx, 1.0);
-            let mut w23 = _mm_set_pd(-mz, wy);
-            for &vf in &data[row..row + size.nz] {
-                let v = _mm_set1_pd(vf as f64);
-                acc01 = _mm_add_pd(acc01, _mm_mul_pd(w01, v));
-                acc23 = _mm_add_pd(acc23, _mm_mul_pd(w23, v));
-                w23 = _mm_add_pd(w23, one_hi);
-            }
-        }
-    }
-    let mut s01 = [0f64; 2];
-    let mut s23 = [0f64; 2];
-    _mm_storeu_pd(s01.as_mut_ptr(), acc01);
-    _mm_storeu_pd(s23.as_mut_ptr(), acc23);
-    (s01[0], s01[1], s23[0], s23[1])
 }
 
 /// AVX2 arm of the Lorenzo-error bound test: accumulates the block's
@@ -208,77 +156,6 @@ pub(super) unsafe fn lorenzo_exceeds_avx2(
     acc > bound
 }
 
-/// SSE2 arm of [`lorenzo_exceeds_avx2`] (two stencils per step).
-///
-/// # Safety
-/// SSE2 baseline.
-pub(super) unsafe fn lorenzo_exceeds_sse2(
-    field: &Field3,
-    origin: [usize; 3],
-    size: Dims3,
-    bound: f64,
-) -> bool {
-    let d = field.dims();
-    let data = field.data();
-    let (sx, sy) = (d.ny * d.nz, d.nz);
-    let mut acc = 0.0f64;
-    for x in 0..size.nx {
-        let gx = origin[0] + x;
-        for y in 0..size.ny {
-            let gy = origin[1] + y;
-            let row = d.idx(gx, gy, origin[2]);
-            if gx == 0 || gy == 0 {
-                for z in 0..size.nz {
-                    let gz = origin[2] + z;
-                    let pred = lorenzo(data, d, gx, gy, gz);
-                    acc += (data[row + z] as f64 - pred).abs();
-                }
-            } else {
-                let mut i = row;
-                if origin[2] == 0 {
-                    let pred = lorenzo(data, d, gx, gy, 0);
-                    acc += (data[i] as f64 - pred).abs();
-                    i += 1;
-                }
-                let end = row + size.nz;
-                while i + 2 <= end {
-                    let pred = _mm_add_pd(
-                        _mm_sub_pd(
-                            _mm_sub_pd(
-                                _mm_sub_pd(
-                                    _mm_add_pd(
-                                        _mm_add_pd(ld2(data, i - sx), ld2(data, i - sy)),
-                                        ld2(data, i - 1),
-                                    ),
-                                    ld2(data, i - sx - sy),
-                                ),
-                                ld2(data, i - sx - 1),
-                            ),
-                            ld2(data, i - sy - 1),
-                        ),
-                        ld2(data, i - sx - sy - 1),
-                    );
-                    let dv = abs2(_mm_sub_pd(ld2(data, i), pred));
-                    let mut t = [0f64; 2];
-                    _mm_storeu_pd(t.as_mut_ptr(), dv);
-                    acc += t[0];
-                    acc += t[1];
-                    i += 2;
-                }
-                while i < end {
-                    let pred = lorenzo_interior(data, i, sx, sy);
-                    acc += (data[i] as f64 - pred).abs();
-                    i += 1;
-                }
-            }
-            if acc > bound {
-                return true;
-            }
-        }
-    }
-    acc > bound
-}
-
 /// AVX2 arm of the plane-predictor error scan over a whole block
 /// (predictions `((c0 + c1·x) + c2·y) + c3·z`), ordered folds like the
 /// Lorenzo scan.
@@ -318,51 +195,6 @@ pub(super) unsafe fn plane_err_block_avx2(
                 acc += t[3];
                 zv = _mm256_add_pd(zv, four);
                 z += 4;
-            }
-            while z < size.nz {
-                let pred = bxy + c3 * z as f64;
-                acc += (data[row + z] as f64 - pred).abs();
-                z += 1;
-            }
-        }
-    }
-    acc
-}
-
-/// SSE2 arm of [`plane_err_block_avx2`].
-///
-/// # Safety
-/// SSE2 baseline.
-pub(super) unsafe fn plane_err_block_sse2(
-    field: &Field3,
-    origin: [usize; 3],
-    size: Dims3,
-    plane: &Plane,
-) -> f64 {
-    let d = field.dims();
-    let data = field.data();
-    let c3 = plane.c[3] as f64;
-    let c3v = _mm_set1_pd(c3);
-    let two = _mm_set1_pd(2.0);
-    let zv0 = _mm_set_pd(1.0, 0.0);
-    let mut acc = 0.0f64;
-    for x in 0..size.nx {
-        let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
-        for y in 0..size.ny {
-            let bxy = bx + plane.c[2] as f64 * y as f64;
-            let row = d.idx(origin[0] + x, origin[1] + y, origin[2]);
-            let bxv = _mm_set1_pd(bxy);
-            let mut zv = zv0;
-            let mut z = 0usize;
-            while z + 2 <= size.nz {
-                let pred = _mm_add_pd(bxv, _mm_mul_pd(c3v, zv));
-                let dv = abs2(_mm_sub_pd(ld2(data, row + z), pred));
-                let mut t = [0f64; 2];
-                _mm_storeu_pd(t.as_mut_ptr(), dv);
-                acc += t[0];
-                acc += t[1];
-                zv = _mm_add_pd(zv, two);
-                z += 2;
             }
             while z < size.nz {
                 let pred = bxy + c3 * z as f64;
@@ -455,81 +287,6 @@ pub(super) unsafe fn quant_plane_block_avx2(
     }
 }
 
-/// SSE2 arm of [`quant_plane_block_avx2`] (pairs instead of quads).
-///
-/// # Safety
-/// SSE2 baseline.
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn quant_plane_block_sse2(
-    q: &LinearQuantizer,
-    data: &[f32],
-    recon: &mut [f32],
-    dims: Dims3,
-    origin: [usize; 3],
-    size: Dims3,
-    plane: &Plane,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
-) {
-    let c3 = plane.c[3] as f64;
-    let sign = _mm_set1_pd(-0.0);
-    let half = _mm_set1_pd(0.5);
-    let eb2v = _mm_set1_pd(2.0 * q.eb());
-    let ebv = _mm_set1_pd(q.eb());
-    let limv = _mm_set1_pd((q.radius() - 1) as f64 - 0.5);
-    let tiev = _mm_set1_pd(TIE);
-    let radv = _mm_set1_epi32(q.radius() as i32);
-    let c3v = _mm_set1_pd(c3);
-    let two = _mm_set1_pd(2.0);
-    let zv0 = _mm_set_pd(1.0, 0.0);
-    for x in 0..size.nx {
-        let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
-        for y in 0..size.ny {
-            let bxy = bx + plane.c[2] as f64 * y as f64;
-            let row = dims.idx(origin[0] + x, origin[1] + y, origin[2]);
-            let bxv = _mm_set1_pd(bxy);
-            let mut zv = zv0;
-            let mut z = 0usize;
-            while z + 2 <= size.nz {
-                let pred = _mm_add_pd(bxv, _mm_mul_pd(c3v, zv));
-                let a = ld2(data, row + z);
-                let t = _mm_div_pd(_mm_sub_pd(a, pred), eb2v);
-                let tabs = abs2(t);
-                let ok1 = _mm_cmplt_pd(tabs, limv);
-                let tie = _mm_cmpeq_pd(tabs, tiev);
-                let rt = _mm_add_pd(t, _mm_or_pd(_mm_and_pd(t, sign), half));
-                let qi = _mm_cvttpd_epi32(rt);
-                let recon64 = _mm_add_pd(pred, _mm_mul_pd(eb2v, _mm_cvtepi32_pd(qi)));
-                let ok2 = _mm_cmple_pd(abs2(_mm_sub_pd(recon64, a)), ebv);
-                let r32 = _mm_cvtpd_ps(recon64);
-                let ok3 = _mm_cmple_pd(abs2(_mm_sub_pd(_mm_cvtps_pd(r32), a)), ebv);
-                let ok = _mm_and_pd(_mm_and_pd(ok1, ok2), ok3);
-                if _mm_movemask_pd(ok) == 0x3 && _mm_movemask_pd(tie) == 0 {
-                    let mut cs = [0u32; 4];
-                    _mm_storeu_si128(cs.as_mut_ptr() as *mut __m128i, _mm_add_epi32(qi, radv));
-                    codes.extend_from_slice(&cs[..2]);
-                    let mut rs = [0f32; 4];
-                    _mm_storeu_ps(rs.as_mut_ptr(), r32);
-                    recon[row + z] = rs[0];
-                    recon[row + z + 1] = rs[1];
-                } else {
-                    for j in z..z + 2 {
-                        let p = bxy + c3 * j as f64;
-                        recon[row + j] = encode_point(q, data[row + j], p, codes, outliers);
-                    }
-                }
-                zv = _mm_add_pd(zv, two);
-                z += 2;
-            }
-            while z < size.nz {
-                let p = bxy + c3 * z as f64;
-                recon[row + z] = encode_point(q, data[row + z], p, codes, outliers);
-                z += 1;
-            }
-        }
-    }
-}
-
 /// AVX2 arm of the plane-path recover over a whole block: codes back to
 /// reconstructions. Any `UNPREDICTABLE` lane replays the group through
 /// [`decode_value`] (outlier cursor order is preserved). `codes` holds
@@ -582,68 +339,6 @@ pub(super) unsafe fn recover_plane_block_avx2(
                 }
                 zv = _mm256_add_pd(zv, four);
                 z += 4;
-            }
-            while z < size.nz {
-                let p = bxy + c3 * z as f64;
-                recon[row + z] = decode_value(q, p, codes[k + z], outliers, oi, ok);
-                z += 1;
-            }
-            k += size.nz;
-        }
-    }
-}
-
-/// SSE2 arm of [`recover_plane_block_avx2`].
-///
-/// # Safety
-/// SSE2 baseline.
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn recover_plane_block_sse2(
-    q: &LinearQuantizer,
-    codes: &[u32],
-    recon: &mut [f32],
-    dims: Dims3,
-    origin: [usize; 3],
-    size: Dims3,
-    plane: &Plane,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) {
-    let c3 = plane.c[3] as f64;
-    let eb2v = _mm_set1_pd(2.0 * q.eb());
-    let radv = _mm_set1_epi32(q.radius() as i32);
-    let c3v = _mm_set1_pd(c3);
-    let two = _mm_set1_pd(2.0);
-    let zv0 = _mm_set_pd(1.0, 0.0);
-    let mut k = 0usize;
-    for x in 0..size.nx {
-        let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
-        for y in 0..size.ny {
-            let bxy = bx + plane.c[2] as f64 * y as f64;
-            let row = dims.idx(origin[0] + x, origin[1] + y, origin[2]);
-            let bxv = _mm_set1_pd(bxy);
-            let mut zv = zv0;
-            let mut z = 0usize;
-            while z + 2 <= size.nz {
-                let (c0, c1) = (codes[k + z], codes[k + z + 1]);
-                if c0 != 0 && c1 != 0 {
-                    let c = _mm_set_epi32(0, 0, c1 as i32, c0 as i32);
-                    let qf = _mm_cvtepi32_pd(_mm_sub_epi32(c, radv));
-                    let pred = _mm_add_pd(bxv, _mm_mul_pd(c3v, zv));
-                    let recon64 = _mm_add_pd(pred, _mm_mul_pd(eb2v, qf));
-                    let mut rs = [0f32; 4];
-                    _mm_storeu_ps(rs.as_mut_ptr(), _mm_cvtpd_ps(recon64));
-                    recon[row + z] = rs[0];
-                    recon[row + z + 1] = rs[1];
-                } else {
-                    for j in z..z + 2 {
-                        let p = bxy + c3 * j as f64;
-                        recon[row + j] = decode_value(q, p, codes[k + j], outliers, oi, ok);
-                    }
-                }
-                zv = _mm_add_pd(zv, two);
-                z += 2;
             }
             while z < size.nz {
                 let p = bxy + c3 * z as f64;

@@ -341,8 +341,8 @@ fn decompress_line(
     }
 }
 
-/// The SIMD arm for one sweep: only the finest-`z` sweep (`stride == 1 &&
-/// s == 1`) has vector kernels — its lines are contiguous stride-2 walks and
+/// The arm for one sweep: only the finest-`z` sweep (`stride == 1 &&
+/// s == 1`) has AVX2 kernels — its lines are contiguous stride-2 walks and
 /// it visits about half of all points; every other sweep stays scalar.
 fn sweep_arm(sw: &Sweep) -> SimdLevel {
     if sw.stride == 1 && sw.s == 1 {
@@ -352,8 +352,8 @@ fn sweep_arm(sw: &Sweep) -> SimdLevel {
     }
 }
 
-/// Encodes one line through the arm selected by [`sweep_arm`]. Every arm is
-/// bit-identical; the scalar [`compress_line`] is the oracle.
+/// Encodes one line through the arm selected by [`sweep_arm`]. The two arms
+/// are bit-identical; the scalar [`compress_line`] is the oracle.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn encode_line(
@@ -370,8 +370,6 @@ fn encode_line(
     match arm {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { simd::compress_line_z1_avx2(buf, base, g, q, codes, outliers) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { simd::compress_line_z1_sse2(buf, base, g, q, codes, outliers) },
         _ => compress_line(buf, base, e, s, g, q, codes, outliers),
     }
 }
@@ -397,10 +395,6 @@ fn decode_line(
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe {
             simd::decompress_line_z1_avx2(buf, base, g, q, codes, ci, outliers, oi, ok)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe {
-            simd::decompress_line_z1_sse2(buf, base, g, q, codes, ci, outliers, oi, ok)
         },
         _ => decompress_line(buf, base, e, s, g, q, codes, ci, outliers, oi, ok),
     }

@@ -1,4 +1,4 @@
-//! x86-64 SIMD arms of the finest-level `z` line kernels.
+//! The AVX2 arm of the finest-level `z` line kernels.
 //!
 //! Only the sweep with `stride == 1 && s == 1` is vectorized: it is the one
 //! sweep whose lines are contiguous in memory (targets at odd indices,
@@ -28,11 +28,6 @@ const TIE: f64 = 0.499_999_999_999_999_94;
 #[target_feature(enable = "avx2")]
 unsafe fn abs4(x: __m256d) -> __m256d {
     _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
-}
-
-#[inline]
-unsafe fn abs2(x: __m128d) -> __m128d {
-    _mm_andnot_pd(_mm_set1_pd(-0.0), x)
 }
 
 /// Four even-stride values `buf[at], buf[at+2], buf[at+4], buf[at+6]` as
@@ -79,12 +74,6 @@ unsafe fn scatter4(buf: &mut [f32], i: usize, r32: __m128) {
     *buf.get_unchecked_mut(i + 2) = rs[1];
     *buf.get_unchecked_mut(i + 4) = rs[2];
     *buf.get_unchecked_mut(i + 6) = rs[3];
-}
-
-/// Two even-stride values as f64 lanes (scalar gathers: no over-read).
-#[inline]
-unsafe fn ev2(buf: &[f32], at: usize) -> __m128d {
-    _mm_set_pd(buf[at + 2] as f64, buf[at] as f64)
 }
 
 /// Hoisted quantizer constants for the four-lane fast path.
@@ -250,113 +239,6 @@ pub(super) unsafe fn compress_line_z1_avx2(
     }
 }
 
-/// SSE2 arm of [`compress_line_z1_avx2`] (pairs; scalar gathers, no
-/// over-read).
-///
-/// # Safety
-/// SSE2 baseline; same geometry contract as the AVX2 arm.
-pub(super) unsafe fn compress_line_z1_sse2(
-    buf: &mut [f32],
-    base: usize,
-    g: &LineGeom,
-    q: &LinearQuantizer,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
-) {
-    let sign = _mm_set1_pd(-0.0);
-    let half = _mm_set1_pd(0.5);
-    let eb2v = _mm_set1_pd(2.0 * q.eb());
-    let ebv = _mm_set1_pd(q.eb());
-    let limv = _mm_set1_pd((q.radius() - 1) as f64 - 0.5);
-    let tiev = _mm_set1_pd(TIE);
-    let radv = _mm_set1_epi32(q.radius() as i32);
-    let two = _mm_set1_pd(2.0);
-    let nine = _mm_set1_pd(9.0);
-    let sixteen = _mm_set1_pd(16.0);
-    let mut i = base + 1;
-
-    let quant2 = |buf: &mut [f32], i: usize, pred: __m128d, codes: &mut Vec<u32>| -> bool {
-        let a = ev2(buf, i);
-        let t = _mm_div_pd(_mm_sub_pd(a, pred), eb2v);
-        let tabs = abs2(t);
-        let ok1 = _mm_cmplt_pd(tabs, limv);
-        let tie = _mm_cmpeq_pd(tabs, tiev);
-        let rt = _mm_add_pd(t, _mm_or_pd(_mm_and_pd(t, sign), half));
-        let qi = _mm_cvttpd_epi32(rt);
-        let recon64 = _mm_add_pd(pred, _mm_mul_pd(eb2v, _mm_cvtepi32_pd(qi)));
-        let ok2 = _mm_cmple_pd(abs2(_mm_sub_pd(recon64, a)), ebv);
-        let r32 = _mm_cvtpd_ps(recon64);
-        let ok3 = _mm_cmple_pd(abs2(_mm_sub_pd(_mm_cvtps_pd(r32), a)), ebv);
-        let okm = _mm_and_pd(_mm_and_pd(ok1, ok2), ok3);
-        if _mm_movemask_pd(okm) != 0x3 || _mm_movemask_pd(tie) != 0 {
-            return false;
-        }
-        let mut cs = [0u32; 4];
-        _mm_storeu_si128(cs.as_mut_ptr() as *mut __m128i, _mm_add_epi32(qi, radv));
-        codes.extend_from_slice(&cs[..2]);
-        let mut rs = [0f32; 4];
-        _mm_storeu_ps(rs.as_mut_ptr(), r32);
-        buf[i] = rs[0];
-        buf[i + 2] = rs[1];
-        true
-    };
-
-    let mut r = g.mid_head;
-    while r >= 2 {
-        let pred = _mm_div_pd(_mm_add_pd(ev2(buf, i - 1), ev2(buf, i + 1)), two);
-        if !quant2(buf, i, pred, codes) {
-            for j in 0..2 {
-                let p = i + 2 * j;
-                let pred = (buf[p - 1] as f64 + buf[p + 1] as f64) / 2.0;
-                buf[p] = quantize_store(q, buf[p], pred, codes, outliers);
-            }
-        }
-        i += 4;
-        r -= 2;
-    }
-    if r > 0 {
-        let pred = (buf[i - 1] as f64 + buf[i + 1] as f64) / 2.0;
-        buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-        i += 2;
-    }
-
-    r = g.cubic;
-    while r >= 2 {
-        let bv = _mm_mul_pd(nine, ev2(buf, i - 1));
-        let cv = _mm_mul_pd(nine, ev2(buf, i + 1));
-        let t0 = _mm_add_pd(_mm_sub_pd(bv, ev2(buf, i - 3)), cv);
-        let pred = _mm_div_pd(_mm_sub_pd(t0, ev2(buf, i + 3)), sixteen);
-        if !quant2(buf, i, pred, codes) {
-            for j in 0..2 {
-                let p = i + 2 * j;
-                let (a, b) = (buf[p - 3] as f64, buf[p - 1] as f64);
-                let (c, d) = (buf[p + 1] as f64, buf[p + 3] as f64);
-                let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-                buf[p] = quantize_store(q, buf[p], pred, codes, outliers);
-            }
-        }
-        i += 4;
-        r -= 2;
-    }
-    if r > 0 {
-        let (a, b) = (buf[i - 3] as f64, buf[i - 1] as f64);
-        let (c, d) = (buf[i + 1] as f64, buf[i + 3] as f64);
-        let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-        buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-        i += 2;
-    }
-
-    for _ in 0..g.mid_tail {
-        let pred = (buf[i - 1] as f64 + buf[i + 1] as f64) / 2.0;
-        buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-        i += 2;
-    }
-    if g.extra {
-        let pred = buf[i - 1] as f64;
-        buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-    }
-}
-
 /// AVX2 arm of [`super::decompress_line`] for the contiguous finest-z sweep.
 /// Quads with no `UNPREDICTABLE` lane reconstruct vectorially; any outlier
 /// replays the quad through [`recover_value`] so the side-channel cursor
@@ -463,113 +345,6 @@ pub(super) unsafe fn decompress_line_z1_avx2(
         *ci += 1;
         i += 2;
         r -= 1;
-    }
-
-    for _ in 0..g.mid_tail {
-        let pred = (buf[i - 1] as f64 + buf[i + 1] as f64) / 2.0;
-        buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-        *ci += 1;
-        i += 2;
-    }
-    if g.extra {
-        let pred = buf[i - 1] as f64;
-        buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-        *ci += 1;
-    }
-}
-
-/// SSE2 arm of [`decompress_line_z1_avx2`] (pairs; scalar gathers).
-///
-/// # Safety
-/// SSE2 baseline; same contract as the AVX2 arm.
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn decompress_line_z1_sse2(
-    buf: &mut [f32],
-    base: usize,
-    g: &LineGeom,
-    q: &LinearQuantizer,
-    codes: &[u32],
-    ci: &mut usize,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) {
-    let eb2 = _mm_set1_pd(2.0 * q.eb());
-    let rad = _mm_set1_epi32(q.radius() as i32);
-    let two = _mm_set1_pd(2.0);
-    let nine = _mm_set1_pd(9.0);
-    let sixteen = _mm_set1_pd(16.0);
-    let mut i = base + 1;
-
-    let mut r = g.mid_head;
-    while r >= 2 {
-        let (c0, c1) = (codes[*ci], codes[*ci + 1]);
-        if c0 != 0 && c1 != 0 {
-            let c = _mm_set_epi32(0, 0, c1 as i32, c0 as i32);
-            let pred = _mm_div_pd(_mm_add_pd(ev2(buf, i - 1), ev2(buf, i + 1)), two);
-            let qf = _mm_cvtepi32_pd(_mm_sub_epi32(c, rad));
-            let mut rs = [0f32; 4];
-            _mm_storeu_ps(
-                rs.as_mut_ptr(),
-                _mm_cvtpd_ps(_mm_add_pd(pred, _mm_mul_pd(eb2, qf))),
-            );
-            buf[i] = rs[0];
-            buf[i + 2] = rs[1];
-        } else {
-            for j in 0..2 {
-                let p = i + 2 * j;
-                let pred = (buf[p - 1] as f64 + buf[p + 1] as f64) / 2.0;
-                buf[p] = recover_value(q, pred, codes[*ci + j], outliers, oi, ok);
-            }
-        }
-        *ci += 2;
-        i += 4;
-        r -= 2;
-    }
-    if r > 0 {
-        let pred = (buf[i - 1] as f64 + buf[i + 1] as f64) / 2.0;
-        buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-        *ci += 1;
-        i += 2;
-    }
-
-    r = g.cubic;
-    while r >= 2 {
-        let (c0, c1) = (codes[*ci], codes[*ci + 1]);
-        if c0 != 0 && c1 != 0 {
-            let c = _mm_set_epi32(0, 0, c1 as i32, c0 as i32);
-            let bv = _mm_mul_pd(nine, ev2(buf, i - 1));
-            let cv = _mm_mul_pd(nine, ev2(buf, i + 1));
-            let t0 = _mm_add_pd(_mm_sub_pd(bv, ev2(buf, i - 3)), cv);
-            let pred = _mm_div_pd(_mm_sub_pd(t0, ev2(buf, i + 3)), sixteen);
-            let qf = _mm_cvtepi32_pd(_mm_sub_epi32(c, rad));
-            let mut rs = [0f32; 4];
-            _mm_storeu_ps(
-                rs.as_mut_ptr(),
-                _mm_cvtpd_ps(_mm_add_pd(pred, _mm_mul_pd(eb2, qf))),
-            );
-            buf[i] = rs[0];
-            buf[i + 2] = rs[1];
-        } else {
-            for j in 0..2 {
-                let p = i + 2 * j;
-                let (a, b) = (buf[p - 3] as f64, buf[p - 1] as f64);
-                let (c, d) = (buf[p + 1] as f64, buf[p + 3] as f64);
-                let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-                buf[p] = recover_value(q, pred, codes[*ci + j], outliers, oi, ok);
-            }
-        }
-        *ci += 2;
-        i += 4;
-        r -= 2;
-    }
-    if r > 0 {
-        let (a, b) = (buf[i - 3] as f64, buf[i - 1] as f64);
-        let (c, d) = (buf[i + 1] as f64, buf[i + 3] as f64);
-        let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-        buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-        *ci += 1;
-        i += 2;
     }
 
     for _ in 0..g.mid_tail {

@@ -1,15 +1,17 @@
 //! Runtime-dispatched SIMD kernels: fixed-point scaling and lifting sweeps.
 //!
-//! Every variant is bit-identical to the scalar code it shadows. For the
+//! The AVX2 arm is bit-identical to the scalar code it shadows. For the
 //! integer lifting that is immediate (two's-complement arithmetic has one
 //! answer); for the scaling loop it holds because each lane evaluates exactly
 //! the scalar expression sequence — `(v as f64) * scale`, add of
 //! `copysign(0.5, x)`, truncate — with no FMA contraction and no
-//! reassociation, and the two rare guards of
-//! [`hqmr_codec::round_ties_away_i64`] are reproduced: the `|x| ≥ 2⁵²` guard
-//! cannot fire here (block-floating-point scaling bounds `|x| < 2³⁰`, argued
-//! at the call site), and the `|x| == nextDown(0.5)` tie guard is applied as
-//! a lane mask. Pinned by [`tests`] and the stream-level differential suite.
+//! reassociation, and the guards of [`hqmr_codec::round_ties_away_i64`] are
+//! reproduced: the `|x| ≥ 2⁵²` guard cannot fire here (block-floating-point
+//! scaling bounds every ordered `|x| < 2³⁰`, argued at the call site), and
+//! the `|x| == nextDown(0.5)` tie and the NaN lanes (the block's `maxabs`
+//! fold drops NaN, so one can sit in an encoded block) are masked to the 0
+//! the scalar `as i64` gives. Pinned by [`tests`] and the stream-level
+//! differential suite.
 
 use hqmr_codec::round_ties_away_i64;
 
@@ -27,8 +29,6 @@ pub fn scale_block(vals: &[f32; 64], ints: &mut [i64; 64], scale: f64) {
     match hqmr_codec::kernels::simd_level() {
         #[cfg(target_arch = "x86_64")]
         hqmr_codec::kernels::SimdLevel::Avx2 => unsafe { x86::scale_block_avx2(vals, ints, scale) },
-        #[cfg(target_arch = "x86_64")]
-        hqmr_codec::kernels::SimdLevel::Sse2 => unsafe { x86::scale_block_sse2(vals, ints, scale) },
         _ => scale_block_scalar(vals, ints, scale),
     }
 }
@@ -57,34 +57,12 @@ pub(crate) mod x86 {
             let t = _mm256_add_pd(x, _mm256_or_pd(_mm256_and_pd(x, sign), half));
             let narrow = _mm256_cvttpd_epi32(t); // |t| < 2³¹: exact i32 truncation
             let mut wide = _mm256_cvtepi32_epi64(narrow);
-            // Tie lanes (|x| == nextDown(0.5)) round to 0, not ±1.
+            // Tie lanes (|x| == nextDown(0.5)) round to 0, not ±1, and NaN
+            // lanes cast to 0, not the integer-indefinite `cvttpd` result.
             let is_tie = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_andnot_pd(sign, x), tie);
-            wide = _mm256_andnot_si256(_mm256_castpd_si256(is_tie), wide);
+            let to_zero = _mm256_or_pd(is_tie, _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x));
+            wide = _mm256_andnot_si256(_mm256_castpd_si256(to_zero), wide);
             _mm256_storeu_si256(ints.as_mut_ptr().add(i) as *mut __m256i, wide);
-        }
-    }
-
-    /// SSE2 arm of [`super::scale_block`] (two lanes per step).
-    ///
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline; the raw pointer arithmetic stays
-    /// inside the fixed-size arrays.
-    pub unsafe fn scale_block_sse2(vals: &[f32; 64], ints: &mut [i64; 64], scale: f64) {
-        let sign = _mm_set1_pd(-0.0);
-        let half = _mm_set1_pd(0.5);
-        let tie = _mm_set1_pd(TIE);
-        let s = _mm_set1_pd(scale);
-        for i in (0..64).step_by(2) {
-            let v = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-                vals.as_ptr().add(i) as *const __m128i
-            )));
-            let x = _mm_mul_pd(v, s);
-            let t = _mm_add_pd(x, _mm_or_pd(_mm_and_pd(x, sign), half));
-            let narrow = _mm_cvttpd_epi32(t); // 2 × i32 in the low half
-            let mut wide = _mm_unpacklo_epi32(narrow, _mm_srai_epi32(narrow, 31));
-            let is_tie = _mm_cmpeq_pd(_mm_andnot_pd(sign, x), tie);
-            wide = _mm_andnot_si128(_mm_castpd_si128(is_tie), wide);
-            _mm_storeu_si128(ints.as_mut_ptr().add(i) as *mut __m128i, wide);
         }
     }
 
@@ -273,161 +251,6 @@ pub(crate) mod x86 {
         }
         *block = out;
     }
-
-    // SSE2 (two i64 lanes) analogs of the sweeps above.
-
-    #[inline]
-    unsafe fn s_fwd_v2(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
-        let d = _mm_sub_epi64(b, a);
-        let half = _mm_or_si128(
-            _mm_srli_epi64(d, 1),
-            _mm_and_si128(d, _mm_set1_epi64x(i64::MIN)),
-        );
-        (_mm_add_epi64(a, half), d)
-    }
-
-    #[inline]
-    unsafe fn s_inv_v2(avg: __m128i, d: __m128i) -> (__m128i, __m128i) {
-        let half = _mm_or_si128(
-            _mm_srli_epi64(d, 1),
-            _mm_and_si128(d, _mm_set1_epi64x(i64::MIN)),
-        );
-        let a = _mm_sub_epi64(avg, half);
-        (a, _mm_add_epi64(a, d))
-    }
-
-    #[inline]
-    unsafe fn load2(p: *const i64) -> __m128i {
-        _mm_loadu_si128(p as *const __m128i)
-    }
-
-    #[inline]
-    unsafe fn store2(p: *mut i64, v: __m128i) {
-        _mm_storeu_si128(p as *mut __m128i, v)
-    }
-
-    /// SSE2 arm of the forward transform: the strided y and x sweeps run two
-    /// lanes at a time; the stride-1 z sweep pairs two lines through 2×2
-    /// unpack transposes.
-    ///
-    /// # Safety
-    /// SSE2 baseline; pointer arithmetic stays inside the block.
-    pub unsafe fn fwd_transform3_sse2(block: &mut [i64; 64]) {
-        let p = block.as_mut_ptr();
-        // Along z: two lines (8 contiguous elements) per iteration.
-        for base in (0..64).step_by(8) {
-            let l0a = load2(p.add(base)); // line0 e0,e1
-            let l0b = load2(p.add(base + 2)); // line0 e2,e3
-            let l1a = load2(p.add(base + 4));
-            let l1b = load2(p.add(base + 6));
-            let c0 = _mm_unpacklo_epi64(l0a, l1a); // e0 of both lines
-            let c1 = _mm_unpackhi_epi64(l0a, l1a);
-            let c2 = _mm_unpacklo_epi64(l0b, l1b);
-            let c3 = _mm_unpackhi_epi64(l0b, l1b);
-            let (a0, d0) = s_fwd_v2(c0, c1);
-            let (a1, d1) = s_fwd_v2(c2, c3);
-            let (a, dd) = s_fwd_v2(a0, a1);
-            store2(p.add(base), _mm_unpacklo_epi64(a, dd));
-            store2(p.add(base + 2), _mm_unpacklo_epi64(d0, d1));
-            store2(p.add(base + 4), _mm_unpackhi_epi64(a, dd));
-            store2(p.add(base + 6), _mm_unpackhi_epi64(d0, d1));
-        }
-        // Along y: lanes are z pairs.
-        for x in 0..4 {
-            for z in (0..4).step_by(2) {
-                let b = x * 16 + z;
-                let (a0, d0) = s_fwd_v2(load2(p.add(b)), load2(p.add(b + 4)));
-                let (a1, d1) = s_fwd_v2(load2(p.add(b + 8)), load2(p.add(b + 12)));
-                let (a, dd) = s_fwd_v2(a0, a1);
-                store2(p.add(b), a);
-                store2(p.add(b + 4), dd);
-                store2(p.add(b + 8), d0);
-                store2(p.add(b + 12), d1);
-            }
-        }
-        // Along x, scattering into frequency order.
-        let mut out = [0i64; 64];
-        for yz0 in (0..16).step_by(2) {
-            let (a0, d0) = s_fwd_v2(load2(p.add(yz0)), load2(p.add(yz0 + 16)));
-            let (a1, d1) = s_fwd_v2(load2(p.add(yz0 + 32)), load2(p.add(yz0 + 48)));
-            let (a, dd) = s_fwd_v2(a0, a1);
-            let mut ta = [0i64; 2];
-            let mut tdd = [0i64; 2];
-            let mut td0 = [0i64; 2];
-            let mut td1 = [0i64; 2];
-            store2(ta.as_mut_ptr(), a);
-            store2(tdd.as_mut_ptr(), dd);
-            store2(td0.as_mut_ptr(), d0);
-            store2(td1.as_mut_ptr(), d1);
-            for l in 0..2 {
-                let yz = yz0 + l;
-                out[COEFF_POS[yz] as usize] = ta[l];
-                out[COEFF_POS[yz + 16] as usize] = tdd[l];
-                out[COEFF_POS[yz + 32] as usize] = td0[l];
-                out[COEFF_POS[yz + 48] as usize] = td1[l];
-            }
-        }
-        *block = out;
-    }
-
-    /// SSE2 arm of the inverse transform.
-    ///
-    /// # Safety
-    /// SSE2 baseline; pointer arithmetic stays inside the block.
-    pub unsafe fn inv_transform3_sse2(block: &mut [i64; 64]) {
-        let mut out = [0i64; 64];
-        let o = out.as_mut_ptr();
-        for yz0 in (0..16).step_by(2) {
-            let mut ga = [0i64; 2];
-            let mut gdd = [0i64; 2];
-            let mut gd0 = [0i64; 2];
-            let mut gd1 = [0i64; 2];
-            for l in 0..2 {
-                let yz = yz0 + l;
-                ga[l] = block[COEFF_POS[yz] as usize];
-                gdd[l] = block[COEFF_POS[yz + 16] as usize];
-                gd0[l] = block[COEFF_POS[yz + 32] as usize];
-                gd1[l] = block[COEFF_POS[yz + 48] as usize];
-            }
-            let (a0, a1) = s_inv_v2(load2(ga.as_ptr()), load2(gdd.as_ptr()));
-            let (p0, p1) = s_inv_v2(a0, load2(gd0.as_ptr()));
-            let (p2, p3) = s_inv_v2(a1, load2(gd1.as_ptr()));
-            store2(o.add(yz0), p0);
-            store2(o.add(yz0 + 16), p1);
-            store2(o.add(yz0 + 32), p2);
-            store2(o.add(yz0 + 48), p3);
-        }
-        for x in 0..4 {
-            for z in (0..4).step_by(2) {
-                let b = x * 16 + z;
-                let (a0, a1) = s_inv_v2(load2(o.add(b)), load2(o.add(b + 4)));
-                let (p0, p1) = s_inv_v2(a0, load2(o.add(b + 8)));
-                let (p2, p3) = s_inv_v2(a1, load2(o.add(b + 12)));
-                store2(o.add(b), p0);
-                store2(o.add(b + 4), p1);
-                store2(o.add(b + 8), p2);
-                store2(o.add(b + 12), p3);
-            }
-        }
-        for base in (0..64).step_by(8) {
-            let l0a = load2(o.add(base));
-            let l0b = load2(o.add(base + 2));
-            let l1a = load2(o.add(base + 4));
-            let l1b = load2(o.add(base + 6));
-            let c0 = _mm_unpacklo_epi64(l0a, l1a);
-            let c1 = _mm_unpackhi_epi64(l0a, l1a);
-            let c2 = _mm_unpacklo_epi64(l0b, l1b);
-            let c3 = _mm_unpackhi_epi64(l0b, l1b);
-            let (a0, a1) = s_inv_v2(c0, c1);
-            let (p0, p1) = s_inv_v2(a0, c2);
-            let (p2, p3) = s_inv_v2(a1, c3);
-            store2(o.add(base), _mm_unpacklo_epi64(p0, p1));
-            store2(o.add(base + 2), _mm_unpacklo_epi64(p2, p3));
-            store2(o.add(base + 4), _mm_unpackhi_epi64(p0, p1));
-            store2(o.add(base + 6), _mm_unpackhi_epi64(p2, p3));
-        }
-        *block = out;
-    }
 }
 
 #[cfg(test)]
@@ -468,15 +291,10 @@ mod tests {
             scale_block(&vals, &mut got, scale);
             assert_eq!(got, want, "dispatched arm diverged (scale {scale:e})");
             #[cfg(target_arch = "x86_64")]
-            {
-                let mut sse = [0i64; 64];
-                unsafe { x86::scale_block_sse2(&vals, &mut sse, scale) };
-                assert_eq!(sse, want, "sse2 arm diverged (scale {scale:e})");
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    let mut avx = [0i64; 64];
-                    unsafe { x86::scale_block_avx2(&vals, &mut avx, scale) };
-                    assert_eq!(avx, want, "avx2 arm diverged (scale {scale:e})");
-                }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut avx = [0i64; 64];
+                unsafe { x86::scale_block_avx2(&vals, &mut avx, scale) };
+                assert_eq!(avx, want, "avx2 arm diverged (scale {scale:e})");
             }
         }
     }
@@ -493,15 +311,9 @@ mod tests {
             }
             let mut want_f = blk;
             crate::transform::reference::fwd_transform3(&mut want_f);
-            let mut sse = blk;
-            unsafe { x86::fwd_transform3_sse2(&mut sse) };
-            assert_eq!(sse, want_f, "sse2 forward diverged");
             let mut want_i = want_f;
             crate::transform::reference::inv_transform3(&mut want_i);
             assert_eq!(want_i, blk);
-            let mut sse_i = want_f;
-            unsafe { x86::inv_transform3_sse2(&mut sse_i) };
-            assert_eq!(sse_i, blk, "sse2 inverse diverged");
             if std::arch::is_x86_feature_detected!("avx2") {
                 let mut avx = blk;
                 unsafe { x86::fwd_transform3_avx2(&mut avx) };

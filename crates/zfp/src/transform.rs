@@ -89,7 +89,7 @@ const fn coeff_pos() -> [u8; 64] {
 /// followed by reordering into frequency order.
 ///
 /// Dispatches on [`hqmr_codec::kernels::simd_level`]: integer lifting has one
-/// two's-complement answer, so the AVX2/SSE2 sweeps in `simd::x86` are
+/// two's-complement answer, so the AVX2 sweeps in `simd::x86` are
 /// bit-identical to the scalar body by construction (pinned by the
 /// differential tests).
 pub fn fwd_transform3(block: &mut [i64; 64]) {
@@ -97,10 +97,6 @@ pub fn fwd_transform3(block: &mut [i64; 64]) {
         #[cfg(target_arch = "x86_64")]
         hqmr_codec::kernels::SimdLevel::Avx2 => unsafe {
             crate::simd::x86::fwd_transform3_avx2(block)
-        },
-        #[cfg(target_arch = "x86_64")]
-        hqmr_codec::kernels::SimdLevel::Sse2 => unsafe {
-            crate::simd::x86::fwd_transform3_sse2(block)
         },
         _ => fwd_transform3_scalar(block),
     }
@@ -154,10 +150,6 @@ pub fn inv_transform3(block: &mut [i64; 64]) {
         #[cfg(target_arch = "x86_64")]
         hqmr_codec::kernels::SimdLevel::Avx2 => unsafe {
             crate::simd::x86::inv_transform3_avx2(block)
-        },
-        #[cfg(target_arch = "x86_64")]
-        hqmr_codec::kernels::SimdLevel::Sse2 => unsafe {
-            crate::simd::x86::inv_transform3_sse2(block)
         },
         _ => inv_transform3_scalar(block),
     }

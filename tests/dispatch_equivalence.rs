@@ -3,7 +3,14 @@
 //! non-power-of-two line lengths, values spanning smooth and rough content —
 //! the dispatched kernels and the forced-scalar arm must produce
 //! byte-identical streams, and each arm must decode the other's output to
-//! the same reconstruction.
+//! the same reconstruction. [`ADVERSARIAL`] repeats that for the inputs the
+//! sine-plus-noise generator never produces (NaN, ±∞, `f32::MAX`, subnormals,
+//! −0.0, quantizer ties, outlier-dense, constant and linear fields) across
+//! sixty decades of error bound.
+//!
+//! "The dispatched arm" has to mean the vector arm for any of this to be a
+//! comparison: [`pin_arm`] fails the suite on an AVX2 machine whose unforced
+//! level is not `Avx2`, so it can never pass by comparing scalar with scalar.
 //!
 //! `hqmr_codec::crc32` dispatches through the same module, so its
 //! carry-less-multiply arm is pinned here too: against the slicing-by-8
@@ -13,8 +20,11 @@
 //! [`arm_switch`] and is always restored: a test that asks for an arm gets
 //! that arm, whatever its neighbours are doing.
 
-use hqmr::codec::{crc32, kernels};
+use hqmr::codec::{crc32, kernels, Codec};
 use hqmr::grid::{Dims3, Field3};
+use hqmr::sz2::Sz2Codec;
+use hqmr::sz3::Sz3Codec;
+use hqmr::zfp::ZfpCodec;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -23,6 +33,21 @@ fn arm_switch() -> MutexGuard<'static, ()> {
     static SWITCH: Mutex<()> = Mutex::new(());
     // A failed property poisons the lock; the switch itself is still fine.
     SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Pins the scalar arm, or unpins it — and then the kernels must really be
+/// on the vector arm wherever the CPU has one.
+fn pin_arm(scalar: bool) {
+    kernels::set_force_scalar(scalar);
+    #[cfg(target_arch = "x86_64")]
+    if !scalar && std::arch::is_x86_feature_detected!("avx2") {
+        assert_eq!(kernels::simd_level(), kernels::SimdLevel::Avx2);
+    }
+}
+
+/// Every cell's bit pattern: NaN payloads and signed zeros count.
+fn bits(f: &Field3) -> Vec<u32> {
+    f.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Deterministic field mixing a smooth ramp with value-dependent roughness,
@@ -40,27 +65,148 @@ fn mk_field(nx: usize, ny: usize, nz: usize, seed: u32) -> Field3 {
     Field3::from_vec(dims, data)
 }
 
-/// Compresses under both dispatch arms and asserts byte identity, then
-/// cross-decodes: the scalar arm decodes the SIMD stream and vice versa.
-fn assert_arms_identical(
-    f: &Field3,
-    compress: impl Fn(&Field3) -> Vec<u8>,
-    decompress: impl Fn(&[u8]) -> Field3,
-) {
+/// Encodes under both dispatch arms and asserts byte identity — `compress`
+/// and `compress_with_recon` write one stream, whichever arm runs — then
+/// cross-decodes: the scalar arm decodes the AVX2 stream and vice versa, to
+/// the same bits, which are also the reconstruction the encoder handed back.
+fn assert_arms_identical(codec: &dyn Codec, f: &Field3, eb: f64, at: &str) {
     let _switch = arm_switch();
-    kernels::set_force_scalar(false);
-    let simd = compress(f);
-    kernels::set_force_scalar(true);
-    let scalar = compress(f);
-    assert_eq!(simd, scalar, "compressed streams differ between arms");
-    let dec_scalar = decompress(&simd);
-    kernels::set_force_scalar(false);
-    let dec_simd = decompress(&scalar);
+    let encode = |scalar: bool| {
+        pin_arm(scalar);
+        let (mut out, mut recon) = (Vec::new(), Field3::zeros(Dims3::new(0, 0, 0)));
+        codec
+            .compress_with_recon(f, eb, &mut out, &mut recon)
+            .expect(at);
+        assert_eq!(
+            out,
+            codec.compress(f, eb),
+            "{at}: compress_with_recon stream"
+        );
+        (out, bits(&recon))
+    };
+    let (simd, simd_recon) = encode(false);
+    let (scalar, scalar_recon) = encode(true);
     assert_eq!(
-        dec_simd.data(),
-        dec_scalar.data(),
-        "reconstructions differ between arms"
+        simd.len(),
+        scalar.len(),
+        "{at}: stream length, simd vs scalar"
     );
+    assert_eq!(simd, scalar, "{at}: streams differ between arms");
+    assert_eq!(simd_recon, scalar_recon, "{at}: recon differs between arms");
+    let dec_scalar = bits(&codec.decompress(&simd).expect(at));
+    pin_arm(false);
+    let dec_simd = bits(&codec.decompress(&scalar).expect(at));
+    assert_eq!(dec_simd, dec_scalar, "{at}: decodes differ between arms");
+    assert_eq!(dec_simd, simd_recon, "{at}: recon is not the decode");
+}
+
+/// The three optimised backends in both of their block/interpolator setups.
+fn dispatched_codecs() -> Vec<Box<dyn Codec>> {
+    vec![
+        Box::new(Sz3Codec::default()),
+        Box::new(Sz3Codec::PAPER),
+        Box::new(Sz2Codec::default()),
+        Box::new(Sz2Codec::MULTIRES),
+        Box::new(ZfpCodec),
+    ]
+}
+
+/// A class name and its cell generator `(index, eb) -> value`.
+type Adversary = (&'static str, fn(usize, f64) -> f32);
+
+/// A field per input class [`mk_field`] never produces. `eb` places the tie
+/// class on the quantizer's half steps.
+const ADVERSARIAL: [Adversary; 11] = [
+    ("sparse NaN", |i, _| match i % 211 {
+        0 => f32::NAN,
+        _ => smooth(i),
+    }),
+    ("NaN every fifth", |i, _| match i % 5 {
+        0 => f32::from_bits(0xFFC0_0000 | i as u32), // negative, payload varies
+        _ => smooth(i),
+    }),
+    ("±∞", |i, _| match i % 11 {
+        3 => f32::INFINITY,
+        7 => f32::NEG_INFINITY,
+        _ => smooth(i),
+    }),
+    ("f32::MAX/MIN", |i, _| match i % 3 {
+        0 => f32::MAX,
+        1 => f32::MIN,
+        _ => 0.0,
+    }),
+    ("subnormals", |i, _| {
+        f32::from_bits(((i as u32 & 1) << 31) | (1 + hash(i) as u32 % 0x7F_FFFF))
+    }),
+    ("−0.0", |i, _| if i % 4 == 1 { 0.0 } else { -0.0 }),
+    ("half-step ties", |i, eb| {
+        (((hash(i) % 9) as f64 - 4.0) * eb) as f32
+    }),
+    ("outlier-dense", |i, _| match i % 2 {
+        0 => smooth(i),
+        _ => (hash(i) % 1000) as f32 * 3.0e30,
+    }),
+    ("constant", |_, _| 42.5),
+    ("linear", |i, _| 0.25 * i as f32 - 17.0),
+    ("everything planted", |i, eb| match i % 13 {
+        2 => f32::NAN,
+        4 => f32::INFINITY,
+        5 => -0.0,
+        6 => f32::from_bits(1),
+        8 => f32::MIN,
+        9 => (3.0 * eb) as f32,
+        _ => smooth(i),
+    }),
+];
+
+fn hash(i: usize) -> u64 {
+    (i as u64 + 1)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(23)
+        >> 11
+}
+
+fn smooth(i: usize) -> f32 {
+    (i as f64 * 0.37).sin() as f32 * 100.0 - 0.05
+}
+
+/// Shapes from one cell to partial blocks on every face of every codec's
+/// block size (4, 6) and a finest-`z` line long enough for the vector loops.
+const SHAPES: [[usize; 3]; 8] = [
+    [1, 1, 1],
+    [1, 1, 9],
+    [3, 2, 1],
+    [4, 4, 4],
+    [8, 8, 8],
+    [5, 7, 9],
+    [6, 6, 33],
+    [12, 12, 40],
+];
+
+#[test]
+fn adversarial_inputs_are_identical_on_both_arms() {
+    for codec in dispatched_codecs() {
+        for [nx, ny, nz] in SHAPES {
+            let dims = Dims3::new(nx, ny, nz);
+            for eb in [1e-30, 1e-12, 1e-3, 0.5, 1e6, 1e30] {
+                for (class, cell) in ADVERSARIAL {
+                    let f = Field3::from_vec(dims, (0..dims.len()).map(|i| cell(i, eb)).collect());
+                    let at = format!("{} {dims} {class} eb {eb:e}", codec.name());
+                    assert_arms_identical(codec.as_ref(), &f, eb, &at);
+                }
+            }
+        }
+    }
+}
+
+/// The input the arms used to disagree on: zfp's `maxabs` fold drops NaN, so
+/// a block holding one is scaled and encoded, and the NaN lane must become
+/// the 0 the scalar cast gives on the vector arm too.
+#[test]
+fn zfp_block_with_one_nan_is_identical_on_both_arms() {
+    let mut f = mk_field(8, 8, 8, 1);
+    f.data_mut()[300] = f32::NAN;
+    assert_arms_identical(&ZfpCodec, &f, 0.5, "zfp 8x8x8 one NaN");
 }
 
 proptest! {
@@ -73,12 +219,8 @@ proptest! {
         nx in 1usize..12, ny in 1usize..14, nz in 1usize..40, seed in any::<u32>(),
     ) {
         let f = mk_field(nx, ny, nz, seed);
-        let cfg = hqmr::sz3::Sz3Config::new(0.5);
-        assert_arms_identical(
-            &f,
-            |f| hqmr::sz3::compress(f, &cfg).bytes,
-            |b| hqmr::sz3::decompress(b).expect("fresh stream decodes"),
-        );
+        let at = format!("sz3 {} seed {seed}", f.dims());
+        assert_arms_identical(&Sz3Codec::default(), &f, 0.5, &at);
     }
 
     /// SZ2's block Lorenzo path, including partial edge blocks.
@@ -87,12 +229,8 @@ proptest! {
         nx in 1usize..12, ny in 1usize..14, nz in 1usize..40, seed in any::<u32>(),
     ) {
         let f = mk_field(nx, ny, nz, seed);
-        let cfg = hqmr::sz2::Sz2Config::new(0.5);
-        assert_arms_identical(
-            &f,
-            |f| hqmr::sz2::compress(f, &cfg).bytes,
-            |b| hqmr::sz2::decompress(b).expect("fresh stream decodes"),
-        );
+        let at = format!("sz2 {} seed {seed}", f.dims());
+        assert_arms_identical(&Sz2Codec::default(), &f, 0.5, &at);
     }
 
     /// ZFP's 4³-block lifting, including partial blocks on every face.
@@ -101,12 +239,8 @@ proptest! {
         nx in 1usize..12, ny in 1usize..14, nz in 1usize..40, seed in any::<u32>(),
     ) {
         let f = mk_field(nx, ny, nz, seed);
-        let cfg = hqmr::zfp::ZfpConfig::new(0.5);
-        assert_arms_identical(
-            &f,
-            |f| hqmr::zfp::compress(f, &cfg).bytes,
-            |b| hqmr::zfp::decompress(b).expect("fresh stream decodes"),
-        );
+        let at = format!("zfp {} seed {seed}", f.dims());
+        assert_arms_identical(&ZfpCodec, &f, 0.5, &at);
     }
 }
 
