@@ -45,6 +45,43 @@ fn quant_symbols(n: usize, mode_pct: u64) -> Vec<u32> {
         .collect()
 }
 
+/// One store chunk's quantization codes, with the statistics measured on
+/// the level-0 chunk arrays of the repo benchmark's store (sz3, 17×17×256):
+/// 97 % of the symbols are the zero-residual code, a run averages ≈ 28
+/// symbols over all runs (the mode's own ≈ 130, between rough patches of
+/// ≈ 5 symbols where every symbol is a run of one), 96 % of the symbols sit
+/// in runs of 8 or more, and a 74 K block holds ≈ 400 distinct symbols — a
+/// handful next to the mode, the rest outliers met once. Independent draws
+/// do not look like this: [`quant_symbols`] at an 87 % share gives the mode
+/// runs of mean ≈ 8 and puts a third of the symbols in runs of 16 or more.
+fn chunk_symbols(n: usize) -> Vec<u32> {
+    let mut x: u64 = 0x0123_4567_89AB_CDEF;
+    let mut next = move || {
+        x = x.rotate_left(7).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x
+    };
+    // Geometric lengths with the given mean, at least 1.
+    let length = |mean: f64, r: u64| {
+        let u = (r >> 11) as f64 / (1u64 << 53) as f64;
+        1 + (-(1.0 - u).ln() * (mean - 1.0)) as usize
+    };
+    let mut out = Vec::with_capacity(n + 1024);
+    while out.len() < n {
+        let smooth = length(170.0, next());
+        out.extend(std::iter::repeat_n(32768, smooth));
+        for _ in 0..length(5.2, next()) {
+            let r = next();
+            out.push(if r % 6 != 0 {
+                32764 + ((r >> 8) % 9) as u32 // within ±4 (the mode included)
+            } else {
+                ((r >> 8) % 65536) as u32
+            });
+        }
+    }
+    out.truncate(n);
+    out
+}
+
 fn bench_bitio(c: &mut Criterion) {
     let pattern = bit_pattern(100_000);
     let total_bits: usize = pattern.iter().map(|&(_, n)| n as usize).sum();
@@ -107,12 +144,28 @@ fn bench_huffman(c: &mut Criterion) {
     let bytes = (symbols.len() * 4) as u64;
     let block = huffman_encode(&symbols);
 
+    // The 200 K-symbol block of independent draws is the no-run control:
+    // the encoder's run gate never pays for itself on it.
     let mut g = c.benchmark_group("huffman_encode");
     g.sample_size(10).throughput(Throughput::Bytes(bytes));
     g.bench_function("table", |b| b.iter(|| huffman_encode(&symbols)));
     g.bench_function("reference", |b| {
         b.iter(|| huffman_encode_reference(&symbols))
     });
+    // One block per store chunk, at the two sizes the default store writes
+    // (a padded 17×17×256 level-0 array, a 9×9×128 level-1 array), run
+    // structure included: what the write path's encoder is actually handed.
+    let chunks =
+        [("chunk_74k", 73_984), ("chunk_10k", 10_368)].map(|(name, n)| (name, chunk_symbols(n)));
+    for (name, symbols) in &chunks {
+        g.throughput(Throughput::Bytes((symbols.len() * 4) as u64));
+        g.bench_function(format!("{name}/table"), |b| {
+            b.iter(|| huffman_encode(symbols))
+        });
+        g.bench_function(format!("{name}/reference"), |b| {
+            b.iter(|| huffman_encode_reference(symbols))
+        });
+    }
     g.finish();
 
     let mut g = c.benchmark_group("huffman_decode");
@@ -121,15 +174,13 @@ fn bench_huffman(c: &mut Criterion) {
     g.bench_function("reference", |b| {
         b.iter(|| huffman_decode_reference(&block).unwrap())
     });
-    // One block per store chunk, at the two sizes the default store writes
-    // (a padded 17×17×256 level-0 array, a 9×9×128 level-1 array) and the
-    // 87 % zero-residual share measured on them: where the per-block fixed
-    // cost (header parse, table build, output allocation) shows, which the
-    // 200 K-symbol block above amortises away.
-    for (name, n) in [("chunk_74k", 73_984), ("chunk_10k", 10_368)] {
-        let symbols = quant_symbols(n, 87);
-        let block = huffman_encode(&symbols);
-        g.throughput(Throughput::Bytes((n * 4) as u64));
+    // The same chunk blocks back: where the per-block fixed cost (header
+    // parse, table build, output allocation) shows, which the 200 K-symbol
+    // block above amortises away — and the other half of the
+    // encode-vs-decode comparison.
+    for (name, symbols) in &chunks {
+        let block = huffman_encode(symbols);
+        g.throughput(Throughput::Bytes((symbols.len() * 4) as u64));
         g.bench_function(format!("{name}/table"), |b| {
             b.iter(|| huffman_decode(&block).unwrap())
         });

@@ -5,27 +5,35 @@
 //! earns the compression ratio. The encoded block is self-contained: it embeds
 //! the code-length table (run-length compressed) followed by the bit payload.
 //!
-//! The coder is table-driven in both directions. Encoding emits each symbol
-//! as one `write_bits` call from a precomputed per-symbol `(code, len)` table
-//! (codes bit-reversed once so MSB-first canonical codes land correctly in
-//! the LSB-first stream). Decoding peeks `TABLE_BITS` (11) bits into a flat
-//! lookup table that yields `(symbol, length)` in one probe for every code of
-//! length ≤ 11 — longer codes (rare by construction: canonical codes past 11
-//! bits carry tiny probability mass) spill to the canonical
-//! per-bit walk. Two things keep the decoder cheap on the streams the store
-//! actually holds (≈ 1.1 bits/symbol, one block per chunk): a block with a
-//! one-bit code is decoded a *run* at a time — in canonical order that code
-//! is the single bit `0`, so a run of the dominant symbol is a run of zero
-//! bits, counted with one `trailing_zeros` (`DecodeTable::decode_all`
-//! states the invariant) — and the per-block table is built in O(present
-//! symbols) straight from the header's length runs, into scratch the caller
-//! keeps ([`huffman_decode_into`]), never by expanding the ~64 K-entry
-//! alphabet around a few dozen live codes. The header parse bounds the
-//! claimed symbol count by the payload's bit count before anything is
-//! allocated for it. The pre-overhaul per-bit coder survives as
-//! [`huffman_encode_reference`] / [`huffman_decode_reference`]: differential
-//! tests pin the two paths together — symbols *and* errors, truncated input
-//! included — and `benches/hotpath.rs` measures the gap.
+//! The coder is table-driven in both directions. Encoding reads a
+//! precomputed per-symbol `(code, len)` table (codes bit-reversed once so
+//! MSB-first canonical codes land correctly in the LSB-first stream) and
+//! emits four symbols per `write_bits` call — except where the block shows a
+//! run: quantizer codes are the zero-residual code most of the time, in long
+//! runs, so both encoder passes (the count and the emit) walk the block
+//! through `spans`, which hands over a stretch of `RUN_MIN` or more equal
+//! symbols as one item — one `+= len` on its counter, whole words of its
+//! repeated code into the stream — and everything else a few symbols at a
+//! time, untouched. The gate is a property of the input, tested once per
+//! `RUN_MIN` symbols, so a block without runs pays next to nothing for it.
+//! Decoding peeks `TABLE_BITS` (11) bits into a flat lookup table that
+//! yields `(symbol, length)` in one probe for every code of length ≤ 11 —
+//! longer codes (rare by construction: canonical codes past 11 bits carry
+//! tiny probability mass) spill to the canonical per-bit walk. Two things
+//! keep the decoder cheap on the streams the store actually holds (≈ 1.1
+//! bits/symbol, one block per chunk): a block with a one-bit code is decoded
+//! a *run* at a time — in canonical order that code is the single bit `0`,
+//! so a run of the dominant symbol is a run of zero bits on both sides:
+//! written as zero words, counted with one `trailing_zeros`
+//! (`DecodeTable::decode_all` states the invariant) — and the per-block
+//! table is built in O(present symbols) straight from the header's length
+//! runs, into scratch the caller keeps ([`huffman_decode_into`]), never by
+//! expanding the ~64 K-entry alphabet around a few dozen live codes. The
+//! header parse bounds the claimed symbol count by the payload's bit count
+//! before anything is allocated for it. The pre-overhaul per-bit coder
+//! survives as [`huffman_encode_reference`] / [`huffman_decode_reference`]:
+//! differential tests pin the two paths together — symbols *and* errors,
+//! truncated input included — and `benches/hotpath.rs` measures the gap.
 
 use crate::bitio::{reference, BitReader, BitWriter};
 use crate::codec::CodecError;
@@ -42,11 +50,13 @@ const MAX_CODE_LEN: u8 = 32;
 /// distributions emit in practice.
 const TABLE_BITS: u32 = 11;
 
-/// Alphabet ceiling accepted by the decoder. The lookup table packs
+/// Alphabet ceiling, on both sides. The decode table packs
 /// `(symbol << 6) | len` into a `u32`, so symbols must fit in 26 bits; real
-/// alphabets (quantizer radius 2·32768) sit orders of magnitude below, and an
-/// encoder input beyond this would already have failed allocating its
-/// frequency table.
+/// alphabets (quantizer radius 2·32768) sit orders of magnitude below. The
+/// encoder refuses a symbol at or past it ([`huffman_encode`], `# Panics`):
+/// nothing else would — its tables are allocated zeroed, which the
+/// allocator maps lazily, so a 2^26-entry table and more succeeds — and the
+/// block it wrote would be one its own decoder turns away.
 const MAX_ALPHABET: usize = 1 << 26;
 
 thread_local! {
@@ -65,7 +75,7 @@ thread_local! {
 /// Largest alphabet the thread-local scratch tables are allowed to retain:
 /// 2^17 entries comfortably covers the quantizer's `2·radius` (~64 K)
 /// alphabet at ~1 MiB (freq) + ~2 MiB (enc) per thread. A caller feeding a
-/// pathologically large symbol (the encoder itself imposes no alphabet cap)
+/// pathologically large symbol (anything below [`MAX_ALPHABET`] is admitted)
 /// falls back to transient per-call tables — same behaviour the pre-sparse
 /// encoder had — instead of pinning gigabytes in a worker thread for its
 /// lifetime.
@@ -74,19 +84,79 @@ const SCRATCH_CAP: usize = 1 << 17;
 /// Sorted `(symbol, code length)` pairs for the symbols present in a block.
 type PresentLengths = Vec<(u32, u8)>;
 
+/// Shortest run the encoder takes in one step, and the most symbols it
+/// handles one by one between two tests for a run (see [`spans`]).
+const RUN_MIN: usize = 16;
+
+/// A stretch of a symbol block, as [`spans`] cuts it.
+enum Span<'a> {
+    /// `len ≥ RUN_MIN` copies of `symbol`.
+    Run { symbol: u32, len: usize },
+    /// At most `RUN_MIN` symbols to be taken one by one.
+    Loose(&'a [u32]),
+}
+
+/// Cuts `symbols` front to back into [`Span`]s and hands each to `each`:
+/// the common walk of the encoder's two passes, [`histogram`]'s count and
+/// [`encode_append`]'s emit.
+///
+/// A run is taken only behind a gate the input itself shows — the next
+/// `RUN_MIN` symbols are equal, tested with an xor/or fold over a fixed-size
+/// window (no branch per symbol; four 128-bit loads on baseline SSE2) — and
+/// then extended a window at a time. Where the gate stays shut the window
+/// goes out as a `Loose` span, so a block without runs pays one failed test
+/// per `RUN_MIN` symbols and is otherwise handled exactly as if this
+/// function did not exist. A run's first few symbols can land in the loose
+/// window before it; the passes do not care how a block is cut.
+#[inline]
+fn spans<'a>(symbols: &'a [u32], mut each: impl FnMut(Span<'a>)) {
+    let mut rest = symbols;
+    while let Some(&symbol) = rest.first() {
+        let same = |w: &[u32]| w.iter().fold(0, |acc, &x| acc | (x ^ symbol)) == 0;
+        let mut windows = rest.chunks_exact(RUN_MIN);
+        if !windows.next().is_some_and(same) {
+            let (loose, tail) = rest.split_at(rest.len().min(RUN_MIN));
+            each(Span::Loose(loose));
+            rest = tail;
+            continue;
+        }
+        let mut len = RUN_MIN + RUN_MIN * windows.take_while(|w| same(w)).count();
+        len += rest[len..].iter().take_while(|&&x| x == symbol).count();
+        each(Span::Run { symbol, len });
+        rest = &rest[len..];
+    }
+}
+
 /// Counts `symbols` into sorted `(symbol, frequency)` pairs plus the alphabet
 /// size (`max symbol + 1`). `None` for empty input.
+///
+/// Quantizer codes are one symbol most of the time, in long runs, and a
+/// per-symbol count of those is one counter incremented through memory —
+/// every `+= 1` waits on the store before it. A run [`spans`] finds is
+/// counted with one `+= len`; the rest of the block symbol by symbol.
+///
+/// # Panics
+/// If a symbol is `MAX_ALPHABET` or larger (see [`huffman_encode`]).
 fn histogram(symbols: &[u32]) -> Option<(Vec<(u32, u64)>, usize)> {
-    let alphabet = symbols.iter().map(|&s| s as usize + 1).max()?;
+    let max = symbols.iter().copied().max()? as usize;
+    assert!(
+        max < MAX_ALPHABET,
+        "symbol {max} is outside the Huffman alphabet (symbols must be below {MAX_ALPHABET})"
+    );
+    let alphabet = max + 1;
     let count = |freqs: &mut [u64]| {
         let mut present: Vec<u32> = Vec::new();
-        for &s in symbols {
+        let mut add = |s: u32, n: usize| {
             let c = &mut freqs[s as usize];
             if *c == 0 {
                 present.push(s);
             }
-            *c += 1;
-        }
+            *c += n as u64;
+        };
+        spans(symbols, |span| match span {
+            Span::Run { symbol, len } => add(symbol, len),
+            Span::Loose(window) => window.iter().for_each(|&s| add(s, 1)),
+        });
         present.sort_unstable();
         // Harvest counts and leave the table all-zero behind us.
         let pairs: Vec<(u32, u64)> = present
@@ -445,6 +515,11 @@ impl DecodeTable {
 /// Layout: `uvarint n_symbols`, `uvarint alphabet_size`, RLE'd length table
 /// (pairs of `uvarint run-length`, `u8 length`), `uvarint payload_bytes`,
 /// payload bits.
+///
+/// # Panics
+/// If a symbol is 2^26 (`MAX_ALPHABET`) or larger: the decoder packs symbols
+/// into 26 bits and refuses such a block. Callers pass quantizer codes
+/// (≤ 2·radius = 65 536), three orders of magnitude below.
 pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
     encode_append(symbols, &mut out);
@@ -462,20 +537,36 @@ pub fn huffman_max_len(n_symbols: usize) -> usize {
 }
 
 /// [`huffman_encode`] framed like `pack_maybe_rle(&huffman_encode(symbols))`
-/// — byte-identical output — but encoding straight into the flagged buffer,
-/// so the raw arm (the usual one: Huffman output rarely has byte runs) skips
-/// the extra block-sized copy.
+/// — byte-identical output — but encoding straight behind the raw arm's flag
+/// byte, so neither arm costs a block-sized copy.
+///
+/// # Panics
+/// As [`huffman_encode`]: if a symbol is 2^26 or larger.
 pub fn huffman_encode_packed(symbols: &[u32]) -> Vec<u8> {
-    let mut out = vec![0u8]; // pack flag: raw
-    encode_append(symbols, &mut out);
-    let rle = crate::rle::rle_encode(&out[1..]);
-    if rle.len() < out.len() - 1 {
-        let mut packed = Vec::with_capacity(rle.len() + 1);
-        packed.push(1);
-        packed.extend_from_slice(&rle);
-        return packed;
+    let mut raw = vec![0u8]; // pack flag: raw
+    encode_append(symbols, &mut raw);
+    crate::rle::pack_framed(raw)
+}
+
+/// Writes `run` copies of the `len`-bit code `rev` (already bit-reversed):
+/// the code is doubled up into as much of a word as a power-of-two number of
+/// copies fills — all 64 bits for lengths 1, 2, 4 … 32 — and goes out a
+/// word at a time. For the one-bit code of the dominant symbol, which is the
+/// bit `0` (see [`DecodeTable::decode_all`]), those are zero words.
+#[inline]
+fn write_run(bits: &mut BitWriter, rev: u64, len: u32, mut run: usize) {
+    let (mut word, mut width, mut copies) = (rev, len, 1usize);
+    while width <= 32 {
+        word |= word << width;
+        width *= 2;
+        copies *= 2;
     }
-    out
+    while run >= copies {
+        bits.write_bits(word, width);
+        run -= copies;
+    }
+    // Fewer than `copies` are left, so this is under `width` ≤ 64 bits.
+    bits.write_bits(word, run as u32 * len);
 }
 
 /// Encodes one Huffman block directly onto the end of `out`.
@@ -513,29 +604,39 @@ fn encode_append(symbols: &[u32], out: &mut Vec<u8>) {
         // average a few bits, so they almost always do), two otherwise —
         // `MAX_CODE_LEN = 32` guarantees any *pair* fits 64 bits, and
         // LSB-first packing makes the fused call produce the identical
-        // stream to one call per symbol.
-        let mut quads = symbols.chunks_exact(4);
-        for quad in &mut quads {
-            let (r0, l0) = enc[quad[0] as usize];
-            let (r1, l1) = enc[quad[1] as usize];
-            let (r2, l2) = enc[quad[2] as usize];
-            let (r3, l3) = enc[quad[3] as usize];
-            let a = r0 | (r1 << l0);
-            let la = l0 as u32 + l1 as u32;
-            let b = r2 | (r3 << l2);
-            let lb = l2 as u32 + l3 as u32;
-            if la + lb <= 64 {
-                // la ≤ 62 here (lb ≥ 2), so the shift is in range.
-                bits.write_bits(a | (b << la), la + lb);
-            } else {
-                bits.write_bits(a, la);
-                bits.write_bits(b, lb);
+        // stream to one call per symbol. A run goes out as whole words of
+        // its repeated code instead.
+        spans(symbols, |span| {
+            let window = match span {
+                Span::Run { symbol, len } => {
+                    let (rev, code_len) = enc[symbol as usize];
+                    return write_run(&mut bits, rev, code_len as u32, len);
+                }
+                Span::Loose(window) => window,
+            };
+            let mut quads = window.chunks_exact(4);
+            for quad in &mut quads {
+                let (r0, l0) = enc[quad[0] as usize];
+                let (r1, l1) = enc[quad[1] as usize];
+                let (r2, l2) = enc[quad[2] as usize];
+                let (r3, l3) = enc[quad[3] as usize];
+                let a = r0 | (r1 << l0);
+                let la = l0 as u32 + l1 as u32;
+                let b = r2 | (r3 << l2);
+                let lb = l2 as u32 + l3 as u32;
+                if la + lb <= 64 {
+                    // la ≤ 62 here (lb ≥ 2), so the shift is in range.
+                    bits.write_bits(a | (b << la), la + lb);
+                } else {
+                    bits.write_bits(a, la);
+                    bits.write_bits(b, lb);
+                }
             }
-        }
-        for &s in quads.remainder() {
-            let (rev, len) = enc[s as usize];
-            bits.write_bits(rev, len as u32);
-        }
+            for &s in quads.remainder() {
+                let (rev, len) = enc[s as usize];
+                bits.write_bits(rev, len as u32);
+            }
+        });
         *out = bits.finish();
         debug_assert_eq!(out.len() - prefix_bytes, payload_bytes as usize);
     };
@@ -984,6 +1085,108 @@ mod tests {
             for data in &blocks {
                 huffman_decode_into(&huffman_encode(data), &mut scratch, &mut out).unwrap();
                 assert_eq!(&out, data);
+            }
+        }
+    }
+
+    /// The largest symbol the decoder's 26-bit packing holds round-trips
+    /// (through the transient, lazily mapped tables above `SCRATCH_CAP`).
+    #[test]
+    fn largest_admitted_symbol_roundtrips() {
+        let data = [5, 5, (1 << 26) - 1, 5];
+        let enc = huffman_encode(&data);
+        assert_eq!(enc, huffman_encode_reference(&data));
+        assert_eq!(huffman_decode(&enc).unwrap(), data);
+        let packed = huffman_encode_packed(&data);
+        assert_eq!(packed, crate::rle::pack_maybe_rle(&enc));
+    }
+
+    /// One past it used to encode — into 18 bytes `huffman_decode` answers
+    /// with "alphabet too large".
+    #[test]
+    #[should_panic(expected = "symbols must be below 67108864")]
+    fn symbol_at_the_alphabet_ceiling_is_refused() {
+        huffman_encode(&[5, 5, 1 << 26, 5]);
+    }
+
+    /// `histogram` is shared with the reference encoder, so the differential
+    /// suites cannot see a miscount: hold it to a per-symbol tally here, on
+    /// runs around `RUN_MIN`, back to back, and cut by the block's end.
+    #[test]
+    fn histogram_counts_runs_like_a_per_symbol_tally() {
+        let lens = [
+            1,
+            2,
+            RUN_MIN - 1,
+            RUN_MIN,
+            RUN_MIN + 1,
+            2 * RUN_MIN,
+            2 * RUN_MIN + 3,
+            1000,
+        ];
+        let mut symbols = Vec::new();
+        for (k, &len) in lens.iter().cycle().take(200).enumerate() {
+            // Every third run repeats its neighbour's symbol: two runs that
+            // are one to the walk.
+            let sym = 32768 + (k as u32 % 7) * u32::from(k % 3 != 0);
+            symbols.extend(std::iter::repeat_n(sym, len + k % 5));
+        }
+        for end in (0..=symbols.len()).rev().step_by(37).chain(0..40) {
+            let block = &symbols[..end];
+            let mut tally = std::collections::BTreeMap::new();
+            for &s in block {
+                *tally.entry(s).or_insert(0u64) += 1;
+            }
+            let want = block
+                .iter()
+                .max()
+                .map(|&m| (tally.into_iter().collect(), m as usize + 1));
+            assert_eq!(histogram(block), want, "first {end} symbols");
+        }
+    }
+
+    /// `spans` covers the block in order; a run is reported from where a
+    /// test for it falls, which is wherever the span before it ended.
+    #[test]
+    fn spans_tile_the_block() {
+        let mut symbols = vec![1, 2, 3];
+        symbols.extend([7; RUN_MIN - 3]); // fills the first loose window
+        symbols.extend([8; RUN_MIN + 5]);
+        symbols.extend([9; 3 * RUN_MIN]);
+        symbols.extend([6; RUN_MIN - 1]); // too short, and cut by the end
+        let (mut seen, mut runs) = (Vec::new(), Vec::new());
+        spans(&symbols, |span| match span {
+            Span::Run { symbol, len } => {
+                runs.push((symbol, len));
+                seen.extend(std::iter::repeat_n(symbol, len));
+            }
+            Span::Loose(window) => {
+                assert!(!window.is_empty() && window.len() <= RUN_MIN);
+                seen.extend_from_slice(window);
+            }
+        });
+        assert_eq!(seen, symbols);
+        assert_eq!(runs, [(8, RUN_MIN + 5), (9, 3 * RUN_MIN)]);
+    }
+
+    /// `write_run` against one `write_bits` per copy, at every code width —
+    /// 32 included, which no block small enough for the differential suites
+    /// puts under a run — from an unaligned start.
+    #[test]
+    fn write_run_matches_per_symbol_writes() {
+        for len in 1..=MAX_CODE_LEN as u32 {
+            let ones = u64::MAX >> (64 - len);
+            for rev in [0, 1, ones, 0xA5A5_A5A5_A5A5_A5A5 & ones] {
+                for run in (0..70).chain([127, 128, 129, 1000]) {
+                    let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+                    fast.write_bits(0b101, 3);
+                    slow.write_bits(0b101, 3);
+                    write_run(&mut fast, rev, len, run);
+                    for _ in 0..run {
+                        slow.write_bits(rev, len);
+                    }
+                    assert_eq!(fast.finish(), slow.finish(), "{run} × {len}-bit {rev:#x}");
+                }
             }
         }
     }

@@ -11,19 +11,21 @@ use crate::varint::write_uvarint;
 /// the total length.
 pub fn rle_encode(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_uvarint(&mut out, data.len() as u64);
-    let mut i = 0usize;
-    while i < data.len() {
-        let v = data[i];
-        let mut j = i + 1;
-        while j < data.len() && data[j] == v {
-            j += 1;
-        }
-        write_uvarint(&mut out, (j - i) as u64);
-        out.push(v);
-        i = j;
-    }
+    rle_encode_into(data, &mut out);
     out
+}
+
+/// [`rle_encode`] appended to `out`, so that a caller framing the result can
+/// build it behind its own prefix ([`pack_framed`]'s flag byte).
+fn rle_encode_into(data: &[u8], out: &mut Vec<u8>) {
+    write_uvarint(out, data.len() as u64);
+    let mut rest = data;
+    while let Some(&v) = rest.first() {
+        let run = rest.iter().take_while(|&&b| b == v).count();
+        write_uvarint(out, run as u64);
+        out.push(v);
+        rest = &rest[run..];
+    }
 }
 
 /// Decodes a buffer produced by [`rle_encode`] that the caller knows holds at
@@ -49,16 +51,24 @@ pub fn rle_decode(bytes: &[u8], max_len: usize) -> Option<Vec<u8>> {
 /// payload. Entropy-coded streams of near-constant data (e.g. the all-zero
 /// Huffman payload of a constant block) collapse by orders of magnitude.
 pub fn pack_maybe_rle(bytes: &[u8]) -> Vec<u8> {
-    let rle = rle_encode(bytes);
-    let mut out = Vec::with_capacity(bytes.len() + 1);
-    if rle.len() < bytes.len() {
-        out.push(1);
-        out.extend_from_slice(&rle);
+    let mut raw = Vec::with_capacity(bytes.len() + 1);
+    raw.push(0);
+    raw.extend_from_slice(bytes);
+    pack_framed(raw)
+}
+
+/// [`pack_maybe_rle`] of `raw[1..]` for a caller that produced its bytes
+/// straight behind the raw arm's flag (`raw[0] == 0`): the RLE arm is built
+/// behind its own flag, and whichever is shorter is returned as it stands.
+pub(crate) fn pack_framed(raw: Vec<u8>) -> Vec<u8> {
+    debug_assert_eq!(raw[0], 0);
+    let mut rle = vec![1u8];
+    rle_encode_into(&raw[1..], &mut rle);
+    if rle.len() < raw.len() {
+        rle
     } else {
-        out.push(0);
-        out.extend_from_slice(bytes);
+        raw
     }
-    out
 }
 
 /// Inverse of [`pack_maybe_rle`] for a payload of at most `max_len` bytes

@@ -6,8 +6,10 @@
 
 use hqmr::codec::bitio::{self, reference};
 use hqmr::codec::huffman::{
-    huffman_decode, huffman_decode_reference, huffman_encode, huffman_encode_reference,
+    huffman_decode, huffman_decode_reference, huffman_encode, huffman_encode_packed,
+    huffman_encode_reference,
 };
+use hqmr::codec::pack_maybe_rle;
 use proptest::prelude::*;
 
 /// Reads the same width sequence from both readers and asserts bit-for-bit
@@ -118,6 +120,26 @@ proptest! {
         let fast = huffman_decode(&enc[..cut]);
         let slow = huffman_decode_reference(&enc[..cut]);
         prop_assert_eq!(fast, slow, "decoders diverged on cut {}", cut);
+    }
+
+    /// The encoder's run path on generated `(symbol, run length)` lists:
+    /// eight symbols, lengths skewed short with a tail past several gate
+    /// windows, so runs meet, repeat their neighbour's symbol, and start and
+    /// end anywhere relative to the encoder's own cuts.
+    #[test]
+    fn huffman_encode_equivalence_on_run_lists(seeds in proptest::collection::vec(any::<u64>(), 0..80)) {
+        let mut symbols = Vec::new();
+        for &s in &seeds {
+            let symbol = 32764 + (s % 8) as u32;
+            let len = match (s >> 8) % 4 {
+                0 => 1 + (s >> 16) % 3,
+                1 => 1 + (s >> 16) % (RUN_MIN as u64 + 2),
+                2 => RUN_MIN as u64 - 1 + (s >> 16) % 4,
+                _ => 1 + (s >> 16) % 300,
+            };
+            symbols.extend(std::iter::repeat_n(symbol, len as usize));
+        }
+        assert_encoders_agree(&symbols, "run list");
     }
 }
 
@@ -301,5 +323,162 @@ fn huffman_short_payloads_zero_pad_identically() {
                 bits + 1
             );
         }
+    }
+}
+
+/// The encoder takes runs of this many equal symbols or more in one step
+/// (`RUN_MIN` in `crates/codec/src/huffman.rs`, private there). The cases
+/// below straddle it with room to spare, so they keep covering both sides
+/// of the gate if it is retuned within a factor of two.
+const RUN_MIN: usize = 16;
+
+/// The table encoder against the per-bit oracle, the fused framing against
+/// the two-step one — byte for byte — and the block back through the
+/// decoder.
+fn assert_encoders_agree(symbols: &[u32], what: &str) {
+    let fast = huffman_encode(symbols);
+    assert_eq!(
+        fast,
+        huffman_encode_reference(symbols),
+        "{what}: encoders diverged"
+    );
+    assert_eq!(
+        huffman_encode_packed(symbols),
+        pack_maybe_rle(&fast),
+        "{what}: framings diverged"
+    );
+    assert_eq!(
+        huffman_decode(&fast).unwrap(),
+        symbols,
+        "{what}: round trip"
+    );
+}
+
+/// `n_symbols` equally frequent symbols (a power of two of them, so every
+/// code is `log2 n_symbols` bits): symbol 0 in one run of `run`, the others
+/// `run` times each in rotation — where no two neighbours are equal — with
+/// `lead` of the rotation in front of the run.
+fn run_among_equals(n_symbols: u32, run: usize, lead: usize) -> Vec<u32> {
+    let others = (0..(n_symbols as usize - 1) * run).map(|i| 1 + (i as u32 % (n_symbols - 1)));
+    let mut symbols: Vec<u32> = others.collect();
+    let tail = symbols.split_off(lead.min(symbols.len()));
+    symbols.extend(std::iter::repeat_n(0, run));
+    symbols.extend(tail);
+    symbols
+}
+
+/// Run lengths on both sides of the gate, of every word count the emit
+/// loop can be left holding, and far past it — as the dominant (one-bit,
+/// all-zero) code and as the one-bit code `1`.
+#[test]
+fn huffman_encode_runs_of_every_length() {
+    let lengths = (1..=2 * RUN_MIN + 1).chain([63, 64, 65, 127, 128, 129, 10_000]);
+    for run in lengths {
+        for (a, b) in [(3u32, 9u32), (9, 3)] {
+            // `a` runs; `b` brackets it. With two symbols both codes are
+            // one bit: the smaller symbol's is `0`, the larger's `1`.
+            let mut symbols = vec![b, a, b, b];
+            symbols.extend(std::iter::repeat_n(a, run));
+            symbols.extend([b, a]);
+            assert_encoders_agree(&symbols, &format!("run of {run} × {a}"));
+        }
+        // Quantizer-shaped: the run symbol dominates a wider alphabet.
+        let mut symbols = peaked(40, 500, run as u64);
+        symbols.extend(std::iter::repeat_n(32768, run));
+        symbols.extend(peaked(9, 500, 1));
+        assert_encoders_agree(&symbols, &format!("peaked, run of {run}"));
+    }
+}
+
+/// With two symbols the payload is the symbol sequence, so `lead` symbols
+/// put the run at payload bit `lead`: every offset within a word, for runs
+/// that stay inside one word, fill it exactly, and cross several.
+#[test]
+fn huffman_encode_runs_start_at_every_bit_offset() {
+    for lead in 0..64usize {
+        for run in [RUN_MIN, RUN_MIN + 1, 64 - lead.min(48), 64, 65, 200] {
+            for (a, b) in [(3u32, 9u32), (9, 3)] {
+                let mut symbols: Vec<u32> =
+                    (0..lead).map(|i| if i % 3 == 0 { a } else { b }).collect();
+                symbols.extend(std::iter::repeat_n(a, run));
+                symbols.extend([b, a, b]);
+                assert_encoders_agree(&symbols, &format!("lead {lead}, run of {run} × {a}"));
+            }
+        }
+    }
+}
+
+/// Runs that stop 0…`RUN_MIN` symbols short of the block's end (so the
+/// last gate test is cut by the end at every length), and blocks that are
+/// one run.
+#[test]
+fn huffman_encode_runs_at_the_end_of_the_block() {
+    for run in [RUN_MIN - 1, RUN_MIN, RUN_MIN + 1, 3 * RUN_MIN, 1000] {
+        assert_encoders_agree(
+            &vec![32768; run],
+            &format!("a block that is one run of {run}"),
+        );
+        for after in 0..=RUN_MIN + 1 {
+            let mut symbols = vec![32770, 32768, 32769];
+            symbols.extend(std::iter::repeat_n(32768, run));
+            symbols.extend((0..after).map(|i| 32769 + (i as u32 % 2)));
+            assert_encoders_agree(&symbols, &format!("run of {run}, then {after} more"));
+        }
+    }
+}
+
+/// The run symbol's code at every width the word fill treats differently:
+/// 2…5 bits here (4, 8, 16 and 32 equally frequent symbols: whole words for
+/// 2 and 4, 48 and 40 bits a write for 3 and 5), from every lead — which
+/// for the odd widths is every bit offset.
+#[test]
+fn huffman_encode_runs_of_multi_bit_codes() {
+    for bits in 2..=5u32 {
+        for run in [RUN_MIN, 64 / bits as usize * 3, 100] {
+            for lead in (0..64).chain([run * 3]) {
+                let symbols = run_among_equals(1 << bits, run, lead);
+                assert_encoders_agree(
+                    &symbols,
+                    &format!("{bits}-bit code, run of {run}, lead {lead}"),
+                );
+            }
+        }
+    }
+}
+
+/// Runs at every code length from 1 to 22 bits in one block: Fibonacci
+/// frequencies (as in `fibonacci_freqs_stress_depth`) from 21 up, each
+/// symbol laid down as one run, so the rarest is a run under a code so long
+/// that a word holds two of it. A *32*-bit code under a run needs ≈ 10^8
+/// symbols to come out of the length builder; `write_run`'s unit test in
+/// `huffman.rs` covers every width up to 32 directly.
+#[test]
+fn huffman_encode_runs_of_deep_codes() {
+    let mut symbols = Vec::new();
+    let (mut a, mut b) = (21usize, 34usize);
+    for sym in 0..23u32 {
+        symbols.extend(std::iter::repeat_n(sym, a));
+        (a, b) = (b, a + b);
+    }
+    assert_encoders_agree(&symbols, "fibonacci from 21");
+    // Header: n_symbols, alphabet, then the first length run — symbols 0
+    // and 1, the two deepest.
+    let block = huffman_encode(&symbols);
+    let mut pos = 0;
+    let mut next = || hqmr::codec::read_uvarint(&block, &mut pos).unwrap();
+    assert_eq!([next(), next(), next()], [symbols.len() as u64, 23, 2]);
+    assert_eq!(block[pos], 22, "code length of the rarest symbol");
+}
+
+/// Two symbols alternating, and a rotation of five: no two neighbours are
+/// equal, so the gate never opens and the block takes the per-symbol path
+/// from end to end.
+#[test]
+fn huffman_encode_without_runs_never_opens_the_gate() {
+    for n in [1usize, 2, RUN_MIN, RUN_MIN + 1, 1000, 1003] {
+        let alternating: Vec<u32> = (0..n).map(|i| 32768 + (i as u32 % 2)).collect();
+        assert_encoders_agree(&alternating, &format!("{n} alternating"));
+        let rotation: Vec<u32> = (0..n).map(|i| i as u32 % 5).collect();
+        assert_encoders_agree(&rotation, &format!("{n} in rotation"));
     }
 }
