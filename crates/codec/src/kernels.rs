@@ -5,8 +5,11 @@
 //! * the **scalar arm** — portable Rust, the definition of the format. It is
 //!   the only arm off x86-64 and on an x86-64 CPU without AVX2, and the arm
 //!   `HQMR_FORCE_SCALAR=1` pins;
-//! * one **AVX2 arm** — hand-vectorized `core::arch` code for the stride-1
-//!   interior of the same loop, taken when [`simd_level`] probes AVX2.
+//! * one **AVX2 arm** — hand-vectorized `core::arch` code for the same
+//!   loop, taken when [`simd_level`] probes AVX2. Its lanes are whatever
+//!   points the loop can evaluate independently: the stride-1 interior of a
+//!   block or line (sz2, zfp, sz3's finest `z` sweep), or — for sz3's x and
+//!   y sweeps — the same target position on four lines adjacent in `z`.
 //!
 //! The AVX2 arm must write the bytes the scalar arm writes, for every input
 //! including the non-finite ones: a vector lane either evaluates the scalar

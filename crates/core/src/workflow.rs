@@ -178,7 +178,9 @@ pub fn run_uniform_workflow(
     field: &Field3,
     cfg: &WorkflowConfig,
 ) -> Result<WorkflowResult, WorkflowError> {
-    let eb = field.range() as f64 * cfg.rel_eb;
+    // One scan of the original: the bound and the uncertainty band share it.
+    let range = field.range();
+    let eb = range as f64 * cfg.rel_eb;
     let mr = to_adaptive(field, &cfg.roi);
     let mr_cfg = cfg.compressor.mrc_config(eb);
     let (compressed, mr_stats) = compress_mr(&mr, &mr_cfg);
@@ -195,7 +197,7 @@ pub fn run_uniform_workflow(
 
     let error_model = cfg.uncertainty_iso.map(|iso| {
         let pairs = sample_error_pairs(field, &reconstruction, 0.01, 0x5EED);
-        let band = field.range() * 0.05;
+        let band = range * 0.05;
         model_near_isovalue(&pairs, iso, band)
     });
 

@@ -123,16 +123,30 @@ impl Field3 {
     }
 
     /// Minimum and maximum value (`(0, 0)` for empty fields). NaNs are ignored.
+    ///
+    /// The scan folds 32 independent lanes with a compare-select the
+    /// compiler turns into vector min/max (the first-wins scalar loop is a
+    /// dependency chain it cannot vectorize), then merges the lanes in order.
+    /// A select skips NaN exactly as the scalar compare does, and the only
+    /// values equal under `<` yet different in bits are ±0.0 — so when either
+    /// result is a zero, the scalar loop reruns and decides which one, and the
+    /// bits returned are always the scalar loop's.
     pub fn min_max(&self) -> (f32, f32) {
-        let mut mn = f32::INFINITY;
-        let mut mx = f32::NEG_INFINITY;
-        for &v in &self.data {
-            if v < mn {
-                mn = v;
+        const LANES: usize = 32;
+        let mut mn = [f32::INFINITY; LANES];
+        let mut mx = [f32::NEG_INFINITY; LANES];
+        let chunks = self.data.chunks_exact(LANES);
+        let tail = chunks.remainder();
+        for c in chunks {
+            for j in 0..LANES {
+                mn[j] = if c[j] < mn[j] { c[j] } else { mn[j] };
+                mx[j] = if c[j] > mx[j] { c[j] } else { mx[j] };
             }
-            if v > mx {
-                mx = v;
-            }
+        }
+        let (mut mn, _) = scan_min_max(mn.iter().chain(tail));
+        let (_, mut mx) = scan_min_max(mx.iter().chain(tail));
+        if mn == 0.0 || mx == 0.0 {
+            (mn, mx) = scan_min_max(&self.data);
         }
         if mn > mx {
             (0.0, 0.0)
@@ -455,9 +469,86 @@ impl Field3 {
     }
 }
 
+/// The first-wins scalar min/max scan (`(+∞, −∞)` when nothing but NaN):
+/// [`Field3::min_max`]'s definition.
+fn scan_min_max<'a>(values: impl IntoIterator<Item = &'a f32>) -> (f32, f32) {
+    let mut mn = f32::INFINITY;
+    let mut mx = f32::NEG_INFINITY;
+    for &v in values {
+        if v < mn {
+            mn = v;
+        }
+        if v > mx {
+            mx = v;
+        }
+    }
+    (mn, mx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lane fold returns the bits of the plain first-wins loop on every
+    /// length around the 32-lane width, whatever mix of NaN, ±∞ and ±0.0 the
+    /// cells hold and wherever they sit.
+    #[test]
+    fn min_max_matches_the_scalar_loop() {
+        let oracle = |data: &[f32]| {
+            let (mut mn, mut mx) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &v in data {
+                if v < mn {
+                    mn = v;
+                }
+                if v > mx {
+                    mx = v;
+                }
+            }
+            if mn > mx {
+                (0.0, 0.0)
+            } else {
+                (mn, mx)
+            }
+        };
+        let palette = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            f32::MIN_POSITIVE,
+        ];
+        let mut h = 0x9E37_79B9u32;
+        for len in 0..=70 {
+            for pattern in 0..40 {
+                let data: Vec<f32> = (0..len)
+                    .map(|i| {
+                        h = h.wrapping_mul(0x2C1B_3C6D).wrapping_add(0x2979_4F2B);
+                        match pattern {
+                            // Only zeros of both signs (and NaN): the rerun.
+                            0..=9 => [0.0, -0.0, f32::NAN][(h >> 28) as usize % 3],
+                            // A zero at one end, a number at the other.
+                            12..=19 => [0.0, -0.0, 1.5, f32::NAN][(h >> 28) as usize % 4],
+                            20..=24 => [0.0, -0.0, -1.5][(h >> 28) as usize % 3],
+                            10 => f32::NAN,
+                            11 => (i as f32) - 35.0,
+                            _ => palette[(h >> 27) as usize % palette.len()],
+                        }
+                    })
+                    .collect();
+                let f = Field3::from_vec(Dims3::new(1, 1, len), data);
+                let (got, want) = (f.min_max(), oracle(f.data()));
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "len {len} pattern {pattern}: {:?}",
+                    f.data()
+                );
+            }
+        }
+    }
 
     #[test]
     fn from_fn_layout() {

@@ -9,11 +9,25 @@
 //!   run, a midpoint tail, and (at most) one extrapolated boundary point.
 //!   Within a line every prediction reads only even multiples of the stride
 //!   (already-known points) while writes land on odd multiples, so the
-//!   interior loops carry no dependency and no per-point predicate: the
-//!   finest level along `z` walks the buffer at element stride 2, which is
-//!   what lets the compiler keep it in registers/vectors. Prediction-kind
-//!   statistics are derived from the level geometry (lines × per-line
-//!   segment counts), not from a per-point `match`.
+//!   interior loops carry no dependency and no per-point predicate.
+//!   Prediction-kind statistics are derived from the level geometry
+//!   (lines × per-line segment counts), not from a per-point `match`.
+//!
+//!   Each sweep runs on one of three bit-identical arms, picked by
+//!   `sweep_arm`: the scalar line kernels `compress_line` /
+//!   `decompress_line` (the oracle, and the only arm under
+//!   `HQMR_FORCE_SCALAR` or without AVX2); AVX2 line kernels for the finest
+//!   `z` sweep, whose lines are contiguous stride-2 walks; and, for every x
+//!   and y sweep at every level, an AVX2 walk *across* lines — for each
+//!   outer coordinate and each target position `k`, the lines adjacent in
+//!   `z` four at a time, which at the finest level is the same stride-2
+//!   load the `z` kernel does (`simd.rs` module docs). That walk leaves
+//!   traversal order, so it writes each code at its line-major slot and
+//!   orders the outlier side channel with one scan of the sweep's codes:
+//!   after the walk in compress (an out-of-band cell still holds its
+//!   original value), before it in decompress (pre-filling those cells).
+//!   Large decode sweeps fan out across the rayon shim — by line on the line
+//!   arms, by slab of one outer coordinate × 64 lanes on the across arm.
 //!
 //! * [`mod@reference`] — the original per-point traversal (an `FnMut` visit
 //!   closure plus a gather-closure predictor), kept verbatim as the oracle.
@@ -144,6 +158,29 @@ impl LineGeom {
     fn interior(&self) -> usize {
         self.mid_head + self.cubic + self.mid_tail
     }
+
+    /// Targets (and so codes) per line.
+    fn per_line(&self) -> usize {
+        self.interior() + self.extra as usize
+    }
+}
+
+/// Quantizes `cur` against `pred`: the code, and the value decompression
+/// will reproduce — `cur` itself for an out-of-band point, whose original
+/// value the caller routes to the side channel.
+#[inline]
+fn quantize_code(q: &LinearQuantizer, cur: f32, pred: f64) -> (u32, f32) {
+    match q.quantize(cur as f64, pred) {
+        QuantOutcome::Predicted { code, recon } => {
+            let r32 = recon as f32;
+            // Re-check at f32 precision (the stored type).
+            if (r32 as f64 - cur as f64).abs() <= q.eb() {
+                return (code, r32);
+            }
+            (LinearQuantizer::UNPREDICTABLE, cur)
+        }
+        QuantOutcome::Unpredictable => (LinearQuantizer::UNPREDICTABLE, cur),
+    }
 }
 
 /// Quantizes `cur` against `pred`, pushing the code (and, for out-of-band
@@ -157,24 +194,12 @@ fn quantize_store(
     codes: &mut Vec<u32>,
     outliers: &mut Vec<f32>,
 ) -> f32 {
-    match q.quantize(cur as f64, pred) {
-        QuantOutcome::Predicted { code, recon } => {
-            let r32 = recon as f32;
-            // Re-check at f32 precision (the stored type).
-            if (r32 as f64 - cur as f64).abs() <= q.eb() {
-                codes.push(code);
-                return r32;
-            }
-            codes.push(LinearQuantizer::UNPREDICTABLE);
-            outliers.push(cur);
-            cur
-        }
-        QuantOutcome::Unpredictable => {
-            codes.push(LinearQuantizer::UNPREDICTABLE);
-            outliers.push(cur);
-            cur
-        }
+    let (code, v) = quantize_code(q, cur, pred);
+    codes.push(code);
+    if code == LinearQuantizer::UNPREDICTABLE {
+        outliers.push(cur);
     }
+    v
 }
 
 /// Recovers one value from its code (out-of-band values come from
@@ -341,23 +366,43 @@ fn decompress_line(
     }
 }
 
-/// The arm for one sweep: only the finest-`z` sweep (`stride == 1 &&
-/// s == 1`) has AVX2 kernels — its lines are contiguous stride-2 walks and
-/// it visits about half of all points; every other sweep stays scalar.
-fn sweep_arm(sw: &Sweep) -> SimdLevel {
-    if sw.stride == 1 && sw.s == 1 {
-        kernels::simd_level()
+/// The kernel one sweep runs on. All three are bit-identical; the scalar
+/// [`compress_line`] / [`decompress_line`] are the oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// The scalar line kernels: every sweep under `HQMR_FORCE_SCALAR`, off
+    /// x86-64 and without AVX2; on AVX2, the coarse `z` sweeps and the
+    /// x/y sweeps with fewer than four lines side by side in `z`.
+    Scalar,
+    /// The AVX2 line kernels of the finest `z` sweep (`stride == 1 &&
+    /// s == 1`): contiguous stride-2 lines, about half of all points.
+    Z1,
+    /// The AVX2 across-lines walk of an x or y sweep: for each outer
+    /// coordinate and each target position `k`, the lines adjacent in `z`
+    /// four at a time (`simd.rs` module docs).
+    Across,
+}
+
+/// The arm for one sweep (see [`Arm`]).
+fn sweep_arm(sw: &Sweep) -> Arm {
+    if kernels::simd_level() == SimdLevel::Scalar {
+        Arm::Scalar
+    } else if sw.stride == 1 && sw.s == 1 {
+        Arm::Z1
+    } else if sw.o_strides[1] == 1 && sw.lanes() >= 4 {
+        // Lines adjacent in the inner outer dimension are adjacent in
+        // memory: that dimension is `z`, so this is an x or y sweep.
+        Arm::Across
     } else {
-        SimdLevel::Scalar
+        Arm::Scalar
     }
 }
 
-/// Encodes one line through the arm selected by [`sweep_arm`]. The two arms
-/// are bit-identical; the scalar [`compress_line`] is the oracle.
+/// Encodes one line through the line arm selected by [`sweep_arm`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn encode_line(
-    arm: SimdLevel,
+    arm: Arm,
     buf: &mut [f32],
     base: usize,
     e: usize,
@@ -368,17 +413,18 @@ fn encode_line(
     outliers: &mut Vec<f32>,
 ) {
     match arm {
+        // Safety: `Z1` is only picked on an AVX2 CPU, for the finest z sweep.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { simd::compress_line_z1_avx2(buf, base, g, q, codes, outliers) },
+        Arm::Z1 => unsafe { simd::compress_line_z1_avx2(buf, base, g, q, codes, outliers) },
         _ => compress_line(buf, base, e, s, g, q, codes, outliers),
     }
 }
 
-/// Decodes one line through the arm selected by [`sweep_arm`].
+/// Decodes one line through the line arm selected by [`sweep_arm`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn decode_line(
-    arm: SimdLevel,
+    arm: Arm,
     buf: &mut [f32],
     base: usize,
     e: usize,
@@ -392,8 +438,9 @@ fn decode_line(
     ok: &mut bool,
 ) {
     match arm {
+        // Safety: as in `encode_line`.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe {
+        Arm::Z1 => unsafe {
             simd::decompress_line_z1_avx2(buf, base, g, q, codes, ci, outliers, oi, ok)
         },
         _ => decompress_line(buf, base, e, s, g, q, codes, ci, outliers, oi, ok),
@@ -404,11 +451,18 @@ fn decode_line(
 /// the rayon shim — below this, scoped-thread spawn overhead dominates.
 const PAR_MIN_POINTS: usize = 1 << 16;
 
+/// Lanes per slab of a fanned-out across-lines decode. A multiple of four,
+/// so a slab's vector groups — and the 8-float windows they load — never
+/// straddle two slabs.
+#[cfg(target_arch = "x86_64")]
+const PAR_LANES: usize = 64;
+
 /// A `*mut f32` the sweep workers share. Lines of one sweep write disjoint
 /// cells (odd multiples of `s` along the sweep dim, at distinct bases) and
-/// read only cells no line of the sweep writes (even multiples), so the
-/// overlapping mutable views the workers re-materialize never touch the same
-/// element.
+/// read only cells no line of the sweep writes (even multiples) — plus, in
+/// the across-lines arm, the cells of their own four-lane group's window —
+/// so the overlapping mutable views the workers re-materialize never touch
+/// an element another worker writes.
 struct SharedBuf {
     ptr: *mut f32,
     len: usize,
@@ -439,9 +493,20 @@ struct Sweep {
 }
 
 impl Sweep {
+    /// Values of the outer line coordinate (the slow one of the two).
+    fn outer(&self) -> usize {
+        self.o_extents[0].div_ceil(self.o_steps[0])
+    }
+
+    /// Lines per outer coordinate: the values of the inner line coordinate,
+    /// which for an x or y sweep is `z` — the lanes of the across-lines arm.
+    fn lanes(&self) -> usize {
+        self.o_extents[1].div_ceil(self.o_steps[1])
+    }
+
     /// Number of lines this sweep visits.
     fn lines(&self) -> usize {
-        self.o_extents[0].div_ceil(self.o_steps[0]) * self.o_extents[1].div_ceil(self.o_steps[1])
+        self.outer() * self.lanes()
     }
 
     /// Calls `f(base)` for every line, in traversal order.
@@ -456,6 +521,77 @@ impl Sweep {
                 c2 += self.o_steps[1];
             }
             c1 += self.o_steps[0];
+        }
+    }
+}
+
+/// An x or y sweep seen across its lines, its steps in elements computed
+/// once: line `(c, j)` — outer coordinate index `c`, lane `j` along `z`,
+/// line `c·lanes + j` in traversal order — holds its `k`-th target at
+/// [`Across::cell`] and its code at [`Across::code`].
+#[cfg(target_arch = "x86_64")]
+struct Across {
+    outer: usize,
+    outer_step: usize,
+    lanes: usize,
+    /// Between adjacent lanes: the lines' `2s` step along `z`.
+    zs: usize,
+    /// Lanes `[0, dense)` load four at a time with one 8-float window:
+    /// `zs == 2` and the window ends inside the `z` row (a multiple of 4).
+    dense: usize,
+    /// Between a target and its nearest support.
+    se: usize,
+    per_line: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Across {
+    fn new(sw: &Sweep, g: &LineGeom) -> Self {
+        debug_assert_eq!(sw.o_strides[1], 1, "lanes run along z");
+        let zs = sw.o_steps[1];
+        Across {
+            outer: sw.outer(),
+            outer_step: sw.o_steps[0] * sw.o_strides[0],
+            lanes: sw.lanes(),
+            zs,
+            dense: if zs == 2 { sw.o_extents[1] / 8 * 4 } else { 0 },
+            se: sw.s * sw.stride,
+            per_line: g.per_line(),
+        }
+    }
+
+    #[inline]
+    fn cell(&self, c: usize, j: usize, k: usize) -> usize {
+        c * self.outer_step + j * self.zs + (2 * k + 1) * self.se
+    }
+
+    #[inline]
+    fn code(&self, c: usize, j: usize, k: usize) -> usize {
+        (c * self.lanes + j) * self.per_line + k
+    }
+
+    /// Calls `f(cell)` for the cell of every `UNPREDICTABLE` code in the
+    /// sweep's `codes`, in code order — the side channel's order.
+    fn for_each_outlier(&self, codes: &[u32], mut f: impl FnMut(usize)) {
+        // Out-of-band codes are rare: most blocks fail an OR-fold of
+        // equality tests, which the compiler vectorizes on baseline SSE2.
+        const BLOCK: usize = 64;
+        for (b, block) in codes.chunks(BLOCK).enumerate() {
+            if !block
+                .iter()
+                .fold(false, |any, &c| any | (c == LinearQuantizer::UNPREDICTABLE))
+            {
+                continue;
+            }
+            for (j, &c) in block.iter().enumerate() {
+                if c == LinearQuantizer::UNPREDICTABLE {
+                    let (line, k) = (
+                        (b * BLOCK + j) / self.per_line,
+                        (b * BLOCK + j) % self.per_line,
+                    );
+                    f(self.cell(line / self.lanes, line % self.lanes, k));
+                }
+            }
         }
     }
 }
@@ -532,17 +668,31 @@ pub fn compress_pass(
     for sw in sweeps(dims) {
         let q = &quants[sw.l_proc.min(quants.len() - 1)];
         let g = LineGeom::new(sw.n, sw.s, interp);
-        let arm = sweep_arm(&sw);
-        sw.for_each_base(|base| {
-            encode_line(arm, buf, base, sw.stride, sw.s, &g, q, codes, outliers);
-        });
         let lines = sw.lines();
+        match sweep_arm(&sw) {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Across => {
+                // The walk writes each code at its line-major slot; an
+                // out-of-band cell ends the sweep holding its original value,
+                // so one scan in code order pushes the side channel.
+                let a = Across::new(&sw, &g);
+                let start = codes.len();
+                codes.resize(start + lines * a.per_line, 0);
+                let sweep = &mut codes[start..];
+                // Safety: `Arm::Across` is only picked on an AVX2 CPU, for
+                // an x or y sweep of `buf`.
+                if unsafe { simd::compress_across_avx2(buf, &a, &g, q, sweep) } {
+                    a.for_each_outlier(sweep, |cell| outliers.push(buf[cell]));
+                }
+            }
+            arm => sw.for_each_base(|base| {
+                encode_line(arm, buf, base, sw.stride, sw.s, &g, q, codes, outliers);
+            }),
+        }
         stats.midpoint += lines * (g.mid_head + g.mid_tail);
         stats.cubic += lines * g.cubic;
         stats.extrapolated += lines * g.extra as usize;
-        debug_assert_eq!(g.interior() + g.extra as usize, {
-            (sw.n - 1 - sw.s) / (2 * sw.s) + 1
-        });
+        debug_assert_eq!(g.per_line(), (sw.n - 1 - sw.s) / (2 * sw.s) + 1);
     }
     stats
 }
@@ -583,9 +733,61 @@ pub fn decompress_pass(
         let q = &quants[sw.l_proc.min(quants.len() - 1)];
         let g = LineGeom::new(sw.n, sw.s, interp);
         let arm = sweep_arm(&sw);
-        let per_line = g.interior() + g.extra as usize;
+        let per_line = g.per_line();
         let lines = sw.lines();
-        if cores > 1 && lines >= 2 && lines * per_line >= PAR_MIN_POINTS {
+        let par = cores > 1 && lines >= 2 && lines * per_line >= PAR_MIN_POINTS;
+        #[cfg(target_arch = "x86_64")]
+        if arm == Arm::Across {
+            let a = Across::new(&sw, &g);
+            let sweep = &codes[ci..ci + lines * per_line];
+            // The side channel is in code order, the walk is not: one scan
+            // in code order pre-fills the out-of-band cells (underrun: 0 and
+            // a cleared flag, as `recover_value` does) and the walk leaves
+            // them be.
+            a.for_each_outlier(sweep, |cell| {
+                buf[cell] = match outliers.get(oi) {
+                    Some(&v) => {
+                        oi += 1;
+                        v
+                    }
+                    None => {
+                        ok = false;
+                        0.0
+                    }
+                };
+            });
+            let (outer, lanes) = (a.outer, a.lanes);
+            if par {
+                // Slabs of one outer coordinate and `PAR_LANES` lanes: their
+                // lines are consecutive in code order, and the walk needs no
+                // outlier cursor.
+                let jobs: Vec<(usize, usize)> = (0..outer)
+                    .flat_map(|c| (0..lanes).step_by(PAR_LANES).map(move |j| (c, j)))
+                    .collect();
+                let shared = SharedBuf {
+                    ptr: buf.as_mut_ptr(),
+                    len: buf.len(),
+                };
+                let _: Vec<()> = jobs
+                    .par_iter()
+                    .map(|&(c, j)| {
+                        // Safety: slabs write disjoint cells (SharedBuf docs);
+                        // `Across` is only picked on an AVX2 CPU.
+                        unsafe {
+                            let b = shared.slice();
+                            let js = j..(j + PAR_LANES).min(lanes);
+                            simd::decompress_across_avx2(b, &a, &g, q, sweep, c..c + 1, js);
+                        }
+                    })
+                    .collect();
+            } else {
+                // Safety: as above.
+                unsafe { simd::decompress_across_avx2(buf, &a, &g, q, sweep, 0..outer, 0..lanes) };
+            }
+            ci += sweep.len();
+            continue;
+        }
+        if par {
             // Every line of a sweep consumes exactly `per_line` codes, so
             // per-line code cursors are a multiplication; per-line outlier
             // cursors come from prefix-counting the `UNPREDICTABLE` codes

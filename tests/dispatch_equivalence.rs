@@ -23,7 +23,7 @@
 use hqmr::codec::{crc32, kernels, Codec};
 use hqmr::grid::{Dims3, Field3};
 use hqmr::sz2::Sz2Codec;
-use hqmr::sz3::Sz3Codec;
+use hqmr::sz3::{InterpKind, LevelEbPolicy, Sz3Codec};
 use hqmr::zfp::ZfpCodec;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -207,6 +207,199 @@ fn zfp_block_with_one_nan_is_identical_on_both_arms() {
     let mut f = mk_field(8, 8, 8, 1);
     f.data_mut()[300] = f32::NAN;
     assert_arms_identical(&ZfpCodec, &f, 0.5, "zfp 8x8x8 one NaN");
+}
+
+/// x and y extents whose sweeps hold 0, 1, 2 and many cubic points.
+const ACROSS_XY: [usize; 7] = [1, 2, 3, 5, 9, 17, 33];
+
+/// z extents for the across-lines arm: lane counts `ceil(nz / 2)` on and off
+/// a multiple of four, windows that do and do not end inside the row, and —
+/// with a 33 in x or y — coarse x/y levels at z steps 4 … 64.
+const ACROSS_Z: [usize; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 255, 256, 257];
+
+/// Both interpolators, with and without the per-level error bound.
+const SZ3_SETUPS: [Sz3Codec; 4] = [
+    Sz3Codec {
+        interp: InterpKind::Cubic,
+        level_eb: None,
+    },
+    Sz3Codec::PAPER,
+    Sz3Codec {
+        interp: InterpKind::Linear,
+        level_eb: None,
+    },
+    Sz3Codec {
+        interp: InterpKind::Linear,
+        level_eb: Some(LevelEbPolicy::PAPER),
+    },
+];
+
+/// Every x/y sweep geometry the across-lines arm meets: all `ACROSS_XY²`
+/// footprints at the short z extents (setup and bound rotating with the
+/// shape), and the long z extents on footprints with a 33, under every setup.
+#[test]
+fn sz3_across_lines_shapes_are_identical_on_both_arms() {
+    let mut i = 0usize;
+    for nx in ACROSS_XY {
+        for ny in ACROSS_XY {
+            for nz in ACROSS_Z.into_iter().filter(|&nz| nz <= 17) {
+                let codec = &SZ3_SETUPS[i % 4];
+                let eb = [0.5, 1e-2, 1e-5][i % 3];
+                let f = mk_field(nx, ny, nz, i as u32);
+                let at = format!("sz3 {} {codec:?} eb {eb:e}", f.dims());
+                assert_arms_identical(codec, &f, eb, &at);
+                i += 1;
+            }
+        }
+    }
+    for [nx, ny] in [[33, 2], [2, 33], [17, 17]] {
+        for nz in [255, 256, 257] {
+            for (s, codec) in SZ3_SETUPS.iter().enumerate() {
+                let f = mk_field(nx, ny, nz, s as u32);
+                let at = format!("sz3 {} {codec:?}", f.dims());
+                assert_arms_identical(codec, &f, 1e-2, &at);
+            }
+        }
+    }
+}
+
+/// A shape whose finest x and y sweeps pass the decode's fan-out threshold
+/// (65 536 points): 511 lanes, so the last slab of every outer coordinate
+/// ends in a partial group, with outliers planted in several slabs.
+#[test]
+fn sz3_fanned_out_decode_is_identical_on_both_arms() {
+    let mut f = mk_field(9, 33, 1021, 7);
+    for (x, y, z) in [
+        (1, 0, 0),
+        (3, 4, 130),
+        (0, 1, 126),
+        (8, 31, 1020),
+        (1, 32, 1018),
+    ] {
+        f.set(x, y, z, -4.0e30);
+    }
+    for codec in &SZ3_SETUPS[..2] {
+        assert_arms_identical(codec, &f, 1e-2, &format!("sz3 {} {codec:?}", f.dims()));
+    }
+}
+
+/// One planted value per field, at a target and at a support of an x and of
+/// a y sweep, in every lane of every four-lane group and in the scalar tail
+/// (`nz = 17`: two loaded groups and a tail lane; `nz = 15`: the second
+/// group's window leaves the row and is gathered), finest and coarse level.
+/// The classes: an outlier, NaN, ±∞, and half-step ties on a zero base.
+#[test]
+fn sz3_planted_lanes_are_identical_on_both_arms() {
+    let planted: [(&str, f32, bool); 6] = [
+        ("outlier", 3.0e30, false),
+        ("NaN", f32::NAN, false),
+        ("+∞", f32::INFINITY, false),
+        ("−∞", f32::NEG_INFINITY, false),
+        ("tie +2.5", 2.5, true),
+        ("tie −1.5", -1.5, true),
+    ];
+    for [nx, ny, nz] in [[5, 5, 17], [5, 3, 15]] {
+        let dims = Dims3::new(nx, ny, nz);
+        for (class, v, zero_base) in planted {
+            for lane in 0..nz.div_ceil(2) {
+                let z = 2 * lane;
+                // (x, y, z): x-sweep target and support, y-sweep target and
+                // support at the finest level; x-sweep target and support at
+                // s = 2 (lanes 4 apart, gathered).
+                let mut cells = vec![[1, 0, z], [0, 0, z], [2, 1, z], [2, 2, z]];
+                if z % 4 == 0 {
+                    cells.extend([[2, 0, z], [4, 0, z]]);
+                }
+                for [x, y, z] in cells {
+                    let mut f = if zero_base {
+                        Field3::zeros(dims)
+                    } else {
+                        mk_field(nx, ny, nz, lane as u32)
+                    };
+                    f.set(x, y, z, v);
+                    for codec in &SZ3_SETUPS[..2] {
+                        let at = format!("sz3 {dims} {class} at ({x},{y},{z}) {codec:?}");
+                        assert_arms_identical(codec, &f, 0.5, &at);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`ADVERSARIAL`] on footprints whose x/y sweeps run the across-lines arm
+/// at several lane counts, under all four setups.
+#[test]
+fn sz3_adversarial_inputs_across_lines_are_identical_on_both_arms() {
+    for [nx, ny, nz] in [[5, 5, 17], [9, 9, 16], [17, 3, 15], [33, 2, 9]] {
+        let dims = Dims3::new(nx, ny, nz);
+        for eb in [1e-3, 0.5, 1e30] {
+            for (class, cell) in ADVERSARIAL {
+                let f = Field3::from_vec(dims, (0..dims.len()).map(|i| cell(i, eb)).collect());
+                for codec in &SZ3_SETUPS {
+                    let at = format!("sz3 {dims} {class} eb {eb:e} {codec:?}");
+                    assert_arms_identical(codec, &f, eb, &at);
+                }
+            }
+        }
+    }
+}
+
+/// A stream whose outlier side channel is one value short fails with the
+/// same typed error on both arms (and the reference decoder) when the
+/// missing value belongs to an across-lines sweep: the pre-fill scan makes
+/// the line kernels' underrun substitution.
+#[test]
+fn sz3_short_side_channel_fails_alike_on_both_arms() {
+    use hqmr::codec::{push_stream_id, tag, write_uvarint, Container};
+    let dims = Dims3::new(9, 9, 17);
+    // An exact ramp, so every prediction is exact, and plants just past the
+    // code range (±32 767 steps of 2·eb), so their neighbours, predicted
+    // from them with weight ≤ 9/16, stay in range: the planted cells are the
+    // only outliers. Finest x target (lane 2), finest y target (lane 3, the
+    // group's last), coarse x target (s = 2), the x target in the tail, and
+    // three at once (the last one, dropped, in a y sweep).
+    for plants in [
+        vec![[1, 0, 4]],
+        vec![[0, 1, 6]],
+        vec![[2, 0, 8]],
+        vec![[1, 2, 16]],
+        vec![[1, 0, 0], [3, 1, 6], [0, 3, 2]],
+    ] {
+        let mut f = Field3::from_fn(dims, |x, y, z| (x + 2 * y + 3 * z) as f32);
+        for &[x, y, z] in &plants {
+            f.set(x, y, z, 5.0e4);
+        }
+        let _switch = arm_switch();
+        pin_arm(false);
+        let r = hqmr::sz3::compress(&f, &hqmr::sz3::Sz3Config::new(0.5));
+        assert_eq!(r.outliers, plants.len(), "{plants:?}: planted cells only");
+        // Rebuild the stream with the side channel's last value dropped.
+        let c = Container::from_bytes(&r.bytes).unwrap();
+        let unpr = c.require(tag(b"UNPR")).unwrap();
+        let mut short = Vec::new();
+        write_uvarint(&mut short, plants.len() as u64 - 1);
+        short.extend_from_slice(&unpr[1..unpr.len() - 4]);
+        let mut cut = Container::new();
+        push_stream_id(&mut cut, hqmr::sz3::SZ3_CODEC_ID);
+        for t in [tag(b"S3HD"), tag(b"QNTC")] {
+            cut.push(t, c.require(t).unwrap().to_vec());
+        }
+        cut.push(tag(b"UNPR"), short);
+        let bytes = cut.to_bytes();
+        let simd = hqmr::sz3::decompress(&bytes).map(|_| ());
+        pin_arm(true);
+        let scalar = hqmr::sz3::decompress(&bytes).map(|_| ());
+        pin_arm(false);
+        let want = Err(hqmr::codec::CodecError::Malformed("stream underrun"));
+        assert_eq!(scalar, want, "{plants:?}: scalar arm");
+        assert_eq!(simd, want, "{plants:?}: AVX2 arm");
+        assert_eq!(
+            hqmr::sz3::reference::decompress(&bytes).map(|_| ()),
+            want,
+            "{plants:?}: reference"
+        );
+    }
 }
 
 proptest! {

@@ -86,6 +86,90 @@ fn sz3_kernels_match_reference_streams() {
     }
 }
 
+/// Every x/y sweep geometry of the across-lines arm against the reference:
+/// x and y extents with 0, 1, 2 and many cubic points, z extents whose lane
+/// counts are and are not multiples of four, and long z lines under a
+/// 33-wide footprint (coarse x/y levels at z steps 4 … 64). Interpolator,
+/// per-level bound and error bound rotate over the short shapes; the long
+/// ones take every setup. `rough`'s spike supplies an outlier.
+#[test]
+fn sz3_across_lines_shapes_match_reference_streams() {
+    const XY: [usize; 7] = [1, 2, 3, 5, 9, 17, 33];
+    let setups = [
+        (InterpKind::Cubic, None),
+        (InterpKind::Cubic, Some(LevelEbPolicy::PAPER)),
+        (InterpKind::Linear, None),
+        (InterpKind::Linear, Some(LevelEbPolicy::PAPER)),
+    ];
+    let mut cases = Vec::new();
+    for nx in XY {
+        for ny in XY {
+            for nz in [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17] {
+                let i = cases.len();
+                cases.push((Dims3::new(nx, ny, nz), setups[i % 4], [1e-1, 1e-3][i % 2]));
+            }
+        }
+    }
+    for [nx, ny] in [[33, 2], [2, 33], [17, 17]] {
+        for nz in [255, 256, 257] {
+            for setup in setups {
+                cases.push((Dims3::new(nx, ny, nz), setup, 1e-3));
+            }
+        }
+    }
+    // Finest x and y sweeps past the decode's fan-out threshold.
+    cases.push((Dims3::new(9, 33, 1021), setups[0], 1e-3));
+    for (i, (dims, (interp, level_eb), eb)) in cases.into_iter().enumerate() {
+        let mut cfg = Sz3Config::new(eb).with_interp(interp);
+        if let Some(p) = level_eb {
+            cfg = cfg.with_level_eb(p);
+        }
+        assert_sz3_matches_reference(&rough(dims, i as u32), &cfg);
+    }
+}
+
+/// An outlier in every lane of each four-lane group and in the scalar tail,
+/// at x- and y-sweep targets of the finest level and of `s = 2`.
+#[test]
+fn sz3_outlier_in_every_lane_matches_reference_streams() {
+    for dims in [Dims3::new(5, 5, 17), Dims3::new(5, 3, 15)] {
+        for z in (0..dims.nz).step_by(2) {
+            let mut cells = vec![[1, 0, z], [2, 1, z]];
+            if z % 4 == 0 {
+                cells.push([2, 0, z]);
+            }
+            for [x, y, z] in cells {
+                let mut f = rough(dims, z as u32);
+                f.set(x, y, z, -7.0e25);
+                for cfg in [
+                    Sz3Config::new(1e-2),
+                    Sz3Config::new(1e-2).with_level_eb(LevelEbPolicy::PAPER),
+                ] {
+                    assert_sz3_matches_reference(&f, &cfg);
+                }
+            }
+        }
+    }
+}
+
+/// Production vs reference SZ3: the stream, its statistics and outlier
+/// count, and both decodes.
+fn assert_sz3_matches_reference(f: &Field3, cfg: &Sz3Config) {
+    let dims = f.dims();
+    let fast = hqmr_sz3::compress(f, cfg);
+    let slow = hqmr_sz3::reference::compress(f, cfg);
+    assert_eq!(fast.bytes, slow.bytes, "sz3 {dims} {cfg:?}: stream drift");
+    assert_eq!(fast.stats, slow.stats, "sz3 {dims}: stats drift");
+    assert_eq!(fast.outliers, slow.outliers, "sz3 {dims}: outlier drift");
+    let df = hqmr_sz3::decompress(&fast.bytes).expect("fresh stream decodes");
+    let ds = hqmr_sz3::reference::decompress(&fast.bytes).unwrap();
+    assert_eq!(
+        as_bits(&df),
+        as_bits(&ds),
+        "sz3 {dims} {cfg:?}: reconstruction drift"
+    );
+}
+
 #[test]
 fn sz2_kernels_match_reference_streams() {
     for (i, dims) in SHAPES.into_iter().enumerate() {
