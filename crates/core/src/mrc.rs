@@ -8,20 +8,18 @@
 //! the codec id, and [`decompress_mr`] routes on it, so a stream is
 //! self-describing down to the backend that produced it.
 //!
-//! This module grew out of `sz3mr` (which hard-wired SZ3); the arrangement
-//! logic is unchanged, the per-level compress call now dispatches through
-//! `&dyn Codec`. The pre-processing stage (merge + pad) lives in
-//! [`hqmr_mr::prepare`], shared with the block-indexed `hqmr-store`
-//! container so both formats feed codecs byte-identical arrays.
+//! None of that runs here: a stream is the block-indexed store's one
+//! chunk-encode loop ([`hqmr_store::encode_chunks`]) run at one chunk per
+//! level, framed as this module's container instead of as `HQST`.
 
 use hqmr_codec::{
     tag, write_uvarint, Codec, CodecError, Container, ContainerError, Cur, Fault, NullCodec,
     NULL_CODEC_ID,
 };
 use hqmr_grid::{Dims3, Field3};
-use hqmr_mr::prepare::{decode_layout, encode_layout};
+use hqmr_mr::prepare::{decode_layout, encode_layout, pads};
 use hqmr_mr::{check_slots, split_blocks, LevelData, MergeStrategy, MultiResData, PadKind};
-use hqmr_store::StoreConfig;
+use hqmr_store::{StoreConfig, StoreError};
 
 pub use hqmr_mr::prepare::PreparedLevel;
 use hqmr_sz2::{Sz2Codec, SZ2_CODEC_ID};
@@ -222,8 +220,8 @@ pub fn prepare_mr(mr: &MultiResData, cfg: &MrcConfig) -> Vec<PreparedLevel> {
         .collect()
 }
 
-/// Stage 2 (Table IV "compress + write"): runs the codec over prepared
-/// levels and serializes the container. `prepared` must come from
+/// Stage 2 (Table IV "compress + write"): runs the chunk-encode loop over
+/// prepared levels and serializes the container. `prepared` must come from
 /// [`prepare_mr`] with the same `mr` and `cfg`.
 pub fn encode_prepared(
     mr: &MultiResData,
@@ -231,48 +229,79 @@ pub fn encode_prepared(
     cfg: &MrcConfig,
 ) -> (Vec<u8>, MrStats) {
     assert_eq!(prepared.len(), mr.levels.len(), "prepared levels mismatch");
-    let codec = cfg.backend.codec();
-    let stream_tag = codec.id();
-
-    let mut c = Container::new();
-    let mut head = Vec::new();
-    write_uvarint(&mut head, mr.domain.nx as u64);
-    write_uvarint(&mut head, mr.domain.ny as u64);
-    write_uvarint(&mut head, mr.domain.nz as u64);
-    write_uvarint(&mut head, mr.levels.len() as u64);
-    c.push(TAG_HEAD, head);
-    c.push(TAG_CODEC, stream_tag.to_le_bytes().to_vec());
-
-    let mut stats = MrStats {
-        stored_cells: mr.total_cells(),
-        codec: codec.name(),
-        ..Default::default()
-    };
-    for (level, prep) in mr.levels.iter().zip(prepared) {
-        let mut lv = Vec::new();
-        write_uvarint(&mut lv, level.level as u64);
-        write_uvarint(&mut lv, level.unit as u64);
-        write_uvarint(&mut lv, level.dims.nx as u64);
-        write_uvarint(&mut lv, level.dims.ny as u64);
-        write_uvarint(&mut lv, level.dims.nz as u64);
-        write_uvarint(&mut lv, prep.array_count() as u64);
-        c.push(TAG_LEVEL, lv);
-        for (m, f) in prep.blocks() {
-            c.push(TAG_LAYOUT, encode_layout(m, prep.padded()));
-            c.push(stream_tag, codec.compress(f, cfg.eb));
-        }
-        stats.arrays_per_level.push(prep.array_count());
-        stats.padded_levels.push(prep.padded());
-    }
-    let bytes = c.to_bytes();
-    stats.compressed_bytes = bytes.len();
+    // `prepare_mr` gives an empty level one group with no arrays; the loop
+    // tiles it into none.
+    let groups: Vec<&[PreparedLevel]> = (mr.levels.iter().zip(prepared))
+        .map(|(level, p)| {
+            if level.blocks.is_empty() {
+                &[][..]
+            } else {
+                std::slice::from_ref(p)
+            }
+        })
+        .collect();
+    let (bytes, stats, _) = encode(mr, Some(&groups), cfg, false).expect(OPEN_LOOP);
     (bytes, stats)
 }
 
 /// Compresses multi-resolution data under `cfg` (both stages in one call).
 pub fn compress_mr(mr: &MultiResData, cfg: &MrcConfig) -> (Vec<u8>, MrStats) {
-    let prepared = prepare_mr(mr, cfg);
-    encode_prepared(mr, &prepared, cfg)
+    let (bytes, stats, _) = encode(mr, None, cfg, false).expect(OPEN_LOOP);
+    (bytes, stats)
+}
+
+const OPEN_LOOP: &str = "an encode that asks for no reconstruction cannot fail";
+
+/// The store's chunk-encode loop at one chunk per level, in this module's
+/// container: `MRHD`, `CDID`, per level `LVHD`, per chunk `LAYT` and the
+/// stream, all read off the loop's directory. With `want_recon` it also
+/// returns `mr` as [`decompress_mr`] will, blocks in `mr`'s order, from
+/// [`Codec::compress_with_recon`]; an `Err` is the codec failing that.
+pub(crate) fn encode(
+    mr: &MultiResData,
+    prepared: Option<&[&[PreparedLevel]]>,
+    cfg: &MrcConfig,
+    want_recon: bool,
+) -> Result<(Vec<u8>, MrStats, Option<MultiResData>), MrcError> {
+    let codec = cfg.backend.codec();
+    let store_cfg = cfg.store_config(usize::MAX).with_parity_group(0);
+    let encoded = hqmr_store::encode_chunks(mr, prepared, &store_cfg, codec.as_ref(), want_recon);
+    let (meta, data, recon) = encoded.map_err(|e| match e {
+        StoreError::Codec { source, .. } => MrcError::Codec(source),
+        _ => MrcError::Malformed("chunk encode failed"),
+    })?;
+
+    let mut c = Container::new();
+    let mut head = Vec::new();
+    let d = meta.domain;
+    for v in [d.nx, d.ny, d.nz, meta.levels.len()] {
+        write_uvarint(&mut head, v as u64);
+    }
+    c.push(TAG_HEAD, head);
+    c.push(TAG_CODEC, meta.codec_id.to_le_bytes().to_vec());
+    let mut stats = MrStats {
+        stored_cells: mr.total_cells(),
+        codec: codec.name(),
+        ..Default::default()
+    };
+    for lm in &meta.levels {
+        let n = lm.chunks.len();
+        let mut lv = Vec::new();
+        for v in [lm.level, lm.unit, lm.dims.nx, lm.dims.ny, lm.dims.nz, n] {
+            write_uvarint(&mut lv, v as u64);
+        }
+        c.push(TAG_LEVEL, lv);
+        for ch in &lm.chunks {
+            let stream = &data[ch.offset as usize..][..ch.len];
+            c.push(TAG_LAYOUT, encode_layout(ch.padded, ch.unit, &ch.slots));
+            c.push(meta.codec_id, stream.to_vec());
+        }
+        stats.arrays_per_level.push(n);
+        stats.padded_levels.push(pads(cfg.merge, cfg.pad, lm.unit));
+    }
+    let bytes = c.to_bytes();
+    stats.compressed_bytes = bytes.len();
+    Ok((bytes, stats, recon))
 }
 
 /// MRC decompression errors.
@@ -587,16 +616,11 @@ mod tests {
         let parsed = Container::from_bytes(&bytes).unwrap();
         let honest = hqmr_mr::merge_level(&mr.levels[0], MergeStrategy::Linear).remove(0);
         let reframed = |padded: bool, unit: usize, slots: hqmr_mr::LayoutSlots| {
-            let lie = hqmr_mr::MergedArray {
-                unit,
-                slots,
-                ..honest.clone()
-            };
             let mut c = Container::new();
             for tag in [TAG_HEAD, TAG_CODEC, TAG_LEVEL] {
                 c.push(tag, parsed.get(tag).unwrap().to_vec());
             }
-            c.push(TAG_LAYOUT, encode_layout(&lie, padded));
+            c.push(TAG_LAYOUT, encode_layout(padded, unit, &slots));
             c.push(NULL_CODEC_ID, parsed.get(NULL_CODEC_ID).unwrap().to_vec());
             decompress_mr(&c.to_bytes())
         };
@@ -631,6 +655,44 @@ mod tests {
         let back = decompress_mr(&bytes).unwrap();
         assert!(back.levels[0].blocks.is_empty());
         assert_eq!(back.levels[1].blocks.len(), mr.levels[1].blocks.len());
+    }
+
+    #[test]
+    fn returned_reconstruction_is_what_decompress_returns() {
+        let mut emptied = test_mr();
+        emptied.levels[0].blocks.clear();
+        let eb = 1e6;
+        for (mr, cfg) in [
+            (emptied, MrcConfig::ours(eb)),
+            (test_mr(), MrcConfig::tac(eb)),
+            (test_mr(), MrcConfig::amric(eb).with_backend(Backend::ZFP)),
+        ] {
+            let (bytes, stats, recon) = encode(&mr, None, &cfg, true).unwrap();
+            let mut recon = recon.expect("asked for");
+            assert_eq!(bytes, compress_mr(&mr, &cfg).0, "{cfg:?}");
+            let prepared = prepare_mr(&mr, &cfg);
+            assert_eq!(bytes, encode_prepared(&mr, &prepared, &cfg).0, "{cfg:?}");
+            if cfg.merge == MergeStrategy::Tac {
+                assert!(stats.arrays_per_level.iter().any(|&n| n > 1), "{stats:?}");
+            }
+            // In `mr`'s block order, which the decoder does not keep.
+            let origins = |l: &LevelData| l.blocks.iter().map(|b| b.origin).collect::<Vec<_>>();
+            for (level, orig) in recon.levels.iter().zip(&mr.levels) {
+                assert_eq!(origins(level), origins(orig));
+            }
+            for level in &mut recon.levels {
+                level.blocks.sort_by_key(|b| b.origin);
+            }
+            let back = decompress_mr(&bytes).unwrap();
+            assert_eq!(recon.domain, back.domain);
+            let bits =
+                |b: &hqmr_mr::UnitBlock| b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (a, b) in recon.levels.iter().zip(&back.levels) {
+                assert_eq!((a.level, a.unit, a.dims), (b.level, b.unit, b.dims));
+                assert_eq!(origins(a), origins(b));
+                assert!(a.blocks.iter().map(bits).eq(b.blocks.iter().map(bits)));
+            }
+        }
     }
 
     #[test]

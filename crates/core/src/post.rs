@@ -387,7 +387,7 @@ fn optimize(
             .candidates
             .iter()
             .copied()
-            .min_by(|x, y| (x - cur).abs().partial_cmp(&(y - cur).abs()).unwrap())
+            .min_by(|x, y| (x - cur).abs().total_cmp(&(y - cur).abs()))
             .unwrap_or(0.0);
         let base = f_axis(0.0);
         let with = f_axis(snapped * eb);
@@ -436,7 +436,7 @@ pub fn select_intensity_exhaustive(
             .iter()
             .copied()
             .map(|c| (f_axis(c * eb), c))
-            .min_by(|x, y| x.0.partial_cmp(&y.0).unwrap())
+            .min_by(|x, y| x.0.total_cmp(&y.0))
             .unwrap_or((base, 0.0));
         before += base;
         if best.0 < base {
@@ -561,6 +561,23 @@ mod tests {
             sgd.a,
             exh.a
         );
+    }
+
+    #[test]
+    fn nan_inputs_select_without_panicking() {
+        let dims = Dims3::new(16, 16, 64);
+        let orig = Field3::new(dims, f32::NAN);
+        let dec = Field3::from_fn(dims, |x, y, z| (x + y + z) as f32);
+        let mut cfg = PostConfig::sz3_multires(8);
+        let sgd = select_intensity(&orig, &dec, 0.5, &cfg);
+        let exh = select_intensity_exhaustive(&orig, &dec, 0.5, &cfg);
+        assert_eq!(sgd.a, [0.0; 3]);
+        assert_eq!(exh.a, sgd.a);
+        // A NaN among the public candidates is never the nearest one.
+        cfg.candidates.insert(0, f64::NAN);
+        let (orig, dec) = blocky_pair(32, 8, 0.5);
+        let with_nan = select_intensity(&orig, &dec, 0.5, &cfg);
+        assert!(with_nan.a.iter().all(|a| !a.is_nan()), "{with_nan:?}");
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! One call runs the full pipeline on a uniform field: ROI extraction →
 //! multi-resolution conversion → MRC compression (any arrangement × codec
-//! backend) → decompression → reconstruction → optional Bézier
-//! post-processing → optional uncertainty model. Examples and integration
-//! tests build on this; the individual stages remain available for finer
-//! control.
+//! backend), which hands back the compressor's own reconstruction of what
+//! it wrote → dense reconstruction → optional Bézier post-processing →
+//! optional uncertainty model. Nothing is decoded: the stream equals
+//! `compress_mr`'s, and decoding it gives back the same field bit for bit.
+//! Examples and integration tests build on this; the individual stages
+//! remain available for finer control.
 
-use crate::mrc::{compress_mr, decompress_mr, Backend, MrStats, MrcConfig, MrcError};
+use crate::mrc::{encode, Backend, MrStats, MrcConfig, MrcError};
 use crate::post::{bezier_pass, select_intensity, PostConfig};
 use crate::uncertainty::{model_near_isovalue, sample_error_pairs, ErrorModel};
 use hqmr_grid::Field3;
@@ -151,9 +153,9 @@ pub struct WorkflowResult {
 /// Workflow failures.
 #[derive(Debug)]
 pub enum WorkflowError {
-    /// The freshly produced stream failed to decompress — the engine and the
-    /// codec disagree, which is a bug or corruption, but must surface as an
-    /// error rather than a panic.
+    /// The codec broke its `compress_with_recon` contract: it could not
+    /// reconstruct the stream it had just written — a backend bug, which
+    /// must surface as an error rather than a panic.
     Roundtrip(MrcError),
 }
 
@@ -181,11 +183,11 @@ pub fn run_uniform_workflow(
     // One scan of the original: the bound and the uncertainty band share it.
     let range = field.range();
     let eb = range as f64 * cfg.rel_eb;
-    let mr = to_adaptive(field, &cfg.roi);
     let mr_cfg = cfg.compressor.mrc_config(eb);
-    let (compressed, mr_stats) = compress_mr(&mr, &mr_cfg);
-    let decompressed = decompress_mr(&compressed)?;
-    let mut reconstruction = decompressed.reconstruct(cfg.upsample);
+    let (compressed, mr_stats, recon) = encode(&to_adaptive(field, &cfg.roi), None, &mr_cfg, true)?;
+    // The codec's own reconstruction: what decoding `compressed` would give.
+    let recon = recon.expect("a closed loop returns its reconstruction");
+    let mut reconstruction = recon.reconstruct(cfg.upsample);
 
     if cfg.post_process {
         // Boundaries along z with the fine unit period (the partition the
@@ -214,6 +216,7 @@ pub fn run_uniform_workflow(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrc::decompress_mr;
     use hqmr_grid::synth;
     use hqmr_metrics::psnr;
 

@@ -129,12 +129,12 @@ pub type LayoutSlots = Vec<([usize; 3], [usize; 3])>;
 
 /// Serializes a merged array's layout: padded flag, unit, and every
 /// `(slot, origin)` pair.
-pub fn encode_layout(m: &MergedArray, padded: bool) -> Vec<u8> {
+pub fn encode_layout(padded: bool, unit: usize, slots: &[([usize; 3], [usize; 3])]) -> Vec<u8> {
     let mut out = Vec::new();
     out.push(padded as u8);
-    write_uvarint(&mut out, m.unit as u64);
-    write_uvarint(&mut out, m.slots.len() as u64);
-    for (slot, origin) in &m.slots {
+    write_uvarint(&mut out, unit as u64);
+    write_uvarint(&mut out, slots.len() as u64);
+    for (slot, origin) in slots {
         for v in slot.iter().chain(origin.iter()) {
             write_uvarint(&mut out, *v as u64);
         }
@@ -200,7 +200,7 @@ mod tests {
         let lvl = level(4, 5);
         let prep = prepare_level(&lvl, MergeStrategy::Linear, None);
         let m = &prep.arrays()[0];
-        let bytes = encode_layout(m, prep.padded());
+        let bytes = encode_layout(prep.padded(), m.unit, &m.slots);
         let (padded, unit, slots) = decode_layout(&bytes).unwrap();
         assert!(!padded);
         assert_eq!(unit, 4);

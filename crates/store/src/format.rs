@@ -19,7 +19,7 @@
 use hqmr_codec::{framed_head, framed_head_into, write_uvarint, CodecError, Cur, Fault};
 use hqmr_grid::Dims3;
 use hqmr_mr::prepare::LayoutSlots;
-use hqmr_mr::{decode_layout, encode_layout, MergedArray};
+use hqmr_mr::{decode_layout, encode_layout};
 
 /// Store file magic.
 pub const MAGIC: &[u8; 4] = b"HQST";
@@ -299,14 +299,7 @@ impl StoreMeta {
                 write_uvarint(&mut out, c.enc_dims.nx as u64);
                 write_uvarint(&mut out, c.enc_dims.ny as u64);
                 write_uvarint(&mut out, c.enc_dims.nz as u64);
-                let layout = encode_layout(
-                    &MergedArray {
-                        field: hqmr_grid::Field3::zeros(Dims3::new(0, 0, 0)),
-                        unit: c.unit,
-                        slots: c.slots.clone(),
-                    },
-                    c.padded,
-                );
+                let layout = encode_layout(c.padded, c.unit, &c.slots);
                 write_uvarint(&mut out, layout.len() as u64);
                 out.extend_from_slice(&layout);
             }

@@ -18,31 +18,31 @@
 //! * [`StoreReader::progressive`] — a coarse→fine refinement iterator whose
 //!   final step equals a full reconstruction.
 //!
-//! The writer runs the *same* pre-processing stage ([`hqmr_mr::prepare`]) as
-//! the monolithic engine, so a store written with
-//! [`StoreConfig::one_chunk_per_level`] produces byte-identical codec inputs
-//! — and therefore bit-identical decoded blocks — to `compress_mr` /
-//! `decompress_mr` under the same configuration.
-//!
 //! # One write path
 //!
 //! Every store buffer — [`write_store`], [`write_store_with_parity`],
 //! [`encode_prepared_store_into`], each frame of a
 //! [`temporal::TemporalEncoder`], and through them `hqmr-core`'s in-situ
-//! writers — is produced by one private loop, `encode_frame`: the only code
-//! that fans codec compression over chunks, builds the chunk table and
-//! frames the buffer. Its task is a chunk *group* — at most `chunk_blocks`
-//! consecutive blocks of a level — and does the whole trip from blocks to
-//! stream. When the loop owns the frame it merges and pads the group inside
-//! the task, so both cores prepare and no whole-frame prepared copy exists;
-//! [`prepare_store`] + [`encode_prepared_store_into`] remain as the
-//! two-stage form in-situ writers time separately, feeding the same loop
-//! groups that are already prepared. A frame that closes a prediction loop
-//! additionally gets, per chunk, the codec's own reconstruction
-//! ([`hqmr_codec::Codec::compress_with_recon`]) cut into the next frame's
-//! base, and — given a base — a residual candidate beside the raw one, the
-//! smaller stream kept ([`temporal`] has the rest). Every file a writer
-//! leaves on disk is published by one function, [`write_atomic`].
+//! writers — and every monolithic `compress_mr` stream is produced by one
+//! private loop, `encode_frame`: the only code that fans codec compression
+//! over chunks and builds the chunk table. Two envelopes wrap its output:
+//! `HQST` framing here, and `hqmr-core::mrc`'s container through
+//! [`encode_chunks`] — so a store written with
+//! [`StoreConfig::one_chunk_per_level`] holds, chunk for chunk, the streams
+//! of `compress_mr` under the same configuration. Its task is a chunk
+//! *group* — at most `chunk_blocks` consecutive blocks of a level — and does
+//! the whole trip from blocks to stream. Given no prepared groups it merges
+//! and pads each group inside its task, so both cores prepare and no
+//! whole-frame prepared copy exists; [`prepare_store`] +
+//! [`encode_prepared_store_into`] remain as the two-stage form in-situ
+//! writers time separately, feeding the same loop groups that are already
+//! prepared. A frame that closes a prediction loop additionally gets, per
+//! chunk, the codec's own reconstruction
+//! ([`hqmr_codec::Codec::compress_with_recon`]) cut into the frame as a
+//! reader will see it — the next frame's base, or `run_uniform_workflow`'s
+//! reconstruction — and, given a base, a residual candidate beside the raw
+//! one, the smaller stream kept ([`temporal`] has the rest). Every file a
+//! writer leaves on disk is published by one function, [`write_atomic`].
 //!
 //! Every chunk payload carries a CRC-32 checked before the codec runs, so a
 //! flipped bit surfaces as the typed
@@ -255,8 +255,32 @@ pub fn encode_prepared_store_into(
     codec: &dyn Codec,
     out: &mut Vec<u8>,
 ) {
-    encode_frame(mr, Some(prepared), Loop::Open, cfg, codec, out)
-        .expect("an open loop asks the codec for no reconstruction and cuts none");
+    let groups: Vec<&[PreparedLevel]> = prepared.iter().map(Vec::as_slice).collect();
+    let encoded = encode_frame(mr, Some(&groups), Loop::Open, cfg, codec);
+    hqst_into(encoded.expect(OPEN_LOOP), out);
+}
+
+const OPEN_LOOP: &str = "an open loop asks the codec for no reconstruction and cuts none";
+
+/// The one chunk-encode loop without an envelope, for `hqmr-core::mrc`'s
+/// container: the directory, the data region it indexes, and with
+/// `want_recon` `mr` as a reader will reconstruct it, blocks in `mr`'s order
+/// ([`Codec::compress_with_recon`]'s; nothing is decoded). `prepared` holds
+/// each level's prepared groups, as [`prepare_store`] does.
+pub fn encode_chunks(
+    mr: &MultiResData,
+    prepared: Option<&[&[PreparedLevel]]>,
+    cfg: &StoreConfig,
+    codec: &dyn Codec,
+    want_recon: bool,
+) -> Result<(StoreMeta, Vec<u8>, Option<MultiResData>), StoreError> {
+    let closed = if want_recon {
+        Loop::Closed(None)
+    } else {
+        Loop::Open
+    };
+    let (meta, data, _, recon) = encode_frame(mr, prepared, closed, cfg, codec)?;
+    Ok((meta, data, recon))
 }
 
 /// Whether a frame's encode closes the prediction loop.
@@ -289,18 +313,30 @@ struct EncodedGroup {
     blocks: Vec<UnitBlock>,
 }
 
+/// What the encode loop hands an envelope: the directory, the data region
+/// it indexes, per `(level, chunk)` whether the chunk holds a residual, and
+/// in a closed loop the frame as a reader will reconstruct it.
+type Encoded = (StoreMeta, Vec<u8>, FrameFlags, Option<MultiResData>);
+
 thread_local! {
     /// Per-thread reconstructions of a chunk's raw and residual candidates.
     static RECON_SCRATCH: RefCell<[Field3; 2]> = RefCell::default();
 }
 
-/// The one chunk-encode loop — every `HQST` buffer, snapshot or temporal
-/// frame, is written here: one parallel trip per chunk group
-/// ([`encode_group`]), then the directory, then both framed into `out`
-/// (cleared first). Returns, per `(level, chunk)`, whether the chunk holds a
-/// residual, and for a closed loop the next prediction base. `prepared`, when given, is [`prepare_store`]'s output
-/// for the same `mr` and `cfg` (Table IV's stage split); otherwise each task
-/// prepares its own group.
+/// The `HQST` envelope: every store buffer, snapshot or temporal frame, is
+/// the loop's output framed here into `out` (cleared first).
+pub(crate) fn hqst_into(
+    (meta, data, flags, recon): Encoded,
+    out: &mut Vec<u8>,
+) -> (FrameFlags, Option<MultiResData>) {
+    format::frame_into(&meta, &data, out);
+    (flags, recon)
+}
+
+/// The one chunk-encode loop, behind both containers: one parallel trip per
+/// chunk group ([`encode_group`]), then the directory. `prepared`, when
+/// given, holds each level's prepared groups for the same `mr` and `cfg`
+/// (Table IV's stage split); otherwise each task prepares its own group.
 ///
 /// The fan-out is *global*: every group of every level joins one work list,
 /// so a coarse level with a single chunk cannot serialize a round of the
@@ -308,12 +344,11 @@ thread_local! {
 /// the list runs from large chunks to small.
 pub(crate) fn encode_frame(
     mr: &MultiResData,
-    prepared: Option<&PreparedStore>,
+    prepared: Option<&[&[PreparedLevel]]>,
     closed: Loop<'_>,
     cfg: &StoreConfig,
     codec: &dyn Codec,
-    out: &mut Vec<u8>,
-) -> Result<(FrameFlags, Option<MultiResData>), StoreError> {
+) -> Result<Encoded, StoreError> {
     let (want_recon, base) = match closed {
         Loop::Open => (false, None),
         Loop::Closed(base) => (true, base),
@@ -325,7 +360,7 @@ pub(crate) fn encode_frame(
     );
     let mut groups = Vec::new();
     for (level, lvl) in mr.levels.iter().enumerate() {
-        let prepared = prepared.map(|p| &p[level]);
+        let prepared = prepared.map(|p| p[level]);
         assert!(
             prepared.is_none_or(|p| p.len() == lvl.blocks.len().div_ceil(per)),
             "prepared groups mismatch"
@@ -385,12 +420,11 @@ pub(crate) fn encode_frame(
         eb: cfg.eb,
         levels,
     };
-    format::frame_into(&meta, &data, out);
-    let next = want_recon.then_some(MultiResData {
+    let recon = want_recon.then_some(MultiResData {
         domain: mr.domain,
         levels: next,
     });
-    Ok((flags, next))
+    Ok((meta, data, flags, recon))
 }
 
 /// One group's whole trip from blocks to streams: [`prepare_blocks`] (unless
@@ -494,8 +528,8 @@ fn encode_group(
 /// the bytes equal [`prepare_store`] + [`encode_prepared_store_into`]'s.
 pub fn write_store(mr: &MultiResData, cfg: &StoreConfig, codec: &dyn Codec) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_frame(mr, None, Loop::Open, cfg, codec, &mut out)
-        .expect("an open loop asks the codec for no reconstruction and cuts none");
+    let encoded = encode_frame(mr, None, Loop::Open, cfg, codec);
+    hqst_into(encoded.expect(OPEN_LOOP), &mut out);
     out
 }
 

@@ -52,7 +52,7 @@
 
 use crate::format::{StoreError, StoreMeta};
 use crate::read::{self, ChunkSource, DecodedChunk, Progressive};
-use crate::{encode_frame, Loop, StoreConfig, StoreReader};
+use crate::{encode_frame, hqst_into, Loop, StoreConfig, StoreReader};
 use hqmr_codec::{framed_head, framed_head_into, write_uvarint, Codec, Cur};
 use hqmr_grid::Field3;
 use hqmr_mr::{structure_matches, temporal as predict, LevelData, MultiResData, Upsample};
@@ -275,7 +275,7 @@ impl TemporalEncoder {
             Prediction::Off => Loop::Open,
             Prediction::Delta { .. } => Loop::Closed(base),
         };
-        let (flags, next) = encode_frame(mr, None, closed, &self.cfg, codec, out)?;
+        let (flags, next) = hqst_into(encode_frame(mr, None, closed, &self.cfg, codec)?, out);
         // Closed loop: the frame as a reader will reconstruct it becomes the
         // next prediction base.
         if next.is_some() {

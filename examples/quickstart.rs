@@ -24,7 +24,7 @@ fn main() {
     cfg.uncertainty_iso = Some(field.range() * 0.3);
 
     println!("running the workflow (ROI -> SZ3MR -> post-process)...");
-    let result = run_uniform_workflow(&field, &cfg).expect("workflow round-trip");
+    let result = run_uniform_workflow(&field, &cfg).expect("codec reconstructs its stream");
 
     println!();
     println!(

@@ -50,7 +50,7 @@
 //! let field = synth::nyx_like(32, 1);
 //! let mut cfg = WorkflowConfig::new(1e-3);
 //! cfg.compressor = CompressorChoice::ours().with_backend(Backend::ZFP);
-//! let result = run_uniform_workflow(&field, &cfg).expect("fresh stream round-trips");
+//! let result = run_uniform_workflow(&field, &cfg).expect("codec reconstructs its stream");
 //! assert_eq!(result.mr_stats.codec, "zfp");
 //! ```
 //!

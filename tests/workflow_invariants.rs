@@ -7,8 +7,8 @@ use hqmr::mr::{to_adaptive, to_amr, AmrConfig, MergeStrategy, RoiConfig, Upsampl
 use hqmr::serve::{StoreServer, UNBOUNDED};
 use hqmr::store::{write_store, StoreReader};
 use hqmr::workflow::{
-    bezier_pass, compress_mr, decompress_mr, run_uniform_workflow, select_intensity, Backend,
-    CompressorChoice, MrcConfig, PostConfig, WorkflowConfig,
+    bezier_pass, compress_mr, decompress_mr, run_uniform_workflow, select_intensity, Arrangement,
+    Backend, CompressorChoice, MrcConfig, PostConfig, WorkflowConfig,
 };
 use std::sync::Arc;
 
@@ -139,6 +139,44 @@ fn workflow_end_to_end_consistency() {
     // The compressed stream decodes to the same reconstruction basis.
     let back = decompress_mr(&r.compressed).unwrap();
     assert_eq!(back.domain, f.dims());
+}
+
+/// The workflow takes its reconstruction from the compressor instead of
+/// decoding the stream it wrote: on every backend × arrangement that field
+/// is bit for bit what decoding gives, and the stream is `compress_mr`'s.
+#[test]
+fn workflow_reconstruction_equals_decoded_stream() {
+    let f = synth::nyx_like(32, 41);
+    let arrangements = [
+        Arrangement::Ours,
+        Arrangement::Baseline,
+        Arrangement::Amric,
+        Arrangement::Tac,
+    ];
+    for backend in Backend::ALL {
+        for arrangement in arrangements {
+            let mut cfg = WorkflowConfig::new(2e-3);
+            cfg.roi = RoiConfig::new(8, 0.4);
+            cfg.compressor = CompressorChoice::new(arrangement, backend);
+            cfg.post_process = false;
+            let r = run_uniform_workflow(&f, &cfg).unwrap();
+            let mrc_cfg = cfg.compressor.mrc_config(r.eb);
+            let (stream, _) = compress_mr(&to_adaptive(&f, &cfg.roi), &mrc_cfg);
+            assert!(
+                r.compressed == stream,
+                "{backend:?} × {arrangement:?}: stream"
+            );
+            let decoded = decompress_mr(&r.compressed)
+                .unwrap()
+                .reconstruct(cfg.upsample);
+            assert_eq!(r.reconstruction.dims(), decoded.dims());
+            let bits = |x: &Field3| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&r.reconstruction) == bits(&decoded),
+                "{backend:?} × {arrangement:?}: reconstruction"
+            );
+        }
+    }
 }
 
 /// The workflow's reduction stages, written to a block-indexed store instead
