@@ -2,7 +2,8 @@
 //! block-wise SZ2/ZFP are fast, global SZ3 trades speed for quality).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hqmr_grid::synth;
+use hqmr_core::Backend;
+use hqmr_grid::{synth, Field3};
 
 fn bench_compressors(c: &mut Criterion) {
     let n = 64usize;
@@ -22,6 +23,25 @@ fn bench_compressors(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("zfp", n), |b| {
         b.iter(|| hqmr_zfp::compress(&field, &hqmr_zfp::ZfpConfig::new(eb)))
     });
+    g.finish();
+
+    // The closed loop's call: the stream plus the reconstruction a reader
+    // will decode from it, through each backend's `Codec` override, with
+    // the output buffers reused as a chunk writer reuses them.
+    let mut g = c.benchmark_group("compress_with_recon");
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(bytes));
+    for backend in [Backend::SZ3, Backend::SZ2, Backend::ZFP] {
+        let codec = backend.codec();
+        let (mut out, mut recon) = (Vec::new(), Field3::default());
+        g.bench_function(BenchmarkId::new(backend.name(), n), |b| {
+            b.iter(|| {
+                codec
+                    .compress_with_recon(&field, eb, &mut out, &mut recon)
+                    .unwrap()
+            })
+        });
+    }
     g.finish();
 
     let sz3_stream = hqmr_sz3::compress(&field, &hqmr_sz3::Sz3Config::new(eb)).bytes;

@@ -149,7 +149,8 @@ pub trait Codec: Send + Sync {
     /// required methods satisfies the contract by construction, at the price
     /// of one decode per call. A prediction-based backend already holds the
     /// reconstruction when its compress pass ends (it predicts from it) and
-    /// may override this to hand that buffer out — sz3 and sz2 do — but only
+    /// may override this to hand that buffer out — sz3 and sz2 do; zfp
+    /// rebuilds each block from the coefficient planes it wrote — but only
     /// if the equality above holds for *every* input: outliers, NaN, ±∞,
     /// one-cell arrays. `tests/codec_roundtrip.rs` and the default-path
     /// differential in `tests/temporal_props.rs` hold every registered

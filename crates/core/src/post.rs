@@ -194,6 +194,14 @@ fn pass_axis(cur: &mut Field3, axis: usize, p: usize, limit: f64, parallel: bool
 /// in practice the corrections move *toward* the original (that is the point).
 pub fn bezier_pass(decomp: &Field3, eb: f64, a: [f64; 3], cfg: &PostConfig) -> Field3 {
     let mut cur = decomp.clone();
+    bezier_pass_in_place(&mut cur, eb, a, cfg);
+    cur
+}
+
+/// [`bezier_pass`] on the caller's field instead of a copy of it. An axis
+/// without a period or with `a·eb <= 0` gets no pass, so when no axis has
+/// one the field is left untouched.
+pub(crate) fn bezier_pass_in_place(cur: &mut Field3, eb: f64, a: [f64; 3], cfg: &PostConfig) {
     for (axis, (&period, &ai)) in cfg.periods.iter().zip(&a).enumerate() {
         let (Some(p), limit) = (period, ai * eb) else {
             continue;
@@ -201,9 +209,8 @@ pub fn bezier_pass(decomp: &Field3, eb: f64, a: [f64; 3], cfg: &PostConfig) -> F
         if limit <= 0.0 {
             continue;
         }
-        pass_axis(&mut cur, axis, p, limit, cfg.parallel);
+        pass_axis(cur, axis, p, limit, cfg.parallel);
     }
-    cur
 }
 
 /// Squared error of the post-processed sample window versus the original,

@@ -10,7 +10,7 @@
 //! remain available for finer control.
 
 use crate::mrc::{encode, Backend, MrStats, MrcConfig, MrcError};
-use crate::post::{bezier_pass, select_intensity, PostConfig};
+use crate::post::{bezier_pass_in_place, select_intensity, PostConfig};
 use crate::uncertainty::{model_near_isovalue, sample_error_pairs, ErrorModel};
 use hqmr_grid::Field3;
 use hqmr_mr::{to_adaptive, MergeStrategy, PadKind, RoiConfig, Upsample};
@@ -191,10 +191,12 @@ pub fn run_uniform_workflow(
 
     if cfg.post_process {
         // Boundaries along z with the fine unit period (the partition the
-        // MRC pipeline introduced).
+        // MRC pipeline introduced), smoothed in place: `bezier_pass` without
+        // its copy, and no pass at all when the selector turned every axis
+        // off.
         let post_cfg = PostConfig::sz3_multires(cfg.roi.block);
         let choice = select_intensity(field, &reconstruction, eb, &post_cfg);
-        reconstruction = bezier_pass(&reconstruction, eb, choice.a, &post_cfg);
+        bezier_pass_in_place(&mut reconstruction, eb, choice.a, &post_cfg);
     }
 
     let error_model = cfg.uncertainty_iso.map(|iso| {

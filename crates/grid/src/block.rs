@@ -5,8 +5,9 @@
 //! partition logic; it is also reused by SZ2/ZFP for their compression blocks.
 
 use crate::dims::Dims3;
-use crate::field::Field3;
+use crate::field::{Field3, LaneMinMax};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 
 /// A regular partition of `domain` into cubes of side `b` (edge blocks may be
 /// smaller).
@@ -89,8 +90,14 @@ impl BlockGrid {
         })
     }
 
-    /// Per-block value range (`max − min`), computed in parallel. Index order
-    /// matches [`Self::iter`].
+    /// Per-block value range (`max − min` of the `f32::min`/`f32::max` scan,
+    /// NaN cells ignored), computed in parallel. Index order matches
+    /// [`Self::iter`].
+    ///
+    /// Each block's rows fold into 8 lanes with compare-selects (the kernel
+    /// behind [`Field3::min_max`]); a block whose min or max is a zero is
+    /// rescanned with `f32::min`/`f32::max`, so every range is bit for bit
+    /// the scalar scan's.
     pub fn block_ranges(&self, field: &Field3) -> Vec<f32> {
         assert_eq!(
             field.dims(),
@@ -101,12 +108,23 @@ impl BlockGrid {
         blocks
             .par_iter()
             .map(|blk| {
-                let mut mn = f32::INFINITY;
-                let mut mx = f32::NEG_INFINITY;
-                for x in blk.origin[0]..blk.origin[0] + blk.size.nx {
-                    for y in blk.origin[1]..blk.origin[1] + blk.size.ny {
-                        let row = self.domain.idx(x, y, blk.origin[2]);
-                        for &v in &field.data()[row..row + blk.size.nz] {
+                let xs = blk.origin[0]..blk.origin[0] + blk.size.nx;
+                let ys = blk.origin[1]..blk.origin[1] + blk.size.ny;
+                let row = |x: usize, y: usize| {
+                    let start = self.domain.idx(x, y, blk.origin[2]);
+                    &field.data()[start..start + blk.size.nz]
+                };
+                let mut lanes = LaneMinMax::<8>::new();
+                for x in xs.clone() {
+                    for y in ys.clone() {
+                        lanes.push(row(x, y));
+                    }
+                }
+                let (mut mn, mut mx) = lanes.finish();
+                if mn == 0.0 || mx == 0.0 {
+                    (mn, mx) = (f32::INFINITY, f32::NEG_INFINITY);
+                    for x in xs {
+                        for &v in ys.clone().flat_map(|y| row(x, y)) {
                             mn = mn.min(v);
                             mx = mx.max(v);
                         }
@@ -117,22 +135,35 @@ impl BlockGrid {
             .collect()
     }
 
-    /// Indices (into [`Self::iter`] order) of the top `frac` fraction of blocks
-    /// by value range — the paper's range-thresholding ROI selector. Ties are
-    /// broken deterministically by block index. `frac` is clamped to `[0, 1]`.
-    pub fn top_range_blocks(&self, field: &Field3, frac: f64) -> Vec<usize> {
+    /// Every block index (in [`Self::iter`] order), widest value range
+    /// first — the one ranking behind the ROI selector and AMR level
+    /// assignment. A block whose non-NaN cells are all +∞ (or all −∞) has a
+    /// NaN range and ranks below every number; ±0.0 rank equal; ties go to
+    /// the lower block index. A total order, whatever the field holds.
+    pub fn rank_by_range(&self, field: &Field3) -> Vec<usize> {
         let ranges = self.block_ranges(field);
-        let k = ((ranges.len() as f64) * frac.clamp(0.0, 1.0)).round() as usize;
         let mut order: Vec<usize> = (0..ranges.len()).collect();
-        order.sort_by(|&a, &b| {
-            ranges[b]
-                .partial_cmp(&ranges[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        order.sort_unstable_by(|&a, &b| by_range(ranges[b], ranges[a]).then(a.cmp(&b)));
+        order
+    }
+
+    /// Indices (into [`Self::iter`] order) of the top `frac` fraction of blocks
+    /// by value range — the paper's range-thresholding ROI selector, on
+    /// [`Self::rank_by_range`]'s order. `frac` is clamped to `[0, 1]`.
+    pub fn top_range_blocks(&self, field: &Field3, frac: f64) -> Vec<usize> {
+        let order = self.rank_by_range(field);
+        let k = ((order.len() as f64) * frac.clamp(0.0, 1.0)).round() as usize;
         let mut top: Vec<usize> = order.into_iter().take(k).collect();
         top.sort_unstable();
         top
+    }
+}
+
+/// Ascending order of value ranges: NaN below every number, ±0.0 equal.
+fn by_range(a: f32, b: f32) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(&b).expect("neither is NaN"),
+        (a_nan, b_nan) => b_nan.cmp(&a_nan),
     }
 }
 
@@ -180,6 +211,25 @@ mod tests {
 
     #[test]
     fn ranges_match_the_per_cell_scan() {
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let per_cell = |g: &BlockGrid, f: &Field3| -> Vec<f32> {
+            g.iter()
+                .map(|blk| {
+                    let mut mn = f32::INFINITY;
+                    let mut mx = f32::NEG_INFINITY;
+                    for x in blk.origin[0]..blk.origin[0] + blk.size.nx {
+                        for y in blk.origin[1]..blk.origin[1] + blk.size.ny {
+                            for z in blk.origin[2]..blk.origin[2] + blk.size.nz {
+                                mn = mn.min(f.get(x, y, z));
+                                mx = mx.max(f.get(x, y, z));
+                            }
+                        }
+                    }
+                    mx - mn
+                })
+                .collect()
+        };
+
         // Edge blocks, NaN (ignored by min/max), ±∞, and an all-NaN block.
         let mut f = Field3::from_fn(Dims3::new(10, 9, 13), |x, y, z| {
             ((x * 31 + y * 17 + z * 7) % 23) as f32 - 11.5
@@ -195,24 +245,83 @@ mod tests {
             }
         }
         let g = BlockGrid::new(f.dims(), 4);
-        let want: Vec<f32> = g
-            .iter()
-            .map(|blk| {
-                let mut mn = f32::INFINITY;
-                let mut mx = f32::NEG_INFINITY;
+        assert_eq!(bits(&g.block_ranges(&f)), bits(&per_cell(&g, &f)));
+
+        // Rows that take the 8-lane fold alone (b = 8), the fold and its
+        // remainder (11 = 8 + 3, 19 = 16 + 3), or the remainder alone (the
+        // short edge blocks), and blocks whose min or max is a zero: ±0
+        // only, all +0, a zero as the min, a zero as the max, and a -0.0
+        // inside a block that crosses zero.
+        for b in [8, 11, 19] {
+            let mut f = Field3::from_fn(Dims3::new(b + 3, b + 1, 40), |x, y, z| {
+                ((x * 13 + y * 29 + z * 5) % 31) as f32 * 0.75 - 11.0
+            });
+            let g = BlockGrid::new(f.dims(), b);
+            let mut fill = |blk: BlockRef, palette: &[f32]| {
                 for x in blk.origin[0]..blk.origin[0] + blk.size.nx {
                     for y in blk.origin[1]..blk.origin[1] + blk.size.ny {
                         for z in blk.origin[2]..blk.origin[2] + blk.size.nz {
-                            mn = mn.min(f.get(x, y, z));
-                            mx = mx.max(f.get(x, y, z));
+                            f.set(x, y, z, palette[(x * 7 + y * 5 + z * 3) % palette.len()]);
                         }
                     }
                 }
-                mx - mn
-            })
-            .collect();
-        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&g.block_ranges(&f)), bits(&want));
+            };
+            fill(g.block(0, 0, 0), &[0.0, -0.0]);
+            fill(g.block(0, 0, 1), &[0.0]);
+            fill(g.block(0, 1, 0), &[-0.0, 0.0, 1.5, f32::NAN]);
+            fill(g.block(1, 0, 0), &[-2.0, 0.0, -0.0]);
+            fill(g.block(1, 1, 1), &[-0.0, -3.0, 2.5, 0.25]);
+            fill(g.block(0, 1, 2), &[-0.0]);
+            assert_eq!(
+                bits(&g.block_ranges(&f)),
+                bits(&per_cell(&g, &f)),
+                "b = {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn range_order_is_total() {
+        assert_eq!(by_range(0.0, -0.0), Ordering::Equal);
+        assert_eq!(by_range(f32::NAN, f32::NEG_INFINITY), Ordering::Less);
+        assert_eq!(by_range(1.0, f32::NAN), Ordering::Greater);
+        assert_eq!(by_range(f32::NAN, -f32::NAN), Ordering::Equal);
+        assert_eq!(by_range(-1.0, 2.0), Ordering::Less);
+    }
+
+    /// A block of nothing but +∞ has range ∞ − ∞ = NaN. The ranking puts
+    /// it below every number instead of handing the sort an order that is
+    /// not total (which aborts it), and the selector never picks it while
+    /// numbers remain.
+    #[test]
+    fn nan_ranges_rank_last() {
+        let mut f = Field3::from_fn(Dims3::new(8, 8, 512), |x, y, z| {
+            ((x * 3 + y * 5 + z * 7) % 11) as f32 * (1 + z / 40) as f32
+        });
+        let g = BlockGrid::new(f.dims(), 8);
+        for bz in (0..g.num_blocks()).step_by(3) {
+            for x in 0..8 {
+                for y in 0..8 {
+                    for z in bz * 8..bz * 8 + 8 {
+                        f.set(x, y, z, f32::INFINITY);
+                    }
+                }
+            }
+        }
+        let ranges = g.block_ranges(&f);
+        let order = g.rank_by_range(&f);
+        let nans = ranges.iter().filter(|r| r.is_nan()).count();
+        assert_eq!(nans, 22);
+        let (numbers, last) = order.split_at(order.len() - nans);
+        assert!(last.iter().all(|&i| ranges[i].is_nan()));
+        assert!(last.windows(2).all(|w| w[0] < w[1]), "NaN ties by index");
+        for w in numbers.windows(2) {
+            let (a, b) = (ranges[w[0]], ranges[w[1]]);
+            assert!(a > b || (a == b && w[0] < w[1]), "{w:?}: {a} then {b}");
+        }
+        let top = g.top_range_blocks(&f, 0.5);
+        assert_eq!(top.len(), 32);
+        assert!(top.iter().all(|&i| !ranges[i].is_nan()));
     }
 
     #[test]

@@ -124,27 +124,14 @@ impl Field3 {
 
     /// Minimum and maximum value (`(0, 0)` for empty fields). NaNs are ignored.
     ///
-    /// The scan folds 32 independent lanes with a compare-select the
-    /// compiler turns into vector min/max (the first-wins scalar loop is a
-    /// dependency chain it cannot vectorize), then merges the lanes in order.
-    /// A select skips NaN exactly as the scalar compare does, and the only
-    /// values equal under `<` yet different in bits are ±0.0 — so when either
-    /// result is a zero, the scalar loop reruns and decides which one, and the
-    /// bits returned are always the scalar loop's.
+    /// The scan folds 32 independent lanes with compare-selects (vector
+    /// min/max); when either result is a zero, the first-wins scalar loop
+    /// reruns and decides which one, so the bits returned are always the
+    /// scalar loop's.
     pub fn min_max(&self) -> (f32, f32) {
-        const LANES: usize = 32;
-        let mut mn = [f32::INFINITY; LANES];
-        let mut mx = [f32::NEG_INFINITY; LANES];
-        let chunks = self.data.chunks_exact(LANES);
-        let tail = chunks.remainder();
-        for c in chunks {
-            for j in 0..LANES {
-                mn[j] = if c[j] < mn[j] { c[j] } else { mn[j] };
-                mx[j] = if c[j] > mx[j] { c[j] } else { mx[j] };
-            }
-        }
-        let (mut mn, _) = scan_min_max(mn.iter().chain(tail));
-        let (_, mut mx) = scan_min_max(mx.iter().chain(tail));
+        let mut lanes = LaneMinMax::<32>::new();
+        lanes.push(&self.data);
+        let (mut mn, mut mx) = lanes.finish();
         if mn == 0.0 || mx == 0.0 {
             (mn, mx) = scan_min_max(&self.data);
         }
@@ -466,6 +453,57 @@ impl Field3 {
             out.extend_from_slice(&self.data[base..base + self.dims.nz]);
         }
         (self.dims.ny, self.dims.nz, out)
+    }
+}
+
+/// Running minimum and maximum of the rows pushed into it (`(+∞, −∞)` when
+/// nothing but NaN), folded into `LANES` independent lanes with a
+/// compare-select the compiler turns into vector min/max (a first-wins
+/// scalar loop is a dependency chain it cannot vectorize); each row's cells
+/// past its last full chunk fold into one scalar pair, and the lanes merge
+/// in [`Self::finish`]. A select skips NaN exactly as a scalar compare or
+/// `f32::min` does, and the only values equal under `<` yet different in
+/// bits are ±0.0 — so the results are bit for bit any scalar scan's unless
+/// one of them is a zero, whose sign the caller's own scan decides.
+pub(crate) struct LaneMinMax<const LANES: usize> {
+    mn: [f32; LANES],
+    mx: [f32; LANES],
+    tail_mn: f32,
+    tail_mx: f32,
+}
+
+impl<const LANES: usize> LaneMinMax<LANES> {
+    pub(crate) fn new() -> Self {
+        LaneMinMax {
+            mn: [f32::INFINITY; LANES],
+            mx: [f32::NEG_INFINITY; LANES],
+            tail_mn: f32::INFINITY,
+            tail_mx: f32::NEG_INFINITY,
+        }
+    }
+
+    // Indexed lanes: the zipped-iterator form of the same fold measured
+    // ≈ 1.5× slower (x86-64 release build).
+    #[allow(clippy::needless_range_loop)]
+    #[inline]
+    pub(crate) fn push(&mut self, row: &[f32]) {
+        let (chunks, tail) = row.as_chunks::<LANES>();
+        for c in chunks {
+            for j in 0..LANES {
+                self.mn[j] = if c[j] < self.mn[j] { c[j] } else { self.mn[j] };
+                self.mx[j] = if c[j] > self.mx[j] { c[j] } else { self.mx[j] };
+            }
+        }
+        for &v in tail {
+            self.tail_mn = if v < self.tail_mn { v } else { self.tail_mn };
+            self.tail_mx = if v > self.tail_mx { v } else { self.tail_mx };
+        }
+    }
+
+    pub(crate) fn finish(&self) -> (f32, f32) {
+        let (mn, _) = scan_min_max(self.mn.iter().chain([&self.tail_mn]));
+        let (_, mx) = scan_min_max(self.mx.iter().chain([&self.tail_mx]));
+        (mn, mx)
     }
 }
 

@@ -76,14 +76,7 @@ pub fn to_amr(field: &Field3, cfg: &AmrConfig) -> MultiResData {
         cfg.unit
     );
     let grid = BlockGrid::new(domain, cfg.unit);
-    let ranges = grid.block_ranges(field);
-    let mut order: Vec<usize> = (0..ranges.len()).collect();
-    order.sort_by(|&a, &b| {
-        ranges[b]
-            .partial_cmp(&ranges[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    let order = grid.rank_by_range(field);
 
     // Split the ranked blocks into per-level index sets by target density.
     let n_levels = cfg.densities.len();
@@ -197,6 +190,35 @@ mod tests {
                 f.get(b.origin[0], b.origin[1], b.origin[2])
             );
         }
+    }
+
+    /// Both range selectors rank on `BlockGrid::rank_by_range`: a block of
+    /// nothing but +∞ (range ∞ − ∞ = NaN) ranks last instead of aborting
+    /// the sort, so it stays on the coarse level.
+    #[test]
+    fn nan_range_blocks_rank_last_in_both_selectors() {
+        let mut f = Field3::from_fn(Dims3::new(8, 8, 512), |x, y, z| {
+            ((x + 2 * y + 3 * z) % 17) as f32
+        });
+        for z in 0..512 {
+            if (z / 8) % 3 == 0 {
+                for x in 0..8 {
+                    for y in 0..8 {
+                        f.set(x, y, z, f32::INFINITY);
+                    }
+                }
+            }
+        }
+        let finite =
+            |blocks: &[UnitBlock]| blocks.iter().all(|b| b.data.iter().all(|v| v.is_finite()));
+        let amr = to_amr(&f, &AmrConfig::new(8, vec![0.5, 0.5]));
+        assert_eq!(amr.coverage_defects(), 0);
+        assert_eq!(amr.levels[0].blocks.len(), 32);
+        assert!(finite(&amr.levels[0].blocks));
+        let roi = crate::to_adaptive(&f, &crate::RoiConfig::new(8, 0.5));
+        assert_eq!(roi.coverage_defects(), 0);
+        assert_eq!(roi.levels[0].blocks.len(), 32);
+        assert!(finite(&roi.levels[0].blocks));
     }
 
     #[test]

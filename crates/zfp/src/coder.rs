@@ -28,6 +28,13 @@ pub fn uint2int(x: u64) -> i64 {
     (x ^ NBMASK).wrapping_sub(NBMASK) as i64
 }
 
+/// Mask of the negabinary planes a block coded at `maxprec` carries —
+/// `kmin = INTPREC − maxprec` through `INTPREC − 1`, every bit of which
+/// [`encode_block_ints`] writes and [`decode_block_ints`] gets back.
+pub(crate) fn kept_planes(maxprec: u32) -> u64 {
+    (!0u64 << INTPREC.saturating_sub(maxprec)) & ((1u64 << INTPREC) - 1)
+}
+
 /// Transposes a 64×64 bit matrix in place (`a[r]` bit `c` ↔ `a[c]` bit `r`),
 /// by recursive block swaps — six masked exchange rounds instead of 4096
 /// single-bit moves. Used to turn 64 negabinary coefficients into 64 ready

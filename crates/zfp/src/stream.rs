@@ -1,6 +1,8 @@
 //! Whole-field fixed-accuracy compression on top of the block coder.
 
-use crate::coder::{decode_block_ints, encode_block_ints, INTPREC};
+use crate::coder::{
+    decode_block_ints, encode_block_ints, int2uint, kept_planes, uint2int, INTPREC,
+};
 use crate::transform::{fwd_transform3, inv_transform3};
 use crate::{ZfpConfig, BLOCK, BLOCK_LEN};
 use hqmr_codec::{
@@ -70,6 +72,25 @@ pub fn compress_into(field: &Field3, cfg: &ZfpConfig, out: &mut Vec<u8>) {
     c.write_into(out);
 }
 
+/// [`compress_into`] that also leaves in `recon` (reshaped, its allocation
+/// reused) the field [`decompress_into`] reproduces from `out`, bit for bit.
+/// The decoder gets back each coefficient's negabinary planes from `kmin`
+/// up — exactly the planes the encoder wrote — so the block loop masks the
+/// planes below `kmin` off its own coefficients and runs the decoder's tail
+/// on them: no bit-plane decode, no second pass over the field.
+fn compress_with_recon(field: &Field3, cfg: &ZfpConfig, out: &mut Vec<u8>, recon: &mut Field3) {
+    out.clear();
+    let (c, _) = compress_container_with(
+        field,
+        cfg,
+        crate::simd::scale_block,
+        fwd_transform3,
+        encode_block_ints,
+        Some(recon),
+    );
+    c.write_into(out);
+}
+
 /// The compression pipeline up to (but not including) serialization.
 fn compress_container(field: &Field3, cfg: &ZfpConfig) -> (Container, usize) {
     compress_container_with(
@@ -78,20 +99,27 @@ fn compress_container(field: &Field3, cfg: &ZfpConfig) -> (Container, usize) {
         crate::simd::scale_block,
         fwd_transform3,
         encode_block_ints,
+        None,
     )
 }
 
 /// [`compress_container`] parameterized over the fixed-point scaling, block
 /// transform and bit-plane encoder, so the [`reference`] path reuses
-/// everything but the kernels under test.
+/// everything but the kernels under test. With `recon`, the field is also
+/// reconstructed there as the decoder will see it: reshaped and zero-filled
+/// like the decoder's output, each coded block inserted as it is encoded.
 fn compress_container_with(
     field: &Field3,
     cfg: &ZfpConfig,
     scale_block: fn(&[f32; 64], &mut [i64; 64], f64),
     fwd: fn(&mut [i64; 64]),
     enc: fn(&mut BitWriter, &[i64; 64], u32),
+    mut recon: Option<&mut Field3>,
 ) -> (Container, usize) {
     let dims = field.dims();
+    if let Some(recon) = recon.as_deref_mut() {
+        recon.reshape(dims, 0.0);
+    }
     let grid = BlockGrid::new(dims, BLOCK);
     let minexp = cfg.tol.log2().floor() as i32;
     let mut w = BitWriter::with_capacity(dims.len());
@@ -123,6 +151,14 @@ fn compress_container_with(
         scale_block(&vals, &mut ints, scale);
         fwd(&mut ints);
         enc(&mut w, &ints, maxprec as u32);
+        if let Some(recon) = recon.as_deref_mut() {
+            let kept = kept_planes(maxprec as u32);
+            for c in &mut ints {
+                *c = uint2int(int2uint(*c) & kept);
+            }
+            inv_transform3(&mut ints);
+            insert_block(recon, blk.origin, &ints, emax);
+        }
     }
 
     let mut head = Vec::new();
@@ -179,7 +215,6 @@ fn decompress_into_with(
     let mut r = BitReader::new(payload);
 
     out.reshape(dims, 0.0);
-    let mut fvals = [0f32; BLOCK_LEN];
     for blk in grid.iter() {
         if !r.read_bit() {
             continue; // zero block
@@ -191,19 +226,22 @@ fn decompress_into_with(
         }
         let mut ints = decode(&mut r, maxprec as u32);
         inv(&mut ints);
-        let scale = 2f64.powi(emax - Q);
-        for (f, &i) in fvals.iter_mut().zip(&ints) {
-            *f = (i as f64 * scale) as f32;
-        }
-        // Write back through the clipping insert — cells past the domain
-        // edge (the replicated gather padding) are dropped, no per-block
-        // field temporaries.
-        out.insert_box_from(blk.origin, Dims3::cube(BLOCK), &fvals);
+        insert_block(out, blk.origin, &ints, emax);
     }
     if r.bit_pos() > payload.len() * 8 {
         return Err(ZfpError::Malformed("stream underrun"));
     }
     Ok(())
+}
+
+/// The decoder's tail, shared with the encoder's reconstruction: a block's
+/// inverse-transformed integers scaled back to `f32` at exponent `emax` and
+/// written through the clipping insert — cells past the domain edge (the
+/// replicated gather padding) are dropped, no per-block field temporaries.
+fn insert_block(out: &mut Field3, origin: [usize; 3], ints: &[i64; BLOCK_LEN], emax: i32) {
+    let scale = 2f64.powi(emax - Q);
+    let vals: [f32; BLOCK_LEN] = std::array::from_fn(|i| (ints[i] as f64 * scale) as f32);
+    out.insert_box_from(origin, Dims3::cube(BLOCK), &vals);
 }
 
 /// Pre-overhaul codec paths built on the reference transform and per-bit
@@ -222,6 +260,7 @@ pub mod reference {
             crate::simd::scale_block_scalar,
             crate::transform::reference::fwd_transform3,
             crate::coder::reference::encode_block_ints,
+            None,
         );
         CompressResult {
             bytes: c.to_bytes(),
@@ -273,6 +312,17 @@ impl Codec for ZfpCodec {
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         decompress_into(bytes, out)
     }
+
+    fn compress_with_recon(
+        &self,
+        field: &Field3,
+        eb: f64,
+        out: &mut Vec<u8>,
+        recon: &mut Field3,
+    ) -> Result<(), CodecError> {
+        compress_with_recon(field, &ZfpConfig::new(eb), out, recon);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -295,6 +345,59 @@ mod tests {
         let g = decompress(&r.bytes).unwrap();
         assert!((g.get(0, 0, 0) - 5.0).abs() <= 0.01);
         assert_eq!(g.get(7, 7, 7), 0.0);
+    }
+
+    /// The encoder's own reconstruction is the decoder's, bit for bit, and
+    /// the stream is `compress_into`'s: on zero blocks, all-below-tolerance
+    /// blocks, blocks holding NaN, ±∞ or -0.0, edge-partial and one-cell
+    /// shapes, and at a tolerance that codes every plane (`maxprec ==
+    /// INTPREC`) through one that culls nearly everything.
+    #[test]
+    fn compress_with_recon_is_the_decoded_stream() {
+        let wavy = |dims: Dims3| {
+            Field3::from_fn(dims, |x, y, z| {
+                ((x * 7 + y * 13 + z * 3) % 29) as f32 * 0.37 - 5.0 + (z as f32 * 0.3).sin()
+            })
+        };
+        let mut planted = wavy(Dims3::new(12, 8, 9));
+        for (origin, v) in [([0, 0, 0], 0.0), ([4, 0, 0], 1e-30), ([8, 4, 4], -1e-30)] {
+            planted.insert_box(origin, &Field3::new(Dims3::cube(BLOCK), v));
+        }
+        planted.set(1, 5, 1, f32::NAN);
+        planted.set(2, 2, 6, f32::INFINITY);
+        planted.set(6, 6, 6, f32::NEG_INFINITY);
+        planted.set(9, 1, 1, -0.0);
+        planted.set(11, 7, 8, f32::NAN);
+        let cases = [
+            wavy(Dims3::new(17, 9, 5)),
+            wavy(Dims3::new(1, 1, 1)),
+            planted,
+            Field3::new(Dims3::new(1, 1, 1), f32::NAN),
+            Field3::zeros(Dims3::new(5, 4, 3)),
+            wavy(Dims3::new(16, 8, 20)),
+        ];
+        // The smallest tolerance codes every plane of a block at emax 2.
+        assert_eq!(
+            block_maxprec(2, (1e-7f64).log2().floor() as i32),
+            INTPREC as i32
+        );
+
+        let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut out, mut want) = (Vec::new(), Vec::new());
+        let (mut recon, mut decoded) = (Field3::default(), Field3::default());
+        for tol in [1e-7, 1e-3, 0.5, 50.0] {
+            for f in &cases {
+                let at = format!("{} tol {tol}", f.dims());
+                ZfpCodec
+                    .compress_with_recon(f, tol, &mut out, &mut recon)
+                    .unwrap();
+                compress_into(f, &ZfpConfig::new(tol), &mut want);
+                assert_eq!(out, want, "{at}: stream");
+                decompress_into(&out, &mut decoded).unwrap();
+                assert_eq!(recon.dims(), decoded.dims(), "{at}");
+                assert_eq!(bits(&recon), bits(&decoded), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn store_arrays(merge: MergeStrategy, pad: Option<PadKind>) -> Vec<Field3> {
 /// NaN payloads and signed zeros included — and the stream is the one
 /// `compress` writes. Held on real store arrays and degenerate shapes, with
 /// outliers, NaN and ±∞ planted, across four decades of error bound, for
-/// the overriding backends (sz3, sz2) and the default body (zfp, null) alike.
+/// the overriding backends (sz3, sz2, zfp) and the default body (null) alike.
 #[test]
 fn compress_with_recon_hands_back_what_decompress_produces() {
     let padded = store_arrays(MergeStrategy::Linear, Some(PadKind::Linear));

@@ -179,6 +179,41 @@ fn workflow_reconstruction_equals_decoded_stream() {
     }
 }
 
+/// With the post-process on, the workflow's field is `bezier_pass` of the
+/// decoded stream at the selector's intensities, bit for bit, on every
+/// backend: where the selector engages an axis (the field is smoothed in
+/// place) and where it turns every axis off (no pass runs at all).
+#[test]
+fn post_processed_workflow_equals_bezier_pass_of_decoded_stream() {
+    let f = synth::warpx_like(Dims3::new(16, 16, 128), 43);
+    let (mut engaged, mut idle) = (0, 0);
+    for backend in Backend::ALL {
+        let mut cfg = WorkflowConfig::new(1e-3);
+        cfg.roi = RoiConfig::new(8, 0.5);
+        cfg.compressor = CompressorChoice::ours().with_backend(backend);
+        assert!(cfg.post_process);
+        let r = run_uniform_workflow(&f, &cfg).unwrap();
+        let decoded = decompress_mr(&r.compressed)
+            .unwrap()
+            .reconstruct(cfg.upsample);
+        let post = PostConfig::sz3_multires(cfg.roi.block);
+        let a = select_intensity(&f, &decoded, r.eb, &post).a;
+        let want = bezier_pass(&decoded, r.eb, a, &post);
+        let bits = |x: &Field3| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(r.reconstruction.dims(), want.dims(), "{backend:?}");
+        assert!(
+            bits(&r.reconstruction) == bits(&want),
+            "{backend:?} (a = {a:?}): reconstruction"
+        );
+        if a.iter().any(|&ai| ai > 0.0) {
+            engaged += 1;
+        } else {
+            idle += 1;
+        }
+    }
+    assert!(engaged > 0 && idle > 0, "{engaged} engaged, {idle} idle");
+}
+
 /// The workflow's reduction stages, written to a block-indexed store instead
 /// of the monolithic stream: `to_adaptive` → `write_store` under the
 /// workflow's own compressor choice and bound.
