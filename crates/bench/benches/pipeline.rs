@@ -1,12 +1,17 @@
 //! Pipeline-stage benches: merge arrangements (Table IV's pre-process),
-//! padding, the Bézier post-process (Table IX, parallel vs serial), and the
-//! FFT behind the power-spectrum analysis.
+//! padding, the Bézier post-process (Table IX, parallel vs serial), the FFT
+//! behind the power-spectrum analysis, and landing multi-resolution blocks
+//! in a uniform field (the reader's last stage).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hqmr_core::mrc::MrcConfig;
 use hqmr_core::post::{bezier_pass, PostConfig};
-use hqmr_grid::synth;
-use hqmr_mr::{merge_level, pad_small_dims, to_amr, AmrConfig, MergeStrategy, PadKind};
+use hqmr_grid::{synth, Dims3};
+use hqmr_mr::{
+    merge_level, pad_small_dims, to_adaptive, to_amr, AmrConfig, MergeStrategy, PadKind, RoiConfig,
+    Upsample,
+};
+use hqmr_store::{write_store, StoreConfig, StoreReader};
 
 fn bench_merges(c: &mut Criterion) {
     let f = synth::nyx_like(64, 88);
@@ -89,5 +94,42 @@ fn bench_fft(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_merges, bench_post, bench_insitu, bench_fft);
+/// A 128×128×1024 WarpX proxy at the paper's ROI setting (two levels), the
+/// `cold_read` shape: `reconstruct` of the decoded levels (landing alone),
+/// and a full progressive walk of its sz3 store (decoding every chunk,
+/// landing window by window, and copying out the non-final step).
+fn bench_land(c: &mut Criterion) {
+    let dims = Dims3::new(128, 128, 1024);
+    let field = synth::warpx_like(dims, 20240917);
+    let mr = to_adaptive(&field, &RoiConfig::paper_default());
+    let (mn, mx) = field.min_max();
+    let cfg = StoreConfig::new((mx - mn) as f64 * 1e-3);
+    let store = write_store(&mr, &cfg, &hqmr_sz3::Sz3Codec::default());
+    let reader = StoreReader::from_bytes(store).expect("a fresh store opens");
+    let decoded = reader.read_all().expect("a fresh store reads back");
+    let mut g = c.benchmark_group("land");
+    g.sample_size(10)
+        .throughput(Throughput::Bytes((dims.len() * 4) as u64));
+    g.bench_function("reconstruct_nearest", |b| {
+        b.iter(|| decoded.reconstruct(Upsample::Nearest).len())
+    });
+    g.bench_function("progressive_nearest", |b| {
+        b.iter(|| {
+            let steps = reader.progressive(Upsample::Nearest);
+            steps
+                .map(|s| s.expect("a fresh store decodes").field.len())
+                .sum::<usize>()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_merges,
+    bench_post,
+    bench_insitu,
+    bench_fft,
+    bench_land
+);
 criterion_main!(benches);

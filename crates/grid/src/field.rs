@@ -1,6 +1,7 @@
 //! Dense row-major `f32` scalar field.
 
 use crate::dims::Dims3;
+use rayon::prelude::*;
 
 /// A dense 3-D scalar field (`f32`, row-major, `z` fastest). The default is
 /// the empty `0×0×0` field.
@@ -252,60 +253,77 @@ impl Field3 {
     /// [`Self::insert_box_from`] for a batch of equally sized blocks, with
     /// every source cell replicated `factor`× along each axis —
     /// nearest-neighbour upsampling written straight into place, with no
-    /// intermediate field: each coarse `z`-row is expanded once, into its
-    /// first destination row, and that row is copied to the other
-    /// `factor² − 1`. Per block this equals inserting it after
+    /// intermediate field. Per block this equals inserting it after
     /// `log2(factor)` rounds of [`Self::upsample2_nearest`]; `factor = 1` is a
     /// plain insert. Cells falling outside the domain are dropped.
     ///
-    /// The batch is walked row-major: for each `(x, y)` of the block shape,
-    /// every block's row is landed before the next row is started. A block
-    /// touches one short segment in each of `(nx·factor)·(ny·factor)` rows
-    /// of this field, a whole `z`-row apart; blocks strung along `z` — what
-    /// a store chunk or a raster-ordered column holds — touch the *same*
-    /// rows, so batching them turns those scattered single-line writes into
-    /// runs within a few live pages. Any batch of disjoint blocks is
-    /// correct; small, `z`-adjacent ones are fast. (Where blocks of one
-    /// batch overlap, which block's cells survive is unspecified.)
+    /// The batch lands one destination `x`-plane at a time, the planes it
+    /// covers fanned out across cores: a plane is written by exactly one
+    /// worker, so large batches (a whole level, a window of decoded chunks)
+    /// spread both the copying and the first-touch page faults of a fresh
+    /// field over every core. Within a plane, each covering block lands its
+    /// rows in `y` order: with `factor = 1` a row is one slice copy;
+    /// otherwise the coarse `z`-row is expanded once into its first
+    /// destination row and copied to the plane's other `factor − 1`. Any
+    /// batch of disjoint blocks is correct and its order does not matter.
+    /// (Where blocks of one batch overlap, which block's cells survive is
+    /// unspecified.)
     ///
     /// # Panics
     /// Panics if a block's `data.len() != bd.len()` or `factor == 0`.
     pub fn insert_boxes_replicated<'a, I>(&mut self, bd: Dims3, factor: usize, blocks: I)
     where
-        I: Iterator<Item = ([usize; 3], &'a [f32])> + Clone,
+        I: Iterator<Item = ([usize; 3], &'a [f32])>,
     {
         assert!(factor > 0, "replication factor must be positive");
-        for (_, data) in blocks.clone() {
-            assert_eq!(data.len(), bd.len(), "source buffer does not match {bd}");
-        }
+        let mut blocks: Vec<_> = blocks
+            .inspect(|(_, data)| {
+                assert_eq!(data.len(), bd.len(), "source buffer does not match {bd}");
+            })
+            .collect();
         let d = self.dims;
-        for x in 0..bd.nx {
-            for y in 0..bd.ny {
-                let src = bd.idx(x, y, 0);
-                for (origin, data) in blocks.clone() {
-                    let (gx, gy) = (origin[0] + x * factor, origin[1] + y * factor);
-                    let zn = (bd.nz * factor).min(d.nz.saturating_sub(origin[2]));
-                    if gx >= d.nx || gy >= d.ny || zn == 0 {
-                        continue;
-                    }
-                    let first = d.idx(gx, gy, origin[2]);
-                    for (cells, &v) in self.data[first..first + zn]
-                        .chunks_mut(factor)
-                        .zip(&data[src..src + bd.nz])
-                    {
-                        cells.fill(v);
-                    }
-                    for rx in gx..(gx + factor).min(d.nx) {
-                        for ry in gy..(gy + factor).min(d.ny) {
-                            let dst = d.idx(rx, ry, origin[2]);
-                            if dst != first {
-                                self.data.copy_within(first..first + zn, dst);
-                            }
+        let plane = d.ny * d.nz;
+        blocks.retain(|(o, _)| o[0] < d.nx && o[1] < d.ny && o[2] < d.nz && !bd.is_empty());
+        blocks.sort_by_key(|(o, _)| o[0]);
+        let (Some(first), Some(last)) = (blocks.first(), blocks.last()) else {
+            return; // nothing lands (always so when either shape is empty)
+        };
+        // Destination extents of one block along `x` and `z`.
+        let (ex, ez) = (bd.nx * factor, bd.nz * factor);
+        let x0 = first.0[0];
+        let x1 = (last.0[0] + ex).min(d.nx);
+        let planes = &mut self.data[x0 * plane..x1 * plane];
+        planes
+            .par_chunks_mut(plane)
+            .enumerate()
+            .for_each(|(i, out)| {
+                let gx = x0 + i;
+                // Blocks are sorted by `x` origin: those covering `gx` are a run.
+                let lo = blocks.partition_point(|(o, _)| o[0] + ex <= gx);
+                let hi = blocks.partition_point(|(o, _)| o[0] <= gx);
+                for &(o, data) in &blocks[lo..hi] {
+                    let src = &data[bd.idx((gx - o[0]) / factor, 0, 0)..][..bd.ny * bd.nz];
+                    let zn = ez.min(d.nz - o[2]);
+                    for (y, row) in src.chunks_exact(bd.nz).enumerate() {
+                        let gy = o[1] + y * factor;
+                        if gy >= d.ny {
+                            break;
+                        }
+                        let at = gy * d.nz + o[2];
+                        let dst = &mut out[at..at + zn];
+                        if factor == 1 {
+                            dst.copy_from_slice(&row[..zn]);
+                            continue;
+                        }
+                        for (cells, &v) in dst.chunks_mut(factor).zip(row) {
+                            cells.fill(v);
+                        }
+                        for ry in gy + 1..(gy + factor).min(d.ny) {
+                            out.copy_within(at..at + zn, ry * d.nz + o[2]);
                         }
                     }
                 }
-            }
-        }
+            });
     }
 
     /// 2× average downsampling (each coarse cell is the mean of its ≤8 fine
@@ -757,6 +775,46 @@ mod tests {
                     [(origin, block.data()), (second, &other[..])].into_iter(),
                 );
                 assert_eq!(got, want, "factor {factor}, batch at {origin:?}");
+            }
+
+            // A tiling of 4×3×2 distinct blocks over many x-planes, several
+            // blocks to a plane, overhanging the x and z faces, handed over
+            // in reverse raster order.
+            let [ex, ey, ez] = [3, 2, 5].map(|n| n * factor);
+            let dims = Dims3::new(4 * ex - 1, 3 * ey, 2 * ez - 3);
+            let tiles: Vec<([usize; 3], Vec<f32>)> = (0..24)
+                .map(|k| {
+                    let origin = [k / 6 * ex, k / 2 % 3 * ey, k % 2 * ez];
+                    let data = block.data().iter().map(|v| v + 1000.0 * k as f32);
+                    (origin, data.collect())
+                })
+                .collect();
+            let mut want = Field3::new(dims, -1.0);
+            for (origin, data) in &tiles {
+                let mut fine = Field3::from_vec(block.dims(), data.clone());
+                for _ in 0..factor.trailing_zeros() {
+                    fine = fine.upsample2_nearest(fine.dims().scaled(2));
+                }
+                want.insert_box(*origin, &fine);
+            }
+            let mut got = Field3::new(dims, -1.0);
+            let batch = tiles.iter().rev().map(|(o, data)| (*o, &data[..]));
+            got.insert_boxes_replicated(block.dims(), factor, batch);
+            assert_eq!(got, want, "factor {factor}, tiling");
+
+            // An empty batch writes nothing; neither does any batch into a
+            // field with no cells along y or z.
+            got.insert_boxes_replicated(block.dims(), factor, std::iter::empty());
+            assert_eq!(got, want, "factor {factor}, empty batch");
+            for dims in [
+                Dims3::new(8, 0, 8),
+                Dims3::new(8, 8, 0),
+                Dims3::new(0, 8, 8),
+            ] {
+                let mut empty = Field3::zeros(dims);
+                let batch = tiles.iter().map(|(o, data)| (*o, &data[..]));
+                empty.insert_boxes_replicated(block.dims(), factor, batch);
+                assert_eq!(empty, Field3::zeros(dims), "factor {factor}, {dims}");
             }
         }
     }

@@ -118,12 +118,8 @@ impl MultiResData {
     pub fn reconstruct(&self, scheme: Upsample) -> Field3 {
         let mut out = Field3::zeros(self.domain);
         for lvl in self.levels.iter().rev() {
-            // Raster order strings the blocks of one `(x, y)` column
-            // together, and those land in the same rows of `out`: one batch.
-            for column in lvl.blocks.chunk_by(|a, b| a.origin[..2] == b.origin[..2]) {
-                let blocks = column.iter().map(|b| (b.origin, &b.data[..]));
-                insert_blocks_upsampled(&mut out, lvl.level, lvl.unit, blocks, scheme);
-            }
+            let blocks = lvl.blocks.iter().map(|b| (b.origin, &b.data[..]));
+            insert_blocks_upsampled(&mut out, lvl.level, lvl.unit, blocks, scheme);
         }
         out
     }
@@ -162,11 +158,12 @@ impl MultiResData {
 /// two cannot drift apart.
 ///
 /// [`Upsample::Nearest`] replicates rows in place
-/// ([`Field3::insert_boxes_replicated`], which is also why blocks come in
-/// batches: `z`-adjacent ones share destination rows) — no temporary, each
-/// output cell written once. [`Upsample::Trilinear`] interpolates within
-/// each isolated block (it never reads a neighbour), doubling it `level`
-/// times before the insert; only those doublings allocate.
+/// ([`Field3::insert_boxes_replicated`]) — no temporary, each output cell
+/// written once, the destination `x`-planes the batch covers fanned out
+/// across cores (so callers pass whole levels or windows, not single blocks).
+/// [`Upsample::Trilinear`] interpolates within each isolated block (it never
+/// reads a neighbour), doubling it `level` times before the insert; only
+/// those doublings allocate.
 pub fn insert_blocks_upsampled<'a, I>(
     out: &mut Field3,
     level: usize,
@@ -174,7 +171,7 @@ pub fn insert_blocks_upsampled<'a, I>(
     blocks: I,
     scheme: Upsample,
 ) where
-    I: Iterator<Item = ([usize; 3], &'a [f32])> + Clone,
+    I: Iterator<Item = ([usize; 3], &'a [f32])>,
 {
     let factor = 1usize << level;
     let bd = Dims3::cube(unit);
@@ -377,5 +374,74 @@ mod tests {
         assert_eq!(mr.coverage_defects(), 0);
         let expect = 512.0 / (4.0 * 64.0 + 4.0 * 8.0);
         assert!((mr.storage_ratio() - expect).abs() < 1e-12);
+    }
+
+    /// `reconstruct` against the definition it must equal, computed with
+    /// none of its machinery: every block upsampled on its own with
+    /// `upsample2_*` and inserted, coarse levels first. Layouts are seeded
+    /// 2- and 3-level partitions of domains that are not a multiple of the
+    /// coarse footprint, so blocks overhang the high faces.
+    #[test]
+    fn reconstruct_equals_per_block_oracle() {
+        let mut h = 0x2545_F491u32;
+        let mut next = move || {
+            h = h.wrapping_mul(0x2C1B_3C6D).wrapping_add(0x2979_4F2B);
+            h >> 8
+        };
+        let footprint = 8usize; // fine cells per block side, on every level
+        for (n_levels, domain) in [
+            (2, Dims3::new(21, 13, 30)),
+            (3, Dims3::new(37, 29, 45)),
+            (3, Dims3::new(9, 40, 17)),
+        ] {
+            let tiles = domain.div_ceil(footprint);
+            let mut levels: Vec<LevelData> = (0..n_levels)
+                .map(|level| LevelData {
+                    level,
+                    unit: footprint >> level,
+                    dims: domain.div_ceil(1 << level),
+                    blocks: Vec::new(),
+                })
+                .collect();
+            // Raster order over the tiles keeps every level's blocks sorted.
+            for t in 0..tiles.len() {
+                let tile = [
+                    t / (tiles.ny * tiles.nz),
+                    t / tiles.nz % tiles.ny,
+                    t % tiles.nz,
+                ];
+                let lvl = &mut levels[next() as usize % n_levels];
+                let values = (0..lvl.unit.pow(3)).map(|_| next() as f32 / 1024.0 - 4096.0);
+                lvl.blocks.push(UnitBlock {
+                    origin: tile.map(|c| c * lvl.unit),
+                    data: values.collect(),
+                });
+            }
+            let mr = MultiResData { domain, levels };
+            assert_eq!(mr.coverage_defects(), 0);
+            for scheme in [Upsample::Nearest, Upsample::Trilinear] {
+                let mut want = Field3::zeros(domain);
+                for lvl in mr.levels.iter().rev() {
+                    for b in &lvl.blocks {
+                        let mut fine = Field3::from_vec(Dims3::cube(lvl.unit), b.data.clone());
+                        for _ in 0..lvl.level {
+                            let target = fine.dims().scaled(2);
+                            fine = match scheme {
+                                Upsample::Nearest => fine.upsample2_nearest(target),
+                                Upsample::Trilinear => fine.upsample2_trilinear(target),
+                            };
+                        }
+                        want.insert_box(b.origin.map(|o| o << lvl.level), &fine);
+                    }
+                }
+                let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let got = mr.reconstruct(scheme);
+                assert_eq!(got.dims(), domain);
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{scheme:?} {n_levels} levels {domain}"
+                );
+            }
+        }
     }
 }

@@ -40,9 +40,16 @@
 //! cache, and drop them before asking for the next. Transient heap is
 //! O(window) instead of a second copy of the level, and the pages the slabs
 //! lived in are reused by the next window instead of being faulted in fresh.
-//! Each chunk is still fetched and decoded exactly once per call. ROI reads
-//! hold few chunks and keep the single bulk request; [`level_parts`] keeps
-//! every chunk by design — it is for sources that hold them already.
+//! Each chunk is still fetched and decoded exactly once per call.
+//!
+//! A window is also the unit the copying fans out over: the owned reads copy
+//! its chunks out side by side (answer order kept; an isovalue read fills
+//! its skipped chunks' constant blocks side by side too), and [`Progressive`]
+//! lands all of its blocks as one batch, whose destination `x`-planes
+//! [`Field3::insert_boxes_replicated`] spreads across cores — copies and the
+//! first-touch faults of a fresh accumulator alike. ROI reads hold few
+//! chunks and keep the single bulk request; [`level_parts`] keeps every
+//! chunk by design — it is for sources that hold them already.
 //!
 //! [`StoreReader`]: crate::StoreReader
 
@@ -163,17 +170,17 @@ fn windows<'a>(
     })
 }
 
-/// Hands every chunk of `indices` to `land`, in order, one window of the
+/// Hands the chunks of `indices` to `land`, in order, one window of the
 /// level at a time (module docs).
-fn for_each_chunk<S: ChunkSource + ?Sized>(
+fn for_each_window<S: ChunkSource + ?Sized>(
     src: &S,
     level: usize,
     lm: &LevelMeta,
     indices: &[usize],
-    mut land: impl FnMut(&DecodedChunk),
+    mut land: impl FnMut(&[DecodedChunk]),
 ) -> Result<(), StoreError> {
     for window in windows(lm, indices, WINDOW_CELLS) {
-        src.chunks(level, window)?.iter().for_each(&mut land);
+        land(&src.chunks(level, window)?);
     }
     Ok(())
 }
@@ -258,15 +265,16 @@ impl LevelParts {
 }
 
 /// The one level assembly: every block of `level` paired with its origin, in
-/// answer order. Chunks arrive a window at a time and `land` turns each into
-/// its blocks' payloads — owned copies or references, the caller's choice;
+/// answer order. Chunks arrive a window at a time and `land` turns the
+/// window's chunks into their blocks' payloads, in chunk order — owned copies
+/// or references, the caller's choice;
 /// with `iso`, chunks provably on one side of it are not fetched and their
 /// blocks become `proxy` of the chunk's same-side value instead.
 fn level_blocks<S: ChunkSource + ?Sized, B>(
     src: &S,
     level: usize,
     iso: Option<f32>,
-    mut land: impl FnMut(&DecodedChunk, &mut Placed<B>),
+    mut land: impl FnMut(&[DecodedChunk], &mut Placed<B>),
     proxy: impl Fn(f32) -> B,
 ) -> Result<Placed<B>, StoreError> {
     let meta = src.store_meta();
@@ -276,7 +284,7 @@ fn level_blocks<S: ChunkSource + ?Sized, B>(
         None => (0..lm.chunks.len()).collect(),
     };
     let mut blocks = Vec::new();
-    for_each_chunk(src, level, lm, &keep, |c| land(c, &mut blocks))?;
+    for_each_window(src, level, lm, &keep, |w| land(w, &mut blocks))?;
     if let Some(iso) = iso {
         // `keep` ascends, so the skipped chunks fall out of one merge-walk.
         let mut kept = keep.iter().peekable();
@@ -291,8 +299,11 @@ fn level_blocks<S: ChunkSource + ?Sized, B>(
     Ok(blocks)
 }
 
-/// [`level_blocks`] with owned payloads: each window's slabs are copied out
-/// and dropped before the next is requested (module docs).
+/// [`level_blocks`] with owned payloads: each window's slabs are copied out,
+/// its chunks fanned out across cores, and dropped before the next window is
+/// requested (module docs). A skipped chunk's blocks are placed as their
+/// proxy value (`Err`) and filled out to constant blocks side by side once
+/// the walk is done.
 fn owned_level<S: ChunkSource + ?Sized>(
     src: &S,
     level: usize,
@@ -300,19 +311,38 @@ fn owned_level<S: ChunkSource + ?Sized>(
 ) -> Result<LevelData, StoreError> {
     let lm = level_meta(src.store_meta(), level)?;
     let cells = lm.unit.pow(3);
-    let blocks = level_blocks(
+    let constant = |value| vec![value; cells];
+    let mut blocks = level_blocks(
         src,
         level,
         iso,
-        |c, out| out.extend(c.to_blocks().map(|b| (b.origin, b.data))),
-        |value| vec![value; cells],
+        |w, out| {
+            let copies: Vec<Vec<_>> = w
+                .par_iter()
+                .map(|c| c.to_blocks().map(|b| (b.origin, Ok(b.data))).collect())
+                .collect();
+            out.extend(copies.into_iter().flatten());
+        },
+        Err,
     )?;
+    if iso.is_some() {
+        blocks.par_chunks_mut(1).for_each(|run| {
+            for (_, data) in run {
+                if let Err(value) = *data {
+                    *data = Ok(constant(value));
+                }
+            }
+        });
+    }
     Ok(LevelData {
         level: lm.level,
         unit: lm.unit,
         dims: lm.dims,
         blocks: (blocks.into_iter())
-            .map(|(origin, data)| UnitBlock { origin, data })
+            .map(|(origin, data)| UnitBlock {
+                origin,
+                data: data.unwrap_or_else(constant),
+            })
             .collect(),
     })
 }
@@ -331,11 +361,13 @@ pub fn level_parts<S: ChunkSource + ?Sized>(
         src,
         level,
         iso,
-        |c, out| {
-            let chunk = chunks.len();
-            chunks.push(c.clone());
-            let slabs = c.origins.iter().enumerate();
-            out.extend(slabs.map(|(slot, &origin)| (origin, BlockSrc::Slab { chunk, slot })));
+        |w, out| {
+            for c in w {
+                let chunk = chunks.len();
+                chunks.push(c.clone());
+                let slabs = c.origins.iter().enumerate();
+                out.extend(slabs.map(|(slot, &origin)| (origin, BlockSrc::Slab { chunk, slot })));
+            }
         },
         BlockSrc::Proxy,
     )?;
@@ -554,18 +586,20 @@ pub struct Progressive<'a, S: ChunkSource + ?Sized> {
 }
 
 impl<S: ChunkSource + ?Sized> Progressive<'_, S> {
-    /// Decodes `level` a window at a time and lands its blocks in the
-    /// accumulator. Coarse→fine order makes in-place landing match
-    /// `MultiResData::reconstruct` exactly: finer blocks land later and
+    /// Decodes `level` a window at a time and lands each window's blocks in
+    /// the accumulator as one batch. Coarse→fine order makes in-place landing
+    /// match `MultiResData::reconstruct` exactly: finer blocks land later and
     /// overwrite coarser ones; within a level blocks are disjoint, so chunk
     /// order is as good as raster order and nothing is sorted or staged.
     fn refine(&mut self, level: usize) -> Result<(), StoreError> {
         let lm = level_meta(self.src.store_meta(), level)?;
         let indices: Vec<usize> = (0..lm.chunks.len()).collect();
         let (acc, scheme) = (&mut self.acc, self.scheme);
-        for_each_chunk(self.src, level, lm, &indices, |c| {
-            let blocks = (0..c.block_count()).map(|k| (c.origins[k], c.block_data(k)));
-            insert_blocks_upsampled(acc, lm.level, c.unit, blocks, scheme);
+        for_each_window(self.src, level, lm, &indices, |w| {
+            let blocks = w.iter().flat_map(|c| {
+                (c.origins.iter().enumerate()).map(|(k, &origin)| (origin, c.block_data(k)))
+            });
+            insert_blocks_upsampled(acc, lm.level, lm.unit, blocks, scheme);
         })
     }
 }
