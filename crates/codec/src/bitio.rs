@@ -111,6 +111,16 @@ impl BitWriter {
         }
     }
 
+    /// Appends every bit `other` holds: its flushed bytes through
+    /// [`Self::write_bytes`], then its pending tail. The result is the two
+    /// bit sequences concatenated, exactly as if `other`'s bits had been
+    /// written here — so pieces of one stream written side by side join in
+    /// order.
+    pub fn append(&mut self, other: &BitWriter) {
+        self.write_bytes(&other.buf);
+        self.write_bits(other.acc, other.used);
+    }
+
     /// Number of bits written so far.
     #[inline]
     pub fn bit_len(&self) -> usize {
@@ -553,6 +563,33 @@ mod tests {
         // The reference writer does not pad the tail byte count differently:
         // both zero-pad to the same whole-byte length.
         assert_eq!(fb, sb);
+    }
+
+    /// Pieces of every length mod 64 (empty ones included), appended at every
+    /// alignment of the receiving writer, give the stream one writer makes.
+    #[test]
+    fn append_equals_writing_in_one() {
+        let mut x: u64 = 0x5851_F42D_4C95_7F2D;
+        let mut next = || {
+            x = x.rotate_left(9).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x
+        };
+        let mut whole = BitWriter::new();
+        let mut joined = BitWriter::new();
+        for piece in 0..130u32 {
+            let mut part = BitWriter::new();
+            for _ in 0..piece % 11 {
+                let (v, n) = (next(), 1 + (next() % 64) as u32);
+                whole.write_bits(v, n);
+                part.write_bits(v, n);
+            }
+            let (v, n) = (next(), piece % 64);
+            whole.write_bits(v, n);
+            part.write_bits(v, n);
+            joined.append(&part);
+            assert_eq!(joined.bit_len(), whole.bit_len(), "piece {piece}");
+        }
+        assert_eq!(joined.finish(), whole.finish());
     }
 
     #[test]

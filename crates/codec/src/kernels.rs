@@ -96,6 +96,16 @@ pub fn tile_parallel() -> bool {
     true
 }
 
+/// Minimum size (cells) of one array before the work on it fans out across
+/// the rayon shim: 1 Mi cells, 4 MiB of `f32`. That is the level-sized
+/// arrays of `mrc` and `one_chunk_per_level`, whose encode (zfp's slabs,
+/// sz2's wavefront) or slab extraction (the store's decode) takes
+/// milliseconds. A default store chunk (16 × 16³ cells, 256 KiB) is tens to
+/// hundreds of microseconds of work and already one of many chunks encoded
+/// or decoded side by side, where a second, nested fan-out would only add
+/// thread spawns — so it must stay below this.
+pub const PAR_MIN_CELLS: usize = 1 << 20;
+
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {

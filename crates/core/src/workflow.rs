@@ -288,6 +288,25 @@ mod tests {
         }
     }
 
+    /// No sz2 block size makes the workflow write a stream its decoder
+    /// refuses: side 1 (every block Lorenzo) round-trips to the workflow's
+    /// own reconstruction, and side 0, which has no grid, is a typed error.
+    #[test]
+    fn sz2_degenerate_block_sizes_never_write_unreadable_streams() {
+        let f = synth::nyx_like(16, 23);
+        let mut cfg = WorkflowConfig::new(2e-3);
+        cfg.roi = RoiConfig::new(8, 0.4);
+        cfg.post_process = false;
+        cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2 { block: 1 });
+        let r = run_uniform_workflow(&f, &cfg).unwrap();
+        let back = decompress_mr(&r.compressed).expect("block-1 stream decodes");
+        assert_eq!(back.reconstruct(cfg.upsample), r.reconstruction);
+
+        cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2 { block: 0 });
+        let err = run_uniform_workflow(&f, &cfg).expect_err("block 0 has no grid");
+        assert!(err.to_string().contains("block size"), "{err}");
+    }
+
     #[test]
     fn corrupt_stream_surfaces_as_error_not_panic() {
         let f = synth::nyx_like(32, 19);

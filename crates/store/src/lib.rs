@@ -102,6 +102,7 @@ pub use temporal::{
     MANIFEST_NAME, TEMPORAL_MAGIC, TEMPORAL_VERSION,
 };
 
+use hqmr_codec::kernels::PAR_MIN_CELLS;
 use hqmr_codec::{crc32, Codec, CodecError, NullCodec, NULL_CODEC_ID};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{prepare_blocks, PreparedLevel};
@@ -140,15 +141,6 @@ thread_local! {
     /// of chunks per query.
     static DECODE_SCRATCH: RefCell<Field3> = RefCell::new(Field3::zeros(Dims3::new(0, 0, 0)));
 }
-
-/// Minimum slab size (cells) before a chunk's per-slot extractions fan out
-/// across the rayon shim: 4 MiB, i.e. the level-sized slabs of
-/// `one_chunk_per_level` and other deliberately coarse tilings, where the
-/// copy and the fresh slab's page faults take milliseconds. A default chunk
-/// (16 × 16³ cells, 256 KiB) is a cache-sized copy of tens of microseconds —
-/// less than one thread spawn — and is already one of many decoding side by
-/// side in [`ChunkSource::chunks`], so it must stay below this.
-const PAR_MIN_EXTRACT: usize = 1 << 20;
 
 /// Decoder registry: the default codec able to decode chunks carrying `id`.
 /// Chunk streams are self-describing, so decode needs no backend parameters.
@@ -602,7 +594,10 @@ fn decode_stream(
         let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, c.slots.len() * n).collect();
         let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
         let field = &*field;
-        if c.slots.len() >= 2 && cells.len() >= PAR_MIN_EXTRACT {
+        // Fanned out only for level-sized slabs: a default chunk's copy is
+        // tens of microseconds and decodes beside many others in
+        // `ChunkSource::chunks`.
+        if c.slots.len() >= 2 && cells.len() >= PAR_MIN_CELLS {
             cells.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
                 field.extract_box_into(c.slots[k].0, size, out);
             });

@@ -11,13 +11,14 @@
 //! differential oracle.
 
 use crate::Sz2Config;
-use hqmr_codec::kernels::{self, SimdLevel};
+use hqmr_codec::kernels::{self, SimdLevel, PAR_MIN_CELLS};
 use hqmr_codec::{
     check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, push_stream_id,
     rle_decode, rle_encode, tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container,
     Cur, LinearQuantizer, QuantOutcome,
 };
-use hqmr_grid::{BlockGrid, Dims3, Field3};
+use hqmr_grid::{BlockGrid, BlockRef, Dims3, Field3};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 #[cfg(target_arch = "x86_64")]
 mod simd;
@@ -316,20 +317,42 @@ pub fn compress_into(field: &Field3, cfg: &Sz2Config, out: &mut Vec<u8>) {
 /// that field anyway — handed out here instead of being dropped.
 pub fn compress_with_recon(field: &Field3, cfg: &Sz2Config, out: &mut Vec<u8>, recon: &mut Field3) {
     out.clear();
-    let mut st = encode_blocks(field, cfg, std::mem::take(recon).into_vec());
-    *recon = Field3::from_vec(field.dims(), std::mem::take(&mut st.recon));
+    let (buf, st) = encode_blocks(field, cfg, std::mem::take(recon).into_vec());
+    *recon = Field3::from_vec(field.dims(), buf);
     serialize(field.dims(), cfg, st).write_into(out);
 }
 
-/// Per-block encode state threaded through the kernel loops.
+/// The stream sections an encode accumulates, in block order — an array's,
+/// or in a wavefront one x-slab's run of them.
+#[derive(Default)]
 struct EncodeState {
-    recon: Vec<f32>,
     codes: Vec<u32>,
     outliers: Vec<f32>,
     flags: Vec<u8>,
     coeffs: Vec<u8>,
     n_lorenzo: usize,
     n_regression: usize,
+}
+
+impl EncodeState {
+    /// Room for the codes of `cells` cells and the flags of `blocks` blocks.
+    fn with_capacity(cells: usize, blocks: usize) -> Self {
+        EncodeState {
+            codes: Vec::with_capacity(cells),
+            flags: Vec::with_capacity(blocks),
+            ..Default::default()
+        }
+    }
+
+    /// Appends the sections of the blocks that follow this state's.
+    fn append(&mut self, next: EncodeState) {
+        self.codes.extend_from_slice(&next.codes);
+        self.outliers.extend_from_slice(&next.outliers);
+        self.flags.extend_from_slice(&next.flags);
+        self.coeffs.extend_from_slice(&next.coeffs);
+        self.n_lorenzo += next.n_lorenzo;
+        self.n_regression += next.n_regression;
+    }
 }
 
 /// Selects the predictor for one block and records its flag/coefficients —
@@ -361,118 +384,258 @@ fn select_block(
     }
 }
 
-/// Runs the predictor-selection + quantization kernels over every block.
-/// `recon` is only an allocation to build the reconstruction in.
-fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> EncodeState {
+/// Runs the predictor-selection + quantization kernels over every block and
+/// returns the reconstruction with the stream sections. `recon` is only an
+/// allocation to build the reconstruction in.
+///
+/// Blocks are walked slab-major — one x-slab of blocks at a time, each in
+/// raster `(by, bz)` order — which is [`BlockGrid::iter`]'s order, so a
+/// slab's flags, coefficients, codes and outliers are a contiguous run of
+/// every section. An array of at least [`PAR_MIN_CELLS`] cells and two slabs
+/// runs its slabs as a wavefront on all cores ([`encode_wavefront`]); the
+/// sections and the reconstruction are the serial walk's, bit for bit.
+fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> (Vec<f32>, EncodeState) {
     let dims = field.dims();
     let grid = BlockGrid::new(dims, cfg.block);
     let q = LinearQuantizer::new(cfg.eb);
-    let data = field.data();
-    let (sx, sy) = (dims.ny * dims.nz, dims.nz);
-
     recon.clear();
     recon.resize(dims.len(), 0.0);
-    let mut st = EncodeState {
-        recon,
-        codes: Vec::with_capacity(dims.len()),
-        outliers: Vec::new(),
-        flags: Vec::with_capacity(grid.num_blocks()),
-        coeffs: Vec::new(),
-        n_lorenzo: 0,
-        n_regression: 0,
+    let nt = rayon::current_num_threads().min(grid.counts().nx);
+    let st = if dims.len() >= PAR_MIN_CELLS && nt >= 2 {
+        encode_wavefront(field, &grid, &q, &mut recon, nt)
+    } else {
+        let mut st = EncodeState::with_capacity(dims.len(), grid.num_blocks());
+        let lvl = kernels::simd_level();
+        for blk in grid.iter() {
+            let plane = select_block(field, blk.origin, blk.size, &mut st);
+            quantize_block(&q, lvl, field, blk, plane, &mut recon, &mut st);
+        }
+        st
     };
+    (recon, st)
+}
 
+/// The reconstruction a wavefront's slabs share, as a raw pointer.
+///
+/// SAFETY contract of [`SharedRecon::slice`]: slab `k` writes only the cells
+/// of its own x-planes, each once, and reads only cells of its own planes it
+/// has already written and cells of slab `k − 1`'s last x-plane that lie in
+/// blocks slab `k − 1` has published as finished (the `Release` store /
+/// `Acquire` load pair in [`encode_wavefront`]). No cell is ever written by
+/// one thread while another reads or writes it, so the overlapping views the
+/// workers materialize — one per block, after that block's wait — never
+/// race.
+struct SharedRecon {
+    ptr: *mut f32,
+    len: usize,
+}
+
+// SAFETY: `ptr`/`len` describe one live `[f32]` that `encode_wavefront`
+// borrows mutably for the whole scope the workers run in; `f32` is plain
+// data, and every access through the pointer keeps to the contract above.
+unsafe impl Send for SharedRecon {}
+// SAFETY: as for `Send` — shared `&SharedRecon` hand out only the pointer.
+unsafe impl Sync for SharedRecon {}
+
+impl SharedRecon {
+    /// # Safety
+    /// The caller keeps to the type's access contract.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice(&self) -> &mut [f32] {
+        std::slice::from_raw_parts_mut(self.ptr, self.len)
+    }
+}
+
+/// Marks the wavefront poisoned if its slab unwinds, so no other slab
+/// waits forever on progress that will never be published.
+struct PoisonOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// [`encode_blocks`]' parallel walk: every x-slab encodes its blocks in
+/// raster order into its own sections, and the sections join in slab order.
+///
+/// Regression blocks read no reconstruction, but a Lorenzo block's stencil
+/// reaches back one x-plane — into slab `bx − 1` for the slab's first
+/// plane, at rows and columns no later than its own. So after each block a
+/// slab publishes how many of its blocks are done (`Release`), and a Lorenzo
+/// block `(bx, by, bz)` first waits (`Acquire`) until slab `bx − 1` has
+/// finished raster index `by · nz + bz`: every cell its stencil reads lies
+/// in a block of that slab at or before it.
+///
+/// Slab `k` runs on thread `k mod nt` (the caller is thread 0), each thread
+/// taking its slabs in increasing order. That cannot deadlock: the lowest
+/// unfinished slab has a finished predecessor, and its thread has finished
+/// every earlier slab it owns, so it always makes progress. A
+/// work-stealing pool's claim order would not guarantee that, hence the
+/// static round-robin on scoped threads.
+fn encode_wavefront(
+    field: &Field3,
+    grid: &BlockGrid,
+    q: &LinearQuantizer,
+    recon: &mut [f32],
+    nt: usize,
+) -> EncodeState {
+    let (dims, counts) = (field.dims(), grid.counts());
     let lvl = kernels::simd_level();
-    for blk in grid.iter() {
-        match select_block(field, blk.origin, blk.size, &mut st) {
-            Some(plane) => match lvl {
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => unsafe {
-                    simd::quant_plane_block_avx2(
-                        &q,
-                        data,
-                        &mut st.recon,
-                        dims,
-                        blk.origin,
-                        blk.size,
-                        &plane,
-                        &mut st.codes,
-                        &mut st.outliers,
-                    )
-                },
-                _ => {
-                    let c3 = plane.c[3] as f64;
-                    for x in 0..blk.size.nx {
-                        let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
-                        for y in 0..blk.size.ny {
-                            // ((c0 + c1·x) + c2·y) + c3·z, the `eval` association.
-                            let bxy = bx + plane.c[2] as f64 * y as f64;
-                            let row = dims.idx(blk.origin[0] + x, blk.origin[1] + y, blk.origin[2]);
-                            for z in 0..blk.size.nz {
-                                let pred = bxy + c3 * z as f64;
-                                st.recon[row + z] = encode_point(
-                                    &q,
-                                    data[row + z],
-                                    pred,
-                                    &mut st.codes,
-                                    &mut st.outliers,
-                                );
-                            }
+    let done: Vec<AtomicUsize> = (0..counts.nx).map(|_| AtomicUsize::new(0)).collect();
+    let poisoned = AtomicBool::new(false);
+    let shared = SharedRecon {
+        ptr: recon.as_mut_ptr(),
+        len: recon.len(),
+    };
+    let slab = |bx: usize| {
+        let _poison = PoisonOnUnwind(&poisoned);
+        let planes = grid.block(bx, 0, 0).size.nx;
+        let mut st = EncodeState::with_capacity(planes * dims.ny * dims.nz, counts.ny * counts.nz);
+        for by in 0..counts.ny {
+            for bz in 0..counts.nz {
+                let blk = grid.block(bx, by, bz);
+                let plane = select_block(field, blk.origin, blk.size, &mut st);
+                let raster = by * counts.nz + bz;
+                if plane.is_none() && bx > 0 {
+                    let mut spins = 0u32;
+                    while done[bx - 1].load(Ordering::Acquire) <= raster
+                        && !poisoned.load(Ordering::Acquire)
+                    {
+                        if spins < 64 {
+                            spins += 1;
+                            std::hint::spin_loop();
+                        } else {
+                            std::thread::yield_now();
                         }
                     }
                 }
+                // SAFETY: this block's cells belong to slab `bx`, and its
+                // stencil reads only cells published above (SharedRecon).
+                let recon = unsafe { shared.slice() };
+                quantize_block(q, lvl, field, blk, plane, recon, &mut st);
+                done[bx].store(raster + 1, Ordering::Release);
+            }
+        }
+        st
+    };
+    let run = |t: usize| -> Vec<(usize, EncodeState)> {
+        (t..counts.nx)
+            .step_by(nt)
+            .map(|bx| (bx, slab(bx)))
+            .collect()
+    };
+    let mut slabs = std::thread::scope(|s| {
+        let workers: Vec<_> = (1..nt).map(|t| s.spawn(move || run(t))).collect();
+        let mut all = run(0);
+        for w in workers {
+            all.extend(w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        all
+    });
+    slabs.sort_unstable_by_key(|&(bx, _)| bx);
+    let mut st = EncodeState::with_capacity(dims.len(), grid.num_blocks());
+    for (_, part) in slabs {
+        st.append(part);
+    }
+    st
+}
+
+/// Quantizes one block against its selected predictor — the fitted `plane`,
+/// or Lorenzo over `recon` without one — writing the block's reconstruction
+/// into `recon` and its codes and outliers into `st`.
+fn quantize_block(
+    q: &LinearQuantizer,
+    lvl: SimdLevel,
+    field: &Field3,
+    blk: BlockRef,
+    plane: Option<Plane>,
+    recon: &mut [f32],
+    st: &mut EncodeState,
+) {
+    let dims = field.dims();
+    let data = field.data();
+    let (sx, sy) = (dims.ny * dims.nz, dims.nz);
+    match plane {
+        Some(plane) => match lvl {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => unsafe {
+                simd::quant_plane_block_avx2(
+                    q,
+                    data,
+                    recon,
+                    dims,
+                    blk.origin,
+                    blk.size,
+                    &plane,
+                    &mut st.codes,
+                    &mut st.outliers,
+                )
             },
-            None => {
+            _ => {
+                let c3 = plane.c[3] as f64;
                 for x in 0..blk.size.nx {
-                    let gx = blk.origin[0] + x;
+                    let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
                     for y in 0..blk.size.ny {
-                        let gy = blk.origin[1] + y;
-                        let row = dims.idx(gx, gy, blk.origin[2]);
-                        if gx == 0 || gy == 0 {
-                            // Domain face: every cell needs the edge-aware gather.
-                            for z in 0..blk.size.nz {
-                                let gz = blk.origin[2] + z;
-                                let pred = lorenzo(&st.recon, dims, gx, gy, gz);
-                                st.recon[row + z] = encode_point(
-                                    &q,
-                                    data[row + z],
-                                    pred,
-                                    &mut st.codes,
-                                    &mut st.outliers,
-                                );
-                            }
-                        } else {
-                            let mut i = row;
-                            if blk.origin[2] == 0 {
-                                // First cell reads z−1 out of domain.
-                                let pred = lorenzo(&st.recon, dims, gx, gy, 0);
-                                st.recon[i] = encode_point(
-                                    &q,
-                                    data[i],
-                                    pred,
-                                    &mut st.codes,
-                                    &mut st.outliers,
-                                );
+                        // ((c0 + c1·x) + c2·y) + c3·z, the `eval` association.
+                        let bxy = bx + plane.c[2] as f64 * y as f64;
+                        let row = dims.idx(blk.origin[0] + x, blk.origin[1] + y, blk.origin[2]);
+                        for z in 0..blk.size.nz {
+                            let pred = bxy + c3 * z as f64;
+                            recon[row + z] = encode_point(
+                                q,
+                                data[row + z],
+                                pred,
+                                &mut st.codes,
+                                &mut st.outliers,
+                            );
+                        }
+                    }
+                }
+            }
+        },
+        None => {
+            for x in 0..blk.size.nx {
+                let gx = blk.origin[0] + x;
+                for y in 0..blk.size.ny {
+                    let gy = blk.origin[1] + y;
+                    let row = dims.idx(gx, gy, blk.origin[2]);
+                    if gx == 0 || gy == 0 {
+                        // Domain face: every cell needs the edge-aware gather.
+                        for z in 0..blk.size.nz {
+                            let gz = blk.origin[2] + z;
+                            let pred = lorenzo(recon, dims, gx, gy, gz);
+                            recon[row + z] = encode_point(
+                                q,
+                                data[row + z],
+                                pred,
+                                &mut st.codes,
+                                &mut st.outliers,
+                            );
+                        }
+                    } else {
+                        let mut i = row;
+                        if blk.origin[2] == 0 {
+                            // First cell reads z−1 out of domain.
+                            let pred = lorenzo(recon, dims, gx, gy, 0);
+                            recon[i] =
+                                encode_point(q, data[i], pred, &mut st.codes, &mut st.outliers);
+                            i += 1;
+                        }
+                        if i < row + blk.size.nz {
+                            // Carry the z−1 reconstruction in a register: it
+                            // is the value this loop just stored, and
+                            // reloading it would put a store-to-load forward
+                            // on the critical path.
+                            let mut prev = recon[i - 1];
+                            while i < row + blk.size.nz {
+                                let pred = lorenzo_interior_carried(recon, i, sx, sy, prev);
+                                prev =
+                                    encode_point(q, data[i], pred, &mut st.codes, &mut st.outliers);
+                                recon[i] = prev;
                                 i += 1;
-                            }
-                            if i < row + blk.size.nz {
-                                // Carry the z−1 reconstruction in a register:
-                                // it is the value this loop just stored, and
-                                // reloading it would put a store-to-load
-                                // forward on the critical path.
-                                let mut prev = st.recon[i - 1];
-                                while i < row + blk.size.nz {
-                                    let pred = lorenzo_interior_carried(&st.recon, i, sx, sy, prev);
-                                    prev = encode_point(
-                                        &q,
-                                        data[i],
-                                        pred,
-                                        &mut st.codes,
-                                        &mut st.outliers,
-                                    );
-                                    st.recon[i] = prev;
-                                    i += 1;
-                                }
                             }
                         }
                     }
@@ -480,13 +643,12 @@ fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> Encode
             }
         }
     }
-    st
 }
 
 /// The compression pipeline up to (but not including) serialization.
 /// Returns `(container, lorenzo_blocks, regression_blocks, outliers)`.
 fn compress_container(field: &Field3, cfg: &Sz2Config) -> (Container, usize, usize, usize) {
-    let st = encode_blocks(field, cfg, Vec::new());
+    let (_, st) = encode_blocks(field, cfg, Vec::new());
     let (n_l, n_r, n_o) = (st.n_lorenzo, st.n_regression, st.outliers.len());
     (serialize(field.dims(), cfg, st), n_l, n_r, n_o)
 }
@@ -553,8 +715,10 @@ fn parse(bytes: &[u8]) -> Result<Parsed, Sz2Error> {
     check_stream_id(&c, SZ2_CODEC_ID)?;
     let mut head = Cur::new(c.require(TAG_HEAD)?);
     let dims = head.dims()?;
+    // Block side 1 is a valid all-Lorenzo stream (a one-cell block never
+    // fits a plane); only a zero side has no grid.
     let block = head.usize()?;
-    if block < 2 {
+    if block == 0 {
         return Err(Sz2Error::Malformed("block size"));
     }
     let eb = head.f64le()?;
@@ -568,6 +732,10 @@ fn parse(bytes: &[u8]) -> Result<Parsed, Sz2Error> {
         rle_decode(c.require(TAG_FLAGS)?, grid.num_blocks()).ok_or(Sz2Error::Malformed("flags"))?;
     if flags.len() != grid.num_blocks() {
         return Err(Sz2Error::Malformed("flag count"));
+    }
+    // A flag is a predictor choice: 0 Lorenzo, 1 regression, nothing else.
+    if flags.iter().any(|&f| f > 1) {
+        return Err(Sz2Error::Malformed("flags"));
     }
     let coeff_bytes = c.require(TAG_COEFFS)?;
     let n_reg = flags.iter().filter(|&&f| f == 1).count();
@@ -759,15 +927,8 @@ pub mod reference {
         let dims = field.dims();
         let grid = BlockGrid::new(dims, cfg.block);
         let q = LinearQuantizer::new(cfg.eb);
-        let mut st = EncodeState {
-            recon: vec![0f32; dims.len()],
-            codes: Vec::with_capacity(dims.len()),
-            outliers: Vec::new(),
-            flags: Vec::with_capacity(grid.num_blocks()),
-            coeffs: Vec::new(),
-            n_lorenzo: 0,
-            n_regression: 0,
-        };
+        let mut recon = vec![0f32; dims.len()];
+        let mut st = EncodeState::with_capacity(dims.len(), grid.num_blocks());
         for blk in grid.iter() {
             match select_block(field, blk.origin, blk.size, &mut st) {
                 Some(plane) => {
@@ -778,7 +939,7 @@ pub mod reference {
                                     (blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
                                 let actual = field.get(gx, gy, gz);
                                 let pred = plane.eval(x, y, z);
-                                st.recon[dims.idx(gx, gy, gz)] =
+                                recon[dims.idx(gx, gy, gz)] =
                                     encode_point(&q, actual, pred, &mut st.codes, &mut st.outliers);
                             }
                         }
@@ -791,8 +952,8 @@ pub mod reference {
                                 let (gx, gy, gz) =
                                     (blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
                                 let actual = field.get(gx, gy, gz);
-                                let pred = lorenzo(&st.recon, dims, gx, gy, gz);
-                                st.recon[dims.idx(gx, gy, gz)] =
+                                let pred = lorenzo(&recon, dims, gx, gy, gz);
+                                recon[dims.idx(gx, gy, gz)] =
                                     encode_point(&q, actual, pred, &mut st.codes, &mut st.outliers);
                             }
                         }
@@ -917,6 +1078,11 @@ impl Codec for Sz2Codec {
         out: &mut Vec<u8>,
         recon: &mut Field3,
     ) -> Result<(), CodecError> {
+        // No grid of zero-sided blocks exists, and `parse` refuses the
+        // stream that would declare one.
+        if self.block == 0 {
+            return Err(CodecError::Malformed("block size"));
+        }
         compress_with_recon(field, &self.config(eb), out, recon);
         Ok(())
     }
@@ -925,6 +1091,66 @@ impl Codec for Sz2Codec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A flag byte is a predictor choice, 0 or 1. A stream whose flags
+    /// section (CRC intact) carries any other value is refused, by both
+    /// decoders, rather than decoded as Lorenzo.
+    #[test]
+    fn flag_bytes_other_than_0_and_1_are_malformed() {
+        // g(x, y) + h(y, z): Lorenzo's third mixed difference is zero, the
+        // plane is not.
+        let f = Field3::from_fn(Dims3::new(8, 8, 12), |x, y, z| {
+            ((x * y * 7) % 23 + (y * z * 3) % 19) as f32 * 0.5
+        });
+        let good = compress(&f, &Sz2Config::multires(1e-2)).bytes;
+        let c = Container::from_bytes(&good).unwrap();
+        let blocks = BlockGrid::new(f.dims(), 4).num_blocks();
+        let flags = rle_decode(c.require(TAG_FLAGS).unwrap(), blocks).unwrap();
+        let lorenzo = flags.iter().position(|&b| b == 0).expect("a Lorenzo block");
+        for bad_flag in [2u8, 0xFF] {
+            let mut crafted = Container::new();
+            for tag in [
+                hqmr_codec::TAG_STREAM_ID,
+                TAG_HEAD,
+                TAG_FLAGS,
+                TAG_COEFFS,
+                TAG_CODES,
+            ] {
+                let mut s = c.require(tag).unwrap().to_vec();
+                if tag == TAG_FLAGS {
+                    let mut flags = flags.clone();
+                    flags[lorenzo] = bad_flag;
+                    s = rle_encode(&flags);
+                }
+                crafted.push(tag, s);
+            }
+            crafted.push(TAG_OUTLIERS, c.require(TAG_OUTLIERS).unwrap().to_vec());
+            let bytes = crafted.to_bytes();
+            assert!(matches!(
+                decompress(&bytes),
+                Err(Sz2Error::Malformed("flags"))
+            ));
+            assert!(matches!(
+                reference::decompress(&bytes),
+                Err(Sz2Error::Malformed("flags"))
+            ));
+        }
+    }
+
+    /// Side-1 blocks are one cell each, so every block is Lorenzo: the
+    /// stream is valid and decodes within the bound.
+    #[test]
+    fn block_side_one_streams_decode() {
+        let f = Field3::from_fn(Dims3::new(5, 6, 7), |x, y, z| {
+            (x + 2 * y) as f32 * 0.3 - z as f32
+        });
+        let r = compress(&f, &Sz2Config::new(1e-3).with_block(1));
+        assert_eq!((r.lorenzo_blocks, r.regression_blocks), (f.len(), 0));
+        let g = decompress(&r.bytes).unwrap();
+        for (a, b) in f.data().iter().zip(g.data()) {
+            assert!((a - b).abs() as f64 <= 1e-3);
+        }
+    }
 
     #[test]
     fn plane_fit_recovers_exact_plane() {

@@ -13,6 +13,19 @@
 //!
 //! Residuals are quantized with the shared error-controlled quantizer and
 //! entropy-coded with Huffman.
+//!
+//! Blocks are coded slab-major: one x-slab of blocks at a time, each in
+//! raster `(y, z)` order, so every slab's flags, coefficients, codes and
+//! outliers form one contiguous run of the stream. An array of at least
+//! [`hqmr_codec::kernels::PAR_MIN_CELLS`] cells encodes its slabs as a
+//! wavefront, slab `k` on thread `k mod threads`. Regression blocks never
+//! wait; a Lorenzo block `(bx, by, bz)` first waits until slab `bx − 1` has
+//! finished every block up to `(by, bz)` in raster order, since its stencil
+//! reaches one cell back along each axis — into that slab's blocks at or
+//! before `(by, bz)`. Each thread takes its slabs in increasing order, so the
+//! lowest unfinished slab always has a finished predecessor and a thread
+//! with no earlier slab left: the wavefront cannot deadlock. The stream and
+//! the reconstruction are the serial walk's, byte for byte.
 
 mod compressor;
 
@@ -48,9 +61,9 @@ impl Sz2Config {
         Sz2Config { eb, block: 4 }
     }
 
-    /// Overrides the block size.
+    /// Overrides the block size (1 makes every block Lorenzo).
     pub fn with_block(mut self, block: usize) -> Self {
-        assert!(block >= 2, "block must be at least 2");
+        assert!(block >= 1, "block must be positive");
         self.block = block;
         self
     }

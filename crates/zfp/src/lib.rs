@@ -13,6 +13,13 @@
 //! under the stated tolerance (the "underestimation characteristic" of
 //! §III-B used when picking the `a_zfp` candidate set) — while making
 //! round-trips bit-exact at full precision.
+//!
+//! Blocks are coded slab-major: one x-slab of blocks at a time, each in
+//! raster `(y, z)` order. Blocks are independent, so a slab's bits are a
+//! contiguous run of the payload and its reconstruction a contiguous run of
+//! x-planes; an array of at least [`hqmr_codec::kernels::PAR_MIN_CELLS`]
+//! cells encodes its slabs on all cores and joins the runs in slab order —
+//! the same payload, bit for bit.
 
 mod coder;
 mod simd;

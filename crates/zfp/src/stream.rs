@@ -5,11 +5,13 @@ use crate::coder::{
 };
 use crate::transform::{fwd_transform3, inv_transform3};
 use crate::{ZfpConfig, BLOCK, BLOCK_LEN};
+use hqmr_codec::kernels::PAR_MIN_CELLS;
 use hqmr_codec::{
     check_stream_id, push_stream_id, tag, write_uvarint, BitReader, BitWriter, Codec, CodecError,
     Container, Cur,
 };
 use hqmr_grid::{BlockGrid, Dims3, Field3};
+use rayon::prelude::*;
 
 /// ZFP's codec/stream id (also the per-stream section tag in MR containers).
 pub const ZFP_CODEC_ID: u32 = tag(b"ZFPS");
@@ -87,6 +89,7 @@ fn compress_with_recon(field: &Field3, cfg: &ZfpConfig, out: &mut Vec<u8>, recon
         fwd_transform3,
         encode_block_ints,
         Some(recon),
+        true,
     );
     c.write_into(out);
 }
@@ -100,6 +103,7 @@ fn compress_container(field: &Field3, cfg: &ZfpConfig) -> (Container, usize) {
         fwd_transform3,
         encode_block_ints,
         None,
+        true,
     )
 }
 
@@ -108,58 +112,108 @@ fn compress_container(field: &Field3, cfg: &ZfpConfig) -> (Container, usize) {
 /// everything but the kernels under test. With `recon`, the field is also
 /// reconstructed there as the decoder will see it: reshaped and zero-filled
 /// like the decoder's output, each coded block inserted as it is encoded.
+///
+/// The grid is walked slab-major: one x-slab of blocks (`BLOCK` x-planes)
+/// at a time, each in [`BlockGrid::iter`]'s order. Blocks are coded
+/// independently, so a slab's bits are a contiguous run of the payload and
+/// its reconstruction a contiguous run of x-planes. With `fan_out`, an
+/// array of at least [`PAR_MIN_CELLS`] cells and two slabs encodes its slabs
+/// on all cores, each into its own writer and its own planes, and the runs
+/// join in slab order ([`BitWriter::append`]) — the payload one writer makes,
+/// bit for bit. Smaller arrays (every default store chunk) keep one writer
+/// walking all slabs.
 fn compress_container_with(
     field: &Field3,
     cfg: &ZfpConfig,
     scale_block: fn(&[f32; 64], &mut [i64; 64], f64),
     fwd: fn(&mut [i64; 64]),
     enc: fn(&mut BitWriter, &[i64; 64], u32),
-    mut recon: Option<&mut Field3>,
+    recon: Option<&mut Field3>,
+    fan_out: bool,
 ) -> (Container, usize) {
     let dims = field.dims();
-    if let Some(recon) = recon.as_deref_mut() {
-        recon.reshape(dims, 0.0);
-    }
     let grid = BlockGrid::new(dims, BLOCK);
+    let counts = grid.counts();
     let minexp = cfg.tol.log2().floor() as i32;
-    let mut w = BitWriter::with_capacity(dims.len());
-    let mut zero_blocks = 0usize;
 
-    let mut vals = [0f32; BLOCK_LEN];
-    let mut ints = [0i64; BLOCK_LEN];
-    for blk in grid.iter() {
-        // Gather with edge replication straight into the block scratch —
-        // no per-block field allocation.
-        field.extract_box_into(blk.origin, Dims3::cube(BLOCK), &mut vals);
-        let maxabs = vals.iter().fold(0f32, |m, &v| m.max(v.abs()));
-        if maxabs == 0.0 || !maxabs.is_finite() {
-            w.write_bit(false);
-            zero_blocks += 1;
-            continue;
-        }
-        let emax = (maxabs as f64).log2().floor() as i32;
-        let maxprec = block_maxprec(emax, minexp);
-        if maxprec <= 0 {
-            // Entire block below tolerance: 2^(emax+1) ≤ tol · 2^(1−GUARD) ≪ tol.
-            w.write_bit(false);
-            zero_blocks += 1;
-            continue;
-        }
-        w.write_bit(true);
-        w.write_bits((emax + EMAX_BIAS) as u64, 16);
-        let scale = 2f64.powi(Q - emax);
-        scale_block(&vals, &mut ints, scale);
-        fwd(&mut ints);
-        enc(&mut w, &ints, maxprec as u32);
-        if let Some(recon) = recon.as_deref_mut() {
-            let kept = kept_planes(maxprec as u32);
-            for c in &mut ints {
-                *c = uint2int(int2uint(*c) & kept);
+    // Slab `bx`'s blocks into `w` and, given its x-planes, its
+    // reconstruction into them; returns the slab's zero-block count.
+    let encode_slab = |bx: usize, w: &mut BitWriter, mut planes: Option<&mut [f32]>| {
+        let slab = Dims3::new(BLOCK.min(dims.nx - bx * BLOCK), dims.ny, dims.nz);
+        let mut zero_blocks = 0usize;
+        let mut vals = [0f32; BLOCK_LEN];
+        let mut ints = [0i64; BLOCK_LEN];
+        for by in 0..counts.ny {
+            for bz in 0..counts.nz {
+                let blk = grid.block(bx, by, bz);
+                // Gather with edge replication straight into the block
+                // scratch — no per-block field allocation.
+                field.extract_box_into(blk.origin, Dims3::cube(BLOCK), &mut vals);
+                let maxabs = vals.iter().fold(0f32, |m, &v| m.max(v.abs()));
+                if maxabs == 0.0 || !maxabs.is_finite() {
+                    w.write_bit(false);
+                    zero_blocks += 1;
+                    continue;
+                }
+                let emax = (maxabs as f64).log2().floor() as i32;
+                let maxprec = block_maxprec(emax, minexp);
+                if maxprec <= 0 {
+                    // Entire block below tolerance: 2^(emax+1) ≤ tol · 2^(1−GUARD) ≪ tol.
+                    w.write_bit(false);
+                    zero_blocks += 1;
+                    continue;
+                }
+                w.write_bit(true);
+                w.write_bits((emax + EMAX_BIAS) as u64, 16);
+                let scale = 2f64.powi(Q - emax);
+                scale_block(&vals, &mut ints, scale);
+                fwd(&mut ints);
+                enc(w, &ints, maxprec as u32);
+                if let Some(planes) = planes.as_deref_mut() {
+                    let kept = kept_planes(maxprec as u32);
+                    for c in &mut ints {
+                        *c = uint2int(int2uint(*c) & kept);
+                    }
+                    inv_transform3(&mut ints);
+                    insert_block(planes, slab, [0, by * BLOCK, bz * BLOCK], &ints, emax);
+                }
             }
-            inv_transform3(&mut ints);
-            insert_block(recon, blk.origin, &ints, emax);
+        }
+        zero_blocks
+    };
+
+    // Per slab, its x-planes of the reconstruction (none without one).
+    let mut slabs: Vec<Option<&mut [f32]>> = (0..counts.nx).map(|_| None).collect();
+    if let Some(recon) = recon {
+        recon.reshape(dims, 0.0);
+        let planes = (BLOCK * dims.ny * dims.nz).max(1);
+        for (slab, p) in slabs.iter_mut().zip(recon.data_mut().chunks_mut(planes)) {
+            *slab = Some(p);
         }
     }
+    let mut zero_blocks = 0usize;
+    let w = if fan_out && dims.len() >= PAR_MIN_CELLS && counts.nx >= 2 {
+        let mut parts: Vec<_> = (slabs.into_iter())
+            .map(|planes| (planes, BitWriter::new(), 0usize))
+            .collect();
+        parts.par_chunks_mut(1).enumerate().for_each(|(bx, part)| {
+            let (planes, w, zeros) = &mut part[0];
+            *zeros = encode_slab(bx, w, planes.as_deref_mut());
+        });
+        let bits: usize = parts.iter().map(|(_, w, _)| w.bit_len()).sum();
+        let mut w = BitWriter::with_capacity(bits.div_ceil(8));
+        for (_, part, zeros) in &parts {
+            w.append(part);
+            zero_blocks += zeros;
+        }
+        w
+    } else {
+        let mut w = BitWriter::with_capacity(dims.len());
+        for (bx, planes) in slabs.into_iter().enumerate() {
+            zero_blocks += encode_slab(bx, &mut w, planes);
+        }
+        w
+    };
 
     let mut head = Vec::new();
     write_uvarint(&mut head, dims.nx as u64);
@@ -226,7 +280,7 @@ fn decompress_into_with(
         }
         let mut ints = decode(&mut r, maxprec as u32);
         inv(&mut ints);
-        insert_block(out, blk.origin, &ints, emax);
+        insert_block(out.data_mut(), dims, blk.origin, &ints, emax);
     }
     if r.bit_pos() > payload.len() * 8 {
         return Err(ZfpError::Malformed("stream underrun"));
@@ -236,12 +290,27 @@ fn decompress_into_with(
 
 /// The decoder's tail, shared with the encoder's reconstruction: a block's
 /// inverse-transformed integers scaled back to `f32` at exponent `emax` and
-/// written through the clipping insert — cells past the domain edge (the
-/// replicated gather padding) are dropped, no per-block field temporaries.
-fn insert_block(out: &mut Field3, origin: [usize; 3], ints: &[i64; BLOCK_LEN], emax: i32) {
+/// written into `out` (row-major cells of `dims`) at `origin`, rows clipped
+/// at the edge — cells past it (the replicated gather padding) are neither
+/// scaled nor stored, and no per-block temporaries are built.
+fn insert_block(
+    out: &mut [f32],
+    dims: Dims3,
+    origin: [usize; 3],
+    ints: &[i64; BLOCK_LEN],
+    emax: i32,
+) {
     let scale = 2f64.powi(emax - Q);
-    let vals: [f32; BLOCK_LEN] = std::array::from_fn(|i| (ints[i] as f64 * scale) as f32);
-    out.insert_box_from(origin, Dims3::cube(BLOCK), &vals);
+    let zn = BLOCK.min(dims.nz - origin[2]);
+    for x in 0..BLOCK.min(dims.nx - origin[0]) {
+        for y in 0..BLOCK.min(dims.ny - origin[1]) {
+            let src = &ints[(x * BLOCK + y) * BLOCK..][..zn];
+            let at = dims.idx(origin[0] + x, origin[1] + y, origin[2]);
+            for (v, &c) in out[at..at + zn].iter_mut().zip(src) {
+                *v = (c as f64 * scale) as f32;
+            }
+        }
+    }
 }
 
 /// Pre-overhaul codec paths built on the reference transform and per-bit
@@ -261,6 +330,7 @@ pub mod reference {
             crate::transform::reference::fwd_transform3,
             crate::coder::reference::encode_block_ints,
             None,
+            false,
         );
         CompressResult {
             bytes: c.to_bytes(),

@@ -353,6 +353,83 @@ fn sz3_decodes_store_chunk_arrays_like_the_reference() {
     }
 }
 
+/// An array just past the fan-out cutoff whose x-slabs (of 4 planes: 4, 4
+/// and a thin last one of 1; of 2 planes: five, the last thin) each hold
+/// every kind of block: smooth stretches that pick Lorenzo (whose stencil
+/// reaches back into the previous slab), rough ones that pick regression,
+/// and NaN, ±∞ and all-zero blocks — planted on every slab's first plane.
+fn slabbed() -> Field3 {
+    let dims = Dims3::new(9, 5, 23_400);
+    assert!(dims.len() >= hqmr_codec::kernels::PAR_MIN_CELLS);
+    let mut f = Field3::from_fn(dims, |x, y, z| {
+        if (z / 96) % 3 == 2 {
+            let h = (x * 31 + y * 17 + z * 7) % 97;
+            h as f32 * 0.25 - 12.0
+        } else {
+            (x * x + 2 * y * y) as f32 * 0.01 + (z as f32 * 0.05).sin() * 3.0
+        }
+    });
+    for x in [0, 2, 4, 6, 8] {
+        f.set(x, 2, 1001, f32::NAN);
+        f.set(x, 1, 2002, f32::INFINITY);
+        f.set(x, 3, 3003, f32::NEG_INFINITY);
+        f.set(x, 4, 17_000, 3.0e4);
+    }
+    for x in 0..dims.nx {
+        for y in 0..4 {
+            for z in 4000..4008 {
+                f.set(x, y, z, 0.0);
+            }
+        }
+    }
+    f
+}
+
+/// Level-sized arrays encode their x-slabs side by side (zfp) or as a
+/// wavefront (sz2). Both must write the serial oracle's stream byte for
+/// byte and hand back exactly the field the decoder rebuilds, at bounds
+/// tight enough to put outliers in every slab. (On a one-core machine the
+/// encoders stay serial and this reduces to the equivalence above.)
+#[test]
+fn fanned_out_slab_encodes_match_serial_reference_streams() {
+    use hqmr_codec::Codec;
+    let f = slabbed();
+    let (mut stream, mut recon) = (Vec::new(), Field3::default());
+    for block in [4usize, 2] {
+        for eb in [1e-6, 1e-2] {
+            let cfg = hqmr::sz2::Sz2Config { eb, block };
+            let slow = hqmr_sz2::reference::compress(&f, &cfg);
+            let fast = hqmr_sz2::compress(&f, &cfg);
+            let at = format!("sz2 block={block} eb={eb}");
+            assert!(fast.bytes == slow.bytes, "{at}: stream");
+            assert!(slow.lorenzo_blocks > 0 && slow.regression_blocks > 0);
+            assert!(slow.outliers > 0, "{at}: no outliers");
+            (hqmr_sz2::Sz2Codec { block })
+                .compress_with_recon(&f, eb, &mut stream, &mut recon)
+                .unwrap();
+            assert!(stream == slow.bytes, "{at}: closed-loop stream");
+            let back = hqmr_sz2::decompress(&stream).unwrap();
+            assert!(as_bits(&recon) == as_bits(&back), "{at}: reconstruction");
+        }
+    }
+    for tol in [1e-6, 1e-2] {
+        let cfg = hqmr::zfp::ZfpConfig::new(tol);
+        let slow = hqmr_zfp::reference::compress(&f, &cfg);
+        let fast = hqmr_zfp::compress(&f, &cfg);
+        assert!(fast.bytes == slow.bytes, "zfp tol={tol}: stream");
+        assert!(slow.zero_blocks > 0);
+        hqmr_zfp::ZfpCodec
+            .compress_with_recon(&f, tol, &mut stream, &mut recon)
+            .unwrap();
+        assert!(stream == slow.bytes, "zfp tol={tol}: closed-loop stream");
+        let back = hqmr_zfp::decompress(&stream).unwrap();
+        assert!(
+            as_bits(&recon) == as_bits(&back),
+            "zfp tol={tol}: reconstruction"
+        );
+    }
+}
+
 /// f32 payloads compared exactly (NaN-safe, −0.0 ≠ +0.0).
 fn as_bits(f: &Field3) -> Vec<u32> {
     f.data().iter().map(|v| v.to_bits()).collect()
