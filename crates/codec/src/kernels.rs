@@ -39,6 +39,7 @@
 //! * [`set_force_scalar`] flips the same switch at runtime, letting one
 //!   process run (and compare) both arms.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Instruction-set arm a kernel call should take.
@@ -105,6 +106,45 @@ pub fn tile_parallel() -> bool {
 /// or decoded side by side, where a second, nested fan-out would only add
 /// thread spawns — so it must stay below this.
 pub const PAR_MIN_CELLS: usize = 1 << 20;
+
+/// One `&mut [f32]` shared by the workers of a one-array fan-out (sz3's
+/// sweep decode, sz2's encode wavefront), each re-materializing the whole
+/// slice and writing only cells no other worker reads or writes meanwhile.
+/// Built from the exclusive borrow, so it cannot outlive it; every use site
+/// states why its workers' cells are disjoint.
+pub struct SharedSlice<'a> {
+    ptr: *mut f32,
+    len: usize,
+    _borrow: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: the slice is borrowed exclusively for `'a` and `f32` is plain
+// data; the only access is `slice`, whose callers keep to the disjointness
+// contract.
+unsafe impl Send for SharedSlice<'_> {}
+// SAFETY: as for `Send` — a shared `&SharedSlice` hands out only the pointer.
+unsafe impl Sync for SharedSlice<'_> {}
+
+impl<'a> SharedSlice<'a> {
+    /// Shares `buf` for the lifetime of its borrow.
+    pub fn new(buf: &'a mut [f32]) -> Self {
+        SharedSlice {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The whole shared slice.
+    ///
+    /// # Safety
+    /// No cell the caller writes is read or written by another thread while
+    /// the caller's view lives, and no cell it reads is written meanwhile.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice(&self) -> &mut [f32] {
+        std::slice::from_raw_parts_mut(self.ptr, self.len)
+    }
+}
 
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]

@@ -43,12 +43,6 @@ impl BlockGrid {
         }
     }
 
-    /// Block side length.
-    #[inline]
-    pub fn block_size(&self) -> usize {
-        self.b
-    }
-
     /// Number of blocks along each axis.
     #[inline]
     pub fn counts(&self) -> Dims3 {

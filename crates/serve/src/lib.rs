@@ -18,6 +18,14 @@
 //! (`read_level(level)` vs. `read_level(t, level)`); a bare [`Query`] is a
 //! [`TimeQuery`] at time `0`.
 //!
+//! A [`TemporalServer`] is the one read API of a run: per frame
+//! ([`Server::frame`]`(t).progressive(..)`, `read_level(t, ..)`,
+//! `read_roi(t, ..)`, [`Server::read_frame`]), per time window
+//! ([`Server::read_roi_window`]) and per batch. The bare reader keeps only
+//! `open` and the uncached `read_frame` every cached read is held to.
+//! [`Frames::frame_reader`] is the raw per-frame store — residuals on delta
+//! chunks — and [`Server::frame`] the actual-value view of the same frame.
+//!
 //! **One chunk pipeline.** Every decoded chunk, whoever asks, comes out of
 //! one function keyed `(time, level, chunk)`:
 //!
@@ -265,11 +273,13 @@ pub type FaultHook = Arc<dyn Fn(usize, usize) -> bool + Send + Sync>;
 pub trait Frames: Send + Sync {
     /// Number of frames.
     fn frame_count(&self) -> usize;
-    /// Frame `t`'s store ([`StoreError::NoSuchFrame`] past the end). Its
-    /// chunk streams are residuals wherever [`Frames::is_delta`] says so.
-    fn frame(&self, t: usize) -> Result<&StoreReader, StoreError>;
+    /// Frame `t`'s raw store ([`StoreError::NoSuchFrame`] past the end). Its
+    /// chunk streams are residuals wherever [`Frames::is_delta`] says so;
+    /// actual values come from [`Server::frame`].
+    fn frame_reader(&self, t: usize) -> Result<&StoreReader, StoreError>;
     /// Whether frame `t`'s stored `(level, chunk)` is a residual against
-    /// `(t − 1, level, chunk)`. Only asked for a `t` that `frame` accepted.
+    /// `(t − 1, level, chunk)`. Only asked for a `t` that `frame_reader`
+    /// accepted.
     fn is_delta(&self, t: usize, level: usize, chunk: usize) -> bool;
 }
 
@@ -277,7 +287,7 @@ impl Frames for StoreReader {
     fn frame_count(&self) -> usize {
         1
     }
-    fn frame(&self, t: usize) -> Result<&StoreReader, StoreError> {
+    fn frame_reader(&self, t: usize) -> Result<&StoreReader, StoreError> {
         (t == 0).then_some(self).ok_or(StoreError::NoSuchFrame(t))
     }
     fn is_delta(&self, _: usize, _: usize, _: usize) -> bool {
@@ -289,8 +299,8 @@ impl Frames for TemporalReader {
     fn frame_count(&self) -> usize {
         TemporalReader::frame_count(self)
     }
-    fn frame(&self, t: usize) -> Result<&StoreReader, StoreError> {
-        self.frame_reader(t)
+    fn frame_reader(&self, t: usize) -> Result<&StoreReader, StoreError> {
+        TemporalReader::frame_reader(self, t)
     }
     fn is_delta(&self, t: usize, level: usize, chunk: usize) -> bool {
         self.manifest().frames[t].is_delta(level, chunk)
@@ -382,7 +392,7 @@ impl<F: Frames> Server<F> {
         }
         for (t, sidecar) in sidecars.iter().enumerate() {
             if let Some(sidecar) = sidecar {
-                if !sidecar.matches(self.reader.frame(t)?.meta()) {
+                if !sidecar.matches(self.reader.frame_reader(t)?.meta()) {
                     return Err(StoreError::SidecarMismatch);
                 }
             }
@@ -398,7 +408,7 @@ impl<F: Frames> Server<F> {
     /// downstream; use [`hqmr_store::DEFAULT_PARITY_GROUP`] by default).
     pub fn with_built_parity(self, group: usize) -> Result<Self, StoreError> {
         let sidecars = (0..self.reader.frame_count())
-            .map(|t| ParitySidecar::from_reader(self.reader.frame(t)?, group).map(Some))
+            .map(|t| ParitySidecar::from_reader(self.reader.frame_reader(t)?, group).map(Some))
             .collect::<Result<_, _>>()?;
         self.arm(sidecars)
     }
@@ -459,7 +469,7 @@ impl<F: Frames> Server<F> {
     /// semantics do not depend on whether repair was armed.
     fn chunk_at(&self, t: usize, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
         self.cache.get_or_decode((t, level, block), || {
-            let frame = self.reader.frame(t)?;
+            let frame = self.reader.frame_reader(t)?;
             let hook = self.fault_hook.as_ref();
             let stored = if hook.is_some_and(|hook| hook(level, block)) {
                 Err(StoreError::CorruptChunk { level, block })
@@ -531,7 +541,7 @@ impl<F: Frames> Server<F> {
         Ok(TimeView {
             server: self,
             t,
-            meta: self.reader.frame(t)?.meta(),
+            meta: self.reader.frame_reader(t)?.meta(),
             batch: None,
         })
     }
@@ -543,7 +553,8 @@ impl<F: Frames> Server<F> {
 
     /// Time-windowed ROI through the cache: one field per frame of
     /// `t0..=t1`, each equal to a single-frame ROI read; chain work is
-    /// shared through the `(time, level, chunk)` cache.
+    /// shared through the `(time, level, chunk)` cache (at a budget that
+    /// keeps the window's chunks resident, each chain link decodes once).
     pub fn read_roi_window(
         &self,
         t0: usize,
@@ -556,7 +567,7 @@ impl<F: Frames> Server<F> {
         if t0 > t1 {
             return Err(StoreError::Malformed("empty time window"));
         }
-        self.reader.frame(t1)?;
+        self.reader.frame_reader(t1)?;
         (t0..=t1)
             .map(|t| read::read_roi(&self.frame(t)?, level, lo, hi, fill))
             .collect()
@@ -566,7 +577,7 @@ impl<F: Frames> Server<F> {
     /// accounting only, no decoding. A delta chunk's chain predecessors are
     /// *not* planned here; they are resolved (and cached) during decode.
     fn query_keys(&self, q: &TimeQuery) -> Result<Vec<TimeKey>, StoreError> {
-        let meta = self.reader.frame(q.time)?.meta();
+        let meta = self.reader.frame_reader(q.time)?.meta();
         let (level, indices) = match q.query {
             Query::Level { level } => {
                 let lm = meta
@@ -840,7 +851,7 @@ impl<F: Frames> Server<F> {
             sidecar_rebuilt: false,
         };
         for t in 0..self.reader.frame_count() {
-            let Ok(frame) = self.reader.frame(t) else {
+            let Ok(frame) = self.reader.frame_reader(t) else {
                 continue;
             };
             for (level, lm) in frame.meta().levels.iter().enumerate() {

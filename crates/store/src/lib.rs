@@ -98,8 +98,8 @@ pub use scrub::{
 };
 use temporal::FrameFlags;
 pub use temporal::{
-    FrameMeta, FrameView, Prediction, TemporalEncoder, TemporalManifest, TemporalReader,
-    MANIFEST_NAME, TEMPORAL_MAGIC, TEMPORAL_VERSION,
+    FrameMeta, Prediction, TemporalEncoder, TemporalManifest, TemporalReader, MANIFEST_NAME,
+    TEMPORAL_MAGIC, TEMPORAL_VERSION,
 };
 
 use hqmr_codec::kernels::PAR_MIN_CELLS;

@@ -48,17 +48,20 @@
 //!
 //! Delta chunks still record the chunk's **actual** value min/max in the
 //! `HQST` chunk table (not the residual's), so isovalue chunk-skipping and
-//! proxy fills through a [`FrameView`] keep their semantics.
+//! degraded-read proxy fills keep their semantics on a delta frame.
+//!
+//! Reading a run is split in two. [`TemporalReader`] opens and validates the
+//! directory and reads whole frames uncached ([`TemporalReader::read_frame`]);
+//! every other read — per level, per box, windowed, progressive — is
+//! `hqmr-serve`'s `TemporalServer`.
 
 use crate::format::{StoreError, StoreMeta};
-use crate::read::{self, ChunkSource, DecodedChunk, Progressive};
+use crate::read::{self, ChunkSource, DecodedChunk};
 use crate::{encode_frame, hqst_into, Loop, StoreConfig, StoreReader};
 use hqmr_codec::{framed_head, framed_head_into, write_uvarint, Codec, Cur};
-use hqmr_grid::Field3;
-use hqmr_mr::{structure_matches, temporal as predict, LevelData, MultiResData, Upsample};
-use std::collections::HashMap;
+use hqmr_mr::{structure_matches, temporal as predict, MultiResData};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Temporal manifest magic.
 pub const TEMPORAL_MAGIC: &[u8; 4] = b"HQTM";
@@ -307,17 +310,15 @@ impl TemporalEncoder {
 /// with the serving layer's time-keyed cache.
 pub type TimeKey = (usize, usize, usize);
 
-/// Memo of actual-value chunks shared along chain walks (and across the
-/// frames of a window read), so decoding frames `t0..=t1` touches each
-/// underlying chunk once instead of once per frame.
-type ChainMemo = Mutex<HashMap<TimeKey, DecodedChunk>>;
-
-/// Random-access reader over a temporal store directory.
+/// An opened, validated temporal store directory.
 ///
-/// Every per-frame read funnels through a [`FrameView`] — a [`ChunkSource`]
-/// whose `chunk` walks the delta chain back to the chunk's nearest keyframe
-/// — so level, ROI, isovalue and progressive reads all come from the same
-/// provider-generic assembly the single-frame store uses.
+/// The reader is the run's uncached oracle: [`TemporalReader::read_frame`]
+/// resolves every chunk's delta chain from scratch, which is what
+/// `hqmr-core`'s `TemporalWriter` resumes from and what every cached read
+/// is held to. Every other read of a run — one level, a box, a time window,
+/// coarse→fine progressive refinement, degraded and parity-repaired reads —
+/// is `hqmr-serve`'s `TemporalServer` over a shared reader, through its
+/// `(time, level, chunk)` cache.
 pub struct TemporalReader {
     dir: PathBuf,
     manifest: TemporalManifest,
@@ -391,195 +392,48 @@ impl TemporalReader {
         self.frames.len()
     }
 
-    /// Whether the store holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// The underlying per-frame store reader (chunk streams are residuals
-    /// for delta chunks — use [`TemporalReader::frame`] for actual values).
+    /// The underlying per-frame store reader. Its chunk streams are
+    /// residuals wherever the manifest flags a delta; actual values come
+    /// from [`TemporalReader::read_frame`] or a serving layer.
     pub fn frame_reader(&self, t: usize) -> Result<&StoreReader, StoreError> {
         self.frames.get(t).ok_or(StoreError::NoSuchFrame(t))
     }
 
-    /// An actual-value view of frame `t`, with a fresh chain memo.
-    pub fn frame(&self, t: usize) -> Result<FrameView<'_>, StoreError> {
-        if t >= self.frames.len() {
-            return Err(StoreError::NoSuchFrame(t));
-        }
-        Ok(FrameView {
-            reader: self,
-            t,
-            memo: Arc::new(Mutex::new(HashMap::new())),
-        })
-    }
-
-    /// Chain walk with memoization: finds the nearest memoized state or
-    /// keyframe at `s ≤ t`, then applies residuals forward `s+1..=t`,
-    /// memoizing every intermediate so overlapping walks (a window read, a
-    /// progressive refinement) decode each underlying chunk once.
-    fn chunk_chain(
-        &self,
-        memo: &ChainMemo,
-        t: usize,
-        level: usize,
-        block: usize,
-    ) -> Result<DecodedChunk, StoreError> {
-        if t >= self.frames.len() {
-            return Err(StoreError::NoSuchFrame(t));
-        }
-        // Walk back to a memo hit or a keyframe chunk.
-        let mut s = t;
-        let mut acc: Option<DecodedChunk> = None;
-        loop {
-            if let Some(c) = memo
-                .lock()
-                .expect("chain memo lock")
-                .get(&(s, level, block))
-            {
-                acc = Some(c.clone());
-                break;
-            }
-            if !self.manifest.frames[s].is_delta(level, block) {
-                break; // keyframe chunk at s
-            }
-            if s == 0 {
-                return Err(StoreError::Malformed("delta chain has no keyframe root"));
-            }
-            s -= 1;
-        }
-        let mut acc = match acc {
-            Some(c) => c,
-            None => {
-                let c = self.frames[s].decode_chunk(level, block)?;
-                memo.lock()
-                    .expect("chain memo lock")
-                    .insert((s, level, block), c.clone());
-                c
-            }
-        };
-        for u in s + 1..=t {
-            let residual = self.frames[u].decode_chunk(level, block)?;
-            acc = apply_residual(&acc, &residual)?;
-            memo.lock()
-                .expect("chain memo lock")
-                .insert((u, level, block), acc.clone());
-        }
-        Ok(acc)
-    }
-
-    /// Reads one whole resolution level of frame `t` (actual values).
-    pub fn read_level(&self, t: usize, level: usize) -> Result<LevelData, StoreError> {
-        read::read_level(&self.frame(t)?, level)
-    }
-
-    /// Reads every level of frame `t` — the temporal equivalent of
-    /// `StoreReader::read_all`.
+    /// Reads every level of frame `t` (actual values) — the temporal
+    /// equivalent of `StoreReader::read_all`.
     pub fn read_frame(&self, t: usize) -> Result<MultiResData, StoreError> {
-        read::read_all(&self.frame(t)?)
-    }
-
-    /// Reads the axis-aligned box `[lo, hi)` of one level at time `t`.
-    pub fn read_roi(
-        &self,
-        t: usize,
-        level: usize,
-        lo: [usize; 3],
-        hi: [usize; 3],
-        fill: f32,
-    ) -> Result<Field3, StoreError> {
-        read::read_roi(&self.frame(t)?, level, lo, hi, fill)
-    }
-
-    /// Time-windowed ROI: the same box read at every frame of `t0..=t1`,
-    /// one field per frame. The frames share one chain memo, so each
-    /// underlying chunk along the window's chains decodes exactly once —
-    /// equal results to calling [`TemporalReader::read_roi`] per frame, at
-    /// a fraction of the decode work.
-    pub fn read_roi_window(
-        &self,
-        t0: usize,
-        t1: usize,
-        level: usize,
-        lo: [usize; 3],
-        hi: [usize; 3],
-        fill: f32,
-    ) -> Result<Vec<Field3>, StoreError> {
-        if t0 > t1 {
-            return Err(StoreError::Malformed("empty time window"));
-        }
-        if t1 >= self.frames.len() {
-            return Err(StoreError::NoSuchFrame(t1));
-        }
-        let memo = Arc::new(Mutex::new(HashMap::new()));
-        (t0..=t1)
-            .map(|t| {
-                let view = FrameView {
-                    reader: self,
-                    t,
-                    memo: Arc::clone(&memo),
-                };
-                read::read_roi(&view, level, lo, hi, fill)
-            })
-            .collect()
+        self.frame_reader(t)?;
+        read::read_all(&Frame { reader: self, t })
     }
 }
 
-/// One frame of a [`TemporalReader`], viewed as a [`ChunkSource`] of
-/// actual-value chunks: `chunk` transparently walks the delta chain. All of
-/// the provider-generic reads (level, ROI, isovalue skip, progressive)
-/// therefore work per frame, chain decoding included.
-pub struct FrameView<'a> {
+/// Frame `t` of a [`TemporalReader`] as a [`ChunkSource`] of actual-value
+/// chunks.
+struct Frame<'a> {
     reader: &'a TemporalReader,
     t: usize,
-    memo: Arc<ChainMemo>,
 }
 
-impl FrameView<'_> {
-    /// The frame's time index.
-    pub fn time(&self) -> usize {
-        self.t
-    }
-
-    /// Coarse→fine temporal progressive refinement of this frame: each step
-    /// decodes the next finer level *through the delta chains*, sharing the
-    /// view's memo, so refining a delta frame only walks each chunk's chain
-    /// once across all steps.
-    pub fn progressive(&self, scheme: Upsample) -> Progressive<'_, Self> {
-        read::progressive(self, scheme)
-    }
-
-    /// Reads the box `[lo, hi)` of one level (actual values).
-    pub fn read_roi(
-        &self,
-        level: usize,
-        lo: [usize; 3],
-        hi: [usize; 3],
-        fill: f32,
-    ) -> Result<Field3, StoreError> {
-        read::read_roi(self, level, lo, hi, fill)
-    }
-
-    /// Reads one whole level (actual values).
-    pub fn read_level(&self, level: usize) -> Result<LevelData, StoreError> {
-        read::read_level(self, level)
-    }
-
-    /// Reads one level under isovalue chunk-skipping; the chunk table's
-    /// min/max are actual-value bounds even for delta chunks, so skipping
-    /// semantics match the single-frame store.
-    pub fn read_level_iso(&self, level: usize, iso: f32) -> Result<LevelData, StoreError> {
-        read::read_level_iso(self, level, iso)
-    }
-}
-
-impl ChunkSource for FrameView<'_> {
+impl ChunkSource for Frame<'_> {
     fn store_meta(&self) -> &StoreMeta {
         self.reader.frames[self.t].meta()
     }
 
+    /// Walks the chunk's chain back to its nearest keyframe, then applies
+    /// the residuals forward. A frame read asks for each `(level, chunk)`
+    /// once, so no intermediate is worth keeping.
     fn chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        self.reader.chunk_chain(&self.memo, self.t, level, block)
+        let (flags, frames) = (&self.reader.manifest.frames, &self.reader.frames);
+        let mut s = self.t;
+        while flags[s].is_delta(level, block) {
+            s = (s.checked_sub(1))
+                .ok_or(StoreError::Malformed("delta chain has no keyframe root"))?;
+        }
+        let mut acc = frames[s].decode_chunk(level, block)?;
+        for frame in &frames[s + 1..=self.t] {
+            acc = apply_residual(&acc, &frame.decode_chunk(level, block)?)?;
+        }
+        Ok(acc)
     }
 }
 
@@ -587,7 +441,7 @@ impl ChunkSource for FrameView<'_> {
 mod tests {
     use super::*;
     use hqmr_codec::NullCodec;
-    use hqmr_grid::Dims3;
+    use hqmr_grid::{Dims3, Field3};
     use hqmr_sz3::Sz3Codec;
 
     fn seq_field(n: usize, t: usize) -> Field3 {
@@ -710,45 +564,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn window_reads_match_per_frame_and_progressive_refines_through_chains() {
-        let frames = seq_frames(16, 4);
-        let cfg = StoreConfig::new(0.02).with_chunk_blocks(2);
-        let dir = std::env::temp_dir().join("hqmr_temporal_window_test");
-        std::fs::remove_dir_all(&dir).ok();
-        write_temporal(
-            &dir,
-            &frames,
-            &cfg,
-            Prediction::delta(),
-            &Sz3Codec::default(),
-        );
-        let tr = TemporalReader::open(&dir).unwrap();
-        // Window reads and per-frame reads decode the same stored data, so
-        // they must be bit-equal regardless of codec lossiness — and the
-        // window path walks each chain once through the shared memo.
-        let d = tr.frame_reader(0).unwrap().meta().levels[0].dims;
-        let (lo, hi) = ([0, 0, 0], [d.nx, d.ny / 2, d.nz]);
-        let window = tr.read_roi_window(0, 3, 0, lo, hi, 0.0).unwrap();
-        assert_eq!(window.len(), 4);
-        for (t, w) in window.iter().enumerate() {
-            let single = tr.read_roi(t, 0, lo, hi, 0.0).unwrap();
-            assert_eq!(*w, single, "window read differs from per-frame at t={t}");
-        }
-        // Progressive through the delta chains refines to the same full
-        // reconstruction a direct frame read produces.
-        let view = tr.frame(3).unwrap();
-        let steps: Vec<_> = view
-            .progressive(Upsample::Nearest)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(
-            steps.last().unwrap().field,
-            tr.read_frame(3).unwrap().reconstruct(Upsample::Nearest)
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

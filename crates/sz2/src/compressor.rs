@@ -11,7 +11,7 @@
 //! differential oracle.
 
 use crate::Sz2Config;
-use hqmr_codec::kernels::{self, SimdLevel, PAR_MIN_CELLS};
+use hqmr_codec::kernels::{self, SharedSlice, SimdLevel, PAR_MIN_CELLS};
 use hqmr_codec::{
     check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, push_stream_id,
     rle_decode, rle_encode, tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container,
@@ -415,37 +415,6 @@ fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> (Vec<f
     (recon, st)
 }
 
-/// The reconstruction a wavefront's slabs share, as a raw pointer.
-///
-/// SAFETY contract of [`SharedRecon::slice`]: slab `k` writes only the cells
-/// of its own x-planes, each once, and reads only cells of its own planes it
-/// has already written and cells of slab `k − 1`'s last x-plane that lie in
-/// blocks slab `k − 1` has published as finished (the `Release` store /
-/// `Acquire` load pair in [`encode_wavefront`]). No cell is ever written by
-/// one thread while another reads or writes it, so the overlapping views the
-/// workers materialize — one per block, after that block's wait — never
-/// race.
-struct SharedRecon {
-    ptr: *mut f32,
-    len: usize,
-}
-
-// SAFETY: `ptr`/`len` describe one live `[f32]` that `encode_wavefront`
-// borrows mutably for the whole scope the workers run in; `f32` is plain
-// data, and every access through the pointer keeps to the contract above.
-unsafe impl Send for SharedRecon {}
-// SAFETY: as for `Send` — shared `&SharedRecon` hand out only the pointer.
-unsafe impl Sync for SharedRecon {}
-
-impl SharedRecon {
-    /// # Safety
-    /// The caller keeps to the type's access contract.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
-}
-
 /// Marks the wavefront poisoned if its slab unwinds, so no other slab
 /// waits forever on progress that will never be published.
 struct PoisonOnUnwind<'a>(&'a AtomicBool);
@@ -486,10 +455,7 @@ fn encode_wavefront(
     let lvl = kernels::simd_level();
     let done: Vec<AtomicUsize> = (0..counts.nx).map(|_| AtomicUsize::new(0)).collect();
     let poisoned = AtomicBool::new(false);
-    let shared = SharedRecon {
-        ptr: recon.as_mut_ptr(),
-        len: recon.len(),
-    };
+    let shared = SharedSlice::new(recon);
     let slab = |bx: usize| {
         let _poison = PoisonOnUnwind(&poisoned);
         let planes = grid.block(bx, 0, 0).size.nx;
@@ -512,8 +478,13 @@ fn encode_wavefront(
                         }
                     }
                 }
-                // SAFETY: this block's cells belong to slab `bx`, and its
-                // stencil reads only cells published above (SharedRecon).
+                // SAFETY: slab `bx` writes only the cells of its own
+                // x-planes, each once, and reads only cells of its own
+                // planes it has already written and cells of slab `bx − 1`'s
+                // last x-plane in blocks that slab has published as finished
+                // (the `Release` store below / the `Acquire` load above). No
+                // cell is written by one thread while another reads or
+                // writes it, so the views taken one per block never race.
                 let recon = unsafe { shared.slice() };
                 quantize_block(q, lvl, field, blk, plane, recon, &mut st);
                 done[bx].store(raster + 1, Ordering::Release);

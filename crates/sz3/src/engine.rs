@@ -40,7 +40,7 @@
 //! order, so IEEE determinism makes them bit-identical by construction; the
 //! tests make it checked, not assumed.
 
-use hqmr_codec::kernels::{self, SimdLevel};
+use hqmr_codec::kernels::{self, SharedSlice, SimdLevel};
 use hqmr_codec::{LinearQuantizer, QuantOutcome};
 use hqmr_grid::Dims3;
 use rayon::prelude::*;
@@ -457,29 +457,6 @@ const PAR_MIN_POINTS: usize = 1 << 16;
 #[cfg(target_arch = "x86_64")]
 const PAR_LANES: usize = 64;
 
-/// A `*mut f32` the sweep workers share. Lines of one sweep write disjoint
-/// cells (odd multiples of `s` along the sweep dim, at distinct bases) and
-/// read only cells no line of the sweep writes (even multiples) — plus, in
-/// the across-lines arm, the cells of their own four-lane group's window —
-/// so the overlapping mutable views the workers re-materialize never touch
-/// an element another worker writes.
-struct SharedBuf {
-    ptr: *mut f32,
-    len: usize,
-}
-
-unsafe impl Send for SharedBuf {}
-unsafe impl Sync for SharedBuf {}
-
-impl SharedBuf {
-    /// # Safety
-    /// Callers must write disjoint element sets (see the type docs).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
-}
-
 /// One level-sweep's loop bounds, shared by both passes so the visit order is
 /// defined in exactly one place (and matches [`reference::traverse`]).
 struct Sweep {
@@ -764,15 +741,17 @@ pub fn decompress_pass(
                 let jobs: Vec<(usize, usize)> = (0..outer)
                     .flat_map(|c| (0..lanes).step_by(PAR_LANES).map(move |j| (c, j)))
                     .collect();
-                let shared = SharedBuf {
-                    ptr: buf.as_mut_ptr(),
-                    len: buf.len(),
-                };
+                let shared = SharedSlice::new(buf);
                 let _: Vec<()> = jobs
                     .par_iter()
                     .map(|&(c, j)| {
-                        // Safety: slabs write disjoint cells (SharedBuf docs);
-                        // `Across` is only picked on an AVX2 CPU.
+                        // SAFETY: a slab's lines write only their own cells
+                        // (odd multiples of `s` along the sweep dim, at
+                        // bases no other slab has) and read cells no line
+                        // of the sweep writes (even multiples) plus their
+                        // own four-lane group's window, which no slab
+                        // straddles (`PAR_LANES`). `Across` is only picked
+                        // on an AVX2 CPU.
                         unsafe {
                             let b = shared.slice();
                             let js = j..(j + PAR_LANES).min(lanes);
@@ -804,14 +783,14 @@ pub fn decompress_pass(
                     .count();
                 co += per_line;
             });
-            let shared = SharedBuf {
-                ptr: buf.as_mut_ptr(),
-                len: buf.len(),
-            };
+            let shared = SharedSlice::new(buf);
             let line_ok: Vec<bool> = jobs
                 .par_iter()
                 .map(|&(base, co, oo)| {
-                    // Safety: sweep lines write disjoint cells (SharedBuf docs).
+                    // SAFETY: lines of one sweep write disjoint cells (odd
+                    // multiples of `s` along the sweep dim, at distinct
+                    // bases) and read only cells no line of the sweep
+                    // writes (even multiples).
                     let b = unsafe { shared.slice() };
                     let (mut ci_l, mut oi_l, mut ok_l) = (co, oo, true);
                     decode_line(

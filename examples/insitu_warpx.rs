@@ -11,15 +11,18 @@
 //! frame lands as its own crash-safe `HQST` file, the manifest is rewritten
 //! atomically after it, and chunks that changed little since the previous
 //! step are stored as residuals against it. The analysis pass then reopens
-//! the directory cold and demonstrates the reader side: a time-windowed ROI
-//! query following the pulse, and coarse→fine progressive refinement of the
-//! final frame — both resolving delta chains transparently.
+//! the directory cold and reads it through a [`TemporalServer`]: a
+//! time-windowed ROI query following the pulse, and coarse→fine progressive
+//! refinement of the final frame — both resolving delta chains through the
+//! server's chunk cache.
 
 use hqmr::grid::{synth, Dims3};
 use hqmr::metrics::psnr;
 use hqmr::mr::{resample_like, to_adaptive, RoiConfig, Upsample};
+use hqmr::serve::TemporalServer;
 use hqmr::store::temporal::{Prediction, TemporalReader};
 use hqmr::workflow::{MrcConfig, TemporalWriter};
+use std::sync::Arc;
 
 fn main() {
     let dims = Dims3::new(32, 32, 256);
@@ -76,14 +79,16 @@ fn main() {
     );
 
     // Analysis side: cold open, no configuration — codecs and delta flags
-    // come from the manifest and the per-frame containers.
-    let reader = TemporalReader::open(&out_dir).unwrap();
+    // come from the manifest and the per-frame containers. Every read goes
+    // through one server, whose `(time, level, chunk)` cache resolves each
+    // delta chain link once however many reads walk through it.
+    let reader = Arc::new(TemporalReader::open(&out_dir).unwrap());
     assert_eq!(reader.frame_count(), steps);
+    let server = TemporalServer::unbounded(reader);
 
-    // Time-windowed ROI around the pulse axis: one decode pass shares the
-    // delta-chain work across the window's frames.
+    // Time-windowed ROI around the pulse axis.
     let (lo, hi) = ([8, 8, 128], [24, 24, 224]);
-    let window = reader
+    let window = server
         .read_roi_window(1, steps - 1, 0, lo, hi, 0.0)
         .unwrap();
     println!(
@@ -96,7 +101,7 @@ fn main() {
     );
 
     // Progressive refinement of the last frame, through its delta chain.
-    let last = reader.frame(steps - 1).unwrap();
+    let last = server.frame(steps - 1).unwrap();
     let truth = field_at(steps - 1);
     println!("\nprogressive refinement of frame {}:", steps - 1);
     for step in last.progressive(Upsample::Trilinear) {
@@ -107,6 +112,11 @@ fn main() {
             psnr(&truth, &step.field)
         );
     }
+    let st = server.stats();
+    println!(
+        "\nchunk cache: {} decoded, {} served from cache",
+        st.misses, st.hits
+    );
 
     std::fs::remove_dir_all(&out_dir).ok();
 }

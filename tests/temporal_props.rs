@@ -4,9 +4,9 @@
 //!   byte-identical to the independent snapshot `write_snapshot` would have
 //!   produced for the same timestep — the temporal container is a strict
 //!   superset of the snapshot path, not a fork of it;
-//! * with prediction **on**, a time-windowed ROI read equals the per-frame
-//!   ROI reads, and the serving layer returns the same bytes as the bare
-//!   reader at any cache budget;
+//! * with prediction **on**, the serving layer — per frame, per time window
+//!   and through progressive refinement — returns the same bytes as the
+//!   reader's uncached `read_frame` at any cache budget;
 //! * a publish that fails — at the frame, its sidecar or the manifest —
 //!   leaves the writer behind the last frame a reader can see: whatever is
 //!   appended next, every frame on disk stays within the bound. (The run
@@ -17,7 +17,9 @@
 
 use hqmr::codec::{Codec, CodecError};
 use hqmr::grid::{synth, Dims3, Field3};
-use hqmr::mr::{resample_like, to_adaptive, MergeStrategy, MultiResData, PadKind, RoiConfig};
+use hqmr::mr::{
+    resample_like, to_adaptive, MergeStrategy, MultiResData, PadKind, RoiConfig, Upsample,
+};
 use hqmr::serve::TemporalServer;
 use hqmr::store::temporal::{Prediction, TemporalEncoder, TemporalReader, MANIFEST_NAME};
 use hqmr::store::{StoreConfig, StoreReader};
@@ -75,62 +77,120 @@ fn prediction_off_frames_are_bit_identical_to_independent_snapshots() {
     }
 }
 
+/// Cache budgets the server is held to its oracle at: off, a few chunks,
+/// never evicting.
+const BUDGETS: [usize; 3] = [0, 4096, usize::MAX];
+
+/// Writes `sequence()` as a delta-predicted run under `backend` and opens it.
+fn delta_run(backend: Backend, name: &str) -> (PathBuf, Arc<TemporalReader>) {
+    let dir = fresh_dir(&format!("hqmr_tprops_{name}_{}", backend.name()));
+    let mut writer = TemporalWriter::create(&dir, &config(backend), Prediction::delta()).unwrap();
+    for (t, mr) in sequence().iter().enumerate() {
+        writer.append(t as u64, mr).unwrap();
+    }
+    let reader = Arc::new(TemporalReader::open(&dir).unwrap());
+    (dir, reader)
+}
+
+/// The reader's uncached `read_frame` for every frame, and the crop of
+/// each frame's level 0 to `[lo, hi)`, uncovered cells at `fill`.
+fn oracle_and_crops(
+    reader: &TemporalReader,
+    lo: [usize; 3],
+    hi: [usize; 3],
+    fill: f32,
+) -> (Vec<MultiResData>, Vec<Field3>) {
+    let size = Dims3::new(hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]);
+    let oracle: Vec<MultiResData> = (0..STEPS).map(|t| reader.read_frame(t).unwrap()).collect();
+    let crops = (oracle.iter())
+        .map(|mr| mr.levels[0].to_field(fill).extract_box(lo, size))
+        .collect();
+    (oracle, crops)
+}
+
+/// A windowed ROI through the server equals the server's per-frame ROI
+/// reads and the per-frame crops of the reader's `read_frame`; a window
+/// starting mid-chain, on a cold cache, re-derives the same bytes from the
+/// nearest keyframe.
 #[test]
 fn window_roi_equals_per_frame_roi_for_every_backend() {
-    let mrs = sequence();
-    let (lo, hi) = ([2, 2, 2], [14, 14, 10]);
+    let (lo, hi, fill) = ([2, 2, 2], [14, 14, 10], -7.5);
     for backend in Backend::ALL {
-        let cfg = config(backend);
-        let dir = fresh_dir(&format!("hqmr_tprops_win_{}", backend.name()));
-        let mut writer = TemporalWriter::create(&dir, &cfg, Prediction::delta()).unwrap();
-        for (t, mr) in mrs.iter().enumerate() {
-            writer.append(t as u64, mr).unwrap();
-        }
-        let reader = TemporalReader::open(&dir).unwrap();
+        let (dir, reader) = delta_run(backend, "win");
+        let (_, crops) = oracle_and_crops(&reader, lo, hi, fill);
 
-        let window = reader
-            .read_roi_window(0, STEPS - 1, 0, lo, hi, 0.0)
-            .unwrap();
+        let cold = TemporalServer::new(Arc::clone(&reader), usize::MAX);
+        let tail = cold.read_roi_window(1, STEPS - 1, 0, lo, hi, fill);
+        assert_eq!(tail.unwrap(), crops[1..], "{backend:?}: mid-chain window");
+
+        let server = TemporalServer::new(Arc::clone(&reader), usize::MAX);
+        let window = server.read_roi_window(0, STEPS - 1, 0, lo, hi, fill);
         let per_frame: Vec<Field3> = (0..STEPS)
-            .map(|t| reader.read_roi(t, 0, lo, hi, 0.0).unwrap())
+            .map(|t| server.read_roi(t, 0, lo, hi, fill).unwrap())
             .collect();
         assert_eq!(
-            window, per_frame,
+            window.unwrap(),
+            per_frame,
             "{backend:?}: windowed ROI must equal per-frame ROI reads"
         );
-
-        // A window starting mid-chain re-derives the same bytes from the
-        // nearest keyframe.
-        let tail = reader
-            .read_roi_window(1, STEPS - 1, 0, lo, hi, 0.0)
-            .unwrap();
-        assert_eq!(tail, per_frame[1..], "{backend:?}: mid-chain window");
+        assert_eq!(per_frame, crops, "{backend:?}: per-frame ROI vs read_frame");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
+/// The server is a run's one read API and the reader's uncached
+/// `read_frame` its oracle: at every cache budget a frame read through the
+/// cache equals the oracle's, and a windowed ROI — from frame 0, and from
+/// mid-chain — equals the per-frame crops of the oracle's level.
 #[test]
 fn serve_layer_matches_bare_reader_at_every_cache_budget() {
-    let mrs = sequence();
-    let (lo, hi) = ([0, 0, 0], [16, 16, 8]);
-    let backend = Backend::SZ3;
-    let dir = fresh_dir("hqmr_tprops_serve");
-    let mut writer = TemporalWriter::create(&dir, &config(backend), Prediction::delta()).unwrap();
-    for (t, mr) in mrs.iter().enumerate() {
-        writer.append(t as u64, mr).unwrap();
+    let (lo, hi, fill) = ([0, 0, 0], [16, 16, 8], 0.0);
+    for backend in Backend::ALL {
+        let (dir, reader) = delta_run(backend, "serve");
+        let (oracle, crops) = oracle_and_crops(&reader, lo, hi, fill);
+        for budget in BUDGETS {
+            let what = format!("{backend:?} budget {budget}");
+            let server = TemporalServer::new(Arc::clone(&reader), budget);
+            let tail = server.read_roi_window(1, STEPS - 1, 0, lo, hi, fill);
+            assert_eq!(tail.unwrap(), crops[1..], "{what}: mid-chain window");
+            let window = server.read_roi_window(0, STEPS - 1, 0, lo, hi, fill);
+            assert_eq!(window.unwrap(), crops, "{what}: window");
+            for (t, want) in oracle.iter().enumerate() {
+                assert_eq!(server.read_frame(t).unwrap(), *want, "{what}: frame {t}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let reader = Arc::new(TemporalReader::open(&dir).unwrap());
-    let want: Vec<Field3> = (0..STEPS)
-        .map(|t| reader.read_roi(t, 0, lo, hi, 0.0).unwrap())
-        .collect();
-    for budget in [0, 4096, usize::MAX] {
-        let server = TemporalServer::new(Arc::clone(&reader), budget);
-        let got = server
-            .read_roi_window(0, STEPS - 1, 0, lo, hi, 0.0)
-            .unwrap();
-        assert_eq!(got, want, "budget {budget}: server must match bare reader");
+}
+
+/// Progressive refinement resolves delta chains: the last frame of a
+/// predicted run, refined coarse→fine through the server, ends bit for bit
+/// at the oracle frame's reconstruction under both upsampling schemes.
+#[test]
+fn server_progressive_refines_through_delta_chains_for_every_backend() {
+    let t = STEPS - 1;
+    for backend in Backend::ALL {
+        let (dir, reader) = delta_run(backend, "progressive");
+        // Null stores raw floats: a residual never beats them, and ties go raw.
+        assert!(
+            backend == Backend::NULL || reader.manifest().frames[t].delta_chunks() > 0,
+            "{backend:?}: frame {t} predicts"
+        );
+        let oracle = reader.read_frame(t).unwrap();
+        for budget in BUDGETS {
+            let server = TemporalServer::new(Arc::clone(&reader), budget);
+            for scheme in [Upsample::Nearest, Upsample::Trilinear] {
+                let frame = server.frame(t).unwrap();
+                let steps: Vec<_> = frame.progressive(scheme).collect::<Result<_, _>>().unwrap();
+                assert_eq!(
+                    steps.last().unwrap().field,
+                    oracle.reconstruct(scheme),
+                    "{backend:?} budget {budget} {scheme:?}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The closed loop may only predict from frames that were published. One
