@@ -1,6 +1,6 @@
 //! The path of an answer that is already in the cache, timed where the
 //! server runs it: `*/frame` is a warm `StoreServer` to response-frame
-//! bytes (residency probe, harvest, assembly by reference, frame encode and
+//! bytes (resident harvest, assembly by reference, frame encode and
 //! CRC — what a connection thread does between parsing a request and
 //! writing the socket), for a 64³ ROI (1 MB) and for the coarsest level of
 //! a two-level store; `roi_hit/loopback` is the same ROI as one request
@@ -12,7 +12,7 @@ use hqmr_grid::{synth, Dims3};
 use hqmr_mr::{to_adaptive, RoiConfig};
 use hqmr_net::proto::encode_batch_parts_into;
 use hqmr_net::{DatasetSpec, NetClient, NetConfig, NetServer};
-use hqmr_serve::{Query, StoreServer};
+use hqmr_serve::{OnCorrupt, Query, StoreServer};
 use hqmr_store::{write_store, StoreConfig, StoreReader};
 use hqmr_sz3::Sz3Codec;
 use std::sync::Arc;
@@ -42,8 +42,13 @@ fn bench_hit_path(c: &mut Criterion) {
         let mut g = c.benchmark_group(group);
         g.sample_size(50);
         let mut hit = || {
-            let parts = warm.serve_batch_resident(&[query]);
-            encode_batch_parts_into(&parts.expect("resident").unwrap(), 1, &mut frame);
+            let served = warm.serve_resident(&[query], OnCorrupt::Fail).unwrap();
+            let parts: Vec<_> = served
+                .expect("resident")
+                .into_iter()
+                .map(|r| r.response)
+                .collect();
+            encode_batch_parts_into(&parts, 1, &mut frame);
             frame.len()
         };
         g.throughput(Throughput::Bytes(hit() as u64));

@@ -465,9 +465,10 @@ impl NetClient {
     }
 
     /// Degraded-mode batch — the remote form of
-    /// [`StoreServer::serve_batch_degraded`](hqmr_serve::StoreServer::serve_batch_degraded):
-    /// corrupt chunks are filled and flagged per query instead of failing
-    /// the batch. One attempt.
+    /// [`StoreServer::serve`](hqmr_serve::StoreServer::serve) under
+    /// [`OnCorrupt::Fill`](hqmr_serve::OnCorrupt::Fill): corrupt chunks are
+    /// filled and flagged per query instead of failing the batch. One
+    /// attempt.
     pub fn batch_degraded(
         &mut self,
         dataset: u32,

@@ -252,9 +252,9 @@ pub enum Request {
         /// `false` peeks.
         take: bool,
     },
-    /// [`Request::Batch`] in degraded mode — the wire form of
-    /// `serve_batch_degraded`: corrupt chunks are filled from coarser data
-    /// and flagged per query instead of failing the batch.
+    /// [`Request::Batch`] in degraded mode — the wire form of `serve` under
+    /// `OnCorrupt::Fill`: corrupt chunks are filled from coarser data and
+    /// flagged per query instead of failing the batch.
     BatchDegraded {
         /// Target dataset id.
         dataset: u32,

@@ -13,18 +13,17 @@
 //!
 //! Each connection gets its own thread that parses frames, builds every
 //! response frame and writes it to the socket. What it *computes* itself is
-//! only what cannot block on a decode: catalog and stats requests, and an
-//! exact [`Request::Batch`] whose every chunk is resident in its tenant's
-//! cache ([`StoreServer::serve_batch_resident`] — one lock acquisition to
-//! ask, then the same batch function a worker would run, on the thread that
-//! is about to write the answer anyway; no queue, no hand-off, no wake-up).
-//! Everything decode-bearing — a batch with a miss, a degraded batch, a
-//! progressive read — goes through **one** bounded queue that every worker
-//! pulls from: a full queue is an immediate [`ErrorFrame::Busy`] response,
-//! never an unbounded backlog, and [`NetConfig::request_deadline`] bounds
-//! the wait for the answer. Exact batches come back from the worker as
-//! [`ResponseParts`] — still in the decoded chunks — and the connection
-//! thread encodes its frame straight from the slabs
+//! only what cannot block on a decode: catalog and stats requests, a batch
+//! (of either kind) that does not plan, and one whose every chunk is
+//! resident in its tenant's cache ([`StoreServer::serve_resident`] — one
+//! lock acquisition checks and harvests, on the thread that is about to
+//! write the answer anyway; no queue, no hand-off, no wake-up). Everything
+//! decode-bearing — a batch with a miss, a progressive read — goes through
+//! **one** bounded queue that every worker pulls from: a full queue is an
+//! immediate [`ErrorFrame::Busy`] response, never an unbounded backlog, and
+//! [`NetConfig::request_deadline`] bounds the wait for the answer. Exact
+//! batches stay [`ResponseParts`] — still in the decoded chunks — and the
+//! connection thread encodes its frame straight from the slabs
 //! ([`encode_batch_parts_into`]): a cached cell is copied once, into the
 //! frame.
 //!
@@ -52,7 +51,9 @@ use crate::proto::{
     ErrorFrame, NetResponse, ProtocolError, Request, ServerStats, HEADER_LEN,
 };
 use hqmr_mr::Upsample;
-use hqmr_serve::{partition_budget, FaultHook, Query, ResponseParts, StoreServer};
+use hqmr_serve::{
+    partition_budget, FaultHook, OnCorrupt, Query, QueryResult, ResponseParts, StoreServer,
+};
 use hqmr_store::{StoreError, StoreReader, Throttle};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
@@ -83,9 +84,9 @@ pub struct DatasetSpec {
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Decode worker count — how many decode-bearing requests (a batch with
-    /// a cache miss, a degraded batch, a progressive read) run at once,
-    /// whichever datasets they name; `0` means one per available core.
-    /// Batches answered wholly from cache never occupy a worker.
+    /// a cache miss, a progressive read) run at once, whichever datasets
+    /// they name; `0` means one per available core. Batches answered wholly
+    /// from cache never occupy a worker.
     pub workers: usize,
     /// Waiting room per worker: the fleet's one job queue holds
     /// `queue_depth × workers` requests. A full queue produces
@@ -154,12 +155,8 @@ struct Tenant {
 
 /// Decode-bearing work routed to the workers.
 enum Work {
-    /// One batch; `degraded` picks the wire kind's fill-and-flag answer
-    /// over the exact one.
-    Batch {
-        queries: Vec<Query>,
-        degraded: bool,
-    },
+    /// One batch under its wire kind's policy.
+    Batch(Vec<Query>, OnCorrupt),
     Progressive(Upsample),
     /// Test hook: parks the worker on a barrier so queue-full behaviour can
     /// be exercised deterministically.
@@ -187,9 +184,24 @@ impl Answer {
         Answer::Other(NetResponse::Error(e))
     }
 
-    /// A batch function's result as the answer that travels.
+    /// A read's result as the answer that travels.
     fn served<T>(served: Result<T, StoreError>, ok: impl FnOnce(T) -> Answer) -> Answer {
         served.map_or_else(|e| Answer::error(ErrorFrame::Store((&e).into())), ok)
+    }
+
+    /// A batch's result as its wire kind's answer: exact answers stay in
+    /// their chunks, filled ones are owned and flagged.
+    fn batch(
+        served: Result<Vec<QueryResult<ResponseParts>>, StoreError>,
+        on_corrupt: OnCorrupt,
+    ) -> Answer {
+        Answer::served(served, |results| match on_corrupt {
+            OnCorrupt::Fail => Answer::Batch(results.into_iter().map(|r| r.response).collect()),
+            OnCorrupt::Fill => {
+                let owned = results.iter().map(QueryResult::to_owned).collect();
+                Answer::Other(NetResponse::BatchDegraded(owned))
+            }
+        })
     }
 
     /// Builds the answer's frame in `frame`, replacing its contents.
@@ -340,42 +352,31 @@ impl Shared {
                     }))
                 }
             },
-            Request::Batch { dataset, queries } => self.dispatch(
-                dataset,
-                Work::Batch {
-                    queries,
-                    degraded: false,
-                },
-            ),
-            Request::BatchDegraded { dataset, queries } => self.dispatch(
-                dataset,
-                Work::Batch {
-                    queries,
-                    degraded: true,
-                },
-            ),
+            Request::Batch { dataset, queries } => {
+                self.dispatch(dataset, Work::Batch(queries, OnCorrupt::Fail))
+            }
+            Request::BatchDegraded { dataset, queries } => {
+                self.dispatch(dataset, Work::Batch(queries, OnCorrupt::Fill))
+            }
             Request::Progressive { dataset, scheme } => {
                 self.dispatch(dataset, Work::Progressive(scheme))
             }
         }
     }
 
-    /// Answers data-reading work: an exact batch whose chunks are all
-    /// resident is served right here, on the calling (connection) thread;
-    /// anything that may decode waits for a worker — within the queue's
-    /// bound and the request deadline.
+    /// Answers data-reading work: a batch that fails to plan or whose
+    /// chunks are all resident is answered right here, on the calling
+    /// (connection) thread; anything that may decode waits for a worker —
+    /// within the queue's bound and the request deadline.
     fn dispatch(&self, dataset: u32, work: Work) -> Answer {
         let tenant = match self.tenant(dataset) {
             Ok(t) => t,
             Err(e) => return Answer::error(e),
         };
-        if let Work::Batch {
-            queries,
-            degraded: false,
-        } = &work
-        {
-            if let Some(served) = self.tenants[tenant].serve.serve_batch_resident(queries) {
-                return Answer::served(served, Answer::Batch);
+        if let Work::Batch(queries, on_corrupt) = &work {
+            let serve = &self.tenants[tenant].serve;
+            if let Some(served) = serve.serve_resident(queries, *on_corrupt).transpose() {
+                return Answer::batch(served, *on_corrupt);
             }
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -453,13 +454,8 @@ fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         let serve = &shared.tenants[job.tenant].serve;
         let answer = match job.work {
-            Work::Batch {
-                queries,
-                degraded: false,
-            } => Answer::served(serve.serve_batch_parts(&queries), Answer::Batch),
-            Work::Batch { queries, .. } => {
-                let results = serve.serve_batch_degraded(&queries);
-                Answer::served(results.map(NetResponse::BatchDegraded), Answer::Other)
+            Work::Batch(queries, on_corrupt) => {
+                Answer::batch(serve.serve(&queries, on_corrupt), on_corrupt)
             }
             Work::Progressive(scheme) => {
                 let steps = serve.progressive(scheme).collect::<Result<_, _>>();
@@ -994,10 +990,7 @@ mod tests {
     }
 
     fn level0() -> Work {
-        Work::Batch {
-            queries: vec![Query::Level { level: 0 }],
-            degraded: false,
-        }
+        Work::Batch(vec![Query::Level { level: 0 }], OnCorrupt::Fail)
     }
 
     fn fleet(cfg: NetConfig) -> NetServer {
@@ -1144,9 +1137,9 @@ mod tests {
     }
 
     /// A resident batch needs no worker: with the only worker parked and
-    /// the queue full, a connection whose chunks are all cached is still
-    /// answered — on its own thread — while one that needs a decode gets
-    /// Busy.
+    /// the queue full, a batch of either kind whose chunks are all cached
+    /// is still answered — on its own thread — and so is one that does not
+    /// plan, while one that needs a decode gets Busy.
     #[test]
     fn resident_batch_is_answered_while_the_worker_is_parked() {
         let server = fleet(NetConfig {
@@ -1172,6 +1165,31 @@ mod tests {
         assert_eq!(
             after.hits, ledger.misses,
             "each chunk counted once, as a hit"
+        );
+        assert_eq!(shared.busy_rejections.load(Ordering::Relaxed), 0);
+
+        // A resident degraded batch is answered here too, exactly; a batch
+        // that does not plan gets its typed error, not a queue slot.
+        let NetResponse::Batch(exact) = expected else {
+            unreachable!("checked above");
+        };
+        let exact = exact.into_iter().map(|response| QueryResult {
+            response,
+            degraded: Vec::new(),
+        });
+        let degraded = shared.respond(Request::BatchDegraded {
+            dataset: 0,
+            queries: vec![Query::Level { level: 1 }],
+        });
+        assert_eq!(degraded, NetResponse::BatchDegraded(exact.collect()));
+        let malformed = shared.respond(Request::Batch {
+            dataset: 0,
+            queries: vec![Query::Level { level: 99 }],
+        });
+        let no_such_level = crate::proto::WireStoreError::NoSuchLevel(99);
+        assert_eq!(
+            malformed,
+            NetResponse::Error(ErrorFrame::Store(no_such_level))
         );
         assert_eq!(shared.busy_rejections.load(Ordering::Relaxed), 0);
 

@@ -395,12 +395,14 @@ fn raw_call(stream: &mut std::net::TcpStream, req_id: u64, req: &hqmr_net::Reque
 /// slabs, on a worker's answer (a miss) or on the connection thread (all
 /// resident). Either way the bytes on the wire are those of
 /// `NetResponse::Batch(serve_batch(..)).encode_into(..)` — for every
-/// backend, query shape and cache state — and the cache ledger a client
-/// reads afterwards is the one the in-process server keeps for the same
-/// request sequence.
+/// backend, query shape and cache state — and a degraded batch's are those
+/// of `NetResponse::BatchDegraded` over the owned `serve(.., Fill)`, cold
+/// and warm. The cache ledger a client reads afterwards is the one the
+/// in-process server keeps for the same request sequence.
 #[test]
 fn raw_frames_equal_the_owned_encoding_in_every_cache_state() {
     use hqmr_net::proto::{read_hello, write_hello, Kind, NetResponse, Request};
+    use hqmr_serve::{OnCorrupt, QueryResult};
     use std::time::Duration;
 
     for (i, (name, codec)) in all_codecs().into_iter().enumerate() {
@@ -466,7 +468,8 @@ fn raw_frames_equal_the_owned_encoding_in_every_cache_state() {
         );
         let isos = isos.map(|(.., q)| q);
         // cold → partly warm → fully warm, twice over: single queries, then
-        // one batch of everything with overlapping boxes.
+        // one batch of everything with overlapping boxes; exact and
+        // degraded, each cold and warm.
         let everything = vec![
             aligned,
             clipped,
@@ -478,22 +481,42 @@ fn raw_frames_equal_the_owned_encoding_in_every_cache_state() {
             roi(1, [0, 0, 0], [d1.nx / 2 + 1, d1.ny, d1.nz / 2], 0.0),
             Query::Level { level: 0 },
         ];
+        // One block of level 1's first chunk: cold until the degraded steps.
+        let lo1 = meta.levels[1].chunks[0].slots[0].1;
+        let block1 = roi(1, lo1, lo1.map(|o| o + meta.levels[1].unit), 2.0);
+        let (exact, fill) = (OnCorrupt::Fail, OnCorrupt::Fill);
         let script = [
-            vec![unaligned],
-            vec![Query::Level { level: 0 }],
-            vec![Query::Level { level: 0 }],
-            everything.clone(),
-            everything,
+            (vec![unaligned], exact),
+            (vec![Query::Level { level: 0 }], exact),
+            (vec![Query::Level { level: 0 }], exact),
+            (vec![block1], fill),
+            (vec![block1], fill),
+            (everything.clone(), exact),
+            (everything.clone(), fill),
+            (everything, exact),
         ];
-        for (step, queries) in script.into_iter().enumerate() {
+        for (step, (queries, on_corrupt)) in script.into_iter().enumerate() {
             let req_id = 0x0100 + step as u64;
-            let direct = NetResponse::Batch(oracle.serve_batch(&queries).unwrap());
+            let (direct, request) = match on_corrupt {
+                OnCorrupt::Fail => (
+                    NetResponse::Batch(oracle.serve_batch(&queries).unwrap()),
+                    Request::Batch {
+                        dataset: 0,
+                        queries,
+                    },
+                ),
+                OnCorrupt::Fill => {
+                    let results = oracle.serve(&queries, on_corrupt).unwrap();
+                    let owned = results.iter().map(QueryResult::to_owned).collect();
+                    let request = Request::BatchDegraded {
+                        dataset: 0,
+                        queries,
+                    };
+                    (NetResponse::BatchDegraded(owned), request)
+                }
+            };
             let mut expected = Vec::new();
             direct.encode_into(req_id, &mut expected);
-            let request = Request::Batch {
-                dataset: 0,
-                queries,
-            };
             let got = raw_call(&mut stream, req_id, &request);
             assert!(
                 got == expected,

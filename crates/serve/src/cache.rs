@@ -308,14 +308,18 @@ impl ChunkCache {
         out
     }
 
-    /// Residency probe: whether every one of `keys` is resident right now —
-    /// one lock acquisition, no recency touch, no counter. The answer is
-    /// advice (an eviction may land before the caller's harvest, which then
-    /// decodes through [`ChunkCache::get_or_decode`] as any miss does); the
-    /// lookups that follow do the accounting.
-    pub(crate) fn all_resident<'k>(&self, mut keys: impl Iterator<Item = &'k TimeKey>) -> bool {
-        let st = self.lock();
-        keys.all(|key| st.entries.contains_key(key))
+    /// All-or-nothing harvest under one lock acquisition: every one of
+    /// `keys`' chunks, touched and counted as hits, if all are resident;
+    /// otherwise `None`, with nothing touched or counted. No eviction can
+    /// get between the check and the harvest.
+    pub(crate) fn get_all_resident(&self, keys: &[TimeKey]) -> Option<Vec<DecodedChunk>> {
+        let mut st = self.lock();
+        if !keys.iter().all(|key| st.entries.contains_key(key)) {
+            return None;
+        }
+        let hits = keys.len() as u64;
+        self.counters.hits.fetch_add(hits, Ordering::Relaxed);
+        keys.iter().map(|&key| st.touch(key)).collect()
     }
 
     /// Inserts under the held lock, evicting LRU entries first so that
@@ -443,35 +447,39 @@ mod tests {
         }
     }
 
-    /// The residency probe is advice and nothing else: it counts nothing,
-    /// leaves the recency order alone, and when an eviction lands between a
-    /// "resident" answer and the harvest, the harvest's lookup is a miss —
-    /// counted once, like any other.
+    /// The residency probe is all or nothing: a refusal counts nothing and
+    /// leaves the recency order alone; an acceptance is one hit per key and
+    /// refreshes each, like any harvest — and decodes nothing either way.
     #[test]
     fn residency_probe_neither_counts_nor_touches() {
         let [a, b, c] = [0, 1, 2].map(|i| (0, 0, i));
         let bytes = chunk(64).resident_bytes();
         let cache = ChunkCache::new(2 * bytes);
+        let decode = |key| cache.get_or_decode(key, || Ok(chunk(64))).unwrap();
+        let harvested = |keys: &[TimeKey]| cache.get_all_resident(keys).map(|h| h.len());
         for key in [a, b] {
-            cache.get_or_decode(key, || Ok(chunk(64))).unwrap();
+            decode(key);
         }
         let before = cache.stats();
         assert_eq!((before.hits, before.misses), (0, 2));
 
-        assert!(cache.all_resident([a, b].iter()));
-        assert!(cache.all_resident([].iter()));
-        assert!(!cache.all_resident([a, c].iter()));
-        assert_eq!(cache.stats(), before, "a probe is not a lookup");
+        // Refused: `a` is resident, `c` is not. `a` stays the oldest, so
+        // making room for `c` evicts it.
+        assert_eq!(harvested(&[a, c]), None);
+        assert_eq!(cache.stats(), before, "a refusal is not a lookup");
+        decode(c);
+        assert_eq!(harvested(&[a]), None);
 
-        // Not touched either: `a` was probed last but is still the oldest,
-        // so making room for `c` evicts it — after the probe said "resident".
-        assert!(cache.all_resident([a].iter()));
-        cache.get_or_decode(c, || Ok(chunk(64))).unwrap();
-        assert!(cache.all_resident([b, c].iter()) && !cache.all_resident([a].iter()));
-        assert_eq!(cache.get_resident(&[a]), [None]);
-        cache.get_or_decode(a, || Ok(chunk(64))).unwrap();
+        // Accepted: `b`, the oldest, is refreshed, so making room for `a`
+        // now evicts `c`.
+        assert_eq!(harvested(&[b]), Some(1));
+        assert_eq!(cache.stats().hits, 1, "one hit per key");
+        decode(a);
+        assert_eq!(harvested(&[c]), None);
+        assert_eq!(harvested(&[a, b]), Some(2));
+        assert_eq!(harvested(&[]), Some(0));
         let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (0, 4));
+        assert_eq!((after.hits, after.misses), (3, 4));
         assert_eq!(after.requests, after.hits + after.misses);
         assert_eq!(after.evictions, 2);
     }

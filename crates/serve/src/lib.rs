@@ -42,19 +42,16 @@
 //! since the decode closure runs outside every cache lock and only ever
 //! requests a strictly smaller time index.
 //!
-//! **One batch function.** [`Server::serve_batch`] and
-//! [`Server::serve_batch_degraded`] are the same function — plan the
-//! *union* of needed chunks, harvest the resident ones under one lock,
-//! decode the misses in parallel, assemble every response from the batch's
-//! own decoded set — under a two-valued policy for a chunk that will not
-//! decode: fail the batch, or quarantine it, fill from coarser data and
-//! flag the answer. What it assembles is [`ResponseParts`] — the answer by
-//! reference into the decoded chunks; a [`Response`] is `to_owned()` of
-//! that, and [`Server::serve_batch_parts`] skips the copy for a caller that
-//! can write from the slabs (the network layer). For a caller that must not
-//! wait on a decode, [`Server::serve_batch_resident`] runs the batch only
-//! if a residency probe — one lock, no recency touch, no counter — finds
-//! every planned chunk cached.
+//! **One batch call.** [`Server::serve`] plans the *union* of needed
+//! chunks, harvests the resident ones under one lock, decodes the misses in
+//! parallel and assembles every answer from the batch's own decoded set, as
+//! [`ResponseParts`] (by reference into the chunks) with the `(level,
+//! chunk)` pairs it was filled on. [`OnCorrupt`] decides what a chunk that
+//! will not decode does: fail the batch, or be quarantined, filled from
+//! coarser data and flagged. [`Server::serve_resident`] is the same call
+//! for a caller that must not decode: it answers only if one lock finds
+//! every planned chunk resident, and harvests them under that lock.
+//! [`Server::serve_batch`] is the exact answer, owned.
 //!
 //! Every read is byte-identical to the bare reader's: all funnel through
 //! the provider-generic assembly in [`hqmr_store::read`], and the
@@ -194,7 +191,7 @@ pub enum Response {
 }
 
 /// A [`Response`] still in the decoded chunks it is made of — what a batch
-/// assembles first. In-process callers get [`ResponseParts::to_owned`] of it
+/// assembles. In-process callers get [`ResponseParts::to_owned`] of it
 /// (that is all [`Server::serve_batch`] adds); the network layer writes its
 /// frame straight from the slabs instead, so a cached answer is copied once,
 /// into the socket's buffer. The parts keep their chunks alive on their own:
@@ -220,24 +217,32 @@ impl ResponseParts {
     }
 }
 
-/// One query's answer under [`Server::serve_batch_degraded`], carrying
-/// the quality flag alongside the data: `degraded` lists every
-/// `(level, chunk)` the query touched whose real payload could not be
-/// decoded and was replaced by a best-effort fill (nearest coarser level
-/// upsampled, chunk-table proxy where no coarser data covers the region).
-/// Empty means the response is bit-identical to [`Server::serve_batch`].
+/// One query's answer with its quality flag: `degraded` lists every
+/// `(level, chunk)` the query touched that [`OnCorrupt::Fill`] replaced by
+/// a fill. Empty means the answer is bit-identical to the exact one.
+/// [`Server::serve`] answers over [`ResponseParts`]; the owned default is
+/// what a degraded answer carries over the wire.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryResult {
+pub struct QueryResult<R = Response> {
     /// The assembled answer (possibly containing filled regions).
-    pub response: Response,
+    pub response: R,
     /// `(level, chunk)` pairs served from fill instead of real data, sorted.
     pub degraded: Vec<(usize, usize)>,
 }
 
-impl QueryResult {
+impl<R> QueryResult<R> {
     /// Whether every chunk behind this answer decoded cleanly.
     pub fn is_exact(&self) -> bool {
         self.degraded.is_empty()
+    }
+}
+
+impl QueryResult<ResponseParts> {
+    /// Copies the answer out of its chunks; the flags stay.
+    pub fn to_owned(&self) -> QueryResult {
+        let response = self.response.to_owned();
+        let degraded = self.degraded.clone();
+        QueryResult { response, degraded }
     }
 }
 
@@ -310,17 +315,28 @@ impl Frames for TemporalReader {
 /// A batch's queries with the chunk keys each needs, in request order.
 type Planned = Vec<(TimeQuery, Vec<TimeKey>)>;
 
-/// One assembled answer and the `(level, chunk)` pairs it was filled on.
-type Assembled = (ResponseParts, Vec<(usize, usize)>);
+/// The union of a planned batch's keys, each chunk once.
+fn union(planned: &Planned) -> BTreeSet<TimeKey> {
+    planned.iter().flat_map(|(_, keys)| keys).copied().collect()
+}
 
-/// What a batch does with a chunk that will not decode — the whole
-/// difference between [`Server::serve_batch`] and
-/// [`Server::serve_batch_degraded`].
-#[derive(Clone, Copy, PartialEq)]
-enum OnCorrupt {
+/// What a batch does with a chunk whose payload will not decode
+/// ([`StoreError::CorruptChunk`] or [`StoreError::Codec`], its own or
+/// anywhere down its delta chain) and cannot be repaired. Planning errors
+/// (`NoSuchFrame`, `NoSuchLevel`, `RoiOutOfBounds`) and store I/O failures
+/// fail the batch either way: those are caller or infrastructure faults,
+/// not data decay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OnCorrupt {
     /// The typed error fails the batch.
     Fail,
-    /// Quarantine the chunk, synthesize a fill, flag the answer.
+    /// The chunk is quarantined, its blocks are filled from the nearest
+    /// coarser level upsampled into place (over the chunk table's
+    /// `(min+max)/2` proxy where no coarser level covers them — levels
+    /// *partition* an adaptive domain, so a fine chunk usually has none),
+    /// and each answer lists the `(level, chunk)` pairs of its frame it was
+    /// filled on. With no corrupt chunk, every answer
+    /// [`QueryResult::is_exact`] and equals [`OnCorrupt::Fail`]'s.
     Fill,
 }
 
@@ -600,82 +616,56 @@ impl<F: Frames> Server<F> {
         &self,
         queries: &[Q],
     ) -> Result<BTreeSet<TimeKey>, StoreError> {
-        let mut need = BTreeSet::new();
-        for &q in queries {
-            need.extend(self.query_keys(&q.into())?);
-        }
-        Ok(need)
+        Ok(union(&self.plan_each(queries)?))
     }
 
-    /// Serves a batch of queries: plans the union of needed chunks across
-    /// all frames, decodes the misses in parallel (each through
-    /// single-flight, so a concurrent batch on another thread still shares
-    /// the work, and delta chains resolve through the shared cache, so two
-    /// queries at adjacent times share the prefix), then assembles every
-    /// response from the shared decoded set. Overlapping queries in one
-    /// batch touch each chunk once even at cache budget 0. Responses are in
-    /// request order and byte-identical to issuing each query alone.
+    /// Serves a batch of queries under `on_corrupt`: plans the union of
+    /// needed chunks across all frames, decodes the misses in parallel
+    /// (each through single-flight, and delta chains through the shared
+    /// cache, so concurrent batches and adjacent times share the work), then
+    /// assembles every answer from the batch's decoded set — each chunk
+    /// touched once, even at cache budget 0. Answers are in request order
+    /// and byte-identical to issuing each query alone.
+    pub fn serve<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+        on_corrupt: OnCorrupt,
+    ) -> Result<Vec<QueryResult<ResponseParts>>, StoreError> {
+        self.batch(self.plan_each(queries)?, on_corrupt)
+    }
+
+    /// [`Server::serve`] for a caller that must not decode (a connection
+    /// thread of the network layer): `Ok(None)`, with nothing decoded,
+    /// touched or counted, unless one lock acquisition finds every planned
+    /// chunk resident — and then the answers are assembled from what that
+    /// same acquisition harvested. Under [`OnCorrupt::Fill`] a quarantined
+    /// chunk is also `Ok(None)`: its fill may read coarser chunks. Planning
+    /// errors are returned, so a malformed batch never waits for a decoder.
+    pub fn serve_resident<Q: Into<TimeQuery> + Copy>(
+        &self,
+        queries: &[Q],
+        on_corrupt: OnCorrupt,
+    ) -> Result<Option<Vec<QueryResult<ResponseParts>>>, StoreError> {
+        let planned = self.plan_each(queries)?;
+        let need = union(&planned);
+        if on_corrupt == OnCorrupt::Fill && !self.quarantine().is_disjoint(&need) {
+            return Ok(None);
+        }
+        let keys: Vec<TimeKey> = need.into_iter().collect();
+        let Some(chunks) = self.cache.get_all_resident(&keys) else {
+            return Ok(None);
+        };
+        let chunks = keys.into_iter().zip(chunks).collect();
+        self.assemble(planned, &chunks, &BTreeSet::new()).map(Some)
+    }
+
+    /// The exact answers of [`Server::serve`], copied out of their chunks.
     pub fn serve_batch<Q: Into<TimeQuery> + Copy>(
         &self,
         queries: &[Q],
     ) -> Result<Vec<Response>, StoreError> {
-        let parts = self.serve_batch_parts(queries)?;
-        Ok(parts.iter().map(ResponseParts::to_owned).collect())
-    }
-
-    /// [`Server::serve_batch`] before the copy-out: every answer still in
-    /// its decoded chunks (see [`ResponseParts`]).
-    pub fn serve_batch_parts<Q: Into<TimeQuery> + Copy>(
-        &self,
-        queries: &[Q],
-    ) -> Result<Vec<ResponseParts>, StoreError> {
-        self.batch_exact(self.plan_each(queries)?)
-    }
-
-    /// [`Server::serve_batch_parts`] if — and only if — every chunk the
-    /// batch needs is resident at the time of asking; `None` otherwise
-    /// (planning errors included), with nothing decoded, touched or
-    /// counted. A caller that must not block on a decode (a connection
-    /// thread of the network layer) serves cached answers where it stands
-    /// and routes the rest to a thread that may. The probe is one lock
-    /// acquisition beside the batch's own harvest; if an eviction gets in
-    /// between the two, the harvest decodes that chunk through single-flight
-    /// like any miss — still the right bytes, still counted once.
-    pub fn serve_batch_resident<Q: Into<TimeQuery> + Copy>(
-        &self,
-        queries: &[Q],
-    ) -> Option<Result<Vec<ResponseParts>, StoreError>> {
-        let planned = self.plan_each(queries).ok()?;
-        let resident = (self.cache).all_resident(planned.iter().flat_map(|(_, keys)| keys));
-        resident.then(|| self.batch_exact(planned))
-    }
-
-    /// [`Server::serve_batch`] with graceful degradation: a chunk whose
-    /// payload cannot be decoded ([`StoreError::CorruptChunk`] or
-    /// [`StoreError::Codec`], its own or anywhere down its delta chain) and
-    /// cannot be repaired no longer fails the whole batch. The chunk is
-    /// quarantined, its blocks are synthesized from the nearest coarser
-    /// level's data upsampled into place (falling back to the chunk table's
-    /// `(min+max)/2` proxy where no coarser level covers the region — in
-    /// this adaptive layout levels *partition* the domain, so a fine chunk
-    /// usually has no coarser twin), and each answer carries the
-    /// `(level, chunk)` pairs of its frame it was degraded on. Planning
-    /// errors (`NoSuchFrame`, `NoSuchLevel`, `RoiOutOfBounds`) and store I/O
-    /// failures still fail the batch: those are caller or infrastructure
-    /// faults, not data decay.
-    ///
-    /// With no corrupt chunks, every [`QueryResult::is_exact`] and the
-    /// responses are bit-identical to [`Server::serve_batch`].
-    pub fn serve_batch_degraded<Q: Into<TimeQuery> + Copy>(
-        &self,
-        queries: &[Q],
-    ) -> Result<Vec<QueryResult>, StoreError> {
-        let results = self.batch(self.plan_each(queries)?, OnCorrupt::Fill)?;
-        let owned = results.into_iter().map(|(parts, degraded)| QueryResult {
-            response: parts.to_owned(),
-            degraded,
-        });
-        Ok(owned.collect())
+        let results = self.serve(queries, OnCorrupt::Fail)?;
+        Ok(results.iter().map(|r| r.response.to_owned()).collect())
     }
 
     /// Every query of a batch with the keys it needs, in request order.
@@ -687,19 +677,16 @@ impl<F: Frames> Server<F> {
         keyed.collect()
     }
 
-    /// The batch under [`OnCorrupt::Fail`]: answers only, nothing to flag.
-    fn batch_exact(&self, planned: Planned) -> Result<Vec<ResponseParts>, StoreError> {
-        let results = self.batch(planned, OnCorrupt::Fail)?;
-        Ok(results.into_iter().map(|(parts, _)| parts).collect())
-    }
-
     /// The one batch function, after the plan: fetch → (fail | fill) →
-    /// assemble. Each answer comes with the `(level, chunk)` pairs it was
-    /// filled on (none under [`OnCorrupt::Fail`]).
-    fn batch(&self, queries: Planned, policy: OnCorrupt) -> Result<Vec<Assembled>, StoreError> {
-        let need: BTreeSet<TimeKey> = queries.iter().flat_map(|(_, keys)| keys).copied().collect();
+    /// assemble.
+    fn batch(
+        &self,
+        queries: Planned,
+        on_corrupt: OnCorrupt,
+    ) -> Result<Vec<QueryResult<ResponseParts>>, StoreError> {
+        let need = union(&queries);
         // Known-bad chunks go straight to fill without touching the store.
-        let (mut bad, keys): (Vec<TimeKey>, Vec<TimeKey>) = match policy {
+        let (mut bad, keys): (Vec<TimeKey>, Vec<TimeKey>) = match on_corrupt {
             OnCorrupt::Fail => (Vec::new(), need.into_iter().collect()),
             OnCorrupt::Fill => {
                 let quarantine = self.quarantine();
@@ -713,7 +700,7 @@ impl<F: Frames> Server<F> {
                     chunks.insert(key, chunk);
                 }
                 Err(StoreError::CorruptChunk { .. } | StoreError::Codec { .. })
-                    if policy == OnCorrupt::Fill =>
+                    if on_corrupt == OnCorrupt::Fill =>
                 {
                     bad.push(key)
                 }
@@ -727,17 +714,27 @@ impl<F: Frames> Server<F> {
             self.quarantine().insert(key);
             chunks.insert(key, self.synthesize_fill(key)?);
         }
-        // Assembly pulls from the batch's own decoded set, and the parts it
-        // builds hold on to what they use, so the answers are immune to
-        // evictions happening underneath (budget 0 included).
+        self.assemble(queries, &chunks, &filled)
+    }
+
+    /// Every answer of a batch from the batch's own chunk set, flagged with
+    /// the `filled` keys it touched. The parts hold on to the chunks they
+    /// use, so the answers are immune to evictions happening underneath
+    /// (budget 0 included).
+    fn assemble(
+        &self,
+        queries: Planned,
+        chunks: &HashMap<TimeKey, DecodedChunk>,
+        filled: &BTreeSet<TimeKey>,
+    ) -> Result<Vec<QueryResult<ResponseParts>>, StoreError> {
         queries
             .into_iter()
             .map(|(q, keys)| {
                 let view = TimeView {
-                    batch: Some(&chunks),
+                    batch: Some(chunks),
                     ..self.frame(q.time)?
                 };
-                let parts = match q.query {
+                let response = match q.query {
                     Query::Level { level } => {
                         read::level_parts(&view, level, None).map(ResponseParts::Level)
                     }
@@ -756,7 +753,7 @@ impl<F: Frames> Server<F> {
                     .filter(|key| filled.contains(key))
                     .map(|(_, level, block)| (level, block))
                     .collect();
-                Ok((parts, degraded))
+                Ok(QueryResult { response, degraded })
             })
             .collect()
     }
@@ -1193,16 +1190,15 @@ mod tests {
                     }
                 });
             }
-            // Probe-then-serve, as a connection thread of the network layer
-            // does: a "no" costs no lookup, a "yes" exactly one per key —
-            // hit or, when an eviction wins the race, miss.
+            // Resident-or-decode, as a connection thread of the network
+            // layer does: a "no" costs no lookup, a "yes" exactly one hit
+            // per key.
             for _ in 0..2 {
                 scope.spawn(|| {
                     for q in boxes.iter().cycle().take(400) {
                         let keys = s.plan(&[*q]).unwrap().len() as u64;
-                        match s.serve_batch_resident(&[*q]) {
-                            Some(served) => {
-                                served.unwrap();
+                        match s.serve_resident(&[*q], OnCorrupt::Fail).unwrap() {
+                            Some(_) => {
                                 inline.fetch_add(1, Ordering::Relaxed);
                             }
                             None => drop(s.serve_batch(&[*q]).unwrap()),
@@ -1253,6 +1249,19 @@ mod tests {
         Arc::new(move |l, b| l == level && b == block)
     }
 
+    /// Hook failing chunk `(0, 0)` on its first fetch only.
+    fn fail_once() -> FaultHook {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let once = AtomicBool::new(true);
+        Arc::new(move |l, b| (l, b) == (0, 0) && once.swap(false, Ordering::Relaxed))
+    }
+
+    /// [`Server::serve`] under [`OnCorrupt::Fill`], owned.
+    fn serve_degraded(s: &StoreServer, queries: &[Query]) -> Result<Vec<QueryResult>, StoreError> {
+        let results = s.serve(queries, OnCorrupt::Fill)?;
+        Ok(results.iter().map(QueryResult::to_owned).collect())
+    }
+
     #[test]
     fn degraded_batch_equals_exact_when_clean() {
         let s = test_server(UNBOUNDED);
@@ -1268,7 +1277,7 @@ mod tests {
             Query::Iso { level: 0, iso: 0.5 },
         ];
         let exact = s.serve_batch(&queries).unwrap();
-        let degraded = s.serve_batch_degraded(&queries).unwrap();
+        let degraded = serve_degraded(&s, &queries).unwrap();
         assert_eq!(exact.len(), degraded.len());
         for (e, d) in exact.iter().zip(&degraded) {
             assert!(d.is_exact());
@@ -1288,7 +1297,7 @@ mod tests {
             StoreError::CorruptChunk { level: 0, block: 0 }
         ));
         // The degraded path answers, flagging the filled chunk.
-        let results = s.serve_batch_degraded(&queries).unwrap();
+        let results = serve_degraded(&s, &queries).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].degraded, vec![(0, 0)]);
         assert_eq!(s.quarantined(), vec![(0, 0)]);
@@ -1316,7 +1325,7 @@ mod tests {
         // re-quarantines on the next degraded read.
         s.clear_quarantine();
         assert!(s.quarantined().is_empty());
-        let again = s.serve_batch_degraded(&queries).unwrap();
+        let again = serve_degraded(&s, &queries).unwrap();
         assert_eq!(again[0].degraded, vec![(0, 0)]);
     }
 
@@ -1334,9 +1343,7 @@ mod tests {
         // Corrupt every chunk of the finest level; fills may draw on any
         // coarser level.
         let s = test_server(UNBOUNDED).with_fault_hook(Arc::new(|l, _| l == 0));
-        let results = s
-            .serve_batch_degraded(&[Query::Level { level: 0 }])
-            .unwrap();
+        let results = serve_degraded(&s, &[Query::Level { level: 0 }]).unwrap();
         let Response::Level(got) = &results[0].response else {
             panic!("wrong response kind");
         };
@@ -1355,9 +1362,7 @@ mod tests {
             .expect_err("no such level");
         assert!(matches!(err, StoreError::NoSuchLevel(99)));
         // Degradation covers data decay only — planning errors stay fatal.
-        let err = s
-            .serve_batch_degraded(&[Query::Level { level: 99 }])
-            .expect_err("no such level");
+        let err = serve_degraded(&s, &[Query::Level { level: 99 }]).expect_err("no such level");
         assert!(matches!(err, StoreError::NoSuchLevel(99)));
         let d = s.meta().levels[0].dims;
         let err = s
@@ -1373,23 +1378,19 @@ mod tests {
 
     #[test]
     fn scrub_pass_lifts_the_quarantine_of_chunks_it_finds_healthy() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         let queries = [Query::Level { level: 0 }];
 
         // A transient fault (one `flip:P` roll): quarantined, sticky, and
         // lifted by the next scrub — after which degraded is exact again.
-        let once = AtomicBool::new(true);
-        let s = test_server(UNBOUNDED).with_fault_hook(Arc::new(move |l, b| {
-            (l, b) == (0, 0) && once.swap(false, Ordering::Relaxed)
-        }));
+        let s = test_server(UNBOUNDED).with_fault_hook(fail_once());
         for _ in 0..2 {
-            let flagged = s.serve_batch_degraded(&queries).unwrap();
+            let flagged = serve_degraded(&s, &queries).unwrap();
             assert_eq!(flagged[0].degraded, vec![(0, 0)]);
         }
         let report = s.scrub_pass(None);
         assert_eq!(report.verified, s.meta().chunk_count());
         assert!(s.quarantined().is_empty());
-        let healed = s.serve_batch_degraded(&queries).unwrap();
+        let healed = serve_degraded(&s, &queries).unwrap();
         assert!(healed[0].is_exact());
         assert_eq!(healed[0].response, s.serve_batch(&queries).unwrap()[0]);
 
@@ -1403,9 +1404,34 @@ mod tests {
         let cm = &meta.levels[0].chunks[1];
         buf[data_start as usize + cm.offset as usize + cm.len / 2] ^= 0xFF;
         let s = StoreServer::unbounded(Arc::new(StoreReader::from_bytes(buf).unwrap()));
-        let flagged = s.serve_batch_degraded(&queries).unwrap();
+        let flagged = serve_degraded(&s, &queries).unwrap();
         assert_eq!(flagged[0].degraded, vec![(0, 1)]);
         assert_eq!(s.scrub_pass(None).unrepairable, vec![(0, 1)]);
         assert_eq!(s.quarantined(), vec![(0, 1)]);
+    }
+
+    /// A chunk can be resident and quarantined at once: a fill read failed
+    /// it, then an exact read decoded it cleanly. A filling batch still
+    /// fills it — and a fill may read coarser chunks — so the resident call
+    /// declines under [`OnCorrupt::Fill`] and answers under
+    /// [`OnCorrupt::Fail`].
+    #[test]
+    fn resident_batch_declines_a_quarantined_chunk_only_when_filling() {
+        let s = test_server(UNBOUNDED).with_fault_hook(fail_once());
+        let queries = [Query::Level { level: 0 }];
+        assert_eq!(serve_degraded(&s, &queries).unwrap()[0].degraded, [(0, 0)]);
+        s.serve(&queries, OnCorrupt::Fail).unwrap();
+        assert_eq!(s.quarantined(), [(0, 0)], "resident and quarantined");
+
+        assert!(s
+            .serve_resident(&queries, OnCorrupt::Fill)
+            .unwrap()
+            .is_none());
+        assert_eq!(serve_degraded(&s, &queries).unwrap()[0].degraded, [(0, 0)]);
+        let resident = s.serve_resident(&queries, OnCorrupt::Fail).unwrap();
+        let resident = resident.expect("every chunk is resident");
+        let owned: Vec<Response> = resident.iter().map(|r| r.response.to_owned()).collect();
+        assert_eq!(owned, s.serve_batch(&queries).unwrap());
+        assert!(resident.iter().all(QueryResult::is_exact));
     }
 }

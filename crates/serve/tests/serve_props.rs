@@ -355,7 +355,8 @@ fn borrowed_assembly_copies_out_to_the_owned_reads() {
                 let view = server.frame(0).unwrap();
                 check(&view, &oracle, &queries, &format!("{ctx} view"));
             }
-            let parts = server.serve_batch_parts(&queries).unwrap();
+            let parts = server.serve(&queries, OnCorrupt::Fail).unwrap();
+            let parts: Vec<ResponseParts> = parts.into_iter().map(|r| r.response).collect();
             let owned = server.serve_batch(&queries).unwrap();
             server.clear_cache();
             let late: Vec<Response> = parts.iter().map(ResponseParts::to_owned).collect();
@@ -412,7 +413,9 @@ fn corruption_is_typed_through_the_cache() {
 // ---------------------------------------------------------------------------
 
 use hqmr_mr::resample_like;
-use hqmr_serve::{CacheStats, FaultHook, Frames, QueryResult, Server, TemporalServer, TimeQuery};
+use hqmr_serve::{
+    CacheStats, FaultHook, Frames, OnCorrupt, QueryResult, Server, TemporalServer, TimeQuery,
+};
 use hqmr_store::temporal::{Prediction, TemporalReader};
 use hqmr_store::{
     parity_path, parse_head, sidecar_bytes_for, FrameMeta, StoreError, TemporalEncoder,
@@ -459,6 +462,15 @@ fn fail_only(level: usize, block: usize) -> FaultHook {
     Arc::new(move |l, b| l == level && b == block)
 }
 
+/// [`Server::serve`] under [`OnCorrupt::Fill`], owned.
+fn serve_degraded<F: Frames, Q: Into<TimeQuery> + Copy>(
+    server: &Server<F>,
+    queries: &[Q],
+) -> Result<Vec<QueryResult>, StoreError> {
+    let results = server.serve(queries, OnCorrupt::Fill)?;
+    Ok(results.iter().map(QueryResult::to_owned).collect())
+}
+
 /// What one scripted client saw: every degraded-capable answer, every
 /// progressive step, and the ledger after each operation.
 type Transcript = (
@@ -474,7 +486,7 @@ fn bulk_script<F: Frames>(server: &Server<F>, queries: &[Query]) -> Transcript {
     let mut answers = Vec::new();
     let mut ledger = Vec::new();
     let exact = server.serve_batch(queries);
-    let degraded = server.serve_batch_degraded(queries).unwrap();
+    let degraded = serve_degraded(server, queries).unwrap();
     match exact {
         Ok(exact) => {
             let responses: Vec<Response> = degraded.iter().map(|r| r.response.clone()).collect();
@@ -508,7 +520,7 @@ fn single_chunk_script<F: Frames>(server: &Server<F>, queries: &[Query]) -> Tran
     for (i, q) in queries.iter().enumerate() {
         assert_eq!(server.plan(&[*q]).unwrap().len(), 1, "{q:?}");
         answers.push(if i % 2 == 0 {
-            server.serve_batch_degraded(&[*q]).unwrap()
+            serve_degraded(server, &[*q]).unwrap()
         } else {
             let response = server.serve_batch(&[*q]).unwrap().remove(0);
             let degraded = Vec::new();
@@ -670,11 +682,11 @@ fn delta_chunk_rot_degrades_one_frame_and_parity_heals_it() {
     let reader = Arc::new(TemporalReader::open(&dir).unwrap());
     let server = TemporalServer::unbounded(Arc::clone(&reader));
     for (before, want) in oracle.iter().enumerate().take(t) {
-        let r = &server.serve_batch_degraded(&at(before)).unwrap()[0];
+        let r = &serve_degraded(&server, &at(before)).unwrap()[0];
         assert!(r.is_exact(), "frame {before} precedes the rot");
         assert_eq!(r.response, Response::Level(want.levels[level].clone()));
     }
-    let r = &server.serve_batch_degraded(&at(t)).unwrap()[0];
+    let r = &serve_degraded(&server, &at(t)).unwrap()[0];
     assert_eq!(r.degraded, vec![(level, chunk)], "exactly the rotted chunk");
     let Response::Level(got) = &r.response else {
         panic!("wrong response kind");
@@ -697,7 +709,7 @@ fn delta_chunk_rot_degrades_one_frame_and_parity_heals_it() {
         .with_disk_parity()
         .unwrap();
     for (time, want) in oracle.iter().enumerate() {
-        let r = &healed.serve_batch_degraded(&at(time)).unwrap()[0];
+        let r = &serve_degraded(&healed, &at(time)).unwrap()[0];
         assert!(r.is_exact(), "frame {time} with parity");
         assert_eq!(r.response, Response::Level(want.levels[level].clone()));
     }
