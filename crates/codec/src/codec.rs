@@ -155,7 +155,9 @@ pub trait Codec: Send + Sync {
     /// one-cell arrays. `tests/codec_roundtrip.rs` and the default-path
     /// differential in `tests/temporal_props.rs` hold every registered
     /// backend to it. An `Err` is the backend failing to decode its own
-    /// stream, which only the default body can report.
+    /// stream, which only the default body can report, or a lossy backend
+    /// refusing a bound that is not finite and positive (sz3, sz2 and zfp
+    /// return `Malformed("error bound")`; raw passthrough needs none).
     fn compress_with_recon(
         &self,
         field: &Field3,

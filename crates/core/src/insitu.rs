@@ -8,7 +8,7 @@
 //! pre-processing code as the offline path), so the file it writes is a
 //! complete, seekable store: a post-hoc reader can pull one coarse level, an
 //! ROI, or a progressive refinement out of the snapshot without decompressing
-//! the rest — any [`crate::mrc::Backend`] works.
+//! the rest — any [`crate::Backend`] works.
 
 use crate::mrc::MrcConfig;
 use hqmr_codec::Codec;

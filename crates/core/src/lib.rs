@@ -5,8 +5,8 @@
 //!   linear merge + single-layer padding (Improvement 1) and adaptive
 //!   per-level error bounds (Improvement 2), with the AMRIC (stack) and TAC
 //!   (box) arrangements as selectable baselines — all dispatching through
-//!   the [`hqmr_codec::Codec`] trait, so SZ3, SZ2, ZFP and the raw
-//!   passthrough are interchangeable backends ([`mrc::Backend`]).
+//!   the [`hqmr_codec::Codec`] trait, so SZ3, SZ2, ZFP and the raw passthrough
+//!   are interchangeable backends ([`Backend`], `hqmr-store`'s one table).
 //! * [`post`] — the error-bounded adaptive Bézier post-process (§III-B):
 //!   quadratic Bézier smoothing across compression-block boundaries, clamped
 //!   to `d ± a·eb`, with the intensity `a` chosen per dimension by sampling +
@@ -30,12 +30,11 @@ pub mod uncertainty;
 pub mod workflow;
 
 pub use insitu::{write_snapshot, FrameReport, SalvageReport, StageTimings, TemporalWriter};
-pub use mrc::{compress_mr, decompress_mr, Backend, MrStats, MrcConfig, MrcError};
+pub use mrc::{compress_mr, decompress_mr, Backend, MrStats, MrcConfig};
 pub use post::{bezier_pass, select_intensity, IntensityChoice, PostConfig};
 pub use uncertainty::{
     analyze_feature_recovery, model_near_isovalue, sample_error_pairs, ErrorModel, FeatureRecovery,
 };
 pub use workflow::{
-    run_uniform_workflow, Arrangement, CompressorChoice, WorkflowConfig, WorkflowError,
-    WorkflowResult,
+    run_uniform_workflow, Arrangement, CompressorChoice, WorkflowConfig, WorkflowResult,
 };

@@ -4,109 +4,28 @@
 //! ([`MergeStrategy`]), optionally pad the two small dimensions
 //! (Improvement 1, only for linear merges with `unit > 4`), then compress
 //! each array with the selected [`Backend`] — SZ3, SZ2, ZFP, or the raw
-//! passthrough — through the [`Codec`] trait. The serialized stream records
-//! the codec id, and [`decompress_mr`] routes on it, so a stream is
-//! self-describing down to the backend that produced it.
+//! passthrough — through the [`hqmr_codec::Codec`] trait. The serialized
+//! stream records the codec id, and [`decompress_mr`] routes on it, so a
+//! stream is self-describing down to the backend that produced it.
 //!
 //! None of that runs here: a stream is the block-indexed store's one
 //! chunk-encode loop ([`hqmr_store::encode_chunks`]) run at one chunk per
 //! level, framed as this module's container instead of as `HQST`.
 
-use hqmr_codec::{
-    tag, write_uvarint, Codec, CodecError, Container, ContainerError, Cur, Fault, NullCodec,
-    NULL_CODEC_ID,
-};
+use hqmr_codec::{tag, write_uvarint, CodecError, Container, Cur};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{decode_layout, encode_layout, pads};
 use hqmr_mr::{check_slots, split_blocks, LevelData, MergeStrategy, MultiResData, PadKind};
 use hqmr_store::{StoreConfig, StoreError};
 
 pub use hqmr_mr::prepare::PreparedLevel;
-use hqmr_sz2::{Sz2Codec, SZ2_CODEC_ID};
-use hqmr_sz3::{InterpKind, LevelEbPolicy, Sz3Codec, SZ3_CODEC_ID};
-use hqmr_zfp::{ZfpCodec, ZFP_CODEC_ID};
+pub use hqmr_store::Backend;
 
 const TAG_HEAD: u32 = tag(b"MRHD");
 const TAG_LEVEL: u32 = tag(b"LVHD");
 const TAG_LAYOUT: u32 = tag(b"LAYT");
 /// Codec-id section: which backend produced the per-array streams.
 const TAG_CODEC: u32 = tag(b"CDID");
-
-/// Which codec backend the MR engine drives, with its backend-specific
-/// configuration. The error bound is *not* here — it lives in [`MrcConfig`]
-/// and is passed through the [`Codec`] trait per call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Backend {
-    /// SZ3-class global interpolation (the paper's primary target).
-    Sz3 {
-        /// Interpolator.
-        interp: InterpKind,
-        /// Adaptive per-level error bound (Improvement 2); SZ3-specific
-        /// because the "levels" are SZ3's interpolation levels.
-        level_eb: Option<LevelEbPolicy>,
-    },
-    /// SZ2-class block-wise prediction (the AMRIC pathway).
-    Sz2 {
-        /// Block side length (AMRIC found 4³ optimal for MR data).
-        block: usize,
-    },
-    /// ZFP-class transform coding (the TAC pathway).
-    Zfp,
-    /// Lossless passthrough (debugging / arrangement-only measurements).
-    Null,
-}
-
-impl Backend {
-    /// Baseline SZ3: cubic interpolation, uniform error bound.
-    pub const SZ3: Backend = Backend::Sz3 {
-        interp: InterpKind::Cubic,
-        level_eb: None,
-    };
-    /// SZ3 with the paper's α=2.25, β=8 adaptive level bounds.
-    pub const SZ3_PAPER: Backend = Backend::Sz3 {
-        interp: InterpKind::Cubic,
-        level_eb: Some(LevelEbPolicy::PAPER),
-    };
-    /// SZ2 with AMRIC's 4³ multi-resolution blocks.
-    pub const SZ2: Backend = Backend::Sz2 { block: 4 };
-    /// ZFP fixed-accuracy.
-    pub const ZFP: Backend = Backend::Zfp;
-    /// Raw passthrough.
-    pub const NULL: Backend = Backend::Null;
-
-    /// One default instance per backend — the bench sweep matrix.
-    pub const ALL: [Backend; 4] = [Self::SZ3, Self::SZ2, Self::ZFP, Self::NULL];
-
-    /// Instantiates the codec this backend describes.
-    pub fn codec(&self) -> Box<dyn Codec> {
-        match *self {
-            Backend::Sz3 { interp, level_eb } => Box::new(Sz3Codec { interp, level_eb }),
-            Backend::Sz2 { block } => Box::new(Sz2Codec { block }),
-            Backend::Zfp => Box::new(ZfpCodec),
-            Backend::Null => Box::new(NullCodec),
-        }
-    }
-
-    /// The backend's stream id (matches [`Codec::id`]).
-    pub fn id(&self) -> u32 {
-        match self {
-            Backend::Sz3 { .. } => SZ3_CODEC_ID,
-            Backend::Sz2 { .. } => SZ2_CODEC_ID,
-            Backend::Zfp => ZFP_CODEC_ID,
-            Backend::Null => NULL_CODEC_ID,
-        }
-    }
-
-    /// The backend's stable name (matches [`Codec::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Sz3 { .. } => "sz3",
-            Backend::Sz2 { .. } => "sz2",
-            Backend::Zfp => "zfp",
-            Backend::Null => "null",
-        }
-    }
-}
 
 /// MRC configuration: the arrangement axis (merge strategy + padding), the
 /// error bound, and the codec backend. The named constructors map to the
@@ -256,19 +175,19 @@ const OPEN_LOOP: &str = "an encode that asks for no reconstruction cannot fail";
 /// container: `MRHD`, `CDID`, per level `LVHD`, per chunk `LAYT` and the
 /// stream, all read off the loop's directory. With `want_recon` it also
 /// returns `mr` as [`decompress_mr`] will, blocks in `mr`'s order, from
-/// [`Codec::compress_with_recon`]; an `Err` is the codec failing that.
+/// `Codec::compress_with_recon`; an `Err` is the codec failing that.
 pub(crate) fn encode(
     mr: &MultiResData,
     prepared: Option<&[&[PreparedLevel]]>,
     cfg: &MrcConfig,
     want_recon: bool,
-) -> Result<(Vec<u8>, MrStats, Option<MultiResData>), MrcError> {
+) -> Result<(Vec<u8>, MrStats, Option<MultiResData>), CodecError> {
     let codec = cfg.backend.codec();
     let store_cfg = cfg.store_config(usize::MAX).with_parity_group(0);
     let encoded = hqmr_store::encode_chunks(mr, prepared, &store_cfg, codec.as_ref(), want_recon);
     let (meta, data, recon) = encoded.map_err(|e| match e {
-        StoreError::Codec { source, .. } => MrcError::Codec(source),
-        _ => MrcError::Malformed("chunk encode failed"),
+        StoreError::Codec { source, .. } => source,
+        _ => CodecError::Malformed("chunk encode failed"),
     })?;
 
     let mut c = Container::new();
@@ -304,50 +223,9 @@ pub(crate) fn encode(
     Ok((bytes, stats, recon))
 }
 
-/// MRC decompression errors.
-#[derive(Debug)]
-pub enum MrcError {
-    /// Container-level failure.
-    Container(ContainerError),
-    /// Inner codec stream failure.
-    Codec(CodecError),
-    /// Structural inconsistency.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for MrcError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MrcError::Container(e) => write!(f, "container: {e}"),
-            MrcError::Codec(e) => write!(f, "codec: {e}"),
-            MrcError::Malformed(m) => write!(f, "malformed mrc stream: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for MrcError {}
-
-impl From<ContainerError> for MrcError {
-    fn from(e: ContainerError) -> Self {
-        MrcError::Container(e)
-    }
-}
-
-impl From<CodecError> for MrcError {
-    fn from(e: CodecError) -> Self {
-        MrcError::Codec(e)
-    }
-}
-
-impl From<Fault> for MrcError {
-    fn from(f: Fault) -> Self {
-        MrcError::Malformed(f.what())
-    }
-}
-
 /// Decompresses a stream produced by [`compress_mr`], routing each per-array
 /// stream through the codec recorded in the container.
-pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
+pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
     let c = Container::from_bytes(bytes)?;
     let mut head = Cur::new(c.require(TAG_HEAD)?);
     let domain = head.dims()?;
@@ -358,20 +236,18 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
     // container without one cannot decode under any backend anyway.
     let id_bytes = c
         .get(TAG_CODEC)
-        .ok_or(MrcError::Malformed("missing codec id section"))?;
+        .ok_or(CodecError::Malformed("missing codec id section"))?;
     let codec_id = u32::from_le_bytes(
         id_bytes
             .try_into()
-            .map_err(|_| MrcError::Malformed("codec id width"))?,
+            .map_err(|_| CodecError::Malformed("codec id width"))?,
     );
-    // One decode registry for both containers: `hqmr_store::codec_for_id`.
-    // Backend parameters don't matter for decoding — streams are
-    // self-describing — so the registry's defaults suffice.
+    // One decode registry for both containers, read off `Backend::ALL`.
     let codec = hqmr_store::codec_for_id(codec_id).ok_or(CodecError::UnknownCodec(codec_id))?;
 
     let level_heads: Vec<&[u8]> = c.get_all(TAG_LEVEL).collect();
     if level_heads.len() != n_levels {
-        return Err(MrcError::Malformed("level count"));
+        return Err(CodecError::Malformed("level count"));
     }
     let mut layouts = c.get_all(TAG_LAYOUT);
     let mut streams = c.get_all(codec_id);
@@ -390,16 +266,16 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
         for _ in 0..n_arrays {
             let layout = layouts
                 .next()
-                .ok_or(MrcError::Malformed("missing layout"))?;
+                .ok_or(CodecError::Malformed("missing layout"))?;
             let stream = streams
                 .next()
-                .ok_or(MrcError::Malformed("missing stream"))?;
+                .ok_or(CodecError::Malformed("missing stream"))?;
             let (padded, a_unit, slots) = decode_layout(layout)?;
             codec.decompress_into(stream, &mut scratch)?;
             // The layout is as untrusted as the stream: check it against
             // what actually decoded, then cut the blocks straight out of
             // the (possibly still padded) array.
-            check_slots(scratch.dims(), padded, a_unit, &slots).map_err(MrcError::Malformed)?;
+            check_slots(scratch.dims(), padded, a_unit, &slots).map_err(CodecError::Malformed)?;
             blocks.extend(split_blocks(&scratch, a_unit, &slots));
         }
         blocks.sort_by_key(|b| (b.origin[0], b.origin[1], b.origin[2]));
@@ -416,6 +292,7 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, MrcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqmr_codec::NULL_CODEC_ID;
     use hqmr_grid::synth;
     use hqmr_mr::{to_adaptive, to_amr, AmrConfig, RoiConfig, Upsample};
 
@@ -510,7 +387,7 @@ mod tests {
         bad.push(TAG_CODEC, tag(b"????").to_le_bytes().to_vec());
         let err = decompress_mr(&bad.to_bytes()).unwrap_err();
         assert!(
-            matches!(err, MrcError::Codec(CodecError::UnknownCodec(id)) if id == tag(b"????")),
+            matches!(err, CodecError::UnknownCodec(id) if id == tag(b"????")),
             "{err:?}"
         );
     }
@@ -640,7 +517,7 @@ mod tests {
         for (padded, unit, slots) in lies {
             let err = reframed(padded, unit, slots.clone()).unwrap_err();
             assert!(
-                matches!(err, MrcError::Malformed(_)),
+                matches!(err, CodecError::Malformed(_)),
                 "padded {padded}, unit {unit}, slots {slots:?}: {err:?}"
             );
         }

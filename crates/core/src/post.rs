@@ -101,6 +101,16 @@ fn is_boundary_adjacent(i: usize, n: usize, p: usize) -> bool {
     m == p - 1 || m == 0
 }
 
+/// `x.clamp(lo, hi)`, except that a NaN bound (a NaN cell, or the NaN `eb`
+/// of a field with no range) clamps nothing instead of panicking.
+fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
+    if lo <= hi {
+        x.clamp(lo, hi)
+    } else {
+        x
+    }
+}
+
 /// Updates the boundary pair `(b−1, b)` along a strided line in place.
 /// All four stencil values are snapshotted before writing, so the result is
 /// identical to evaluating every correction against the pristine buffer
@@ -111,10 +121,10 @@ fn smooth_pair(buf: &mut [f32], base: usize, stride: usize, b: usize, n: usize, 
     let a0 = at(b - 2);
     let b0 = at(b - 1);
     let c0 = at(b);
-    let new_b = (0.25 * a0 + 0.5 * b0 + 0.25 * c0).clamp(b0 - limit, b0 + limit) as f32;
+    let new_b = clamp(0.25 * a0 + 0.5 * b0 + 0.25 * c0, b0 - limit, b0 + limit) as f32;
     let new_c = if b + 1 < n {
         let d0 = at(b + 1);
-        (0.25 * b0 + 0.5 * c0 + 0.25 * d0).clamp(c0 - limit, c0 + limit) as f32
+        clamp(0.25 * b0 + 0.5 * c0 + 0.25 * d0, c0 - limit, c0 + limit) as f32
     } else {
         c0 as f32
     };
@@ -237,7 +247,7 @@ fn window_axis_error(orig: &Field3, dec: &Field3, axis: usize, p: usize, limit: 
                     _ => (dec.get(x, y, z - 1), dec.get(x, y, z), dec.get(x, y, z + 1)),
                 };
                 let b = 0.25 * va as f64 + 0.5 * vb as f64 + 0.25 * vc as f64;
-                let v = b.clamp(vb as f64 - limit, vb as f64 + limit);
+                let v = clamp(b, vb as f64 - limit, vb as f64 + limit);
                 let e = orig.get(x, y, z) as f64 - v;
                 acc += e * e;
             }

@@ -9,9 +9,10 @@
 //! Examples and integration tests build on this; the individual stages
 //! remain available for finer control.
 
-use crate::mrc::{encode, Backend, MrStats, MrcConfig, MrcError};
+use crate::mrc::{encode, Backend, MrStats, MrcConfig};
 use crate::post::{bezier_pass_in_place, select_intensity, PostConfig};
 use crate::uncertainty::{model_near_isovalue, sample_error_pairs, ErrorModel};
+use hqmr_codec::CodecError;
 use hqmr_grid::Field3;
 use hqmr_mr::{to_adaptive, MergeStrategy, PadKind, RoiConfig, Upsample};
 use hqmr_store::StoreConfig;
@@ -150,36 +151,13 @@ pub struct WorkflowResult {
     pub error_model: Option<ErrorModel>,
 }
 
-/// Workflow failures.
-#[derive(Debug)]
-pub enum WorkflowError {
-    /// The codec broke its `compress_with_recon` contract: it could not
-    /// reconstruct the stream it had just written — a backend bug, which
-    /// must surface as an error rather than a panic.
-    Roundtrip(MrcError),
-}
-
-impl std::fmt::Display for WorkflowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkflowError::Roundtrip(e) => write!(f, "workflow round-trip failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WorkflowError {}
-
-impl From<MrcError> for WorkflowError {
-    fn from(e: MrcError) -> Self {
-        WorkflowError::Roundtrip(e)
-    }
-}
-
-/// Runs the full workflow on a uniform field.
+/// Runs the full workflow on a uniform field. An `Err` is the codec breaking
+/// `compress_with_recon`: not reconstructing the stream it has just written,
+/// or refusing the bound (a constant or all-NaN field has none).
 pub fn run_uniform_workflow(
     field: &Field3,
     cfg: &WorkflowConfig,
-) -> Result<WorkflowResult, WorkflowError> {
+) -> Result<WorkflowResult, CodecError> {
     // One scan of the original: the bound and the uncertainty band share it.
     let range = field.range();
     let eb = range as f64 * cfg.rel_eb;
@@ -305,6 +283,37 @@ mod tests {
         cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2 { block: 0 });
         let err = run_uniform_workflow(&f, &cfg).expect_err("block 0 has no grid");
         assert!(err.to_string().contains("block size"), "{err}");
+    }
+
+    /// A constant field has range 0 and an all-NaN one range NaN, so the
+    /// relative bound is no bound at all: every lossy backend refuses it
+    /// with a typed error instead of panicking in its quantizer, and the
+    /// raw passthrough, which needs none, still runs.
+    #[test]
+    fn fields_without_a_bound_are_typed_errors_not_panics() {
+        let dims = hqmr_grid::Dims3::new(32, 32, 64);
+        for value in [1.5, f32::NAN] {
+            let field = Field3::new(dims, value);
+            for backend in [
+                Backend::SZ3_PAPER,
+                Backend::SZ2,
+                Backend::ZFP,
+                Backend::NULL,
+            ] {
+                let mut cfg = WorkflowConfig::new(1e-3);
+                cfg.compressor = CompressorChoice::ours().with_backend(backend);
+                let result = run_uniform_workflow(&field, &cfg);
+                if backend == Backend::NULL {
+                    result.expect("the passthrough needs no bound");
+                } else {
+                    let err = result.expect_err("no bound to honour");
+                    assert!(
+                        err.to_string().contains("error bound"),
+                        "{backend:?}: {err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,16 +103,16 @@ pub use temporal::{
 };
 
 use hqmr_codec::kernels::PAR_MIN_CELLS;
-use hqmr_codec::{crc32, Codec, CodecError, NullCodec, NULL_CODEC_ID};
+use hqmr_codec::{crc32, Codec, CodecError, NullCodec};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{prepare_blocks, PreparedLevel};
 use hqmr_mr::{
     check_slots, split_blocks, temporal as predict, LevelData, MergeStrategy, MultiResData,
     PadKind, UnitBlock, Upsample,
 };
-use hqmr_sz2::{Sz2Codec, SZ2_CODEC_ID};
-use hqmr_sz3::{Sz3Codec, SZ3_CODEC_ID};
-use hqmr_zfp::{ZfpCodec, ZFP_CODEC_ID};
+use hqmr_sz2::Sz2Codec;
+use hqmr_sz3::{InterpKind, LevelEbPolicy, Sz3Codec};
+use hqmr_zfp::ZfpCodec;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -142,16 +142,81 @@ thread_local! {
     static DECODE_SCRATCH: RefCell<Field3> = RefCell::new(Field3::zeros(Dims3::new(0, 0, 0)));
 }
 
-/// Decoder registry: the default codec able to decode chunks carrying `id`.
-/// Chunk streams are self-describing, so decode needs no backend parameters.
-pub fn codec_for_id(id: u32) -> Option<Box<dyn Codec>> {
-    match id {
-        SZ3_CODEC_ID => Some(Box::new(Sz3Codec::default())),
-        SZ2_CODEC_ID => Some(Box::new(Sz2Codec::default())),
-        ZFP_CODEC_ID => Some(Box::new(ZfpCodec)),
-        NULL_CODEC_ID => Some(Box::new(NullCodec)),
-        _ => None,
+/// Which codec backend a writer drives, with its backend-specific
+/// configuration: the one table of backends. The error bound is *not* here
+/// — it is passed through the [`Codec`] trait per call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Backend {
+    /// SZ3-class global interpolation (the paper's primary target).
+    Sz3 {
+        /// Interpolator.
+        interp: InterpKind,
+        /// Adaptive per-level error bound (Improvement 2); SZ3-specific
+        /// because the "levels" are SZ3's interpolation levels.
+        level_eb: Option<LevelEbPolicy>,
+    },
+    /// SZ2-class block-wise prediction (the AMRIC pathway).
+    Sz2 {
+        /// Block side length (AMRIC found 4³ optimal for MR data).
+        block: usize,
+    },
+    /// ZFP-class transform coding (the TAC pathway).
+    Zfp,
+    /// Lossless passthrough (debugging / arrangement-only measurements).
+    Null,
+}
+
+impl Backend {
+    /// Baseline SZ3: cubic interpolation, uniform error bound.
+    pub const SZ3: Backend = Backend::Sz3 {
+        interp: InterpKind::Cubic,
+        level_eb: None,
+    };
+    /// SZ3 with the paper's α=2.25, β=8 adaptive level bounds.
+    pub const SZ3_PAPER: Backend = Backend::Sz3 {
+        interp: InterpKind::Cubic,
+        level_eb: Some(LevelEbPolicy::PAPER),
+    };
+    /// SZ2 with AMRIC's 4³ multi-resolution blocks.
+    pub const SZ2: Backend = Backend::Sz2 { block: 4 };
+    /// ZFP fixed-accuracy.
+    pub const ZFP: Backend = Backend::Zfp;
+    /// Raw passthrough.
+    pub const NULL: Backend = Backend::Null;
+
+    /// One default instance per backend: the bench matrix and [`codec_for_id`].
+    pub const ALL: [Backend; 4] = [Self::SZ3, Self::SZ2, Self::ZFP, Self::NULL];
+
+    /// Instantiates the codec this backend describes: the only match from a
+    /// backend to a codec.
+    pub fn codec(&self) -> Box<dyn Codec> {
+        match *self {
+            Backend::Sz3 { interp, level_eb } => Box::new(Sz3Codec { interp, level_eb }),
+            Backend::Sz2 { block } => Box::new(Sz2Codec { block }),
+            Backend::Zfp => Box::new(ZfpCodec),
+            Backend::Null => Box::new(NullCodec),
+        }
     }
+
+    /// The backend's stream id ([`Codec::id`] of its codec).
+    pub fn id(&self) -> u32 {
+        self.codec().id()
+    }
+
+    /// The backend's stable name ([`Codec::name`] of its codec).
+    pub fn name(&self) -> &'static str {
+        self.codec().name()
+    }
+}
+
+/// Decoder registry: a codec able to decode streams carrying `id`, read off
+/// [`Backend::ALL`]. Streams are self-describing, so decode needs no
+/// backend parameters.
+pub fn codec_for_id(id: u32) -> Option<Box<dyn Codec>> {
+    Backend::ALL
+        .iter()
+        .map(Backend::codec)
+        .find(|c| c.id() == id)
 }
 
 /// Writer configuration: the arrangement axis (shared with the monolithic

@@ -32,10 +32,6 @@ const TAG_COEFFS: u32 = tag(b"COEF");
 const TAG_CODES: u32 = tag(b"QNTC");
 const TAG_OUTLIERS: u32 = tag(b"UNPR");
 
-/// Decompression errors — the shared [`CodecError`] under SZ2's historical
-/// name.
-pub type Sz2Error = CodecError;
-
 /// Output of [`compress`].
 #[derive(Debug, Clone)]
 pub struct CompressResult {
@@ -652,7 +648,7 @@ fn serialize(dims: Dims3, cfg: &Sz2Config, st: EncodeState) -> Container {
 }
 
 /// Decompresses a stream produced by [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<Field3, Sz2Error> {
+pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
     let mut out = Field3::zeros(Dims3::new(0, 0, 0));
     decompress_into(bytes, &mut out)?;
     Ok(out)
@@ -673,7 +669,7 @@ struct Parsed {
 
 /// [`decompress`] into a caller-owned field (reshaped in place), so
 /// per-chunk readers reuse one reconstruction buffer.
-pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz2Error> {
+pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
     let p = parse(bytes)?;
     out.reshape(p.dims, 0.0);
     decode_blocks(&p, out.data_mut())
@@ -681,7 +677,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz2Error> {
 
 /// Parses and validates a stream — shared by the production and reference
 /// decode paths.
-fn parse(bytes: &[u8]) -> Result<Parsed, Sz2Error> {
+fn parse(bytes: &[u8]) -> Result<Parsed, CodecError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ2_CODEC_ID)?;
     let mut head = Cur::new(c.require(TAG_HEAD)?);
@@ -690,36 +686,36 @@ fn parse(bytes: &[u8]) -> Result<Parsed, Sz2Error> {
     // fits a plane); only a zero side has no grid.
     let block = head.usize()?;
     if block == 0 {
-        return Err(Sz2Error::Malformed("block size"));
+        return Err(CodecError::Malformed("block size"));
     }
     let eb = head.f64le()?;
     if !(eb.is_finite() && eb > 0.0) {
-        return Err(Sz2Error::Malformed("eb"));
+        return Err(CodecError::Malformed("eb"));
     }
     let grid = BlockGrid::new(dims, block);
 
     // One flag per block of the declared grid, exactly.
-    let flags =
-        rle_decode(c.require(TAG_FLAGS)?, grid.num_blocks()).ok_or(Sz2Error::Malformed("flags"))?;
+    let flags = rle_decode(c.require(TAG_FLAGS)?, grid.num_blocks())
+        .ok_or(CodecError::Malformed("flags"))?;
     if flags.len() != grid.num_blocks() {
-        return Err(Sz2Error::Malformed("flag count"));
+        return Err(CodecError::Malformed("flag count"));
     }
     // A flag is a predictor choice: 0 Lorenzo, 1 regression, nothing else.
     if flags.iter().any(|&f| f > 1) {
-        return Err(Sz2Error::Malformed("flags"));
+        return Err(CodecError::Malformed("flags"));
     }
     let coeff_bytes = c.require(TAG_COEFFS)?;
     let n_reg = flags.iter().filter(|&&f| f == 1).count();
     if coeff_bytes.len() != n_reg * 16 {
-        return Err(Sz2Error::Malformed("coefficient payload"));
+        return Err(CodecError::Malformed("coefficient payload"));
     }
     // One code per declared cell: that caps the Huffman block the section
     // may expand to.
     let packed = unpack_maybe_rle(c.require(TAG_CODES)?, huffman_max_len(dims.len()))
-        .ok_or(Sz2Error::Malformed("codes"))?;
+        .ok_or(CodecError::Malformed("codes"))?;
     let codes = huffman_decode(&packed)?;
     if codes.len() != dims.len() {
-        return Err(Sz2Error::Malformed("code count"));
+        return Err(CodecError::Malformed("code count"));
     }
     let mut out = Cur::new(c.require(TAG_OUTLIERS)?);
     let n_out = out.count(4)?;
@@ -776,7 +772,7 @@ fn decode_value(
 
 /// Reconstructs every block from a parsed stream — the interior/boundary
 /// split mirror of [`encode_blocks`].
-fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), Sz2Error> {
+fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), CodecError> {
     let dims = p.dims;
     let grid = BlockGrid::new(dims, p.block);
     let q = LinearQuantizer::new(p.eb);
@@ -788,7 +784,9 @@ fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), Sz2Error> {
     let lvl = kernels::simd_level();
     for (bi, blk) in grid.iter().enumerate() {
         if p.flags[bi] == 1 {
-            let plane = plane_it.next().ok_or(Sz2Error::Malformed("coefficients"))?;
+            let plane = plane_it
+                .next()
+                .ok_or(CodecError::Malformed("coefficients"))?;
             let n = blk.size.len();
             match lvl {
                 #[cfg(target_arch = "x86_64")]
@@ -880,7 +878,7 @@ fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), Sz2Error> {
         }
     }
     if !ok {
-        return Err(Sz2Error::Malformed("stream underrun"));
+        return Err(CodecError::Malformed("stream underrun"));
     }
     Ok(())
 }
@@ -943,7 +941,7 @@ pub mod reference {
 
     /// [`super::decompress`] with the original per-point block loops — same
     /// reconstructions, same typed errors.
-    pub fn decompress(bytes: &[u8]) -> Result<Field3, Sz2Error> {
+    pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
         let p = parse(bytes)?;
         let dims = p.dims;
         let grid = BlockGrid::new(dims, p.block);
@@ -955,7 +953,9 @@ pub mod reference {
         let mut ok = true;
         for (bi, blk) in grid.iter().enumerate() {
             if p.flags[bi] == 1 {
-                let plane = plane_it.next().ok_or(Sz2Error::Malformed("coefficients"))?;
+                let plane = plane_it
+                    .next()
+                    .ok_or(CodecError::Malformed("coefficients"))?;
                 for x in 0..blk.size.nx {
                     for y in 0..blk.size.ny {
                         for z in 0..blk.size.nz {
@@ -984,7 +984,7 @@ pub mod reference {
             }
         }
         if !ok {
-            return Err(Sz2Error::Malformed("stream underrun"));
+            return Err(CodecError::Malformed("stream underrun"));
         }
         Ok(out)
     }
@@ -1054,6 +1054,9 @@ impl Codec for Sz2Codec {
         if self.block == 0 {
             return Err(CodecError::Malformed("block size"));
         }
+        if !(eb.is_finite() && eb > 0.0) {
+            return Err(CodecError::Malformed("error bound"));
+        }
         compress_with_recon(field, &self.config(eb), out, recon);
         Ok(())
     }
@@ -1099,11 +1102,11 @@ mod tests {
             let bytes = crafted.to_bytes();
             assert!(matches!(
                 decompress(&bytes),
-                Err(Sz2Error::Malformed("flags"))
+                Err(CodecError::Malformed("flags"))
             ));
             assert!(matches!(
                 reference::decompress(&bytes),
-                Err(Sz2Error::Malformed("flags"))
+                Err(CodecError::Malformed("flags"))
             ));
         }
     }

@@ -31,7 +31,7 @@ mod compressor;
 
 pub use compressor::{
     compress, compress_into, compress_with_recon, decompress, decompress_into, CompressResult,
-    Sz2Codec, Sz2Error, SZ2_CODEC_ID,
+    Sz2Codec, SZ2_CODEC_ID,
 };
 
 /// Pre-overhaul per-point implementations, kept verbatim as differential

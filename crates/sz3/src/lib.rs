@@ -22,7 +22,7 @@ mod stream;
 pub use engine::{interp_levels, InterpKind, InterpStats, PredKind};
 pub use stream::{
     compress, compress_into, compress_with_recon, decompress, decompress_into, CompressResult,
-    Sz3Codec, Sz3Error, SZ3_CODEC_ID,
+    Sz3Codec, SZ3_CODEC_ID,
 };
 
 /// Pre-overhaul per-point implementations, kept verbatim as differential

@@ -25,10 +25,6 @@ const TAG_HEAD: u32 = tag(b"S3HD");
 const TAG_CODES: u32 = tag(b"QNTC");
 const TAG_OUTLIERS: u32 = tag(b"UNPR");
 
-/// Decompression errors — the shared [`CodecError`] under SZ3's historical
-/// name.
-pub type Sz3Error = CodecError;
-
 /// Output of [`compress`].
 #[derive(Debug, Clone)]
 pub struct CompressResult {
@@ -201,7 +197,7 @@ fn serialize(dims: Dims3, cfg: &Sz3Config, codes: &[u32], outliers: &[f32]) -> C
 }
 
 /// Decompresses a stream produced by [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<Field3, Sz3Error> {
+pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
     let mut out = Field3::zeros(Dims3::new(0, 0, 0));
     decompress_into(bytes, &mut out)?;
     Ok(out)
@@ -232,7 +228,7 @@ thread_local! {
 
 /// [`decompress`] into a caller-owned field (reshaped in place), so
 /// per-chunk readers reuse one reconstruction buffer.
-pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz3Error> {
+pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         let result = parse(bytes, scratch).and_then(|(cfg, dims)| {
@@ -241,7 +237,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz3Error> {
             out.reshape(dims, 0.0);
             let (codes, outliers) = (&scratch.codes, &scratch.outliers);
             if !decompress_pass(dims, cfg.interp, &quants, codes, outliers, out.data_mut()) {
-                return Err(Sz3Error::Malformed("stream underrun"));
+                return Err(CodecError::Malformed("stream underrun"));
             }
             Ok(())
         });
@@ -258,7 +254,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), Sz3Error> {
 /// Parses and validates a stream back into its config and dims, leaving the
 /// quantization codes and the outlier side channel in `scratch` — shared by
 /// the production and reference decode paths.
-fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3), Sz3Error> {
+fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3), CodecError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ3_CODEC_ID)?;
     let mut head = Cur::new(c.require(TAG_HEAD)?);
@@ -267,7 +263,7 @@ fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3)
     let interp = match head.u8()? {
         0 => InterpKind::Linear,
         1 => InterpKind::Cubic,
-        _ => return Err(Sz3Error::Malformed("interp kind")),
+        _ => return Err(CodecError::Malformed("interp kind")),
     };
     let level_eb = match head.u8()? {
         0 => None,
@@ -275,7 +271,7 @@ fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3)
             alpha: head.f64le()?,
             beta: head.f64le()?,
         }),
-        _ => return Err(Sz3Error::Malformed("level-eb flag")),
+        _ => return Err(CodecError::Malformed("level-eb flag")),
     };
     let cfg = Sz3Config {
         eb,
@@ -290,16 +286,16 @@ fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Config, Dims3)
         eb.is_finite() && eb > 0.0
     };
     if !(1..=maxlevel).all(sane) {
-        return Err(Sz3Error::Malformed("eb"));
+        return Err(CodecError::Malformed("eb"));
     }
 
     // One code per declared cell: that caps the Huffman block the section
     // may expand to.
     let packed = unpack_maybe_rle(c.require(TAG_CODES)?, huffman_max_len(dims.len()))
-        .ok_or(Sz3Error::Malformed("codes"))?;
+        .ok_or(CodecError::Malformed("codes"))?;
     huffman_decode_into(&packed, &mut scratch.huffman, &mut scratch.codes)?;
     if scratch.codes.len() != dims.len() {
-        return Err(Sz3Error::Malformed("code count"));
+        return Err(CodecError::Malformed("code count"));
     }
     let mut out = Cur::new(c.require(TAG_OUTLIERS)?);
     let n_out = out.count(4)?;
@@ -356,7 +352,7 @@ pub mod reference {
 
     /// [`super::decompress`] built on [`traverse`] — same reconstructions,
     /// same typed errors.
-    pub fn decompress(bytes: &[u8]) -> Result<Field3, Sz3Error> {
+    pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
         let mut parsed = DecodeScratch::default();
         let (cfg, dims) = parse(bytes, &mut parsed)?;
         let (codes, outliers) = (parsed.codes, parsed.outliers);
@@ -389,7 +385,7 @@ pub mod reference {
             },
         );
         if missing {
-            return Err(Sz3Error::Malformed("stream underrun"));
+            return Err(CodecError::Malformed("stream underrun"));
         }
         Ok(out)
     }
@@ -465,6 +461,9 @@ impl Codec for Sz3Codec {
         out: &mut Vec<u8>,
         recon: &mut Field3,
     ) -> Result<(), CodecError> {
+        if !(eb.is_finite() && eb > 0.0) {
+            return Err(CodecError::Malformed("error bound"));
+        }
         compress_with_recon(field, &self.config(eb), out, recon);
         Ok(())
     }

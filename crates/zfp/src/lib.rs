@@ -28,8 +28,7 @@ mod transform;
 
 pub use coder::{decode_block_ints, encode_block_ints, INTPREC};
 pub use stream::{
-    compress, compress_into, decompress, decompress_into, CompressResult, ZfpCodec, ZfpError,
-    ZFP_CODEC_ID,
+    compress, compress_into, decompress, decompress_into, CompressResult, ZfpCodec, ZFP_CODEC_ID,
 };
 pub use transform::{fwd_transform3, inv_transform3, COEFF_ORDER};
 

@@ -30,10 +30,6 @@ const GUARD_BITS: i32 = 10;
 /// Bias for the 16-bit on-stream exponent.
 const EMAX_BIAS: i32 = 16384;
 
-/// Decompression errors — the shared [`CodecError`] under ZFP's historical
-/// name.
-pub type ZfpError = CodecError;
-
 /// Output of [`compress`].
 #[derive(Debug, Clone)]
 pub struct CompressResult {
@@ -229,7 +225,7 @@ fn compress_container_with(
 }
 
 /// Decompresses a stream produced by [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<Field3, ZfpError> {
+pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
     let mut out = Field3::zeros(Dims3::new(0, 0, 0));
     decompress_into(bytes, &mut out)?;
     Ok(out)
@@ -237,7 +233,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Field3, ZfpError> {
 
 /// [`decompress`] into a caller-owned field (reshaped in place), so
 /// per-chunk readers reuse one reconstruction buffer.
-pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), ZfpError> {
+pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
     decompress_into_with(bytes, out, decode_block_ints, inv_transform3)
 }
 
@@ -249,14 +245,14 @@ fn decompress_into_with(
     out: &mut Field3,
     decode: fn(&mut BitReader<'_>, u32) -> [i64; 64],
     inv: fn(&mut [i64; 64]),
-) -> Result<(), ZfpError> {
+) -> Result<(), CodecError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, ZFP_CODEC_ID)?;
     let mut head = Cur::new(c.require(TAG_HEAD)?);
     let dims = head.dims()?;
     let tol = head.f64le()?;
     if !(tol.is_finite() && tol > 0.0) {
-        return Err(ZfpError::Malformed("tol"));
+        return Err(CodecError::Malformed("tol"));
     }
     let minexp = tol.log2().floor() as i32;
     let grid = BlockGrid::new(dims, BLOCK);
@@ -264,7 +260,7 @@ fn decompress_into_with(
     // Every block of the declared grid costs at least its flag bit; a
     // payload without them is refused before the field is sized by the dims.
     if grid.num_blocks().div_ceil(8) > payload.len() {
-        return Err(ZfpError::Malformed("stream underrun"));
+        return Err(CodecError::Malformed("stream underrun"));
     }
     let mut r = BitReader::new(payload);
 
@@ -276,14 +272,14 @@ fn decompress_into_with(
         let emax = r.read_bits(16) as i32 - EMAX_BIAS;
         let maxprec = block_maxprec(emax, minexp);
         if maxprec <= 0 {
-            return Err(ZfpError::Malformed("nonzero block below tolerance"));
+            return Err(CodecError::Malformed("nonzero block below tolerance"));
         }
         let mut ints = decode(&mut r, maxprec as u32);
         inv(&mut ints);
         insert_block(out.data_mut(), dims, blk.origin, &ints, emax);
     }
     if r.bit_pos() > payload.len() * 8 {
-        return Err(ZfpError::Malformed("stream underrun"));
+        return Err(CodecError::Malformed("stream underrun"));
     }
     Ok(())
 }
@@ -340,7 +336,7 @@ pub mod reference {
 
     /// [`super::decompress`] built on the reference plane decoder and
     /// inverse transform — same reconstructions, same typed errors.
-    pub fn decompress(bytes: &[u8]) -> Result<Field3, ZfpError> {
+    pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
         let mut out = Field3::zeros(Dims3::new(0, 0, 0));
         decompress_into_with(
             bytes,
@@ -390,6 +386,9 @@ impl Codec for ZfpCodec {
         out: &mut Vec<u8>,
         recon: &mut Field3,
     ) -> Result<(), CodecError> {
+        if !(eb.is_finite() && eb > 0.0) {
+            return Err(CodecError::Malformed("error bound"));
+        }
         compress_with_recon(field, &ZfpConfig::new(eb), out, recon);
         Ok(())
     }

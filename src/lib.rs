@@ -41,7 +41,8 @@
 //! records the codec id in its container, and routes decompression on the
 //! stored id. The workflow's compressor choice is therefore a cross product —
 //! [`workflow::Arrangement`] (linear / padded / stacked / boxed) ×
-//! [`workflow::mrc::Backend`] (SZ3 / SZ2 / ZFP / passthrough):
+//! [`store::Backend`] (SZ3 / SZ2 / ZFP / passthrough; re-exported as
+//! `workflow::Backend`):
 //!
 //! ```
 //! use hqmr::grid::synth;
@@ -59,7 +60,8 @@
 //! A new compressor participates in the whole pipeline by implementing
 //! [`codec::Codec`]'s four required methods (unique id, self-describing
 //! stream, bound honoured, foreign streams rejected with `WrongStreamId`)
-//! and registering the id in [`workflow::mrc::Backend`]. The trait's
+//! and adding it to [`store::Backend`], the one backend table (the decode
+//! registry [`store::codec_for_id`] reads it). The trait's
 //! provided methods — buffer-reusing `compress_into`/`decompress_into`, and
 //! [`codec::Codec::compress_with_recon`], which the temporal store's closed
 //! loop takes its prediction base from — work as inherited; override them

@@ -243,3 +243,27 @@ fn compress_with_recon_hands_back_what_decompress_produces() {
         }
     }
 }
+
+/// A bound the codec cannot honour — zero, negative, NaN, infinite — is
+/// refused by every lossy backend's `compress_with_recon` with a typed
+/// error, not a quantizer panic; the raw passthrough, which needs no bound,
+/// still encodes.
+#[test]
+fn unhonourable_bounds_are_typed_errors() {
+    let f = synth_field(Dims3::new(5, 6, 7), 3, 0);
+    for codec in all_codecs() {
+        let (mut out, mut recon) = (Vec::new(), Field3::zeros(Dims3::new(0, 0, 0)));
+        for eb in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            let result = codec.compress_with_recon(&f, eb, &mut out, &mut recon);
+            if codec.id() == NullCodec.id() {
+                assert!(result.is_ok(), "null at eb {eb}: {result:?}");
+            } else {
+                assert!(
+                    matches!(result, Err(CodecError::Malformed(_))),
+                    "{} at eb {eb}: {result:?}",
+                    codec.name()
+                );
+            }
+        }
+    }
+}
