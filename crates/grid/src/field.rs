@@ -1,5 +1,6 @@
 //! Dense row-major `f32` scalar field.
 
+use crate::buffer;
 use crate::dims::Dims3;
 use rayon::prelude::*;
 
@@ -12,17 +13,31 @@ pub struct Field3 {
 }
 
 impl Field3 {
-    /// Constant-filled field.
+    /// Constant-filled field. From 4 MiB on, its buffer is advised onto
+    /// transparent huge pages before the first write (an advisory hint; see
+    /// "Big buffers" in `crates/README.md`).
+    ///
+    /// # Panics
+    /// Panics if the field cannot be allocated.
     pub fn new(dims: Dims3, fill: f32) -> Self {
+        let data = dims.checked_len().and_then(|n| buffer::filled(n, fill));
         Field3 {
             dims,
-            data: vec![fill; dims.len()],
+            data: data.unwrap_or_else(|| panic!("cannot allocate a {dims} field")),
         }
     }
 
-    /// Zero-filled field.
+    /// Zero-filled field; see [`Field3::new`].
     pub fn zeros(dims: Dims3) -> Self {
         Self::new(dims, 0.0)
+    }
+
+    /// Zero-filled field, or `None` where [`Field3::zeros`] would panic: the
+    /// cell count overflows or the allocator refuses the buffer. For extents
+    /// read from outside bytes.
+    pub fn try_zeros(dims: Dims3) -> Option<Self> {
+        let data = buffer::filled(dims.checked_len()?, 0.0)?;
+        Some(Field3 { dims, data })
     }
 
     /// Wraps an existing buffer.

@@ -7,6 +7,7 @@
 //! §2 for the substitution argument.
 
 pub mod block;
+mod buffer;
 pub mod dims;
 pub mod field;
 pub mod io;

@@ -140,7 +140,8 @@ impl MultiResData {
                 for x in o[0]..(o[0] + u).min(self.domain.nx) {
                     for y in o[1]..(o[1] + u).min(self.domain.ny) {
                         for z in o[2]..(o[2] + u).min(self.domain.nz) {
-                            cover[self.domain.idx(x, y, z)] += 1;
+                            let c = &mut cover[self.domain.idx(x, y, z)];
+                            *c = c.saturating_add(1);
                         }
                     }
                 }
@@ -331,6 +332,21 @@ mod tests {
             levels: ok.levels.clone(),
         };
         assert!(gap.coverage_defects() > 0);
+    }
+
+    #[test]
+    fn coverage_defects_saturate_instead_of_wrapping() {
+        // A `u8` tally wraps to 0 (one cover, no defect) at 257 in release
+        // and panics at 256 in debug.
+        for n in [255, 256, 257, 600] {
+            let mut level = one_block_level(0, 1, Dims3::cube(1), [0, 0, 0]);
+            level.blocks = vec![level.blocks[0].clone(); n];
+            let mr = MultiResData {
+                domain: Dims3::cube(1),
+                levels: vec![level],
+            };
+            assert_eq!(mr.coverage_defects(), 1, "{n} covers");
+        }
     }
 
     #[test]

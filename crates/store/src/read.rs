@@ -47,9 +47,12 @@
 //! its skipped chunks' constant blocks side by side too), and [`Progressive`]
 //! lands all of its blocks as one batch, whose destination `x`-planes
 //! [`Field3::insert_boxes_replicated`] spreads across cores — copies and the
-//! first-touch faults of a fresh accumulator alike. ROI reads hold few
-//! chunks and keep the single bulk request; [`level_parts`] keeps every
-//! chunk by design — it is for sources that hold them already.
+//! first-touch faults of the fresh accumulator alike. The accumulator and
+//! each step's copy come from [`Field3::try_zeros`], so where the kernel
+//! grants its huge-page hint a 64 MiB step faults in 32 times instead of
+//! 16 384. ROI reads hold few chunks and keep the single bulk request;
+//! [`level_parts`] keeps every chunk by design — it is for sources that
+//! hold them already.
 //!
 //! [`StoreReader`]: crate::StoreReader
 
@@ -565,19 +568,24 @@ pub fn progressive<S: ChunkSource + ?Sized>(src: &S, scheme: Upsample) -> Progre
     Progressive {
         src,
         scheme,
-        // Refinement order: coarsest (highest level index) first.
-        next: src.store_meta().levels.len(),
-        acc: Field3::zeros(src.store_meta().domain),
+        next: None,
+        acc: Field3::default(),
     }
 }
 
 /// Iterator returned by [`progressive`] (and the `progressive` methods of
 /// `StoreReader` / `StoreServer`).
+///
+/// Nothing is allocated until the first `next()`, which sizes the
+/// accumulator by the store's declared domain: a domain no allocator grants
+/// is that call's [`StoreError::Malformed`], and the walk ends there.
 pub struct Progressive<'a, S: ChunkSource + ?Sized> {
     src: &'a S,
     scheme: Upsample,
-    /// `levels[next]` is the next level to decode, counting down to 0.
-    next: usize,
+    /// `levels[next - 1]` is the next level to decode, counting down in
+    /// refinement order (coarsest, the highest index, first); `None` before
+    /// the first step.
+    next: Option<usize>,
     /// The cumulative reconstruction, refined in place: each step lands only
     /// the newly decoded (finer) level's blocks, straight from their chunk
     /// slabs, so blocks decoded in earlier steps are never copied or
@@ -602,42 +610,63 @@ impl<S: ChunkSource + ?Sized> Progressive<'_, S> {
             insert_blocks_upsampled(acc, lm.level, lm.unit, blocks, scheme);
         })
     }
+
+    /// The next refinement step, `Ok(None)` once level 0 has been handed out.
+    fn step(&mut self) -> Result<Option<RefinementStep>, StoreError> {
+        let meta = self.src.store_meta();
+        let next = match self.next {
+            Some(next) => next,
+            None => {
+                self.acc = fresh_field(meta.domain)?;
+                meta.levels.len()
+            }
+        };
+        let Some(level) = next.checked_sub(1) else {
+            return Ok(None);
+        };
+        self.next = Some(level);
+        self.refine(level)?;
+        // The last step hands the accumulator over instead of copying it:
+        // nothing refines it further.
+        let field = if level == 0 {
+            std::mem::take(&mut self.acc)
+        } else {
+            striped_copy(&self.acc)?
+        };
+        Ok(Some(RefinementStep { level, field }))
+    }
+}
+
+/// A zero field of `dims` through `Field3`'s one allocation path (huge pages
+/// from 4 MiB on), or `Malformed` for extents no allocator grants.
+fn fresh_field(dims: Dims3) -> Result<Field3, StoreError> {
+    Field3::try_zeros(dims).ok_or(StoreError::Malformed("domain too large to allocate"))
 }
 
 /// Copies `field` in stripes fanned out across the rayon shim. The
-/// destination is fresh memory, so the copy is bound by first-touch page
-/// faults rather than bandwidth, and those overlap across cores.
-fn striped_copy(field: &Field3) -> Field3 {
+/// destination is fresh, lazily zeroed memory that the stripes touch first,
+/// so its page faults (2 MiB ones where the kernel grants the hint) overlap
+/// across cores.
+fn striped_copy(field: &Field3) -> Result<Field3, StoreError> {
     const STRIPE: usize = 1 << 20;
     let src = field.data();
-    let mut data = vec![0f32; src.len()];
-    data.par_chunks_mut(STRIPE)
+    let mut out = fresh_field(field.dims())?;
+    out.data_mut()
+        .par_chunks_mut(STRIPE)
         .enumerate()
         .for_each(|(i, out)| out.copy_from_slice(&src[i * STRIPE..][..out.len()]));
-    Field3::from_vec(field.dims(), data)
+    Ok(out)
 }
 
 impl<S: ChunkSource + ?Sized> Iterator for Progressive<'_, S> {
     type Item = Result<RefinementStep, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next == 0 {
-            return None;
+        let step = self.step().transpose();
+        if let Some(Err(_)) = step {
+            self.next = Some(0); // poison: no further refinement after an error
         }
-        self.next -= 1;
-        let level = self.next;
-        if let Err(e) = self.refine(level) {
-            self.next = 0; // poison: no further refinement after an error
-            return Some(Err(e));
-        }
-        // The last step hands the accumulator over instead of copying it:
-        // nothing refines it further.
-        let field = if level == 0 {
-            std::mem::take(&mut self.acc)
-        } else {
-            striped_copy(&self.acc)
-        };
-        Some(Ok(RefinementStep { level, field }))
+        step
     }
 }
 

@@ -16,15 +16,19 @@
 //!   way a crafted file would — a CRC is integrity, not authentication.
 //!
 //! Each case runs under `catch_unwind` with this binary's counting allocator
-//! holding it to [`HEAP_CAP`]. The four crafted inputs that used to abort or
-//! panic are pinned by name at the bottom.
+//! holding it to [`HEAP_CAP`]. The crafted inputs that used to abort or
+//! panic — four codec and container streams, and a store whose progressive
+//! walk aborted — are pinned by name at the bottom.
 
 use hqmr::codec::{crc32, tag, write_uvarint, CodecError, Container, ContainerError, Cur};
+use hqmr::grid::Dims3;
+use hqmr::mr::Upsample;
 use hqmr::net::proto::{read_frame, read_hello, Kind, NetResponse, Request};
 use hqmr::serve::Query;
+use hqmr::store::format::StoreMeta;
 use hqmr::store::format::{self, parse_head};
 use hqmr::store::temporal::TemporalManifest;
-use hqmr::store::{codec_for_id, ParitySidecar, StoreReader};
+use hqmr::store::{codec_for_id, ParitySidecar, StoreError, StoreReader};
 use hqmr::workflow::mrc::decompress_mr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -437,7 +441,7 @@ fn with_dims(head: &[u8], dims: [u64; 3]) -> Vec<u8> {
     out
 }
 
-/// The four inputs that used to abort the process or panic, by name.
+/// The inputs that used to abort the process or panic, by name.
 #[test]
 fn crafted_inputs_are_typed_errors_within_the_heap_cap() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -503,5 +507,23 @@ fn crafted_inputs_are_typed_errors_within_the_heap_cap() {
     case(&|| "container: u64::MAX section".into(), || {
         let got = Container::from_bytes(&bad).map(|_| ());
         assert_eq!(got, Err(ContainerError::Truncated));
+    });
+
+    // (5) A store of no levels over a 2^20 × 2^20 × 2^10 domain: it opens
+    // and reads, and `progressive` used to size its 4 PiB accumulator up
+    // front and abort. Its first step is now the typed error, and the last.
+    let meta = StoreMeta {
+        domain: Dims3::new(1 << 20, 1 << 20, 1 << 10),
+        codec_id: tag(b"SZ3S"),
+        eb: 1e-3,
+        levels: vec![],
+    };
+    let bad = format::frame(&meta, &[]);
+    case(&|| "store: 4 PiB domain, no levels".into(), || {
+        let r = StoreReader::from_bytes(bad.clone()).expect("opens");
+        assert!(r.read_all().expect("reads").levels.is_empty());
+        let mut walk = r.progressive(Upsample::Nearest);
+        assert!(matches!(walk.next(), Some(Err(StoreError::Malformed(_)))));
+        assert!(walk.next().is_none());
     });
 }
