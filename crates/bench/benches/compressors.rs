@@ -2,10 +2,14 @@
 //! block-wise SZ2/ZFP are fast, global SZ3 trades speed for quality).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hqmr_codec::Codec;
 use hqmr_core::mrc::{prepare_mr, MrcConfig};
 use hqmr_core::Backend;
 use hqmr_grid::{synth, Dims3, Field3};
 use hqmr_mr::{to_adaptive, RoiConfig};
+use hqmr_sz2::Sz2Codec;
+use hqmr_sz3::Sz3Codec;
+use hqmr_zfp::ZfpCodec;
 
 fn bench_compressors(c: &mut Criterion) {
     let n = 64usize;
@@ -13,18 +17,16 @@ fn bench_compressors(c: &mut Criterion) {
     let eb = field.range() as f64 * 1e-3;
     let bytes = (field.len() * 4) as u64;
 
+    // Each codec's default knobs: 6³ sz2 blocks, as on uniform data.
+    let codecs: [&dyn Codec; 3] = [&Sz3Codec::default(), &Sz2Codec::default(), &ZfpCodec];
     let mut g = c.benchmark_group("compress");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(bytes));
-    g.bench_function(BenchmarkId::new("sz3", n), |b| {
-        b.iter(|| hqmr_sz3::compress(&field, &hqmr_sz3::Sz3Config::new(eb)))
-    });
-    g.bench_function(BenchmarkId::new("sz2", n), |b| {
-        b.iter(|| hqmr_sz2::compress(&field, &hqmr_sz2::Sz2Config::new(eb)))
-    });
-    g.bench_function(BenchmarkId::new("zfp", n), |b| {
-        b.iter(|| hqmr_zfp::compress(&field, &hqmr_zfp::ZfpConfig::new(eb)))
-    });
+    for codec in codecs {
+        g.bench_function(BenchmarkId::new(codec.name(), n), |b| {
+            b.iter(|| codec.compress(&field, eb))
+        });
+    }
     g.finish();
 
     // The closed loop's call: the stream plus the reconstruction a reader
@@ -61,21 +63,15 @@ fn bench_compressors(c: &mut Criterion) {
     }
     g.finish();
 
-    let sz3_stream = hqmr_sz3::compress(&field, &hqmr_sz3::Sz3Config::new(eb)).bytes;
-    let sz2_stream = hqmr_sz2::compress(&field, &hqmr_sz2::Sz2Config::new(eb)).bytes;
-    let zfp_stream = hqmr_zfp::compress(&field, &hqmr_zfp::ZfpConfig::new(eb)).bytes;
     let mut g = c.benchmark_group("decompress");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(bytes));
-    g.bench_function(BenchmarkId::new("sz3", n), |b| {
-        b.iter(|| hqmr_sz3::decompress(&sz3_stream).unwrap())
-    });
-    g.bench_function(BenchmarkId::new("sz2", n), |b| {
-        b.iter(|| hqmr_sz2::decompress(&sz2_stream).unwrap())
-    });
-    g.bench_function(BenchmarkId::new("zfp", n), |b| {
-        b.iter(|| hqmr_zfp::decompress(&zfp_stream).unwrap())
-    });
+    for codec in codecs {
+        let stream = codec.compress(&field, eb);
+        g.bench_function(BenchmarkId::new(codec.name(), n), |b| {
+            b.iter(|| codec.decompress(&stream).unwrap())
+        });
+    }
     g.finish();
 }
 

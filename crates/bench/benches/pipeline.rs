@@ -4,6 +4,7 @@
 //! in a uniform field (the reader's last stage).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use hqmr_codec::Codec;
 use hqmr_core::mrc::MrcConfig;
 use hqmr_core::post::{bezier_pass, PostConfig};
 use hqmr_grid::{synth, Dims3};
@@ -12,6 +13,7 @@ use hqmr_mr::{
     Upsample,
 };
 use hqmr_store::{write_store, StoreConfig, StoreReader};
+use hqmr_zfp::ZfpCodec;
 
 fn bench_merges(c: &mut Criterion) {
     let f = synth::nyx_like(64, 88);
@@ -46,8 +48,7 @@ fn bench_merges(c: &mut Criterion) {
 fn bench_post(c: &mut Criterion) {
     let f = synth::s3d_like(64, 89);
     let eb = f.range() as f64 * 1e-2;
-    let r = hqmr_zfp::compress(&f, &hqmr_zfp::ZfpConfig::new(eb));
-    let dec = hqmr_zfp::decompress(&r.bytes).unwrap();
+    let dec = ZfpCodec.decompress(&ZfpCodec.compress(&f, eb)).unwrap();
     let a = [0.02f64; 3];
     let mut g = c.benchmark_group("post_process");
     g.sample_size(20);

@@ -6,18 +6,19 @@ use crate::runner::{
     level_psnr, level_values, match_cr, mr_blockwise_roundtrip, psnr_slices, rd_sweep,
     roundtrip_mr, row, single_level, BlockCodec, MkConfig, RdPoint,
 };
+use hqmr_codec::Codec;
 use hqmr_core::mrc::{compress_mr, decompress_mr, Backend, MrcConfig};
 use hqmr_core::post::{bezier_pass, select_intensity, select_intensity_sampled, PostConfig};
 use hqmr_core::uncertainty::{analyze_feature_recovery, model_near_isovalue, sample_error_pairs};
 use hqmr_core::{insitu, StageTimings};
 use hqmr_filters::{anisotropic_diffusion, gaussian_blur, median3};
-use hqmr_grid::{synth, Dims3, Field3};
+use hqmr_grid::{synth, Dims3};
 use hqmr_metrics::{find_halos_abs, halo_recall, psnr, spectrum_rel_errors, ssim};
 use hqmr_mr::{
     merge_discontinuity, merge_level, roi_only_field, to_adaptive, MergeStrategy, MultiResData,
     RoiConfig, Upsample,
 };
-use hqmr_sz3::interp_levels;
+use hqmr_sz3::{interp_levels, interp_stats, InterpKind, LevelEbPolicy, Sz3Codec};
 use hqmr_vis::{render_slice, save_ppm, Colormap};
 use std::fmt::Write as _;
 
@@ -196,17 +197,14 @@ pub fn fig07(_scale: usize) -> String {
         ("merged 16x16x256", Dims3::new(16, 16, 256)),
         ("merged 17x17x256 (padded)", Dims3::new(17, 17, 256)),
     ] {
-        let f = Field3::from_fn(dims, |x, y, z| {
-            ((x + y) as f32 * 0.3).sin() + (z as f32 * 0.2).cos()
-        });
-        let r = hqmr_sz3::compress(&f, &hqmr_sz3::Sz3Config::new(1e-3));
+        let stats = interp_stats(dims, InterpKind::Cubic);
         writeln!(
             out,
             "{label:28} levels={} extrapolated={:5} of {:7} ({:.2}%)",
             interp_levels(dims.max_extent()),
-            r.stats.extrapolated,
-            r.stats.total(),
-            100.0 * r.stats.extrapolated as f64 / r.stats.total() as f64
+            stats.extrapolated,
+            stats.total(),
+            100.0 * stats.extrapolated as f64 / stats.total() as f64
         )
         .unwrap();
     }
@@ -757,10 +755,10 @@ pub fn ablations(scale: usize) -> String {
     out.push_str("-- adaptive eb (alpha, beta) grid (WarpX)\n");
     for alpha in [1.5, 2.25, 3.0] {
         for beta in [4.0, 8.0, 16.0] {
-            let cfg = MrcConfig::ours_pad(eb).with_backend(Backend::Sz3 {
-                interp: hqmr_sz3::InterpKind::Cubic,
-                level_eb: Some(hqmr_sz3::LevelEbPolicy { alpha, beta }),
-            });
+            let cfg = MrcConfig::ours_pad(eb).with_backend(Backend::Sz3(Sz3Codec {
+                interp: InterpKind::Cubic,
+                level_eb: Some(LevelEbPolicy { alpha, beta }),
+            }));
             let (cr, psnrs) = roundtrip_mr(mr, &cfg);
             writeln!(
                 out,
@@ -791,13 +789,13 @@ pub fn ablations(scale: usize) -> String {
         };
         let ebu = f.range() as f64 * 8e-3;
         let arrays = merge_level(&lvl, MergeStrategy::Linear);
-        let cfg = hqmr_sz3::Sz3Config::new(ebu);
+        let sz3 = Sz3Codec::default();
         let mut plain = 0usize;
         let mut padded = 0usize;
         for m in &arrays {
-            plain += hqmr_sz3::compress(&m.field, &cfg).bytes.len();
+            plain += sz3.compress(&m.field, ebu).len();
             let pf = hqmr_mr::pad_small_dims(&m.field, hqmr_mr::PadKind::Linear);
-            padded += hqmr_sz3::compress(&pf, &cfg).bytes.len();
+            padded += sz3.compress(&pf, ebu).len();
         }
         writeln!(
             out,

@@ -1,12 +1,13 @@
 //! Shared experiment machinery: rate-distortion sweeps, CR matching,
 //! block-wise multi-resolution round-trips, formatting.
 
+use hqmr_codec::Codec;
 use hqmr_core::mrc::{compress_mr, decompress_mr, MrcConfig};
 use hqmr_core::post::{bezier_pass, select_intensity, PostConfig};
 use hqmr_grid::Field3;
 use hqmr_mr::{merge_level, LevelData, MergeStrategy, MultiResData};
-use hqmr_sz2::Sz2Config;
-use hqmr_zfp::ZfpConfig;
+use hqmr_sz2::Sz2Codec;
+use hqmr_zfp::ZfpCodec;
 
 /// A named `MrcConfig` constructor from an absolute error bound — the shape
 /// every sweep table is built from.
@@ -176,18 +177,13 @@ pub enum BlockCodec {
 impl BlockCodec {
     /// Compress + decompress, returning `(compressed bytes, reconstruction)`.
     pub fn roundtrip(&self, field: &Field3, eb: f64) -> (usize, Field3) {
-        match *self {
-            BlockCodec::Sz2 { block } => {
-                let r = hqmr_sz2::compress(field, &Sz2Config { eb, block });
-                let d = hqmr_sz2::decompress(&r.bytes).expect("sz2 roundtrip");
-                (r.bytes.len(), d)
-            }
-            BlockCodec::Zfp => {
-                let r = hqmr_zfp::compress(field, &ZfpConfig::new(eb));
-                let d = hqmr_zfp::decompress(&r.bytes).expect("zfp roundtrip");
-                (r.bytes.len(), d)
-            }
-        }
+        let codec: &dyn Codec = match self {
+            BlockCodec::Sz2 { block } => &Sz2Codec { block: *block },
+            BlockCodec::Zfp => &ZfpCodec,
+        };
+        let bytes = codec.compress(field, eb);
+        let d = codec.decompress(&bytes).expect("codec roundtrip");
+        (bytes.len(), d)
     }
 
     /// The matching post-process configuration.

@@ -16,7 +16,7 @@
 
 use crate::container::{tag, Container, ContainerError};
 use crate::cursor::{Cur, Fault};
-use hqmr_grid::{Dims3, Field3};
+use hqmr_grid::Field3;
 
 /// Section tag carrying a stream's codec id.
 pub const TAG_STREAM_ID: u32 = tag(b"CDID");
@@ -98,10 +98,11 @@ impl From<Fault> for CodecError {
 /// The trait is dyn-safe: the MR engine dispatches through `&dyn Codec`.
 ///
 /// A new backend implements [`Codec::id`], [`Codec::name`],
-/// [`Codec::compress`] and [`Codec::decompress`]; the `_into` variants and
-/// [`Codec::compress_with_recon`] are provided, and overriding any of them is
-/// an optimisation that must not change a byte or a bit of what the required
-/// pair produces.
+/// [`Codec::compress_into`] and [`Codec::decompress_into`]. The allocating
+/// [`Codec::compress`] / [`Codec::decompress`] and
+/// [`Codec::compress_with_recon`] are provided; overriding
+/// `compress_with_recon` is an optimisation that must not change a byte or a
+/// bit of what the required pair produces.
 pub trait Codec: Send + Sync {
     /// Four-byte stream id (e.g. `tag(b"SZ3S")`), unique per backend.
     fn id(&self) -> u32;
@@ -109,30 +110,29 @@ pub trait Codec: Send + Sync {
     /// Human-readable backend name (stable; used in reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Compresses `field` under the absolute error bound `eb`.
-    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8>;
+    /// Compresses `field` under the absolute error bound `eb` into `out`,
+    /// cleared first, so per-chunk writers reuse one allocation across
+    /// chunks.
+    fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>);
 
-    /// Decompresses a stream produced by this backend's [`Codec::compress`].
-    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError>;
+    /// Decodes a stream produced by [`Codec::compress_into`] into `out`,
+    /// reshaped in place (its allocation reused), so per-chunk readers —
+    /// the store's ROI/progressive queries above all — reuse one field
+    /// across chunks.
+    fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError>;
 
-    /// Scratch-buffer variant of [`Codec::compress`]: clears `out` and
-    /// writes the stream into it, so per-chunk writers reuse one allocation
-    /// across chunks. The default delegates to the allocating version;
-    /// backends override it to serialize straight into `out`.
-    fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>) {
-        out.clear();
-        let bytes = self.compress(field, eb);
-        out.extend_from_slice(&bytes);
+    /// [`Codec::compress_into`] into a fresh buffer.
+    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.compress_into(field, eb, &mut out);
+        out
     }
 
-    /// Scratch-buffer variant of [`Codec::decompress`]: reshapes `out`
-    /// (reusing its allocation) and decodes into it, so per-chunk readers —
-    /// the store's ROI/progressive queries above all — reuse one field
-    /// across chunks. The default delegates to the allocating version;
-    /// backends override it to decode in place.
-    fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
-        *out = self.decompress(bytes)?;
-        Ok(())
+    /// [`Codec::decompress_into`] into a fresh field.
+    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
+        let mut out = Field3::default();
+        self.decompress_into(bytes, &mut out)?;
+        Ok(out)
     }
 
     /// [`Codec::compress_into`] that also hands back, in the caller-owned
@@ -214,18 +214,6 @@ impl Codec for NullCodec {
         "null"
     }
 
-    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.compress_into(field, eb, &mut out);
-        out
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
-        let mut out = Field3::zeros(Dims3::new(0, 0, 0));
-        self.decompress_into(bytes, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into(&self, field: &Field3, _eb: f64, out: &mut Vec<u8>) {
         out.clear();
         let dims = field.dims();
@@ -264,6 +252,7 @@ impl Codec for NullCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqmr_grid::Dims3;
 
     fn wavy() -> Field3 {
         Field3::from_fn(Dims3::new(5, 6, 7), |x, y, z| {

@@ -256,9 +256,9 @@ fn window_axis_error(orig: &Field3, dec: &Field3, axis: usize, p: usize, limit: 
     acc
 }
 
-/// Sample-window origins: `count³`-ish windows of side `side`, aligned to the
-/// boundary period, spread through the volume with a low-discrepancy
-/// (R3 Kronecker) sequence offset by `seed`.
+/// Sample-window origins: `count³`-ish windows of per-axis sides `size`,
+/// aligned to the boundary period, spread through the volume with a
+/// low-discrepancy (R3 Kronecker) sequence offset by `seed`.
 ///
 /// Stratified placement instead of independent uniform draws: at small field
 /// sizes the 1.5% budget affords only a handful of windows (often exactly
@@ -268,16 +268,15 @@ fn window_axis_error(orig: &Field3, dec: &Field3, axis: usize, p: usize, limit: 
 /// at the domain center.
 fn sample_windows(
     dims: Dims3,
-    side: usize,
+    size: Dims3,
     align: usize,
     target_frac: f64,
     seed: u64,
 ) -> Vec<[usize; 3]> {
     let total = dims.len() as f64;
-    let per_window = (side * side * side) as f64;
-    let max_windows = ((target_frac * total / per_window).floor() as usize).max(1);
-    let choices = |n: usize| -> usize { (n.saturating_sub(side)) / align + 1 };
-    let (cx, cy, cz) = (choices(dims.nx), choices(dims.ny), choices(dims.nz));
+    let max_windows = ((target_frac * total / size.len() as f64).floor() as usize).max(1);
+    let (n, side) = (dims.as_array(), size.as_array());
+    let [cx, cy, cz] = [0, 1, 2].map(|d| n[d].saturating_sub(side[d]) / align + 1);
     if cx == 0 || cy == 0 || cz == 0 {
         return vec![[0, 0, 0]];
     }
@@ -304,15 +303,23 @@ fn sample_windows(
 /// The `(original, decompressed)` sample-window pairs every selector
 /// optimizes over, and how many cells they cover. `decompressed` gets each
 /// window's origin and its original cells.
+///
+/// A window spans `SAMPLE_MULT` periods along every axis the field is long
+/// enough for, and the whole extent along a shorter one: a merged array
+/// only one period thick still gets windows that straddle the seams along
+/// its long axis.
 fn window_pairs(
     orig: &Field3,
     cfg: &PostConfig,
     decompressed: impl Fn([usize; 3], &Field3) -> Field3,
 ) -> (Vec<(Field3, Field3)>, usize) {
     let max_p = cfg.periods.iter().flatten().copied().max().unwrap_or(4);
-    let side = (SAMPLE_MULT * max_p).min(orig.dims().min_extent().max(1));
-    let windows = sample_windows(orig.dims(), side, max_p, cfg.sample_frac, cfg.seed);
-    let wsize = Dims3::cube(side);
+    let [sx, sy, sz] = orig
+        .dims()
+        .as_array()
+        .map(|n| (SAMPLE_MULT * max_p).min(n.max(1)));
+    let wsize = Dims3::new(sx, sy, sz);
+    let windows = sample_windows(orig.dims(), wsize, max_p, cfg.sample_frac, cfg.seed);
     let pairs = windows
         .iter()
         .map(|&o| {
@@ -424,57 +431,59 @@ fn optimize(
     }
 }
 
-/// Exhaustive per-axis candidate search over the same samples (ablation
-/// reference for the SGD).
-pub fn select_intensity_exhaustive(
-    orig: &Field3,
-    decomp: &Field3,
-    eb: f64,
-    cfg: &PostConfig,
-) -> IntensityChoice {
-    assert_eq!(orig.dims(), decomp.dims(), "field dims mismatch");
-    let (pairs, sampled) = window_pairs(orig, cfg, |o, ow| decomp.extract_box(o, ow.dims()));
-    let mut a = [0.0f64; 3];
-    let mut before = 0.0;
-    let mut after = 0.0;
-    for (axis, a_slot) in a.iter_mut().enumerate() {
-        let Some(p) = cfg.periods[axis] else {
-            continue;
-        };
-        let f_axis = |limit: f64| -> f64 {
-            pairs
-                .iter()
-                .map(|(o, d)| window_axis_error(o, d, axis, p, limit))
-                .sum()
-        };
-        let base = f_axis(0.0);
-        let best = cfg
-            .candidates
-            .iter()
-            .copied()
-            .map(|c| (f_axis(c * eb), c))
-            .min_by(|x, y| x.0.total_cmp(&y.0))
-            .unwrap_or((base, 0.0));
-        before += base;
-        if best.0 < base {
-            *a_slot = best.1;
-            after += best.0;
-        } else {
-            after += base;
-        }
-    }
-    IntensityChoice {
-        a,
-        sample_rate: sampled as f64 / orig.dims().len() as f64,
-        sample_err_before: before,
-        sample_err_after: after,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqmr_codec::Codec;
     use hqmr_metrics::psnr;
+    use hqmr_zfp::ZfpCodec;
+
+    /// Exhaustive per-axis candidate search over the same samples: the oracle
+    /// the SGD selector is held to.
+    fn select_intensity_exhaustive(
+        orig: &Field3,
+        decomp: &Field3,
+        eb: f64,
+        cfg: &PostConfig,
+    ) -> IntensityChoice {
+        assert_eq!(orig.dims(), decomp.dims(), "field dims mismatch");
+        let (pairs, sampled) = window_pairs(orig, cfg, |o, ow| decomp.extract_box(o, ow.dims()));
+        let mut a = [0.0f64; 3];
+        let mut before = 0.0;
+        let mut after = 0.0;
+        for (axis, a_slot) in a.iter_mut().enumerate() {
+            let Some(p) = cfg.periods[axis] else {
+                continue;
+            };
+            let f_axis = |limit: f64| -> f64 {
+                pairs
+                    .iter()
+                    .map(|(o, d)| window_axis_error(o, d, axis, p, limit))
+                    .sum()
+            };
+            let base = f_axis(0.0);
+            let best = cfg
+                .candidates
+                .iter()
+                .copied()
+                .map(|c| (f_axis(c * eb), c))
+                .min_by(|x, y| x.0.total_cmp(&y.0))
+                .unwrap_or((base, 0.0));
+            before += base;
+            if best.0 < base {
+                *a_slot = best.1;
+                after += best.0;
+            } else {
+                after += base;
+            }
+        }
+        IntensityChoice {
+            a,
+            sample_rate: sampled as f64 / orig.dims().len() as f64,
+            sample_err_before: before,
+            sample_err_after: after,
+        }
+    }
 
     /// Smooth truth plus per-block constant offsets — a caricature of
     /// block-wise compression artifacts with |error| ≤ eb.
@@ -580,6 +589,26 @@ mod tests {
         );
     }
 
+    /// A merged array one period thick, with seams every period along its
+    /// long axis: windows that span two periods there straddle a seam, so
+    /// the sampled "before" error is not zero and the selector engages.
+    #[test]
+    fn thin_period_aligned_arrays_sample_their_seams() {
+        let (p, eb) = (8, 0.5f32);
+        let dims = Dims3::new(p, p, 64 * p);
+        let orig = Field3::from_fn(dims, |x, y, z| {
+            ((x + y) as f32 * 0.3).sin() * 4.0 + (z as f32 * 0.05).cos() * 10.0
+        });
+        let dec = Field3::from_fn(dims, |x, y, z| {
+            let offset = ((((z / p) * 2654435761) % 200) as f32 / 100.0 - 1.0) * eb * 0.9;
+            orig.get(x, y, z) + offset
+        });
+        let cfg = PostConfig::sz3_multires(p);
+        let choice = select_intensity(&orig, &dec, eb as f64, &cfg);
+        assert!(choice.sample_err_before > 0.0, "{choice:?}");
+        assert!(choice.a[2] > 0.0, "{choice:?}");
+    }
+
     #[test]
     fn nan_inputs_select_without_panicking() {
         let dims = Dims3::new(16, 16, 64);
@@ -635,18 +664,14 @@ mod tests {
         let cfg = PostConfig::zfp();
         let choice = select_intensity_sampled(
             &orig,
-            |w| {
-                let r = hqmr_zfp::compress(w, &hqmr_zfp::ZfpConfig::new(tol));
-                hqmr_zfp::decompress(&r.bytes).unwrap()
-            },
+            |w| ZfpCodec.decompress(&ZfpCodec.compress(w, tol)).unwrap(),
             tol,
             &cfg,
         );
         assert!(choice.sample_rate < 0.1);
         // Whatever it picked, applying it to real decompressed data must not
         // catastrophically hurt (clamped by construction).
-        let r = hqmr_zfp::compress(&orig, &hqmr_zfp::ZfpConfig::new(tol));
-        let dec = hqmr_zfp::decompress(&r.bytes).unwrap();
+        let dec = ZfpCodec.decompress(&ZfpCodec.compress(&orig, tol)).unwrap();
         let out = bezier_pass(&dec, tol, choice.a, &cfg);
         assert!(psnr(&orig, &out) >= psnr(&orig, &dec) - 0.2);
     }

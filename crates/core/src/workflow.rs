@@ -199,6 +199,7 @@ mod tests {
     use crate::mrc::decompress_mr;
     use hqmr_grid::synth;
     use hqmr_metrics::psnr;
+    use hqmr_sz2::Sz2Codec;
 
     #[test]
     fn full_workflow_runs_and_reduces() {
@@ -275,12 +276,12 @@ mod tests {
         let mut cfg = WorkflowConfig::new(2e-3);
         cfg.roi = RoiConfig::new(8, 0.4);
         cfg.post_process = false;
-        cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2 { block: 1 });
+        cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2(Sz2Codec { block: 1 }));
         let r = run_uniform_workflow(&f, &cfg).unwrap();
         let back = decompress_mr(&r.compressed).expect("block-1 stream decodes");
         assert_eq!(back.reconstruct(cfg.upsample), r.reconstruction);
 
-        cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2 { block: 0 });
+        cfg.compressor = CompressorChoice::ours().with_backend(Backend::Sz2(Sz2Codec { block: 0 }));
         let err = run_uniform_workflow(&f, &cfg).expect_err("block 0 has no grid");
         assert!(err.to_string().contains("block size"), "{err}");
     }

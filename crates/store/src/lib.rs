@@ -111,7 +111,7 @@ use hqmr_mr::{
     PadKind, UnitBlock, Upsample,
 };
 use hqmr_sz2::Sz2Codec;
-use hqmr_sz3::{InterpKind, LevelEbPolicy, Sz3Codec};
+use hqmr_sz3::{InterpKind, Sz3Codec};
 use hqmr_zfp::ZfpCodec;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -142,24 +142,16 @@ thread_local! {
     static DECODE_SCRATCH: RefCell<Field3> = RefCell::new(Field3::zeros(Dims3::new(0, 0, 0)));
 }
 
-/// Which codec backend a writer drives, with its backend-specific
-/// configuration: the one table of backends. The error bound is *not* here
-/// — it is passed through the [`Codec`] trait per call.
+/// Which codec backend a writer drives: the one table of backends. A codec
+/// variant holds its codec value, the one description of that backend's
+/// knobs. The error bound is *not* here — it is passed through the
+/// [`Codec`] trait per call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// SZ3-class global interpolation (the paper's primary target).
-    Sz3 {
-        /// Interpolator.
-        interp: InterpKind,
-        /// Adaptive per-level error bound (Improvement 2); SZ3-specific
-        /// because the "levels" are SZ3's interpolation levels.
-        level_eb: Option<LevelEbPolicy>,
-    },
+    Sz3(Sz3Codec),
     /// SZ2-class block-wise prediction (the AMRIC pathway).
-    Sz2 {
-        /// Block side length (AMRIC found 4³ optimal for MR data).
-        block: usize,
-    },
+    Sz2(Sz2Codec),
     /// ZFP-class transform coding (the TAC pathway).
     Zfp,
     /// Lossless passthrough (debugging / arrangement-only measurements).
@@ -168,17 +160,14 @@ pub enum Backend {
 
 impl Backend {
     /// Baseline SZ3: cubic interpolation, uniform error bound.
-    pub const SZ3: Backend = Backend::Sz3 {
+    pub const SZ3: Backend = Backend::Sz3(Sz3Codec {
         interp: InterpKind::Cubic,
         level_eb: None,
-    };
+    });
     /// SZ3 with the paper's α=2.25, β=8 adaptive level bounds.
-    pub const SZ3_PAPER: Backend = Backend::Sz3 {
-        interp: InterpKind::Cubic,
-        level_eb: Some(LevelEbPolicy::PAPER),
-    };
+    pub const SZ3_PAPER: Backend = Backend::Sz3(Sz3Codec::PAPER);
     /// SZ2 with AMRIC's 4³ multi-resolution blocks.
-    pub const SZ2: Backend = Backend::Sz2 { block: 4 };
+    pub const SZ2: Backend = Backend::Sz2(Sz2Codec::MULTIRES);
     /// ZFP fixed-accuracy.
     pub const ZFP: Backend = Backend::Zfp;
     /// Raw passthrough.
@@ -191,8 +180,8 @@ impl Backend {
     /// backend to a codec.
     pub fn codec(&self) -> Box<dyn Codec> {
         match *self {
-            Backend::Sz3 { interp, level_eb } => Box::new(Sz3Codec { interp, level_eb }),
-            Backend::Sz2 { block } => Box::new(Sz2Codec { block }),
+            Backend::Sz3(c) => Box::new(c),
+            Backend::Sz2(c) => Box::new(c),
             Backend::Zfp => Box::new(ZfpCodec),
             Backend::Null => Box::new(NullCodec),
         }

@@ -10,7 +10,6 @@
 //! The pre-overhaul per-point loops survive in [`reference`] as the
 //! differential oracle.
 
-use crate::Sz2Config;
 use hqmr_codec::kernels::{self, SharedSlice, SimdLevel, PAR_MIN_CELLS};
 use hqmr_codec::{
     check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, push_stream_id,
@@ -32,24 +31,26 @@ const TAG_COEFFS: u32 = tag(b"COEF");
 const TAG_CODES: u32 = tag(b"QNTC");
 const TAG_OUTLIERS: u32 = tag(b"UNPR");
 
-/// Output of [`compress`].
-#[derive(Debug, Clone)]
-pub struct CompressResult {
-    /// Serialized stream.
-    pub bytes: Vec<u8>,
-    /// Blocks that chose the Lorenzo predictor.
-    pub lorenzo_blocks: usize,
-    /// Blocks that chose the regression predictor.
-    pub regression_blocks: usize,
-    /// Out-of-band points.
-    pub outliers: usize,
+/// SZ2 as a pluggable [`Codec`] backend: the block size is the codec-specific
+/// knob; the error bound arrives per call through the trait and holds
+/// pointwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sz2Codec {
+    /// Block side length (6 for uniform data, 4 for multi-resolution data;
+    /// 1 makes every block Lorenzo).
+    pub block: usize,
 }
 
-impl CompressResult {
-    /// Compression ratio versus raw `f32`.
-    pub fn ratio(&self, n_points: usize) -> f64 {
-        (n_points * 4) as f64 / self.bytes.len() as f64
+impl Default for Sz2Codec {
+    /// Uniform-resolution data: 6³ blocks.
+    fn default() -> Self {
+        Sz2Codec { block: 6 }
     }
+}
+
+impl Sz2Codec {
+    /// AMRIC's multi-resolution configuration (4³ blocks).
+    pub const MULTIRES: Sz2Codec = Sz2Codec { block: 4 };
 }
 
 /// Fitted plane coefficients `v ≈ c0 + c1·x + c2·y + c3·z` (block-local coords).
@@ -288,36 +289,6 @@ fn encode_point(
     }
 }
 
-/// Compresses `field` under `cfg`. The absolute error bound holds pointwise.
-pub fn compress(field: &Field3, cfg: &Sz2Config) -> CompressResult {
-    let (c, lorenzo_blocks, regression_blocks, outliers) = compress_container(field, cfg);
-    CompressResult {
-        bytes: c.to_bytes(),
-        lorenzo_blocks,
-        regression_blocks,
-        outliers,
-    }
-}
-
-/// [`compress`] serializing into a caller-owned buffer (cleared first), so
-/// per-chunk writers reuse one output allocation.
-pub fn compress_into(field: &Field3, cfg: &Sz2Config, out: &mut Vec<u8>) {
-    out.clear();
-    let (c, _, _, _) = compress_container(field, cfg);
-    c.write_into(out);
-}
-
-/// [`compress_into`] that leaves in `recon` (its allocation reused) the field
-/// [`decompress_into`] reproduces from `out`, bit for bit: the Lorenzo
-/// predictor reads already-*reconstructed* neighbours, so the encoder keeps
-/// that field anyway — handed out here instead of being dropped.
-pub fn compress_with_recon(field: &Field3, cfg: &Sz2Config, out: &mut Vec<u8>, recon: &mut Field3) {
-    out.clear();
-    let (buf, st) = encode_blocks(field, cfg, std::mem::take(recon).into_vec());
-    *recon = Field3::from_vec(field.dims(), buf);
-    serialize(field.dims(), cfg, st).write_into(out);
-}
-
 /// The stream sections an encode accumulates, in block order — an array's,
 /// or in a wavefront one x-slab's run of them.
 #[derive(Default)]
@@ -326,8 +297,6 @@ struct EncodeState {
     outliers: Vec<f32>,
     flags: Vec<u8>,
     coeffs: Vec<u8>,
-    n_lorenzo: usize,
-    n_regression: usize,
 }
 
 impl EncodeState {
@@ -346,8 +315,6 @@ impl EncodeState {
         self.outliers.extend_from_slice(&next.outliers);
         self.flags.extend_from_slice(&next.flags);
         self.coeffs.extend_from_slice(&next.coeffs);
-        self.n_lorenzo += next.n_lorenzo;
-        self.n_regression += next.n_regression;
     }
 }
 
@@ -369,13 +336,11 @@ fn select_block(
     };
     st.flags.push(use_regression as u8);
     if use_regression {
-        st.n_regression += 1;
         for c in plane.c {
             st.coeffs.extend_from_slice(&c.to_le_bytes());
         }
         Some(plane)
     } else {
-        st.n_lorenzo += 1;
         None
     }
 }
@@ -390,10 +355,15 @@ fn select_block(
 /// every section. An array of at least [`PAR_MIN_CELLS`] cells and two slabs
 /// runs its slabs as a wavefront on all cores ([`encode_wavefront`]); the
 /// sections and the reconstruction are the serial walk's, bit for bit.
-fn encode_blocks(field: &Field3, cfg: &Sz2Config, mut recon: Vec<f32>) -> (Vec<f32>, EncodeState) {
+fn encode_blocks(
+    field: &Field3,
+    codec: &Sz2Codec,
+    eb: f64,
+    mut recon: Vec<f32>,
+) -> (Vec<f32>, EncodeState) {
     let dims = field.dims();
-    let grid = BlockGrid::new(dims, cfg.block);
-    let q = LinearQuantizer::new(cfg.eb);
+    let grid = BlockGrid::new(dims, codec.block);
+    let q = LinearQuantizer::new(eb);
     recon.clear();
     recon.resize(dims.len(), 0.0);
     let nt = rayon::current_num_threads().min(grid.counts().nx);
@@ -612,24 +582,16 @@ fn quantize_block(
     }
 }
 
-/// The compression pipeline up to (but not including) serialization.
-/// Returns `(container, lorenzo_blocks, regression_blocks, outliers)`.
-fn compress_container(field: &Field3, cfg: &Sz2Config) -> (Container, usize, usize, usize) {
-    let (_, st) = encode_blocks(field, cfg, Vec::new());
-    let (n_l, n_r, n_o) = (st.n_lorenzo, st.n_regression, st.outliers.len());
-    (serialize(field.dims(), cfg, st), n_l, n_r, n_o)
-}
-
 /// Frames one encoded field into the self-describing container — shared by
 /// the production and reference paths. Takes the state by value so the
 /// coefficient buffer moves into the container without a copy.
-fn serialize(dims: Dims3, cfg: &Sz2Config, st: EncodeState) -> Container {
+fn serialize(dims: Dims3, codec: &Sz2Codec, eb: f64, st: EncodeState) -> Container {
     let mut head = Vec::new();
     write_uvarint(&mut head, dims.nx as u64);
     write_uvarint(&mut head, dims.ny as u64);
     write_uvarint(&mut head, dims.nz as u64);
-    write_uvarint(&mut head, cfg.block as u64);
-    head.extend_from_slice(&cfg.eb.to_le_bytes());
+    write_uvarint(&mut head, codec.block as u64);
+    head.extend_from_slice(&eb.to_le_bytes());
 
     let mut out_bytes = Vec::with_capacity(st.outliers.len() * 4 + 8);
     write_uvarint(&mut out_bytes, st.outliers.len() as u64);
@@ -647,16 +609,9 @@ fn serialize(dims: Dims3, cfg: &Sz2Config, st: EncodeState) -> Container {
     c
 }
 
-/// Decompresses a stream produced by [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
-    let mut out = Field3::zeros(Dims3::new(0, 0, 0));
-    decompress_into(bytes, &mut out)?;
-    Ok(out)
-}
-
-/// Everything [`decompress_into`] needs after validation: geometry,
-/// quantizer, per-block flags, fitted planes (decoded straight off the
-/// borrowed coefficient section — no byte-buffer copy), codes and outliers.
+/// Everything a decode needs after validation: geometry, quantizer,
+/// per-block flags, fitted planes (decoded straight off the borrowed
+/// coefficient section — no byte-buffer copy), codes and outliers.
 struct Parsed {
     dims: Dims3,
     block: usize,
@@ -665,14 +620,6 @@ struct Parsed {
     planes: Vec<Plane>,
     codes: Vec<u32>,
     outliers: Vec<f32>,
-}
-
-/// [`decompress`] into a caller-owned field (reshaped in place), so
-/// per-chunk readers reuse one reconstruction buffer.
-pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
-    let p = parse(bytes)?;
-    out.reshape(p.dims, 0.0);
-    decode_blocks(&p, out.data_mut())
 }
 
 /// Parses and validates a stream — shared by the production and reference
@@ -890,12 +837,25 @@ fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), CodecError> {
 pub mod reference {
     use super::*;
 
-    /// [`super::compress`] with the original per-point block loops —
+    /// What the oracle's [`compress`] produced.
+    #[derive(Debug, Clone)]
+    pub struct CompressResult {
+        /// Serialized stream, byte-identical to [`Codec::compress`]'s.
+        pub bytes: Vec<u8>,
+        /// Blocks that chose the Lorenzo predictor.
+        pub lorenzo_blocks: usize,
+        /// Blocks that chose the regression predictor.
+        pub regression_blocks: usize,
+        /// Out-of-band points.
+        pub outliers: usize,
+    }
+
+    /// [`Sz2Codec`]'s compress with the original per-point block loops —
     /// byte-identical output.
-    pub fn compress(field: &Field3, cfg: &Sz2Config) -> CompressResult {
+    pub fn compress(field: &Field3, codec: &Sz2Codec, eb: f64) -> CompressResult {
         let dims = field.dims();
-        let grid = BlockGrid::new(dims, cfg.block);
-        let q = LinearQuantizer::new(cfg.eb);
+        let grid = BlockGrid::new(dims, codec.block);
+        let q = LinearQuantizer::new(eb);
         let mut recon = vec![0f32; dims.len()];
         let mut st = EncodeState::with_capacity(dims.len(), grid.num_blocks());
         for blk in grid.iter() {
@@ -930,17 +890,17 @@ pub mod reference {
                 }
             }
         }
-        let (n_l, n_r, n_o) = (st.n_lorenzo, st.n_regression, st.outliers.len());
+        let regression_blocks = st.flags.iter().filter(|&&f| f == 1).count();
         CompressResult {
-            bytes: serialize(dims, cfg, st).to_bytes(),
-            lorenzo_blocks: n_l,
-            regression_blocks: n_r,
-            outliers: n_o,
+            lorenzo_blocks: st.flags.len() - regression_blocks,
+            regression_blocks,
+            outliers: st.outliers.len(),
+            bytes: serialize(dims, codec, eb, st).to_bytes(),
         }
     }
 
-    /// [`super::decompress`] with the original per-point block loops — same
-    /// reconstructions, same typed errors.
+    /// [`Sz2Codec`]'s decompress with the original per-point block loops —
+    /// same reconstructions, same typed errors.
     pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
         let p = parse(bytes)?;
         let dims = p.dims;
@@ -990,33 +950,6 @@ pub mod reference {
     }
 }
 
-/// SZ2 as a pluggable [`Codec`] backend: the block size is the codec-specific
-/// knob; the error bound arrives per call through the trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sz2Codec {
-    /// Block side length (6 for uniform data, 4 for multi-resolution data).
-    pub block: usize,
-}
-
-impl Default for Sz2Codec {
-    fn default() -> Self {
-        Sz2Codec { block: 6 }
-    }
-}
-
-impl Sz2Codec {
-    /// AMRIC's multi-resolution configuration (4³ blocks).
-    pub const MULTIRES: Sz2Codec = Sz2Codec { block: 4 };
-
-    /// This backend's knob at error bound `eb`.
-    fn config(&self, eb: f64) -> Sz2Config {
-        Sz2Config {
-            eb,
-            block: self.block,
-        }
-    }
-}
-
 impl Codec for Sz2Codec {
     fn id(&self) -> u32 {
         SZ2_CODEC_ID
@@ -1026,22 +959,21 @@ impl Codec for Sz2Codec {
         "sz2"
     }
 
-    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
-        compress(field, &self.config(eb)).bytes
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
-        decompress(bytes)
-    }
-
     fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>) {
-        compress_into(field, &self.config(eb), out);
+        out.clear();
+        let (_, st) = encode_blocks(field, self, eb, Vec::new());
+        serialize(field.dims(), self, eb, st).write_into(out);
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
-        decompress_into(bytes, out)
+        let p = parse(bytes)?;
+        out.reshape(p.dims, 0.0);
+        decode_blocks(&p, out.data_mut())
     }
 
+    /// The Lorenzo predictor reads already-*reconstructed* neighbours, so
+    /// the encoder builds the field `decompress_into` reproduces anyway —
+    /// in `recon`'s allocation, handed out here instead of being dropped.
     fn compress_with_recon(
         &self,
         field: &Field3,
@@ -1057,7 +989,10 @@ impl Codec for Sz2Codec {
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CodecError::Malformed("error bound"));
         }
-        compress_with_recon(field, &self.config(eb), out, recon);
+        out.clear();
+        let (buf, st) = encode_blocks(field, self, eb, std::mem::take(recon).into_vec());
+        *recon = Field3::from_vec(field.dims(), buf);
+        serialize(field.dims(), self, eb, st).write_into(out);
         Ok(())
     }
 }
@@ -1076,7 +1011,7 @@ mod tests {
         let f = Field3::from_fn(Dims3::new(8, 8, 12), |x, y, z| {
             ((x * y * 7) % 23 + (y * z * 3) % 19) as f32 * 0.5
         });
-        let good = compress(&f, &Sz2Config::multires(1e-2)).bytes;
+        let good = Sz2Codec::MULTIRES.compress(&f, 1e-2);
         let c = Container::from_bytes(&good).unwrap();
         let blocks = BlockGrid::new(f.dims(), 4).num_blocks();
         let flags = rle_decode(c.require(TAG_FLAGS).unwrap(), blocks).unwrap();
@@ -1101,7 +1036,7 @@ mod tests {
             crafted.push(TAG_OUTLIERS, c.require(TAG_OUTLIERS).unwrap().to_vec());
             let bytes = crafted.to_bytes();
             assert!(matches!(
-                decompress(&bytes),
+                Sz2Codec::MULTIRES.decompress(&bytes),
                 Err(CodecError::Malformed("flags"))
             ));
             assert!(matches!(
@@ -1118,9 +1053,12 @@ mod tests {
         let f = Field3::from_fn(Dims3::new(5, 6, 7), |x, y, z| {
             (x + 2 * y) as f32 * 0.3 - z as f32
         });
-        let r = compress(&f, &Sz2Config::new(1e-3).with_block(1));
+        let codec = Sz2Codec { block: 1 };
+        let bytes = codec.compress(&f, 1e-3);
+        let r = reference::compress(&f, &codec, 1e-3);
+        assert_eq!(r.bytes, bytes);
         assert_eq!((r.lorenzo_blocks, r.regression_blocks), (f.len(), 0));
-        let g = decompress(&r.bytes).unwrap();
+        let g = codec.decompress(&bytes).unwrap();
         for (a, b) in f.data().iter().zip(g.data()) {
             assert!((a - b).abs() as f64 <= 1e-3);
         }

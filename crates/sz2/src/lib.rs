@@ -29,49 +29,19 @@
 
 mod compressor;
 
-pub use compressor::{
-    compress, compress_into, compress_with_recon, decompress, decompress_into, CompressResult,
-    Sz2Codec, SZ2_CODEC_ID,
-};
+pub use compressor::{Sz2Codec, SZ2_CODEC_ID};
 
 /// Pre-overhaul per-point implementations, kept verbatim as differential
 /// oracles for the interior/boundary-split kernels
 /// (`tests/kernel_equivalence.rs`) — the `bitio::reference` pattern.
 pub mod reference {
-    pub use crate::compressor::reference::{compress, decompress};
-}
-
-/// SZ2 configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sz2Config {
-    /// Absolute error bound.
-    pub eb: f64,
-    /// Block side length (6 for uniform data, 4 for multi-resolution data).
-    pub block: usize,
-}
-
-impl Sz2Config {
-    /// Default configuration for uniform-resolution data (6³ blocks).
-    pub fn new(eb: f64) -> Self {
-        Sz2Config { eb, block: 6 }
-    }
-
-    /// AMRIC's multi-resolution configuration (4³ blocks).
-    pub fn multires(eb: f64) -> Self {
-        Sz2Config { eb, block: 4 }
-    }
-
-    /// Overrides the block size (1 makes every block Lorenzo).
-    pub fn with_block(mut self, block: usize) -> Self {
-        assert!(block >= 1, "block must be positive");
-        self.block = block;
-        self
-    }
+    pub use crate::compressor::reference::{compress, decompress, CompressResult};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqmr_codec::Codec;
     use hqmr_grid::{Dims3, Field3};
 
     fn max_err(a: &Field3, b: &Field3) -> f64 {
@@ -93,8 +63,8 @@ mod tests {
     fn roundtrip_respects_bound() {
         let f = wavy(Dims3::new(20, 18, 22));
         for eb in [0.1, 0.01, 0.001] {
-            let r = compress(&f, &Sz2Config::new(eb));
-            let g = decompress(&r.bytes).unwrap();
+            let bytes = Sz2Codec::default().compress(&f, eb);
+            let g = Sz2Codec::default().decompress(&bytes).unwrap();
             let e = max_err(&f, &g);
             assert!(e <= eb + 1e-12, "eb={eb} err={e}");
         }
@@ -103,8 +73,8 @@ mod tests {
     #[test]
     fn multires_block_size_roundtrips() {
         let f = wavy(Dims3::new(16, 16, 64));
-        let r = compress(&f, &Sz2Config::multires(0.01));
-        let g = decompress(&r.bytes).unwrap();
+        let bytes = Sz2Codec::MULTIRES.compress(&f, 0.01);
+        let g = Sz2Codec::MULTIRES.decompress(&bytes).unwrap();
         assert!(max_err(&f, &g) <= 0.01);
     }
 
@@ -112,17 +82,18 @@ mod tests {
     fn non_multiple_dims_roundtrip() {
         // Domain not divisible by the block size: edge blocks are partial.
         let f = wavy(Dims3::new(7, 11, 13));
-        let r = compress(&f, &Sz2Config::new(0.05));
-        let g = decompress(&r.bytes).unwrap();
+        let bytes = Sz2Codec::default().compress(&f, 0.05);
+        let g = Sz2Codec::default().decompress(&bytes).unwrap();
         assert!(max_err(&f, &g) <= 0.05);
     }
 
     #[test]
     fn smooth_field_compresses() {
         let f = Field3::from_fn(Dims3::cube(24), |x, y, z| (x + y + z) as f32 * 0.1);
-        let r = compress(&f, &Sz2Config::new(1e-3));
-        assert!(r.ratio(f.len()) > 10.0, "cr = {}", r.ratio(f.len()));
-        let g = decompress(&r.bytes).unwrap();
+        let bytes = Sz2Codec::default().compress(&f, 1e-3);
+        let cr = (f.len() * 4) as f64 / bytes.len() as f64;
+        assert!(cr > 10.0, "cr = {cr}");
+        let g = Sz2Codec::default().decompress(&bytes).unwrap();
         assert!(max_err(&f, &g) <= 1e-3);
     }
 
@@ -132,9 +103,11 @@ mod tests {
         let f = Field3::from_fn(Dims3::cube(12), |x, y, z| {
             1.0 + 0.5 * x as f32 - 0.25 * y as f32 + 2.0 * z as f32
         });
-        let r = compress(&f, &Sz2Config::new(1e-4));
+        let bytes = Sz2Codec::default().compress(&f, 1e-4);
+        let r = reference::compress(&f, &Sz2Codec::default(), 1e-4);
+        assert_eq!(r.bytes, bytes);
         assert!(r.regression_blocks > 0 || r.lorenzo_blocks > 0);
-        let g = decompress(&r.bytes).unwrap();
+        let g = Sz2Codec::default().decompress(&bytes).unwrap();
         assert!(max_err(&f, &g) <= 1e-4);
     }
 
@@ -142,8 +115,8 @@ mod tests {
     fn spike_handled_as_outlier() {
         let mut f = Field3::new(Dims3::cube(8), 0.0);
         f.set(4, 4, 4, 1e28);
-        let r = compress(&f, &Sz2Config::new(1e-6));
-        let g = decompress(&r.bytes).unwrap();
+        let bytes = Sz2Codec::default().compress(&f, 1e-6);
+        let g = Sz2Codec::default().decompress(&bytes).unwrap();
         assert_eq!(g.get(4, 4, 4), 1e28);
         assert!(max_err(&f, &g) <= 1e-6);
     }
@@ -153,19 +126,18 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let f = Field3::from_fn(Dims3::new(13, 9, 17), |_, _, _| rng.gen_range(-50.0..50.0));
-        let r = compress(&f, &Sz2Config::new(0.25));
-        let g = decompress(&r.bytes).unwrap();
+        let bytes = Sz2Codec::default().compress(&f, 0.25);
+        let g = Sz2Codec::default().decompress(&bytes).unwrap();
         assert!(max_err(&f, &g) <= 0.25 + 1e-9);
     }
 
     #[test]
     fn corrupted_stream_rejected() {
         let f = wavy(Dims3::cube(12));
-        let r = compress(&f, &Sz2Config::new(0.01));
-        let mut bad = r.bytes.clone();
+        let mut bad = Sz2Codec::default().compress(&f, 0.01);
         let n = bad.len();
         bad[n / 2] ^= 0x55;
-        assert!(decompress(&bad).is_err());
+        assert!(Sz2Codec::default().decompress(&bad).is_err());
     }
 
     #[test]
@@ -176,8 +148,8 @@ mod tests {
             Dims3::new(1, 6, 6),
         ] {
             let f = wavy(dims);
-            let r = compress(&f, &Sz2Config::new(0.01));
-            let g = decompress(&r.bytes).unwrap();
+            let bytes = Sz2Codec::default().compress(&f, 0.01);
+            let g = Sz2Codec::default().decompress(&bytes).unwrap();
             assert!(max_err(&f, &g) <= 0.01, "dims {dims}");
         }
     }

@@ -9,15 +9,15 @@
 //! run).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hqmr_codec::kernels;
+use hqmr_codec::{kernels, Codec};
 use hqmr_grid::{synth, Dims3, Field3};
-use hqmr_sz3::{compress_with_recon, decompress_into, Sz3Config};
+use hqmr_sz3::Sz3Codec;
 
 fn bench_sweeps(c: &mut Criterion) {
     for dims in [Dims3::new(17, 17, 256), Dims3::new(9, 9, 128)] {
         let field = synth::warpx_like(dims, 20240917);
-        let cfg = Sz3Config::new(field.range() as f64 * 1e-3);
-        let stream = hqmr_sz3::compress(&field, &cfg).bytes;
+        let (sz3, eb) = (Sz3Codec::default(), field.range() as f64 * 1e-3);
+        let stream = sz3.compress(&field, eb);
         let mut g = c.benchmark_group(format!("sz3_{}x{}x{}", dims.nx, dims.ny, dims.nz));
         g.sample_size(200)
             .throughput(Throughput::Bytes((dims.len() * 4) as u64));
@@ -27,13 +27,17 @@ fn bench_sweeps(c: &mut Criterion) {
             g.bench_function(format!("compress/{arm}"), |b| {
                 let (mut out, mut recon) = (Vec::new(), Field3::default());
                 b.iter(|| {
-                    compress_with_recon(&field, &cfg, &mut out, &mut recon);
+                    sz3.compress_with_recon(&field, eb, &mut out, &mut recon)
+                        .expect("finite positive bound");
                     out.len()
                 })
             });
             g.bench_function(format!("decompress/{arm}"), |b| {
                 let mut out = Field3::default();
-                b.iter(|| decompress_into(&stream, &mut out).expect("fresh stream decodes"))
+                b.iter(|| {
+                    sz3.decompress_into(&stream, &mut out)
+                        .expect("fresh stream decodes")
+                })
             });
         }
         kernels::set_force_scalar(false);

@@ -10,8 +10,8 @@
 //!   Within a line every prediction reads only even multiples of the stride
 //!   (already-known points) while writes land on odd multiples, so the
 //!   interior loops carry no dependency and no per-point predicate.
-//!   Prediction-kind statistics are derived from the level geometry
-//!   (lines × per-line segment counts), not from a per-point `match`.
+//!   Prediction-kind statistics ([`interp_stats`]) come from the same
+//!   geometry (lines × per-line segment counts) with no pass over data.
 //!
 //!   Each sweep runs on one of three bit-identical arms, picked by
 //!   `sweep_arm`: the scalar line kernels `compress_line` /
@@ -32,8 +32,9 @@
 //! * [`mod@reference`] — the original per-point traversal (an `FnMut` visit
 //!   closure plus a gather-closure predictor), kept verbatim as the oracle.
 //!   The differential suite (`tests/kernel_equivalence.rs`) pins the two
-//!   bit-for-bit — same codes, same outliers, same reconstructions, same
-//!   stats — mirroring the `bitio::reference` pattern from the entropy-stage
+//!   bit-for-bit — same codes, same outliers, same reconstructions — and
+//!   this module's tests pin [`interp_stats`] to its per-point tally,
+//!   mirroring the `bitio::reference` pattern from the entropy-stage
 //!   overhaul.
 //!
 //! Both paths evaluate predictions with the same f64 expressions in the same
@@ -612,13 +613,31 @@ fn sweeps(dims: Dims3) -> impl Iterator<Item = Sweep> {
         })
 }
 
+/// How the traversal of a `dims` array predicts its points under `interp`
+/// (Fig. 7/8's diagnostics): a pure function of the level geometry —
+/// lines × per-line segment counts of every sweep — so no pass over data
+/// tallies it.
+pub fn interp_stats(dims: Dims3, interp: InterpKind) -> InterpStats {
+    let mut stats = InterpStats::default();
+    if dims.is_empty() {
+        return stats;
+    }
+    stats.seeds = 1;
+    for sw in sweeps(dims) {
+        let g = LineGeom::new(sw.n, sw.s, interp);
+        let lines = sw.lines();
+        stats.midpoint += lines * (g.mid_head + g.mid_tail);
+        stats.cubic += lines * g.cubic;
+        stats.extrapolated += lines * g.extra as usize;
+    }
+    stats
+}
+
 /// Runs the full compression pass over `buf` (row-major, `dims`), quantizing
 /// every point's prediction residual with the per-processing-step quantizers
 /// `quants` (index 0 unused; `1..=maxlevel`, clamped to the last entry).
 /// Codes and out-of-band values append to `codes` / `outliers`; `buf` ends up
 /// holding the reconstruction decompression will reproduce.
-///
-/// Returns the prediction-kind statistics, derived from level geometry.
 pub fn compress_pass(
     dims: Dims3,
     interp: InterpKind,
@@ -626,11 +645,10 @@ pub fn compress_pass(
     buf: &mut [f32],
     codes: &mut Vec<u32>,
     outliers: &mut Vec<f32>,
-) -> InterpStats {
+) {
     assert_eq!(buf.len(), dims.len(), "buffer does not match {dims}");
-    let mut stats = InterpStats::default();
     if buf.is_empty() {
-        return stats;
+        return;
     }
     codes.reserve(buf.len());
     // Seed: the global first point, predicted from 0 ("level 0" in the paper).
@@ -641,11 +659,9 @@ pub fn compress_pass(
         codes,
         outliers,
     );
-    stats.seeds += 1;
     for sw in sweeps(dims) {
         let q = &quants[sw.l_proc.min(quants.len() - 1)];
         let g = LineGeom::new(sw.n, sw.s, interp);
-        let lines = sw.lines();
         match sweep_arm(&sw) {
             #[cfg(target_arch = "x86_64")]
             Arm::Across => {
@@ -654,7 +670,7 @@ pub fn compress_pass(
                 // so one scan in code order pushes the side channel.
                 let a = Across::new(&sw, &g);
                 let start = codes.len();
-                codes.resize(start + lines * a.per_line, 0);
+                codes.resize(start + sw.lines() * a.per_line, 0);
                 let sweep = &mut codes[start..];
                 // Safety: `Arm::Across` is only picked on an AVX2 CPU, for
                 // an x or y sweep of `buf`.
@@ -666,12 +682,8 @@ pub fn compress_pass(
                 encode_line(arm, buf, base, sw.stride, sw.s, &g, q, codes, outliers);
             }),
         }
-        stats.midpoint += lines * (g.mid_head + g.mid_tail);
-        stats.cubic += lines * g.cubic;
-        stats.extrapolated += lines * g.extra as usize;
         debug_assert_eq!(g.per_line(), (sw.n - 1 - sw.s) / (2 * sw.s) + 1);
     }
-    stats
 }
 
 /// Runs the full decompression pass into `buf`, consuming one code per point
@@ -967,8 +979,8 @@ mod tests {
         }
     }
 
-    /// The geometry-derived statistics of the line kernels must equal the
-    /// per-point tally of the reference traversal on every shape.
+    /// The geometry-only statistics must equal the per-point tally of the
+    /// reference traversal on every shape, Fig. 7's eight among them.
     #[test]
     fn geometry_stats_match_reference_tally() {
         for dims in [
@@ -980,16 +992,26 @@ mod tests {
             Dims3::new(1, 1, 1),
             Dims3::new(2, 1, 1),
             Dims3::new(1, 31, 2),
+            Dims3::new(1, 1, 9),
+            Dims3::new(1, 1, 16),
+            Dims3::new(1, 1, 17),
+            Dims3::cube(16),
+            Dims3::cube(17),
+            Dims3::new(16, 16, 256),
+            Dims3::new(17, 17, 256),
         ] {
             for interp in [InterpKind::Linear, InterpKind::Cubic] {
                 let mut buf = vec![1f32; dims.len()];
                 let ref_stats = traverse(dims, interp, &mut buf, |_, _, cur, _, _| cur);
+                assert_eq!(
+                    interp_stats(dims, interp),
+                    ref_stats,
+                    "dims {dims} {interp:?}"
+                );
                 let quants = [LinearQuantizer::new(1.0); 2];
                 let mut buf = vec![1f32; dims.len()];
                 let (mut codes, mut outliers) = (Vec::new(), Vec::new());
-                let new_stats =
-                    compress_pass(dims, interp, &quants, &mut buf, &mut codes, &mut outliers);
-                assert_eq!(new_stats, ref_stats, "dims {dims} {interp:?}");
+                compress_pass(dims, interp, &quants, &mut buf, &mut codes, &mut outliers);
                 assert_eq!(codes.len(), dims.len(), "one code per point");
             }
         }

@@ -12,25 +12,23 @@
 //!
 //! * interior points whose `+stride` neighbour falls outside the array are
 //!   **extrapolated** (Fig. 7's pathology) — `hqmr-mr`'s padding removes
-//!   these, and [`InterpStats`] exposes the counts so the effect is testable;
+//!   these, and [`interp_stats`] counts them from an array's shape alone, so
+//!   the effect is testable;
 //! * [`LevelEbPolicy`] implements the paper's adaptive per-level error bound
 //!   `eb_l = eb · (min(α^{maxlevel−l}, β))⁻¹` (§III-A, Improvement 2).
 
 pub mod engine;
 mod stream;
 
-pub use engine::{interp_levels, InterpKind, InterpStats, PredKind};
-pub use stream::{
-    compress, compress_into, compress_with_recon, decompress, decompress_into, CompressResult,
-    Sz3Codec, SZ3_CODEC_ID,
-};
+pub use engine::{interp_levels, interp_stats, InterpKind, InterpStats, PredKind};
+pub use stream::{Sz3Codec, SZ3_CODEC_ID};
 
 /// Pre-overhaul per-point implementations, kept verbatim as differential
 /// oracles for the line kernels (`tests/kernel_equivalence.rs`) — the
 /// `bitio::reference` pattern.
 pub mod reference {
     pub use crate::engine::reference::traverse;
-    pub use crate::stream::reference::{compress, decompress};
+    pub use crate::stream::reference::{compress, decompress, CompressResult};
 }
 
 /// Adaptive per-level error-bound policy (the paper's Improvement 2).
@@ -59,41 +57,6 @@ impl LevelEbPolicy {
     pub fn eb_for_level(&self, eb: f64, l: usize, maxlevel: usize) -> f64 {
         let exp = (maxlevel.saturating_sub(l)) as f64;
         eb / self.alpha.powf(exp).min(self.beta)
-    }
-}
-
-/// SZ3 compressor configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sz3Config {
-    /// Absolute error bound.
-    pub eb: f64,
-    /// Interpolator (SZ3 defaults to cubic).
-    pub interp: InterpKind,
-    /// Optional adaptive per-level error bound; `None` reproduces baseline
-    /// SZ3's uniform bound.
-    pub level_eb: Option<LevelEbPolicy>,
-}
-
-impl Sz3Config {
-    /// Baseline SZ3: cubic interpolation, uniform error bound.
-    pub fn new(eb: f64) -> Self {
-        Sz3Config {
-            eb,
-            interp: InterpKind::Cubic,
-            level_eb: None,
-        }
-    }
-
-    /// Enables the paper's adaptive per-level error bound.
-    pub fn with_level_eb(mut self, policy: LevelEbPolicy) -> Self {
-        self.level_eb = Some(policy);
-        self
-    }
-
-    /// Selects the interpolator.
-    pub fn with_interp(mut self, interp: InterpKind) -> Self {
-        self.interp = interp;
-        self
     }
 }
 

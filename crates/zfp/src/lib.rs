@@ -27,9 +27,7 @@ mod stream;
 mod transform;
 
 pub use coder::{decode_block_ints, encode_block_ints, INTPREC};
-pub use stream::{
-    compress, compress_into, decompress, decompress_into, CompressResult, ZfpCodec, ZFP_CODEC_ID,
-};
+pub use stream::{ZfpCodec, ZFP_CODEC_ID};
 pub use transform::{fwd_transform3, inv_transform3, COEFF_ORDER};
 
 /// Pre-overhaul implementations (line-copying transforms, per-bit plane
@@ -38,29 +36,8 @@ pub use transform::{fwd_transform3, inv_transform3, COEFF_ORDER};
 /// pattern.
 pub mod reference {
     pub use crate::coder::reference::{decode_block_ints, encode_block_ints};
-    pub use crate::stream::reference::{compress, decompress};
+    pub use crate::stream::reference::{compress, decompress, CompressResult};
     pub use crate::transform::reference::{fwd_transform3, inv_transform3};
-}
-
-/// ZFP configuration (fixed-accuracy mode).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZfpConfig {
-    /// Absolute error tolerance. The codec guarantees `|x − x̂| ≤ tol`.
-    pub tol: f64,
-}
-
-impl ZfpConfig {
-    /// Creates a fixed-accuracy configuration.
-    ///
-    /// # Panics
-    /// Panics unless `tol` is positive and finite.
-    pub fn new(tol: f64) -> Self {
-        assert!(
-            tol.is_finite() && tol > 0.0,
-            "tolerance must be positive, got {tol}"
-        );
-        ZfpConfig { tol }
-    }
 }
 
 /// Block side length (fixed by the format, like ZFP).
@@ -71,6 +48,7 @@ pub const BLOCK_LEN: usize = BLOCK * BLOCK * BLOCK;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqmr_codec::Codec;
     use hqmr_grid::{Dims3, Field3};
 
     fn max_err(a: &Field3, b: &Field3) -> f64 {
@@ -79,6 +57,14 @@ mod tests {
             .zip(b.data())
             .map(|(&x, &y)| (x as f64 - y as f64).abs())
             .fold(0.0, f64::max)
+    }
+
+    fn roundtrip(f: &Field3, tol: f64) -> Field3 {
+        ZfpCodec.decompress(&ZfpCodec.compress(f, tol)).unwrap()
+    }
+
+    fn ratio(f: &Field3, bytes: &[u8]) -> f64 {
+        (f.len() * 4) as f64 / bytes.len() as f64
     }
 
     fn wavy(dims: Dims3) -> Field3 {
@@ -91,8 +77,7 @@ mod tests {
     fn roundtrip_respects_tolerance() {
         let f = wavy(Dims3::cube(16));
         for tol in [0.5, 0.05, 0.005, 5e-4] {
-            let r = compress(&f, &ZfpConfig::new(tol));
-            let g = decompress(&r.bytes).unwrap();
+            let g = roundtrip(&f, tol);
             let e = max_err(&f, &g);
             assert!(e <= tol, "tol={tol} err={e}");
         }
@@ -106,8 +91,7 @@ mod tests {
         // waste bits. Pin the calibrated window.
         let f = wavy(Dims3::cube(16));
         for tol in [0.5, 0.05, 0.005] {
-            let r = compress(&f, &ZfpConfig::new(tol));
-            let g = decompress(&r.bytes).unwrap();
+            let g = roundtrip(&f, tol);
             let e = max_err(&f, &g);
             assert!(e < tol * 0.6, "err {e} not well under tol {tol}");
             assert!(e > tol * 0.01, "err {e} suspiciously far under tol {tol}");
@@ -117,8 +101,7 @@ mod tests {
     #[test]
     fn partial_blocks_roundtrip() {
         let f = wavy(Dims3::new(5, 7, 9));
-        let r = compress(&f, &ZfpConfig::new(0.01));
-        let g = decompress(&r.bytes).unwrap();
+        let g = roundtrip(&f, 0.01);
         assert_eq!(g.dims(), f.dims());
         assert!(max_err(&f, &g) <= 0.01);
     }
@@ -126,21 +109,19 @@ mod tests {
     #[test]
     fn smooth_data_compresses_well() {
         let f = Field3::from_fn(Dims3::cube(32), |x, y, z| (x + 2 * y + 3 * z) as f32 * 0.01);
-        let r = compress(&f, &ZfpConfig::new(1e-3));
-        assert!(r.ratio(f.len()) > 6.0, "cr = {}", r.ratio(f.len()));
+        let cr = ratio(&f, &ZfpCodec.compress(&f, 1e-3));
+        assert!(cr > 6.0, "cr = {cr}");
     }
 
     #[test]
     fn constant_and_zero_fields_are_tiny() {
         let z = Field3::zeros(Dims3::cube(16));
-        let r = compress(&z, &ZfpConfig::new(1e-6));
-        assert!(r.ratio(z.len()) > 100.0);
-        let g = decompress(&r.bytes).unwrap();
+        assert!(ratio(&z, &ZfpCodec.compress(&z, 1e-6)) > 100.0);
+        let g = roundtrip(&z, 1e-6);
         assert_eq!(max_err(&z, &g), 0.0);
 
         let c = Field3::new(Dims3::cube(16), 123.5);
-        let r = compress(&c, &ZfpConfig::new(1e-3));
-        let g = decompress(&r.bytes).unwrap();
+        let g = roundtrip(&c, 1e-3);
         assert!(max_err(&c, &g) <= 1e-3);
     }
 
@@ -150,8 +131,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let f = Field3::from_fn(Dims3::new(12, 8, 20), |_, _, _| rng.gen_range(-1e4..1e4));
         for tol in [100.0, 1.0] {
-            let r = compress(&f, &ZfpConfig::new(tol));
-            let g = decompress(&r.bytes).unwrap();
+            let g = roundtrip(&f, tol);
             assert!(max_err(&f, &g) <= tol);
         }
     }
@@ -168,32 +148,30 @@ mod tests {
                 }
             }
         }
-        let r = compress(&f, &ZfpConfig::new(0.5));
-        let g = decompress(&r.bytes).unwrap();
+        let g = roundtrip(&f, 0.5);
         assert!(max_err(&f, &g) <= 0.5);
     }
 
     #[test]
     fn tighter_tolerance_costs_more_bits() {
         let f = wavy(Dims3::cube(16));
-        let loose = compress(&f, &ZfpConfig::new(0.1));
-        let tight = compress(&f, &ZfpConfig::new(1e-4));
-        assert!(tight.bytes.len() > loose.bytes.len());
+        let loose = ZfpCodec.compress(&f, 0.1);
+        let tight = ZfpCodec.compress(&f, 1e-4);
+        assert!(tight.len() > loose.len());
     }
 
     #[test]
     fn corrupted_stream_rejected() {
         let f = wavy(Dims3::cube(8));
-        let r = compress(&f, &ZfpConfig::new(0.01));
-        let mut bad = r.bytes.clone();
+        let mut bad = ZfpCodec.compress(&f, 0.01);
         let n = bad.len();
         bad[n - 2] ^= 0xFF;
-        assert!(decompress(&bad).is_err());
+        assert!(ZfpCodec.decompress(&bad).is_err());
     }
 
     #[test]
     #[should_panic(expected = "tolerance must be positive")]
     fn rejects_bad_tolerance() {
-        ZfpConfig::new(-1.0);
+        ZfpCodec.compress(&Field3::zeros(Dims3::cube(4)), -1.0);
     }
 }

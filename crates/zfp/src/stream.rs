@@ -4,7 +4,7 @@ use crate::coder::{
     decode_block_ints, encode_block_ints, int2uint, kept_planes, uint2int, INTPREC,
 };
 use crate::transform::{fwd_transform3, inv_transform3};
-use crate::{ZfpConfig, BLOCK, BLOCK_LEN};
+use crate::{BLOCK, BLOCK_LEN};
 use hqmr_codec::kernels::PAR_MIN_CELLS;
 use hqmr_codec::{
     check_stream_id, push_stream_id, tag, write_uvarint, BitReader, BitWriter, Codec, CodecError,
@@ -30,21 +30,12 @@ const GUARD_BITS: i32 = 10;
 /// Bias for the 16-bit on-stream exponent.
 const EMAX_BIAS: i32 = 16384;
 
-/// Output of [`compress`].
-#[derive(Debug, Clone)]
-pub struct CompressResult {
-    /// Serialized stream.
-    pub bytes: Vec<u8>,
-    /// Blocks skipped as all-below-tolerance.
-    pub zero_blocks: usize,
-}
-
-impl CompressResult {
-    /// Compression ratio versus raw `f32`.
-    pub fn ratio(&self, n_points: usize) -> f64 {
-        (n_points * 4) as f64 / self.bytes.len() as f64
-    }
-}
+/// ZFP as a pluggable [`Codec`] backend (fixed-accuracy mode). ZFP's only
+/// run-time knob is the tolerance, which arrives per call through the trait
+/// as the error bound, so the codec itself is a unit struct. The codec
+/// guarantees `|x − x̂| ≤ tol`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ZfpCodec;
 
 /// Bit planes to encode for a block with exponent `emax` under tolerance
 /// exponent `minexp`; ≤ 0 means the whole block is below tolerance.
@@ -53,59 +44,24 @@ fn block_maxprec(emax: i32, minexp: i32) -> i32 {
     (emax - minexp + GUARD_BITS).min(INTPREC as i32)
 }
 
-/// Compresses `field` with the fixed-accuracy tolerance in `cfg`.
-pub fn compress(field: &Field3, cfg: &ZfpConfig) -> CompressResult {
-    let (c, zero_blocks) = compress_container(field, cfg);
-    CompressResult {
-        bytes: c.to_bytes(),
-        zero_blocks,
-    }
-}
-
-/// [`compress`] serializing into a caller-owned buffer (cleared first), so
-/// per-chunk writers reuse one output allocation.
-pub fn compress_into(field: &Field3, cfg: &ZfpConfig, out: &mut Vec<u8>) {
-    out.clear();
-    let (c, _) = compress_container(field, cfg);
-    c.write_into(out);
-}
-
-/// [`compress_into`] that also leaves in `recon` (reshaped, its allocation
-/// reused) the field [`decompress_into`] reproduces from `out`, bit for bit.
-/// The decoder gets back each coefficient's negabinary planes from `kmin`
-/// up — exactly the planes the encoder wrote — so the block loop masks the
-/// planes below `kmin` off its own coefficients and runs the decoder's tail
-/// on them: no bit-plane decode, no second pass over the field.
-fn compress_with_recon(field: &Field3, cfg: &ZfpConfig, out: &mut Vec<u8>, recon: &mut Field3) {
-    out.clear();
+/// The production pipeline up to (but not including) serialization.
+fn compress_container(field: &Field3, tol: f64, recon: Option<&mut Field3>) -> Container {
     let (c, _) = compress_container_with(
         field,
-        cfg,
+        tol,
         crate::simd::scale_block,
         fwd_transform3,
         encode_block_ints,
-        Some(recon),
+        recon,
         true,
     );
-    c.write_into(out);
-}
-
-/// The compression pipeline up to (but not including) serialization.
-fn compress_container(field: &Field3, cfg: &ZfpConfig) -> (Container, usize) {
-    compress_container_with(
-        field,
-        cfg,
-        crate::simd::scale_block,
-        fwd_transform3,
-        encode_block_ints,
-        None,
-        true,
-    )
+    c
 }
 
 /// [`compress_container`] parameterized over the fixed-point scaling, block
 /// transform and bit-plane encoder, so the [`reference`] path reuses
-/// everything but the kernels under test. With `recon`, the field is also
+/// everything but the kernels under test. Returns the container and the
+/// count of blocks coded as zero. With `recon`, the field is also
 /// reconstructed there as the decoder will see it: reshaped and zero-filled
 /// like the decoder's output, each coded block inserted as it is encoded.
 ///
@@ -118,19 +74,26 @@ fn compress_container(field: &Field3, cfg: &ZfpConfig) -> (Container, usize) {
 /// join in slab order ([`BitWriter::append`]) — the payload one writer makes,
 /// bit for bit. Smaller arrays (every default store chunk) keep one writer
 /// walking all slabs.
+///
+/// # Panics
+/// Panics unless `tol` is positive and finite.
 fn compress_container_with(
     field: &Field3,
-    cfg: &ZfpConfig,
+    tol: f64,
     scale_block: fn(&[f32; 64], &mut [i64; 64], f64),
     fwd: fn(&mut [i64; 64]),
     enc: fn(&mut BitWriter, &[i64; 64], u32),
     recon: Option<&mut Field3>,
     fan_out: bool,
 ) -> (Container, usize) {
+    assert!(
+        tol.is_finite() && tol > 0.0,
+        "tolerance must be positive, got {tol}"
+    );
     let dims = field.dims();
     let grid = BlockGrid::new(dims, BLOCK);
     let counts = grid.counts();
-    let minexp = cfg.tol.log2().floor() as i32;
+    let minexp = tol.log2().floor() as i32;
 
     // Slab `bx`'s blocks into `w` and, given its x-planes, its
     // reconstruction into them; returns the slab's zero-block count.
@@ -215,7 +178,7 @@ fn compress_container_with(
     write_uvarint(&mut head, dims.nx as u64);
     write_uvarint(&mut head, dims.ny as u64);
     write_uvarint(&mut head, dims.nz as u64);
-    head.extend_from_slice(&cfg.tol.to_le_bytes());
+    head.extend_from_slice(&tol.to_le_bytes());
 
     let mut c = Container::new();
     push_stream_id(&mut c, ZFP_CODEC_ID);
@@ -224,20 +187,7 @@ fn compress_container_with(
     (c, zero_blocks)
 }
 
-/// Decompresses a stream produced by [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
-    let mut out = Field3::zeros(Dims3::new(0, 0, 0));
-    decompress_into(bytes, &mut out)?;
-    Ok(out)
-}
-
-/// [`decompress`] into a caller-owned field (reshaped in place), so
-/// per-chunk readers reuse one reconstruction buffer.
-pub fn decompress_into(bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
-    decompress_into_with(bytes, out, decode_block_ints, inv_transform3)
-}
-
-/// [`decompress_into`] parameterized over the bit-plane decoder and inverse
+/// [`ZfpCodec`]'s decode parameterized over the bit-plane decoder and inverse
 /// transform, so the [`reference`] path reuses everything but the kernels
 /// under test.
 fn decompress_into_with(
@@ -315,13 +265,22 @@ fn insert_block(
 pub mod reference {
     use super::*;
 
-    /// [`super::compress`] built on the scalar scaling loop, the
+    /// What the oracle's [`compress`] produced.
+    #[derive(Debug, Clone)]
+    pub struct CompressResult {
+        /// Serialized stream, byte-identical to [`Codec::compress`]'s.
+        pub bytes: Vec<u8>,
+        /// Blocks skipped as all-below-tolerance.
+        pub zero_blocks: usize,
+    }
+
+    /// [`ZfpCodec`]'s compress built on the scalar scaling loop, the
     /// line-copying reference transform and the per-bit plane encoder —
     /// byte-identical output.
-    pub fn compress(field: &Field3, cfg: &ZfpConfig) -> CompressResult {
+    pub fn compress(field: &Field3, _codec: &ZfpCodec, tol: f64) -> CompressResult {
         let (c, zero_blocks) = compress_container_with(
             field,
-            cfg,
+            tol,
             crate::simd::scale_block_scalar,
             crate::transform::reference::fwd_transform3,
             crate::coder::reference::encode_block_ints,
@@ -334,7 +293,7 @@ pub mod reference {
         }
     }
 
-    /// [`super::decompress`] built on the reference plane decoder and
+    /// [`ZfpCodec`]'s decompress built on the reference plane decoder and
     /// inverse transform — same reconstructions, same typed errors.
     pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
         let mut out = Field3::zeros(Dims3::new(0, 0, 0));
@@ -348,12 +307,6 @@ pub mod reference {
     }
 }
 
-/// ZFP as a pluggable [`Codec`] backend. ZFP's only run-time knob is the
-/// tolerance, which arrives per call through the trait, so the codec itself
-/// is a unit struct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ZfpCodec;
-
 impl Codec for ZfpCodec {
     fn id(&self) -> u32 {
         ZFP_CODEC_ID
@@ -363,22 +316,22 @@ impl Codec for ZfpCodec {
         "zfp"
     }
 
-    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
-        compress(field, &ZfpConfig::new(eb)).bytes
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
-        decompress(bytes)
-    }
-
+    /// # Panics
+    /// Panics unless `eb` is positive and finite.
     fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>) {
-        compress_into(field, &ZfpConfig::new(eb), out);
+        out.clear();
+        compress_container(field, eb, None).write_into(out);
     }
 
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
-        decompress_into(bytes, out)
+        decompress_into_with(bytes, out, decode_block_ints, inv_transform3)
     }
 
+    /// The decoder gets back each coefficient's negabinary planes from
+    /// `kmin` up — exactly the planes the encoder wrote — so the block loop
+    /// masks the planes below `kmin` off its own coefficients and runs the
+    /// decoder's tail on them: no bit-plane decode, no second pass over the
+    /// field.
     fn compress_with_recon(
         &self,
         field: &Field3,
@@ -389,7 +342,8 @@ impl Codec for ZfpCodec {
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CodecError::Malformed("error bound"));
         }
-        compress_with_recon(field, &ZfpConfig::new(eb), out, recon);
+        out.clear();
+        compress_container(field, eb, Some(recon)).write_into(out);
         Ok(())
     }
 }
@@ -409,9 +363,11 @@ mod tests {
     fn zero_block_flag_roundtrip() {
         let mut f = Field3::zeros(Dims3::cube(8));
         f.set(0, 0, 0, 5.0);
-        let r = compress(&f, &ZfpConfig::new(0.01));
+        let bytes = ZfpCodec.compress(&f, 0.01);
+        let r = reference::compress(&f, &ZfpCodec, 0.01);
+        assert_eq!(r.bytes, bytes);
         assert_eq!(r.zero_blocks, 7);
-        let g = decompress(&r.bytes).unwrap();
+        let g = ZfpCodec.decompress(&bytes).unwrap();
         assert!((g.get(0, 0, 0) - 5.0).abs() <= 0.01);
         assert_eq!(g.get(7, 7, 7), 0.0);
     }
@@ -460,9 +416,9 @@ mod tests {
                 ZfpCodec
                     .compress_with_recon(f, tol, &mut out, &mut recon)
                     .unwrap();
-                compress_into(f, &ZfpConfig::new(tol), &mut want);
+                ZfpCodec.compress_into(f, tol, &mut want);
                 assert_eq!(out, want, "{at}: stream");
-                decompress_into(&out, &mut decoded).unwrap();
+                ZfpCodec.decompress_into(&out, &mut decoded).unwrap();
                 assert_eq!(recon.dims(), decoded.dims(), "{at}");
                 assert_eq!(bits(&recon), bits(&decoded), "{at}");
             }
@@ -473,9 +429,11 @@ mod tests {
     fn subnormal_scale_blocks_dropped() {
         // A block whose magnitude sits far below tolerance must be culled.
         let f = Field3::new(Dims3::cube(4), 1e-30);
-        let r = compress(&f, &ZfpConfig::new(1.0));
+        let bytes = ZfpCodec.compress(&f, 1.0);
+        let r = reference::compress(&f, &ZfpCodec, 1.0);
+        assert_eq!(r.bytes, bytes);
         assert_eq!(r.zero_blocks, 1);
-        let g = decompress(&r.bytes).unwrap();
+        let g = ZfpCodec.decompress(&bytes).unwrap();
         assert_eq!(g.get(0, 0, 0), 0.0);
     }
 }

@@ -9,11 +9,12 @@
 //! runs probabilistic marching cubes, and reports which isosurface features
 //! deterministic extraction lost but the uncertainty visualization recovers.
 
+use hqmr::codec::Codec;
 use hqmr::grid::{synth, Dims3};
 use hqmr::metrics::psnr;
 use hqmr::vis::{extract_isosurface, render_slice, save_ppm, surface_features, Colormap};
 use hqmr::workflow::{analyze_feature_recovery, model_near_isovalue, sample_error_pairs};
-use hqmr::zfp::{compress, decompress, ZfpConfig};
+use hqmr::zfp::ZfpCodec;
 
 fn main() {
     let field = synth::hurricane_like(Dims3::new(64, 64, 16), 3);
@@ -22,11 +23,11 @@ fn main() {
 
     // Aggressive compression: large tolerance => high CR, visible feature loss.
     let tol = (mx - mn) as f64 * 0.12;
-    let r = compress(&field, &ZfpConfig::new(tol));
-    let dec = decompress(&r.bytes).unwrap();
+    let bytes = ZfpCodec.compress(&field, tol);
+    let dec = ZfpCodec.decompress(&bytes).unwrap();
     println!(
         "ZFP: CR = {:.1}, PSNR = {:.1} dB",
-        r.ratio(field.len()),
+        (field.len() * 4) as f64 / bytes.len() as f64,
         psnr(&field, &dec)
     );
 

@@ -27,13 +27,20 @@
 //!
 //! # The codec boundary
 //!
-//! Every compressor implements one trait, [`codec::Codec`] in [`hqmr_codec`]:
+//! Every compressor implements one trait, [`codec::Codec`] in [`hqmr_codec`],
+//! whose required methods are:
 //!
 //! ```text
-//! compress(&Field3, eb) -> Vec<u8>          // self-describing stream
-//! decompress(&[u8]) -> Result<Field3, CodecError>
-//! id() -> u32                               // 4-byte stream id, e.g. "SZ3S"
+//! id() -> u32                                  // 4-byte stream id, e.g. "SZ3S"
+//! name() -> &'static str                       // stable name for reports
+//! compress_into(&Field3, eb, &mut Vec<u8>)     // self-describing stream
+//! decompress_into(&[u8], &mut Field3) -> Result<(), CodecError>
 //! ```
+//!
+//! The allocating `compress`/`decompress` and `compress_with_recon` are
+//! provided. Each backend is described once, by its codec value —
+//! [`sz3::Sz3Codec`], [`sz2::Sz2Codec`], [`zfp::ZfpCodec`] — which is also
+//! what a [`store::Backend`] variant holds.
 //!
 //! The multi-resolution engine ([`workflow::mrc`]) is generic over that
 //! boundary: it merges and pads unit blocks the same way regardless of
@@ -60,12 +67,14 @@
 //! A new compressor participates in the whole pipeline by implementing
 //! [`codec::Codec`]'s four required methods (unique id, self-describing
 //! stream, bound honoured, foreign streams rejected with `WrongStreamId`)
-//! and adding it to [`store::Backend`], the one backend table (the decode
-//! registry [`store::codec_for_id`] reads it). The trait's
-//! provided methods — buffer-reusing `compress_into`/`decompress_into`, and
+//! on a struct of its knobs, and adding a variant holding that value to
+//! [`store::Backend`], the one backend table (the decode registry
+//! [`store::codec_for_id`] reads it). The provided methods — the
+//! allocating `compress`/`decompress`, and
 //! [`codec::Codec::compress_with_recon`], which the temporal store's closed
-//! loop takes its prediction base from — work as inherited; override them
-//! only as optimisations that change no byte and no bit.
+//! loop takes its prediction base from — work as inherited; override
+//! `compress_with_recon` only as an optimisation that changes no byte and
+//! no bit.
 //! `crates/README.md` walks through the recipe; [`codec::NullCodec`] — the
 //! raw passthrough used for debugging — is the minimal worked example.
 

@@ -16,7 +16,10 @@
 use hqmr::grid::{synth, Dims3, Field3};
 use hqmr::mr::{to_adaptive, MergeStrategy, PadKind, RoiConfig};
 use hqmr::workflow::mrc::Backend;
-use hqmr_sz3::{InterpKind, LevelEbPolicy, Sz3Config};
+use hqmr_codec::Codec;
+use hqmr_sz2::Sz2Codec;
+use hqmr_sz3::{InterpKind, LevelEbPolicy, Sz3Codec};
+use hqmr_zfp::ZfpCodec;
 
 /// Shapes that stress every kernel edge: cubes, non-power-of-two extents,
 /// thin slabs, pure lines, and single points.
@@ -61,20 +64,15 @@ fn sz3_kernels_match_reference_streams() {
         for interp in [InterpKind::Linear, InterpKind::Cubic] {
             for level_eb in [None, Some(LevelEbPolicy::PAPER)] {
                 for eb in [1e-1, 1e-3] {
-                    let mut cfg = Sz3Config::new(eb).with_interp(interp);
-                    if let Some(p) = level_eb {
-                        cfg = cfg.with_level_eb(p);
-                    }
-                    let fast = hqmr_sz3::compress(&f, &cfg);
-                    let slow = hqmr_sz3::reference::compress(&f, &cfg);
+                    let codec = Sz3Codec { interp, level_eb };
+                    let fast = codec.compress(&f, eb);
+                    let slow = hqmr_sz3::reference::compress(&f, &codec, eb);
                     assert_eq!(
-                        fast.bytes, slow.bytes,
+                        fast, slow.bytes,
                         "sz3 {dims} {interp:?} eb={eb} level_eb={level_eb:?}: stream drift"
                     );
-                    assert_eq!(fast.stats, slow.stats, "sz3 {dims}: stats drift");
-                    assert_eq!(fast.outliers, slow.outliers, "sz3 {dims}: outlier drift");
-                    let df = hqmr_sz3::decompress(&fast.bytes).expect("fresh stream decodes");
-                    let ds = hqmr_sz3::reference::decompress(&fast.bytes).unwrap();
+                    let df = codec.decompress(&fast).expect("fresh stream decodes");
+                    let ds = hqmr_sz3::reference::decompress(&fast).unwrap();
                     assert_eq!(
                         as_bits(&df),
                         as_bits(&ds),
@@ -120,11 +118,7 @@ fn sz3_across_lines_shapes_match_reference_streams() {
     // Finest x and y sweeps past the decode's fan-out threshold.
     cases.push((Dims3::new(9, 33, 1021), setups[0], 1e-3));
     for (i, (dims, (interp, level_eb), eb)) in cases.into_iter().enumerate() {
-        let mut cfg = Sz3Config::new(eb).with_interp(interp);
-        if let Some(p) = level_eb {
-            cfg = cfg.with_level_eb(p);
-        }
-        assert_sz3_matches_reference(&rough(dims, i as u32), &cfg);
+        assert_sz3_matches_reference(&rough(dims, i as u32), &Sz3Codec { interp, level_eb }, eb);
     }
 }
 
@@ -141,32 +135,30 @@ fn sz3_outlier_in_every_lane_matches_reference_streams() {
             for [x, y, z] in cells {
                 let mut f = rough(dims, z as u32);
                 f.set(x, y, z, -7.0e25);
-                for cfg in [
-                    Sz3Config::new(1e-2),
-                    Sz3Config::new(1e-2).with_level_eb(LevelEbPolicy::PAPER),
-                ] {
-                    assert_sz3_matches_reference(&f, &cfg);
+                for codec in [Sz3Codec::default(), Sz3Codec::PAPER] {
+                    assert_sz3_matches_reference(&f, &codec, 1e-2);
                 }
             }
         }
     }
 }
 
-/// Production vs reference SZ3: the stream, its statistics and outlier
-/// count, and both decodes.
-fn assert_sz3_matches_reference(f: &Field3, cfg: &Sz3Config) {
+/// Production vs reference SZ3: the stream (outlier side channel included)
+/// and both decodes.
+fn assert_sz3_matches_reference(f: &Field3, codec: &Sz3Codec, eb: f64) {
     let dims = f.dims();
-    let fast = hqmr_sz3::compress(f, cfg);
-    let slow = hqmr_sz3::reference::compress(f, cfg);
-    assert_eq!(fast.bytes, slow.bytes, "sz3 {dims} {cfg:?}: stream drift");
-    assert_eq!(fast.stats, slow.stats, "sz3 {dims}: stats drift");
-    assert_eq!(fast.outliers, slow.outliers, "sz3 {dims}: outlier drift");
-    let df = hqmr_sz3::decompress(&fast.bytes).expect("fresh stream decodes");
-    let ds = hqmr_sz3::reference::decompress(&fast.bytes).unwrap();
+    let fast = codec.compress(f, eb);
+    let slow = hqmr_sz3::reference::compress(f, codec, eb);
+    assert_eq!(
+        fast, slow.bytes,
+        "sz3 {dims} {codec:?} eb={eb}: stream drift"
+    );
+    let df = codec.decompress(&fast).expect("fresh stream decodes");
+    let ds = hqmr_sz3::reference::decompress(&fast).unwrap();
     assert_eq!(
         as_bits(&df),
         as_bits(&ds),
-        "sz3 {dims} {cfg:?}: reconstruction drift"
+        "sz3 {dims} {codec:?} eb={eb}: reconstruction drift"
     );
 }
 
@@ -176,20 +168,15 @@ fn sz2_kernels_match_reference_streams() {
         let f = rough(dims, 1000 + i as u32);
         for block in [2usize, 4, 6] {
             for eb in [1e-1, 1e-3] {
-                let cfg = hqmr::sz2::Sz2Config { eb, block };
-                let fast = hqmr_sz2::compress(&f, &cfg);
-                let slow = hqmr_sz2::reference::compress(&f, &cfg);
+                let codec = Sz2Codec { block };
+                let fast = codec.compress(&f, eb);
+                let slow = hqmr_sz2::reference::compress(&f, &codec, eb);
                 assert_eq!(
-                    fast.bytes, slow.bytes,
+                    fast, slow.bytes,
                     "sz2 {dims} block={block} eb={eb}: stream drift"
                 );
-                assert_eq!(
-                    (fast.lorenzo_blocks, fast.regression_blocks, fast.outliers),
-                    (slow.lorenzo_blocks, slow.regression_blocks, slow.outliers),
-                    "sz2 {dims}: selection drift"
-                );
-                let df = hqmr_sz2::decompress(&fast.bytes).expect("fresh stream decodes");
-                let ds = hqmr_sz2::reference::decompress(&fast.bytes).unwrap();
+                let df = codec.decompress(&fast).expect("fresh stream decodes");
+                let ds = hqmr_sz2::reference::decompress(&fast).unwrap();
                 assert_eq!(
                     as_bits(&df),
                     as_bits(&ds),
@@ -205,16 +192,11 @@ fn zfp_kernels_match_reference_streams() {
     for (i, dims) in SHAPES.into_iter().enumerate() {
         let f = rough(dims, 2000 + i as u32);
         for tol in [1.0, 1e-2] {
-            let cfg = hqmr::zfp::ZfpConfig::new(tol);
-            let fast = hqmr_zfp::compress(&f, &cfg);
-            let slow = hqmr_zfp::reference::compress(&f, &cfg);
-            assert_eq!(fast.bytes, slow.bytes, "zfp {dims} tol={tol}: stream drift");
-            assert_eq!(
-                fast.zero_blocks, slow.zero_blocks,
-                "zfp {dims}: zero-block drift"
-            );
-            let df = hqmr_zfp::decompress(&fast.bytes).expect("fresh stream decodes");
-            let ds = hqmr_zfp::reference::decompress(&fast.bytes).unwrap();
+            let fast = ZfpCodec.compress(&f, tol);
+            let slow = hqmr_zfp::reference::compress(&f, &ZfpCodec, tol);
+            assert_eq!(fast, slow.bytes, "zfp {dims} tol={tol}: stream drift");
+            let df = ZfpCodec.decompress(&fast).expect("fresh stream decodes");
+            let ds = hqmr_zfp::reference::decompress(&fast).unwrap();
             assert_eq!(
                 as_bits(&df),
                 as_bits(&ds),
@@ -229,25 +211,25 @@ fn zfp_kernels_match_reference_streams() {
 #[test]
 fn corrupt_streams_fail_identically() {
     let f = rough(Dims3::new(9, 9, 33), 77);
-    let sz3 = hqmr_sz3::compress(&f, &Sz3Config::new(1e-3)).bytes;
-    let sz2 = hqmr_sz2::compress(&f, &hqmr::sz2::Sz2Config { eb: 1e-3, block: 4 }).bytes;
-    let zfp = hqmr_zfp::compress(&f, &hqmr::zfp::ZfpConfig::new(1e-2)).bytes;
+    let sz3 = Sz3Codec::default().compress(&f, 1e-3);
+    let sz2 = Sz2Codec::MULTIRES.compress(&f, 1e-3);
+    let zfp = ZfpCodec.compress(&f, 1e-2);
     for cut in [0usize, 7, 40] {
         let c3 = &sz3[..sz3.len().min(cut.max(1) * sz3.len() / 41)];
         assert_eq!(
-            hqmr_sz3::decompress(c3).is_err(),
+            Sz3Codec::default().decompress(c3).is_err(),
             hqmr_sz3::reference::decompress(c3).is_err(),
             "sz3 truncation outcome drift at {cut}"
         );
         let c2 = &sz2[..sz2.len().min(cut.max(1) * sz2.len() / 41)];
         assert_eq!(
-            hqmr_sz2::decompress(c2).is_err(),
+            Sz2Codec::MULTIRES.decompress(c2).is_err(),
             hqmr_sz2::reference::decompress(c2).is_err(),
             "sz2 truncation outcome drift at {cut}"
         );
         let cz = &zfp[..zfp.len().min(cut.max(1) * zfp.len() / 41)];
         assert_eq!(
-            hqmr_zfp::decompress(cz).is_err(),
+            ZfpCodec.decompress(cz).is_err(),
             hqmr_zfp::reference::decompress(cz).is_err(),
             "zfp truncation outcome drift at {cut}"
         );
@@ -279,24 +261,9 @@ fn all_backends_and_arrangements_are_bit_identical() {
                 for (_, f) in prep.blocks() {
                     let fast = codec.compress(f, eb);
                     let slow: Vec<u8> = match backend {
-                        Backend::Sz3 { interp, level_eb } => {
-                            hqmr_sz3::reference::compress(
-                                f,
-                                &Sz3Config {
-                                    eb,
-                                    interp,
-                                    level_eb,
-                                },
-                            )
-                            .bytes
-                        }
-                        Backend::Sz2 { block } => {
-                            hqmr_sz2::reference::compress(f, &hqmr::sz2::Sz2Config { eb, block })
-                                .bytes
-                        }
-                        Backend::Zfp => {
-                            hqmr_zfp::reference::compress(f, &hqmr::zfp::ZfpConfig::new(eb)).bytes
-                        }
+                        Backend::Sz3(sz3) => hqmr_sz3::reference::compress(f, &sz3, eb).bytes,
+                        Backend::Sz2(sz2) => hqmr_sz2::reference::compress(f, &sz2, eb).bytes,
+                        Backend::Zfp => hqmr_zfp::reference::compress(f, &ZfpCodec, eb).bytes,
                         Backend::Null => {
                             let back = codec.decompress(&fast).expect("null decodes");
                             assert_eq!(
@@ -337,7 +304,7 @@ fn sz3_decodes_store_chunk_arrays_like_the_reference() {
         .flatten()
         .inspect(|p| assert!(p.padded(), "default stores pad both levels"))
         .flat_map(|p| p.fields())
-        .map(|f| (f.dims(), hqmr_sz3::compress(f, &Sz3Config::new(eb)).bytes))
+        .map(|f| (f.dims(), Sz3Codec::default().compress(f, eb)))
         .collect();
     assert!(streams.iter().any(|(d, _)| *d == Dims3::new(17, 17, 256)));
     assert!(streams.iter().any(|(d, _)| *d == Dims3::new(9, 9, 128)));
@@ -345,8 +312,12 @@ fn sz3_decodes_store_chunk_arrays_like_the_reference() {
     // Large → small and small → large.
     for (dims, stream) in streams.iter().chain(streams.iter().rev()) {
         let slow = hqmr_sz3::reference::decompress(stream).unwrap();
-        let fast = hqmr_sz3::decompress(stream).expect("fresh stream decodes");
-        hqmr_sz3::decompress_into(stream, &mut scratch).unwrap();
+        let fast = Sz3Codec::default()
+            .decompress(stream)
+            .expect("fresh stream decodes");
+        Sz3Codec::default()
+            .decompress_into(stream, &mut scratch)
+            .unwrap();
         assert_eq!(slow.dims(), *dims);
         assert_eq!(as_bits(&fast), as_bits(&slow), "sz3 {dims}: decode drift");
         assert_eq!(scratch, fast, "sz3 {dims}: scratch reuse drift");
@@ -392,37 +363,35 @@ fn slabbed() -> Field3 {
 /// encoders stay serial and this reduces to the equivalence above.)
 #[test]
 fn fanned_out_slab_encodes_match_serial_reference_streams() {
-    use hqmr_codec::Codec;
     let f = slabbed();
     let (mut stream, mut recon) = (Vec::new(), Field3::default());
     for block in [4usize, 2] {
         for eb in [1e-6, 1e-2] {
-            let cfg = hqmr::sz2::Sz2Config { eb, block };
-            let slow = hqmr_sz2::reference::compress(&f, &cfg);
-            let fast = hqmr_sz2::compress(&f, &cfg);
+            let codec = Sz2Codec { block };
+            let slow = hqmr_sz2::reference::compress(&f, &codec, eb);
+            let fast = codec.compress(&f, eb);
             let at = format!("sz2 block={block} eb={eb}");
-            assert!(fast.bytes == slow.bytes, "{at}: stream");
+            assert!(fast == slow.bytes, "{at}: stream");
             assert!(slow.lorenzo_blocks > 0 && slow.regression_blocks > 0);
             assert!(slow.outliers > 0, "{at}: no outliers");
-            (hqmr_sz2::Sz2Codec { block })
+            codec
                 .compress_with_recon(&f, eb, &mut stream, &mut recon)
                 .unwrap();
             assert!(stream == slow.bytes, "{at}: closed-loop stream");
-            let back = hqmr_sz2::decompress(&stream).unwrap();
+            let back = codec.decompress(&stream).unwrap();
             assert!(as_bits(&recon) == as_bits(&back), "{at}: reconstruction");
         }
     }
     for tol in [1e-6, 1e-2] {
-        let cfg = hqmr::zfp::ZfpConfig::new(tol);
-        let slow = hqmr_zfp::reference::compress(&f, &cfg);
-        let fast = hqmr_zfp::compress(&f, &cfg);
-        assert!(fast.bytes == slow.bytes, "zfp tol={tol}: stream");
+        let slow = hqmr_zfp::reference::compress(&f, &ZfpCodec, tol);
+        let fast = ZfpCodec.compress(&f, tol);
+        assert!(fast == slow.bytes, "zfp tol={tol}: stream");
         assert!(slow.zero_blocks > 0);
-        hqmr_zfp::ZfpCodec
+        ZfpCodec
             .compress_with_recon(&f, tol, &mut stream, &mut recon)
             .unwrap();
         assert!(stream == slow.bytes, "zfp tol={tol}: closed-loop stream");
-        let back = hqmr_zfp::decompress(&stream).unwrap();
+        let back = ZfpCodec.decompress(&stream).unwrap();
         assert!(
             as_bits(&recon) == as_bits(&back),
             "zfp tol={tol}: reconstruction"

@@ -3,7 +3,7 @@
 
 use hqmr::codec::{
     huffman_decode, huffman_encode, pack_maybe_rle, rle_decode, rle_encode, unpack_maybe_rle,
-    zigzag_decode, zigzag_encode, Container,
+    zigzag_decode, zigzag_encode, Codec, Container,
 };
 use hqmr::grid::{Dims3, Field3};
 use hqmr::mr::{merge_level, unsplit_level, LevelData, MergeStrategy, UnitBlock};
@@ -67,8 +67,8 @@ proptest! {
             ((h % 2048) as f32 / 1024.0 - 1.0) * 10f32.powi(exp)
         });
         let eb = (f.range() as f64 * 1e-2).max(1e-12);
-        let r = hqmr::sz3::compress(&f, &hqmr::sz3::Sz3Config::new(eb));
-        let d = hqmr::sz3::decompress(&r.bytes).unwrap();
+        let sz3 = hqmr::sz3::Sz3Codec::default();
+        let d = sz3.decompress(&sz3.compress(&f, eb)).unwrap();
         prop_assert!(max_abs(&f, &d) <= eb + 1e-15);
     }
 
@@ -82,9 +82,8 @@ proptest! {
             h as f32 * 0.37
         });
         let eb = (f.range() as f64 * 5e-3).max(1e-9);
-        let cfg = hqmr::sz2::Sz2Config::new(eb).with_block(block);
-        let r = hqmr::sz2::compress(&f, &cfg);
-        let d = hqmr::sz2::decompress(&r.bytes).unwrap();
+        let sz2 = hqmr::sz2::Sz2Codec { block };
+        let d = sz2.decompress(&sz2.compress(&f, eb)).unwrap();
         prop_assert!(max_abs(&f, &d) <= eb + 1e-15);
     }
 
@@ -98,8 +97,8 @@ proptest! {
             (h as f32 - 256.0) * 0.5
         });
         let tol = (f.range() as f64 * 1e-2).max(1e-9);
-        let r = hqmr::zfp::compress(&f, &hqmr::zfp::ZfpConfig::new(tol));
-        let d = hqmr::zfp::decompress(&r.bytes).unwrap();
+        let zfp = hqmr::zfp::ZfpCodec;
+        let d = zfp.decompress(&zfp.compress(&f, tol)).unwrap();
         prop_assert!(max_abs(&f, &d) <= tol);
     }
 

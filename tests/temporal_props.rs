@@ -272,11 +272,11 @@ impl Codec for RequiredOnly {
     fn name(&self) -> &'static str {
         self.0.name()
     }
-    fn compress(&self, field: &Field3, eb: f64) -> Vec<u8> {
-        self.0.compress(field, eb)
+    fn compress_into(&self, field: &Field3, eb: f64, out: &mut Vec<u8>) {
+        self.0.compress_into(field, eb, out)
     }
-    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CodecError> {
-        self.0.decompress(bytes)
+    fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
+        self.0.decompress_into(bytes, out)
     }
 }
 

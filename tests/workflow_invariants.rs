@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the invariants DESIGN.md §5 promises,
 //! checked through the full public API.
 
+use hqmr::codec::Codec;
 use hqmr::grid::{synth, Dims3, Field3};
 use hqmr::metrics::{max_abs_err, psnr};
 use hqmr::mr::{to_adaptive, to_amr, AmrConfig, MergeStrategy, RoiConfig, Upsample};
@@ -67,18 +68,15 @@ fn all_compressors_bounded_on_all_proxies() {
     ];
     for f in &fields {
         let eb = f.range() as f64 * 5e-3;
-        // SZ3
-        let r = hqmr::sz3::compress(f, &hqmr::sz3::Sz3Config::new(eb));
-        let d = hqmr::sz3::decompress(&r.bytes).unwrap();
-        assert!(max_abs_err(f, &d) <= eb);
-        // SZ2
-        let r = hqmr::sz2::compress(f, &hqmr::sz2::Sz2Config::new(eb));
-        let d = hqmr::sz2::decompress(&r.bytes).unwrap();
-        assert!(max_abs_err(f, &d) <= eb);
-        // ZFP
-        let r = hqmr::zfp::compress(f, &hqmr::zfp::ZfpConfig::new(eb));
-        let d = hqmr::zfp::decompress(&r.bytes).unwrap();
-        assert!(max_abs_err(f, &d) <= eb);
+        let codecs: [&dyn Codec; 3] = [
+            &hqmr::sz3::Sz3Codec::default(),
+            &hqmr::sz2::Sz2Codec::default(),
+            &hqmr::zfp::ZfpCodec,
+        ];
+        for codec in codecs {
+            let d = codec.decompress(&codec.compress(f, eb)).unwrap();
+            assert!(max_abs_err(f, &d) <= eb, "{}", codec.name());
+        }
     }
 }
 
@@ -88,8 +86,8 @@ fn all_compressors_bounded_on_all_proxies() {
 fn post_process_is_bounded_and_safe() {
     let f = synth::s3d_like(32, 9);
     let eb = f.range() as f64 * 1e-2;
-    let r = hqmr::sz2::compress(&f, &hqmr::sz2::Sz2Config::new(eb));
-    let dec = hqmr::sz2::decompress(&r.bytes).unwrap();
+    let sz2 = hqmr::sz2::Sz2Codec::default();
+    let dec = sz2.decompress(&sz2.compress(&f, eb)).unwrap();
     let cfg = PostConfig::sz2();
     let choice = select_intensity(&f, &dec, eb, &cfg);
     let post = bezier_pass(&dec, eb, choice.a, &cfg);
