@@ -3,8 +3,8 @@
 
 use crate::datasets;
 use crate::runner::{
-    level_psnr, level_values, match_cr, mr_blockwise_roundtrip, psnr_slices, rd_sweep,
-    roundtrip_mr, row, single_level, BlockCodec, MkConfig, RdPoint,
+    level_psnr, level_values, match_cr, mr_blockwise_roundtrip, post_config, psnr_slices, rd_sweep,
+    roundtrip, roundtrip_mr, row, single_level, MkConfig, RdPoint,
 };
 use hqmr_codec::Codec;
 use hqmr_core::mrc::{compress_mr, decompress_mr, Backend, MrcConfig};
@@ -18,9 +18,13 @@ use hqmr_mr::{
     merge_discontinuity, merge_level, roi_only_field, to_adaptive, MergeStrategy, MultiResData,
     RoiConfig, Upsample,
 };
+use hqmr_sz2::Sz2Codec;
 use hqmr_sz3::{interp_levels, interp_stats, InterpKind, LevelEbPolicy, Sz3Codec};
 use hqmr_vis::{render_slice, save_ppm, Colormap};
 use std::fmt::Write as _;
+
+/// SZ2 with the 6³ blocks of the uniform-data tables.
+const UNIFORM_SZ2: Backend = Backend::Sz2(Sz2Codec { block: 6 });
 
 const RD_CONFIGS: [(&str, MkConfig); 5] = [
     ("Baseline-SZ3", MrcConfig::baseline),
@@ -215,9 +219,9 @@ pub fn fig07(_scale: usize) -> String {
 pub fn tab01(scale: usize) -> String {
     let d = datasets::warpx(scale / 2, 41);
     let eb = d.range() * 4e-3;
-    let (bytes, dec) = BlockCodec::Zfp.roundtrip(&d.field, eb);
+    let (bytes, dec) = roundtrip(Backend::ZFP, &d.field, eb);
     let cr = (d.field.len() * 4) as f64 / bytes as f64;
-    let cfg = PostConfig::zfp();
+    let cfg = post_config(Backend::ZFP);
     let choice = select_intensity(&d.field, &dec, eb, &cfg);
     let ours = bezier_pass(&dec, eb, choice.a, &cfg);
     let median = median3(&dec);
@@ -250,7 +254,7 @@ pub fn fig12(scale: usize) -> String {
     let d = datasets::warpx(scale / 2, 42);
     let mut out = String::from("Fig. 12 — WarpX + ZFP post-process variants\n");
     out.push_str("rows: CR, then PSNR for zfp / bezier(unclamped) / a=1 / processed(dynamic)\n");
-    let cfg = PostConfig::zfp();
+    let cfg = post_config(Backend::ZFP);
     let mut crs = Vec::new();
     let mut p_zfp = Vec::new();
     let mut p_bez = Vec::new();
@@ -258,7 +262,7 @@ pub fn fig12(scale: usize) -> String {
     let mut p_dyn = Vec::new();
     for rel in [1e-3, 3e-3, 8e-3, 2e-2, 5e-2] {
         let eb = d.range() * rel;
-        let (bytes, dec) = BlockCodec::Zfp.roundtrip(&d.field, eb);
+        let (bytes, dec) = roundtrip(Backend::ZFP, &d.field, eb);
         crs.push((d.field.len() * 4) as f64 / bytes as f64);
         p_zfp.push(psnr(&d.field, &dec));
         p_bez.push(psnr(&d.field, &bezier_pass(&dec, eb, [1e12; 3], &cfg)));
@@ -277,14 +281,14 @@ pub fn fig12(scale: usize) -> String {
 /// Table II: SZ2 + post-process on WarpX across CRs.
 pub fn tab02(scale: usize) -> String {
     let d = datasets::warpx(scale / 2, 43);
-    let cfg = PostConfig::sz2();
+    let cfg = post_config(UNIFORM_SZ2);
     let mut out = String::from("Table II — WarpX + SZ2: PSNR before/after post-process\n");
     let mut crs = Vec::new();
     let mut ori = Vec::new();
     let mut post = Vec::new();
     for rel in [5e-4, 1e-3, 3e-3, 8e-3, 2e-2, 5e-2, 1e-1] {
         let eb = d.range() * rel;
-        let (bytes, dec) = BlockCodec::Sz2 { block: 6 }.roundtrip(&d.field, eb);
+        let (bytes, dec) = roundtrip(UNIFORM_SZ2, &d.field, eb);
         crs.push((d.field.len() * 4) as f64 / bytes as f64);
         ori.push(psnr(&d.field, &dec));
         let choice = select_intensity(&d.field, &dec, eb, &cfg);
@@ -301,7 +305,7 @@ pub fn tab02(scale: usize) -> String {
 pub fn fig14(scale: usize) -> String {
     let d = datasets::hurricane(scale, 44);
     let eb = d.range() * 0.25;
-    let (bytes, dec) = BlockCodec::Zfp.roundtrip(&d.field, eb);
+    let (bytes, dec) = roundtrip(Backend::ZFP, &d.field, eb);
     let cr = (d.field.len() * 4) as f64 / bytes as f64;
     let (mn, mx) = d.field.min_max();
     // Scan for an isovalue where compression visibly destroys features (the
@@ -471,7 +475,7 @@ pub fn tab05(scale: usize) -> String {
         let mut ori = Vec::new();
         let mut post = Vec::new();
         for rel in [2e-3, 6e-3, 2e-2, 6e-2, 1.5e-1] {
-            let r = mr_blockwise_roundtrip(&lvl, BlockCodec::Sz2 { block: 4 }, range * rel);
+            let r = mr_blockwise_roundtrip(&lvl, Backend::SZ2, range * rel);
             crs.push(r.cr);
             ori.push(r.psnr_ori);
             post.push(r.psnr_post);
@@ -626,16 +630,13 @@ pub fn tab07(scale: usize) -> String {
                 (a.min(v), b.max(v))
             });
         let range = (mx - mn) as f64;
-        for (cname, codec) in [
-            ("ZFP", BlockCodec::Zfp),
-            ("SZ2", BlockCodec::Sz2 { block: 4 }),
-        ] {
+        for (cname, backend) in [("ZFP", Backend::ZFP), ("SZ2", Backend::SZ2)] {
             writeln!(out, "--- {} + {cname}", d.name).unwrap();
             let mut crs = Vec::new();
             let mut ori = Vec::new();
             let mut post = Vec::new();
             for rel in [1e-3, 4e-3, 1.2e-2, 4e-2, 1e-1] {
-                let r = mr_blockwise_roundtrip(mr, codec, range * rel);
+                let r = mr_blockwise_roundtrip(mr, backend, range * rel);
                 crs.push(r.cr);
                 ori.push(r.psnr_ori);
                 post.push(r.psnr_post);
@@ -652,17 +653,15 @@ pub fn tab07(scale: usize) -> String {
 pub fn tab08(scale: usize) -> String {
     let mut out = String::from("Table VIII — post-process on uniform data\n");
     for d in [datasets::s3d(scale, 63), datasets::nyx_t3(scale, 64)] {
-        for (cname, codec, post_cfg) in [
-            ("ZFP", BlockCodec::Zfp, PostConfig::zfp()),
-            ("SZ2", BlockCodec::Sz2 { block: 6 }, PostConfig::sz2()),
-        ] {
+        for (cname, backend) in [("ZFP", Backend::ZFP), ("SZ2", UNIFORM_SZ2)] {
             writeln!(out, "--- {} + {cname}", d.name).unwrap();
+            let post_cfg = post_config(backend);
             let mut crs = Vec::new();
             let mut ori = Vec::new();
             let mut post = Vec::new();
             for rel in [1e-3, 4e-3, 1.2e-2, 4e-2, 1e-1] {
                 let eb = d.range() * rel;
-                let (bytes, dec) = codec.roundtrip(&d.field, eb);
+                let (bytes, dec) = roundtrip(backend, &d.field, eb);
                 crs.push((d.field.len() * 4) as f64 / bytes as f64);
                 ori.push(psnr(&d.field, &dec));
                 let choice = select_intensity(&d.field, &dec, eb, &post_cfg);
@@ -685,13 +684,13 @@ pub fn tab09(scale: usize) -> String {
          codec        eb    io     comp+dec  sample+model  process  ori(c1+c2)  extra(c3+c4)  overhead\n",
     );
     let io_path = std::env::temp_dir().join("hqmr_tab09.hqf3");
-    for (cname, codec, post_cfg) in [
-        ("ZFP(par)", BlockCodec::Zfp, PostConfig::zfp()),
-        ("SZ2(par)", BlockCodec::Sz2 { block: 6 }, PostConfig::sz2()),
+    for (cname, backend, post_cfg) in [
+        ("ZFP(par)", Backend::ZFP, post_config(Backend::ZFP)),
+        ("SZ2(par)", UNIFORM_SZ2, post_config(UNIFORM_SZ2)),
         (
             "SZ2(serial)",
-            BlockCodec::Sz2 { block: 6 },
-            PostConfig::sz2().serial(),
+            UNIFORM_SZ2,
+            post_config(UNIFORM_SZ2).serial(),
         ),
     ] {
         for (elabel, rel) in [("small", 2e-3), ("mid", 1e-2), ("large", 5e-2)] {
@@ -703,12 +702,12 @@ pub fn tab09(scale: usize) -> String {
             let c1 = t.elapsed().as_secs_f64();
             // c2: compress + decompress.
             let t = Instant::now();
-            let (_, dec) = codec.roundtrip(&loaded, eb);
+            let (_, dec) = roundtrip(backend, &loaded, eb);
             let c2 = t.elapsed().as_secs_f64();
             // c3: sampling + modelling (round-trips only the samples).
             let t = Instant::now();
             let choice =
-                select_intensity_sampled(&d.field, |w| codec.roundtrip(w, eb).1, eb, &post_cfg);
+                select_intensity_sampled(&d.field, |w| roundtrip(backend, w, eb).1, eb, &post_cfg);
             let c3 = t.elapsed().as_secs_f64();
             // c4: the post-process itself.
             let t = Instant::now();
@@ -808,12 +807,11 @@ pub fn ablations(scale: usize) -> String {
 }
 
 /// Codec-backend matrix: backend × arrangement × error bound on Nyx-T1,
-/// reporting compression ratio, PSNR over stored cells, and wall-clock
-/// throughput per direction. Besides the text report, the full matrix lands
-/// in `BENCH_codecs.json` at the workspace root so future changes have a
-/// perf trajectory to compare against.
+/// reporting compression ratio and PSNR over stored cells. Besides the text
+/// report, the full matrix (stored bytes too) lands in `BENCH_codecs.json` at
+/// the workspace root, a committed baseline that a rerun reproduces byte for
+/// byte. Speed is not measured here: the repo benchmark's codec probes own it.
 pub fn codecs(scale: usize) -> String {
-    use std::time::Instant;
     let d = datasets::nyx_t1(scale, 81);
     let mr = d.mr.as_ref().unwrap();
     let range = d.range();
@@ -827,7 +825,7 @@ pub fn codecs(scale: usize) -> String {
 
     let mut out = format!(
         "Codec matrix — {} (scale {scale}, {:.1} MiB stored)\n\
-         backend arrange   rel_eb       CR     PSNR  comp(MiB/s)  dec(MiB/s)\n",
+         backend arrange   rel_eb       CR     PSNR\n",
         d.name, stored_mb
     );
     let mut json = String::from("{\n");
@@ -844,22 +842,16 @@ pub fn codecs(scale: usize) -> String {
         for (aname, mk) in arrangements {
             for rel in rels {
                 let cfg = mk(range * rel).with_backend(backend);
-                let t0 = Instant::now();
                 let (bytes, stats) = compress_mr(mr, &cfg);
-                let t_comp = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
                 let back = decompress_mr(&bytes).expect("fresh stream must decompress");
-                let t_dec = t1.elapsed().as_secs_f64();
                 let vals_b: Vec<f32> = back.levels.iter().flat_map(level_values).collect();
                 let p = psnr_slices(&vals_a, &vals_b);
                 writeln!(
                     out,
-                    "{:7} {aname:8} {rel:8.0e} {:8.1} {:8.2} {:12.1} {:11.1}",
+                    "{:7} {aname:8} {rel:8.0e} {:8.1} {:8.2}",
                     backend.name(),
                     stats.ratio(),
                     p,
-                    stored_mb / t_comp.max(1e-9),
-                    stored_mb / t_dec.max(1e-9),
                 )
                 .unwrap();
                 if !first {
@@ -874,8 +866,7 @@ pub fn codecs(scale: usize) -> String {
                 write!(
                     json,
                     "    {{\"backend\": \"{}\", \"arrangement\": \"{aname}\", \
-                     \"rel_eb\": {rel:e}, \"bytes\": {}, \"cr\": {:.3}, \"psnr\": {psnr_json}, \
-                     \"compress_s\": {t_comp:.6}, \"decompress_s\": {t_dec:.6}}}",
+                     \"rel_eb\": {rel:e}, \"bytes\": {}, \"cr\": {:.3}, \"psnr\": {psnr_json}}}",
                     backend.name(),
                     bytes.len(),
                     stats.ratio(),

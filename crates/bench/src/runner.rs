@@ -1,13 +1,11 @@
 //! Shared experiment machinery: rate-distortion sweeps, CR matching,
 //! block-wise multi-resolution round-trips, formatting.
 
-use hqmr_codec::Codec;
-use hqmr_core::mrc::{compress_mr, decompress_mr, MrcConfig};
+use hqmr_core::mrc::{compress_mr, decompress_mr, Backend, MrcConfig};
 use hqmr_core::post::{bezier_pass, select_intensity, PostConfig};
 use hqmr_grid::Field3;
 use hqmr_mr::{merge_level, LevelData, MergeStrategy, MultiResData};
 use hqmr_sz2::Sz2Codec;
-use hqmr_zfp::ZfpCodec;
 
 /// A named `MrcConfig` constructor from an absolute error bound — the shape
 /// every sweep table is built from.
@@ -162,37 +160,23 @@ pub fn match_cr(
     (lo_rel.ln() / 2.0 + hi_rel.ln() / 2.0).exp()
 }
 
-/// Which block-wise compressor a round-trip uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BlockCodec {
-    /// SZ2 with the given block size.
-    Sz2 {
-        /// Block side (6 uniform, 4 multi-resolution).
-        block: usize,
-    },
-    /// ZFP fixed-accuracy.
-    Zfp,
+/// Compress + decompress through `backend`'s codec, returning
+/// `(compressed bytes, reconstruction)`.
+pub fn roundtrip(backend: Backend, field: &Field3, eb: f64) -> (usize, Field3) {
+    let codec = backend.codec();
+    let bytes = codec.compress(field, eb);
+    let d = codec.decompress(&bytes).expect("codec roundtrip");
+    (bytes.len(), d)
 }
 
-impl BlockCodec {
-    /// Compress + decompress, returning `(compressed bytes, reconstruction)`.
-    pub fn roundtrip(&self, field: &Field3, eb: f64) -> (usize, Field3) {
-        let codec: &dyn Codec = match self {
-            BlockCodec::Sz2 { block } => &Sz2Codec { block: *block },
-            BlockCodec::Zfp => &ZfpCodec,
-        };
-        let bytes = codec.compress(field, eb);
-        let d = codec.decompress(&bytes).expect("codec roundtrip");
-        (bytes.len(), d)
-    }
-
-    /// The matching post-process configuration.
-    pub fn post_config(&self) -> PostConfig {
-        match *self {
-            BlockCodec::Sz2 { block: 4 } => PostConfig::sz2_multires(),
-            BlockCodec::Sz2 { .. } => PostConfig::sz2(),
-            BlockCodec::Zfp => PostConfig::zfp(),
-        }
+/// The post-process configuration matching a block-wise backend: AMRIC's
+/// 4³ SZ2 blocks, other SZ2 blocks, or ZFP.
+pub fn post_config(backend: Backend) -> PostConfig {
+    match backend {
+        Backend::Sz2(Sz2Codec { block: 4 }) => PostConfig::sz2_multires(),
+        Backend::Sz2(_) => PostConfig::sz2(),
+        Backend::Zfp => PostConfig::zfp(),
+        other => panic!("{} is not a block-wise backend", other.name()),
     }
 }
 
@@ -211,7 +195,7 @@ pub struct MrBlockwiseResult {
 /// Round-trips multi-resolution data through a block-wise codec (the
 /// AMRIC-SZ2 / ZFP paths of Tables V and VII): stack-merge each level,
 /// compress the merged arrays, then post-process each decompressed array.
-pub fn mr_blockwise_roundtrip(mr: &MultiResData, codec: BlockCodec, eb: f64) -> MrBlockwiseResult {
+pub fn mr_blockwise_roundtrip(mr: &MultiResData, backend: Backend, eb: f64) -> MrBlockwiseResult {
     let mut bytes = 0usize;
     let mut per_level = Vec::new();
     let mut all_o: Vec<f32> = Vec::new();
@@ -223,9 +207,9 @@ pub fn mr_blockwise_roundtrip(mr: &MultiResData, codec: BlockCodec, eb: f64) -> 
         let mut ld: Vec<f32> = Vec::new();
         let mut lp: Vec<f32> = Vec::new();
         for m in &arrays {
-            let (b, dec) = codec.roundtrip(&m.field, eb);
+            let (b, dec) = roundtrip(backend, &m.field, eb);
             bytes += b;
-            let cfg = codec.post_config();
+            let cfg = post_config(backend);
             let choice = select_intensity(&m.field, &dec, eb, &cfg);
             let post = bezier_pass(&dec, eb, choice.a, &cfg);
             // Only real slots count toward quality (stack filler excluded).
@@ -294,7 +278,7 @@ mod tests {
         let f = synth::nyx_like(32, 3);
         let mr = to_amr(&f, &AmrConfig::new(8, vec![0.25, 0.75]));
         let eb = f.range() as f64 * 1e-3;
-        let r = mr_blockwise_roundtrip(&mr, BlockCodec::Sz2 { block: 4 }, eb);
+        let r = mr_blockwise_roundtrip(&mr, Backend::SZ2, eb);
         assert!(r.cr > 1.0);
         assert!(
             r.psnr_post >= r.psnr_ori - 0.01,

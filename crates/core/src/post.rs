@@ -19,20 +19,21 @@ use rayon::prelude::*;
 const SAMPLE_MULT: usize = 2;
 /// SGD epochs over the sample windows.
 const SGD_EPOCHS: usize = 8;
+/// Target sampling rate for intensity selection (paper: < 1.5%).
+const SAMPLE_FRAC: f64 = 0.015;
+/// RNG seed for sampling and SGD shuffling.
+const SEED: u64 = 0x9E37;
 
-/// Post-processing configuration.
+/// Post-processing configuration: one per compressor, from the
+/// constructors below.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PostConfig {
     /// Candidate intensities (the paper's per-compressor sets).
-    pub candidates: Vec<f64>,
+    candidates: Vec<f64>,
     /// Block-boundary period per axis (`None` ⇒ no boundaries on that axis).
-    pub periods: [Option<usize>; 3],
-    /// Target sampling rate for intensity selection (paper: < 1.5%).
-    pub sample_frac: f64,
-    /// RNG seed for sampling and SGD shuffling.
-    pub seed: u64,
+    periods: [Option<usize>; 3],
     /// Run the smoothing passes with rayon (Table IX's OpenMP analogue).
-    pub parallel: bool,
+    parallel: bool,
 }
 
 impl PostConfig {
@@ -40,8 +41,6 @@ impl PostConfig {
         PostConfig {
             candidates,
             periods: [Some(period); 3],
-            sample_frac: 0.015,
-            seed: 0x9E37,
             parallel: true,
         }
     }
@@ -258,7 +257,8 @@ fn window_axis_error(orig: &Field3, dec: &Field3, axis: usize, p: usize, limit: 
 
 /// Sample-window origins: `count³`-ish windows of per-axis sides `size`,
 /// aligned to the boundary period, spread through the volume with a
-/// low-discrepancy (R3 Kronecker) sequence offset by `seed`.
+/// low-discrepancy (R3 Kronecker) sequence offset by [`SEED`], as many as
+/// [`SAMPLE_FRAC`] of the volume affords.
 ///
 /// Stratified placement instead of independent uniform draws: at small field
 /// sizes the 1.5% budget affords only a handful of windows (often exactly
@@ -266,15 +266,9 @@ fn window_axis_error(orig: &Field3, dec: &Field3, axis: usize, p: usize, limit: 
 /// whole field only by sampling luck. The Kronecker sequence keeps the same
 /// determinism but guarantees spatial spread — the single-window case lands
 /// at the domain center.
-fn sample_windows(
-    dims: Dims3,
-    size: Dims3,
-    align: usize,
-    target_frac: f64,
-    seed: u64,
-) -> Vec<[usize; 3]> {
+fn sample_windows(dims: Dims3, size: Dims3, align: usize) -> Vec<[usize; 3]> {
     let total = dims.len() as f64;
-    let max_windows = ((target_frac * total / size.len() as f64).floor() as usize).max(1);
+    let max_windows = ((SAMPLE_FRAC * total / size.len() as f64).floor() as usize).max(1);
     let (n, side) = (dims.as_array(), size.as_array());
     let [cx, cy, cz] = [0, 1, 2].map(|d| n[d].saturating_sub(side[d]) / align + 1);
     if cx == 0 || cy == 0 || cz == 0 {
@@ -286,7 +280,7 @@ fn sample_windows(
         0.671_043_606_703_789_3,
         0.549_700_477_901_970_3,
     ];
-    let offset = (seed % 1024) as f64 / 1024.0;
+    let offset = (SEED % 1024) as f64 / 1024.0;
     let mut out = Vec::with_capacity(max_windows);
     for w in 0..max_windows {
         let coord = |axis: usize, n: usize| -> usize {
@@ -319,7 +313,7 @@ fn window_pairs(
         .as_array()
         .map(|n| (SAMPLE_MULT * max_p).min(n.max(1)));
     let wsize = Dims3::new(sx, sy, sz);
-    let windows = sample_windows(orig.dims(), wsize, max_p, cfg.sample_frac, cfg.seed);
+    let windows = sample_windows(orig.dims(), wsize, max_p);
     let pairs = windows
         .iter()
         .map(|&o| {
@@ -371,7 +365,7 @@ fn optimize(
 ) -> IntensityChoice {
     let c_min = cfg.candidates.iter().copied().fold(f64::INFINITY, f64::min);
     let c_max = cfg.candidates.iter().copied().fold(0.0f64, f64::max);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA5A5);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xA5A5);
     let mut a = [0.0f64; 3];
     let mut err_before = 0.0f64;
     let mut err_after = 0.0f64;

@@ -31,6 +31,7 @@ use crate::proto::{
     read_frame_into, read_hello, recycle, write_hello, DatasetInfo, ErrorFrame, Kind, NetResponse,
     ProtocolError, Request, ServerStats, DEFAULT_MAX_FRAME,
 };
+use crate::server::is_timeout;
 use hqmr_mr::Upsample;
 use hqmr_serve::{Query, QueryResult, Response};
 use hqmr_store::RefinementStep;
@@ -125,13 +126,14 @@ fn remote(e: ErrorFrame) -> NetError {
     }
 }
 
-/// Unix read/write timeouts surface as `WouldBlock`, other platforms as
-/// `TimedOut`; treat both as the timeout they are.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// A `fn` keeping the answer `NetResponse::$v` and refusing any other kind.
+macro_rules! want {
+    ($v:ident) => {
+        |resp| match resp {
+            NetResponse::$v(answer) => Some(answer),
+            _ => None,
+        }
+    };
 }
 
 /// Connection, timeout and retry policy of a [`NetClient`].
@@ -283,11 +285,6 @@ impl NetClient {
         &self.cfg
     }
 
-    /// Drops the current connection; the next call re-dials.
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
     /// Sends one request and waits for its response frame — one attempt,
     /// no retry policy.
     fn call(&mut self, req: &Request) -> Result<NetResponse, NetError> {
@@ -420,12 +417,27 @@ impl NetClient {
         std::thread::sleep(capped.mul_f64(frac));
     }
 
+    /// Sends `req` once (`retries: None`) or under the retry policy with
+    /// that budget, and keeps the one response variant `want` accepts. Any
+    /// other well-formed answer is [`NetError::UnexpectedResponse`] after
+    /// exactly one request: the policy retries failed exchanges, not
+    /// wrong-kind answers.
+    fn request<T>(
+        &mut self,
+        req: &Request,
+        retries: Option<usize>,
+        want: fn(NetResponse) -> Option<T>,
+    ) -> Result<T, NetError> {
+        let resp = match retries {
+            None => self.call(req)?,
+            Some(budget) => self.call_retrying(req, budget)?,
+        };
+        want(resp).ok_or(NetError::UnexpectedResponse)
+    }
+
     /// The server's dataset catalog.
     pub fn datasets(&mut self) -> Result<Vec<DatasetInfo>, NetError> {
-        match self.call(&Request::List)? {
-            NetResponse::Datasets(list) => Ok(list),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        self.request(&Request::List, None, want!(Datasets))
     }
 
     /// Runs a batch of queries against `dataset` — the remote form of
@@ -433,14 +445,8 @@ impl NetClient {
     /// answers in request order. One attempt; see
     /// [`batch_retry`](Self::batch_retry) for the self-healing form.
     pub fn batch(&mut self, dataset: u32, queries: &[Query]) -> Result<Vec<Response>, NetError> {
-        let req = Request::Batch {
-            dataset,
-            queries: queries.to_vec(),
-        };
-        match self.call(&req)? {
-            NetResponse::Batch(rs) => Ok(rs),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        let queries = queries.to_vec();
+        self.request(&Request::Batch { dataset, queries }, None, want!(Batch))
     }
 
     /// [`batch`](Self::batch) under the full retry policy: capped jittered
@@ -454,14 +460,9 @@ impl NetClient {
         queries: &[Query],
         retries: usize,
     ) -> Result<Vec<Response>, NetError> {
-        let req = Request::Batch {
-            dataset,
-            queries: queries.to_vec(),
-        };
-        match self.call_retrying(&req, retries)? {
-            NetResponse::Batch(rs) => Ok(rs),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        let queries = queries.to_vec();
+        let req = Request::Batch { dataset, queries };
+        self.request(&req, Some(retries), want!(Batch))
     }
 
     /// Degraded-mode batch — the remote form of
@@ -474,14 +475,9 @@ impl NetClient {
         dataset: u32,
         queries: &[Query],
     ) -> Result<Vec<QueryResult>, NetError> {
-        let req = Request::BatchDegraded {
-            dataset,
-            queries: queries.to_vec(),
-        };
-        match self.call(&req)? {
-            NetResponse::BatchDegraded(rs) => Ok(rs),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        let queries = queries.to_vec();
+        let req = Request::BatchDegraded { dataset, queries };
+        self.request(&req, None, want!(BatchDegraded))
     }
 
     /// [`batch_degraded`](Self::batch_degraded) under the retry policy —
@@ -493,14 +489,9 @@ impl NetClient {
         queries: &[Query],
         retries: usize,
     ) -> Result<Vec<QueryResult>, NetError> {
-        let req = Request::BatchDegraded {
-            dataset,
-            queries: queries.to_vec(),
-        };
-        match self.call_retrying(&req, retries)? {
-            NetResponse::BatchDegraded(rs) => Ok(rs),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        let queries = queries.to_vec();
+        let req = Request::BatchDegraded { dataset, queries };
+        self.request(&req, Some(retries), want!(BatchDegraded))
     }
 
     /// Full coarse→fine refinement of `dataset`.
@@ -510,25 +501,19 @@ impl NetClient {
         scheme: Upsample,
     ) -> Result<Vec<RefinementStep>, NetError> {
         let req = Request::Progressive { dataset, scheme };
-        match self.call(&req)? {
-            NetResponse::Progressive(steps) => Ok(steps),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        self.request(&req, None, want!(Progressive))
     }
 
     /// Server stats for one tenant: its cache window plus the
-    /// server-global rejection and background-scrub counters. `take`
-    /// drains the tenant's cache window (snapshot-and-reset) like
+    /// server-global rejection and background-scrub counters — the only
+    /// read of the fleet's counters. `take` drains the tenant's cache
+    /// window (snapshot-and-reset) like
     /// [`StoreServer::take_stats`](hqmr_serve::StoreServer::take_stats);
     /// the global counters are always a peek.
     /// Deliberately not offered in a `_retry` form: `take: true` is not
     /// idempotent, and the policy would refuse to replay it anyway.
     pub fn stats(&mut self, dataset: u32, take: bool) -> Result<ServerStats, NetError> {
-        let req = Request::Stats { dataset, take };
-        match self.call(&req)? {
-            NetResponse::Stats(s) => Ok(s),
-            _ => Err(NetError::UnexpectedResponse),
-        }
+        self.request(&Request::Stats { dataset, take }, None, want!(Stats))
     }
 }
 

@@ -279,25 +279,26 @@ impl Request {
 /// fixed run of 17 `u64le` words (cache first, then rejections, then
 /// scrub), so the frame layout is versioned by [`WIRE_VERSION`] alone.
 ///
-/// The rejection counters are server-global (one accept loop, one worker
-/// pool), repeated identically in every tenant's snapshot; the cache and
-/// scrub counters are the addressed tenant's own. `take = true` drains the
-/// tenant's cache window but only *peeks* the global and scrub counters —
-/// they are cumulative gauges shared across tenants, which one tenant's
-/// drain must not zero for the others.
+/// This frame is the only read of the fleet's counters. The rejection and
+/// scrub counters are server-global (one accept loop, one job queue, one
+/// scrubber), repeated identically in every tenant's snapshot; the cache
+/// ledger is the addressed tenant's own. `take = true` drains the tenant's
+/// cache window but only *peeks* the global counters — they are cumulative
+/// gauges shared across tenants, which one tenant's drain must not zero for
+/// the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// The tenant's cache ledger (including `repairs`/`repair_failures`).
     pub cache: CacheStats,
-    /// Requests bounced because the owning worker's queue was full.
+    /// Requests answered `Busy` because the fleet's job queue was full.
     pub busy_rejections: u64,
     /// Connections refused at the admission cap.
     pub admission_rejections: u64,
     /// Requests answered with `DeadlineExceeded` instead of data.
     pub deadline_rejections: u64,
-    /// Completed background scrub passes over this tenant's store.
+    /// Completed background scrub cycles over all hosted datasets.
     pub scrub_passes: u64,
-    /// Chunks whose stored CRC verified across all passes.
+    /// Chunks whose stored CRC verified, over all passes and datasets.
     pub scrub_verified: u64,
     /// Corrupt chunks the scrubber healed from parity.
     pub scrub_repaired: u64,

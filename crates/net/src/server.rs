@@ -48,7 +48,7 @@
 use crate::chaos::{chunk_fault_hook, ChaosConfig, ChaosStream};
 use crate::proto::{
     encode_batch_parts_into, parse_header, read_hello, recycle, write_hello, DatasetInfo,
-    ErrorFrame, NetResponse, ProtocolError, Request, ServerStats, HEADER_LEN,
+    ErrorFrame, NetResponse, ProtocolError, Request, ServerStats, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
 use hqmr_mr::Upsample;
 use hqmr_serve::{
@@ -98,8 +98,6 @@ pub struct NetConfig {
     /// weighted by compressed store size. [`hqmr_serve::UNBOUNDED`] turns
     /// eviction off everywhere.
     pub cache_budget: usize,
-    /// Largest frame body this server will read.
-    pub max_frame_len: usize,
     /// Socket read timeout. Between frames a timeout is just an idle tick
     /// (connections may legitimately sit quiet); *mid-frame* it means the
     /// peer is feeding bytes too slowly (slow-loris) and is answered with
@@ -135,7 +133,6 @@ impl Default for NetConfig {
             queue_depth: 32,
             max_connections: 256,
             cache_budget: hqmr_serve::UNBOUNDED,
-            max_frame_len: crate::proto::DEFAULT_MAX_FRAME,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             request_deadline: Some(Duration::from_secs(60)),
@@ -498,7 +495,9 @@ fn send_response(
     Ok(sent?)
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
+/// Unix read/write timeouts surface as `WouldBlock`, other platforms as
+/// `TimedOut`; treat both as the timeout they are.
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -580,7 +579,7 @@ fn connection_loop<R: Read, W: Write>(
                 return Ok(());
             }
         }
-        let raw = match parse_header(&header, shared.cfg.max_frame_len) {
+        let raw = match parse_header(&header, DEFAULT_MAX_FRAME) {
             Ok(raw) => raw,
             // Framing-level corruption: answer typed, then hang up (the
             // byte stream is no longer trustworthy).
@@ -813,34 +812,6 @@ impl NetServer {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.addr
-    }
-
-    /// Requests answered with [`ErrorFrame::Busy`] because the job queue was
-    /// full.
-    pub fn busy_rejections(&self) -> u64 {
-        self.shared.busy_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused at the admission cap.
-    pub fn admission_rejections(&self) -> u64 {
-        self.shared.admission_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered with [`ErrorFrame::DeadlineExceeded`] because the
-    /// worker did not reply within [`NetConfig::request_deadline`].
-    pub fn deadline_rejections(&self) -> u64 {
-        self.shared.deadline_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Completed background-scrub cycles over all hosted datasets
-    /// (`0` when [`NetConfig::scrub_rate`] is `None`).
-    pub fn scrub_passes(&self) -> u64 {
-        self.shared.scrub_passes.load(Ordering::Relaxed)
-    }
-
-    /// Chunks the background scrubber repaired from parity.
-    pub fn scrub_repaired(&self) -> u64 {
-        self.shared.scrub_repaired.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, lets the workers answer what is already queued,

@@ -297,7 +297,7 @@ fn connection_cap_is_typed_and_recovers() {
         Err(NetError::TooManyConnections) => {}
         other => panic!("expected TooManyConnections, got {other:?}"),
     }
-    assert_eq!(server.admission_rejections(), 1);
+    assert_eq!(b.stats(0, false).unwrap().admission_rejections, 1);
 
     // Close one; a new connection must be admitted. The guard decrements
     // after the conn thread winds down, so poll briefly.
@@ -538,4 +538,73 @@ fn raw_frames_equal_the_owned_encoding_in_every_cache_state() {
         let ledger = oracle.stats();
         assert!(ledger.hits > 0 && ledger.misses == meta.chunk_count() as u64);
     }
+}
+
+/// A well-formed answer of the wrong kind is `UnexpectedResponse` from
+/// every request method, after exactly one request: the `_retry` forms
+/// retry failed exchanges, never a wrong-kind answer. A raw listener plays
+/// the server: it completes the hello, counts every request frame, and
+/// answers each with a frame of another kind that echoes the request id.
+#[test]
+fn wrong_kind_answers_are_unexpected_after_one_request() {
+    use hqmr_net::proto::{read_frame, read_hello, write_hello, Kind, DEFAULT_MAX_FRAME};
+    use hqmr_net::{NetResponse, ServerStats};
+    use std::io::Write;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let requests = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&requests);
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        write_hello(&mut stream).unwrap();
+        read_hello(&mut stream).unwrap();
+        let mut frame = Vec::new();
+        // Until the client hangs up.
+        while let Ok((header, _)) = read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+            seen.fetch_add(1, Ordering::SeqCst);
+            let wrong = if header.kind == Kind::List {
+                NetResponse::Stats(ServerStats::default())
+            } else {
+                NetResponse::Datasets(Vec::new())
+            };
+            frame.clear();
+            wrong.encode_into(header.req_id, &mut frame);
+            stream.write_all(&frame).unwrap();
+        }
+    });
+
+    let mut client = NetClient::connect(addr).unwrap();
+    let queries = [Query::Level { level: 0 }];
+    let mut sent = 0;
+    let mut check = |name: &str, err: NetError| {
+        sent += 1;
+        assert!(
+            matches!(err, NetError::UnexpectedResponse),
+            "{name}: expected UnexpectedResponse, got {err:?}"
+        );
+        assert_eq!(
+            requests.load(Ordering::SeqCst),
+            sent,
+            "{name}: requests sent"
+        );
+    };
+    check("datasets", client.datasets().unwrap_err());
+    check("batch", client.batch(0, &queries).unwrap_err());
+    check(
+        "batch_retry",
+        client.batch_retry(0, &queries, 3).unwrap_err(),
+    );
+    check(
+        "batch_degraded",
+        client.batch_degraded(0, &queries).unwrap_err(),
+    );
+    let err = client.batch_degraded_retry(0, &queries, 3).unwrap_err();
+    check("batch_degraded_retry", err);
+    let err = client.progressive(0, Upsample::Nearest).unwrap_err();
+    check("progressive", err);
+    check("stats", client.stats(0, false).unwrap_err());
+    drop(client);
+    server.join().unwrap();
 }

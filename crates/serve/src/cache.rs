@@ -16,7 +16,6 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Snapshot of the serving layer's cache accounting.
 ///
 /// Counter identities (all counts since construction or the last
-/// [`Server::reset_stats`](crate::Server::reset_stats) /
 /// [`Server::take_stats`](crate::Server::take_stats)):
 ///
 /// * `requests == hits + misses` — every chunk lookup is classified as
@@ -403,25 +402,6 @@ impl ChunkCache {
             budget_bytes: self.budget as u64,
             repairs: self.counters.repairs.swap(0, Ordering::Relaxed),
             repair_failures: self.counters.repair_failures.swap(0, Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes the counters and restarts the high-water mark from the current
-    /// residency. Cache contents are untouched. Implemented as `swap`s so a
-    /// concurrent increment is never lost — it simply lands in the fresh
-    /// window.
-    pub(crate) fn reset_stats(&self) {
-        let mut st = self.lock();
-        st.peak = st.resident;
-        for c in [
-            &self.counters.hits,
-            &self.counters.shared,
-            &self.counters.misses,
-            &self.counters.evictions,
-            &self.counters.repairs,
-            &self.counters.repair_failures,
-        ] {
-            c.swap(0, Ordering::Relaxed);
         }
     }
 

@@ -461,12 +461,6 @@ impl<F: Frames> Server<F> {
         self.cache.take_stats()
     }
 
-    /// Zeroes the cache counters and restarts the high-water mark from the
-    /// current residency; resident chunks are kept.
-    pub fn reset_stats(&self) {
-        self.cache.reset_stats();
-    }
-
     /// Drops every resident chunk (a cold cache without rebuilding the
     /// server). Counters are kept.
     pub fn clear_cache(&self) {
