@@ -11,6 +11,11 @@
 //!   block or line (sz2, zfp, sz3's finest `z` sweep), or — for sz3's x and
 //!   y sweeps — the same target position on four lines adjacent in `z`.
 //!
+//! Each arm of an SZ prediction kernel is one walk for both directions: it
+//! computes the predictions and hands every point to a
+//! [`PointStep`](crate::quantizer::PointStep) — quantize-and-record on
+//! encode, recover on decode — so the two directions cannot drift apart.
+//!
 //! The AVX2 arm must write the bytes the scalar arm writes, for every input
 //! including the non-finite ones: a vector lane either evaluates the scalar
 //! expression sequence exactly (no FMA contraction, no reassociation) or the

@@ -5,6 +5,23 @@
 //! most the error bound `eb`. Code `0` is reserved for *unpredictable* points
 //! whose residual overflows the code range; their original value is stored
 //! verbatim in a side channel, so the bound holds unconditionally.
+//!
+//! The SZ kernels walk their points once, in one order, for both directions,
+//! and hand every point to a [`PointStep`]: [`Quantize`] on the way in,
+//! [`Recover`] on the way out. The scalar step is [`quantize_store`] /
+//! [`recover_value`]; the four-lane step of the AVX2 walks is [`Quad`].
+
+#[cfg(target_arch = "x86_64")]
+mod simd;
+#[cfg(target_arch = "x86_64")]
+pub use simd::{abs4, Quad};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m128, __m256d};
+
+/// `nextDown(0.5)`, the one magnitude below 0.5 that `trunc(x ± 0.5)`
+/// rounds away from 0: [`round_ties_away_i64`] guards it, and vector lanes
+/// holding it replay through the scalar code.
+pub const TIE: f64 = 0.499_999_999_999_999_94;
 
 /// `x.round() as i64` — round half away from zero — for every input
 /// (including NaN and ±∞, which saturate exactly like the `as` cast does),
@@ -33,7 +50,7 @@ pub fn round_ties_away_i64(x: f64) -> i64 {
         // |x| ≥ 2^52: already integral (±∞ saturates like the cast does).
         return x as i64;
     }
-    if a == 0.499_999_999_999_999_94 {
+    if a == TIE {
         // nextbelow(0.5): x + 0.5 ties to 1.0, the one value trunc gets wrong.
         return 0;
     }
@@ -149,6 +166,254 @@ impl LinearQuantizer {
 
     /// The reserved out-of-band code.
     pub const UNPREDICTABLE: u32 = 0;
+}
+
+/// Quantizes `cur` against `pred`: the code, and the value decompression
+/// will reproduce — `cur` itself for an out-of-band point, whose original
+/// value goes to the side channel.
+#[inline]
+fn quantize_code(q: &LinearQuantizer, cur: f32, pred: f64) -> (u32, f32) {
+    match q.quantize(cur as f64, pred) {
+        QuantOutcome::Predicted { code, recon } => {
+            let r32 = recon as f32;
+            // Re-check at f32 precision (the stored type).
+            if (r32 as f64 - cur as f64).abs() <= q.eb() {
+                return (code, r32);
+            }
+            (LinearQuantizer::UNPREDICTABLE, cur)
+        }
+        QuantOutcome::Unpredictable => (LinearQuantizer::UNPREDICTABLE, cur),
+    }
+}
+
+/// The scalar quantize-and-record step: quantizes `cur` against `pred`,
+/// pushing the code (and, for an out-of-band point, the original value) and
+/// returning the value decompression will reproduce — the invariant that
+/// keeps both directions bit-identical.
+#[inline]
+pub fn quantize_store(
+    q: &LinearQuantizer,
+    cur: f32,
+    pred: f64,
+    codes: &mut Vec<u32>,
+    outliers: &mut Vec<f32>,
+) -> f32 {
+    let (code, v) = quantize_code(q, cur, pred);
+    codes.push(code);
+    if code == LinearQuantizer::UNPREDICTABLE {
+        outliers.push(cur);
+    }
+    v
+}
+
+/// The scalar recover step: one value from its code, an out-of-band one
+/// from `outliers` at cursor `oi`. On underrun it clears `ok` and
+/// substitutes 0 — the walk goes on, so the caller reports one typed error
+/// at the end.
+#[inline]
+pub fn recover_value(
+    q: &LinearQuantizer,
+    pred: f64,
+    code: u32,
+    outliers: &[f32],
+    oi: &mut usize,
+    ok: &mut bool,
+) -> f32 {
+    if code == LinearQuantizer::UNPREDICTABLE {
+        match outliers.get(*oi) {
+            Some(&v) => {
+                *oi += 1;
+                v
+            }
+            None => {
+                *ok = false;
+                0.0
+            }
+        }
+    } else {
+        q.recover(code, pred) as f32
+    }
+}
+
+/// One direction of an SZ prediction walk, applied to the points the walk
+/// visits. A walk computes each point's prediction, hands the step the
+/// value its cell holds (`cur`) and writes back what the step returns, so
+/// one walk serves both directions and the direction is the step's type:
+///
+/// * [`Quantize`] — quantize-and-record: records the code (and, out of
+///   band, the original value) and returns the reconstruction;
+/// * [`Recover`] — reads the code (and, out of band, the side-channel
+///   value) and returns the decoded value.
+///
+/// `point` and `quad` take codes and side-channel values in visit order.
+/// `point_at` and `quad_at` serve a walk that leaves code order (sz3's
+/// across-lines sweeps): the code lives at slot `at`, an out-of-band point
+/// keeps its cell value, and the caller orders the side channel with one
+/// scan of the codes — after the walk on encode, before it on decode.
+pub trait PointStep {
+    /// Steps the next point in visit order.
+    fn point(&mut self, q: &LinearQuantizer, cur: f32, pred: f64) -> f32;
+
+    /// Steps the point whose code is slot `at`.
+    fn point_at(&mut self, q: &LinearQuantizer, at: usize, cur: f32, pred: f64) -> f32;
+
+    /// [`Self::point`] for four points at once: their cell values `cur` and
+    /// predictions `pred`, one per lane. `None` leaves the group untouched,
+    /// for the walk to replay lane by lane through [`Self::point`].
+    ///
+    /// # Safety
+    /// Requires AVX2; `k` is the step's quantizer in [`Quad`] form.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn quad(&mut self, k: &Quad, cur: __m128, pred: __m256d) -> Option<__m128>;
+
+    /// [`Self::point_at`] for four points whose codes are slots
+    /// `at + l·stride`; `None` asks for a replay through
+    /// [`Self::point_at`].
+    ///
+    /// # Safety
+    /// As for [`Self::quad`].
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn quad_at(
+        &mut self,
+        k: &Quad,
+        at: usize,
+        stride: usize,
+        cur: __m128,
+        pred: __m256d,
+    ) -> Option<__m128>;
+}
+
+/// The encode step: codes and out-of-band values append to the stream's
+/// sections (slot-addressed codes land in slots the caller has sized).
+pub struct Quantize<'a> {
+    /// The codes section.
+    pub codes: &'a mut Vec<u32>,
+    /// The side channel.
+    pub outliers: &'a mut Vec<f32>,
+}
+
+impl PointStep for Quantize<'_> {
+    #[inline]
+    fn point(&mut self, q: &LinearQuantizer, cur: f32, pred: f64) -> f32 {
+        quantize_store(q, cur, pred, self.codes, self.outliers)
+    }
+
+    #[inline]
+    fn point_at(&mut self, q: &LinearQuantizer, at: usize, cur: f32, pred: f64) -> f32 {
+        let (code, v) = quantize_code(q, cur, pred);
+        self.codes[at] = code;
+        v
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quad(&mut self, k: &Quad, cur: __m128, pred: __m256d) -> Option<__m128> {
+        let (codes, r32) = k.quantize(cur, pred)?;
+        self.codes.extend_from_slice(&codes);
+        Some(r32)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quad_at(
+        &mut self,
+        k: &Quad,
+        at: usize,
+        stride: usize,
+        cur: __m128,
+        pred: __m256d,
+    ) -> Option<__m128> {
+        let (codes, r32) = k.quantize(cur, pred)?;
+        assert!(at + 3 * stride < self.codes.len(), "code slots in range");
+        for (l, code) in codes.into_iter().enumerate() {
+            // SAFETY: `at + l·stride ≤ at + 3·stride`, in range by the assert.
+            *self.codes.get_unchecked_mut(at + l * stride) = code;
+        }
+        Some(r32)
+    }
+}
+
+/// The decode step: codes from cursor `ci`, out-of-band values from cursor
+/// `oi`; `ok` clears on a side-channel underrun. Copies are independent
+/// cursors, for walks that fan out over a stream's sub-ranges.
+#[derive(Debug, Clone, Copy)]
+pub struct Recover<'a> {
+    /// The codes section.
+    pub codes: &'a [u32],
+    /// The next code in visit order.
+    pub ci: usize,
+    /// The side channel.
+    pub outliers: &'a [f32],
+    /// The next side-channel value.
+    pub oi: usize,
+    /// False once the side channel has run short.
+    pub ok: bool,
+}
+
+impl<'a> Recover<'a> {
+    /// Both cursors at the start.
+    pub fn new(codes: &'a [u32], outliers: &'a [f32]) -> Self {
+        Recover {
+            codes,
+            ci: 0,
+            outliers,
+            oi: 0,
+            ok: true,
+        }
+    }
+}
+
+impl PointStep for Recover<'_> {
+    #[inline]
+    fn point(&mut self, q: &LinearQuantizer, _cur: f32, pred: f64) -> f32 {
+        let code = self.codes[self.ci];
+        self.ci += 1;
+        recover_value(q, pred, code, self.outliers, &mut self.oi, &mut self.ok)
+    }
+
+    #[inline]
+    fn point_at(&mut self, q: &LinearQuantizer, at: usize, cur: f32, pred: f64) -> f32 {
+        match self.codes[at] {
+            LinearQuantizer::UNPREDICTABLE => cur,
+            code => q.recover(code, pred) as f32,
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quad(&mut self, k: &Quad, cur: __m128, pred: __m256d) -> Option<__m128> {
+        let codes = self.codes[self.ci..self.ci + 4]
+            .try_into()
+            .expect("a four-code slice");
+        let (r32, out) = k.recover(codes, pred, cur);
+        if out {
+            return None;
+        }
+        self.ci += 4;
+        Some(r32)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quad_at(
+        &mut self,
+        k: &Quad,
+        at: usize,
+        stride: usize,
+        cur: __m128,
+        pred: __m256d,
+    ) -> Option<__m128> {
+        assert!(at + 3 * stride < self.codes.len(), "code slots in range");
+        // SAFETY: the four slots end at `at + 3·stride`, in range by the
+        // assert.
+        let p = self.codes.as_ptr().add(at);
+        let codes = [*p, *p.add(stride), *p.add(2 * stride), *p.add(3 * stride)];
+        Some(k.recover(codes, pred, cur).0)
+    }
 }
 
 #[cfg(test)]

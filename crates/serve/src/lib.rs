@@ -402,6 +402,9 @@ impl<F: Frames> Server<F> {
     }
 
     /// Arms online repair with one optional parity sidecar per frame.
+    /// Fails with [`StoreError::SidecarMismatch`] if a sidecar does not
+    /// describe its frame, or [`StoreError::Malformed`] if the count differs
+    /// from the frame count.
     fn arm(mut self, sidecars: Vec<Option<ParitySidecar>>) -> Result<Self, StoreError> {
         if sidecars.len() != self.reader.frame_count() {
             return Err(StoreError::Malformed("one parity slot per frame"));
@@ -879,13 +882,6 @@ impl<F: Frames> Server<F> {
 
 /// The snapshot arity: a [`StoreServer`] *is* its only frame.
 impl Server<StoreReader> {
-    /// Arms online repair with a parity sidecar (builder form). Fails with
-    /// [`StoreError::SidecarMismatch`] if the sidecar describes a different
-    /// store than the wrapped reader.
-    pub fn with_parity(self, sidecar: ParitySidecar) -> Result<Self, StoreError> {
-        self.arm(vec![Some(sidecar)])
-    }
-
     /// The store's directory.
     pub fn meta(&self) -> &StoreMeta {
         self.reader.meta()
@@ -947,14 +943,6 @@ impl ChunkSource for Server<StoreReader> {
 
 /// The series arity: reads name their frame.
 impl Server<TemporalReader> {
-    /// Arms online repair with one optional parity sidecar per frame
-    /// (builder form). Fails with [`StoreError::SidecarMismatch`] if a
-    /// provided sidecar does not describe its frame, or
-    /// [`StoreError::Malformed`] if the count differs from the frame count.
-    pub fn with_parity(self, sidecars: Vec<Option<ParitySidecar>>) -> Result<Self, StoreError> {
-        self.arm(sidecars)
-    }
-
     /// Arms online repair from the `.hqpr` files next to the store's frame
     /// files, tolerating absent or damaged sidecars per frame (those frames
     /// simply stay unprotected).

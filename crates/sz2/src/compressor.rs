@@ -7,14 +7,18 @@
 //! fixed offsets instead of seven bounds-tested coordinate probes, with the
 //! plane predictor's row terms hoisted (`(c0 + c1·x) + c2·y` once per row;
 //! the float associativity is unchanged, so predictions are bit-identical).
-//! The pre-overhaul per-point loops survive in [`reference`] as the
-//! differential oracle.
+//! One walk, `walk_block`, serves both directions: it hands every cell to a
+//! [`PointStep`] — [`Quantize`] under `encode_blocks`, [`Recover`] under
+//! `decode_blocks` — so only predictor selection and stream parsing differ
+//! between them. The pre-overhaul per-point loops survive in [`reference`]
+//! as the differential oracle.
 
 use hqmr_codec::kernels::{self, SharedSlice, SimdLevel, PAR_MIN_CELLS};
+use hqmr_codec::quantizer::{quantize_store, recover_value, PointStep, Quantize, Recover};
 use hqmr_codec::{
     check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, push_stream_id,
     rle_decode, rle_encode, tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container,
-    Cur, LinearQuantizer, QuantOutcome,
+    Cur, LinearQuantizer,
 };
 use hqmr_grid::{BlockGrid, BlockRef, Dims3, Field3};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -259,36 +263,6 @@ fn estimate_plane_err(field: &Field3, origin: [usize; 3], size: Dims3, plane: &P
     }
 }
 
-/// Quantizes `actual` against `pred`, pushing the code and maintaining the
-/// invariant that the returned value (stored in the reconstruction buffer)
-/// matches decompression bit-for-bit.
-#[inline]
-fn encode_point(
-    q: &LinearQuantizer,
-    actual: f32,
-    pred: f64,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
-) -> f32 {
-    match q.quantize(actual as f64, pred) {
-        QuantOutcome::Predicted { code, recon } => {
-            let r32 = recon as f32;
-            if (r32 as f64 - actual as f64).abs() <= q.eb() {
-                codes.push(code);
-                return r32;
-            }
-            codes.push(LinearQuantizer::UNPREDICTABLE);
-            outliers.push(actual);
-            actual
-        }
-        QuantOutcome::Unpredictable => {
-            codes.push(LinearQuantizer::UNPREDICTABLE);
-            outliers.push(actual);
-            actual
-        }
-    }
-}
-
 /// The stream sections an encode accumulates, in block order — an array's,
 /// or in a wavefront one x-slab's run of them.
 #[derive(Default)]
@@ -306,6 +280,14 @@ impl EncodeState {
             codes: Vec::with_capacity(cells),
             flags: Vec::with_capacity(blocks),
             ..Default::default()
+        }
+    }
+
+    /// The encode step, recording into these sections.
+    fn step(&mut self) -> Quantize<'_> {
+        Quantize {
+            codes: &mut self.codes,
+            outliers: &mut self.outliers,
         }
     }
 
@@ -347,7 +329,8 @@ fn select_block(
 
 /// Runs the predictor-selection + quantization kernels over every block and
 /// returns the reconstruction with the stream sections. `recon` is only an
-/// allocation to build the reconstruction in.
+/// allocation to build the reconstruction in: it starts as a copy of the
+/// field, which the block walks quantize in place.
 ///
 /// Blocks are walked slab-major — one x-slab of blocks at a time, each in
 /// raster `(by, bz)` order — which is [`BlockGrid::iter`]'s order, so a
@@ -365,7 +348,7 @@ fn encode_blocks(
     let grid = BlockGrid::new(dims, codec.block);
     let q = LinearQuantizer::new(eb);
     recon.clear();
-    recon.resize(dims.len(), 0.0);
+    recon.extend_from_slice(field.data());
     let nt = rayon::current_num_threads().min(grid.counts().nx);
     let st = if dims.len() >= PAR_MIN_CELLS && nt >= 2 {
         encode_wavefront(field, &grid, &q, &mut recon, nt)
@@ -374,7 +357,15 @@ fn encode_blocks(
         let lvl = kernels::simd_level();
         for blk in grid.iter() {
             let plane = select_block(field, blk.origin, blk.size, &mut st);
-            quantize_block(&q, lvl, field, blk, plane, &mut recon, &mut st);
+            walk_block(
+                &q,
+                lvl,
+                dims,
+                blk,
+                plane.as_ref(),
+                &mut recon,
+                &mut st.step(),
+            );
         }
         st
     };
@@ -446,13 +437,13 @@ fn encode_wavefront(
                 }
                 // SAFETY: slab `bx` writes only the cells of its own
                 // x-planes, each once, and reads only cells of its own
-                // planes it has already written and cells of slab `bx − 1`'s
-                // last x-plane in blocks that slab has published as finished
-                // (the `Release` store below / the `Acquire` load above). No
-                // cell is written by one thread while another reads or
-                // writes it, so the views taken one per block never race.
+                // planes and cells of slab `bx − 1`'s last x-plane in blocks
+                // that slab has published as finished (the `Release` store
+                // below / the `Acquire` load above). No cell is written by
+                // one thread while another reads or writes it, so the views
+                // taken one per block never race.
                 let recon = unsafe { shared.slice() };
-                quantize_block(q, lvl, field, blk, plane, recon, &mut st);
+                walk_block(q, lvl, dims, blk, plane.as_ref(), recon, &mut st.step());
                 done[bx].store(raster + 1, Ordering::Release);
             }
         }
@@ -480,36 +471,26 @@ fn encode_wavefront(
     st
 }
 
-/// Quantizes one block against its selected predictor — the fitted `plane`,
-/// or Lorenzo over `recon` without one — writing the block's reconstruction
-/// into `recon` and its codes and outliers into `st`.
-fn quantize_block(
+/// Walks one block against its selected predictor — the fitted `plane`, or
+/// Lorenzo over `buf` without one — handing every cell, in raster order, to
+/// `step` with its prediction and writing back what it returns: one walk for
+/// both directions. `buf` holds the field going in on encode (the walk
+/// leaves the reconstruction) and the cells decoded so far on decode.
+fn walk_block<S: PointStep>(
     q: &LinearQuantizer,
     lvl: SimdLevel,
-    field: &Field3,
+    dims: Dims3,
     blk: BlockRef,
-    plane: Option<Plane>,
-    recon: &mut [f32],
-    st: &mut EncodeState,
+    plane: Option<&Plane>,
+    buf: &mut [f32],
+    step: &mut S,
 ) {
-    let dims = field.dims();
-    let data = field.data();
     let (sx, sy) = (dims.ny * dims.nz, dims.nz);
     match plane {
         Some(plane) => match lvl {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => unsafe {
-                simd::quant_plane_block_avx2(
-                    q,
-                    data,
-                    recon,
-                    dims,
-                    blk.origin,
-                    blk.size,
-                    &plane,
-                    &mut st.codes,
-                    &mut st.outliers,
-                )
+                simd::walk_plane_block_avx2(q, buf, dims, blk.origin, blk.size, plane, step)
             },
             _ => {
                 let c3 = plane.c[3] as f64;
@@ -519,15 +500,8 @@ fn quantize_block(
                         // ((c0 + c1·x) + c2·y) + c3·z, the `eval` association.
                         let bxy = bx + plane.c[2] as f64 * y as f64;
                         let row = dims.idx(blk.origin[0] + x, blk.origin[1] + y, blk.origin[2]);
-                        for z in 0..blk.size.nz {
-                            let pred = bxy + c3 * z as f64;
-                            recon[row + z] = encode_point(
-                                q,
-                                data[row + z],
-                                pred,
-                                &mut st.codes,
-                                &mut st.outliers,
-                            );
+                        for (z, v) in buf[row..row + blk.size.nz].iter_mut().enumerate() {
+                            *v = step.point(q, *v, bxy + c3 * z as f64);
                         }
                     }
                 }
@@ -542,36 +516,27 @@ fn quantize_block(
                     if gx == 0 || gy == 0 {
                         // Domain face: every cell needs the edge-aware gather.
                         for z in 0..blk.size.nz {
-                            let gz = blk.origin[2] + z;
-                            let pred = lorenzo(recon, dims, gx, gy, gz);
-                            recon[row + z] = encode_point(
-                                q,
-                                data[row + z],
-                                pred,
-                                &mut st.codes,
-                                &mut st.outliers,
-                            );
+                            let pred = lorenzo(buf, dims, gx, gy, blk.origin[2] + z);
+                            buf[row + z] = step.point(q, buf[row + z], pred);
                         }
                     } else {
                         let mut i = row;
                         if blk.origin[2] == 0 {
                             // First cell reads z−1 out of domain.
-                            let pred = lorenzo(recon, dims, gx, gy, 0);
-                            recon[i] =
-                                encode_point(q, data[i], pred, &mut st.codes, &mut st.outliers);
+                            let pred = lorenzo(buf, dims, gx, gy, 0);
+                            buf[i] = step.point(q, buf[i], pred);
                             i += 1;
                         }
                         if i < row + blk.size.nz {
-                            // Carry the z−1 reconstruction in a register: it
-                            // is the value this loop just stored, and
-                            // reloading it would put a store-to-load forward
-                            // on the critical path.
-                            let mut prev = recon[i - 1];
+                            // Carry the z−1 value in a register: it is the
+                            // value this loop just stored, and reloading it
+                            // would put a store-to-load forward on the
+                            // critical path.
+                            let mut prev = buf[i - 1];
                             while i < row + blk.size.nz {
-                                let pred = lorenzo_interior_carried(recon, i, sx, sy, prev);
-                                prev =
-                                    encode_point(q, data[i], pred, &mut st.codes, &mut st.outliers);
-                                recon[i] = prev;
+                                let pred = lorenzo_interior_carried(buf, i, sx, sy, prev);
+                                prev = step.point(q, buf[i], pred);
+                                buf[i] = prev;
                                 i += 1;
                             }
                         }
@@ -689,142 +654,22 @@ fn parse(bytes: &[u8]) -> Result<Parsed, CodecError> {
     })
 }
 
-/// Recovers one cell from its code, drawing out-of-band values from the
-/// outlier cursor. Clears `ok` on underrun (decode continues with zeros so
-/// one typed error surfaces at the end, like the reference path).
-#[inline]
-fn decode_value(
-    q: &LinearQuantizer,
-    pred: f64,
-    code: u32,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) -> f32 {
-    if code == LinearQuantizer::UNPREDICTABLE {
-        match outliers.get(*oi) {
-            Some(&v) => {
-                *oi += 1;
-                v
-            }
-            None => {
-                *ok = false;
-                0.0
-            }
-        }
-    } else {
-        q.recover(code, pred) as f32
-    }
-}
-
-/// Reconstructs every block from a parsed stream — the interior/boundary
-/// split mirror of [`encode_blocks`].
+/// Reconstructs every block from a parsed stream: the flags pick each
+/// block's predictor, and [`walk_block`] recovers it.
 fn decode_blocks(p: &Parsed, recon: &mut [f32]) -> Result<(), CodecError> {
-    let dims = p.dims;
-    let grid = BlockGrid::new(dims, p.block);
+    let grid = BlockGrid::new(p.dims, p.block);
     let q = LinearQuantizer::new(p.eb);
-    let (sx, sy) = (dims.ny * dims.nz, dims.nz);
-    let mut plane_it = p.planes.iter();
-    let (mut ci, mut oi) = (0usize, 0usize);
-    let mut ok = true;
-
     let lvl = kernels::simd_level();
-    for (bi, blk) in grid.iter().enumerate() {
-        if p.flags[bi] == 1 {
-            let plane = plane_it
-                .next()
-                .ok_or(CodecError::Malformed("coefficients"))?;
-            let n = blk.size.len();
-            match lvl {
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => unsafe {
-                    simd::recover_plane_block_avx2(
-                        &q,
-                        &p.codes[ci..ci + n],
-                        recon,
-                        dims,
-                        blk.origin,
-                        blk.size,
-                        plane,
-                        &p.outliers,
-                        &mut oi,
-                        &mut ok,
-                    )
-                },
-                _ => {
-                    let c3 = plane.c[3] as f64;
-                    let mut k = ci;
-                    for x in 0..blk.size.nx {
-                        let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
-                        for y in 0..blk.size.ny {
-                            // ((c0 + c1·x) + c2·y) + c3·z, the `eval` association.
-                            let bxy = bx + plane.c[2] as f64 * y as f64;
-                            let row = dims.idx(blk.origin[0] + x, blk.origin[1] + y, blk.origin[2]);
-                            for z in 0..blk.size.nz {
-                                let pred = bxy + c3 * z as f64;
-                                recon[row + z] = decode_value(
-                                    &q,
-                                    pred,
-                                    p.codes[k + z],
-                                    &p.outliers,
-                                    &mut oi,
-                                    &mut ok,
-                                );
-                            }
-                            k += blk.size.nz;
-                        }
-                    }
-                }
-            }
-            ci += n;
-        } else {
-            for x in 0..blk.size.nx {
-                let gx = blk.origin[0] + x;
-                for y in 0..blk.size.ny {
-                    let gy = blk.origin[1] + y;
-                    let row = dims.idx(gx, gy, blk.origin[2]);
-                    if gx == 0 || gy == 0 {
-                        for z in 0..blk.size.nz {
-                            let gz = blk.origin[2] + z;
-                            let pred = lorenzo(recon, dims, gx, gy, gz);
-                            recon[row + z] =
-                                decode_value(&q, pred, p.codes[ci], &p.outliers, &mut oi, &mut ok);
-                            ci += 1;
-                        }
-                    } else {
-                        let mut i = row;
-                        if blk.origin[2] == 0 {
-                            let pred = lorenzo(recon, dims, gx, gy, 0);
-                            recon[i] =
-                                decode_value(&q, pred, p.codes[ci], &p.outliers, &mut oi, &mut ok);
-                            ci += 1;
-                            i += 1;
-                        }
-                        if i < row + blk.size.nz {
-                            // Register-carried z−1 value, mirroring the
-                            // encode loop (see `lorenzo_interior_carried`).
-                            let mut prev = recon[i - 1];
-                            while i < row + blk.size.nz {
-                                let pred = lorenzo_interior_carried(recon, i, sx, sy, prev);
-                                prev = decode_value(
-                                    &q,
-                                    pred,
-                                    p.codes[ci],
-                                    &p.outliers,
-                                    &mut oi,
-                                    &mut ok,
-                                );
-                                recon[i] = prev;
-                                ci += 1;
-                                i += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    let mut planes = p.planes.iter();
+    let mut step = Recover::new(&p.codes, &p.outliers);
+    for (blk, &flag) in grid.iter().zip(&p.flags) {
+        let plane = match flag {
+            1 => Some(planes.next().ok_or(CodecError::Malformed("coefficients"))?),
+            _ => None,
+        };
+        walk_block(&q, lvl, p.dims, blk, plane, recon, &mut step);
     }
-    if !ok {
+    if !step.ok {
         return Err(CodecError::Malformed("stream underrun"));
     }
     Ok(())
@@ -868,8 +713,13 @@ pub mod reference {
                                     (blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
                                 let actual = field.get(gx, gy, gz);
                                 let pred = plane.eval(x, y, z);
-                                recon[dims.idx(gx, gy, gz)] =
-                                    encode_point(&q, actual, pred, &mut st.codes, &mut st.outliers);
+                                recon[dims.idx(gx, gy, gz)] = quantize_store(
+                                    &q,
+                                    actual,
+                                    pred,
+                                    &mut st.codes,
+                                    &mut st.outliers,
+                                );
                             }
                         }
                     }
@@ -882,8 +732,13 @@ pub mod reference {
                                     (blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
                                 let actual = field.get(gx, gy, gz);
                                 let pred = lorenzo(&recon, dims, gx, gy, gz);
-                                recon[dims.idx(gx, gy, gz)] =
-                                    encode_point(&q, actual, pred, &mut st.codes, &mut st.outliers);
+                                recon[dims.idx(gx, gy, gz)] = quantize_store(
+                                    &q,
+                                    actual,
+                                    pred,
+                                    &mut st.codes,
+                                    &mut st.outliers,
+                                );
                             }
                         }
                     }
@@ -923,7 +778,7 @@ pub mod reference {
                                 dims.idx(blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
                             let pred = plane.eval(x, y, z);
                             recon[idx] =
-                                decode_value(&q, pred, p.codes[ci], &p.outliers, &mut oi, &mut ok);
+                                recover_value(&q, pred, p.codes[ci], &p.outliers, &mut oi, &mut ok);
                             ci += 1;
                         }
                     }
@@ -936,7 +791,7 @@ pub mod reference {
                                 (blk.origin[0] + x, blk.origin[1] + y, blk.origin[2] + z);
                             let pred = lorenzo(recon, dims, gx, gy, gz);
                             recon[dims.idx(gx, gy, gz)] =
-                                decode_value(&q, pred, p.codes[ci], &p.outliers, &mut oi, &mut ok);
+                                recover_value(&q, pred, p.codes[ci], &p.outliers, &mut oi, &mut ok);
                             ci += 1;
                         }
                     }

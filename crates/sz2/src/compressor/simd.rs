@@ -14,25 +14,18 @@
 //!   running total is a serial float sum whose association is
 //!   selection-relevant — lanes are added back one at a time in point order.
 //!
-//! The quantization runs take an all-lanes-pass fast path and replay the
-//! whole group through the scalar [`super::encode_point`] /
-//! [`super::decode_value`] when any lane is an outlier, a rounding tie, or
-//! fails a recheck — the side-channel pushes stay in point order.
+//! The plane walk ([`walk_plane_block_avx2`]) serves both directions, like
+//! the scalar [`super::walk_block`]: it hands groups of four cells to the
+//! point step's [`Quad`] form, which turns a group down when any lane is an
+//! outlier, a rounding tie, or fails a recheck — the group then replays
+//! through the scalar [`PointStep::point`], so the side channel stays in
+//! point order.
 
-use super::{decode_value, encode_point, lorenzo, lorenzo_interior, Plane};
+use super::{lorenzo, lorenzo_interior, Plane};
+use hqmr_codec::quantizer::{abs4, PointStep, Quad};
 use hqmr_codec::LinearQuantizer;
 use hqmr_grid::{Dims3, Field3};
 use std::arch::x86_64::*;
-
-/// `nextDown(0.5)` — the rounding tie [`hqmr_codec::round_ties_away_i64`]
-/// guards against; tie lanes take the scalar replay path.
-const TIE: f64 = 0.499_999_999_999_999_94;
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn abs4(x: __m256d) -> __m256d {
-    _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
-}
 
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -206,35 +199,25 @@ pub(super) unsafe fn plane_err_block_avx2(
     acc
 }
 
-/// AVX2 arm of the plane-path quantize over a whole block. Groups of four
-/// take the vector fast path only when every lane is predicted, tie-free and
-/// passes both reconstruction rechecks; otherwise the group replays through
-/// [`encode_point`] so codes, outliers and reconstructions land exactly as
-/// the scalar loop would.
+/// AVX2 arm of the plane-path walk over a whole block: groups of four
+/// cells go to [`PointStep::quad`], and a group it turns down replays
+/// through [`PointStep::point`], so codes, outliers and values land exactly
+/// as the scalar loop would put them.
 ///
 /// # Safety
 /// Requires AVX2 (guaranteed by the dispatcher).
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn quant_plane_block_avx2(
+pub(super) unsafe fn walk_plane_block_avx2<S: PointStep>(
     q: &LinearQuantizer,
-    data: &[f32],
-    recon: &mut [f32],
+    buf: &mut [f32],
     dims: Dims3,
     origin: [usize; 3],
     size: Dims3,
     plane: &Plane,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
+    step: &mut S,
 ) {
+    let k = Quad::new(q);
     let c3 = plane.c[3] as f64;
-    let sign = _mm256_set1_pd(-0.0);
-    let half = _mm256_set1_pd(0.5);
-    let eb2v = _mm256_set1_pd(2.0 * q.eb());
-    let ebv = _mm256_set1_pd(q.eb());
-    let limv = _mm256_set1_pd((q.radius() - 1) as f64 - 0.5);
-    let tiev = _mm256_set1_pd(TIE);
-    let radv = _mm_set1_epi32(q.radius() as i32);
     let c3v = _mm256_set1_pd(c3);
     let four = _mm256_set1_pd(4.0);
     let zv0 = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
@@ -244,108 +227,28 @@ pub(super) unsafe fn quant_plane_block_avx2(
             // ((c0 + c1·x) + c2·y) + c3·z, the `eval` association.
             let bxy = bx + plane.c[2] as f64 * y as f64;
             let row = dims.idx(origin[0] + x, origin[1] + y, origin[2]);
+            let cells = &mut buf[row..row + size.nz];
             let bxv = _mm256_set1_pd(bxy);
             let mut zv = zv0;
             let mut z = 0usize;
             while z + 4 <= size.nz {
                 let pred = _mm256_add_pd(bxv, _mm256_mul_pd(c3v, zv));
-                let a = ld4(data, row + z);
-                let t = _mm256_div_pd(_mm256_sub_pd(a, pred), eb2v);
-                let tabs = abs4(t);
-                // In-range (NaN fails, like the scalar negated compare) and
-                // not the rounding tie.
-                let ok1 = _mm256_cmp_pd::<_CMP_LT_OQ>(tabs, limv);
-                let tie = _mm256_cmp_pd::<_CMP_EQ_OQ>(tabs, tiev);
-                let rt = _mm256_add_pd(t, _mm256_or_pd(_mm256_and_pd(t, sign), half));
-                let qi = _mm256_cvttpd_epi32(rt); // |t| < 32766.5: fits i32
-                let recon64 = _mm256_add_pd(pred, _mm256_mul_pd(eb2v, _mm256_cvtepi32_pd(qi)));
-                let ok2 = _mm256_cmp_pd::<_CMP_LE_OQ>(abs4(_mm256_sub_pd(recon64, a)), ebv);
-                let r32 = _mm256_cvtpd_ps(recon64);
-                let ok3 =
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(abs4(_mm256_sub_pd(_mm256_cvtps_pd(r32), a)), ebv);
-                let ok = _mm256_and_pd(_mm256_and_pd(ok1, ok2), ok3);
-                if _mm256_movemask_pd(ok) == 0xF && _mm256_movemask_pd(tie) == 0 {
-                    let mut cs = [0u32; 4];
-                    _mm_storeu_si128(cs.as_mut_ptr() as *mut __m128i, _mm_add_epi32(qi, radv));
-                    codes.extend_from_slice(&cs);
-                    _mm_storeu_ps(recon.as_mut_ptr().add(row + z), r32);
-                } else {
-                    for j in z..z + 4 {
-                        let p = bxy + c3 * j as f64;
-                        recon[row + j] = encode_point(q, data[row + j], p, codes, outliers);
+                // SAFETY: `z + 4 <= size.nz == cells.len()`.
+                let at = cells.as_mut_ptr().add(z);
+                match step.quad(&k, _mm_loadu_ps(at), pred) {
+                    Some(r32) => _mm_storeu_ps(at, r32),
+                    None => {
+                        for (j, v) in cells[z..z + 4].iter_mut().enumerate() {
+                            *v = step.point(q, *v, bxy + c3 * (z + j) as f64);
+                        }
                     }
                 }
                 zv = _mm256_add_pd(zv, four);
                 z += 4;
             }
-            while z < size.nz {
-                let p = bxy + c3 * z as f64;
-                recon[row + z] = encode_point(q, data[row + z], p, codes, outliers);
-                z += 1;
+            for (z, v) in cells.iter_mut().enumerate().skip(z) {
+                *v = step.point(q, *v, bxy + c3 * z as f64);
             }
-        }
-    }
-}
-
-/// AVX2 arm of the plane-path recover over a whole block: codes back to
-/// reconstructions. Any `UNPREDICTABLE` lane replays the group through
-/// [`decode_value`] (outlier cursor order is preserved). `codes` holds
-/// exactly this block's codes in point order.
-///
-/// # Safety
-/// Requires AVX2 (guaranteed by the dispatcher).
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn recover_plane_block_avx2(
-    q: &LinearQuantizer,
-    codes: &[u32],
-    recon: &mut [f32],
-    dims: Dims3,
-    origin: [usize; 3],
-    size: Dims3,
-    plane: &Plane,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) {
-    let c3 = plane.c[3] as f64;
-    let eb2v = _mm256_set1_pd(2.0 * q.eb());
-    let radv = _mm_set1_epi32(q.radius() as i32);
-    let zero = _mm_setzero_si128();
-    let c3v = _mm256_set1_pd(c3);
-    let four = _mm256_set1_pd(4.0);
-    let zv0 = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-    let mut k = 0usize; // cursor into this block's codes
-    for x in 0..size.nx {
-        let bx = plane.c[0] as f64 + plane.c[1] as f64 * x as f64;
-        for y in 0..size.ny {
-            let bxy = bx + plane.c[2] as f64 * y as f64;
-            let row = dims.idx(origin[0] + x, origin[1] + y, origin[2]);
-            let bxv = _mm256_set1_pd(bxy);
-            let mut zv = zv0;
-            let mut z = 0usize;
-            while z + 4 <= size.nz {
-                let c = _mm_loadu_si128(codes.as_ptr().add(k + z) as *const __m128i);
-                if _mm_movemask_epi8(_mm_cmpeq_epi32(c, zero)) == 0 {
-                    let qf = _mm256_cvtepi32_pd(_mm_sub_epi32(c, radv));
-                    let pred = _mm256_add_pd(bxv, _mm256_mul_pd(c3v, zv));
-                    let recon64 = _mm256_add_pd(pred, _mm256_mul_pd(eb2v, qf));
-                    _mm_storeu_ps(recon.as_mut_ptr().add(row + z), _mm256_cvtpd_ps(recon64));
-                } else {
-                    for j in z..z + 4 {
-                        let p = bxy + c3 * j as f64;
-                        recon[row + j] = decode_value(q, p, codes[k + j], outliers, oi, ok);
-                    }
-                }
-                zv = _mm256_add_pd(zv, four);
-                z += 4;
-            }
-            while z < size.nz {
-                let p = bxy + c3 * z as f64;
-                recon[row + z] = decode_value(q, p, codes[k + z], outliers, oi, ok);
-                z += 1;
-            }
-            k += size.nz;
         }
     }
 }

@@ -13,18 +13,21 @@
 //!   Prediction-kind statistics ([`interp_stats`]) come from the same
 //!   geometry (lines × per-line segment counts) with no pass over data.
 //!
+//!   Both passes run the same walks: a walk computes each point's
+//!   prediction and hands the point to a [`PointStep`] — [`Quantize`] in
+//!   compress, [`Recover`] in decompress — so visit order, segment split
+//!   and prediction expressions are written once for both directions.
 //!   Each sweep runs on one of three bit-identical arms, picked by
-//!   `sweep_arm`: the scalar line kernels `compress_line` /
-//!   `decompress_line` (the oracle, and the only arm under
-//!   `HQMR_FORCE_SCALAR` or without AVX2); AVX2 line kernels for the finest
-//!   `z` sweep, whose lines are contiguous stride-2 walks; and, for every x
-//!   and y sweep at every level, an AVX2 walk *across* lines — for each
-//!   outer coordinate and each target position `k`, the lines adjacent in
-//!   `z` four at a time, which at the finest level is the same stride-2
-//!   load the `z` kernel does (`simd.rs` module docs). That walk leaves
-//!   traversal order, so it writes each code at its line-major slot and
-//!   orders the outlier side channel with one scan of the sweep's codes:
-//!   after the walk in compress (an out-of-band cell still holds its
+//!   `sweep_arm`: the scalar line walk `walk_line` (the oracle, and the
+//!   only arm under `HQMR_FORCE_SCALAR` or without AVX2); an AVX2 line walk
+//!   for the finest `z` sweep, whose lines are contiguous stride-2 walks;
+//!   and, for every x and y sweep at every level, an AVX2 walk *across*
+//!   lines — for each outer coordinate and each target position `k`, the
+//!   lines adjacent in `z` four at a time, which at the finest level is the
+//!   same stride-2 load the `z` walk does (`simd.rs` module docs). That
+//!   walk leaves traversal order, so it steps each code at its line-major
+//!   slot and orders the outlier side channel with one scan of the sweep's
+//!   codes: after the walk in compress (an out-of-band cell still holds its
 //!   original value), before it in decompress (pre-filling those cells).
 //!   Large decode sweeps fan out across the rayon shim — by line on the line
 //!   arms, by slab of one outer coordinate × 64 lanes on the across arm.
@@ -42,7 +45,8 @@
 //! tests make it checked, not assumed.
 
 use hqmr_codec::kernels::{self, SharedSlice, SimdLevel};
-use hqmr_codec::{LinearQuantizer, QuantOutcome};
+use hqmr_codec::quantizer::{self, PointStep, Quantize, Recover};
+use hqmr_codec::LinearQuantizer;
 use hqmr_grid::Dims3;
 use rayon::prelude::*;
 
@@ -166,102 +170,36 @@ impl LineGeom {
     }
 }
 
-/// Quantizes `cur` against `pred`: the code, and the value decompression
-/// will reproduce — `cur` itself for an out-of-band point, whose original
-/// value the caller routes to the side channel.
-#[inline]
-fn quantize_code(q: &LinearQuantizer, cur: f32, pred: f64) -> (u32, f32) {
-    match q.quantize(cur as f64, pred) {
-        QuantOutcome::Predicted { code, recon } => {
-            let r32 = recon as f32;
-            // Re-check at f32 precision (the stored type).
-            if (r32 as f64 - cur as f64).abs() <= q.eb() {
-                return (code, r32);
-            }
-            (LinearQuantizer::UNPREDICTABLE, cur)
-        }
-        QuantOutcome::Unpredictable => (LinearQuantizer::UNPREDICTABLE, cur),
-    }
-}
-
-/// Quantizes `cur` against `pred`, pushing the code (and, for out-of-band
-/// points, the original value) while returning the value decompression will
-/// reproduce — the invariant that keeps both directions bit-identical.
-#[inline]
-fn quantize_store(
-    q: &LinearQuantizer,
-    cur: f32,
-    pred: f64,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
-) -> f32 {
-    let (code, v) = quantize_code(q, cur, pred);
-    codes.push(code);
-    if code == LinearQuantizer::UNPREDICTABLE {
-        outliers.push(cur);
-    }
-    v
-}
-
-/// Recovers one value from its code (out-of-band values come from
-/// `outliers`). On outlier underrun, clears `ok` and substitutes 0 — the
-/// traversal continues so the caller can surface one typed error at the end,
-/// exactly like the reference path.
-#[inline]
-fn recover_value(
-    q: &LinearQuantizer,
-    pred: f64,
-    code: u32,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) -> f32 {
-    if code == LinearQuantizer::UNPREDICTABLE {
-        match outliers.get(*oi) {
-            Some(&v) => {
-                *oi += 1;
-                v
-            }
-            None => {
-                *ok = false;
-                0.0
-            }
-        }
-    } else {
-        q.recover(code, pred) as f32
-    }
-}
-
-/// Compression kernel for one line: points at odd multiples of `s` along
-/// element stride `e`, peeled into the [`LineGeom`] segments. Every
-/// prediction reads even multiples only — never a value this line writes —
-/// so the interior loops carry no dependency and keep a *rolling window* of
-/// neighbour values: consecutive cubic points share three of their four
-/// support points, so each iteration loads exactly one new value. The f64
-/// expressions match [`super::reference`] term for term, which (IEEE
+/// One line's walk: points at odd multiples of `s` along element stride `e`,
+/// peeled into the [`LineGeom`] segments, each handed to `step` with its
+/// prediction and its value written back — one walk for both directions.
+/// Every prediction reads even multiples only — never a value this line
+/// writes — so the interior loops carry no dependency and keep a *rolling
+/// window* of neighbour values: consecutive cubic points share three of
+/// their four support points, so each iteration loads exactly one new value.
+/// The f64 expressions match [`super::reference`] term for term, which (IEEE
 /// determinism) makes the two paths bit-identical.
 #[inline]
 #[allow(clippy::too_many_arguments)] // the line kernel's full register set
-fn compress_line(
+fn walk_line<S: PointStep>(
     buf: &mut [f32],
     base: usize,
     e: usize,
     s: usize,
     g: &LineGeom,
     q: &LinearQuantizer,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
+    step: &mut S,
 ) {
     let se = s * e;
-    let step = 2 * se;
+    let stride = 2 * se;
     let mut i = base + se;
     if g.mid_head > 0 {
         let mut prev = buf[i - se] as f64;
         for _ in 0..g.mid_head {
             let next = buf[i + se] as f64;
             let pred = (prev + next) / 2.0;
-            buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-            i += step;
+            buf[i] = step.point(q, buf[i], pred);
+            i += stride;
             prev = next;
         }
     }
@@ -273,109 +211,40 @@ fn compress_line(
         let mut d = buf[i + se3] as f64;
         for _ in 1..g.cubic {
             let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-            buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-            i += step;
+            buf[i] = step.point(q, buf[i], pred);
+            i += stride;
             (a, b, c) = (b, c, d);
             d = buf[i + se3] as f64;
         }
         let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-        buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-        i += step;
+        buf[i] = step.point(q, buf[i], pred);
+        i += stride;
     }
     if g.mid_tail > 0 {
         let mut prev = buf[i - se] as f64;
         for _ in 0..g.mid_tail {
             let next = buf[i + se] as f64;
             let pred = (prev + next) / 2.0;
-            buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
-            i += step;
+            buf[i] = step.point(q, buf[i], pred);
+            i += stride;
             prev = next;
         }
     }
     if g.extra {
         let pred = buf[i - se] as f64;
-        buf[i] = quantize_store(q, buf[i], pred, codes, outliers);
+        buf[i] = step.point(q, buf[i], pred);
     }
 }
 
-/// Decompression kernel for one line — the mirror of [`compress_line`],
-/// including the rolling neighbour window (predictions read only even
-/// multiples, which decoding never rewrites mid-line).
-#[inline]
-#[allow(clippy::too_many_arguments)] // the line kernel's full register set
-fn decompress_line(
-    buf: &mut [f32],
-    base: usize,
-    e: usize,
-    s: usize,
-    g: &LineGeom,
-    q: &LinearQuantizer,
-    codes: &[u32],
-    ci: &mut usize,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) {
-    let se = s * e;
-    let step = 2 * se;
-    let mut i = base + se;
-    if g.mid_head > 0 {
-        let mut prev = buf[i - se] as f64;
-        for _ in 0..g.mid_head {
-            let next = buf[i + se] as f64;
-            let pred = (prev + next) / 2.0;
-            buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-            *ci += 1;
-            i += step;
-            prev = next;
-        }
-    }
-    if g.cubic > 0 {
-        let se3 = 3 * se;
-        let mut a = buf[i - se3] as f64;
-        let mut b = buf[i - se] as f64;
-        let mut c = buf[i + se] as f64;
-        let mut d = buf[i + se3] as f64;
-        for _ in 1..g.cubic {
-            let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-            buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-            *ci += 1;
-            i += step;
-            (a, b, c) = (b, c, d);
-            d = buf[i + se3] as f64;
-        }
-        let pred = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
-        buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-        *ci += 1;
-        i += step;
-    }
-    if g.mid_tail > 0 {
-        let mut prev = buf[i - se] as f64;
-        for _ in 0..g.mid_tail {
-            let next = buf[i + se] as f64;
-            let pred = (prev + next) / 2.0;
-            buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-            *ci += 1;
-            i += step;
-            prev = next;
-        }
-    }
-    if g.extra {
-        let pred = buf[i - se] as f64;
-        buf[i] = recover_value(q, pred, codes[*ci], outliers, oi, ok);
-        *ci += 1;
-    }
-}
-
-/// The kernel one sweep runs on. All three are bit-identical; the scalar
-/// [`compress_line`] / [`decompress_line`] are the oracle.
+/// The walk one sweep runs on, in either direction. All three are
+/// bit-identical; the scalar [`walk_line`] is the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Arm {
-    /// The scalar line kernels: every sweep under `HQMR_FORCE_SCALAR`, off
+    /// The scalar line walk: every sweep under `HQMR_FORCE_SCALAR`, off
     /// x86-64 and without AVX2; on AVX2, the coarse `z` sweeps and the
     /// x/y sweeps with fewer than four lines side by side in `z`.
     Scalar,
-    /// The AVX2 line kernels of the finest `z` sweep (`stride == 1 &&
+    /// The AVX2 line walk of the finest `z` sweep (`stride == 1 &&
     /// s == 1`): contiguous stride-2 lines, about half of all points.
     Z1,
     /// The AVX2 across-lines walk of an x or y sweep: for each outer
@@ -399,10 +268,10 @@ fn sweep_arm(sw: &Sweep) -> Arm {
     }
 }
 
-/// Encodes one line through the line arm selected by [`sweep_arm`].
+/// Walks one line through the line arm selected by [`sweep_arm`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn encode_line(
+fn walk_line_arm<S: PointStep>(
     arm: Arm,
     buf: &mut [f32],
     base: usize,
@@ -410,41 +279,13 @@ fn encode_line(
     s: usize,
     g: &LineGeom,
     q: &LinearQuantizer,
-    codes: &mut Vec<u32>,
-    outliers: &mut Vec<f32>,
+    step: &mut S,
 ) {
     match arm {
         // Safety: `Z1` is only picked on an AVX2 CPU, for the finest z sweep.
         #[cfg(target_arch = "x86_64")]
-        Arm::Z1 => unsafe { simd::compress_line_z1_avx2(buf, base, g, q, codes, outliers) },
-        _ => compress_line(buf, base, e, s, g, q, codes, outliers),
-    }
-}
-
-/// Decodes one line through the line arm selected by [`sweep_arm`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn decode_line(
-    arm: Arm,
-    buf: &mut [f32],
-    base: usize,
-    e: usize,
-    s: usize,
-    g: &LineGeom,
-    q: &LinearQuantizer,
-    codes: &[u32],
-    ci: &mut usize,
-    outliers: &[f32],
-    oi: &mut usize,
-    ok: &mut bool,
-) {
-    match arm {
-        // Safety: as in `encode_line`.
-        #[cfg(target_arch = "x86_64")]
-        Arm::Z1 => unsafe {
-            simd::decompress_line_z1_avx2(buf, base, g, q, codes, ci, outliers, oi, ok)
-        },
-        _ => decompress_line(buf, base, e, s, g, q, codes, ci, outliers, oi, ok),
+        Arm::Z1 => unsafe { simd::walk_line_z1_avx2(buf, base, g, q, step) },
+        _ => walk_line(buf, base, e, s, g, q, step),
     }
 }
 
@@ -506,7 +347,8 @@ impl Sweep {
 /// An x or y sweep seen across its lines, its steps in elements computed
 /// once: line `(c, j)` — outer coordinate index `c`, lane `j` along `z`,
 /// line `c·lanes + j` in traversal order — holds its `k`-th target at
-/// [`Across::cell`] and its code at [`Across::code`].
+/// [`Across::cell`] and its code at slot [`Across::code`] of the pass's
+/// codes.
 #[cfg(target_arch = "x86_64")]
 struct Across {
     outer: usize,
@@ -520,11 +362,13 @@ struct Across {
     /// Between a target and its nearest support.
     se: usize,
     per_line: usize,
+    /// The slot of the sweep's first code.
+    first: usize,
 }
 
 #[cfg(target_arch = "x86_64")]
 impl Across {
-    fn new(sw: &Sweep, g: &LineGeom) -> Self {
+    fn new(sw: &Sweep, g: &LineGeom, first: usize) -> Self {
         debug_assert_eq!(sw.o_strides[1], 1, "lanes run along z");
         let zs = sw.o_steps[1];
         Across {
@@ -535,7 +379,13 @@ impl Across {
             dense: if zs == 2 { sw.o_extents[1] / 8 * 4 } else { 0 },
             se: sw.s * sw.stride,
             per_line: g.per_line(),
+            first,
         }
+    }
+
+    /// The sweep's codes.
+    fn slots(&self) -> std::ops::Range<usize> {
+        self.first..self.first + self.outer * self.lanes * self.per_line
     }
 
     #[inline]
@@ -545,12 +395,13 @@ impl Across {
 
     #[inline]
     fn code(&self, c: usize, j: usize, k: usize) -> usize {
-        (c * self.lanes + j) * self.per_line + k
+        self.first + (c * self.lanes + j) * self.per_line + k
     }
 
-    /// Calls `f(cell)` for the cell of every `UNPREDICTABLE` code in the
-    /// sweep's `codes`, in code order — the side channel's order.
+    /// Calls `f(cell)` for the cell of every `UNPREDICTABLE` code of the
+    /// sweep in the pass's `codes`, in code order — the side channel's order.
     fn for_each_outlier(&self, codes: &[u32], mut f: impl FnMut(usize)) {
+        let codes = &codes[self.slots()];
         // Out-of-band codes are rare: most blocks fail an OR-fold of
         // equality tests, which the compiler vectorizes on baseline SSE2.
         const BLOCK: usize = 64;
@@ -651,14 +502,9 @@ pub fn compress_pass(
         return;
     }
     codes.reserve(buf.len());
+    let mut step = Quantize { codes, outliers };
     // Seed: the global first point, predicted from 0 ("level 0" in the paper).
-    buf[0] = quantize_store(
-        &quants[1.min(quants.len() - 1)],
-        buf[0],
-        0.0,
-        codes,
-        outliers,
-    );
+    buf[0] = step.point(&quants[1.min(quants.len() - 1)], buf[0], 0.0);
     for sw in sweeps(dims) {
         let q = &quants[sw.l_proc.min(quants.len() - 1)];
         let g = LineGeom::new(sw.n, sw.s, interp);
@@ -668,18 +514,17 @@ pub fn compress_pass(
                 // The walk writes each code at its line-major slot; an
                 // out-of-band cell ends the sweep holding its original value,
                 // so one scan in code order pushes the side channel.
-                let a = Across::new(&sw, &g);
-                let start = codes.len();
-                codes.resize(start + sw.lines() * a.per_line, 0);
-                let sweep = &mut codes[start..];
+                let a = Across::new(&sw, &g, step.codes.len());
+                step.codes.resize(a.slots().end, 0);
                 // Safety: `Arm::Across` is only picked on an AVX2 CPU, for
                 // an x or y sweep of `buf`.
-                if unsafe { simd::compress_across_avx2(buf, &a, &g, q, sweep) } {
-                    a.for_each_outlier(sweep, |cell| outliers.push(buf[cell]));
-                }
+                unsafe {
+                    simd::walk_across_avx2(buf, &a, &g, q, &mut step, 0..a.outer, 0..a.lanes)
+                };
+                a.for_each_outlier(step.codes, |cell| step.outliers.push(buf[cell]));
             }
             arm => sw.for_each_base(|base| {
-                encode_line(arm, buf, base, sw.stride, sw.s, &g, q, codes, outliers);
+                walk_line_arm(arm, buf, base, sw.stride, sw.s, &g, q, &mut step);
             }),
         }
         debug_assert_eq!(g.per_line(), (sw.n - 1 - sw.s) / (2 * sw.s) + 1);
@@ -706,17 +551,8 @@ pub fn decompress_pass(
     if buf.is_empty() {
         return true;
     }
-    let mut ok = true;
-    let (mut ci, mut oi) = (0usize, 0usize);
-    buf[0] = recover_value(
-        &quants[1.min(quants.len() - 1)],
-        0.0,
-        codes[0],
-        outliers,
-        &mut oi,
-        &mut ok,
-    );
-    ci += 1;
+    let mut step = Recover::new(codes, outliers);
+    buf[0] = step.point(&quants[1.min(quants.len() - 1)], buf[0], 0.0);
     let cores = rayon::current_num_threads();
     for sw in sweeps(dims) {
         let q = &quants[sw.l_proc.min(quants.len() - 1)];
@@ -727,23 +563,14 @@ pub fn decompress_pass(
         let par = cores > 1 && lines >= 2 && lines * per_line >= PAR_MIN_POINTS;
         #[cfg(target_arch = "x86_64")]
         if arm == Arm::Across {
-            let a = Across::new(&sw, &g);
-            let sweep = &codes[ci..ci + lines * per_line];
+            let a = Across::new(&sw, &g, step.ci);
             // The side channel is in code order, the walk is not: one scan
             // in code order pre-fills the out-of-band cells (underrun: 0 and
-            // a cleared flag, as `recover_value` does) and the walk leaves
-            // them be.
-            a.for_each_outlier(sweep, |cell| {
-                buf[cell] = match outliers.get(oi) {
-                    Some(&v) => {
-                        oi += 1;
-                        v
-                    }
-                    None => {
-                        ok = false;
-                        0.0
-                    }
-                };
+            // a cleared flag) and the walk leaves them be.
+            a.for_each_outlier(codes, |cell| {
+                let out = LinearQuantizer::UNPREDICTABLE;
+                buf[cell] =
+                    quantizer::recover_value(q, 0.0, out, outliers, &mut step.oi, &mut step.ok);
             });
             let (outer, lanes) = (a.outer, a.lanes);
             if par {
@@ -764,18 +591,19 @@ pub fn decompress_pass(
                         // own four-lane group's window, which no slab
                         // straddles (`PAR_LANES`). `Across` is only picked
                         // on an AVX2 CPU.
+                        let mut slab = step;
                         unsafe {
                             let b = shared.slice();
                             let js = j..(j + PAR_LANES).min(lanes);
-                            simd::decompress_across_avx2(b, &a, &g, q, sweep, c..c + 1, js);
+                            simd::walk_across_avx2(b, &a, &g, q, &mut slab, c..c + 1, js);
                         }
                     })
                     .collect();
             } else {
                 // Safety: as above.
-                unsafe { simd::decompress_across_avx2(buf, &a, &g, q, sweep, 0..outer, 0..lanes) };
+                unsafe { simd::walk_across_avx2(buf, &a, &g, q, &mut step, 0..outer, 0..lanes) };
             }
-            ci += sweep.len();
+            step.ci = a.slots().end;
             continue;
         }
         if par {
@@ -785,47 +613,39 @@ pub fn decompress_pass(
             // (each consumes exactly one side-channel value — on underrun a
             // worker substitutes zero and clears its flag, and the caller
             // discards the buffer).
-            let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(lines);
-            let (mut co, mut oo) = (ci, oi);
+            let mut jobs: Vec<(usize, Recover)> = Vec::with_capacity(lines);
+            let mut next = step;
             sw.for_each_base(|base| {
-                jobs.push((base, co, oo));
-                oo += codes[co..co + per_line]
+                jobs.push((base, next));
+                next.oi += codes[next.ci..next.ci + per_line]
                     .iter()
                     .filter(|&&c| c == LinearQuantizer::UNPREDICTABLE)
                     .count();
-                co += per_line;
+                next.ci += per_line;
             });
             let shared = SharedSlice::new(buf);
             let line_ok: Vec<bool> = jobs
                 .par_iter()
-                .map(|&(base, co, oo)| {
+                .map(|&(base, mut line)| {
                     // SAFETY: lines of one sweep write disjoint cells (odd
                     // multiples of `s` along the sweep dim, at distinct
                     // bases) and read only cells no line of the sweep
                     // writes (even multiples).
                     let b = unsafe { shared.slice() };
-                    let (mut ci_l, mut oi_l, mut ok_l) = (co, oo, true);
-                    decode_line(
-                        arm, b, base, sw.stride, sw.s, &g, q, codes, &mut ci_l, outliers,
-                        &mut oi_l, &mut ok_l,
-                    );
-                    ok_l
+                    walk_line_arm(arm, b, base, sw.stride, sw.s, &g, q, &mut line);
+                    line.ok
                 })
                 .collect();
-            ok &= line_ok.iter().all(|&x| x);
-            ci = co;
-            oi = oo;
+            next.ok &= line_ok.iter().all(|&x| x);
+            step = next;
         } else {
             sw.for_each_base(|base| {
-                decode_line(
-                    arm, buf, base, sw.stride, sw.s, &g, q, codes, &mut ci, outliers, &mut oi,
-                    &mut ok,
-                );
+                walk_line_arm(arm, buf, base, sw.stride, sw.s, &g, q, &mut step);
             });
         }
     }
-    debug_assert_eq!(ci, codes.len(), "every code consumed exactly once");
-    ok
+    debug_assert_eq!(step.ci, codes.len(), "every code consumed exactly once");
+    step.ok
 }
 
 /// The pre-overhaul per-point traversal, kept verbatim as the differential

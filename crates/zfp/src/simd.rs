@@ -36,10 +36,8 @@ pub fn scale_block(vals: &[f32; 64], ints: &mut [i64; 64], scale: f64) {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use crate::transform::COEFF_POS;
+    use hqmr_codec::quantizer::TIE;
     use std::arch::x86_64::*;
-
-    /// `nextDown(0.5)` — the tie the scalar rounding guards against.
-    const TIE: f64 = 0.499_999_999_999_999_94;
 
     /// AVX2 arm of [`super::scale_block`].
     ///

@@ -403,6 +403,85 @@ fn sz3_short_side_channel_fails_alike_on_both_arms() {
     }
 }
 
+/// sz2's side channel one value short fails with the same typed error on
+/// both arms and in the reference decoder, wherever the missing value
+/// belongs: a regression block's vector quad, a quad row's scalar tail, or a
+/// Lorenzo block.
+#[test]
+fn sz2_short_side_channel_fails_alike_on_both_arms() {
+    use hqmr::codec::{push_stream_id, tag, write_uvarint, Container, Cur};
+    // 6³ blocks over a plane, `1000 + 2x + 3y + z`. The seven blocks on a
+    // domain face add ±1 noise, which Lorenzo's eight-term stencil amplifies
+    // and a fitted plane does not, so they are regression; the block that
+    // touches no face, (6, 6, 6), adds `x'·y' + y'·z'` (block-local) instead,
+    // which Lorenzo predicts exactly and a plane does not, so it is Lorenzo.
+    // A plant 1e5 above the field is out of band; a regression block's other
+    // cells stay in range however the plant tilts its plane, and the
+    // Lorenzo plant sits in the domain's last cell, which no later
+    // prediction reads. Plants: (1, 1, 1) in a quad of block (0, 0, 0),
+    // (2, 2, 11) in the scalar tail of a row of block (0, 0, 6), and
+    // (11, 11, 11) in the Lorenzo block — alone, and all three at once (the
+    // dropped value is then the Lorenzo block's).
+    let dims = Dims3::cube(12);
+    let field = |x: usize, y: usize, z: usize| {
+        let plane = (1000 + 2 * x + 3 * y + z) as f32;
+        if x >= 6 && y >= 6 && z >= 6 {
+            plane + ((x - 6) * (y - 6) + (y - 6) * (z - 6)) as f32
+        } else {
+            plane + (((x * 73_856_093) ^ (y * 19_349_663) ^ (z * 83_492_791)) % 3) as f32 - 1.0
+        }
+    };
+    for plants in [
+        vec![[1, 1, 1]],
+        vec![[2, 2, 11]],
+        vec![[11, 11, 11]],
+        vec![[1, 1, 1], [2, 2, 11], [11, 11, 11]],
+    ] {
+        let mut f = Field3::from_fn(dims, field);
+        for &[x, y, z] in &plants {
+            f.set(x, y, z, field(x, y, z) + 1.0e5);
+        }
+        let codec = Sz2Codec::default();
+        let r = hqmr::sz2::reference::compress(&f, &codec, 0.5);
+        assert_eq!(
+            (r.lorenzo_blocks, r.regression_blocks),
+            (1, 7),
+            "{plants:?}"
+        );
+        assert_eq!(r.outliers, plants.len(), "{plants:?}: planted cells only");
+        let _switch = arm_switch();
+        pin_arm(false);
+        let stream = codec.compress(&f, 0.5);
+        assert_eq!(stream, r.bytes, "{plants:?}");
+        let c = Container::from_bytes(&stream).unwrap();
+        let unpr = c.require(tag(b"UNPR")).unwrap();
+        assert_eq!(Cur::new(unpr).count(4).unwrap(), plants.len());
+        // Rebuild the stream with the side channel's last value dropped.
+        let mut short = Vec::new();
+        write_uvarint(&mut short, plants.len() as u64 - 1);
+        short.extend_from_slice(&unpr[1..unpr.len() - 4]);
+        let mut cut = Container::new();
+        push_stream_id(&mut cut, hqmr::sz2::SZ2_CODEC_ID);
+        for t in [tag(b"S2HD"), tag(b"FLGS"), tag(b"COEF"), tag(b"QNTC")] {
+            cut.push(t, c.require(t).unwrap().to_vec());
+        }
+        cut.push(tag(b"UNPR"), short);
+        let bytes = cut.to_bytes();
+        let simd = codec.decompress(&bytes).map(|_| ());
+        pin_arm(true);
+        let scalar = codec.decompress(&bytes).map(|_| ());
+        pin_arm(false);
+        let want = Err(hqmr::codec::CodecError::Malformed("stream underrun"));
+        assert_eq!(scalar, want, "{plants:?}: scalar arm");
+        assert_eq!(simd, want, "{plants:?}: AVX2 arm");
+        assert_eq!(
+            hqmr::sz2::reference::decompress(&bytes).map(|_| ()),
+            want,
+            "{plants:?}: reference"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
