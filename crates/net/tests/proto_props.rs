@@ -351,6 +351,173 @@ fn golden_batch() -> NetResponse {
     NetResponse::Batch(vec![Response::Roi(roi)])
 }
 
+fn golden_level() -> LevelData {
+    LevelData {
+        level: 1,
+        unit: 2,
+        dims: Dims3::new(4, 4, 200),
+        blocks: vec![
+            UnitBlock {
+                origin: [0, 0, 0],
+                data: (0..8).map(|i| i as f32 - 3.5).collect(),
+            },
+            UnitBlock {
+                origin: [2, 2, 130],
+                data: vec![f32::MIN_POSITIVE; 8],
+            },
+        ],
+    }
+}
+
+/// Every query shape, with varints of one and two bytes.
+fn golden_queries() -> Vec<Query> {
+    vec![
+        Query::Level { level: 1 },
+        Query::Roi {
+            level: 0,
+            lo: [0, 8, 16],
+            hi: [8, 16, 300],
+            fill: -1.0,
+        },
+        Query::Iso {
+            level: 2,
+            iso: 0.25,
+        },
+    ]
+}
+
+/// One committed frame per request kind and per response shape the two
+/// first fixtures do not cover: `(file, message, req_id)`.
+fn golden_frames() -> Vec<(&'static str, Result<Request, NetResponse>, u64)> {
+    let field = Field3::from_fn(Dims3::new(2, 3, 2), |x, y, z| (x * 100 + y * 10 + z) as f32);
+    let stats = ServerStats {
+        cache: CacheStats {
+            requests: 1,
+            hits: 2,
+            shared: 3,
+            misses: 4,
+            evictions: 5,
+            resident_bytes: 6 << 20,
+            peak_resident_bytes: 7 << 30,
+            budget_bytes: u64::MAX,
+            repairs: 9,
+            repair_failures: 10,
+        },
+        busy_rejections: 11,
+        admission_rejections: 12,
+        deadline_rejections: 13,
+        scrub_passes: 14,
+        scrub_verified: 1 << 40,
+        scrub_repaired: 16,
+        scrub_unrepairable: 17,
+    };
+    vec![
+        ("list_request.bin", Ok(Request::List), 1),
+        (
+            "batch_request.bin",
+            Ok(Request::Batch {
+                dataset: 3,
+                queries: golden_queries(),
+            }),
+            2,
+        ),
+        (
+            "progressive_request.bin",
+            Ok(Request::Progressive {
+                dataset: 300,
+                scheme: Upsample::Trilinear,
+            }),
+            3,
+        ),
+        (
+            "stats_request.bin",
+            Ok(Request::Stats {
+                dataset: 3,
+                take: true,
+            }),
+            4,
+        ),
+        (
+            "batch_degraded_request.bin",
+            Ok(Request::BatchDegraded {
+                dataset: 0x0102_0304,
+                queries: golden_queries(),
+            }),
+            u64::MAX,
+        ),
+        (
+            "batch_level_iso_response.bin",
+            Err(NetResponse::Batch(vec![
+                Response::Level(golden_level()),
+                Response::Iso(golden_level()),
+            ])),
+            6,
+        ),
+        (
+            "progressive_response.bin",
+            Err(NetResponse::Progressive(vec![
+                RefinementStep {
+                    level: 1,
+                    field: field.clone(),
+                },
+                RefinementStep { level: 0, field },
+            ])),
+            7,
+        ),
+        ("stats_response.bin", Err(NetResponse::Stats(stats)), 8),
+        (
+            "batch_degraded_response.bin",
+            Err(NetResponse::BatchDegraded(vec![
+                QueryResult {
+                    response: Response::Level(golden_level()),
+                    degraded: vec![(0, 3), (1, 200)],
+                },
+                QueryResult {
+                    response: Response::Roi(Field3::from_fn(Dims3::new(1, 2, 1), |_, y, _| {
+                        y as f32
+                    })),
+                    degraded: vec![],
+                },
+            ])),
+            9,
+        ),
+    ]
+}
+
+/// The same message's frame from both frame writers.
+fn frames_of(msg: &Result<Request, NetResponse>, req_id: u64) -> [Vec<u8>; 2] {
+    let mut frame = Vec::new();
+    let mut wire = Vec::new();
+    match msg {
+        Ok(req) => {
+            req.encode_into(req_id, &mut frame);
+            write_frame(&mut wire, req.kind(), req_id, &req.encode()).unwrap();
+        }
+        Err(resp) => {
+            resp.encode_into(req_id, &mut frame);
+            write_frame(&mut wire, resp.kind(), req_id, &resp.encode()).unwrap();
+        }
+    }
+    [frame, wire]
+}
+
+/// A level answer with one block of unit 1.
+fn tiny_level() -> LevelData {
+    LevelData {
+        level: 1,
+        unit: 1,
+        dims: Dims3::new(2, 1, 1),
+        blocks: vec![UnitBlock {
+            origin: [1, 0, 0],
+            data: vec![2.0],
+        }],
+    }
+}
+
+fn store_error(e: WireStoreError) -> NetResponse {
+    NetResponse::Error(ErrorFrame::Store(e))
+}
+
 /// Wire v3, byte for byte: the committed hello and frames are reproduced
 /// exactly by both frame writers, and parse back to the values they encode.
 #[test]
@@ -379,6 +546,174 @@ fn golden_wire_bytes_are_reproduced_exactly() {
         let (h, body) = read_frame(&mut &golden[..], 1 << 20).unwrap();
         assert_eq!((h.kind, h.req_id), (resp.kind(), req_id));
         assert_eq!(NetResponse::decode(h.kind, &body).unwrap(), resp);
+    }
+
+    for (file, msg, req_id) in golden_frames() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+        let golden = std::fs::read(path.join(file)).expect("committed frame");
+        for built in frames_of(&msg, req_id) {
+            assert_eq!(built, golden, "{file}");
+        }
+        let (h, body) = read_frame(&mut &golden[..], 1 << 20).unwrap();
+        assert_eq!(h.req_id, req_id, "{file}");
+        match &msg {
+            Ok(req) => assert_eq!(&Request::decode(h.kind, &body).unwrap(), req, "{file}"),
+            Err(resp) => assert_eq!(&NetResponse::decode(h.kind, &body).unwrap(), resp, "{file}"),
+        }
+    }
+
+    // Every single-tag body: each query, response and upsample tag, both
+    // `take` values, every error tag and every store-error tag.
+    let requests: [(Request, &[u8]); 7] = [
+        (
+            Request::Batch {
+                dataset: 7,
+                queries: vec![Query::Level { level: 300 }],
+            },
+            &[0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0xac, 0x02],
+        ),
+        (
+            Request::Batch {
+                dataset: 7,
+                queries: vec![Query::Roi {
+                    level: 1,
+                    lo: [1, 2, 3],
+                    hi: [4, 5, 130],
+                    fill: -0.5,
+                }],
+            },
+            &[
+                0x07, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x01, 0x02, 0x03, 0x04, 0x05, 0x82, 0x01,
+                0x00, 0x00, 0x00, 0xbf,
+            ],
+        ),
+        (
+            Request::Batch {
+                dataset: 7,
+                queries: vec![Query::Iso { level: 2, iso: 1.5 }],
+            },
+            &[
+                0x07, 0x00, 0x00, 0x00, 0x01, 0x02, 0x02, 0x00, 0x00, 0xc0, 0x3f,
+            ],
+        ),
+        (
+            Request::Progressive {
+                dataset: 9,
+                scheme: Upsample::Nearest,
+            },
+            &[0x09, 0x00, 0x00, 0x00, 0x00],
+        ),
+        (
+            Request::Progressive {
+                dataset: 9,
+                scheme: Upsample::Trilinear,
+            },
+            &[0x09, 0x00, 0x00, 0x00, 0x01],
+        ),
+        (
+            Request::Stats {
+                dataset: 9,
+                take: false,
+            },
+            &[0x09, 0x00, 0x00, 0x00, 0x00],
+        ),
+        (
+            Request::Stats {
+                dataset: 9,
+                take: true,
+            },
+            &[0x09, 0x00, 0x00, 0x00, 0x01],
+        ),
+    ];
+    for (req, bytes) in requests {
+        assert_eq!(req.encode(), bytes, "{req:?}");
+        assert_eq!(Request::decode(req.kind(), bytes).unwrap(), req);
+    }
+    let responses: [(NetResponse, &[u8]); 20] = [
+        (
+            NetResponse::Batch(vec![Response::Level(tiny_level())]),
+            &[
+                0x01, 0x00, 0x01, 0x01, 0x02, 0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x40,
+            ],
+        ),
+        (
+            NetResponse::Batch(vec![Response::Roi(Field3::from_vec(
+                Dims3::new(1, 1, 2),
+                vec![1.0, -1.0],
+            ))]),
+            &[
+                0x01, 0x01, 0x01, 0x01, 0x02, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0xbf,
+            ],
+        ),
+        (
+            NetResponse::Batch(vec![Response::Iso(tiny_level())]),
+            &[
+                0x01, 0x02, 0x01, 0x01, 0x02, 0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x40,
+            ],
+        ),
+        (NetResponse::Error(ErrorFrame::Busy), &[0x00]),
+        (NetResponse::Error(ErrorFrame::TooManyConnections), &[0x01]),
+        (
+            NetResponse::Error(ErrorFrame::NoSuchDataset(258)),
+            &[0x02, 0x02, 0x01, 0x00, 0x00],
+        ),
+        (
+            NetResponse::Error(ErrorFrame::BadRequest("no".into())),
+            &[0x03, 0x02, 0x6e, 0x6f],
+        ),
+        (NetResponse::Error(ErrorFrame::DeadlineExceeded), &[0x05]),
+        (
+            store_error(WireStoreError::Io("io".into())),
+            &[0x04, 0x00, 0x02, 0x69, 0x6f],
+        ),
+        (
+            store_error(WireStoreError::Open {
+                path: "p".into(),
+                message: "m".into(),
+            }),
+            &[0x04, 0x01, 0x01, 0x70, 0x01, 0x6d],
+        ),
+        (store_error(WireStoreError::BadMagic), &[0x04, 0x02]),
+        (
+            store_error(WireStoreError::BadVersion(9)),
+            &[0x04, 0x03, 0x09],
+        ),
+        (store_error(WireStoreError::Truncated), &[0x04, 0x04]),
+        (store_error(WireStoreError::CorruptTable), &[0x04, 0x05]),
+        (
+            store_error(WireStoreError::Malformed("x".into())),
+            &[0x04, 0x06, 0x01, 0x78],
+        ),
+        (
+            store_error(WireStoreError::UnknownCodec(0x5A46_5031)),
+            &[0x04, 0x07, 0x31, 0x50, 0x46, 0x5a],
+        ),
+        (
+            store_error(WireStoreError::CorruptChunk {
+                level: 1,
+                block: 128,
+            }),
+            &[0x04, 0x08, 0x01, 0x80, 0x01],
+        ),
+        (
+            store_error(WireStoreError::Codec {
+                level: 2,
+                block: 3,
+                message: "c".into(),
+            }),
+            &[0x04, 0x09, 0x02, 0x03, 0x01, 0x63],
+        ),
+        (
+            store_error(WireStoreError::NoSuchLevel(4)),
+            &[0x04, 0x0a, 0x04],
+        ),
+        (store_error(WireStoreError::RoiOutOfBounds), &[0x04, 0x0b]),
+    ];
+    for (resp, bytes) in responses {
+        assert_eq!(resp.encode(), bytes, "{resp:?}");
+        assert_eq!(NetResponse::decode(resp.kind(), bytes).unwrap(), resp);
     }
 }
 

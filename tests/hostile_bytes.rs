@@ -24,7 +24,6 @@ use hqmr::codec::{crc32, tag, write_uvarint, CodecError, Container, ContainerErr
 use hqmr::grid::Dims3;
 use hqmr::mr::Upsample;
 use hqmr::net::proto::{read_frame, read_hello, Kind, NetResponse, Request};
-use hqmr::serve::Query;
 use hqmr::store::format::StoreMeta;
 use hqmr::store::format::{self, parse_head};
 use hqmr::store::temporal::TemporalManifest;
@@ -359,7 +358,7 @@ fn wire_frames_survive_truncation_and_mutation() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = StdRng::seed_from_u64(SEED ^ 2);
     let files = fixtures(&root().join("crates/net/tests/golden"), "bin");
-    assert_eq!(files.len(), 3);
+    assert_eq!(files.len(), 12);
     let plain = |b: &[u8], rng: &mut StdRng| {
         let mut out = b.to_vec();
         mutate_plain(&mut out, rng);
@@ -374,44 +373,44 @@ fn wire_frames_survive_truncation_and_mutation() {
             continue;
         }
         // The whole frame through the frame reader, then the body — what
-        // sits behind the frame CRC — straight through the decoders, under
-        // its own kind and under every request kind.
+        // sits behind the frame CRC — straight through the decoders: under
+        // its own kind, and under every kind of the other direction.
         sweep(&name, &bytes, &mut rng, plain, |b| {
             read_frame(&mut &b[..], 1 << 20).is_ok()
         });
         let (header, body) = read_frame(&mut &bytes[..], 1 << 20).expect("fixture frame");
+        let request = REQUEST_KINDS.contains(&header.kind);
         sweep(&format!("{name} body"), &body, &mut rng, plain, |b| {
-            for kind in [Kind::List, Kind::Batch, Kind::Progressive, Kind::Stats] {
-                let _ = Request::decode(kind, b);
+            if request {
+                for kind in RESPONSE_KINDS {
+                    let _ = NetResponse::decode(kind, b);
+                }
+                Request::decode(header.kind, b).is_ok()
+            } else {
+                for kind in REQUEST_KINDS {
+                    let _ = Request::decode(kind, b);
+                }
+                NetResponse::decode(header.kind, b).is_ok()
             }
-            NetResponse::decode(header.kind, b).is_ok()
         });
     }
-    // No request frame is committed; every query shape in one batch stands in.
-    let request = Request::Batch {
-        dataset: 3,
-        queries: vec![
-            Query::Level { level: 1 },
-            Query::Roi {
-                level: 0,
-                lo: [0, 8, 16],
-                hi: [8, 16, 300],
-                fill: -1.0,
-            },
-            Query::Iso {
-                level: 2,
-                iso: 0.25,
-            },
-        ],
-    };
-    sweep(
-        "batch request body",
-        &request.encode(),
-        &mut rng,
-        plain,
-        |b| Request::decode(Kind::Batch, b).is_ok(),
-    );
 }
+
+const REQUEST_KINDS: [Kind; 5] = [
+    Kind::List,
+    Kind::Batch,
+    Kind::Progressive,
+    Kind::Stats,
+    Kind::BatchDegraded,
+];
+const RESPONSE_KINDS: [Kind; 6] = [
+    Kind::RDatasets,
+    Kind::RBatch,
+    Kind::RProgressive,
+    Kind::RStats,
+    Kind::RBatchDegraded,
+    Kind::RError,
+];
 
 /// A codec stream of the committed fixtures — the first inside
 /// `tests/golden/<file>` — as its sections.
