@@ -7,7 +7,7 @@
 
 use crate::crc32;
 use crate::cursor::{Cur, Fault};
-use crate::varint::write_uvarint;
+use crate::schema::{Layout, Pair, Var, V32};
 
 /// Container parse/validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl std::fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
-/// Every way of running out of input is `Truncated`.
+/// Every fault of the cursor is `Truncated`.
 impl From<Fault> for ContainerError {
     fn from(_: Fault) -> Self {
         ContainerError::Truncated
@@ -62,6 +62,10 @@ pub struct Container {
 
 const MAGIC: &[u8; 4] = b"HQMR";
 const VERSION: u8 = 1;
+
+/// A section's head, `tag | len | crc`: tag and CRC are varints that must
+/// fit `u32`.
+type HeadL = Pair<V32, Pair<Var, V32>>;
 
 impl Container {
     /// Creates an empty container.
@@ -124,11 +128,9 @@ impl Container {
         );
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
-        write_uvarint(out, self.sections.len() as u64);
+        Var::put(&self.sections.len(), out);
         for s in &self.sections {
-            write_uvarint(out, s.tag as u64);
-            write_uvarint(out, s.data.len() as u64);
-            write_uvarint(out, crc32(&s.data) as u64);
+            HeadL::put(&(s.tag, (s.data.len(), crc32(&s.data))), out);
             out.extend_from_slice(&s.data);
         }
     }
@@ -143,13 +145,10 @@ impl Container {
         if head[4] != VERSION {
             return Err(ContainerError::BadVersion(head[4]));
         }
-        // A section is at least its three one-byte varints.
-        let count = c.count(3)?;
+        let count = c.count(HeadL::MIN)?;
         let mut sections = Vec::with_capacity(count);
         for _ in 0..count {
-            let tag = c.uvarint()? as u32;
-            let len = c.usize()?;
-            let crc = c.uvarint()? as u32;
+            let (tag, (len, crc)) = HeadL::get(&mut c)?;
             let data = c.take(len)?.to_vec();
             if crc32(&data) != crc {
                 return Err(ContainerError::Corrupt { tag });
@@ -183,6 +182,31 @@ mod tests {
         let all: Vec<_> = back.get_all(tag(b"DATA")).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[1], &[9u8, 9][..]);
+    }
+
+    #[test]
+    fn tags_and_crcs_wider_than_u32_are_refused() {
+        use crate::varint::write_uvarint;
+        let data = b"body";
+        let section = |tag: u64, crc: u64| {
+            let mut b = MAGIC.to_vec();
+            b.push(VERSION);
+            b.push(1);
+            write_uvarint(&mut b, tag);
+            write_uvarint(&mut b, data.len() as u64);
+            write_uvarint(&mut b, crc);
+            b.extend_from_slice(data);
+            b
+        };
+        let (head, crc) = (u64::from(tag(b"MRHD")), u64::from(crc32(data)));
+        let ok = Container::from_bytes(&section(head, crc)).unwrap();
+        assert_eq!(ok.get(tag(b"MRHD")), Some(&data[..]));
+        for bad in [section(head | 1 << 32, crc), section(head, crc | 1 << 40)] {
+            assert_eq!(
+                Container::from_bytes(&bad).unwrap_err(),
+                ContainerError::Truncated
+            );
+        }
     }
 
     #[test]

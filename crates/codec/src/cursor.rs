@@ -13,7 +13,8 @@
 //! * [`Cur::done`] refuses trailing bytes.
 //!
 //! A failed read is the small [`Fault`]; every format's error type has a
-//! `From<Fault>`, so call sites stay `c.usize()?`. [`framed_head`] /
+//! `From<Fault>`, so call sites stay `c.usize()?`. Formats are declared over
+//! the cursor once, in [`crate::schema`]. [`framed_head`] /
 //! [`framed_head_into`] are the `magic | version | len | crc | body` prefix
 //! the three store files share.
 
@@ -42,6 +43,9 @@ pub enum Fault {
     BadVersion(u8),
     /// A framed body failed its CRC.
     BadCrc,
+    /// A value no layout allows: an unknown tag, a flag byte other than
+    /// `0`/`1`, or a format's own inconsistency.
+    Malformed(&'static str),
 }
 
 impl Fault {
@@ -57,6 +61,7 @@ impl Fault {
             Fault::BadMagic => "bad magic",
             Fault::BadVersion(_) => "unsupported version",
             Fault::BadCrc => "failed CRC",
+            Fault::Malformed(what) => what,
         }
     }
 }

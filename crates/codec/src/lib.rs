@@ -21,6 +21,7 @@ pub mod huffman;
 pub mod kernels;
 pub mod quantizer;
 pub mod rle;
+pub mod schema;
 pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};

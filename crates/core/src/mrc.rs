@@ -12,7 +12,8 @@
 //! chunk-encode loop ([`hqmr_store::encode_chunks`]) run at one chunk per
 //! level, framed as this module's container instead of as `HQST`.
 
-use hqmr_codec::{tag, write_uvarint, CodecError, Container, Cur};
+use hqmr_codec::schema::{self, Dims, Layout, Pair, Var, U32};
+use hqmr_codec::{tag, CodecError, Container, Cur};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{decode_layout, encode_layout, pads};
 use hqmr_mr::{check_slots, split_blocks, LevelData, MergeStrategy, MultiResData, PadKind};
@@ -26,6 +27,13 @@ const TAG_LEVEL: u32 = tag(b"LVHD");
 const TAG_LAYOUT: u32 = tag(b"LAYT");
 /// Codec-id section: which backend produced the per-array streams.
 const TAG_CODEC: u32 = tag(b"CDID");
+
+/// `MRHD`: the domain and the level count.
+type HeadL = Pair<Dims, Var>;
+
+/// `LVHD`: `(level, unit)`, then the level's dims and how many arrays
+/// (`LAYT` + stream) follow.
+type LevelHeadL = Pair<Pair<Var, Var>, Pair<Dims, Var>>;
 
 /// MRC configuration: the arrangement axis (merge strategy + padding), the
 /// error bound, and the codec backend. The named constructors map to the
@@ -191,13 +199,11 @@ pub(crate) fn encode(
     })?;
 
     let mut c = Container::new();
-    let mut head = Vec::new();
-    let d = meta.domain;
-    for v in [d.nx, d.ny, d.nz, meta.levels.len()] {
-        write_uvarint(&mut head, v as u64);
-    }
-    c.push(TAG_HEAD, head);
-    c.push(TAG_CODEC, meta.codec_id.to_le_bytes().to_vec());
+    c.push(
+        TAG_HEAD,
+        schema::encode::<HeadL>(&(meta.domain, meta.levels.len())),
+    );
+    c.push(TAG_CODEC, schema::encode::<U32>(&meta.codec_id));
     let mut stats = MrStats {
         stored_cells: mr.total_cells(),
         codec: codec.name(),
@@ -205,11 +211,8 @@ pub(crate) fn encode(
     };
     for lm in &meta.levels {
         let n = lm.chunks.len();
-        let mut lv = Vec::new();
-        for v in [lm.level, lm.unit, lm.dims.nx, lm.dims.ny, lm.dims.nz, n] {
-            write_uvarint(&mut lv, v as u64);
-        }
-        c.push(TAG_LEVEL, lv);
+        let head = ((lm.level, lm.unit), (lm.dims, n));
+        c.push(TAG_LEVEL, schema::encode::<LevelHeadL>(&head));
         for ch in &lm.chunks {
             let stream = &data[ch.offset as usize..][..ch.len];
             c.push(TAG_LAYOUT, encode_layout(ch.padded, ch.unit, &ch.slots));
@@ -227,9 +230,8 @@ pub(crate) fn encode(
 /// stream through the codec recorded in the container.
 pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
     let c = Container::from_bytes(bytes)?;
-    let mut head = Cur::new(c.require(TAG_HEAD)?);
-    let domain = head.dims()?;
-    let n_levels = head.usize()?;
+    // Bytes after a head are ignored, as they always have been.
+    let (domain, n_levels) = HeadL::get(&mut Cur::new(c.require(TAG_HEAD)?))?;
 
     // Codec routing: the recorded id selects the backend. The section is
     // mandatory — per-array streams also carry their own embedded ids, so a
@@ -237,11 +239,8 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
     let id_bytes = c
         .get(TAG_CODEC)
         .ok_or(CodecError::Malformed("missing codec id section"))?;
-    let codec_id = u32::from_le_bytes(
-        id_bytes
-            .try_into()
-            .map_err(|_| CodecError::Malformed("codec id width"))?,
-    );
+    let codec_id =
+        schema::decode::<U32>(id_bytes).map_err(|_| CodecError::Malformed("codec id width"))?;
     // One decode registry for both containers, read off `Backend::ALL`.
     let codec = hqmr_store::codec_for_id(codec_id).ok_or(CodecError::UnknownCodec(codec_id))?;
 
@@ -257,11 +256,7 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
     // `decompress_into` reshapes it instead of allocating per stream.
     let mut scratch = Field3::zeros(Dims3::new(0, 0, 0));
     for lv in level_heads {
-        let mut lv = Cur::new(lv);
-        let level = lv.usize()?;
-        let unit = lv.usize()?;
-        let dims = lv.dims()?;
-        let n_arrays = lv.usize()?;
+        let ((level, unit), (dims, n_arrays)) = LevelHeadL::get(&mut Cur::new(lv))?;
         let mut blocks = Vec::new();
         for _ in 0..n_arrays {
             let layout = layouts

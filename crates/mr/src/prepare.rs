@@ -19,7 +19,8 @@
 use crate::merge::{merge_blocks, MergeStrategy, MergedArray};
 use crate::padding::{pad_small_dims, should_pad, PadKind};
 use crate::types::{LevelData, UnitBlock};
-use hqmr_codec::{write_uvarint, Cur, Fault};
+use hqmr_codec::schema::{self, Arr3, Layout, Pair, Seq, Var};
+use hqmr_codec::{Cur, Fault};
 use hqmr_grid::Field3;
 
 /// One level's compression-ready arrays — the output of the pre-processing
@@ -127,33 +128,35 @@ pub fn prepare_blocks(
 /// `(slot, origin)` placement pairs of a merged array.
 pub type LayoutSlots = Vec<([usize; 3], [usize; 3])>;
 
+type SlotsL = Seq<Pair<Arr3<Var>, Arr3<Var>>>;
+
+/// A merged array's layout: padded flag, unit, and every `(slot, origin)`
+/// pair. Any nonzero flag byte reads as padded.
+struct MergeL;
+impl Layout for MergeL {
+    type T = (bool, usize, LayoutSlots);
+    const MIN: usize = 3;
+    fn put((padded, unit, slots): &Self::T, out: &mut Vec<u8>) {
+        out.push(u8::from(*padded));
+        Var::put(unit, out);
+        SlotsL::put(slots, out);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Self::T, Fault> {
+        let padded = c.u8()? != 0;
+        Ok((padded, Var::get(c)?, SlotsL::get(c)?))
+    }
+}
+
 /// Serializes a merged array's layout: padded flag, unit, and every
 /// `(slot, origin)` pair.
 pub fn encode_layout(padded: bool, unit: usize, slots: &[([usize; 3], [usize; 3])]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(padded as u8);
-    write_uvarint(&mut out, unit as u64);
-    write_uvarint(&mut out, slots.len() as u64);
-    for (slot, origin) in slots {
-        for v in slot.iter().chain(origin.iter()) {
-            write_uvarint(&mut out, *v as u64);
-        }
-    }
-    out
+    schema::encode::<MergeL>(&(padded, unit, slots.to_vec()))
 }
 
-/// Parses [`encode_layout`] output: `(padded, unit, slots)`.
+/// Parses [`encode_layout`] output: `(padded, unit, slots)`. Bytes after
+/// the layout are ignored.
 pub fn decode_layout(bytes: &[u8]) -> Result<(bool, usize, LayoutSlots), Fault> {
-    let mut c = Cur::new(bytes);
-    let padded = c.u8()? != 0;
-    let unit = c.usize()?;
-    let n = c.count(6)?;
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let slot = [c.usize()?, c.usize()?, c.usize()?];
-        slots.push((slot, [c.usize()?, c.usize()?, c.usize()?]));
-    }
-    Ok((padded, unit, slots))
+    MergeL::get(&mut Cur::new(bytes))
 }
 
 #[cfg(test)]

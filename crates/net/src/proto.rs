@@ -19,7 +19,8 @@
 //! including a kind byte flipping into another valid kind — surfaces as
 //! the typed [`ProtocolError::BadCrc`] instead of a mis-parse. Frames above the
 //! receiver's limit are rejected *before* any allocation
-//! ([`ProtocolError::FrameTooLarge`]). Request ids are chosen by the
+//! ([`ProtocolError::FrameTooLarge`]), and [`write_frame`] refuses to send a
+//! body over [`DEFAULT_MAX_FRAME`]. Request ids are chosen by the
 //! client and echoed verbatim in the response, so one connection can carry
 //! batched traffic without ambiguity.
 //!
@@ -48,12 +49,23 @@
 //! conditions ([`ErrorFrame::Busy`] backpressure,
 //! [`ErrorFrame::TooManyConnections`] admission control).
 //!
+//! Every body is declared once, over `hqmr_codec::schema`'s `Layout`: one
+//! `layout!` per message writes and reads it, the request and response
+//! enums tagged by their frame [`Kind`], everything inside them by a `u8`.
+//! Only a level answer's blocks (`unit³` cells each) and a field's cells
+//! (as many as its dims) are hand-written layouts, and the exact-batch path
+//! above writes the same bytes from borrowed slabs.
+//!
 //! Every decoder treats its input as untrusted: lengths are checked against
 //! the remaining bytes before any allocation, arithmetic is checked, and
 //! malformed input yields a typed [`ProtocolError`] — never a panic. The
-//! fuzz/property suite in `tests/proto_props.rs` pins this down.
+//! fuzz/property suite in `tests/proto_props.rs` pins this down, and the
+//! frames under `tests/golden/` pin the bytes.
 
-use hqmr_codec::{crc32, write_uvarint, Cur, Fault};
+use hqmr_codec::schema::{
+    decode_with, Arr3, Dims, Flag, Layout, Pair, Seq, Str, Var, F32, F64, U32, U64, U8, V64,
+};
+use hqmr_codec::{crc32, layout, Cur, Fault};
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, UnitBlock, Upsample};
 use hqmr_serve::{CacheStats, Query, QueryResult, Response, ResponseParts};
@@ -71,7 +83,9 @@ pub const WIRE_VERSION: u8 = 3;
 pub const HELLO_LEN: usize = 8;
 /// Frame header length: body_len + kind + req_id + body_crc.
 pub const HEADER_LEN: usize = 4 + 1 + 8 + 4;
-/// Default cap on a single frame body (sender and receiver side).
+/// Default cap on a single frame body (sender and receiver side: receivers
+/// refuse a longer one unread, [`write_frame`] and the server do not send
+/// one).
 pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
 /// Largest frame buffer a connection keeps allocated between frames: room
 /// for the megabyte-scale ROI answers that make up viewer traffic, so an
@@ -568,12 +582,18 @@ pub fn recycle(buf: &mut Vec<u8>) {
 /// Writes one complete frame around an already encoded `body`. Header and
 /// body go out as one vectored write — a single `writev` on a socket, no
 /// copy of the body — repeated only if the sink takes less than all of it.
+/// A body over [`DEFAULT_MAX_FRAME`], which no receiver reads, is refused
+/// as `InvalidInput` before it is checksummed.
 pub fn write_frame(
     w: &mut impl Write,
     kind: Kind,
     req_id: u64,
     body: &[u8],
 ) -> std::io::Result<()> {
+    if body.len() > DEFAULT_MAX_FRAME {
+        let over = format!("frame body {} B over the cap", body.len());
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, over));
+    }
     let header = header_bytes(kind, req_id, body);
     let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
     let mut parts = &mut parts[..];
@@ -664,12 +684,155 @@ pub fn read_frame(
 }
 
 // ---------------------------------------------------------------------------
-// Body encoding
+// Bodies
 // ---------------------------------------------------------------------------
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    write_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+layout!(enum RequestL: Request by Kind, "response kind in request slot" {
+    Kind::List => List,
+    Kind::Batch => Batch { dataset: U32, queries: Seq<QueryL> },
+    Kind::Progressive => Progressive { dataset: U32, scheme: UpsampleL },
+    Kind::Stats => Stats { dataset: U32, take: Flag },
+    Kind::BatchDegraded => BatchDegraded { dataset: U32, queries: Seq<QueryL> },
+});
+
+layout!(enum QueryL: Query, "query tag" {
+    0 => Level { level: Var },
+    1 => Roi { level: Var, lo: Arr3<Var>, hi: Arr3<Var>, fill: F32 },
+    2 => Iso { level: Var, iso: F32 },
+});
+
+layout!(enum UpsampleL: Upsample, "upsample tag" { 0 => Nearest, 1 => Trilinear });
+
+layout!(enum NetResponseL: NetResponse by Kind, "request kind in response slot" {
+    Kind::RDatasets => Datasets(list: Seq<DatasetL>),
+    Kind::RBatch => Batch(responses: Seq<ResponseL>),
+    Kind::RProgressive => Progressive(steps: Seq<StepL>),
+    Kind::RStats => Stats(stats: StatsL),
+    Kind::RBatchDegraded => BatchDegraded(results: Seq<QueryResultL>),
+    Kind::RError => Error(e: ErrorFrameL),
+});
+
+layout!(struct DatasetL: DatasetInfo {
+    id: U32,
+    name: Str,
+    codec_id: U32,
+    eb: F64,
+    domain: Dims,
+    levels: Var,
+    chunks: Var,
+    compressed_bytes: V64,
+});
+
+layout!(
+    /// Tags shared with [`put_response_parts`].
+    enum ResponseL: Response, "response tag" {
+        0 => Level(l: LevelDataL),
+        1 => Roi(f: FieldL),
+        2 => Iso(l: LevelDataL),
+    }
+);
+
+layout!(struct QueryResultL: QueryResult { response: ResponseL, degraded: Seq<Pair<Var, Var>> });
+layout!(struct StepL: RefinementStep { level: Var, field: FieldL });
+
+layout!(
+    /// A fixed run of 17 `u64le` words: the cache ledger, then the fleet's.
+    struct StatsL: ServerStats {
+        cache: CacheL,
+        busy_rejections: U64,
+        admission_rejections: U64,
+        deadline_rejections: U64,
+        scrub_passes: U64,
+        scrub_verified: U64,
+        scrub_repaired: U64,
+        scrub_unrepairable: U64,
+    }
+);
+
+layout!(struct CacheL: CacheStats {
+    requests: U64,
+    hits: U64,
+    shared: U64,
+    misses: U64,
+    evictions: U64,
+    resident_bytes: U64,
+    peak_resident_bytes: U64,
+    budget_bytes: U64,
+    repairs: U64,
+    repair_failures: U64,
+});
+
+layout!(enum ErrorFrameL: ErrorFrame, "error tag" {
+    0 => Busy,
+    1 => TooManyConnections,
+    2 => NoSuchDataset(id: U32),
+    3 => BadRequest(m: Str),
+    4 => Store(e: StoreErrorL),
+    5 => DeadlineExceeded,
+});
+
+layout!(enum StoreErrorL: WireStoreError, "store error tag" {
+    0 => Io(m: Str),
+    1 => Open { path: Str, message: Str },
+    2 => BadMagic,
+    3 => BadVersion(v: U8),
+    4 => Truncated,
+    5 => CorruptTable,
+    6 => Malformed(m: Str),
+    7 => UnknownCodec(id: U32),
+    8 => CorruptChunk { level: Var, block: Var },
+    9 => Codec { level: Var, block: Var, message: Str },
+    10 => NoSuchLevel(l: Var),
+    11 => RoiOutOfBounds,
+});
+
+/// A dense field: its dims, then its cells, as many as the dims hold.
+struct FieldL;
+impl Layout for FieldL {
+    type T = Field3;
+    const MIN: usize = Dims::MIN;
+    fn put(f: &Field3, out: &mut Vec<u8>) {
+        Dims::put(&f.dims(), out);
+        put_f32s(out, f.data());
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Field3, Fault> {
+        let dims = Dims::get(c)?;
+        // `f32s` takes the cells from the body before anything is allocated.
+        Ok(Field3::from_vec(dims, c.f32s(dims.len())?.collect()))
+    }
+}
+
+/// A level answer: level, unit, dims and its blocks, each an origin and
+/// `unit³` cells.
+struct LevelDataL;
+impl Layout for LevelDataL {
+    type T = LevelData;
+    const MIN: usize = 2 + Dims::MIN + 1;
+    fn put(l: &LevelData, out: &mut Vec<u8>) {
+        let blocks = (l.blocks.iter()).map(|b| (b.origin, BlockData::Slab(&b.data)));
+        put_level(out, (l.level, l.unit, l.dims), l.blocks.len(), blocks);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<LevelData, Fault> {
+        let (level, unit, dims) = (Var::get(c)?, Var::get(c)?, Dims::get(c)?);
+        let cube = unit
+            .checked_pow(3)
+            .and_then(|n| n.checked_mul(4))
+            .ok_or(Fault::Malformed("unit overflow"))?;
+        // Each block needs at least 3 origin bytes + unit³ f32s.
+        let n_blocks = c.count(cube.saturating_add(3))?;
+        let mut blocks = Vec::with_capacity(n_blocks);
+        for _ in 0..n_blocks {
+            let origin = Arr3::<Var>::get(c)?;
+            let data = c.f32s(cube / 4)?.collect();
+            blocks.push(UnitBlock { origin, data });
+        }
+        Ok(LevelData {
+            level,
+            unit,
+            dims,
+            blocks,
+        })
+    }
 }
 
 /// Encoded length of `v` as a LEB128 varint.
@@ -704,39 +867,20 @@ fn put_f32_run(out: &mut Vec<u8>, v: f32, n: usize) {
     }
 }
 
-fn put_dims(out: &mut Vec<u8>, d: Dims3) {
-    write_uvarint(out, d.nx as u64);
-    write_uvarint(out, d.ny as u64);
-    write_uvarint(out, d.nz as u64);
-}
-
-fn put_field(out: &mut Vec<u8>, f: &Field3) {
-    put_dims(out, f.dims());
-    put_f32s(out, f.data());
-}
-
-fn get_field(c: &mut Cur) -> Result<Field3, ProtocolError> {
-    let dims = c.dims()?;
-    // `f32s` takes the cells from the body before anything is allocated.
-    Ok(Field3::from_vec(dims, c.f32s(dims.len())?.collect()))
-}
-
 /// A level answer's body from its header fields and `count` blocks, owned
-/// ([`put_level_data`]) or still in their chunks ([`put_level_parts`]).
+/// ([`LevelDataL`]) or still in their chunks ([`put_level_parts`]).
 fn put_level<'a>(
     out: &mut Vec<u8>,
     (level, unit, dims): (usize, usize, Dims3),
     count: usize,
     blocks: impl Iterator<Item = ([usize; 3], BlockData<'a>)>,
 ) {
-    write_uvarint(out, level as u64);
-    write_uvarint(out, unit as u64);
-    put_dims(out, dims);
-    write_uvarint(out, count as u64);
+    Var::put(&level, out);
+    Var::put(&unit, out);
+    Dims::put(&dims, out);
+    Var::put(&count, out);
     for (origin, data) in blocks {
-        write_uvarint(out, origin[0] as u64);
-        write_uvarint(out, origin[1] as u64);
-        write_uvarint(out, origin[2] as u64);
+        Arr3::<Var>::put(&origin, out);
         match data {
             BlockData::Slab(values) => put_f32s(out, values),
             BlockData::Proxy(value) => put_f32_run(out, value, unit.pow(3)),
@@ -744,20 +888,11 @@ fn put_level<'a>(
     }
 }
 
-fn put_level_data(out: &mut Vec<u8>, l: &LevelData) {
-    let blocks = (l.blocks.iter()).map(|b| (b.origin, BlockData::Slab(&b.data)));
-    put_level(out, (l.level, l.unit, l.dims), l.blocks.len(), blocks);
-}
-
-fn put_level_parts(out: &mut Vec<u8>, l: &LevelParts) {
-    put_level(out, (l.level, l.unit, l.dims), l.block_count(), l.blocks());
-}
-
 /// An ROI answer's body straight from its chunks: the dense field is laid
 /// down as fill, then every covered row lands on its bytes.
 fn put_roi_parts(out: &mut Vec<u8>, r: &RoiParts) {
     let dims = r.dims();
-    put_dims(out, dims);
+    Dims::put(&dims, out);
     let start = out.len();
     put_f32_run(out, r.fill(), dims.len());
     let cells = &mut out[start..];
@@ -787,98 +922,11 @@ fn response_parts_len(r: &ResponseParts) -> usize {
     }
 }
 
-fn get_level_data(c: &mut Cur) -> Result<LevelData, ProtocolError> {
-    let level = c.usize()?;
-    let unit = c.usize()?;
-    let dims = c.dims()?;
-    let cube = unit
-        .checked_pow(3)
-        .and_then(|n| n.checked_mul(4))
-        .ok_or(ProtocolError::Malformed("unit overflow"))?;
-    // Each block needs at least 3 origin bytes + unit³ f32s.
-    let n_blocks = c.count(cube.saturating_add(3))?;
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let origin = [c.usize()?, c.usize()?, c.usize()?];
-        let data = c.f32s(cube / 4)?.collect();
-        blocks.push(UnitBlock { origin, data });
-    }
-    Ok(LevelData {
-        level,
-        unit,
-        dims,
-        blocks,
-    })
+fn put_level_parts(out: &mut Vec<u8>, l: &LevelParts) {
+    put_level(out, (l.level, l.unit, l.dims), l.block_count(), l.blocks());
 }
 
-fn put_query(out: &mut Vec<u8>, q: &Query) {
-    match *q {
-        Query::Level { level } => {
-            out.push(0);
-            write_uvarint(out, level as u64);
-        }
-        Query::Roi {
-            level,
-            lo,
-            hi,
-            fill,
-        } => {
-            out.push(1);
-            write_uvarint(out, level as u64);
-            for v in lo.iter().chain(hi.iter()) {
-                write_uvarint(out, *v as u64);
-            }
-            out.extend_from_slice(&fill.to_le_bytes());
-        }
-        Query::Iso { level, iso } => {
-            out.push(2);
-            write_uvarint(out, level as u64);
-            out.extend_from_slice(&iso.to_le_bytes());
-        }
-    }
-}
-
-fn get_query(c: &mut Cur) -> Result<Query, ProtocolError> {
-    Ok(match c.u8()? {
-        0 => Query::Level { level: c.usize()? },
-        1 => {
-            let level = c.usize()?;
-            let lo = [c.usize()?, c.usize()?, c.usize()?];
-            let hi = [c.usize()?, c.usize()?, c.usize()?];
-            let fill = c.f32le()?;
-            Query::Roi {
-                level,
-                lo,
-                hi,
-                fill,
-            }
-        }
-        2 => Query::Iso {
-            level: c.usize()?,
-            iso: c.f32le()?,
-        },
-        _ => return Err(ProtocolError::Malformed("query tag")),
-    })
-}
-
-fn put_response(out: &mut Vec<u8>, r: &Response) {
-    match r {
-        Response::Level(l) => {
-            out.push(0);
-            put_level_data(out, l);
-        }
-        Response::Roi(f) => {
-            out.push(1);
-            put_field(out, f);
-        }
-        Response::Iso(l) => {
-            out.push(2);
-            put_level_data(out, l);
-        }
-    }
-}
-
-/// [`put_response`] of `r.to_owned()`, byte for byte, without the copy-out.
+/// [`ResponseL`] of `r.to_owned()`, byte for byte, without the copy-out.
 fn put_response_parts(out: &mut Vec<u8>, r: &ResponseParts) {
     match r {
         ResponseParts::Level(l) => {
@@ -896,6 +944,12 @@ fn put_response_parts(out: &mut Vec<u8>, r: &ResponseParts) {
     }
 }
 
+/// Body bytes of `NetResponse::Batch` over `parts.to_owned()`, from the
+/// chunk tables alone.
+pub(crate) fn batch_parts_len(parts: &[ResponseParts]) -> usize {
+    uvarint_len(parts.len() as u64) + parts.iter().map(response_parts_len).sum::<usize>()
+}
+
 /// Builds the frame of `NetResponse::Batch` over `parts.to_owned()` — the
 /// same bytes [`NetResponse::encode_into`] produces for it — straight from
 /// the decoded chunks the parts hold: reserved once, every payload byte
@@ -903,10 +957,9 @@ fn put_response_parts(out: &mut Vec<u8>, r: &ResponseParts) {
 /// through here.
 pub fn encode_batch_parts_into(parts: &[ResponseParts], req_id: u64, frame: &mut Vec<u8>) {
     build_frame(frame, Kind::RBatch, req_id, |out| {
-        let count = parts.len() as u64;
-        let body_len = uvarint_len(count) + parts.iter().map(response_parts_len).sum::<usize>();
+        let body_len = batch_parts_len(parts);
         out.reserve(body_len);
-        write_uvarint(out, count);
+        Var::put(&parts.len(), out);
         for r in parts {
             put_response_parts(out, r);
         }
@@ -918,396 +971,60 @@ pub fn encode_batch_parts_into(parts: &[ResponseParts], req_id: u64, frame: &mut
     });
 }
 
-fn get_response(c: &mut Cur) -> Result<Response, ProtocolError> {
-    Ok(match c.u8()? {
-        0 => Response::Level(get_level_data(c)?),
-        1 => Response::Roi(get_field(c)?),
-        2 => Response::Iso(get_level_data(c)?),
-        _ => return Err(ProtocolError::Malformed("response tag")),
-    })
-}
-
-fn put_upsample(out: &mut Vec<u8>, s: Upsample) {
-    out.push(match s {
-        Upsample::Nearest => 0,
-        Upsample::Trilinear => 1,
-    });
-}
-
-fn get_upsample(c: &mut Cur) -> Result<Upsample, ProtocolError> {
-    match c.u8()? {
-        0 => Ok(Upsample::Nearest),
-        1 => Ok(Upsample::Trilinear),
-        _ => Err(ProtocolError::Malformed("upsample tag")),
-    }
-}
-
 impl Request {
     /// The frame kind this request travels under.
     pub fn kind(&self) -> Kind {
-        match self {
-            Request::List => Kind::List,
-            Request::Batch { .. } => Kind::Batch,
-            Request::Progressive { .. } => Kind::Progressive,
-            Request::Stats { .. } => Kind::Stats,
-            Request::BatchDegraded { .. } => Kind::BatchDegraded,
-        }
+        RequestL::tag(self)
     }
 
     /// Serializes the request body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.put_body(&mut out);
+        RequestL::put_body(self, &mut out);
         out
     }
 
     /// Builds this request's complete frame — header and body — in `frame`,
     /// replacing its contents and reusing its allocation.
     pub fn encode_into(&self, req_id: u64, frame: &mut Vec<u8>) {
-        build_frame(frame, self.kind(), req_id, |out| self.put_body(out));
-    }
-
-    fn put_body(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::List => {}
-            Request::Batch { dataset, queries } | Request::BatchDegraded { dataset, queries } => {
-                out.extend_from_slice(&dataset.to_le_bytes());
-                write_uvarint(out, queries.len() as u64);
-                for q in queries {
-                    put_query(out, q);
-                }
-            }
-            Request::Progressive { dataset, scheme } => {
-                out.extend_from_slice(&dataset.to_le_bytes());
-                put_upsample(out, *scheme);
-            }
-            Request::Stats { dataset, take } => {
-                out.extend_from_slice(&dataset.to_le_bytes());
-                out.push(u8::from(*take));
-            }
-        }
+        build_frame(frame, self.kind(), req_id, |out| {
+            RequestL::put_body(self, out)
+        });
     }
 
     /// Parses a request body of the given kind. Malformed input yields a
     /// typed error, never a panic.
     pub fn decode(kind: Kind, body: &[u8]) -> Result<Request, ProtocolError> {
-        let mut c = Cur::new(body);
-        let req = match kind {
-            Kind::List => Request::List,
-            Kind::Batch | Kind::BatchDegraded => {
-                let dataset = c.u32le()?;
-                let n = c.count(1)?;
-                let mut queries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    queries.push(get_query(&mut c)?);
-                }
-                if kind == Kind::Batch {
-                    Request::Batch { dataset, queries }
-                } else {
-                    Request::BatchDegraded { dataset, queries }
-                }
-            }
-            Kind::Progressive => Request::Progressive {
-                dataset: c.u32le()?,
-                scheme: get_upsample(&mut c)?,
-            },
-            Kind::Stats => {
-                let dataset = c.u32le()?;
-                let take = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(ProtocolError::Malformed("stats take flag")),
-                };
-                Request::Stats { dataset, take }
-            }
-            _ => return Err(ProtocolError::Malformed("response kind in request slot")),
-        };
-        c.done()?;
-        Ok(req)
+        Ok(decode_with(body, |c| RequestL::get_body(kind, c))?)
     }
 }
 
 impl NetResponse {
     /// The frame kind this response travels under.
     pub fn kind(&self) -> Kind {
-        match self {
-            NetResponse::Datasets(_) => Kind::RDatasets,
-            NetResponse::Batch(_) => Kind::RBatch,
-            NetResponse::Progressive(_) => Kind::RProgressive,
-            NetResponse::Stats(_) => Kind::RStats,
-            NetResponse::BatchDegraded(_) => Kind::RBatchDegraded,
-            NetResponse::Error(_) => Kind::RError,
-        }
+        NetResponseL::tag(self)
     }
 
     /// Serializes the response body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.put_body(&mut out);
+        NetResponseL::put_body(self, &mut out);
         out
     }
 
     /// Builds this response's complete frame — header and body — in
     /// `frame`, replacing its contents and reusing its allocation.
     pub fn encode_into(&self, req_id: u64, frame: &mut Vec<u8>) {
-        build_frame(frame, self.kind(), req_id, |out| self.put_body(out));
-    }
-
-    fn put_body(&self, out: &mut Vec<u8>) {
-        match self {
-            NetResponse::Datasets(list) => {
-                write_uvarint(out, list.len() as u64);
-                for d in list {
-                    out.extend_from_slice(&d.id.to_le_bytes());
-                    put_string(out, &d.name);
-                    out.extend_from_slice(&d.codec_id.to_le_bytes());
-                    out.extend_from_slice(&d.eb.to_le_bytes());
-                    put_dims(out, d.domain);
-                    write_uvarint(out, d.levels as u64);
-                    write_uvarint(out, d.chunks as u64);
-                    write_uvarint(out, d.compressed_bytes);
-                }
-            }
-            NetResponse::Batch(responses) => {
-                write_uvarint(out, responses.len() as u64);
-                for r in responses {
-                    put_response(out, r);
-                }
-            }
-            NetResponse::BatchDegraded(results) => {
-                write_uvarint(out, results.len() as u64);
-                for r in results {
-                    put_response(out, &r.response);
-                    write_uvarint(out, r.degraded.len() as u64);
-                    for &(level, block) in &r.degraded {
-                        write_uvarint(out, level as u64);
-                        write_uvarint(out, block as u64);
-                    }
-                }
-            }
-            NetResponse::Progressive(steps) => {
-                write_uvarint(out, steps.len() as u64);
-                for s in steps {
-                    write_uvarint(out, s.level as u64);
-                    put_field(out, &s.field);
-                }
-            }
-            NetResponse::Stats(s) => {
-                for v in [
-                    s.cache.requests,
-                    s.cache.hits,
-                    s.cache.shared,
-                    s.cache.misses,
-                    s.cache.evictions,
-                    s.cache.resident_bytes,
-                    s.cache.peak_resident_bytes,
-                    s.cache.budget_bytes,
-                    s.cache.repairs,
-                    s.cache.repair_failures,
-                    s.busy_rejections,
-                    s.admission_rejections,
-                    s.deadline_rejections,
-                    s.scrub_passes,
-                    s.scrub_verified,
-                    s.scrub_repaired,
-                    s.scrub_unrepairable,
-                ] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            NetResponse::Error(e) => {
-                match e {
-                    ErrorFrame::Busy => out.push(0),
-                    ErrorFrame::TooManyConnections => out.push(1),
-                    ErrorFrame::NoSuchDataset(id) => {
-                        out.push(2);
-                        out.extend_from_slice(&id.to_le_bytes());
-                    }
-                    ErrorFrame::BadRequest(m) => {
-                        out.push(3);
-                        put_string(out, m);
-                    }
-                    ErrorFrame::Store(se) => {
-                        out.push(4);
-                        put_store_error(out, se);
-                    }
-                    ErrorFrame::DeadlineExceeded => out.push(5),
-                };
-            }
-        }
+        build_frame(frame, self.kind(), req_id, |out| {
+            NetResponseL::put_body(self, out)
+        });
     }
 
     /// Parses a response body of the given kind. Malformed input yields a
     /// typed error, never a panic.
     pub fn decode(kind: Kind, body: &[u8]) -> Result<NetResponse, ProtocolError> {
-        let mut c = Cur::new(body);
-        let resp = match kind {
-            Kind::RDatasets => {
-                // Smallest catalog entry: id(4) + name len(1) + codec(4) +
-                // eb(8) + 3 dims + 3 counters ≥ 22 bytes.
-                let n = c.count(22)?;
-                let mut list = Vec::with_capacity(n);
-                for _ in 0..n {
-                    list.push(DatasetInfo {
-                        id: c.u32le()?,
-                        name: c.str()?.to_string(),
-                        codec_id: c.u32le()?,
-                        eb: c.f64le()?,
-                        domain: c.dims()?,
-                        levels: c.usize()?,
-                        chunks: c.usize()?,
-                        compressed_bytes: c.uvarint()?,
-                    });
-                }
-                NetResponse::Datasets(list)
-            }
-            Kind::RBatch => {
-                let n = c.count(1)?;
-                let mut responses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    responses.push(get_response(&mut c)?);
-                }
-                NetResponse::Batch(responses)
-            }
-            Kind::RBatchDegraded => {
-                let n = c.count(1)?;
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let response = get_response(&mut c)?;
-                    let m = c.count(2)?;
-                    let mut degraded = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        degraded.push((c.usize()?, c.usize()?));
-                    }
-                    results.push(QueryResult { response, degraded });
-                }
-                NetResponse::BatchDegraded(results)
-            }
-            Kind::RProgressive => {
-                let n = c.count(4)?;
-                let mut steps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let level = c.usize()?;
-                    let field = get_field(&mut c)?;
-                    steps.push(RefinementStep { level, field });
-                }
-                NetResponse::Progressive(steps)
-            }
-            Kind::RStats => NetResponse::Stats(ServerStats {
-                cache: CacheStats {
-                    requests: c.u64le()?,
-                    hits: c.u64le()?,
-                    shared: c.u64le()?,
-                    misses: c.u64le()?,
-                    evictions: c.u64le()?,
-                    resident_bytes: c.u64le()?,
-                    peak_resident_bytes: c.u64le()?,
-                    budget_bytes: c.u64le()?,
-                    repairs: c.u64le()?,
-                    repair_failures: c.u64le()?,
-                },
-                busy_rejections: c.u64le()?,
-                admission_rejections: c.u64le()?,
-                deadline_rejections: c.u64le()?,
-                scrub_passes: c.u64le()?,
-                scrub_verified: c.u64le()?,
-                scrub_repaired: c.u64le()?,
-                scrub_unrepairable: c.u64le()?,
-            }),
-            Kind::RError => {
-                let e = match c.u8()? {
-                    0 => ErrorFrame::Busy,
-                    1 => ErrorFrame::TooManyConnections,
-                    2 => ErrorFrame::NoSuchDataset(c.u32le()?),
-                    3 => ErrorFrame::BadRequest(c.str()?.to_string()),
-                    4 => ErrorFrame::Store(get_store_error(&mut c)?),
-                    5 => ErrorFrame::DeadlineExceeded,
-                    _ => return Err(ProtocolError::Malformed("error tag")),
-                };
-                NetResponse::Error(e)
-            }
-            _ => return Err(ProtocolError::Malformed("request kind in response slot")),
-        };
-        c.done()?;
-        Ok(resp)
+        Ok(decode_with(body, |c| NetResponseL::get_body(kind, c))?)
     }
-}
-
-fn put_store_error(out: &mut Vec<u8>, e: &WireStoreError) {
-    match e {
-        WireStoreError::Io(m) => {
-            out.push(0);
-            put_string(out, m);
-        }
-        WireStoreError::Open { path, message } => {
-            out.push(1);
-            put_string(out, path);
-            put_string(out, message);
-        }
-        WireStoreError::BadMagic => out.push(2),
-        WireStoreError::BadVersion(v) => {
-            out.push(3);
-            out.push(*v);
-        }
-        WireStoreError::Truncated => out.push(4),
-        WireStoreError::CorruptTable => out.push(5),
-        WireStoreError::Malformed(m) => {
-            out.push(6);
-            put_string(out, m);
-        }
-        WireStoreError::UnknownCodec(id) => {
-            out.push(7);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        WireStoreError::CorruptChunk { level, block } => {
-            out.push(8);
-            write_uvarint(out, *level as u64);
-            write_uvarint(out, *block as u64);
-        }
-        WireStoreError::Codec {
-            level,
-            block,
-            message,
-        } => {
-            out.push(9);
-            write_uvarint(out, *level as u64);
-            write_uvarint(out, *block as u64);
-            put_string(out, message);
-        }
-        WireStoreError::NoSuchLevel(l) => {
-            out.push(10);
-            write_uvarint(out, *l as u64);
-        }
-        WireStoreError::RoiOutOfBounds => out.push(11),
-    }
-}
-
-fn get_store_error(c: &mut Cur) -> Result<WireStoreError, ProtocolError> {
-    Ok(match c.u8()? {
-        0 => WireStoreError::Io(c.str()?.to_string()),
-        1 => WireStoreError::Open {
-            path: c.str()?.to_string(),
-            message: c.str()?.to_string(),
-        },
-        2 => WireStoreError::BadMagic,
-        3 => WireStoreError::BadVersion(c.u8()?),
-        4 => WireStoreError::Truncated,
-        5 => WireStoreError::CorruptTable,
-        6 => WireStoreError::Malformed(c.str()?.to_string()),
-        7 => WireStoreError::UnknownCodec(c.u32le()?),
-        8 => WireStoreError::CorruptChunk {
-            level: c.usize()?,
-            block: c.usize()?,
-        },
-        9 => WireStoreError::Codec {
-            level: c.usize()?,
-            block: c.usize()?,
-            message: c.str()?.to_string(),
-        },
-        10 => WireStoreError::NoSuchLevel(c.usize()?),
-        11 => WireStoreError::RoiOutOfBounds,
-        _ => return Err(ProtocolError::Malformed("store error tag")),
-    })
 }
 
 #[cfg(test)]
@@ -1376,6 +1093,13 @@ mod tests {
             read_frame(&mut bad.as_slice(), 1 << 20),
             Err(ProtocolError::UnknownKind(0x77))
         ));
+    }
+
+    #[test]
+    fn over_cap_bodies_are_refused_before_the_checksum() {
+        let body = vec![0u8; DEFAULT_MAX_FRAME + 1];
+        let err = write_frame(&mut std::io::sink(), Kind::RBatch, 1, &body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -1568,7 +1292,7 @@ mod tests {
         // A Batch response claiming 2^60 entries in a 12-byte body must be
         // rejected by the count guard, not attempted.
         let mut body = Vec::new();
-        write_uvarint(&mut body, 1u64 << 60);
+        V64::put(&(1 << 60), &mut body);
         body.extend_from_slice(&[0u8; 4]);
         assert!(matches!(
             NetResponse::decode(Kind::RBatch, &body),
@@ -1576,11 +1300,11 @@ mod tests {
         ));
         // Same for a field with overflowing dims.
         let mut body = Vec::new();
-        write_uvarint(&mut body, 1); // one response
+        Var::put(&1, &mut body); // one response
         body.push(1); // Roi tag
-        write_uvarint(&mut body, u64::MAX / 2);
-        write_uvarint(&mut body, u64::MAX / 2);
-        write_uvarint(&mut body, 4);
+        V64::put(&(u64::MAX / 2), &mut body);
+        V64::put(&(u64::MAX / 2), &mut body);
+        Var::put(&4, &mut body);
         assert!(NetResponse::decode(Kind::RBatch, &body).is_err());
     }
 

@@ -47,8 +47,9 @@
 
 use crate::chaos::{chunk_fault_hook, ChaosConfig, ChaosStream};
 use crate::proto::{
-    encode_batch_parts_into, parse_header, read_hello, recycle, write_hello, DatasetInfo,
-    ErrorFrame, NetResponse, ProtocolError, Request, ServerStats, DEFAULT_MAX_FRAME, HEADER_LEN,
+    batch_parts_len, encode_batch_parts_into, parse_header, read_hello, recycle, write_hello,
+    DatasetInfo, ErrorFrame, NetResponse, ProtocolError, Request, ServerStats, DEFAULT_MAX_FRAME,
+    HEADER_LEN,
 };
 use hqmr_mr::Upsample;
 use hqmr_serve::{
@@ -201,11 +202,23 @@ impl Answer {
         })
     }
 
-    /// Builds the answer's frame in `frame`, replacing its contents.
+    /// Builds the answer's frame in `frame`, replacing its contents. An
+    /// answer over [`DEFAULT_MAX_FRAME`], which every client refuses unread,
+    /// is answered `BadRequest` instead — for an exact batch, before its
+    /// first byte is written.
     fn encode_into(&self, req_id: u64, frame: &mut Vec<u8>) {
-        match self {
-            Answer::Batch(parts) => encode_batch_parts_into(parts, req_id, frame),
-            Answer::Other(resp) => resp.encode_into(req_id, frame),
+        let len = match self {
+            Answer::Batch(parts) => batch_parts_len(parts),
+            Answer::Other(resp) => {
+                resp.encode_into(req_id, frame);
+                frame.len() - HEADER_LEN
+            }
+        };
+        if len > DEFAULT_MAX_FRAME {
+            let over = format!("answer body {len} B exceeds frame cap {DEFAULT_MAX_FRAME} B");
+            NetResponse::Error(ErrorFrame::BadRequest(over)).encode_into(req_id, frame);
+        } else if let Answer::Batch(parts) = self {
+            encode_batch_parts_into(parts, req_id, frame);
         }
     }
 }

@@ -6,7 +6,8 @@
 
 use hqmr_codec::{Codec, NullCodec};
 use hqmr_grid::{synth, Dims3};
-use hqmr_mr::{to_adaptive, RoiConfig, Upsample};
+use hqmr_mr::{to_adaptive, LevelData, MultiResData, RoiConfig, UnitBlock, Upsample};
+use hqmr_net::proto::DEFAULT_MAX_FRAME;
 use hqmr_net::{
     DatasetSpec, ErrorFrame, NetClient, NetConfig, NetError, NetServer, WireStoreError,
 };
@@ -212,6 +213,50 @@ fn typed_errors_cross_the_wire() {
     }
     // The connection survives typed errors: a valid request still works.
     assert!(client.batch(0, &[Query::Level { level: 0 }]).is_ok());
+}
+
+/// An answer over the frame cap, which every client refuses unread, is
+/// answered `BadRequest` on the same connection instead of being sent.
+#[test]
+fn over_cap_answers_are_typed_and_keep_the_connection() {
+    // One unit block in a level whose whole-level ROI is just over the cap.
+    let dims = Dims3::new(512, 512, 260);
+    assert!(dims.len() * 4 > DEFAULT_MAX_FRAME);
+    let mr = MultiResData {
+        domain: dims,
+        levels: vec![LevelData {
+            level: 0,
+            unit: 4,
+            dims,
+            blocks: vec![UnitBlock {
+                origin: [0, 0, 0],
+                data: vec![1.0; 64],
+            }],
+        }],
+    };
+    let buf = write_store(&mr, &StoreConfig::new(0.5), &NullCodec);
+    let server = NetServer::spawn(
+        "127.0.0.1:0",
+        NetConfig::default(),
+        vec![DatasetSpec {
+            id: 0,
+            name: "sparse".into(),
+            reader: Arc::new(StoreReader::from_bytes(buf).unwrap()),
+        }],
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let roi = |hi| Query::Roi {
+        level: 0,
+        lo: [0, 0, 0],
+        hi,
+        fill: 0.0,
+    };
+    match client.batch(0, &[roi(dims.as_array())]) {
+        Err(NetError::Remote(ErrorFrame::BadRequest(m))) => assert!(m.contains("cap"), "{m}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    assert!(client.batch(0, &[roi([4, 4, 4])]).is_ok());
 }
 
 /// A corrupted frame (bad CRC) is answered with a typed error frame before

@@ -16,7 +16,8 @@
 //! [`VERSION`] and readers reject versions they don't know
 //! ([`StoreError::BadVersion`]) rather than guessing.
 
-use hqmr_codec::{framed_head, framed_head_into, write_uvarint, CodecError, Cur, Fault};
+use hqmr_codec::schema::{self, Dims, Layout, Seq, Var, F32, F64, U32, V64};
+use hqmr_codec::{framed_head, framed_head_into, layout, CodecError, Cur, Fault};
 use hqmr_grid::Dims3;
 use hqmr_mr::prepare::LayoutSlots;
 use hqmr_mr::{decode_layout, encode_layout};
@@ -276,91 +277,58 @@ impl StoreMeta {
 
     /// Serializes the directory (the `meta` region, without prefix).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_uvarint(&mut out, self.domain.nx as u64);
-        write_uvarint(&mut out, self.domain.ny as u64);
-        write_uvarint(&mut out, self.domain.nz as u64);
-        out.extend_from_slice(&self.codec_id.to_le_bytes());
-        out.extend_from_slice(&self.eb.to_le_bytes());
-        write_uvarint(&mut out, self.levels.len() as u64);
-        for lvl in &self.levels {
-            write_uvarint(&mut out, lvl.level as u64);
-            write_uvarint(&mut out, lvl.unit as u64);
-            write_uvarint(&mut out, lvl.dims.nx as u64);
-            write_uvarint(&mut out, lvl.dims.ny as u64);
-            write_uvarint(&mut out, lvl.dims.nz as u64);
-            write_uvarint(&mut out, lvl.chunks.len() as u64);
-            for c in &lvl.chunks {
-                write_uvarint(&mut out, c.offset);
-                write_uvarint(&mut out, c.len as u64);
-                out.extend_from_slice(&c.crc.to_le_bytes());
-                out.extend_from_slice(&c.min.to_le_bytes());
-                out.extend_from_slice(&c.max.to_le_bytes());
-                write_uvarint(&mut out, c.enc_dims.nx as u64);
-                write_uvarint(&mut out, c.enc_dims.ny as u64);
-                write_uvarint(&mut out, c.enc_dims.nz as u64);
-                let layout = encode_layout(c.padded, c.unit, &c.slots);
-                write_uvarint(&mut out, layout.len() as u64);
-                out.extend_from_slice(&layout);
-            }
-        }
-        out
+        schema::encode::<MetaL>(self)
     }
 
     /// Parses [`Self::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut c = Cur::new(bytes);
-        let domain = c.dims()?;
-        let codec_id = c.u32le()?;
-        let eb = c.f64le()?;
-        // Smallest level: level, unit, three extents, chunk count.
-        let n_levels = c.count(6)?;
-        let mut levels = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            let level = c.usize()?;
-            let unit = c.usize()?;
-            let dims = c.dims()?;
-            // Smallest chunk: offset, len, crc + min + max, three extents,
-            // layout length, a three-byte layout.
-            let n_chunks = c.count(21)?;
-            let mut chunks = Vec::with_capacity(n_chunks);
-            for _ in 0..n_chunks {
-                let offset = c.uvarint()?;
-                let len = c.usize()?;
-                let crc = c.u32le()?;
-                let min = c.f32le()?;
-                let max = c.f32le()?;
-                let enc_dims = c.dims()?;
-                let layout_len = c.usize()?;
-                let (padded, l_unit, slots) = decode_layout(c.take(layout_len)?)?;
-                if l_unit != unit {
-                    return Err(StoreError::Malformed("chunk unit mismatch"));
-                }
-                chunks.push(ChunkMeta {
-                    offset,
-                    len,
-                    crc,
-                    min,
-                    max,
-                    enc_dims,
-                    padded,
-                    unit,
-                    slots,
-                });
-            }
-            levels.push(LevelMeta {
-                level,
-                unit,
-                dims,
-                chunks,
-            });
+        let meta = schema::decode::<MetaL>(bytes)?;
+        let units_agree = |l: &LevelMeta| l.chunks.iter().all(|c| c.unit == l.unit);
+        if !meta.levels.iter().all(units_agree) {
+            return Err(StoreError::Malformed("chunk unit mismatch"));
         }
-        c.done()?;
-        Ok(StoreMeta {
-            domain,
-            codec_id,
-            eb,
-            levels,
+        Ok(meta)
+    }
+}
+
+layout!(struct MetaL: StoreMeta { domain: Dims, codec_id: U32, eb: F64, levels: Seq<LevelL> });
+layout!(struct LevelL: LevelMeta { level: Var, unit: Var, dims: Dims, chunks: Seq<ChunkL> });
+
+/// A chunk's entry, its merge layout a length-prefixed blob
+/// ([`encode_layout`]) that carries the chunk's `padded`, `unit` and
+/// `slots`.
+struct ChunkL;
+impl Layout for ChunkL {
+    type T = ChunkMeta;
+    /// Offset, len, crc + min + max, three extents, layout length, a
+    /// three-byte layout.
+    const MIN: usize = 21;
+    fn put(c: &ChunkMeta, out: &mut Vec<u8>) {
+        V64::put(&c.offset, out);
+        Var::put(&c.len, out);
+        U32::put(&c.crc, out);
+        F32::put(&c.min, out);
+        F32::put(&c.max, out);
+        Dims::put(&c.enc_dims, out);
+        let layout = encode_layout(c.padded, c.unit, &c.slots);
+        Var::put(&layout.len(), out);
+        out.extend_from_slice(&layout);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<ChunkMeta, Fault> {
+        let (offset, len, crc) = (V64::get(c)?, Var::get(c)?, U32::get(c)?);
+        let (min, max, enc_dims) = (F32::get(c)?, F32::get(c)?, Dims::get(c)?);
+        let layout_len = Var::get(c)?;
+        let (padded, unit, slots) = decode_layout(c.take(layout_len)?)?;
+        Ok(ChunkMeta {
+            offset,
+            len,
+            crc,
+            min,
+            max,
+            enc_dims,
+            padded,
+            unit,
+            slots,
         })
     }
 }

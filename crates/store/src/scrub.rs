@@ -32,7 +32,8 @@
 use crate::format::{parse_head, StoreError, StoreMeta};
 use crate::temporal::TemporalManifest;
 use crate::StoreReader;
-use hqmr_codec::{crc32, framed_head, framed_head_into, write_uvarint, Cur};
+use hqmr_codec::schema::{self, Pair, Seq, Var, U32};
+use hqmr_codec::{crc32, framed_head, framed_head_into, Cur};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -69,6 +70,10 @@ pub struct ParitySidecar {
     store_tag: u32,
     groups: Vec<ParityGroup>,
 }
+
+/// The sidecar's CRC-guarded header: `(group size, chunk count)`, then the
+/// store tag and every group's `(parity length, CRC)`.
+type HeaderL = Pair<Pair<Var, Var>, Pair<U32, Seq<Pair<Var, U32>>>>;
 
 /// Fingerprint of a store's chunk-CRC table (flat order): ties a sidecar to
 /// the exact chunk payloads it was computed over.
@@ -189,15 +194,12 @@ impl ParitySidecar {
     /// Serializes the sidecar (prefix + CRC-guarded header + parity
     /// payload).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut header = Vec::new();
-        write_uvarint(&mut header, self.group as u64);
-        write_uvarint(&mut header, self.chunk_count as u64);
-        header.extend_from_slice(&self.store_tag.to_le_bytes());
-        write_uvarint(&mut header, self.groups.len() as u64);
-        for g in &self.groups {
-            write_uvarint(&mut header, g.parity.len() as u64);
-            header.extend_from_slice(&g.crc.to_le_bytes());
-        }
+        let lens = self.groups.iter().map(|g| (g.parity.len(), g.crc));
+        let header = (
+            (self.group, self.chunk_count),
+            (self.store_tag, lens.collect()),
+        );
+        let header = schema::encode::<HeaderL>(&header);
         let mut out = Vec::new();
         framed_head_into(&mut out, PARITY_MAGIC, PARITY_VERSION, &header);
         for g in &self.groups {
@@ -215,30 +217,23 @@ impl ParitySidecar {
     }
 
     /// [`Self::from_bytes`] with the cursor's faults and the sidecar's own
-    /// inconsistencies folded into one message.
+    /// inconsistencies folded into one message. The parity blocks are read
+    /// from the payload, a second cursor, at the lengths the header gives.
     fn parse(bytes: &[u8]) -> Result<ParitySidecar, &'static str> {
         let (header, payload) = framed_head(bytes, PARITY_MAGIC, PARITY_VERSION)?;
-        let mut h = Cur::new(header);
-        let group = h.usize()?;
+        let ((group, chunk_count), (store_tag, lens)) = schema::decode::<HeaderL>(header)?;
         if group == 0 {
             return Err("group size zero");
         }
-        let chunk_count = h.usize()?;
-        let store_tag = h.u32le()?;
-        // A group is at least a one-byte length and its CRC.
-        let n_groups = h.count(5)?;
-        if n_groups != chunk_count.div_ceil(group) {
+        if lens.len() != chunk_count.div_ceil(group) {
             return Err("group count inconsistent with chunk count");
         }
         let mut payload = Cur::new(payload);
-        let mut groups = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let len = h.usize()?;
-            let crc = h.u32le()?;
+        let mut groups = Vec::with_capacity(lens.len());
+        for (len, crc) in lens {
             let parity = payload.take(len)?.to_vec();
             groups.push(ParityGroup { crc, parity });
         }
-        h.done()?;
         payload.done()?;
         Ok(ParitySidecar {
             group,

@@ -58,7 +58,8 @@
 use crate::format::{StoreError, StoreMeta};
 use crate::read::{self, ChunkSource, DecodedChunk};
 use crate::{encode_frame, hqst_into, Loop, StoreConfig, StoreReader};
-use hqmr_codec::{framed_head, framed_head_into, write_uvarint, Codec, Cur};
+use hqmr_codec::schema::{self, Layout, Seq, Str, Var, V64};
+use hqmr_codec::{framed_head, framed_head_into, layout, Codec, Cur, Fault};
 use hqmr_mr::{structure_matches, temporal as predict, MultiResData};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -146,26 +147,8 @@ pub struct TemporalManifest {
 impl TemporalManifest {
     /// Serializes the framed manifest (prefix + CRC-guarded body).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        write_uvarint(&mut body, self.frames.len() as u64);
-        for f in &self.frames {
-            write_uvarint(&mut body, f.step);
-            write_uvarint(&mut body, f.file.len() as u64);
-            body.extend_from_slice(f.file.as_bytes());
-            write_uvarint(&mut body, f.delta.len() as u64);
-            for level in &f.delta {
-                write_uvarint(&mut body, level.len() as u64);
-                // LSB-first bitset.
-                let mut bits = vec![0u8; level.len().div_ceil(8)];
-                for (i, &d) in level.iter().enumerate() {
-                    if d {
-                        bits[i / 8] |= 1 << (i % 8);
-                    }
-                }
-                body.extend_from_slice(&bits);
-            }
-        }
         let mut out = Vec::new();
+        let body = schema::encode::<ManifestL>(self);
         framed_head_into(&mut out, TEMPORAL_MAGIC, TEMPORAL_VERSION, &body);
         out
     }
@@ -173,29 +156,31 @@ impl TemporalManifest {
     /// Parses and CRC-validates [`Self::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let (body, _) = framed_head(bytes, TEMPORAL_MAGIC, TEMPORAL_VERSION)?;
-        let mut c = Cur::new(body);
-        // Smallest frame: step, name length, level count.
-        let n_frames = c.count(3)?;
-        let mut frames = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let step = c.uvarint()?;
-            let file = c.str()?.to_string();
-            let n_levels = c.count(1)?;
-            let mut delta = Vec::with_capacity(n_levels);
-            for _ in 0..n_levels {
-                // LSB-first bitset, taken whole before a flag is built from it.
-                let n_chunks = c.usize()?;
-                let bits = c.take(n_chunks.div_ceil(8))?;
-                delta.push(
-                    (0..n_chunks)
-                        .map(|i| bits[i / 8] & (1 << (i % 8)) != 0)
-                        .collect(),
-                );
-            }
-            frames.push(FrameMeta { step, file, delta });
+        Ok(schema::decode::<ManifestL>(body)?)
+    }
+}
+
+layout!(struct ManifestL: TemporalManifest { frames: Seq<FrameL> });
+layout!(struct FrameL: FrameMeta { step: V64, file: Str, delta: Seq<BitsL> });
+
+/// One level's delta flags: the chunk count, then an LSB-first bitset.
+struct BitsL;
+impl Layout for BitsL {
+    type T = Vec<bool>;
+    const MIN: usize = 1;
+    fn put(flags: &Vec<bool>, out: &mut Vec<u8>) {
+        Var::put(&flags.len(), out);
+        let mut bits = vec![0u8; flags.len().div_ceil(8)];
+        for (i, _) in flags.iter().enumerate().filter(|(_, &d)| d) {
+            bits[i / 8] |= 1 << (i % 8);
         }
-        c.done()?;
-        Ok(TemporalManifest { frames })
+        out.extend_from_slice(&bits);
+    }
+    fn get(c: &mut Cur<'_>) -> Result<Vec<bool>, Fault> {
+        // The bitset is taken whole before a flag is built from it.
+        let n = Var::get(c)?;
+        let bits = c.take(n.div_ceil(8))?;
+        Ok((0..n).map(|i| bits[i / 8] & (1 << (i % 8)) != 0).collect())
     }
 }
 
