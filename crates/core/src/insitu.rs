@@ -458,6 +458,28 @@ mod tests {
     }
 
     #[test]
+    fn append_refuses_a_block_of_the_wrong_length() {
+        use hqmr_mr::{to_adaptive, RoiConfig};
+        use hqmr_store::temporal::Prediction;
+
+        let mr = to_adaptive(
+            &synth::warpx_like(hqmr_grid::Dims3::cube(32), 3),
+            &RoiConfig::new(8, 0.5),
+        );
+        let mut short = mr.clone();
+        short.levels[0].blocks[0].data.pop();
+        let dir = std::env::temp_dir().join("hqmr_insitu_short_block");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut w =
+            TemporalWriter::create(&dir, &MrcConfig::ours(1e-3), Prediction::delta()).unwrap();
+        for t in 0..2 {
+            assert!(w.append(t, &short).is_err(), "frame {t}");
+            assert_eq!(w.append(t, &mr).unwrap().index, t as usize);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn preprocess_stage_is_minor_next_to_compression() {
         // Table IV's structure: pre-processing (merge/pad) is cheap relative
         // to compression + writing, for both our linear merge and AMRIC's

@@ -150,6 +150,9 @@ pub fn prepare_mr(mr: &MultiResData, cfg: &MrcConfig) -> Vec<PreparedLevel> {
 /// Stage 2 (Table IV "compress + write"): runs the chunk-encode loop over
 /// prepared levels and serializes the container. `prepared` must come from
 /// [`prepare_mr`] with the same `mr` and `cfg`.
+///
+/// # Panics
+/// Panics if a block of `mr` does not hold `unit³` values.
 pub fn encode_prepared(
     mr: &MultiResData,
     prepared: &[PreparedLevel],
@@ -167,17 +170,22 @@ pub fn encode_prepared(
             }
         })
         .collect();
-    let (bytes, stats, _) = encode(mr, Some(&groups), cfg, false).expect(OPEN_LOOP);
+    let (bytes, stats, _) = encode(mr, Some(&groups), cfg, false).expect(WHOLE_BLOCKS);
     (bytes, stats)
 }
 
 /// Compresses multi-resolution data under `cfg` (both stages in one call).
+///
+/// # Panics
+/// Panics if a block of `mr` does not hold `unit³` values.
 pub fn compress_mr(mr: &MultiResData, cfg: &MrcConfig) -> (Vec<u8>, MrStats) {
-    let (bytes, stats, _) = encode(mr, None, cfg, false).expect(OPEN_LOOP);
+    let (bytes, stats, _) = encode(mr, None, cfg, false).expect(WHOLE_BLOCKS);
     (bytes, stats)
 }
 
-const OPEN_LOOP: &str = "an encode that asks for no reconstruction cannot fail";
+/// Why an encode that asks for no reconstruction can fail: only on a
+/// malformed block.
+const WHOLE_BLOCKS: &str = "every block must hold unit³ values";
 
 /// The store's chunk-encode loop at one chunk per level, in this module's
 /// container: `MRHD`, `CDID`, per level `LVHD`, per chunk `LAYT` and the
@@ -195,6 +203,7 @@ pub(crate) fn encode(
     let encoded = hqmr_store::encode_chunks(mr, prepared, &store_cfg, codec.as_ref(), want_recon);
     let (meta, data, recon) = encoded.map_err(|e| match e {
         StoreError::Codec { source, .. } => source,
+        StoreError::Malformed(why) => CodecError::Malformed(why),
         _ => CodecError::Malformed("chunk encode failed"),
     })?;
 

@@ -1,5 +1,5 @@
 //! The write path's one encode loop, timed on the two work lists it sees:
-//! a delta frame of a two-level temporal run (both candidates per chunk,
+//! a delta frame of a two-level temporal run (a sampled choice per chunk,
 //! prepare inside the chunk task, the closed loop fed from the codec's
 //! reconstruction) and a two-level snapshot (the same, open loop).
 //! Both lists run from large chunks to small ones — the skew the rayon

@@ -41,8 +41,10 @@
 //! ([`hqmr_codec::Codec::compress_with_recon`]) cut into the frame as a
 //! reader will see it — the next frame's base, or `run_uniform_workflow`'s
 //! reconstruction — and, given a base, a residual candidate beside the raw
-//! one, the smaller stream kept ([`temporal`] has the rest). Every file a
-//! writer leaves on disk is published by one function, [`write_atomic`].
+//! one: a sampled plane picks the one compressed in full, and a close call
+//! or a small array compresses both and keeps the smaller ([`temporal`]
+//! has the rest). Every file a writer leaves on disk is published by one
+//! function, [`write_atomic`].
 //!
 //! Every chunk payload carries a CRC-32 checked before the codec runs, so a
 //! flipped bit surfaces as the typed
@@ -294,6 +296,9 @@ pub fn prepare_store(mr: &MultiResData, cfg: &StoreConfig) -> PreparedStore {
 /// store into `out` (cleared first, so repeated in-situ frames reuse one
 /// allocation). `prepared` must come from [`prepare_store`] with the same
 /// `mr` and `cfg`.
+///
+/// # Panics
+/// Panics if a block of `mr` does not hold `unit³` values.
 pub fn encode_prepared_store_into(
     mr: &MultiResData,
     prepared: &PreparedStore,
@@ -303,16 +308,20 @@ pub fn encode_prepared_store_into(
 ) {
     let groups: Vec<&[PreparedLevel]> = prepared.iter().map(Vec::as_slice).collect();
     let encoded = encode_frame(mr, Some(&groups), Loop::Open, cfg, codec);
-    hqst_into(encoded.expect(OPEN_LOOP), out);
+    hqst_into(encoded.expect(WHOLE_BLOCKS), out);
 }
 
-const OPEN_LOOP: &str = "an open loop asks the codec for no reconstruction and cuts none";
+/// Why an open-loop encode can fail: it asks the codec for no
+/// reconstruction and cuts none, so only a malformed block is left.
+const WHOLE_BLOCKS: &str = "every block must hold unit³ values";
 
 /// The one chunk-encode loop without an envelope, for `hqmr-core::mrc`'s
 /// container: the directory, the data region it indexes, and with
 /// `want_recon` `mr` as a reader will reconstruct it, blocks in `mr`'s order
 /// ([`Codec::compress_with_recon`]'s; nothing is decoded). `prepared` holds
-/// each level's prepared groups, as [`prepare_store`] does.
+/// each level's prepared groups, as [`prepare_store`] does. A block that
+/// does not hold `unit³` values is [`StoreError::Malformed`]; a backend
+/// failing its reconstruction contract is [`StoreError::Codec`].
 pub fn encode_chunks(
     mr: &MultiResData,
     prepared: Option<&[&[PreparedLevel]]>,
@@ -337,7 +346,7 @@ pub(crate) enum Loop<'a> {
     /// The next frame is predicted from this one, so the encode hands back
     /// the frame as a reader will reconstruct it; given a base — the
     /// previous frame in that form, of the same block structure — every
-    /// chunk also tries its residual against it.
+    /// chunk also has its residual against it as a candidate.
     Closed(Option<&'a MultiResData>),
 }
 
@@ -406,6 +415,12 @@ pub(crate) fn encode_frame(
     );
     let mut groups = Vec::new();
     for (level, lvl) in mr.levels.iter().enumerate() {
+        // Merging copies `unit³` values per block; a block of any other
+        // length is the caller's data, not a reason to panic in a task.
+        let cells = lvl.unit.checked_pow(3);
+        if lvl.blocks.iter().any(|b| Some(b.data.len()) != cells) {
+            return Err(StoreError::Malformed("a block does not hold unit³ values"));
+        }
         let prepared = prepared.map(|p| p[level]);
         assert!(
             prepared.is_none_or(|p| p.len() == lvl.blocks.len().div_ceil(per)),
@@ -477,14 +492,17 @@ pub(crate) fn encode_frame(
 /// the group came prepared), compress, CRC. In a closed loop (`want_recon`)
 /// it compresses through [`Codec::compress_with_recon`] and cuts the
 /// reconstruction into unit blocks by the checked slot walk a reader's
-/// decode uses; given a base it prepares the group's residual the same way,
-/// keeps the smaller of the two streams (the raw one on a tie), and restores
-/// a winning residual's blocks onto the base with the chain walk's own
-/// `restore_in_place`. Nothing is decoded: the blocks handed back are what a
-/// reader reconstructs by the codec contract. The table entries describe
-/// the actual values either way — layout, and the min/max isovalue skipping
-/// relies on, come from the raw candidate. An error names the group's chunk
-/// the backend failed its contract on.
+/// decode uses. Given a base it prepares the group's residual the same way
+/// and lets [`candidates`] pick, per array, which of raw and residual to
+/// compress in full: the one a sampled plane favours, or both on a close
+/// call or a small array, the smaller stream kept (the raw one on a tie).
+/// A winning residual's blocks are restored onto the base with
+/// `restore_in_place`, the same `r + p` a chain walk applies. Nothing is
+/// decoded: the blocks handed back are what a reader reconstructs by the
+/// codec contract. The table entries describe the actual values either way
+/// — layout, and the min/max isovalue skipping relies on, come from the raw
+/// candidate. An error names the group's chunk the backend failed its
+/// contract on.
 fn encode_group(
     g: &Group<'_>,
     unit: usize,
@@ -524,18 +542,21 @@ fn encode_group(
     RECON_SCRATCH.with(|scratch| {
         let [raw_recon, delta_recon] = &mut *scratch.borrow_mut();
         for (i, (m, f)) in raw.blocks().enumerate() {
+            let residual = residual.as_ref().map(|r| r.field(i));
+            let (try_raw, try_delta) =
+                residual.map_or((true, false), |r| candidates(f, r, cfg.eb, codec));
             let (mut stream, mut is_delta) = (Vec::new(), false);
-            if want_recon {
+            if !want_recon {
+                codec.compress_into(f, cfg.eb, &mut stream);
+            } else if try_raw {
                 (codec.compress_with_recon(f, cfg.eb, &mut stream, raw_recon))
                     .map_err(|e| (i, e))?;
-            } else {
-                codec.compress_into(f, cfg.eb, &mut stream);
             }
-            if let Some(residual) = &residual {
+            if let Some(residual) = residual.filter(|_| try_delta) {
                 let mut delta = Vec::new();
-                (codec.compress_with_recon(residual.field(i), cfg.eb, &mut delta, delta_recon))
+                (codec.compress_with_recon(residual, cfg.eb, &mut delta, delta_recon))
                     .map_err(|e| (i, e))?;
-                if delta.len() < stream.len() {
+                if !try_raw || delta.len() < stream.len() {
                     (stream, is_delta) = (delta, true);
                 }
             }
@@ -569,13 +590,64 @@ fn encode_group(
     })
 }
 
+/// Arrays whose shortest side is below this are too small for one plane to
+/// speak for them, and try both candidates. 16 is the paper's unit: every
+/// array at a smaller unit — `golden_stores`' temporal runs at unit 8 among
+/// them — keeps the try-both bytes exactly.
+const SAMPLE_MIN_SIDE: usize = 16;
+
+/// A sampled stream must be smaller than the other candidate's by more than
+/// this many percent for its candidate alone to be compressed in full.
+/// Chosen on the 128×128×256 WarpX proxy, six frames at advection 0.1, 0.5
+/// and 1.3 cells per frame, under sz3, sz2 and zfp and two seeds: at 2 % the
+/// delta frames' bytes stayed within 1.0 % of trying both (0.4 % over all
+/// 18 runs) with 6 % of sampled arrays close calls (a quarter of sz3's at
+/// 1.3 cells per frame). 1 % let the worst run reach +1.4 %; 3 % held it to
+/// +0.8 % but made a third of sz3's arrays at 1.3 cells per frame close
+/// calls, each compressed twice.
+const MARGIN_PERCENT: usize = 2;
+
+/// Which of an array's two candidates, `(raw, residual)`, to compress in
+/// full. Each is sampled by compressing its mid plane across the array's
+/// shortest axis; one that is smaller by more than the margin goes alone,
+/// otherwise both. The plane keeps the two long axes — a linear merge's
+/// merge axis among them — so the sample sees the same interpolation runs
+/// the whole array does; a slab cut across the merge axis favours the
+/// residual where the raw values win. The choice reads only the two arrays,
+/// so a frame's bytes depend on its data and its base alone.
+fn candidates(raw: &Field3, residual: &Field3, eb: f64, codec: &dyn Codec) -> (bool, bool) {
+    let dims = raw.dims();
+    let sides = [dims.nx, dims.ny, dims.nz];
+    let axis = (0..3).min_by_key(|&a| sides[a]).unwrap_or(0);
+    if sides[axis] < SAMPLE_MIN_SIDE {
+        return (true, true);
+    }
+    let mut origin = [0; 3];
+    origin[axis] = sides[axis] / 2;
+    let mut size = sides;
+    size[axis] = 1;
+    let size = Dims3::new(size[0], size[1], size[2]);
+    let sampled = |f: &Field3| {
+        let mut out = Vec::new();
+        codec.compress_into(&f.extract_box(origin, size), eb, &mut out);
+        out.len()
+    };
+    let (raw, delta) = (sampled(raw), sampled(residual));
+    // `a` beats `b` when a < (1 − margin)·b, in integers.
+    let beats = |a: usize, b: usize| a * 100 < b * (100 - MARGIN_PERCENT);
+    (!beats(delta, raw), !beats(raw, delta))
+}
+
 /// Writes `mr` into a complete in-memory store buffer. Each chunk group is
 /// prepared inside its encode task, so no whole-store prepared copy exists;
 /// the bytes equal [`prepare_store`] + [`encode_prepared_store_into`]'s.
+///
+/// # Panics
+/// Panics if a block of `mr` does not hold `unit³` values.
 pub fn write_store(mr: &MultiResData, cfg: &StoreConfig, codec: &dyn Codec) -> Vec<u8> {
     let mut out = Vec::new();
     let encoded = encode_frame(mr, None, Loop::Open, cfg, codec);
-    hqst_into(encoded.expect(OPEN_LOOP), &mut out);
+    hqst_into(encoded.expect(WHOLE_BLOCKS), &mut out);
     out
 }
 
@@ -583,6 +655,9 @@ pub fn write_store(mr: &MultiResData, cfg: &StoreConfig, codec: &dyn Codec) -> V
 /// (`None` when `cfg.parity_group == 0`). The sidecar is computed off the
 /// just-framed buffer, so it is consistent with the store by construction;
 /// file-level writers persist both through their crash-safe path.
+///
+/// # Panics
+/// Panics where [`write_store`] does.
 pub fn write_store_with_parity(
     mr: &MultiResData,
     cfg: &StoreConfig,

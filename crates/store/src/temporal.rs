@@ -20,10 +20,14 @@
 //! Prediction is **closed-loop**: the writer predicts from the *decoded*
 //! previous frame, so the reader's reconstruction `x̂_t = x̂_{t−1} + r̂_t`
 //! carries per-frame error ≤ eb with no drift along a delta chain. Each
-//! chunk picks keyframe-vs-delta independently (whichever compresses
-//! smaller), whole frames are forced to keyframes on a configurable
-//! interval and whenever the block structure changes, and frame 0 is always
-//! a keyframe — so every chunk chain is seekable from its nearest keyframe.
+//! chunk picks keyframe-vs-delta independently: a sampled plane of each
+//! array, compressed both ways, names the candidate compressed in full; on
+//! a close call, or an array too small to sample, both are compressed and
+//! the smaller kept. The choice reads the frame and its base and nothing
+//! else, so the base stays the encoder's whole state. Whole frames are
+//! forced to keyframes on a configurable interval and whenever the block
+//! structure changes, and frame 0 is always a keyframe — so every chunk
+//! chain is seekable from its nearest keyframe.
 //!
 //! A frame is written by the store's one encode loop (crate docs); the
 //! [`TemporalEncoder`] only decides whether the frame closes the loop and
@@ -35,7 +39,7 @@
 //! reconstruction* — each winning stream's
 //! [`Codec::compress_with_recon`] output, cut into unit blocks by the
 //! checked slot walk a reader's decode uses, delta chunks restored by the
-//! `restore_in_place` chain walks use — and nothing is decoded to obtain
+//! same `r + p` chain walks apply — and nothing is decoded to obtain
 //! it. That it equals a reader's reconstruction bit for bit is the codec
 //! trait's contract, pinned by `tests/golden_stores.rs` (one drifting bit
 //! in a base changes the next frame's bytes) and by the default-path
@@ -60,7 +64,7 @@ use crate::read::{self, ChunkSource, DecodedChunk};
 use crate::{encode_frame, hqst_into, Loop, StoreConfig, StoreReader};
 use hqmr_codec::schema::{self, Layout, Seq, Str, Var, V64};
 use hqmr_codec::{framed_head, framed_head_into, layout, Codec, Cur, Fault};
-use hqmr_mr::{structure_matches, temporal as predict, MultiResData};
+use hqmr_mr::{structure_matches, MultiResData};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -78,7 +82,9 @@ pub enum Prediction {
     /// to `write_snapshot` output.
     Off,
     /// Chunks may be temporal deltas against the previous frame's decoded
-    /// values; whichever of raw/delta compresses smaller wins per chunk.
+    /// values. Per chunk, a sampled plane picks raw or delta, compressing
+    /// only that one; a close call or a small array compresses both and
+    /// keeps the smaller.
     Delta {
         /// Every `keyframe_interval`-th frame is forced to a whole-frame
         /// keyframe (`0` ⇒ only frame 0 and structure changes force one).
@@ -184,8 +190,10 @@ impl Layout for BitsL {
     }
 }
 
-/// Adds `residual` onto `prev`, producing the actual-value chunk. Errors if
-/// the two chunks disagree structurally (a malformed chain).
+/// Adds `residual` onto `prev`, producing the actual-value chunk in one pass
+/// into its slab: each value is `r + p`, the float op of
+/// [`hqmr_mr::temporal::restore_in_place`]. Errors if the two chunks
+/// disagree structurally (a malformed chain).
 pub fn apply_residual(
     prev: &DecodedChunk,
     residual: &DecodedChunk,
@@ -196,12 +204,15 @@ pub fn apply_residual(
     {
         return Err(StoreError::Malformed("temporal chain structure mismatch"));
     }
-    let mut data: Vec<f32> = residual.data.to_vec();
-    predict::restore_in_place(&mut data, &prev.data);
+    // A zip of two slices has an exact length: the `Arc` slab is allocated
+    // once and filled in place.
+    let data: Arc<[f32]> = (residual.data.iter().zip(prev.data.iter()))
+        .map(|(r, p)| r + p)
+        .collect();
     Ok(DecodedChunk {
         unit: residual.unit,
         origins: Arc::clone(&residual.origins),
-        data: data.into(),
+        data,
     })
 }
 
@@ -440,7 +451,7 @@ mod tests {
     fn seq_frames(n: usize, steps: usize) -> Vec<MultiResData> {
         let template = hqmr_mr::to_adaptive(&seq_field(n, 0), &hqmr_mr::RoiConfig::new(8, 0.5));
         (0..steps)
-            .map(|t| predict::resample_like(&template, &seq_field(n, t)))
+            .map(|t| hqmr_mr::resample_like(&template, &seq_field(n, t)))
             .collect()
     }
 
@@ -569,6 +580,30 @@ mod tests {
         }
         assert_eq!(per_frame[0], 0, "frame 0 is a keyframe");
         assert_eq!(per_frame[2], 0, "structure change forces keyframe");
+    }
+
+    #[test]
+    fn a_block_of_the_wrong_length_is_a_typed_error() {
+        let frames = seq_frames(16, 2);
+        let cfg = StoreConfig::new(0.02).with_chunk_blocks(2);
+        let codec = Sz3Codec::default();
+        let mut enc = TemporalEncoder::new(cfg, Prediction::delta());
+        let mut buf = Vec::new();
+        let short = |mr: &MultiResData| {
+            let mut mr = mr.clone();
+            mr.levels[0].blocks[1].data.pop();
+            mr
+        };
+        for (t, mr) in frames.iter().enumerate() {
+            // Frame 0 is a keyframe; frame 1 has a base.
+            let err = enc.encode_frame_into(&short(mr), &codec, &mut buf);
+            assert!(matches!(err, Err(StoreError::Malformed(_))), "{t}: {err:?}");
+            // The encoder has not advanced: the whole frame still encodes.
+            let flags = enc.encode_frame_into(mr, &codec, &mut buf).unwrap();
+            assert_eq!(flags.iter().flatten().any(|&d| d), t == 1);
+        }
+        let err = crate::encode_chunks(&short(&frames[0]), None, &cfg, &codec, false);
+        assert!(matches!(err, Err(StoreError::Malformed(_))));
     }
 
     #[test]
