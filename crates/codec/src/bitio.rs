@@ -15,8 +15,7 @@
 //!
 //! The original byte-at-a-time implementation is preserved in
 //! [`mod@reference`] — the differential property tests prove the two produce
-//! and consume identical streams, and the hot-path bench reports both so the
-//! speedup is measured, not assumed.
+//! and consume identical streams.
 
 /// Append-only bit sink.
 #[derive(Debug, Default, Clone)]
@@ -338,7 +337,7 @@ impl<'a> BitReader<'a> {
 ///
 /// These are the *reference* implementations: the differential property
 /// tests assert the word-at-a-time structs above produce and consume
-/// bit-identical streams, and `benches/hotpath.rs` times both.
+/// bit-identical streams.
 pub mod reference {
     /// Byte-at-a-time [`super::BitWriter`] (reference implementation).
     #[derive(Debug, Default, Clone)]

@@ -33,7 +33,7 @@
 //! before anything is allocated for it. The pre-overhaul per-bit coder
 //! survives as [`huffman_encode_reference`] / [`huffman_decode_reference`]:
 //! differential tests pin the two paths together — symbols *and* errors,
-//! truncated input included — and `benches/hotpath.rs` measures the gap.
+//! truncated input included.
 
 use crate::bitio::{reference, BitReader, BitWriter};
 use crate::codec::CodecError;
@@ -831,7 +831,7 @@ pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
 
 /// Pre-overhaul encoder (per-bit emission through the reference
 /// [`reference::BitWriter`]). Produces byte-identical blocks to
-/// [`huffman_encode`]; kept for differential tests and the hot-path bench.
+/// [`huffman_encode`]; kept for differential tests.
 pub fn huffman_encode_reference(symbols: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
     match encode_header(symbols, &mut out) {
@@ -890,8 +890,7 @@ mod packed_tests {
 
 /// Pre-overhaul decoder (per-bit canonical walk over the reference
 /// [`reference::BitReader`]). Accepts exactly the blocks
-/// [`huffman_decode`] accepts; kept for differential tests and the hot-path
-/// bench.
+/// [`huffman_decode`] accepts; kept for differential tests.
 pub fn huffman_decode_reference(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
     let mut runs = Vec::new();
     let (n_symbols, payload) = decode_header(bytes, &mut runs)?;

@@ -37,7 +37,7 @@
 //! A CRC is a pure function of the bytes, so chunk, sidecar and wire-frame
 //! checksums written under one arm verify under the other.
 //!
-//! Two override channels exist so CI and the benches can pin an arm:
+//! Two override channels exist so CI and the tests can pin an arm:
 //!
 //! * `HQMR_FORCE_SCALAR=1` in the environment forces the scalar arm — the
 //!   scalar kernels and the table CRC — for the whole process.
@@ -90,7 +90,7 @@ fn publish_env(flag: &AtomicU8, env_on: bool) -> bool {
 }
 
 /// Pins (or unpins) the scalar arm for the whole process, overriding the
-/// environment. The benches use this to time both arms in one run.
+/// environment. The tests use this to run both arms in one process.
 pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR.store(if on { ON } else { OFF }, Ordering::Relaxed);
 }

@@ -578,13 +578,28 @@ mod tests {
 
     #[test]
     fn prepare_encode_split_matches_one_shot() {
-        let mr = test_mr();
-        let cfg = MrcConfig::ours(1e6);
-        let prepared = prepare_mr(&mr, &cfg);
-        assert_eq!(prepared.len(), mr.levels.len());
-        assert!(prepared[0].padded());
-        let (bytes_split, _) = encode_prepared(&mr, &prepared, &cfg);
-        let (bytes_one, _) = compress_mr(&mr, &cfg);
-        assert_eq!(bytes_split, bytes_one);
+        // Also `paper_workflow`'s input: the 64×64×512 WarpX proxy at the
+        // paper's ROI setting, whose fine level `ours` lays out as the one
+        // 17×17×4096 array — the level-sized shape past the cutoff where
+        // zfp's slabs and sz2's wavefront fan out.
+        let proxy = synth::warpx_like(Dims3::new(64, 64, 512), 20240917);
+        let proxy_eb = proxy.range() as f64 * 1e-3;
+        let proxy_mr = to_adaptive(&proxy, &RoiConfig::paper_default());
+        for (mr, eb, fine) in [
+            (test_mr(), 1e6, None),
+            (proxy_mr, proxy_eb, Some(Dims3::new(17, 17, 4096))),
+        ] {
+            let cfg = MrcConfig::ours(eb);
+            let prepared = prepare_mr(&mr, &cfg);
+            assert_eq!(prepared.len(), mr.levels.len());
+            assert!(prepared[0].padded());
+            if let Some(dims) = fine {
+                assert_eq!(prepared[0].array_count(), 1);
+                assert_eq!(prepared[0].field(0).dims(), dims);
+            }
+            let (bytes_split, _) = encode_prepared(&mr, &prepared, &cfg);
+            let (bytes_one, _) = compress_mr(&mr, &cfg);
+            assert_eq!(bytes_split, bytes_one);
+        }
     }
 }

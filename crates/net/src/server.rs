@@ -482,12 +482,29 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Decrements the live-connection gauge however the connection ends.
-struct ConnGuard<'a>(&'a AtomicUsize);
+/// One admitted connection's share of `max_connections`. It is taken before
+/// the connection's thread is spawned and moved into it, so the slot goes
+/// back to the gauge however the connection ends — including a spawn that
+/// fails and drops the closure unrun.
+struct ConnSlot(Arc<Shared>);
 
-impl Drop for ConnGuard<'_> {
+impl ConnSlot {
+    /// Counts a connection into the live-connection gauge, or counts an
+    /// admission rejection and returns `None` when the server is full.
+    fn admit(shared: &Arc<Shared>) -> Option<ConnSlot> {
+        let prev = shared.live_conns.fetch_add(1, Ordering::AcqRel);
+        if prev >= shared.cfg.max_connections {
+            shared.live_conns.fetch_sub(1, Ordering::AcqRel);
+            shared.admission_rejections.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(ConnSlot(Arc::clone(shared)))
+    }
+}
+
+impl Drop for ConnSlot {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        self.0.live_conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -793,20 +810,18 @@ impl NetServer {
                         // relies on blocking reads with timeouts.
                         let _ = stream.set_nonblocking(false);
                         conn_id += 1;
-                        let prev = shared.live_conns.fetch_add(1, Ordering::AcqRel);
-                        if prev >= shared.cfg.max_connections {
-                            shared.live_conns.fetch_sub(1, Ordering::AcqRel);
-                            shared.admission_rejections.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = ConnSlot::admit(&shared) else {
                             reject_connection(stream);
                             continue;
-                        }
-                        let shared = Arc::clone(&shared);
+                        };
+                        // A failed spawn drops the closure, and the slot
+                        // with it: the connection closes unserved and the
+                        // server keeps its full capacity.
                         let _ =
                             std::thread::Builder::new()
                                 .name("hqnw-conn".into())
                                 .spawn(move || {
-                                    let _guard = ConnGuard(&shared.live_conns);
-                                    let _ = serve_connection(&shared, stream, conn_id);
+                                    let _ = serve_connection(&slot.0, stream, conn_id);
                                 });
                     }
                 })
@@ -1084,6 +1099,28 @@ mod tests {
                 crate::proto::WireStoreError::NoSuchLevel(99)
             ))
         );
+    }
+
+    /// A connection's slot goes back however its thread ends — also when the
+    /// thread never runs: a failed spawn drops the closure that owns the
+    /// slot, and the server must keep its full `max_connections`.
+    #[test]
+    fn an_admitted_slot_dropped_unserved_frees_its_connection() {
+        let server = fleet(NetConfig {
+            workers: 1,
+            max_connections: 1,
+            ..NetConfig::default()
+        });
+        let shared = &server.shared;
+        let slot = ConnSlot::admit(shared).expect("an empty server admits");
+        assert_eq!(shared.live_conns.load(Ordering::Acquire), 1);
+        assert!(ConnSlot::admit(shared).is_none(), "the one slot is taken");
+        assert_eq!(shared.admission_rejections.load(Ordering::Relaxed), 1);
+        // What a failed spawn does with the connection's body: drops it unrun.
+        let body = move || slot.0.live_conns.load(Ordering::Acquire);
+        drop(body);
+        assert_eq!(shared.live_conns.load(Ordering::Acquire), 0);
+        assert!(ConnSlot::admit(shared).is_some(), "the slot is free again");
     }
 
     /// The acceptance-critical backpressure property, deterministically:

@@ -2,8 +2,9 @@
 //!
 //! The build environment has no crates.io access, so the slice of proptest
 //! this workspace's property tests use is reimplemented here: the
-//! `proptest! { ... }` macro (with an optional `#![proptest_config(...)]`
-//! header), range and `any::<T>()` strategies, `collection::vec`, and the
+//! `proptest! { ... }` macro (each block opens with its
+//! `#![proptest_config(...)]` header), range and `any::<T>()` strategies over
+//! the integer types the tests draw, `collection::vec`, and the
 //! `prop_assert!`/`prop_assert_eq!` assertion macros.
 //!
 //! Differences from the real crate, deliberately accepted: no shrinking (a
@@ -17,16 +18,9 @@ use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Per-test configuration. Only the case count is honoured.
-#[derive(Debug, Clone, Copy)]
 pub struct ProptestConfig {
     /// Number of generated cases per test.
     pub cases: u32,
-}
-
-impl Default for ProptestConfig {
-    fn default() -> Self {
-        ProptestConfig { cases: 64 }
-    }
 }
 
 impl ProptestConfig {
@@ -37,7 +31,6 @@ impl ProptestConfig {
 }
 
 /// Deterministic generator driving a test's case stream.
-#[derive(Debug, Clone)]
 pub struct TestRng(StdRng);
 
 impl TestRng {
@@ -76,7 +69,7 @@ macro_rules! impl_range_strategy {
     )+};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_range_strategy!(u8, u32, u64, usize, i32);
 
 /// Produces uniformly random values over a type's whole domain.
 pub struct Any<T>(PhantomData<T>);
@@ -102,7 +95,7 @@ macro_rules! impl_arbitrary_int {
     )+};
 }
 
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_arbitrary_int!(u8, u32, u64, usize, i64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
@@ -181,9 +174,6 @@ macro_rules! prop_assert_eq {
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
         $crate::__proptest_fns!{ cfg = ($cfg); $($rest)* }
-    };
-    ($($rest:tt)*) => {
-        $crate::__proptest_fns!{ cfg = ($crate::ProptestConfig::default()); $($rest)* }
     };
 }
 

@@ -9,8 +9,9 @@
 //! sampling, SGD shuffling).
 //!
 //! Implemented surface: `rngs::StdRng`, [`SeedableRng::seed_from_u64`],
-//! [`Rng::gen_range`] over half-open and inclusive ranges of the common
-//! numeric types, and [`seq::SliceRandom::shuffle`].
+//! [`Rng::gen_range`] over half-open and inclusive ranges of the types the
+//! workspace draws (`f64`, `f32`, `u8`, `u32`, `u64`, `usize`, `i32`), and
+//! [`seq::SliceRandom::shuffle`].
 
 use std::ops::{Range, RangeInclusive};
 
@@ -106,7 +107,7 @@ macro_rules! impl_sample_uniform_int {
     )+};
 }
 
-impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_uniform_int!(u8, u32, u64, usize, i32);
 
 /// Concrete generators.
 pub mod rngs {
@@ -114,7 +115,6 @@ pub mod rngs {
 
     /// Deterministic 64-bit generator (SplitMix64). Stands in for `rand`'s
     /// `StdRng`; same name so call sites don't change.
-    #[derive(Debug, Clone)]
     pub struct StdRng {
         state: u64,
     }

@@ -173,13 +173,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { items: self }
-    }
-}
-
 /// Borrowed parallel iterator.
 pub struct ParIter<'a, T> {
     items: &'a [T],
