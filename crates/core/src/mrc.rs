@@ -10,14 +10,14 @@
 //!
 //! None of that runs here: a stream is the block-indexed store's one
 //! chunk-encode loop ([`hqmr_store::encode_chunks`]) run at one chunk per
-//! level, framed as this module's container instead of as `HQST`.
+//! level, framed as this module's container instead of as `HQST`; each array
+//! decodes through its one decode step ([`hqmr_store::decode_stream`]).
 
 use hqmr_codec::schema::{self, Dims, Layout, Pair, Var, U32};
 use hqmr_codec::{tag, CodecError, Container, Cur};
-use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::prepare::{decode_layout, encode_layout, pads};
-use hqmr_mr::{check_slots, split_blocks, LevelData, MergeStrategy, MultiResData, PadKind};
-use hqmr_store::{StoreConfig, StoreError};
+use hqmr_mr::{LevelData, MergeStrategy, MultiResData, PadKind};
+use hqmr_store::{decode_stream, StoreConfig, StoreError};
 
 pub use hqmr_mr::prepare::PreparedLevel;
 pub use hqmr_store::Backend;
@@ -201,11 +201,7 @@ pub(crate) fn encode(
     let codec = cfg.backend.codec();
     let store_cfg = cfg.store_config(usize::MAX).with_parity_group(0);
     let encoded = hqmr_store::encode_chunks(mr, prepared, &store_cfg, codec.as_ref(), want_recon);
-    let (meta, data, recon) = encoded.map_err(|e| match e {
-        StoreError::Codec { source, .. } => source,
-        StoreError::Malformed(why) => CodecError::Malformed(why),
-        _ => CodecError::Malformed("chunk encode failed"),
-    })?;
+    let (meta, data, recon) = encoded.map_err(codec_error)?;
 
     let mut c = Container::new();
     c.push(
@@ -235,6 +231,15 @@ pub(crate) fn encode(
     Ok((bytes, stats, recon))
 }
 
+/// A store chunk step's error, encode or decode, as this module's.
+fn codec_error(e: StoreError) -> CodecError {
+    match e {
+        StoreError::Codec { source, .. } => source,
+        StoreError::Malformed(why) => CodecError::Malformed(why),
+        _ => CodecError::Malformed("chunk step failed"),
+    }
+}
+
 /// Decompresses a stream produced by [`compress_mr`], routing each per-array
 /// stream through the codec recorded in the container.
 pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
@@ -261,13 +266,10 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
     let mut streams = c.get_all(codec_id);
 
     let mut levels = Vec::with_capacity(n_levels);
-    // One reconstruction buffer reused across every per-array decode —
-    // `decompress_into` reshapes it instead of allocating per stream.
-    let mut scratch = Field3::zeros(Dims3::new(0, 0, 0));
     for lv in level_heads {
         let ((level, unit), (dims, n_arrays)) = LevelHeadL::get(&mut Cur::new(lv))?;
         let mut blocks = Vec::new();
-        for _ in 0..n_arrays {
+        for i in 0..n_arrays {
             let layout = layouts
                 .next()
                 .ok_or(CodecError::Malformed("missing layout"))?;
@@ -275,12 +277,11 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
                 .next()
                 .ok_or(CodecError::Malformed("missing stream"))?;
             let (padded, a_unit, slots) = decode_layout(layout)?;
-            codec.decompress_into(stream, &mut scratch)?;
-            // The layout is as untrusted as the stream: check it against
-            // what actually decoded, then cut the blocks straight out of
-            // the (possibly still padded) array.
-            check_slots(scratch.dims(), padded, a_unit, &slots).map_err(CodecError::Malformed)?;
-            blocks.extend(split_blocks(&scratch, a_unit, &slots));
+            if a_unit != unit {
+                return Err(CodecError::Malformed("chunk unit mismatch"));
+            }
+            let chunk = decode_stream(&*codec, stream, (padded, unit, &slots), None, (level, i));
+            blocks.extend(chunk.map_err(codec_error)?.to_blocks());
         }
         blocks.sort_by_key(|b| (b.origin[0], b.origin[1], b.origin[2]));
         levels.push(LevelData {
@@ -297,7 +298,7 @@ pub fn decompress_mr(bytes: &[u8]) -> Result<MultiResData, CodecError> {
 mod tests {
     use super::*;
     use hqmr_codec::NULL_CODEC_ID;
-    use hqmr_grid::synth;
+    use hqmr_grid::{synth, Dims3};
     use hqmr_mr::{to_adaptive, to_amr, AmrConfig, RoiConfig, Upsample};
 
     fn max_block_err(a: &MultiResData, b: &MultiResData) -> f64 {
@@ -517,6 +518,9 @@ mod tests {
             // Units the array cannot hold, up to one whose cube overflows.
             (false, 2, honest.slots.clone()),
             (false, usize::MAX, honest.slots.clone()),
+            // A unit other than the level's, its slots in bounds: used to
+            // decode into blocks of the wrong size.
+            (false, 0, honest.slots.clone()),
         ];
         for (padded, unit, slots) in lies {
             let err = reframed(padded, unit, slots.clone()).unwrap_err();

@@ -178,6 +178,9 @@ impl From<Fault> for StoreError {
     }
 }
 
+/// How unit blocks sit in an encoded array: `(padded, unit, slots)`.
+pub type ArrayLayout<'a> = (bool, usize, &'a [([usize; 3], [usize; 3])]);
+
 /// Directory entry of one chunk: where its compressed bytes live and enough
 /// metadata to decide — without decoding — whether it is worth fetching.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,6 +206,11 @@ pub struct ChunkMeta {
 }
 
 impl ChunkMeta {
+    /// The layout the chunk's array is cut by.
+    pub fn layout(&self) -> ArrayLayout<'_> {
+        (self.padded, self.unit, &self.slots)
+    }
+
     /// Whether any of the chunk's unit blocks intersects the axis-aligned
     /// box `[lo, hi)` in level cell coordinates.
     pub fn intersects(&self, lo: [usize; 3], hi: [usize; 3]) -> bool {

@@ -140,7 +140,8 @@ thread_local! {
     /// Per-thread chunk-decode scratch: `decompress_into` reshapes this one
     /// field per worker instead of allocating a fresh reconstruction buffer
     /// for every chunk — the store's ROI/progressive readers decode hundreds
-    /// of chunks per query.
+    /// of chunks per query. A level-sized one ([`PAR_MIN_CELLS`] cells) is
+    /// dropped once its slab is cut ([`decode_stream`]).
     static DECODE_SCRATCH: RefCell<Field3> = RefCell::new(Field3::zeros(Dims3::new(0, 0, 0)));
 }
 
@@ -574,7 +575,7 @@ fn encode_group(
             };
             if want_recon {
                 let recon = if is_delta { &*delta_recon } else { &*raw_recon };
-                checked_block_cells(recon, &chunk)
+                checked_block_cells(recon.dims(), chunk.layout(), Some(chunk.enc_dims))
                     .map_err(|why| (i, CodecError::Malformed(why)))?;
                 for mut block in split_blocks(recon, chunk.unit, &chunk.slots) {
                     let at = position[&block.origin];
@@ -680,29 +681,35 @@ pub fn sidecar_bytes_for(store_buf: &[u8], parity_group: usize) -> Option<Vec<u8
     Some(sc.to_bytes())
 }
 
-/// The check before any unit block is cut out of a chunk's reconstruction:
-/// `field` must have the dims the chunk table records, and every slot of the
-/// table's layout must lie inside it ([`check_slots`]). Slot origins, the
-/// unit and the padded flag come from an untrusted chunk table on the read
-/// side; checked against what actually decoded, a crafted store is a typed
-/// error, not a panic. Returns the cells per block.
-fn checked_block_cells(field: &Field3, c: &ChunkMeta) -> Result<usize, &'static str> {
-    if field.dims() != c.enc_dims {
+/// The check before any unit block is cut out of an array of `dims`, encode
+/// or decode: the dims must be those the envelope recorded, if any, and
+/// every slot of the layout must lie inside them ([`check_slots`]). On the
+/// read side the layout is untrusted; checked against what actually
+/// decoded, a crafted one is a typed error, not a panic. Returns the cells
+/// per block.
+fn checked_block_cells(
+    dims: Dims3,
+    (padded, unit, slots): format::ArrayLayout<'_>,
+    recorded: Option<Dims3>,
+) -> Result<usize, &'static str> {
+    if recorded.is_some_and(|r| r != dims) {
         return Err("decoded dims mismatch chunk table");
     }
-    check_slots(field.dims(), c.padded, c.unit, &c.slots)
+    check_slots(dims, padded, unit, slots)
 }
 
-/// One chunk stream → its decoded slab: the step every consumer of chunk
-/// bytes shares — a reader's fetch and a parity-repaired payload. `bytes` must
-/// already be trusted to be the stream `c` describes (CRC-verified, or never
-/// out of the process); `c` itself may come from an untrusted chunk table.
-/// `at` is the chunk's `(level, block)`, named in a codec error.
-fn decode_stream(
+/// One array stream → its decoded slab, the decode step of both envelopes:
+/// a reader's fetch, a parity-repaired payload, an `hqmr-core::mrc` array.
+/// `bytes` must be trusted (CRC-verified, or never out of the process); the
+/// layout and the dims the envelope `recorded` (`mrc` records none) need not
+/// be. `at` is the chunk's `(level, block)`, named in a codec error. The
+/// thread's scratch is kept unless it is level-sized ([`PAR_MIN_CELLS`]).
+pub fn decode_stream(
     codec: &dyn Codec,
-    c: &ChunkMeta,
-    at: (usize, usize),
     bytes: &[u8],
+    (padded, unit, slots): format::ArrayLayout<'_>,
+    recorded: Option<Dims3>,
+    at: (usize, usize),
 ) -> Result<DecodedChunk, StoreError> {
     let codec_err = |source| StoreError::Codec {
         level: at.0,
@@ -712,32 +719,35 @@ fn decode_stream(
     DECODE_SCRATCH.with(|scratch| {
         let field = &mut *scratch.borrow_mut();
         codec.decompress_into(bytes, field).map_err(codec_err)?;
-        let n = checked_block_cells(field, c).map_err(StoreError::Malformed)?;
-        let size = Dims3::cube(c.unit);
+        let n = checked_block_cells(field.dims(), (padded, unit, slots), recorded)
+            .map_err(StoreError::Malformed)?;
+        let size = Dims3::cube(unit);
         // One contiguous slab for the whole chunk — the unit a cache
         // shares across clients with a single refcount bump — allocated
         // once, as the `Arc` it is handed out in, and cut straight out
         // of the scratch: a padded reconstruction keeps its cells at
         // their stripped coordinates (`check_slots`), so no stripped
         // copy stands between the codec's output and the slab.
-        let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, c.slots.len() * n).collect();
+        let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, slots.len() * n).collect();
         let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
-        let field = &*field;
         // Fanned out only for level-sized slabs: a default chunk's copy is
         // tens of microseconds and decodes beside many others in
         // `ChunkSource::chunks`.
-        if c.slots.len() >= 2 && cells.len() >= PAR_MIN_CELLS {
+        if slots.len() >= 2 && cells.len() >= PAR_MIN_CELLS {
             cells.par_chunks_mut(n).enumerate().for_each(|(k, out)| {
-                field.extract_box_into(c.slots[k].0, size, out);
+                field.extract_box_into(slots[k].0, size, out);
             });
         } else {
-            for (k, &(slot, _)) in c.slots.iter().enumerate() {
+            for (k, &(slot, _)) in slots.iter().enumerate() {
                 field.extract_box_into(slot, size, &mut cells[k * n..(k + 1) * n]);
             }
         }
+        if field.len() >= PAR_MIN_CELLS {
+            *field = Field3::default(); // decoded once, not kept resident
+        }
         Ok(DecodedChunk {
-            unit: c.unit,
-            origins: c.slots.iter().map(|&(_, origin)| origin).collect(),
+            unit,
+            origins: slots.iter().map(|&(_, origin)| origin).collect(),
             data: slab,
         })
     })
@@ -972,13 +982,6 @@ impl StoreReader {
         self.chunks_decoded.store(0, Ordering::Relaxed);
     }
 
-    fn level_meta(&self, level: usize) -> Result<&LevelMeta, StoreError> {
-        self.meta
-            .levels
-            .get(level)
-            .ok_or(StoreError::NoSuchLevel(level))
-    }
-
     /// Fetches one chunk's compressed bytes and verifies its CRC. In-memory
     /// stores hand out a borrowed slice (no copy); only file-backed stores
     /// materialize an owned buffer. Byte ranges were validated against the
@@ -992,8 +995,7 @@ impl StoreReader {
         level: usize,
         block: usize,
     ) -> Result<Cow<'_, [u8]>, StoreError> {
-        let c = self
-            .level_meta(level)?
+        let c = read::level_meta(&self.meta, level)?
             .chunks
             .get(block)
             .ok_or(StoreError::Malformed("chunk index out of range"))?;
@@ -1020,33 +1022,18 @@ impl StoreReader {
         Ok(bytes)
     }
 
-    /// Decodes one CRC-verified chunk payload into its decoded form.
-    fn decode_one(
-        &self,
-        level: usize,
-        lm: &LevelMeta,
-        block: usize,
-        bytes: &[u8],
-    ) -> Result<DecodedChunk, StoreError> {
-        decode_stream(
-            self.codec.as_ref(),
-            &lm.chunks[block],
-            (level, block),
-            bytes,
-        )
-    }
-
     /// Fetches, CRC-checks and decodes one chunk — the decoded half of the
     /// borrowed per-chunk API. `hqmr-serve`'s cache calls this exactly once
     /// per miss; the reader's own `read_*` methods funnel through it (via
     /// [`ChunkSource`]) as well, so cached and uncached reads share one code
     /// path. Decoding reuses a per-thread scratch field, so a client thread
     /// issuing many chunk decodes allocates one reconstruction buffer, not
-    /// one per chunk.
+    /// one per chunk — except a level-sized one ([`decode_stream`]).
     pub fn decode_chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        let lm = self.level_meta(level)?;
         let bytes = self.fetch_chunk_bytes(level, block)?;
-        self.decode_one(level, lm, block, &bytes)
+        let c = &self.meta.levels[level].chunks[block];
+        let at = (level, block);
+        decode_stream(&*self.codec, &bytes, c.layout(), Some(c.enc_dims), at)
     }
 
     /// Decodes a caller-supplied compressed payload as chunk
@@ -1061,15 +1048,15 @@ impl StoreReader {
         block: usize,
         bytes: &[u8],
     ) -> Result<DecodedChunk, StoreError> {
-        let lm = self.level_meta(level)?;
-        let c = lm
+        let c = read::level_meta(&self.meta, level)?
             .chunks
             .get(block)
             .ok_or(StoreError::Malformed("chunk index out of range"))?;
         if bytes.len() != c.len || crc32(bytes) != c.crc {
             return Err(StoreError::CorruptChunk { level, block });
         }
-        self.decode_one(level, lm, block, bytes)
+        let at = (level, block);
+        decode_stream(&*self.codec, bytes, c.layout(), Some(c.enc_dims), at)
     }
 
     /// Reads one whole resolution level.
@@ -1143,14 +1130,17 @@ impl ChunkSource for StoreReader {
     /// Bulk override: fetching is serial (one pass over the file, friendly
     /// to the file-backed mutex); decoding fans out per chunk.
     fn chunks(&self, level: usize, indices: &[usize]) -> Result<Vec<DecodedChunk>, StoreError> {
-        let lm = self.level_meta(level)?;
+        let lm = read::level_meta(&self.meta, level)?;
         let payloads: Vec<(usize, Cow<'_, [u8]>)> = indices
             .iter()
             .map(|&i| Ok((i, self.fetch_chunk_bytes(level, i)?)))
             .collect::<Result<_, StoreError>>()?;
         let decoded: Vec<Result<DecodedChunk, StoreError>> = payloads
             .par_iter()
-            .map(|(i, bytes)| self.decode_one(level, lm, *i, bytes))
+            .map(|&(i, ref bytes)| {
+                let (c, at) = (&lm.chunks[i], (level, i));
+                decode_stream(&*self.codec, bytes, c.layout(), Some(c.enc_dims), at)
+            })
             .collect();
         decoded.into_iter().collect()
     }
@@ -1343,5 +1333,43 @@ mod tests {
         let (cd, a) = hqmr_vis::cell_crossings(&full.to_field(0.0), iso);
         let (_, b) = hqmr_vis::cell_crossings(&skim.to_field(0.0), iso);
         assert_eq!(a, b, "crossings must survive chunk skipping ({cd})");
+    }
+
+    #[test]
+    fn a_level_sized_decode_drops_its_scratch_and_a_default_chunk_keeps_it() {
+        // One unit-16 level of 256 blocks along z: `PAR_MIN_CELLS` cells,
+        // one padded 17×17×4096 array at one chunk per level.
+        let unit = 16;
+        let dims = Dims3::new(unit, unit, 256 * unit);
+        let blocks = (0..256)
+            .map(|i| UnitBlock {
+                origin: [0, 0, i * unit],
+                data: vec![i as f32; unit.pow(3)],
+            })
+            .collect();
+        let mr = MultiResData {
+            domain: dims,
+            levels: vec![LevelData {
+                level: 0,
+                unit,
+                dims,
+                blocks,
+            }],
+        };
+        assert!(mr.total_cells() >= PAR_MIN_CELLS);
+        let scratch_cells = || DECODE_SCRATCH.with(|s| s.borrow().len());
+        let decode_first = |cfg: &StoreConfig| {
+            let r = StoreReader::from_bytes(write_store(&mr, cfg, &NullCodec)).unwrap();
+            r.decode_chunk(0, 0).unwrap()
+        };
+        let whole = decode_first(&StoreConfig::new(eb()).one_chunk_per_level());
+        assert_eq!(whole.data.len(), mr.total_cells());
+        assert_eq!(scratch_cells(), 0, "a level-sized scratch is dropped");
+        let first = decode_first(&StoreConfig::new(eb()));
+        assert!(first.data.len() < PAR_MIN_CELLS);
+        assert!(
+            scratch_cells() >= first.data.len(),
+            "a default chunk's is kept"
+        );
     }
 }
