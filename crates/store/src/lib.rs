@@ -58,7 +58,10 @@
 //! checked against what decoded ([`hqmr_mr::check_slots`]), and the unit
 //! blocks are copied straight out of the scratch — padding and all; a
 //! trailing pad layer moves no cell — into the chunk's `Arc<[f32]>` slab,
-//! built as an `Arc` so handing it to a cache copies nothing. There is no
+//! built as an `Arc` so handing it to a cache copies nothing. Every
+//! decode cuts into a slab the bare reader's owned walks handed back when
+//! one of the exact length is pooled ([`read`]'s "Slab storage outlives the
+//! walk"), and allocates only on a miss. There is no
 //! stripped intermediate and no `Codec` seam for strided destinations: sz3
 //! needs the whole padded array as working memory, so cutting from the
 //! scratch is the same number of passes for every backend without a
@@ -118,12 +121,10 @@ use hqmr_zfp::ZfpCodec;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-#[cfg(not(unix))]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // Compile-time thread-safety contract: `hqmr-serve` shares one reader across
 // arbitrarily many client threads through `Arc<StoreReader>`, so losing
@@ -143,6 +144,85 @@ thread_local! {
     /// of chunks per query. A level-sized one ([`PAR_MIN_CELLS`] cells) is
     /// dropped once its slab is cut ([`decode_stream`]).
     static DECODE_SCRATCH: RefCell<Field3> = RefCell::new(Field3::zeros(Dims3::new(0, 0, 0)));
+}
+
+/// Decoded-chunk slabs the bare reader's owned walks handed back
+/// ([`ChunkSource::recycle`]), for the next decodes to cut into: the
+/// process's one slab pool ([`read`]'s "Slab storage outlives the walk").
+/// It lives as long as the process because a caller may open a fresh reader
+/// for every exploration of the same store.
+static SLAB_POOL: Mutex<SlabPool> = Mutex::new(SlabPool::new());
+
+/// Uniquely owned slabs, oldest first, holding at most one window
+/// ([`read::WINDOW_CELLS`]) of cells between them.
+struct SlabPool {
+    slabs: VecDeque<Arc<[f32]>>,
+    cells: usize,
+}
+
+impl SlabPool {
+    const fn new() -> Self {
+        SlabPool {
+            slabs: VecDeque::new(),
+            cells: 0,
+        }
+    }
+
+    /// The pool, a poisoned lock recovered: the pool's invariants hold
+    /// between any two of its statements.
+    fn lock() -> MutexGuard<'static, SlabPool> {
+        SLAB_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A pooled slab of exactly `len` cells. On a miss the oldest slabs —
+    /// all of other lengths — are dropped until `len` cells are freed, so
+    /// the slab the caller allocates instead replaces them rather than
+    /// adding to the pool's share of the heap. A length the pool never
+    /// holds drops nothing.
+    fn take(&mut self, len: usize) -> Option<Arc<[f32]>> {
+        if let Some(k) = self.slabs.iter().position(|s| s.len() == len) {
+            let slab = self.slabs.remove(k)?;
+            self.cells -= len;
+            return Some(slab);
+        }
+        if len > read::WINDOW_CELLS {
+            return None; // never pooled, so nothing to make room for
+        }
+        let mut freed = 0;
+        while freed < len {
+            let Some(slab) = self.slabs.pop_front() else {
+                break;
+            };
+            freed += slab.len();
+            self.cells -= slab.len();
+        }
+        None
+    }
+
+    /// Keeps `slab`, which the caller proved nobody else holds, dropping
+    /// the oldest slabs past the cap. A slab larger than the cap is not
+    /// kept at all.
+    fn put(&mut self, slab: Arc<[f32]>) {
+        if slab.is_empty() || slab.len() > read::WINDOW_CELLS {
+            return;
+        }
+        self.cells += slab.len();
+        self.slabs.push_back(slab);
+        while self.cells > read::WINDOW_CELLS {
+            let Some(oldest) = self.slabs.pop_front() else {
+                break;
+            };
+            self.cells -= oldest.len();
+        }
+    }
+}
+
+/// A slab of `len` cells from the pool, or a zeroed one from the allocator
+/// on a miss. A pooled slab's contents are stale: the cut overwrites every
+/// cell.
+fn pooled_slab(len: usize) -> Arc<[f32]> {
+    let pooled = SlabPool::lock().take(len);
+    pooled.unwrap_or_else(|| std::iter::repeat_n(0f32, len).collect())
 }
 
 /// Which codec backend a writer drives: the one table of backends. A codec
@@ -703,7 +783,8 @@ fn checked_block_cells(
 /// `bytes` must be trusted (CRC-verified, or never out of the process); the
 /// layout and the dims the envelope `recorded` (`mrc` records none) need not
 /// be. `at` is the chunk's `(level, block)`, named in a codec error. The
-/// thread's scratch is kept unless it is level-sized ([`PAR_MIN_CELLS`]).
+/// thread's scratch is kept unless it is level-sized ([`PAR_MIN_CELLS`]);
+/// the slab is drawn from the slab pool before it is allocated.
 pub fn decode_stream(
     codec: &dyn Codec,
     bytes: &[u8],
@@ -724,12 +805,13 @@ pub fn decode_stream(
         let size = Dims3::cube(unit);
         // One contiguous slab for the whole chunk — the unit a cache
         // shares across clients with a single refcount bump — allocated
-        // once, as the `Arc` it is handed out in, and cut straight out
-        // of the scratch: a padded reconstruction keeps its cells at
-        // their stripped coordinates (`check_slots`), so no stripped
-        // copy stands between the codec's output and the slab.
-        let mut slab: Arc<[f32]> = std::iter::repeat_n(0f32, slots.len() * n).collect();
-        let cells = Arc::get_mut(&mut slab).expect("slab is not shared yet");
+        // once (or taken from the pool), as the `Arc` it is handed out
+        // in, and cut straight out of the scratch: a padded
+        // reconstruction keeps its cells at their stripped coordinates
+        // (`check_slots`), so no stripped copy stands between the codec's
+        // output and the slab.
+        let mut slab = pooled_slab(slots.len() * n);
+        let cells = Arc::get_mut(&mut slab).expect("a fresh or pooled slab is not shared");
         // Fanned out only for level-sized slabs: a default chunk's copy is
         // tens of microseconds and decodes beside many others in
         // `ChunkSource::chunks`.
@@ -1031,9 +1113,14 @@ impl StoreReader {
     /// one per chunk — except a level-sized one ([`decode_stream`]).
     pub fn decode_chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
         let bytes = self.fetch_chunk_bytes(level, block)?;
+        self.cut(level, block, &bytes)
+    }
+
+    /// Decodes chunk `(level, block)` from its verified `bytes`.
+    fn cut(&self, level: usize, block: usize, bytes: &[u8]) -> Result<DecodedChunk, StoreError> {
         let c = &self.meta.levels[level].chunks[block];
         let at = (level, block);
-        decode_stream(&*self.codec, &bytes, c.layout(), Some(c.enc_dims), at)
+        decode_stream(&*self.codec, bytes, c.layout(), Some(c.enc_dims), at)
     }
 
     /// Decodes a caller-supplied compressed payload as chunk
@@ -1055,8 +1142,7 @@ impl StoreReader {
         if bytes.len() != c.len || crc32(bytes) != c.crc {
             return Err(StoreError::CorruptChunk { level, block });
         }
-        let at = (level, block);
-        decode_stream(&*self.codec, bytes, c.layout(), Some(c.enc_dims), at)
+        self.cut(level, block, bytes)
     }
 
     /// Reads one whole resolution level.
@@ -1130,19 +1216,27 @@ impl ChunkSource for StoreReader {
     /// Bulk override: fetching is serial (one pass over the file, friendly
     /// to the file-backed mutex); decoding fans out per chunk.
     fn chunks(&self, level: usize, indices: &[usize]) -> Result<Vec<DecodedChunk>, StoreError> {
-        let lm = read::level_meta(&self.meta, level)?;
+        read::level_meta(&self.meta, level)?;
         let payloads: Vec<(usize, Cow<'_, [u8]>)> = indices
             .iter()
             .map(|&i| Ok((i, self.fetch_chunk_bytes(level, i)?)))
             .collect::<Result<_, StoreError>>()?;
         let decoded: Vec<Result<DecodedChunk, StoreError>> = payloads
             .par_iter()
-            .map(|&(i, ref bytes)| {
-                let (c, at) = (&lm.chunks[i], (level, i));
-                decode_stream(&*self.codec, bytes, c.layout(), Some(c.enc_dims), at)
-            })
+            .map(|&(i, ref bytes)| self.cut(level, i, bytes))
             .collect();
         decoded.into_iter().collect()
+    }
+
+    /// Pools every slab `Arc::get_mut` proves nobody else holds — a slab a
+    /// borrowed answer or a cache keeps is left alone.
+    fn recycle(&self, chunks: Vec<DecodedChunk>) {
+        let mut pool = SlabPool::lock();
+        for mut c in chunks {
+            if Arc::get_mut(&mut c.data).is_some() {
+                pool.put(c.data);
+            }
+        }
     }
 }
 
@@ -1333,6 +1427,61 @@ mod tests {
         let (cd, a) = hqmr_vis::cell_crossings(&full.to_field(0.0), iso);
         let (_, b) = hqmr_vis::cell_crossings(&skim.to_field(0.0), iso);
         assert_eq!(a, b, "crossings must survive chunk skipping ({cd})");
+    }
+
+    /// A slab of `len` cells whose first cell is `tag`, to tell slabs apart.
+    fn slab(len: usize, tag: f32) -> Arc<[f32]> {
+        let mut cells = vec![0.0; len];
+        cells[0] = tag;
+        cells.into()
+    }
+
+    /// The pool's slabs by tag, oldest first, after checking its tally.
+    fn tags(pool: &SlabPool) -> Vec<f32> {
+        let cells: usize = pool.slabs.iter().map(|s| s.len()).sum();
+        assert_eq!(pool.cells, cells);
+        pool.slabs.iter().map(|s| s[0]).collect()
+    }
+
+    #[test]
+    fn the_slab_pool_hands_out_exact_lengths_oldest_first() {
+        let mut pool = SlabPool::new();
+        for (len, tag) in [(10, 1.0), (20, 2.0), (10, 3.0)] {
+            pool.put(slab(len, tag));
+        }
+        let hit = pool.take(20).unwrap();
+        assert_eq!((hit.len(), hit[0]), (20, 2.0));
+        assert_eq!(pool.take(10).unwrap()[0], 1.0);
+        assert_eq!(tags(&pool), [3.0]);
+    }
+
+    #[test]
+    fn a_slab_pool_miss_drops_as_many_old_cells_as_it_allocates() {
+        let mut pool = SlabPool::new();
+        for tag in 0..4 {
+            pool.put(slab(100, tag as f32));
+        }
+        assert!(pool.take(150).is_none());
+        assert_eq!(tags(&pool), [2.0, 3.0]);
+        // A length over the cap is never pooled, so its miss drops nothing.
+        assert!(pool.take(read::WINDOW_CELLS + 1).is_none());
+        assert_eq!(tags(&pool), [2.0, 3.0]);
+    }
+
+    #[test]
+    fn the_slab_pool_holds_at_most_one_window_and_drops_the_oldest_first() {
+        let (cap, mut pool) = (read::WINDOW_CELLS, SlabPool::new());
+        pool.put(slab(cap + 1, 9.0));
+        pool.put(Vec::new().into());
+        assert_eq!(tags(&pool), [0.0; 0], "over the cap, or empty: not kept");
+        for tag in 0..2 {
+            pool.put(slab(100, tag as f32));
+        }
+        pool.put(slab(cap / 2, 5.0));
+        pool.put(slab(cap / 2, 6.0));
+        assert_eq!((tags(&pool), pool.cells), (vec![5.0, 6.0], cap));
+        pool.put(slab(1, 7.0));
+        assert_eq!(tags(&pool), [6.0, 7.0]);
     }
 
     #[test]

@@ -37,10 +37,9 @@
 //! `WINDOW_CELLS` decoded cells, through the ordinary
 //! [`ChunkSource::chunks`], so every source — bare, cached, traced — serves
 //! them unchanged), consume the window's slabs while they are still in
-//! cache, and drop them before asking for the next. Transient heap is
-//! O(window) instead of a second copy of the level, and the pages the slabs
-//! lived in are reused by the next window instead of being faulted in fresh.
-//! Each chunk is still fetched and decoded exactly once per call.
+//! cache, and hand them back ([`ChunkSource::recycle`]) before asking for
+//! the next. Transient heap is O(window) instead of a second copy of the
+//! level. Each chunk is still fetched and decoded exactly once per call.
 //!
 //! A window is also the unit the copying fans out over: the owned reads copy
 //! its chunks out side by side (answer order kept; an isovalue read fills
@@ -54,7 +53,32 @@
 //! [`level_parts`] keeps every chunk by design — it is for sources that
 //! hold them already.
 //!
+//! # Slab storage outlives the walk
+//!
+//! A freed slab need not stay with the process: the system allocator may
+//! hand its pages back to the kernel (glibc trims the top of its heap), and
+//! the next window faults them in again. So the owned walks — every window
+//! of [`read_level`], [`read_level_iso`], [`read_all`] and [`Progressive`],
+//! and [`read_roi`] once its answer is copied out — hand their chunks back
+//! to the source, and the bare [`StoreReader`] keeps each slab that
+//! `Arc::get_mut` proves nobody else holds in one process-lifetime pool.
+//! Every chunk decode ([`decode_stream`]) draws a slab of the exact length
+//! from there before it allocates one, so a steady reader — fresh readers
+//! of one store included — decodes into the same pages walk after walk.
+//!
+//! The pool holds at most one window of cells, drops its oldest slabs past
+//! that, and on a miss drops old slabs worth the fresh one, so pool plus
+//! live window stay about one window: the bound the windows set. A slab a
+//! borrowed answer ([`roi_parts`], [`level_parts`]) or a cache still holds
+//! fails the `get_mut` proof and is never reused. Only the bare reader
+//! fills the pool; the trait's default `recycle` drops the chunks. A cache
+//! keeps its slabs, and a temporal frame's actual-value chunks are not the
+//! decoded slabs, so pooling them would only hold heap. A cache's misses
+//! still draw, so what bare reads left in the pool drains into the cache's
+//! budget instead of sitting beside it.
+//!
 //! [`StoreReader`]: crate::StoreReader
+//! [`decode_stream`]: crate::decode_stream
 
 use crate::format::{LevelMeta, StoreError, StoreMeta};
 use hqmr_grid::{Dims3, Field3};
@@ -66,7 +90,7 @@ use std::sync::Arc;
 /// [`ChunkSource::chunks`]: sixteen default chunks — enough work per fan-out
 /// to pay for the rayon shim's thread spawns many times over, small enough
 /// that a window's slabs are consumed out of cache.
-const WINDOW_CELLS: usize = 1 << 20;
+pub(crate) const WINDOW_CELLS: usize = 1 << 20;
 
 /// One chunk, decoded: every unit block of the chunk as one immutable,
 /// cheaply shareable slab.
@@ -144,6 +168,11 @@ pub trait ChunkSource: Sync {
             indices.par_iter().map(|&i| self.chunk(level, i)).collect();
         decoded.into_iter().collect()
     }
+
+    /// Takes back chunks an owned walk has finished copying out of (module
+    /// docs, "Slab storage outlives the walk"). The default drops them; the
+    /// bare reader pools the slabs nobody else holds.
+    fn recycle(&self, _chunks: Vec<DecodedChunk>) {}
 }
 
 /// Looks up a level's directory entry.
@@ -183,7 +212,9 @@ fn for_each_window<S: ChunkSource + ?Sized>(
     mut land: impl FnMut(&[DecodedChunk]),
 ) -> Result<(), StoreError> {
     for window in windows(lm, indices, WINDOW_CELLS) {
-        land(&src.chunks(level, window)?);
+        let chunks = src.chunks(level, window)?;
+        land(&chunks);
+        src.recycle(chunks);
     }
     Ok(())
 }
@@ -516,7 +547,10 @@ pub fn read_roi<S: ChunkSource + ?Sized>(
     hi: [usize; 3],
     fill: f32,
 ) -> Result<Field3, StoreError> {
-    Ok(roi_parts(src, level, lo, hi, fill)?.to_owned())
+    let parts = roi_parts(src, level, lo, hi, fill)?;
+    let field = parts.to_owned();
+    src.recycle(parts.chunks);
+    Ok(field)
 }
 
 /// Indices of the chunks that *may* contain a crossing of `iso`, judged from
