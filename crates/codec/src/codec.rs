@@ -9,13 +9,14 @@
 //! its container, and routes decompression on the stored id — so adding a
 //! backend is a one-file change that implements this trait.
 //!
-//! Every stream embeds its codec id in a `CDID` section (see
+//! Every stream embeds its codec id in a `CDID` section, one [`U32`] (see
 //! [`push_stream_id`] / [`check_stream_id`]), which turns "fed SZ2 bytes to
 //! the SZ3 decoder" from a confusing missing-section failure into the typed
 //! [`CodecError::WrongStreamId`].
 
 use crate::container::{tag, Container, ContainerError};
 use crate::cursor::{Cur, Fault};
+use crate::schema::{decode, encode, Dims, Layout, U32};
 use hqmr_grid::Field3;
 
 /// Section tag carrying a stream's codec id.
@@ -172,7 +173,7 @@ pub trait Codec: Send + Sync {
 
 /// Records `id` in `c` so decoders can verify stream ownership.
 pub fn push_stream_id(c: &mut Container, id: u32) {
-    c.push(TAG_STREAM_ID, id.to_le_bytes().to_vec());
+    c.push(TAG_STREAM_ID, encode::<U32>(&id));
 }
 
 /// Verifies that the container's recorded codec id is `expected`.
@@ -180,11 +181,7 @@ pub fn check_stream_id(c: &Container, expected: u32) -> Result<(), CodecError> {
     let bytes = c
         .get(TAG_STREAM_ID)
         .ok_or(CodecError::Malformed("missing stream id"))?;
-    let found = u32::from_le_bytes(
-        bytes
-            .try_into()
-            .map_err(|_| CodecError::Malformed("stream id width"))?,
-    );
+    let found = decode::<U32>(bytes).map_err(|_| CodecError::Malformed("stream id width"))?;
     if found != expected {
         return Err(CodecError::WrongStreamId { expected, found });
     }
@@ -195,7 +192,8 @@ pub fn check_stream_id(c: &Container, expected: u32) -> Result<(), CodecError> {
 /// reduction. Exists to (a) debug arrangement/layout issues with the codec
 /// stage taken out of the equation, and (b) demonstrate that a new backend is
 /// exactly one `impl Codec` — it is registered with the MR engine like the
-/// real compressors.
+/// real compressors. Its stream: the `CDID` id, the `RWHD` head (one
+/// [`Dims`]) and the `RWDT` cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullCodec;
 
@@ -219,11 +217,7 @@ impl Codec for NullCodec {
         let dims = field.dims();
         let mut c = Container::new();
         push_stream_id(&mut c, NULL_CODEC_ID);
-        let mut head = Vec::new();
-        crate::varint::write_uvarint(&mut head, dims.nx as u64);
-        crate::varint::write_uvarint(&mut head, dims.ny as u64);
-        crate::varint::write_uvarint(&mut head, dims.nz as u64);
-        c.push(TAG_RAW_HEAD, head);
+        c.push(TAG_RAW_HEAD, encode::<Dims>(&dims));
         let mut data = Vec::with_capacity(field.len() * 4);
         for v in field.data() {
             data.extend_from_slice(&v.to_le_bytes());
@@ -235,7 +229,7 @@ impl Codec for NullCodec {
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         let c = Container::from_bytes(bytes)?;
         check_stream_id(&c, NULL_CODEC_ID)?;
-        let dims = Cur::new(c.require(TAG_RAW_HEAD)?).dims()?;
+        let dims = Dims::get(&mut Cur::new(c.require(TAG_RAW_HEAD)?))?;
         // The payload is measured against the declared cells before the
         // field is sized by them.
         let mut data = Cur::new(c.require(TAG_RAW_DATA)?);
@@ -266,6 +260,34 @@ mod tests {
         let bytes = NullCodec.compress(&f, 1e-3);
         let g = NullCodec.decompress(&bytes).unwrap();
         assert_eq!(f, g);
+    }
+
+    /// The `CDID` and `RWHD` sections read back as written, and every
+    /// strict prefix of either is a typed error; an id of any width but
+    /// four bytes is refused.
+    #[test]
+    fn stream_id_and_raw_head_layouts_roundtrip_and_refuse_every_prefix() {
+        let id = tag(b"SZ3S");
+        let bytes = encode::<U32>(&id);
+        assert_eq!(bytes, b"SZ3S");
+        assert_eq!(decode::<U32>(&bytes), Ok(id));
+        let dims = Dims3::new(5, 300, 70_000);
+        let head = encode::<Dims>(&dims);
+        assert_eq!(decode::<Dims>(&head), Ok(dims));
+        for cut in 0..bytes.len() {
+            assert!(U32::get(&mut Cur::new(&bytes[..cut])).is_err(), "{cut}");
+        }
+        for cut in 0..head.len() {
+            assert!(Dims::get(&mut Cur::new(&head[..cut])).is_err(), "{cut}");
+        }
+        for width in [3, 5] {
+            let mut c = Container::new();
+            c.push(TAG_STREAM_ID, vec![b'S'; width]);
+            assert_eq!(
+                check_stream_id(&c, id),
+                Err(CodecError::Malformed("stream id width"))
+            );
+        }
     }
 
     #[test]

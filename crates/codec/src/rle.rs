@@ -6,6 +6,7 @@
 
 use crate::cursor::Cur;
 use crate::varint::write_uvarint;
+use std::borrow::Cow;
 
 /// Run-length encodes `data` as (uvarint run, byte value) pairs prefixed with
 /// the total length.
@@ -72,11 +73,12 @@ pub(crate) fn pack_framed(raw: Vec<u8>) -> Vec<u8> {
 }
 
 /// Inverse of [`pack_maybe_rle`] for a payload of at most `max_len` bytes
-/// (see [`rle_decode`]). `None` on malformed input.
-pub fn unpack_maybe_rle(bytes: &[u8], max_len: usize) -> Option<Vec<u8>> {
+/// (see [`rle_decode`]). `None` on malformed input. The raw arm borrows its
+/// payload from `bytes`; only the RLE arm allocates.
+pub fn unpack_maybe_rle(bytes: &[u8], max_len: usize) -> Option<Cow<'_, [u8]>> {
     match bytes.first()? {
-        0 => Some(bytes[1..].to_vec()),
-        1 => rle_decode(&bytes[1..], max_len),
+        0 => Some(Cow::Borrowed(&bytes[1..])),
+        1 => rle_decode(&bytes[1..], max_len).map(Cow::Owned),
         _ => None,
     }
 }
@@ -90,12 +92,18 @@ mod tests {
         let repetitive = vec![0u8; 10_000];
         let packed = pack_maybe_rle(&repetitive);
         assert!(packed.len() < 20);
-        assert_eq!(unpack_maybe_rle(&packed, 10_000), Some(repetitive));
+        assert_eq!(
+            unpack_maybe_rle(&packed, 10_000).as_deref(),
+            Some(&repetitive[..])
+        );
 
         let incompressible: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         let packed = pack_maybe_rle(&incompressible);
         assert_eq!(packed.len(), 1001);
-        assert_eq!(unpack_maybe_rle(&packed, 1000), Some(incompressible));
+        assert_eq!(
+            unpack_maybe_rle(&packed, 1000).as_deref(),
+            Some(&incompressible[..])
+        );
 
         assert_eq!(unpack_maybe_rle(&[], 0), None);
         assert_eq!(unpack_maybe_rle(&[7, 1, 2], 2), None);

@@ -166,16 +166,20 @@ impl Layout for Flag {
     }
 }
 
-/// Three `L`s.
-pub struct Arr3<L>(PhantomData<L>);
-impl<L: Layout> Layout for Arr3<L> {
-    type T = [L::T; 3];
-    const MIN: usize = 3 * L::MIN;
-    fn put(v: &[L::T; 3], out: &mut Vec<u8>) {
+/// `N` `L`s.
+pub struct Arr<L, const N: usize>(PhantomData<L>);
+impl<L: Layout<T: Default>, const N: usize> Layout for Arr<L, N> {
+    type T = [L::T; N];
+    const MIN: usize = N * L::MIN;
+    fn put(v: &[L::T; N], out: &mut Vec<u8>) {
         v.iter().for_each(|x| L::put(x, out));
     }
-    fn get(c: &mut Cur<'_>) -> Result<[L::T; 3], Fault> {
-        Ok([L::get(c)?, L::get(c)?, L::get(c)?])
+    fn get(c: &mut Cur<'_>) -> Result<[L::T; N], Fault> {
+        let mut v: [L::T; N] = std::array::from_fn(|_| L::T::default());
+        for x in &mut v {
+            *x = L::get(c)?;
+        }
+        Ok(v)
     }
 }
 
@@ -334,14 +338,14 @@ mod tests {
     crate::layout!(struct EntryL: Entry {
         id: U32,
         name: Str,
-        at: Arr3<Var>,
+        at: Arr<Var, 3>,
         pairs: Seq<Pair<Var, V64>>,
     });
 
     crate::layout!(enum ShapeL: Shape, "shape tag" {
         0 => Empty,
         1 => Point(x: F32),
-        7 => Box { lo: Arr3<Var>, hi: Arr3<Var> },
+        7 => Box { lo: Arr<Var, 3>, hi: Arr<Var, 3> },
     });
 
     #[test]

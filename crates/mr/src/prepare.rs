@@ -19,7 +19,7 @@
 use crate::merge::{merge_blocks, MergeStrategy, MergedArray};
 use crate::padding::{pad_small_dims, should_pad, PadKind};
 use crate::types::{LevelData, UnitBlock};
-use hqmr_codec::schema::{self, Arr3, Layout, Pair, Seq, Var};
+use hqmr_codec::schema::{self, Arr, Layout, Pair, Seq, Var};
 use hqmr_codec::{Cur, Fault};
 use hqmr_grid::Field3;
 
@@ -128,7 +128,7 @@ pub fn prepare_blocks(
 /// `(slot, origin)` placement pairs of a merged array.
 pub type LayoutSlots = Vec<([usize; 3], [usize; 3])>;
 
-type SlotsL = Seq<Pair<Arr3<Var>, Arr3<Var>>>;
+type SlotsL = Seq<Pair<Arr<Var, 3>, Arr<Var, 3>>>;
 
 /// A merged array's layout: padded flag, unit, and every `(slot, origin)`
 /// pair. Any nonzero flag byte reads as padded.

@@ -63,7 +63,7 @@
 //! frames under `tests/golden/` pin the bytes.
 
 use hqmr_codec::schema::{
-    decode_with, Arr3, Dims, Flag, Layout, Pair, Seq, Str, Var, F32, F64, U32, U64, U8, V64,
+    decode_with, Arr, Dims, Flag, Layout, Pair, Seq, Str, Var, F32, F64, U32, U64, U8, V64,
 };
 use hqmr_codec::{crc32, layout, Cur, Fault};
 use hqmr_grid::{Dims3, Field3};
@@ -697,7 +697,7 @@ layout!(enum RequestL: Request by Kind, "response kind in request slot" {
 
 layout!(enum QueryL: Query, "query tag" {
     0 => Level { level: Var },
-    1 => Roi { level: Var, lo: Arr3<Var>, hi: Arr3<Var>, fill: F32 },
+    1 => Roi { level: Var, lo: Arr<Var, 3>, hi: Arr<Var, 3>, fill: F32 },
     2 => Iso { level: Var, iso: F32 },
 });
 
@@ -822,7 +822,7 @@ impl Layout for LevelDataL {
         let n_blocks = c.count(cube.saturating_add(3))?;
         let mut blocks = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
-            let origin = Arr3::<Var>::get(c)?;
+            let origin = Arr::<Var, 3>::get(c)?;
             let data = c.f32s(cube / 4)?.collect();
             blocks.push(UnitBlock { origin, data });
         }
@@ -880,7 +880,7 @@ fn put_level<'a>(
     Dims::put(&dims, out);
     Var::put(&count, out);
     for (origin, data) in blocks {
-        Arr3::<Var>::put(&origin, out);
+        Arr::<Var, 3>::put(&origin, out);
         match data {
             BlockData::Slab(values) => put_f32s(out, values),
             BlockData::Proxy(value) => put_f32_run(out, value, unit.pow(3)),

@@ -356,24 +356,7 @@ impl ChunkCache {
     /// `hits + misses`, so the ledger identity holds in the snapshot even
     /// when lookups are mid-flight on other threads.
     pub(crate) fn stats(&self) -> CacheStats {
-        let (resident, peak) = {
-            let st = self.lock();
-            (st.resident as u64, st.peak as u64)
-        };
-        let hits = self.counters.hits.load(Ordering::Relaxed);
-        let misses = self.counters.misses.load(Ordering::Relaxed);
-        CacheStats {
-            requests: hits + misses,
-            hits,
-            shared: self.counters.shared.load(Ordering::Relaxed),
-            misses,
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            resident_bytes: resident,
-            peak_resident_bytes: peak,
-            budget_bytes: self.budget as u64,
-            repairs: self.counters.repairs.load(Ordering::Relaxed),
-            repair_failures: self.counters.repair_failures.load(Ordering::Relaxed),
-        }
+        self.snapshot(false)
     }
 
     /// Snapshot-and-reset in one step: returns the counters accumulated
@@ -383,25 +366,41 @@ impl ChunkCache {
     /// returned snapshot keeps the `requests == hits + misses` identity by
     /// construction. This is the export path for per-tenant stat windows.
     pub(crate) fn take_stats(&self) -> CacheStats {
+        self.snapshot(true)
+    }
+
+    /// The one body of [`Self::stats`] and, with `drain`, of
+    /// [`Self::take_stats`]: `drain` swaps each counter to zero instead of
+    /// loading it and restarts the peak at what is resident.
+    fn snapshot(&self, drain: bool) -> CacheStats {
         let (resident, peak) = {
             let mut st = self.lock();
             let pair = (st.resident as u64, st.peak as u64);
-            st.peak = st.resident;
+            if drain {
+                st.peak = st.resident;
+            }
             pair
         };
-        let hits = self.counters.hits.swap(0, Ordering::Relaxed);
-        let misses = self.counters.misses.swap(0, Ordering::Relaxed);
+        let read = |n: &AtomicU64| {
+            if drain {
+                n.swap(0, Ordering::Relaxed)
+            } else {
+                n.load(Ordering::Relaxed)
+            }
+        };
+        let c = &self.counters;
+        let (hits, misses) = (read(&c.hits), read(&c.misses));
         CacheStats {
             requests: hits + misses,
             hits,
-            shared: self.counters.shared.swap(0, Ordering::Relaxed),
+            shared: read(&c.shared),
             misses,
-            evictions: self.counters.evictions.swap(0, Ordering::Relaxed),
+            evictions: read(&c.evictions),
             resident_bytes: resident,
             peak_resident_bytes: peak,
             budget_bytes: self.budget as u64,
-            repairs: self.counters.repairs.swap(0, Ordering::Relaxed),
-            repair_failures: self.counters.repair_failures.swap(0, Ordering::Relaxed),
+            repairs: read(&c.repairs),
+            repair_failures: read(&c.repair_failures),
         }
     }
 

@@ -12,12 +12,17 @@
 //! `decode_blocks` — so only predictor selection and stream parsing differ
 //! between them. The pre-overhaul per-point loops survive in [`reference`]
 //! as the differential oracle.
+//!
+//! The stream: `CDID`, the `S2HD` head (its layout is `HeadL`), the `FLGS`
+//! flags, a `COEF` plane (`PlaneL`) per regression block, the `QNTC` codes
+//! and the `UNPR` outliers (`Seq<F32>`).
 
 use hqmr_codec::kernels::{self, SharedSlice, SimdLevel, PAR_MIN_CELLS};
 use hqmr_codec::quantizer::{quantize_store, recover_value, PointStep, Quantize, Recover};
+use hqmr_codec::schema::{encode, Arr, Dims, Layout, Seq, Var, F32, F64};
 use hqmr_codec::{
-    check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, push_stream_id,
-    rle_decode, rle_encode, tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container,
+    check_stream_id, huffman_decode, huffman_encode_packed, huffman_max_len, layout,
+    push_stream_id, rle_decode, rle_encode, tag, unpack_maybe_rle, Codec, CodecError, Container,
     Cur, LinearQuantizer,
 };
 use hqmr_grid::{BlockGrid, BlockRef, Dims3, Field3};
@@ -318,9 +323,7 @@ fn select_block(
     };
     st.flags.push(use_regression as u8);
     if use_regression {
-        for c in plane.c {
-            st.coeffs.extend_from_slice(&c.to_le_bytes());
-        }
+        PlaneL::put(&plane, &mut st.coeffs);
         Some(plane)
     } else {
         None
@@ -547,30 +550,33 @@ fn walk_block<S: PointStep>(
     }
 }
 
+/// The `S2HD` section: the stream's extents, block side and error bound.
+#[derive(Debug, PartialEq)]
+struct Head {
+    dims: Dims3,
+    block: usize,
+    eb: f64,
+}
+
+layout!(struct HeadL: Head { dims: Dims, block: Var, eb: F64 });
+
+layout!(
+    /// One regression block's entry in the `COEF` section.
+    struct PlaneL: Plane { c: Arr<F32, 4> }
+);
+
 /// Frames one encoded field into the self-describing container — shared by
 /// the production and reference paths. Takes the state by value so the
 /// coefficient buffer moves into the container without a copy.
 fn serialize(dims: Dims3, codec: &Sz2Codec, eb: f64, st: EncodeState) -> Container {
-    let mut head = Vec::new();
-    write_uvarint(&mut head, dims.nx as u64);
-    write_uvarint(&mut head, dims.ny as u64);
-    write_uvarint(&mut head, dims.nz as u64);
-    write_uvarint(&mut head, codec.block as u64);
-    head.extend_from_slice(&eb.to_le_bytes());
-
-    let mut out_bytes = Vec::with_capacity(st.outliers.len() * 4 + 8);
-    write_uvarint(&mut out_bytes, st.outliers.len() as u64);
-    for v in &st.outliers {
-        out_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
+    let block = codec.block;
     let mut c = Container::new();
     push_stream_id(&mut c, SZ2_CODEC_ID);
-    c.push(TAG_HEAD, head);
+    c.push(TAG_HEAD, encode::<HeadL>(&Head { dims, block, eb }));
     c.push(TAG_FLAGS, rle_encode(&st.flags));
     c.push(TAG_COEFFS, st.coeffs);
     c.push(TAG_CODES, huffman_encode_packed(&st.codes));
-    c.push(TAG_OUTLIERS, out_bytes);
+    c.push(TAG_OUTLIERS, encode::<Seq<F32>>(&st.outliers));
     c
 }
 
@@ -592,15 +598,12 @@ struct Parsed {
 fn parse(bytes: &[u8]) -> Result<Parsed, CodecError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ2_CODEC_ID)?;
-    let mut head = Cur::new(c.require(TAG_HEAD)?);
-    let dims = head.dims()?;
+    let Head { dims, block, eb } = HeadL::get(&mut Cur::new(c.require(TAG_HEAD)?))?;
     // Block side 1 is a valid all-Lorenzo stream (a one-cell block never
     // fits a plane); only a zero side has no grid.
-    let block = head.usize()?;
     if block == 0 {
         return Err(CodecError::Malformed("block size"));
     }
-    let eb = head.f64le()?;
     if !(eb.is_finite() && eb > 0.0) {
         return Err(CodecError::Malformed("eb"));
     }
@@ -618,7 +621,7 @@ fn parse(bytes: &[u8]) -> Result<Parsed, CodecError> {
     }
     let coeff_bytes = c.require(TAG_COEFFS)?;
     let n_reg = flags.iter().filter(|&&f| f == 1).count();
-    if coeff_bytes.len() != n_reg * 16 {
+    if coeff_bytes.len() != n_reg * PlaneL::MIN {
         return Err(CodecError::Malformed("coefficient payload"));
     }
     // One code per declared cell: that caps the Huffman block the section
@@ -629,20 +632,11 @@ fn parse(bytes: &[u8]) -> Result<Parsed, CodecError> {
     if codes.len() != dims.len() {
         return Err(CodecError::Malformed("code count"));
     }
-    let mut out = Cur::new(c.require(TAG_OUTLIERS)?);
-    let n_out = out.count(4)?;
-    let outliers: Vec<f32> = out.f32s(n_out)?.collect();
-    let planes: Vec<Plane> = coeff_bytes
-        .chunks_exact(16)
-        .map(|cb| Plane {
-            c: [
-                f32::from_le_bytes(cb[0..4].try_into().unwrap()),
-                f32::from_le_bytes(cb[4..8].try_into().unwrap()),
-                f32::from_le_bytes(cb[8..12].try_into().unwrap()),
-                f32::from_le_bytes(cb[12..16].try_into().unwrap()),
-            ],
-        })
-        .collect();
+    let outliers = Seq::<F32>::get(&mut Cur::new(c.require(TAG_OUTLIERS)?))?;
+    let mut coeffs = Cur::new(coeff_bytes);
+    let planes = (0..n_reg)
+        .map(|_| PlaneL::get(&mut coeffs))
+        .collect::<Result<_, _>>()?;
     Ok(Parsed {
         dims,
         block,
@@ -855,6 +849,32 @@ impl Codec for Sz2Codec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqmr_codec::schema::decode;
+
+    /// `S2HD` and a `COEF` plane read back as written, consuming exactly
+    /// their bytes, and every strict prefix of either is a typed error.
+    #[test]
+    fn head_and_plane_layouts_roundtrip_and_refuse_every_prefix() {
+        let head = Head {
+            dims: Dims3::new(300, 2, 1),
+            block: 4,
+            eb: 1e-3,
+        };
+        let bytes = encode::<HeadL>(&head);
+        assert_eq!(decode::<HeadL>(&bytes), Ok(head));
+        for cut in 0..bytes.len() {
+            assert!(HeadL::get(&mut Cur::new(&bytes[..cut])).is_err(), "{cut}");
+        }
+        let plane = Plane {
+            c: [2.0, -1.5, f32::MIN_POSITIVE, 0.25],
+        };
+        let bytes = encode::<PlaneL>(&plane);
+        assert_eq!(bytes.len(), PlaneL::MIN);
+        assert_eq!(decode::<PlaneL>(&bytes).map(|p| p.c), Ok(plane.c));
+        for cut in 0..bytes.len() {
+            assert!(PlaneL::get(&mut Cur::new(&bytes[..cut])).is_err(), "{cut}");
+        }
+    }
 
     /// A flag byte is a predictor choice, 0 or 1. A stream whose flags
     /// section (CRC intact) carries any other value is refused, by both

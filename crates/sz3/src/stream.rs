@@ -1,8 +1,9 @@
-//! Serialization: SZ3 bitstream = container{ header, Huffman codes, outliers }.
+//! The SZ3 stream: `CDID`, the `S3HD` head (its layout is `HeadL`), the
+//! Huffman-coded `QNTC` codes and the `UNPR` outliers (`Seq<F32>`).
 //!
 //! The quantization/prediction work happens in the `engine` line kernels
 //! ([`crate::engine::compress_pass`] / [`crate::engine::decompress_pass`]);
-//! this module owns [`Sz3Codec`] and the container layout, shared by the
+//! this module owns [`Sz3Codec`] and the container, shared by the
 //! production kernels and the [`reference`]-oracle paths so both serialize
 //! byte-identically.
 
@@ -10,9 +11,10 @@ use crate::engine::{
     compress_pass, decompress_pass, interp_levels, reference::traverse, InterpKind, PredKind,
 };
 use crate::LevelEbPolicy;
+use hqmr_codec::schema::{encode, Dims, Layout, Seq, F32, F64};
 use hqmr_codec::{
-    check_stream_id, huffman_decode_into, huffman_encode_packed, huffman_max_len, push_stream_id,
-    tag, unpack_maybe_rle, write_uvarint, Codec, CodecError, Container, Cur, HuffmanScratch,
+    check_stream_id, huffman_decode_into, huffman_encode_packed, huffman_max_len, layout,
+    push_stream_id, tag, unpack_maybe_rle, Codec, CodecError, Container, Cur, HuffmanScratch,
     LinearQuantizer, QuantOutcome,
 };
 use hqmr_grid::{Dims3, Field3};
@@ -114,37 +116,38 @@ fn compress_in_place(
     c
 }
 
+/// The `S3HD` section: the stream's extents, its error bound and the codec
+/// knobs that rebuild its quantizers.
+#[derive(Debug, PartialEq)]
+struct Head {
+    dims: Dims3,
+    eb: f64,
+    codec: Sz3Codec,
+}
+
+/// The level-eb flag byte, then the policy when it is `1`.
+type LevelEb = Option<LevelEbPolicy>;
+
+layout!(struct HeadL: Head { dims: Dims, eb: F64, codec: CodecL });
+layout!(struct CodecL: Sz3Codec { interp: InterpL, level_eb: LevelEbL });
+layout!(enum InterpL: InterpKind, "interp kind" { 0 => Linear, 1 => Cubic });
+layout!(enum LevelEbL: LevelEb, "level-eb flag" { 0 => None, 1 => Some(p: PolicyL) });
+layout!(struct PolicyL: LevelEbPolicy { alpha: F64, beta: F64 });
+
 /// Frames quantization codes + outliers into the self-describing container.
-fn serialize(dims: Dims3, codec: &Sz3Codec, eb: f64, codes: &[u32], outliers: &[f32]) -> Container {
-    let mut head = Vec::new();
-    write_uvarint(&mut head, dims.nx as u64);
-    write_uvarint(&mut head, dims.ny as u64);
-    write_uvarint(&mut head, dims.nz as u64);
-    head.extend_from_slice(&eb.to_le_bytes());
-    head.push(match codec.interp {
-        InterpKind::Linear => 0,
-        InterpKind::Cubic => 1,
-    });
-    match codec.level_eb {
-        None => head.push(0),
-        Some(p) => {
-            head.push(1);
-            head.extend_from_slice(&p.alpha.to_le_bytes());
-            head.extend_from_slice(&p.beta.to_le_bytes());
-        }
-    }
-
-    let mut out_bytes = Vec::with_capacity(outliers.len() * 4 + 8);
-    write_uvarint(&mut out_bytes, outliers.len() as u64);
-    for v in outliers {
-        out_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
+fn serialize(
+    dims: Dims3,
+    codec: &Sz3Codec,
+    eb: f64,
+    codes: &[u32],
+    outliers: &Vec<f32>,
+) -> Container {
+    let codec = *codec;
     let mut c = Container::new();
     push_stream_id(&mut c, SZ3_CODEC_ID);
-    c.push(TAG_HEAD, head);
+    c.push(TAG_HEAD, encode::<HeadL>(&Head { dims, eb, codec }));
     c.push(TAG_CODES, huffman_encode_packed(codes));
-    c.push(TAG_OUTLIERS, out_bytes);
+    c.push(TAG_OUTLIERS, encode::<Seq<F32>>(outliers));
     c
 }
 
@@ -171,33 +174,21 @@ thread_local! {
     static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
 }
 
-/// Parses and validates a stream back into its codec, error bound and dims,
-/// leaving the quantization codes and the outlier side channel in `scratch`
-/// — shared by the production and reference decode paths.
-fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Codec, f64, Dims3), CodecError> {
+/// Parses and validates a stream back into its [`Head`], leaving the
+/// quantization codes and the outlier side channel in `scratch` — shared by
+/// the production and reference decode paths.
+fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<Head, CodecError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, SZ3_CODEC_ID)?;
-    let mut head = Cur::new(c.require(TAG_HEAD)?);
-    let dims = head.dims()?;
-    let eb = head.f64le()?;
-    let interp = match head.u8()? {
-        0 => InterpKind::Linear,
-        1 => InterpKind::Cubic,
-        _ => return Err(CodecError::Malformed("interp kind")),
-    };
-    let level_eb = match head.u8()? {
-        0 => None,
-        1 => Some(LevelEbPolicy {
-            alpha: head.f64le()?,
-            beta: head.f64le()?,
-        }),
-        _ => return Err(CodecError::Malformed("level-eb flag")),
-    };
+    let head = HeadL::get(&mut Cur::new(c.require(TAG_HEAD)?))?;
+    let Head { dims, eb, codec } = head;
     // `LinearQuantizer::new` asserts its bound: every level's must be sane
     // before `level_quantizers` sees a header field.
     let maxlevel = interp_levels(dims.max_extent()).max(1);
     let sane = |l| {
-        let eb = level_eb.map_or(eb, |p| p.eb_for_level(eb, l, maxlevel));
+        let eb = codec
+            .level_eb
+            .map_or(eb, |p| p.eb_for_level(eb, l, maxlevel));
         eb.is_finite() && eb > 0.0
     };
     if !(1..=maxlevel).all(sane) {
@@ -212,11 +203,13 @@ fn parse(bytes: &[u8], scratch: &mut DecodeScratch) -> Result<(Sz3Codec, f64, Di
     if scratch.codes.len() != dims.len() {
         return Err(CodecError::Malformed("code count"));
     }
+    // `UNPR` is a `Seq<F32>`, walked here into the thread's scratch instead
+    // of a fresh `Vec`.
     let mut out = Cur::new(c.require(TAG_OUTLIERS)?);
-    let n_out = out.count(4)?;
+    let n_out = out.count(F32::MIN)?;
     scratch.outliers.clear();
     scratch.outliers.extend(out.f32s(n_out)?);
-    Ok((Sz3Codec { interp, level_eb }, eb, dims))
+    Ok(head)
 }
 
 /// Pre-overhaul codec paths: the per-point visit-closure traversal driving
@@ -277,7 +270,7 @@ pub mod reference {
     /// reconstructions, same typed errors.
     pub fn decompress(bytes: &[u8]) -> Result<Field3, CodecError> {
         let mut parsed = DecodeScratch::default();
-        let (codec, eb, dims) = parse(bytes, &mut parsed)?;
+        let Head { dims, eb, codec } = parse(bytes, &mut parsed)?;
         let (codes, outliers) = (parsed.codes, parsed.outliers);
         let maxlevel = interp_levels(dims.max_extent());
         let quants = level_quantizers(&codec, eb, maxlevel);
@@ -342,7 +335,7 @@ impl Codec for Sz3Codec {
     fn decompress_into(&self, bytes: &[u8], out: &mut Field3) -> Result<(), CodecError> {
         SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
-            let result = parse(bytes, scratch).and_then(|(codec, eb, dims)| {
+            let result = parse(bytes, scratch).and_then(|Head { dims, eb, codec }| {
                 let maxlevel = interp_levels(dims.max_extent());
                 let quants = level_quantizers(&codec, eb, maxlevel);
                 out.reshape(dims, 0.0);
@@ -518,6 +511,41 @@ mod tests {
         bad[mid] ^= 0xFF;
         assert!(Sz3Codec::default().decompress(&bad).is_err());
         assert!(Sz3Codec::default().decompress(&bad[..10]).is_err());
+    }
+
+    /// Every `S3HD` shape reads back as written, consuming exactly its
+    /// bytes, and every strict prefix of it is a typed error.
+    #[test]
+    fn head_layout_roundtrips_and_refuses_every_prefix() {
+        let policy = LevelEbPolicy {
+            alpha: 3.0,
+            beta: 5.0,
+        };
+        for (interp, level_eb) in [
+            (InterpKind::Linear, None),
+            (InterpKind::Cubic, Some(policy)),
+        ] {
+            let codec = Sz3Codec { interp, level_eb };
+            let head = Head {
+                dims: Dims3::new(3, 300, 1),
+                eb: 0.125,
+                codec,
+            };
+            let bytes = encode::<HeadL>(&head);
+            assert_eq!(hqmr_codec::schema::decode::<HeadL>(&bytes), Ok(head));
+            for cut in 0..bytes.len() {
+                assert!(HeadL::get(&mut Cur::new(&bytes[..cut])).is_err(), "{cut}");
+            }
+        }
+        let outliers = vec![1.5f32, -0.0, f32::MAX];
+        let bytes = encode::<Seq<F32>>(&outliers);
+        assert_eq!(hqmr_codec::schema::decode::<Seq<F32>>(&bytes), Ok(outliers));
+        for cut in 0..bytes.len() {
+            assert!(
+                Seq::<F32>::get(&mut Cur::new(&bytes[..cut])).is_err(),
+                "{cut}"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,7 @@
 //! Whole-field fixed-accuracy compression on top of the block coder.
+//!
+//! The stream: `CDID`, the `ZFHD` head (its layout is `HeadL`) and the
+//! `ZFBP` bit planes of every block.
 
 use crate::coder::{
     decode_block_ints, encode_block_ints, int2uint, kept_planes, uint2int, INTPREC,
@@ -6,9 +9,9 @@ use crate::coder::{
 use crate::transform::{fwd_transform3, inv_transform3};
 use crate::{BLOCK, BLOCK_LEN};
 use hqmr_codec::kernels::PAR_MIN_CELLS;
+use hqmr_codec::schema::{encode, Dims, Layout, Pair, F64};
 use hqmr_codec::{
-    check_stream_id, push_stream_id, tag, write_uvarint, BitReader, BitWriter, Codec, CodecError,
-    Container, Cur,
+    check_stream_id, push_stream_id, tag, BitReader, BitWriter, Codec, CodecError, Container, Cur,
 };
 use hqmr_grid::{BlockGrid, Dims3, Field3};
 use rayon::prelude::*;
@@ -18,6 +21,9 @@ pub const ZFP_CODEC_ID: u32 = tag(b"ZFPS");
 
 const TAG_HEAD: u32 = tag(b"ZFHD");
 const TAG_PAYLOAD: u32 = tag(b"ZFBP");
+
+/// The `ZFHD` section: the stream's extents, then its tolerance.
+type HeadL = Pair<Dims, F64>;
 
 /// Fixed-point fraction bits: values are scaled so `|i| ≤ 2³⁰`.
 const Q: i32 = 29;
@@ -174,15 +180,9 @@ fn compress_container_with(
         w
     };
 
-    let mut head = Vec::new();
-    write_uvarint(&mut head, dims.nx as u64);
-    write_uvarint(&mut head, dims.ny as u64);
-    write_uvarint(&mut head, dims.nz as u64);
-    head.extend_from_slice(&tol.to_le_bytes());
-
     let mut c = Container::new();
     push_stream_id(&mut c, ZFP_CODEC_ID);
-    c.push(TAG_HEAD, head);
+    c.push(TAG_HEAD, encode::<HeadL>(&(dims, tol)));
     c.push(TAG_PAYLOAD, w.finish());
     (c, zero_blocks)
 }
@@ -198,9 +198,7 @@ fn decompress_into_with(
 ) -> Result<(), CodecError> {
     let c = Container::from_bytes(bytes)?;
     check_stream_id(&c, ZFP_CODEC_ID)?;
-    let mut head = Cur::new(c.require(TAG_HEAD)?);
-    let dims = head.dims()?;
-    let tol = head.f64le()?;
+    let (dims, tol) = HeadL::get(&mut Cur::new(c.require(TAG_HEAD)?))?;
     if !(tol.is_finite() && tol > 0.0) {
         return Err(CodecError::Malformed("tol"));
     }
@@ -351,6 +349,18 @@ impl Codec for ZfpCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `ZFHD` reads back as written, consuming exactly its bytes, and every
+    /// strict prefix of it is a typed error.
+    #[test]
+    fn head_layout_roundtrips_and_refuses_every_prefix() {
+        let head = (Dims3::new(1, 128, 70_000), 1e-6);
+        let bytes = encode::<HeadL>(&head);
+        assert_eq!(hqmr_codec::schema::decode::<HeadL>(&bytes), Ok(head));
+        for cut in 0..bytes.len() {
+            assert!(HeadL::get(&mut Cur::new(&bytes[..cut])).is_err(), "{cut}");
+        }
+    }
 
     #[test]
     fn maxprec_scales_with_exponent_gap() {

@@ -18,7 +18,8 @@
 //! Each case runs under `catch_unwind` with this binary's counting allocator
 //! holding it to [`HEAP_CAP`]. The crafted inputs that used to abort or
 //! panic — four codec and container streams, and a store whose progressive
-//! walk aborted — are pinned by name at the bottom.
+//! walk aborted — are pinned by name at the bottom, followed by codec
+//! streams that are structurally valid but for one hostile head value.
 
 use hqmr::codec::{crc32, tag, write_uvarint, CodecError, Container, ContainerError, Cur};
 use hqmr::grid::Dims3;
@@ -525,4 +526,129 @@ fn crafted_inputs_are_typed_errors_within_the_heap_cap() {
         assert!(matches!(walk.next(), Some(Err(StoreError::Malformed(_)))));
         assert!(walk.next().is_none());
     });
+}
+
+/// `vals` as consecutive varints.
+fn varints(vals: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    vals.iter().for_each(|&v| write_uvarint(&mut out, v));
+    out
+}
+
+/// The three extents a codec head opens with.
+fn head_dims(head: &[u8]) -> [u64; 3] {
+    let mut c = Cur::new(head);
+    [0; 3].map(|_| c.uvarint().expect("declared extent"))
+}
+
+/// A committed codec stream with its `head` section replaced, every CRC
+/// re-stamped, through its own backend: the typed error `want`, under the
+/// heap cap and without a panic.
+fn refuses_head(file: &str, id: &[u8; 4], head: &[u8; 4], bytes: Vec<u8>, want: &'static str) {
+    let mut parts = fixture_stream(file, id);
+    *section(&mut parts, head) = bytes;
+    refuses(file, id, parts, want);
+}
+
+/// [`refuses_head`] for a stream given as its sections.
+fn refuses(file: &str, id: &[u8; 4], parts: Vec<(u32, Vec<u8>)>, want: &'static str) {
+    let bad = rebuild(parts);
+    let codec = codec_for_id(tag(id)).unwrap();
+    case(&|| format!("{file}: hostile {want}"), || {
+        assert_eq!(
+            codec.decompress(&bad).map(drop),
+            Err(CodecError::Malformed(want))
+        );
+    });
+}
+
+/// Structurally valid codec streams that each carry one hostile value in a
+/// declared field: a tag or flag one past the last, a zero block side, a
+/// non-finite or non-positive bound, extents whose product overflows or is
+/// huge, an outlier count one past the body.
+#[test]
+fn hostile_head_values_are_typed_errors_within_the_heap_cap() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let bad_bounds = [f64::NAN, 0.0, -1.0, f64::INFINITY];
+    let f64s = |vals: &[f64]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
+
+    // sz3: extents | eb | interp tag | level-eb flag [| alpha | beta].
+    let (file, id) = ("sz3_linear.bin", b"SZ3S");
+    let dims = head_dims(section(&mut fixture_stream(file, id), b"S3HD"));
+    let sz3 = |eb: f64, interp: u8, level_eb: Option<[f64; 2]>| {
+        let mut h = varints(&dims);
+        h.extend(f64s(&[eb]));
+        h.push(interp);
+        h.push(u8::from(level_eb.is_some()));
+        if let Some(policy) = level_eb {
+            h.extend(f64s(&policy));
+        }
+        h
+    };
+    refuses_head(file, id, b"S3HD", sz3(1e-3, 2, None), "interp kind");
+    let mut flag2 = sz3(1e-3, 0, None);
+    *flag2.last_mut().unwrap() = 2;
+    refuses_head(file, id, b"S3HD", flag2, "level-eb flag");
+    for eb in bad_bounds {
+        refuses_head(file, id, b"S3HD", sz3(eb, 0, None), "eb");
+    }
+    // A sane stream bound that a level's policy turns insane: a cap of 0
+    // divides the finest level's bound by zero, a negative one flips it.
+    for beta in [0.0, -1.0] {
+        refuses_head(file, id, b"S3HD", sz3(1e-3, 1, Some([2.25, beta])), "eb");
+    }
+
+    // sz2: extents | block side | eb.
+    let (file, id) = ("sz2_linear.bin", b"SZ2S");
+    let dims = head_dims(section(&mut fixture_stream(file, id), b"S2HD"));
+    let sz2 = |block: u64, eb: f64| {
+        let mut h = varints(&dims);
+        h.extend(varints(&[block]));
+        h.extend(f64s(&[eb]));
+        h
+    };
+    refuses_head(file, id, b"S2HD", sz2(0, 1e-3), "block size");
+    for eb in bad_bounds {
+        refuses_head(file, id, b"S2HD", sz2(4, eb), "eb");
+    }
+
+    // zfp: extents | tolerance.
+    let (file, id) = ("zfp_linear.bin", b"ZFPS");
+    let dims = head_dims(section(&mut fixture_stream(file, id), b"ZFHD"));
+    for tol in bad_bounds {
+        let mut h = varints(&dims);
+        h.extend(f64s(&[tol]));
+        refuses_head(file, id, b"ZFHD", h, "tol");
+    }
+
+    // Every backend: extents whose product is 2^64, one past `usize`, and
+    // extents whose product of 2^63 fits but no section can back.
+    for (file, id, head, huge) in [
+        ("null_linear.bin", b"RAWS", b"RWHD", "length overflow"),
+        ("sz3_linear.bin", b"SZ3S", b"S3HD", "code count"),
+        ("sz2_linear.bin", b"SZ2S", b"S2HD", "flag count"),
+        ("zfp_linear.bin", b"ZFPS", b"ZFHD", "stream underrun"),
+    ] {
+        for (dims, want) in [
+            ([1 << 32, 1 << 32, 1], "length overflow"),
+            ([1 << 21; 3], huge),
+        ] {
+            let mut parts = fixture_stream(file, id);
+            let h = section(&mut parts, head);
+            *h = with_dims(h, dims);
+            refuses(file, id, parts, want);
+        }
+    }
+
+    // sz3 and sz2: an `UNPR` count one past the outliers its body holds.
+    for (file, id) in [("sz3_linear.bin", b"SZ3S"), ("sz2_linear.bin", b"SZ2S")] {
+        let mut parts = fixture_stream(file, id);
+        let unpr = section(&mut parts, b"UNPR");
+        let mut c = Cur::new(unpr);
+        let n = c.uvarint().expect("outlier count");
+        let mut bumped = varints(&[n + 1]);
+        bumped.extend_from_slice(c.rest());
+        *unpr = bumped;
+        refuses(file, id, parts, "count exceeds body");
+    }
 }

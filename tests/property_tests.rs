@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn rle_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
         prop_assert_eq!(rle_decode(&rle_encode(&bytes), bytes.len()), Some(bytes.clone()));
-        prop_assert_eq!(unpack_maybe_rle(&pack_maybe_rle(&bytes), bytes.len()), Some(bytes));
+        prop_assert_eq!(unpack_maybe_rle(&pack_maybe_rle(&bytes), bytes.len()).as_deref(), Some(&bytes[..]));
     }
 
     /// Zigzag is a bijection.
